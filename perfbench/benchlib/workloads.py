@@ -82,7 +82,7 @@ WORKLOADS = {
         Workload("many-trials", trials=10, cli=False,
                  shape=(("torsion-conj", 6), ("torsion-conj", 7))
                  + (("boundary", 1),) * 3,
-                 round_s=4.5),
+                 round_s=5.5),
     )
 }
 
@@ -117,6 +117,7 @@ class Outcome:
     latency_s: float
     value: complex | None
     error: str | None  # None when the result passed the correctness gate
+    pace_s: float | None = None  # reference kernel time around the op
 
 
 def torsion_value(n: int) -> float:
@@ -243,13 +244,25 @@ def run_cli_in_process(eb, op: Operation) -> Outcome:
     return Outcome(latency, value, error)
 
 
-def closed_loop(ops: list[Operation], execute) -> tuple[list[Outcome], float]:
-    """One operation at a time; returns the outcomes and the wall time."""
+def closed_loop(ops: list[Operation], execute,
+                pace=None) -> tuple[list[Outcome], float]:
+    """One operation at a time; returns the outcomes and the wall time.
+    With a ``pace`` (``benchlib.pace.Pace``) its kernel is timed before the
+    first operation and after every one, outside the wall time, and each
+    outcome gets the mean of the two samples around it."""
     outcomes = []
-    t0 = time.perf_counter()
+    wall = 0.0
+    before = pace.sample() if pace is not None else None
     for op in ops:
-        outcomes.append(execute(op))
-    return outcomes, time.perf_counter() - t0
+        t0 = time.perf_counter()
+        outcome = execute(op)
+        wall += time.perf_counter() - t0
+        if pace is not None:
+            after = pace.sample()
+            outcome.pace_s = (before + after) / 2
+            before = after
+        outcomes.append(outcome)
+    return outcomes, wall
 
 
 def subprocess_env(src: Path) -> dict:

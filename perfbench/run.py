@@ -2,7 +2,7 @@
 
 Usage, from the root of a source checkout:
 
-    python3 perfbench/run.py --workload deep-single --seed 1 --seconds 45 --trace 0
+    python3 perfbench/run.py --workload deep-single --seed 1 --seconds 40 --trace 0
 
 Workloads (see ``benchlib/workloads.py``), both in this process:
 
@@ -24,6 +24,13 @@ Between rounds the run times a few fresh interpreters with and without
 ``import extbloch``; their difference is ``import_s``, which is printed and
 counted in ``setup_s`` together with the median of three fixture builds.
 
+The host's pace drifts, so every end-to-end time is read at a nominal pace:
+a reference kernel is timed before and after every operation and fixture
+build, and each time is scaled by the nominal kernel time over the kernel
+time around it (``benchlib/pace.py``).  ``import_s``, taken in fresh
+interpreters, stays as measured.  The times as measured are printed above
+the result line.
+
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  The exit code is 0
 only when every operation passed the correctness gate.
@@ -44,6 +51,7 @@ from pathlib import Path
 
 from benchlib import stats
 from benchlib.layers import DETERMINISTIC, HOOKS, PER_LAYER, layer_values
+from benchlib.pace import NOMINAL_S, Pace, scaled
 from benchlib.tracing import Tracer, installed
 from benchlib.workloads import (WORKLOADS, ImportProbe, build_operations,
                                 by_round, closed_loop, rounds_for,
@@ -123,24 +131,34 @@ def _executor(eb, workload):
     return lambda op: run_in_process(eb, op)
 
 
-def measured_run(eb, workload, ops, env, root, setup_s) -> tuple[int, dict]:
+def measured_run(eb, workload, ops, env, root, setup_s,
+                 pace) -> tuple[int, dict]:
     """Rounds one after another, with import probes between them; latency
-    percentiles are over every operation of the run."""
+    percentiles are over every operation of the run.  Each operation's time
+    is read at the nominal host pace by the kernel samples around it
+    (``benchlib/pace.py``); the times as measured are printed beside.
+    ``setup_s`` holds fixture builds already read that way."""
     execute = _executor(eb, workload)
     rounds = by_round(ops)
     probe = ImportProbe(env, root)
-    outcomes, wall = [], 0.0
+    outcomes, measured_wall = [], 0.0
     for batch in rounds:
-        outs, round_wall = closed_loop(batch, execute)
+        outs, round_wall = closed_loop(batch, execute, pace=pace)
         outcomes += outs
-        wall += round_wall
+        measured_wall += round_wall
         probe.sample(math.ceil(IMPORT_PROBES / len(rounds)))
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    # fresh interpreters do not follow the kernel's pace (correlation ~0.3
+    # against ~0.9 for in-process work), so import_s stays as measured
     import_s = probe.cost()
 
     failed = report_failures(ops, outcomes)
-    lat = stats.latencies_with_failures(
-        [o.latency_s for o in outcomes], [o.error is not None for o in outcomes])
+    times = [scaled(o.latency_s, o.pace_s) for o in outcomes]
+    wall = sum(times)
+    bad = [o.error is not None for o in outcomes]
+    lat = stats.latencies_with_failures(times, bad)
+    measured_lat = stats.latencies_with_failures(
+        [o.latency_s for o in outcomes], bad)
     tail = stats.tail(lat)
     done_terms = sum(op.bar_terms * op.trials
                      for op, o in zip(ops, outcomes) if o.error is None)
@@ -158,7 +176,15 @@ def measured_run(eb, workload, ops, env, root, setup_s) -> tuple[int, dict]:
     # a shared box, so it is reported here and in the trace, not gated
     print(f"import_s = {import_s} s, from {len(probe.full)} probe pairs")
     print(f"setup_s = import_s + median of {len(setup_s)} fixture builds "
-          f"{[round(t, 4) for t in setup_s]}")
+          f"at nominal pace {[round(t, 4) for t in setup_s]}")
+    print(f"pace: reference kernel {stats.median(pace.samples)} s median "
+          f"over {len(pace.samples)} samples, nominal {NOMINAL_S} s")
+    print("as measured: " + json.dumps({
+        "wall_s": measured_wall,
+        "latency_p50_s": stats.median(measured_lat),
+        "latency_tail_s": stats.tail(measured_lat).value,
+        "bar_terms_per_s": done_terms / measured_wall,
+    }))
     return failed, values
 
 
@@ -249,6 +275,9 @@ def main(argv=None) -> int:
               else rounds_for(workload, args.seconds))
 
     with tempfile.TemporaryDirectory(dir=out_dir) as tmp:
+        # each build is read at the pace of the kernel samples around it
+        pace = Pace()
+        before = pace.sample()
         setup_s = []
         for k in range(SETUP_REPEATS):
             t0 = time.perf_counter()
@@ -257,7 +286,10 @@ def main(argv=None) -> int:
                 files = Path(tmp) / f"setup{k}"
                 files.mkdir()
                 ops = write_chain_files(extbloch, ops, files)
-            setup_s.append(time.perf_counter() - t0)
+            elapsed = time.perf_counter() - t0
+            after = pace.sample()
+            setup_s.append(scaled(elapsed, (before + after) / 2))
+            before = after
         print(f"{len(ops)} operations in {rounds} rounds of "
               f"{len(workload.shape)}, trials={workload.trials}")
         if args.trace:
@@ -266,7 +298,7 @@ def main(argv=None) -> int:
             units = PER_LAYER
         else:
             failed, values = measured_run(extbloch, workload, ops, env, root,
-                                          setup_s)
+                                          setup_s, pace)
             units = END_TO_END
 
     for name, unit in units:

@@ -1,6 +1,6 @@
 """Run-to-run spread of the benchmark: one run per seed, one after another.
 
-    python3 perfbench/spread.py --workload deep-single --seeds 1-10 --seconds 45
+    python3 perfbench/spread.py --workload deep-single --seeds 1-10 --seconds 40
 
 For every metric of the last result line it prints the median over runs and
 the distance between first and third quartile as a share of the median, as
@@ -50,7 +50,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", default="1-10")
-    ap.add_argument("--seconds", type=int, default=45)
+    ap.add_argument("--seconds", type=int, default=40)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 

@@ -18,8 +18,10 @@ sys.path.insert(0, str(HERE))
 from benchlib import stats  # noqa: E402
 from benchlib.layers import PER_LAYER, layer_values  # noqa: E402
 from benchlib.tracing import Hook, Tracer, installed, resolve  # noqa: E402
-from benchlib.workloads import (MIN_OPS, WORKLOADS, check,  # noqa: E402
-                                circle_distance, rounds_for, torsion_value)
+from benchlib.pace import NOMINAL_S, scaled  # noqa: E402
+from benchlib.workloads import (MIN_OPS, WORKLOADS, Outcome,  # noqa: E402
+                                check, circle_distance, closed_loop,
+                                rounds_for, torsion_value)
 
 
 def _load_run():
@@ -243,6 +245,30 @@ def test_ground_truth_and_gate():
     assert "imaginary" in check(complex(0.6, 1e-5), 0.0, 0.6)
     assert "deviation" in check(complex(0.6, 0.0), 1e-6, 0.6)
     assert check(complex(math.nan, 0.0), 0.0, 0.0) is not None
+
+
+class FakePace:
+    def __init__(self, samples):
+        self.samples = list(samples)
+
+    def sample(self):
+        return self.samples.pop(0)
+
+
+def test_each_op_gets_the_mean_pace_around_it():
+    outcomes, _ = closed_loop([1, 2, 3], lambda op: Outcome(0.5, None, None),
+                              pace=FakePace([0.02, 0.04, 0.03, 0.03]))
+    assert [o.pace_s for o in outcomes] == pytest.approx([0.03, 0.035, 0.03])
+    plain, _ = closed_loop([1], lambda op: Outcome(0.5, None, None))
+    assert plain[0].pace_s is None
+
+
+def test_scaling_cancels_host_pace_but_not_program_cost():
+    assert scaled(1.0, NOMINAL_S) == 1.0
+    # the same work in a spell at half speed reads the same
+    assert scaled(2.0, 2 * NOMINAL_S) == pytest.approx(1.0)
+    # a program 20% slower reads 20% slower in the same spell
+    assert scaled(2.4, 2 * NOMINAL_S) == pytest.approx(1.2)
 
 
 def test_every_run_has_a_tail_and_three_rounds():
