@@ -10,6 +10,14 @@ presentations: bar symbols [g1|...|gn] and homogeneous (n+1)-tuples
 are mutually inverse chain isomorphisms once homogeneous tuples are taken
 up to simultaneous left translation ("coinvariant" form, first entry 1).
 
+Every chain keys its terms by tuples of integer ids from a ``SymbolTable``,
+so boundaries, conversions and sums merge terms by exact keys; a group
+element is identified numerically only once, when the table first meets it.
+Public constructors give a chain a table of its own.  An evaluation
+(``is_cycle``, ``repair_with_certificate``, ``lambda_hat``, ``ccs_value``)
+re-interns its input into a new table at the caller's tolerance and leaves
+the input's table alone.
+
 ``repair_to_good`` replaces a cycle by a homologous one avoiding all
 g_i = +-g_j coincidences, together with an explicit homotopy certificate.
 """
@@ -23,160 +31,158 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .core import GroupElement, ProjVector, det_pair, random_sl2, random_vector
-from .errors import RepairFailed, SamplingExhausted
+from .errors import NotACycle, RepairFailed, SamplingExhausted
+from .formal import FormalSum
 from .quantize import FuzzyIndex
 
 GTuple = tuple[GroupElement, ...]
+Ids = tuple[int, ...]
 
 MAX_DEGREE = 4  # the pipeline needs cycles (3) and homotopies (4) only
 
 
-def _entry_floats(gs: Iterable[GroupElement]) -> list[float]:
-    out: list[float] = []
-    for g in gs:
-        for x in g.entries():
-            out.append(x.real)
-            out.append(x.imag)
-    return out
+class SymbolTable:
+    """Integer ids for the group elements of one computation.
+
+    ``elements[i]`` is the first element seen with id ``i``.  Exact repeats
+    hit a dictionary; a new element gets one ``FuzzyIndex`` lookup over its
+    eight entry floats at ``tol.cmp`` (see :mod:`extbloch.quantize` for what
+    that identifies).  Products and inverses of representatives are
+    memoized by id.
+    """
+
+    def __init__(self, tol: Tolerances = DEFAULT_TOL):
+        self.tol = tol
+        self.elements: list[GroupElement] = []
+        self._index = FuzzyIndex(tol.cmp)
+        self._seen: dict[GroupElement, int] = {}
+        self._products: dict[tuple[int, int], int] = {}
+        self._inverses: dict[int, int] = {}
+        self.identity = self.intern(GroupElement.identity())
+
+    def intern(self, g: GroupElement) -> int:
+        ident = self._seen.get(g)
+        if ident is None:
+            ident = self._seen[g] = self._index.key(
+                [x for z in g.entries() for x in (z.real, z.imag)])
+            if ident == len(self.elements):
+                self.elements.append(g)
+        return ident
+
+    def mul(self, i: int, j: int) -> int:
+        ident = self._products.get((i, j))
+        if ident is None:
+            ident = self._products[(i, j)] = self.intern(
+                self.elements[i] @ self.elements[j])
+        return ident
+
+    def inv(self, i: int) -> int:
+        ident = self._inverses.get(i)
+        if ident is None:
+            ident = self._inverses[i] = self.intern(self.elements[i].inverse())
+        return ident
+
+    def canonical(self, ids: Ids) -> Ids:
+        """Left-translate so the first entry is the identity."""
+        if ids[0] == self.identity:
+            return ids
+        inv = self.inv(ids[0])
+        return (self.identity,) + tuple(self.mul(inv, i) for i in ids[1:])
 
 
-def _normalize(terms: Iterable[tuple[int, GTuple]],
-               tol: float) -> tuple[tuple[int, GTuple], ...]:
-    idx = FuzzyIndex(tol)
-    merged: dict[int, tuple[int, GTuple]] = {}
-    order: list[int] = []
-    for coeff, sym in terms:
-        if not isinstance(coeff, (int, np.integer)):
-            raise TypeError(f"coefficients must be integers, got {coeff!r}")
-        key = idx.key(_entry_floats(sym))
-        if key in merged:
-            c, s = merged[key]
-            merged[key] = (c + coeff, s)
-        else:
-            merged[key] = (coeff, sym)
-            order.append(key)
-    return tuple((merged[k][0], merged[k][1]) for k in order if merged[k][0] != 0)
+class _Chain(FormalSum):
+    """A chain of one degree with terms keyed by tuples of ids from a
+    ``SymbolTable``; only homogeneous chains can be coinvariant."""
+
+    __slots__ = ("degree", "coinvariant")
+    _extra = 0  # tuple length minus degree
+
+    def __init__(self, degree: int, terms, tol: Tolerances, coinvariant: bool):
+        if not 0 <= degree <= MAX_DEGREE:
+            raise ValueError(f"degree {degree} outside supported range")
+        self.degree, self.coinvariant = degree, coinvariant
+        super().__init__(terms, tol, SymbolTable(tol))
+
+    @classmethod
+    def _on(cls, table: SymbolTable, degree: int,
+            pairs: Iterable[tuple[int, Ids]], coinvariant: bool = False):
+        """A chain over ids of ``table`` from (coefficient, ids) pairs."""
+        c = cls.__new__(cls)
+        c.degree, c.coinvariant, c.tol, c.table = (degree, coinvariant,
+                                                   table.tol, table)
+        c._merge((coeff, c._canonical(ids), None) for coeff, ids in pairs)
+        return c
+
+    def _canonical(self, ids: Ids) -> Ids:
+        return self.table.canonical(ids) if self.coinvariant else ids
+
+    def _keyed(self, terms):
+        intern, length = self.table.intern, self.degree + self._extra
+        for coeff, tup in terms:
+            if len(tup) != length:
+                raise ValueError(f"terms of this chain have length {length}")
+            yield coeff, self._canonical(tuple(map(intern, tup))), None
+
+    def _aligned(self, other):
+        if self.degree != other.degree:
+            raise ValueError("degree mismatch")
+        return ((c, self._canonical(ids), r)
+                for c, ids, r in super()._aligned(other))
+
+    def pairs(self) -> Iterable[tuple[int, Ids]]:
+        """(coefficient, ids) for every term, in order."""
+        return ((t[0], ids) for ids, t in self._terms.items())
+
+    def __iter__(self):
+        elements = self.table.elements
+        return ((t[0], tuple(elements[i] for i in ids))
+                for ids, t in self._terms.items())
+
+    def interned(self, table: SymbolTable):
+        """The same chain keyed through ``table``; terms whose elements
+        ``table`` identifies merge."""
+        if table is self.table:
+            return self
+        return self._on(table, self.degree,
+                        ((c, tuple(map(table.intern, sym))) for c, sym in self),
+                        self.coinvariant)
+
+    def is_empty(self) -> bool:
+        return self.is_zero()
 
 
-class BarChain:
+class BarChain(_Chain):
     """Integer combination of bar symbols [g1|...|gn], all of one degree."""
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ()
 
     def __init__(self, degree: int, terms: Iterable[tuple[int, GTuple]],
                  tol: Tolerances = DEFAULT_TOL):
-        if not 0 <= degree <= MAX_DEGREE:
-            raise ValueError(f"degree {degree} outside supported range")
-        terms = list(terms)
-        for _, sym in terms:
-            if len(sym) != degree:
-                raise ValueError("all symbols must match the chain degree")
-        self.degree = degree
-        self.terms = _normalize(terms, tol.cmp)
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def is_empty(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "BarChain") -> "BarChain":
-        if other.is_empty():
-            return self
-        if self.is_empty():
-            return other
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return BarChain(self.degree, list(self.terms) + list(other.terms))
-
-    def __neg__(self) -> "BarChain":
-        return BarChain(self.degree, [(-c, s) for c, s in self.terms])
-
-    def __sub__(self, other: "BarChain") -> "BarChain":
-        return self + (-other)
-
-    def __rmul__(self, n: int) -> "BarChain":
-        return BarChain(self.degree, [(n * c, s) for c, s in self.terms])
+        super().__init__(degree, terms, tol, False)
 
     def __repr__(self) -> str:
-        return f"BarChain(degree={self.degree}, {len(self.terms)} terms)"
+        return f"BarChain(degree={self.degree}, {len(self)} terms)"
 
 
-class HomChain:
+class HomChain(_Chain):
     """Integer combination of homogeneous tuples (g0,...,gn).
 
     With ``coinvariant=True`` every tuple is left-translated so its first
-    entry is the identity before normalization; this is the quotient by the
-    diagonal group action, where cycles live.
+    entry is the identity before merging; this is the quotient by the
+    diagonal group action, where cycles live.  A sum keeps the left
+    operand's form.
     """
 
-    __slots__ = ("degree", "terms", "coinvariant")
+    __slots__ = ()
+    _extra = 1
 
     def __init__(self, degree: int, terms: Iterable[tuple[int, GTuple]],
                  coinvariant: bool = False, tol: Tolerances = DEFAULT_TOL):
-        if not 0 <= degree <= MAX_DEGREE:
-            raise ValueError(f"degree {degree} outside supported range")
-        prepared = []
-        for coeff, tup in terms:
-            if len(tup) != degree + 1:
-                raise ValueError("tuple length must be degree + 1")
-            if coinvariant:
-                tup = canonical_tuple(tup)
-            prepared.append((coeff, tup))
-        self.degree = degree
-        self.coinvariant = coinvariant
-        self.terms = _normalize(prepared, tol.cmp)
-
-    @classmethod
-    def _trusted(cls, degree: int, terms: tuple[tuple[int, GTuple], ...],
-                 coinvariant: bool = False) -> "HomChain":
-        """Internal: wrap terms already known to be normalized (distinct
-        symbols, nonzero coefficients) without re-merging."""
-        obj = cls.__new__(cls)
-        obj.degree = degree
-        obj.terms = terms
-        obj.coinvariant = coinvariant
-        return obj
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def is_empty(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "HomChain") -> "HomChain":
-        if other.is_empty():
-            return self
-        if self.is_empty():
-            return other
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return HomChain(self.degree, list(self.terms) + list(other.terms),
-                        coinvariant=self.coinvariant or other.coinvariant)
-
-    def __neg__(self) -> "HomChain":
-        return HomChain(self.degree, [(-c, t) for c, t in self.terms],
-                        coinvariant=self.coinvariant)
-
-    def __sub__(self, other: "HomChain") -> "HomChain":
-        return self + (-other)
-
-    def __rmul__(self, n: int) -> "HomChain":
-        return HomChain(self.degree, [(n * c, t) for c, t in self.terms],
-                        coinvariant=self.coinvariant)
-
-    def as_coinvariant(self) -> "HomChain":
-        return HomChain(self.degree, self.terms, coinvariant=True)
+        super().__init__(degree, terms, tol, coinvariant)
 
     def __repr__(self) -> str:
         tag = ", coinvariant" if self.coinvariant else ""
-        return f"HomChain(degree={self.degree}, {len(self.terms)} terms{tag})"
+        return f"HomChain(degree={self.degree}, {len(self)} terms{tag})"
 
 
 def canonical_tuple(tup: GTuple) -> GTuple:
@@ -186,33 +192,32 @@ def canonical_tuple(tup: GTuple) -> GTuple:
     return tuple(inv @ g for g in tup)
 
 
-def translate_tuple(h: GroupElement, tup: GTuple) -> GTuple:
-    return tuple(h @ g for g in tup)
-
-
 # ---------------------------------------------------------------------------
 # conversions and boundaries
 
 
 def inhom_to_hom(c: BarChain) -> HomChain:
     """[g1|...|gn] -> (1, g1, g1 g2, ..., g1...gn), termwise."""
+    table = c.table
     out = []
-    for coeff, sym in c:
-        tup = [GroupElement.identity()]
-        for g in sym:
-            tup.append(tup[-1] @ g)
+    for coeff, ids in c.pairs():
+        tup = [table.identity]
+        for i in ids:
+            tup.append(table.mul(tup[-1], i))
         out.append((coeff, tuple(tup)))
-    return HomChain(c.degree, out, coinvariant=True)
+    return HomChain._on(table, c.degree, out, True)
 
 
 def hom_to_inhom(c: HomChain) -> BarChain:
     """(g0,...,gn) -> [g0^-1 g1 | ... | g_{n-1}^-1 gn], termwise.
     Independent of the coinvariant representative."""
+    table = c.table
     out = []
-    for coeff, tup in c:
-        sym = tuple(tup[i].inverse() @ tup[i + 1] for i in range(len(tup) - 1))
+    for coeff, ids in c.pairs():
+        sym = tuple(table.mul(table.inv(ids[i]), ids[i + 1])
+                    for i in range(len(ids) - 1))
         out.append((coeff, sym))
-    return BarChain(c.degree, out)
+    return BarChain._on(table, c.degree, out)
 
 
 def bar_boundary(c: BarChain) -> BarChain:
@@ -220,15 +225,16 @@ def bar_boundary(c: BarChain) -> BarChain:
     and dropping the last."""
     if c.degree < 1:
         raise ValueError("boundary needs degree >= 1")
+    mul = c.table.mul
     out = []
     n = c.degree
-    for coeff, sym in c:
-        out.append((coeff, sym[1:]))
+    for coeff, ids in c.pairs():
+        out.append((coeff, ids[1:]))
         for i in range(n - 1):
-            merged = sym[:i] + (sym[i] @ sym[i + 1],) + sym[i + 2:]
+            merged = ids[:i] + (mul(ids[i], ids[i + 1]),) + ids[i + 2:]
             out.append((coeff * (-1) ** (i + 1), merged))
-        out.append((coeff * (-1) ** n, sym[:-1]))
-    return BarChain(c.degree - 1, out)
+        out.append((coeff * (-1) ** n, ids[:-1]))
+    return BarChain._on(c.table, n - 1, out)
 
 
 def hom_boundary(c: HomChain) -> HomChain:
@@ -237,42 +243,55 @@ def hom_boundary(c: HomChain) -> HomChain:
     if c.degree < 1:
         raise ValueError("boundary needs degree >= 1")
     out = []
-    for coeff, tup in c:
-        for i in range(len(tup)):
-            out.append((coeff * (-1) ** i, tup[:i] + tup[i + 1:]))
-    return HomChain(c.degree - 1, out, coinvariant=c.coinvariant)
+    for coeff, ids in c.pairs():
+        for i in range(len(ids)):
+            out.append((coeff * (-1) ** i, ids[:i] + ids[i + 1:]))
+    return HomChain._on(c.table, c.degree - 1, out, c.coinvariant)
 
 
 def cone(g: GroupElement, c: HomChain) -> HomChain:
     """Prepend g to every tuple.  Satisfies d(cone) = id - cone(d)."""
     if c.degree + 1 > MAX_DEGREE:
         raise ValueError("cone would exceed the supported degree range")
-    # prepending preserves distinctness of symbols, so normalization holds
-    return HomChain._trusted(
-        c.degree + 1, tuple((coeff, (g,) + tup) for coeff, tup in c))
+    apex = c.table.intern(g)
+    return HomChain._on(c.table, c.degree + 1,
+                        ((coeff, (apex,) + ids) for coeff, ids in c.pairs()))
+
+
+def _residual(c: BarChain) -> BarChain:
+    return bar_boundary(c) if c.degree else BarChain._on(c.table, 0, [])
 
 
 def is_cycle(c: BarChain, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, BarChain]:
-    """True when the bar boundary normalizes to the empty chain; the
-    residual chain is returned either way."""
-    if c.degree == 0 or c.is_empty():
-        return True, BarChain(max(c.degree - 1, 0), [])
-    res = bar_boundary(c)
+    """True when the bar boundary merges to the empty chain, with symbols
+    identified at ``tol``; the residual chain is returned either way."""
+    res = _residual(c.interned(SymbolTable(tol)))
     return res.is_empty(), res
+
+
+def _checked_cycle(c: BarChain, tol: Tolerances) -> BarChain:
+    """``c`` re-interned into a new symbol table at ``tol``, for one
+    evaluation; raises NotACycle (a ValueError) unless it is a cycle there."""
+    c = c.interned(SymbolTable(tol))
+    residual = _residual(c)
+    if not residual.is_empty():
+        raise NotACycle(f"not a cycle: boundary has {len(residual)} terms")
+    return c
 
 
 def conjugate_chain(g: GroupElement, c: BarChain) -> BarChain:
     """Entrywise conjugation g . g_i . g^-1 of every symbol."""
     ginv = g.inverse()
     return BarChain(c.degree,
-                    [(coeff, tuple(g @ h @ ginv for h in sym)) for coeff, sym in c])
+                    [(coeff, tuple(g @ h @ ginv for h in sym)) for coeff, sym in c],
+                    c.tol)
 
 
 def complex_conjugate_chain(c: BarChain) -> BarChain:
     """Entrywise complex conjugation of every matrix."""
     return BarChain(c.degree,
                     [(coeff, tuple(h.conjugate_entries() for h in sym))
-                     for coeff, sym in c])
+                     for coeff, sym in c], c.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +318,25 @@ def is_good(c, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, list]:
     return not offending, offending
 
 
+def near_pairs(vecs: Sequence[ProjVector],
+               tol: Tolerances = DEFAULT_TOL) -> list[tuple[int, int]]:
+    """Index pairs (i, j) whose determinant |det(v_i, v_j)| is at or below
+    the scale-relative threshold ``tol.vgood * |v_i| |v_j|``."""
+    out = []
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            scale = vecs[i].norm() * vecs[j].norm()
+            if abs(det_pair(vecs[i], vecs[j])) <= tol.vgood * scale:
+                out.append((i, j))
+    return out
+
+
 def is_v_good(c, v: ProjVector, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, list]:
     """All pairs satisfy |det(g_i v, g_j v)| above the scale-relative
-    threshold.  Returns (ok, offending pairs)."""
-    offending = []
-    for t_idx, (_, tup) in enumerate(_hom_tuples(c)):
-        vecs = [g.apply(v) for g in tup]
-        for i in range(len(vecs)):
-            for j in range(i + 1, len(vecs)):
-                scale = vecs[i].norm() * vecs[j].norm()
-                if abs(det_pair(vecs[i], vecs[j])) <= tol.vgood * scale:
-                    offending.append((t_idx, i, j))
+    threshold.  Returns (ok, offending (term index, i, j) triples)."""
+    offending = [(t_idx, i, j)
+                 for t_idx, (_, tup) in enumerate(_hom_tuples(c))
+                 for i, j in near_pairs([g.apply(v) for g in tup], tol)]
     return not offending, offending
 
 
@@ -355,26 +382,20 @@ class _ConeRepairer:
     homotopy H with dH + Hd = phi - id.
 
     Both maps are defined on canonical orbit representatives and extended
-    equivariantly; memoization keys tuples through quantized entries so
-    shared faces receive identical images.
+    equivariantly; memoization by the canonical id tuple gives shared faces
+    identical images.
     """
 
-    def __init__(self, rng, tol: Tolerances, max_attempts: int = 1000):
+    def __init__(self, rng, table: SymbolTable, max_attempts: int = 1000):
         self.rng = rng
-        self.tol = tol
+        self.table = table
         self.max_attempts = max_attempts
-        self._index = FuzzyIndex(tol.cmp)
-        self._phi_memo: dict[int, HomChain] = {}
-        self._h_memo: dict[int, HomChain] = {}
-
-    def _key(self, tup: GTuple) -> int:
-        return self._index.key(_entry_floats(tup))
+        self._phi_memo: dict[Ids, HomChain] = {}
+        self._h_memo: dict[Ids, HomChain] = {}
 
     def _generic_avoiding(self, chains: Sequence[HomChain]) -> GroupElement:
-        avoid: list[GroupElement] = []
-        for chain in chains:
-            for _, tup in chain:
-                avoid.extend(tup)
+        avoid = [self.table.elements[i] for i in
+                 {i for chain in chains for _, ids in chain.pairs() for i in ids}]
         for _ in range(self.max_attempts):
             g = random_sl2(self.rng)
             margin = min(
@@ -387,99 +408,73 @@ class _ConeRepairer:
                 return g
         raise RepairFailed("could not sample a generic cone apex")
 
-    def phi(self, tup: GTuple) -> HomChain:
-        first = tup[0]
-        canon = canonical_tuple(tup)
-        key = self._key(canon)
-        if key not in self._phi_memo:
+    def _translated(self, first: int, c: HomChain) -> HomChain:
+        if first == self.table.identity:
+            return c
+        mul = self.table.mul
+        return HomChain._on(self.table, c.degree,
+                            ((coeff, tuple(mul(first, i) for i in ids))
+                             for coeff, ids in c.pairs()))
+
+    def phi(self, ids: Ids) -> HomChain:
+        canon = self.table.canonical(ids)
+        img = self._phi_memo.get(canon)
+        if img is None:
             if len(canon) == 1:
-                img = HomChain(0, [(1, canon)])
+                img = HomChain._on(self.table, 0, [(1, canon)])
             else:
-                img = self.phi_chain(_raw_boundary_terms(canon))
-                apex = self._generic_avoiding([img])
-                img = cone(apex, img)
-            self._phi_memo[key] = img
-        return _translate_chain(first, self._phi_memo[key])
+                img = self.linear(self.phi, _faces(canon), len(canon) - 2)
+                img = cone(self._generic_avoiding([img]), img)
+            self._phi_memo[canon] = img
+        return self._translated(ids[0], img)
 
-    def phi_chain(self, terms: Iterable[tuple[int, GTuple]]) -> HomChain:
-        collected: list[tuple[int, GTuple]] = []
-        degree = None
-        for coeff, tup in terms:
-            part = self.phi(tup)
-            degree = part.degree
-            collected.extend((coeff * c, t) for c, t in part)
-        if degree is None:
-            raise ValueError("empty chain")
-        return HomChain(degree, collected)
-
-    def homotopy(self, tup: GTuple) -> HomChain:
-        first = tup[0]
-        canon = canonical_tuple(tup)
-        key = self._key(canon)
-        if key not in self._h_memo:
+    def homotopy(self, ids: Ids) -> HomChain:
+        canon = self.table.canonical(ids)
+        h = self._h_memo.get(canon)
+        if h is None:
             n = len(canon) - 1
             if n == 0:
-                h = HomChain(1, [])
+                h = HomChain._on(self.table, 1, [])
             else:
-                rest_terms = list(self.phi(canon)) + [(-1, canon)]
-                lower = self.homotopy_chain(_raw_boundary_terms(canon), n)
-                rest_terms.extend((-c, t) for c, t in lower)
-                rest = HomChain(n, rest_terms)
-                apex = self._generic_avoiding([rest])
-                h = cone(apex, rest)
-            self._h_memo[key] = h
-        return _translate_chain(first, self._h_memo[key])
+                rest = [*self.phi(canon).pairs(), (-1, canon)]
+                lower = self.linear(self.homotopy, _faces(canon), n)
+                rest.extend((-c, t) for c, t in lower.pairs())
+                rest = HomChain._on(self.table, n, rest)
+                h = cone(self._generic_avoiding([rest]), rest)
+            self._h_memo[canon] = h
+        return self._translated(ids[0], h)
 
-    def homotopy_chain(self, terms: Iterable[tuple[int, GTuple]],
-                       degree: int | None = None) -> HomChain:
-        collected: list[tuple[int, GTuple]] = []
-        for coeff, tup in terms:
-            part = self.homotopy(tup)
-            degree = part.degree
-            collected.extend((coeff * c, t) for c, t in part)
-        return HomChain(degree if degree is not None else 1, collected)
+    def linear(self, f, terms: Iterable[tuple[int, Ids]], degree: int,
+               coinvariant: bool = False) -> HomChain:
+        """The linear extension of ``f`` (phi or homotopy) to a chain of
+        the given output degree."""
+        collected = [(coeff * c, t) for coeff, ids in terms
+                     for c, t in f(ids).pairs()]
+        return HomChain._on(self.table, degree, collected, coinvariant)
 
 
-def _raw_boundary_terms(tup: GTuple) -> list[tuple[int, GTuple]]:
-    return [((-1) ** i, tup[:i] + tup[i + 1:]) for i in range(len(tup))]
+def _faces(ids: Ids) -> list[tuple[int, Ids]]:
+    return [((-1) ** i, ids[:i] + ids[i + 1:]) for i in range(len(ids))]
 
 
-def _translate_chain(h: GroupElement, c: HomChain) -> HomChain:
-    if c.is_empty():
-        return c
-    # translation is injective on tuples: normalization is preserved
-    return HomChain._trusted(c.degree, tuple((coeff, translate_tuple(h, tup))
-                                             for coeff, tup in c))
-
-
-def _repair_core(c: BarChain, seed, tol: Tolerances,
-                 build_homotopy: bool) -> RepairResult:
-    ok, residual = is_cycle(c, tol)
-    if not ok:
-        raise ValueError(f"input is not a cycle; boundary has {len(residual)} terms")
-    if c.is_empty():
-        empty = HomChain(c.degree, [], coinvariant=True)
-        return RepairResult(
-            chain=c, phi_image=empty,
-            homotopy=HomChain(min(c.degree + 1, MAX_DEGREE), [],
-                              coinvariant=True),
-            original_hom=empty)
+def _repair_core(c: BarChain, seed, build_homotopy: bool) -> RepairResult:
+    """Repair of a cycle already interned for this evaluation."""
     rng = np.random.default_rng(seed)
     hom = inhom_to_hom(c)
-    rep = _ConeRepairer(rng, tol)
-    phi_img = rep.phi_chain(hom.terms).as_coinvariant()
-    good_ok, offenders = is_good(phi_img, tol)
+    rep = _ConeRepairer(rng, c.table)
+    phi_img = rep.linear(rep.phi, hom.pairs(), hom.degree, True)
+    good_ok, offenders = is_good(phi_img, c.tol)
     if not good_ok:
         raise RepairFailed(f"cone image not good: offenders {offenders[:3]}")
     if build_homotopy:
-        h = rep.homotopy_chain(hom.terms, hom.degree + 1).as_coinvariant()
+        h = rep.linear(rep.homotopy, hom.pairs(), hom.degree + 1, True)
         certificate_residual = hom_boundary(h) - (phi_img - hom)
         if not certificate_residual.is_empty():
             raise RepairFailed(
                 f"homotopy certificate failed: "
                 f"{len(certificate_residual)} residual terms")
     else:
-        h = HomChain(min(hom.degree + 1, MAX_DEGREE), [], coinvariant=True)
+        h = HomChain._on(c.table, hom.degree + 1, [], coinvariant=True)
     return RepairResult(chain=hom_to_inhom(phi_img), phi_image=phi_img,
                         homotopy=h, original_hom=hom)
 
@@ -488,7 +483,7 @@ def repair_with_certificate(c: BarChain, seed,
                             tol: Tolerances = DEFAULT_TOL) -> RepairResult:
     """Replace a cycle by a homologous good cycle via the recursive cone
     chain map, returning the explicit, verified homotopy certificate."""
-    return _repair_core(c, seed, tol, build_homotopy=True)
+    return _repair_core(_checked_cycle(c, tol), seed, build_homotopy=True)
 
 
 def repair_to_good(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL) -> BarChain:

@@ -1,4 +1,4 @@
-"""Numeric tolerances and run configuration shared across the library."""
+"""Numeric tolerances shared across the library."""
 
 from __future__ import annotations
 
@@ -30,15 +30,3 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Configuration for an evaluation run: tolerances, seed, trial count."""
-
-    tol: Tolerances = DEFAULT_TOL
-    seed: int = 0
-    trials: int = 5
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")

@@ -8,7 +8,10 @@ w1 a logarithm of 1/(1-z); the two descriptions are exchanged by
 
 Formal integer combinations of covering points (``PreBlochElement``) and of
 wedges of logarithms (``WedgeElement``) provide the targets of the maps
-defined in :mod:`extbloch.pipeline`.
+defined in :mod:`extbloch.pipeline`.  Both are ``FormalSum`` objects whose
+complex values (cross-ratios, log atoms) get integer ids from a
+``FuzzyIndex`` at ``tol.cmp``; see :mod:`extbloch.quantize` for which values
+that identifies.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .config import DEFAULT_TOL, Tolerances
 from .core import ProjVector, det_pair
 from .dilog import PI, plog
 from .errors import ChiAtZero, DegenerateConfig, DegenerateFT, InvalidFlattening, NotEven
+from .formal import FormalSum
 from .quantize import FuzzyIndex
 
 # ---------------------------------------------------------------------------
@@ -207,78 +211,38 @@ def check_flattening_condition(
                 atoms.extend((sign * c, v)
                              for c, v in triples[simplex].ledger[param])
         residuals.append((label, abs(acc)))
-        if exact is not None:
-            exact.append(_atoms_cancel(atoms))
+        if exact is not None:  # atoms identified by value
+            idx = FuzzyIndex(DEFAULT_TOL.cmp)
+            exact.append(FormalSum((c, idx.key((v.real, v.imag)), v)
+                                   for c, v in atoms).is_zero())
     return FlatteningReport(tuple(residuals),
                             tuple(exact) if exact is not None else None)
-
-
-def _atoms_cancel(atoms: Iterable[tuple[int, complex]],
-                  tol: float = DEFAULT_TOL.cmp) -> bool:
-    """Exact integer cancellation of a signed multiset of log atoms,
-    identifying atoms whose values agree within tol."""
-    idx = FuzzyIndex(tol)
-    counts: dict[int, int] = {}
-    for coeff, value in atoms:
-        if coeff == 0:
-            continue
-        key = idx.key((value.real, value.imag))
-        counts[key] = counts.get(key, 0) + coeff
-    return all(c == 0 for c in counts.values())
 
 
 # ---------------------------------------------------------------------------
 # formal sums of covering points
 
 
-class PreBlochElement:
-    """Formal integer combination of covering points, kept normalized:
-    terms merge when z agrees within tolerance and the branch integers agree
-    exactly; zero coefficients are dropped."""
+class PreBlochElement(FormalSum):
+    """Formal integer combination of covering points, kept merged: terms
+    merge when z gets the same id from a FuzzyIndex at ``tol.cmp`` and the
+    branch integers agree exactly; zero coefficients are dropped."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Iterable[tuple[int, CoveringPoint]],
                  tol: Tolerances = DEFAULT_TOL):
-        idx = FuzzyIndex(tol.cmp)
-        merged: dict[tuple[int, int, int], tuple[int, CoveringPoint]] = {}
-        for coeff, pt in terms:
-            zkey = idx.key((pt.z.real, pt.z.imag))
-            key = (zkey, pt.p, pt.q)
-            if key in merged:
-                old_c, old_pt = merged[key]
-                merged[key] = (old_c + coeff, old_pt)
-            else:
-                merged[key] = (coeff, pt)
-        self.terms: tuple[tuple[int, CoveringPoint], ...] = tuple(
-            (c, pt) for c, pt in merged.values() if c != 0
-        )
+        super().__init__(terms, tol, FuzzyIndex(tol.cmp))
 
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __add__(self, other: "PreBlochElement") -> "PreBlochElement":
-        return PreBlochElement(list(self.terms) + list(other.terms))
-
-    def __neg__(self) -> "PreBlochElement":
-        return PreBlochElement([(-c, pt) for c, pt in self.terms])
-
-    def __sub__(self, other: "PreBlochElement") -> "PreBlochElement":
-        return self + (-other)
-
-    def __rmul__(self, n: int) -> "PreBlochElement":
-        return PreBlochElement([(n * c, pt) for c, pt in self.terms])
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _keyed(self, terms):
+        key = self.table.key
+        return ((c, (key((pt.z.real, pt.z.imag)), pt.p, pt.q), pt)
+                for c, pt in terms)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if self.is_zero():
             return "PreBlochElement(0)"
-        bits = [f"{c:+d}[{pt.z:.6g};{pt.p},{pt.q}]" for c, pt in self.terms]
+        bits = [f"{c:+d}[{pt.z:.6g};{pt.p},{pt.q}]" for c, pt in self]
         return "PreBlochElement(" + " ".join(bits) + ")"
 
 
@@ -297,65 +261,50 @@ def chi_hat(r) -> PreBlochElement:
 # wedges of logarithms
 
 
-class WedgeElement:
+class WedgeElement(FormalSum):
     """Formal integer combination of wedges a ^ b of log atoms.
 
-    Atoms are identified by value (within tolerance): the exterior square of
-    the additive group of C is a group of values, so two atoms carrying the
-    same complex number are the same generator.  Cancellation over the
-    identified atoms is exact integer arithmetic; when it succeeds the
-    element is genuinely zero.  When it does not, nothing follows: relations
-    between distinct log values are invisible, so the numeric pairing below
-    is only a heuristic and is never reported as equality.
+    Atoms are identified by value, through a FuzzyIndex at ``tol.cmp``: the
+    exterior square of the additive group of C is a group of values, so two
+    atoms carrying the same complex number are the same generator.
+    Cancellation over the identified atoms is exact integer arithmetic; when
+    it succeeds the element is genuinely zero.  When it does not, nothing
+    follows: relations between distinct log values are invisible, so the
+    numeric pairing below is only a heuristic and is never reported as
+    equality.
     """
 
-    __slots__ = ("terms", "exact")
+    __slots__ = ("exact",)
 
     def __init__(self, terms: Iterable[tuple[int, complex, complex]],
                  exact: bool = True, tol: Tolerances = DEFAULT_TOL):
-        idx = FuzzyIndex(tol.cmp)
-        merged: dict[tuple[int, int], int] = {}
-        reps: dict[int, complex] = {}
+        self.exact = exact
+        super().__init__(terms, tol, FuzzyIndex(tol.cmp))
+
+    def _keyed(self, terms):
+        key = self.table.key
         for coeff, a, b in terms:
             if coeff == 0:
                 continue
-            ka = idx.key((a.real, a.imag))
-            kb = idx.key((b.real, b.imag))
-            reps.setdefault(ka, a)
-            reps.setdefault(kb, b)
+            ka, kb = key((a.real, a.imag)), key((b.real, b.imag))
             if ka == kb:
                 continue  # a ^ a = 0
             if ka > kb:
-                ka, kb = kb, ka
-                coeff = -coeff
-            merged[(ka, kb)] = merged.get((ka, kb), 0) + coeff
-        self.terms: tuple[tuple[int, complex, complex], ...] = tuple(
-            (c, reps[ka], reps[kb]) for (ka, kb), c in merged.items() if c != 0
-        )
-        self.exact = exact
+                ka, kb, a, b, coeff = kb, ka, b, a, -coeff
+            yield coeff, (ka, kb), (a, b)
+
+    def __iter__(self):
+        return ((c, a, b) for c, (a, b) in super().__iter__())
 
     def __add__(self, other: "WedgeElement") -> "WedgeElement":
-        return WedgeElement(list(self.terms) + list(other.terms),
-                            exact=self.exact and other.exact)
-
-    def __neg__(self) -> "WedgeElement":
-        return WedgeElement([(-c, a, b) for c, a, b in self.terms],
-                            exact=self.exact)
-
-    def __sub__(self, other: "WedgeElement") -> "WedgeElement":
-        return self + (-other)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def is_zero(self) -> bool:
-        """Formal cancellation succeeded.  Decisive when True."""
-        return not self.terms
+        out = super().__add__(other)
+        out.exact = self.exact and other.exact
+        return out
 
     def pairing(self) -> float:
         """The continuous antisymmetric form Im(conj(a) * b), summed.
         A heuristic invariant only: zero pairing proves nothing."""
-        return sum(c * ((a.conjugate() * b).imag) for c, a, b in self.terms)
+        return sum(c * ((a.conjugate() * b).imag) for c, a, b in self)
 
     def zero_report(self, tol: float = 1e-9) -> str:
         """'zero' on formal cancellation, else 'inconclusive' or 'nonzero'
@@ -367,22 +316,10 @@ class WedgeElement:
         return "nonzero"
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if self.is_zero():
             return "WedgeElement(0)"
-        bits = [f"{c:+d}({a:.4g})^({b:.4g})" for c, a, b in self.terms]
+        bits = [f"{c:+d}({a:.4g})^({b:.4g})" for c, a, b in self]
         return "WedgeElement(" + " ".join(bits) + ")"
-
-
-def _triple_wedge(t: FlatteningTriple) -> WedgeElement:
-    """w0 ^ w1 expanded bilinearly over the triple's atoms."""
-    if t.ledger is None:
-        return WedgeElement([(1, t.w0, t.w1)], exact=False)
-    terms = [
-        (ca * cb, va, vb)
-        for ca, va in t.ledger[0]
-        for cb, vb in t.ledger[1]
-    ]
-    return WedgeElement(terms, exact=True)
 
 
 def nu_hat(element) -> WedgeElement:

@@ -45,6 +45,10 @@ class NotVGood(CcsError):
     """A chain fails the det(g_i v, g_j v) != 0 condition for the given v."""
 
 
+class NotACycle(CcsError, ValueError):
+    """A chain given for evaluation has a nonzero boundary."""
+
+
 class SamplingExhausted(CcsError):
     """Rejection sampling failed to find a generic vector."""
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .chains import (BarChain, HomChain, _repair_core, is_cycle, is_v_good,
-                     sample_generic_v)
+from .chains import (BarChain, HomChain, _checked_cycle, _repair_core,
+                     is_v_good, near_pairs, sample_generic_v)
 from .core import ProjVector, det_pair
 from .covering import (FlatteningTriple, PreBlochElement,
                        check_flattening_condition, nu_hat, to_covering_point)
@@ -38,14 +38,11 @@ class ConfigTuple:
     vectors: tuple[ProjVector, ...]
 
     def __post_init__(self):
-        vs = self.vectors
-        if len(vs) > 5:
+        if len(self.vectors) > 5:
             raise ValueError("tuples of more than 5 vectors are not used")
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                scale = vs[i].norm() * vs[j].norm()
-                if abs(det_pair(vs[i], vs[j])) <= DEFAULT_TOL.vgood * scale:
-                    raise DegenerateConfig(f"det(v{i}, v{j}) too small")
+        near = near_pairs(self.vectors)
+        if near:
+            raise DegenerateConfig("det(v%d, v%d) too small" % near[0])
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -119,15 +116,21 @@ def lambda_hat(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL,
     ten-equation residuals over the faces of the homotopy certificate's
     5-vector configurations.  ``deep_checks=False`` skips the certificate
     and its diagnostics (used for repeated cross-validation trials where
-    the first trial already ran them).
+    the first trial already ran them).  Raises NotACycle, a ValueError,
+    when ``c`` is not a cycle at ``tol``.
     """
-    ok, residual = is_cycle(c, tol)
-    if not ok:
-        raise ValueError(f"not a cycle: boundary has {len(residual)} terms")
+    return _lambda_hat(_checked_cycle(c, tol), seed, check_nu, deep_checks)
+
+
+def _lambda_hat(c: BarChain, seed, check_nu: bool,
+                deep_checks: bool) -> LambdaResult:
+    """lambda_hat on a cycle already checked and interned for this
+    evaluation; its symbol table carries the tolerances."""
+    tol = c.tol
     seq = np.random.SeedSequence(seed) if not isinstance(
         seed, np.random.SeedSequence) else seed
     repair_seed, v_seed = seq.spawn(2)
-    result = _repair_core(c, repair_seed, tol, build_homotopy=deep_checks)
+    result = _repair_core(c, repair_seed, build_homotopy=deep_checks)
     good_hom = result.phi_image
 
     rng = np.random.default_rng(v_seed)
@@ -152,10 +155,10 @@ def lambda_hat(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL,
     # skipped; everything v-testable is tested.
     flat_residual = 0.0
     for _, tup in result.homotopy:
-        single = HomChain(4, [(1, tup)])
-        if not is_v_good(single, v, tol)[0]:
+        vecs = tuple(g.apply(v) for g in tup)
+        if near_pairs(vecs, tol):
             continue
-        cfg = ConfigTuple(tuple(g.apply(v) for g in tup))
+        cfg = ConfigTuple(vecs)
         faces = [sigma_hat(cfg.face(i), tol) for i in range(5)]
         report = check_flattening_condition(faces)
         flat_residual = max(flat_residual, report.max_residual)
@@ -222,9 +225,12 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
 
     Every trial must agree (mod 1, within fp) by independence of the
     choices; the max pairwise deviation is reported as a health measure.
+    All trials share one symbol table at ``tol``.  Raises NotACycle, a
+    ValueError, when ``c`` is not a cycle at ``tol``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    c = _checked_cycle(c, tol)
     seq = np.random.SeedSequence(seed)
     children = seq.spawn(trials)
     values: list[complex] = []
@@ -232,7 +238,8 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     flat_res = 0.0
     vol_res = 0.0
     for trial, child in enumerate(children):
-        lam = lambda_hat(c, child, tol, deep_checks=(trial == 0))
+        lam = _lambda_hat(c, child, check_nu=True,
+                          deep_checks=(trial == 0))
         raw = lhat_sum(lam.element)
         value = -raw / TWO_PI_SQ
         values.append(complex(_mod1(value.real), value.imag))

@@ -1,10 +1,20 @@
 """Tolerance-aware identification of float vectors.
 
-Normalization of formal sums (chains, pre-Bloch elements, wedges) needs to
-merge terms whose numeric keys agree up to floating-point noise.  Plain grid
-rounding fails when two nearly-equal values straddle a cell boundary, so
-lookups here also probe the neighbouring cell whenever a coordinate sits
-within a guard band of the boundary.
+Formal sums key their terms by integers, and this index is where float
+values get those integers: new group elements (eight entry floats each),
+covering-point cross-ratios and log atoms (two floats each).  Values are
+rounded onto a grid of cell size ``tol``; plain rounding fails when two
+nearly-equal values straddle a cell boundary, so lookups also probe the
+neighbouring cell whenever a coordinate sits within a guard band of the
+boundary.
+
+The identity rule this gives: a lookup returns a stored id only when the
+first vector stored under it is within ``tol`` in every entry, so values
+more than ``2 * tol`` apart never share an id.  A value within the guard
+band (``tol * 1e-3``) of a stored vector always finds a stored id, so
+floating-point copies of a stored value get no new id.  Between the two
+nothing is promised: values closer than ``tol`` can land in adjacent cells
+and get different ids.
 """
 
 from __future__ import annotations
@@ -14,8 +24,12 @@ from typing import Iterable
 
 
 class FuzzyIndex:
-    """Assigns stable integer ids to float vectors, identifying vectors that
-    agree elementwise within ``tol``."""
+    """Assigns stable integer ids to float vectors.
+
+    A lookup returns the id of the first stored vector within ``tol`` in
+    every entry that sits in the vector's grid cell or in a probed
+    neighbour; see the module docstring for what that does and does not
+    identify."""
 
     def __init__(self, tol: float, guard: float | None = None):
         self.tol = tol
@@ -26,9 +40,6 @@ class FuzzyIndex:
 
     def __len__(self) -> int:
         return len(self._reps)
-
-    def representative(self, ident: int) -> tuple[float, ...]:
-        return self._reps[ident]
 
     def key(self, values: Iterable[float]) -> int:
         vals = tuple(map(float, values))
@@ -72,11 +83,3 @@ class FuzzyIndex:
         self._cells.setdefault(primary_key, []).append(ident)
         return ident
 
-
-def complex_parts(zs: Iterable[complex]) -> list[float]:
-    """Flatten complex values to alternating re/im floats for indexing."""
-    out: list[float] = []
-    for z in zs:
-        out.append(z.real)
-        out.append(z.imag)
-    return out

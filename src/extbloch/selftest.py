@@ -10,8 +10,7 @@ import time
 
 import numpy as np
 
-from .chains import (bar_boundary, hom_boundary, inhom_to_hom, hom_to_inhom,
-                     is_cycle, is_good, repair_with_certificate)
+from .chains import hom_boundary, is_cycle, is_good, repair_with_certificate
 from .core import hopf, moebius, random_sl2, random_vector
 from .covering import check_flattening_condition, nu_hat
 from .dilog import PI2_6, rogers, rogers_real, vol
@@ -103,8 +102,6 @@ def run_selftest(seed: int = 0, verbose: bool = True) -> int:
     for _ in range(10):
         c = random_boundary_cycle(rng, n_terms=1)
         ok, _ = is_cycle(c)
-        dd = bar_boundary(bar_boundary(
-            hom_to_inhom(inhom_to_hom(c)))) if c.degree >= 2 else None
         if not ok:
             break
     check("boundaries are cycles", ok)

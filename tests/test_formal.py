@@ -1,0 +1,98 @@
+"""Properties of FormalSum and of the sums built on it."""
+
+import pytest
+
+from extbloch.config import Tolerances
+from extbloch.core import random_sl2, rotation
+from extbloch.chains import BarChain, SymbolTable
+from extbloch.covering import CoveringPoint, PreBlochElement, WedgeElement
+from extbloch.formal import FormalSum
+
+
+def _coefficients(s) -> dict:
+    return {k: c for c, k, _ in s.items()}
+
+
+def _random_sum(rng, size=6, keys=8) -> FormalSum:
+    terms = []
+    for _ in range(size):
+        key = int(rng.integers(keys))
+        terms.append((int(rng.integers(-3, 4)), key, f"rep{key}"))
+    return FormalSum(terms)
+
+
+def test_add_then_subtract_restores(rng):
+    for _ in range(200):
+        a, b = _random_sum(rng), _random_sum(rng)
+        assert _coefficients((a + b) - b) == _coefficients(a)
+        assert (a - a).is_zero()
+
+
+def test_integer_multiples(rng):
+    for _ in range(100):
+        a = _random_sum(rng)
+        for n in (-2, 0, 1, 3):
+            assert _coefficients(n * a) == {k: n * c for k, c in
+                                            _coefficients(a).items() if n}
+        assert _coefficients(-a) == _coefficients(-1 * a)
+
+
+def test_first_seen_order_and_representative():
+    s = FormalSum([(1, "b", "first b"), (2, "a", "first a"),
+                   (3, "b", "second b"), (1, "c", "c")])
+    assert list(s.items()) == [(4, "b", "first b"), (2, "a", "first a"),
+                               (1, "c", "c")]
+    assert s.terms == ((4, "first b"), (2, "first a"), (1, "c"))
+
+
+def test_zero_coefficients_are_dropped():
+    s = FormalSum([(2, "a", None), (1, "b", None), (-2, "a", None),
+                   (0, "c", None)])
+    assert list(s.items()) == [(1, "b", None)]
+    assert len(s) == 1 and not s.is_zero()
+    assert (s - s).is_zero() and len(s - s) == 0
+
+
+def test_coefficients_must_be_integers():
+    with pytest.raises(TypeError):
+        FormalSum([(0.5, "a", None)])
+
+
+def test_tolerance_kept_across_operations(rng):
+    tol = Tolerances(cmp=1e-6)
+    g, h = random_sl2(rng), random_sl2(rng)
+    a = BarChain(1, [(1, (g,))], tol)
+    b = BarChain(1, [(2, (h,))])
+    for s in (a + b, a - b, -a, 3 * a):
+        assert s.tol is tol and s.table is a.table
+    pt = CoveringPoint(0.5 + 0.5j, 0, 2)
+    e = PreBlochElement([(1, pt)], tol)
+    for s in (e + e, e - e, -e, 2 * e):
+        assert s.tol is tol
+    w = WedgeElement([(1, 1j, 2.0 + 0j)], tol=tol)
+    assert (w + w).tol is tol and (w - w).tol is tol
+
+
+def test_sums_over_different_tables_rekey(rng):
+    # the right operand's terms are re-keyed through the left operand's table
+    g, h = random_sl2(rng), random_sl2(rng)
+    a = BarChain(2, [(1, (g, h))])
+    b = BarChain(2, [(-1, (g, h)), (1, (h, g))])
+    assert a.table is not b.table
+    total = a + b
+    assert len(total) == 1
+    ((coeff, sym),) = total.terms
+    assert coeff == 1 and sym[0] is h and sym[1] is g
+
+
+def test_symbol_table_identifies_within_guard_band():
+    table = SymbolTable(Tolerances(cmp=1e-8))
+    t = rotation(5, 1)
+    noisy = rotation(5, 1) @ rotation(7, 1) @ rotation(7, -1)
+    assert noisy != t  # differs by rounding only
+    assert table.intern(t) == table.intern(noisy)
+    assert table.intern(rotation(5, 2)) != table.intern(t)
+    assert table.mul(table.intern(t), table.intern(t)) == \
+        table.intern(rotation(5, 2))
+    assert table.mul(table.intern(t), table.inv(table.intern(t))) == \
+        table.identity

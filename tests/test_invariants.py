@@ -1,6 +1,6 @@
 """Cross-module invariants that do not fit a single module's test file."""
 
-from extbloch.config import RunConfig, Tolerances
+from extbloch.config import Tolerances
 from extbloch.chainio import prebloch_to_obj
 from extbloch.covering import CoveringPoint, PreBlochElement
 from extbloch.dilog import TWO_PI_SQ
@@ -40,7 +40,3 @@ def test_prebloch_serialization():
 def test_config_validation():
     with pytest.raises(ValueError):
         Tolerances(cmp=-1.0)
-    with pytest.raises(ValueError):
-        RunConfig(trials=0)
-    cfg = RunConfig(seed=42, trials=3)
-    assert cfg.tol.det == 1e-9

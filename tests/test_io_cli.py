@@ -120,6 +120,27 @@ def test_cli_exit_codes(tmp_path):
     assert r.returncode == 2
 
 
+def test_cli_tolerance_reaches_cycle_check(tmp_path):
+    # torsion 5 with one rotation off by 1e-7 rad: a cycle only when the
+    # comparison tolerance identifies the perturbed symbol with the exact one
+    from extbloch.chains import BarChain
+    from extbloch.core import GroupElement, rotation
+    import math
+    theta = 2 * math.pi * 2 / 5 + 1e-7
+    bent = GroupElement(math.cos(theta), -math.sin(theta),
+                        math.sin(theta), math.cos(theta))
+    t = rotation(5, 1)
+    terms = [(1, (t, bent if i == 2 else rotation(5, i), t)) for i in range(5)]
+    path = tmp_path / "bent.json"
+    path.write_text(dumps_canonical(chain_to_obj(BarChain(3, terms))))
+    r = _run("check-cycle", str(path))
+    assert r.returncode == 2
+    assert json.loads(r.stdout)["boundary_terms"] > 0
+    r = _run("check-cycle", str(path), "--tolerance", "1e-4")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["is_cycle"] is True
+
+
 def test_cli_five_term_verify():
     r = _run("five-term", "--x", "0.5", "--y", "0.25", "--verify")
     assert r.returncode == 0

@@ -202,3 +202,28 @@ def test_ccs_report_fields(rng):
     d = rep.as_dict()
     assert set(d) >= {"value", "raw_lhat", "volume", "trials",
                       "max_trial_deviation", "residuals", "seed"}
+
+
+def test_closed_form_values():
+    # torsion n gives -2/n mod 1 (also after conjugation), boundaries 0;
+    # agreement is at rounding level, far inside 1e-12
+    a, b, c = 1.2 + 0.3j, 0.5 - 0.2j, 0.4 + 0.1j
+    g = __import__("extbloch.core", fromlist=["GroupElement"]).GroupElement(
+        a, b, c, (1 + b * c) / a)
+    cases = [(torsion_cycle(5), -2 / 5), (torsion_cycle(12), -2 / 12),
+             (conjugate_chain(g, torsion_cycle(7)), -2 / 7),
+             (random_boundary_cycle(4, n_terms=4), 0.0)]
+    for cycle, want in cases:
+        rep = ccs_value(cycle, seed=1, trials=2)
+        assert _mod1_dist(rep.value_mod1.real, want) < 1e-12, rep.value_mod1
+        assert abs(rep.value_mod1.imag) < 1e-12
+        assert rep.max_trial_deviation < 1e-12
+
+
+def test_evaluations_reject_non_cycles():
+    from extbloch.chains import BarChain
+    bad = BarChain(3, [torsion_cycle(3).terms[0]])
+    with pytest.raises(ValueError, match="not a cycle"):
+        ccs_value(bad, seed=0, trials=2)
+    with pytest.raises(ValueError, match="not a cycle"):
+        lambda_hat(bad, seed=0)
