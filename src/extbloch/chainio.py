@@ -13,6 +13,7 @@ byte-identical files that parse back bit-exactly.
 
 from __future__ import annotations
 
+import cmath
 import json
 from typing import IO
 
@@ -34,6 +35,8 @@ def matrix_from_obj(obj, where: str) -> GroupElement:
         vals = [complex(float(p[0]), float(p[1])) for p in obj]
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: non-numeric entry ({exc})")
+    if not all(cmath.isfinite(z) for z in vals):
+        raise SchemaError(f"{where}: non-finite entry")
     try:
         return GroupElement(*vals)
     except DeterminantError as exc:

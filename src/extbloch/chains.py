@@ -44,29 +44,25 @@ MAX_DEGREE = 4  # the pipeline needs cycles (3) and homotopies (4) only
 class SymbolTable:
     """Integer ids for the group elements of one computation.
 
-    ``elements[i]`` is the first element seen with id ``i``.  Exact repeats
-    hit a dictionary; a new element gets one ``FuzzyIndex`` lookup over its
-    eight entry floats at ``tol.cmp`` (see :mod:`extbloch.quantize` for what
-    that identifies).  Products and inverses of representatives are
-    memoized by id.
+    ``elements[i]`` is the first element seen with id ``i``.  Elements are
+    keyed through a ``FuzzyIndex`` over their eight entry floats at
+    ``tol.cmp`` (see :mod:`extbloch.quantize` for what that identifies).
+    Products and inverses of representatives are memoized by id.
     """
 
     def __init__(self, tol: Tolerances = DEFAULT_TOL):
         self.tol = tol
         self.elements: list[GroupElement] = []
         self._index = FuzzyIndex(tol.cmp)
-        self._seen: dict[GroupElement, int] = {}
         self._products: dict[tuple[int, int], int] = {}
         self._inverses: dict[int, int] = {}
         self.identity = self.intern(GroupElement.identity())
 
     def intern(self, g: GroupElement) -> int:
-        ident = self._seen.get(g)
-        if ident is None:
-            ident = self._seen[g] = self._index.key(
-                [x for z in g.entries() for x in (z.real, z.imag)])
-            if ident == len(self.elements):
-                self.elements.append(g)
+        ident = self._index.key(
+            [x for z in g.entries() for x in (z.real, z.imag)])
+        if ident == len(self.elements):
+            self.elements.append(g)
         return ident
 
     def mul(self, i: int, j: int) -> int:
@@ -183,13 +179,6 @@ class HomChain(_Chain):
     def __repr__(self) -> str:
         tag = ", coinvariant" if self.coinvariant else ""
         return f"HomChain(degree={self.degree}, {len(self)} terms{tag})"
-
-
-def canonical_tuple(tup: GTuple) -> GTuple:
-    """Left-translate so the first entry is the identity.  The diagonal
-    action on tuples is free, so this is a true normal form."""
-    inv = tup[0].inverse()
-    return tuple(inv @ g for g in tup)
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,15 @@ class Tolerances:
     cmp:   equality threshold for complex scalars and matrix entries
     zero:  absolute "is zero" threshold
     vgood: scale-relative determinant threshold for v-goodness
-    flat:  residual threshold for the ten edge equations
     """
 
     det: float = 1e-9
     cmp: float = 1e-8
     zero: float = 1e-12
     vgood: float = 1e-7
-    flat: float = 1e-9
 
     def __post_init__(self):
-        for name in ("det", "cmp", "zero", "vgood", "flat"):
+        for name in ("det", "cmp", "zero", "vgood"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"tolerance {name} must be positive")
 

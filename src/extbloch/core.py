@@ -55,7 +55,7 @@ class GroupElement:
 
     def __post_init__(self):
         det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > DEFAULT_TOL.det:
+        if not abs(det - 1.0) <= DEFAULT_TOL.det:  # a NaN det fails too
             raise DeterminantError(f"determinant {det} differs from 1")
 
     @classmethod

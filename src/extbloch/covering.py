@@ -128,22 +128,26 @@ def from_covering_point(pt: CoveringPoint) -> FlatteningTriple:
     return FlatteningTriple.from_w01(w0, w1, ledger)
 
 
+def coords(x: complex, y: complex) -> tuple[complex, ...]:
+    """The tuple (x, y, y/x, (1-1/x)/(1-1/y), (1-x)/(1-y)) of cross-ratios
+    of the five faces of a 5-point configuration, as functions of its two
+    free parameters."""
+    return (x, y, y / x,
+            (1.0 - 1.0 / x) / (1.0 - 1.0 / y),
+            (1.0 - x) / (1.0 - y))
+
+
 def five_tuple(x: complex, y: complex,
                tol: Tolerances = DEFAULT_TOL) -> tuple[complex, ...]:
-    """The tuple (x, y, y/x, (1-1/x)/(1-1/y), (1-x)/(1-y)) of cross-ratios
-    of the five faces of a 5-point configuration.
-
-    Raises DegenerateFT naming the first coordinate that hits 0 or 1.
-    """
+    """``coords(x, y)``, validated: raises DegenerateFT naming the first
+    coordinate that hits 0 or 1."""
     x, y = complex(x), complex(y)
     for name, val in (("x", x), ("y", y)):
         if abs(val) <= tol.cmp or abs(val - 1.0) <= tol.cmp:
             raise DegenerateFT(f"{name} = {val} hits 0 or 1")
     if abs(x - y) <= tol.cmp:
         raise DegenerateFT("x = y makes coordinate 2 equal to 1")
-    vals = (x, y, y / x,
-            (1.0 - 1.0 / x) / (1.0 - 1.0 / y),
-            (1.0 - x) / (1.0 - y))
+    vals = coords(x, y)
     for i, val in enumerate(vals):
         if abs(val) <= tol.cmp or abs(val - 1.0) <= tol.cmp:
             raise DegenerateFT(f"coordinate {i} = {val} hits 0 or 1")
@@ -181,9 +185,6 @@ class FlatteningReport:
     @property
     def max_residual(self) -> float:
         return max(r for _, r in self.residuals)
-
-    def holds(self, tol_flat: float = DEFAULT_TOL.flat) -> bool:
-        return self.max_residual <= tol_flat
 
 
 def check_flattening_condition(
@@ -274,11 +275,10 @@ class WedgeElement(FormalSum):
     equality.
     """
 
-    __slots__ = ("exact",)
+    __slots__ = ()
 
     def __init__(self, terms: Iterable[tuple[int, complex, complex]],
-                 exact: bool = True, tol: Tolerances = DEFAULT_TOL):
-        self.exact = exact
+                 tol: Tolerances = DEFAULT_TOL):
         super().__init__(terms, tol, FuzzyIndex(tol.cmp))
 
     def _keyed(self, terms):
@@ -295,11 +295,6 @@ class WedgeElement(FormalSum):
 
     def __iter__(self):
         return ((c, a, b) for c, (a, b) in super().__iter__())
-
-    def __add__(self, other: "WedgeElement") -> "WedgeElement":
-        out = super().__add__(other)
-        out.exact = self.exact and other.exact
-        return out
 
     def pairing(self) -> float:
         """The continuous antisymmetric form Im(conj(a) * b), summed.
@@ -331,21 +326,16 @@ def nu_hat(element) -> WedgeElement:
     exact cancellation.
     """
     if isinstance(element, PreBlochElement):
-        pairs = [(c, from_covering_point(pt)) for c, pt in element]
-        exact = False
-    else:
-        pairs = list(element)
-        exact = True
+        element = [(c, from_covering_point(pt)) for c, pt in element]
     terms: list[tuple[int, complex, complex]] = []
-    for coeff, triple in pairs:
+    for coeff, triple in element:
         if triple.ledger is None:
             terms.append((coeff, triple.w0, triple.w1))
-            exact = False
         else:
             terms.extend((coeff * ca * cb, va, vb)
                          for ca, va in triple.ledger[0]
                          for cb, vb in triple.ledger[1])
-    return WedgeElement(terms, exact=exact)
+    return WedgeElement(terms)
 
 
 def mu(v0: ProjVector, v1: ProjVector, v2: ProjVector,
@@ -364,4 +354,4 @@ def mu(v0: ProjVector, v1: ProjVector, v2: ProjVector,
         (+1, logs[(0, 1)], logs[(0, 2)]),
         (-1, logs[(0, 1)], logs[(1, 2)]),
         (+1, logs[(0, 2)], logs[(1, 2)]),
-    ], exact=True)
+    ])

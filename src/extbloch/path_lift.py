@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .config import DEFAULT_TOL, Tolerances
-from .covering import CoveringPoint
+from .covering import CoveringPoint, coords
 from .dilog import lhat
 from .errors import PathDegenerate
 
@@ -25,13 +25,6 @@ from .errors import PathDegenerate
 _ENDPOINT_MARGIN = 1e-9
 # target parameter accuracy for crossing localization
 _BISECT_TOL = 1e-12
-
-
-def coords(x0: complex, x1: complex) -> tuple[complex, ...]:
-    """The five face cross-ratios as functions of the two free parameters."""
-    return (x0, x1, x1 / x0,
-            (1.0 - 1.0 / x0) / (1.0 - 1.0 / x1),
-            (1.0 - x0) / (1.0 - x1))
 
 
 @dataclass(frozen=True)

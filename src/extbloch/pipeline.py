@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -78,19 +79,32 @@ def sigma_hat(t: ConfigTuple, tol: Tolerances = DEFAULT_TOL) -> FlatteningTriple
     """
     if len(t) != 4:
         raise DegenerateConfig("flattening needs exactly four vectors")
-    logs = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            logs[(i, j)] = plog(det_pair(t[i], t[j]))
-    w0 = logs[(0, 3)] + logs[(1, 2)] - logs[(0, 2)] - logs[(1, 3)]
-    w1 = logs[(0, 2)] + logs[(1, 3)] - logs[(0, 1)] - logs[(2, 3)]
-    w2 = logs[(0, 1)] + logs[(2, 3)] - logs[(0, 3)] - logs[(1, 2)]
-    ledger = (
-        ((1, logs[(0, 3)]), (1, logs[(1, 2)]), (-1, logs[(0, 2)]), (-1, logs[(1, 3)])),
-        ((1, logs[(0, 2)]), (1, logs[(1, 3)]), (-1, logs[(0, 1)]), (-1, logs[(2, 3)])),
-        ((1, logs[(0, 1)]), (1, logs[(2, 3)]), (-1, logs[(0, 3)]), (-1, logs[(1, 2)])),
-    )
-    return FlatteningTriple(w0, w1, w2, ledger)
+    return _flattening(_log_dets(t.vectors), range(4))
+
+
+def _log_dets(vecs) -> dict[tuple[int, int], complex]:
+    """Log det(v_i, v_j) for every pair i < j."""
+    return {(i, j): plog(det_pair(vecs[i], vecs[j]))
+            for i, j in combinations(range(len(vecs)), 2)}
+
+
+def _flattening(logs, idx) -> FlatteningTriple:
+    """``sigma_hat`` of the 4-configuration (v_a, v_b, v_c, v_d), with
+    (a, b, c, d) = ``idx`` increasing, read from its ``_log_dets`` table."""
+    l01, l02, l03, l12, l13, l23 = (logs[p] for p in combinations(idx, 2))
+    return FlatteningTriple(
+        l03 + l12 - l02 - l13, l02 + l13 - l01 - l23, l01 + l23 - l03 - l12,
+        (((1, l03), (1, l12), (-1, l02), (-1, l13)),
+         ((1, l02), (1, l13), (-1, l01), (-1, l23)),
+         ((1, l01), (1, l23), (-1, l03), (-1, l12))))
+
+
+def _face_flattenings(vecs) -> list[FlatteningTriple]:
+    """``sigma_hat`` of the five faces of a 5-configuration, from one table
+    of its ten log-determinants."""
+    logs = _log_dets(vecs)
+    return [_flattening(logs, [j for j in range(5) if j != i])
+            for i in range(5)]
 
 
 @dataclass
@@ -107,7 +121,7 @@ class LambdaResult:
 
 
 def lambda_hat(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL,
-               check_nu: bool = True, deep_checks: bool = True) -> LambdaResult:
+               deep_checks: bool = True) -> LambdaResult:
     """Full composite on a cycle: repair to a good representative, push to
     vector configurations by a generic v, flatten termwise.
 
@@ -119,11 +133,10 @@ def lambda_hat(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL,
     the first trial already ran them).  Raises NotACycle, a ValueError,
     when ``c`` is not a cycle at ``tol``.
     """
-    return _lambda_hat(_checked_cycle(c, tol), seed, check_nu, deep_checks)
+    return _lambda_hat(_checked_cycle(c, tol), seed, deep_checks)
 
 
-def _lambda_hat(c: BarChain, seed, check_nu: bool,
-                deep_checks: bool) -> LambdaResult:
+def _lambda_hat(c: BarChain, seed, deep_checks: bool) -> LambdaResult:
     """lambda_hat on a cycle already checked and interned for this
     evaluation; its symbol table carries the tolerances."""
     tol = c.tol
@@ -141,13 +154,9 @@ def _lambda_hat(c: BarChain, seed, check_nu: bool,
     element = PreBlochElement(
         [(coeff, to_covering_point(t)) for coeff, t in triples], tol)
 
-    nu_report = "skipped"
-    if check_nu:
-        wedge = nu_hat(triples)
-        nu_report = wedge.zero_report()
-        if nu_report != "zero":
-            raise NuNonzero(
-                f"wedge of the image failed to cancel: {nu_report}")
+    nu_report = nu_hat(triples).zero_report()
+    if nu_report != "zero":
+        raise NuNonzero(f"wedge of the image failed to cancel: {nu_report}")
 
     # health diagnostic: the certificate's 5-vector configurations give real
     # ten-equation instances.  Tuples with +-coincident entries (present
@@ -158,9 +167,7 @@ def _lambda_hat(c: BarChain, seed, check_nu: bool,
         vecs = tuple(g.apply(v) for g in tup)
         if near_pairs(vecs, tol):
             continue
-        cfg = ConfigTuple(vecs)
-        faces = [sigma_hat(cfg.face(i), tol) for i in range(5)]
-        report = check_flattening_condition(faces)
+        report = check_flattening_condition(_face_flattenings(vecs))
         flat_residual = max(flat_residual, report.max_residual)
 
     return LambdaResult(element=element, triples=triples, vector=v,
@@ -238,8 +245,7 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     flat_res = 0.0
     vol_res = 0.0
     for trial, child in enumerate(children):
-        lam = _lambda_hat(c, child, check_nu=True,
-                          deep_checks=(trial == 0))
+        lam = _lambda_hat(c, child, deep_checks=(trial == 0))
         raw = lhat_sum(lam.element)
         value = -raw / TWO_PI_SQ
         values.append(complex(_mod1(value.real), value.imag))

@@ -1,14 +1,16 @@
 """Tolerance-aware identification of float vectors.
 
 Formal sums key their terms by integers, and this index is where float
-values get those integers: new group elements (eight entry floats each),
-covering-point cross-ratios and log atoms (two floats each).  Values are
-rounded onto a grid of cell size ``tol``; plain rounding fails when two
-nearly-equal values straddle a cell boundary, so lookups also probe the
+values get those integers: group elements (eight entry floats each),
+covering-point cross-ratios and log atoms (two floats each).  A value the
+index has already keyed is answered from a dictionary with the id it got
+the first time, so a repeated value always keeps its first id.  A new value
+is rounded onto a grid of cell size ``tol``; plain rounding fails when two
+nearly-equal values straddle a cell boundary, so the lookup also probes the
 neighbouring cell whenever a coordinate sits within a guard band of the
 boundary.
 
-The identity rule this gives: a lookup returns a stored id only when the
+The identity rule this gives: a new value gets a stored id only when the
 first vector stored under it is within ``tol`` in every entry, so values
 more than ``2 * tol`` apart never share an id.  A value within the guard
 band (``tol * 1e-3``) of a stored vector always finds a stored id, so
@@ -22,19 +24,22 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable
 
+# guard band, as a fraction of the cell size: well above fp noise, well
+# below the cell size
+_GUARD = 1e-3
+
 
 class FuzzyIndex:
     """Assigns stable integer ids to float vectors.
 
-    A lookup returns the id of the first stored vector within ``tol`` in
-    every entry that sits in the vector's grid cell or in a probed
-    neighbour; see the module docstring for what that does and does not
-    identify."""
+    A repeated value gets its first id.  A new value gets the id of the
+    first stored vector within ``tol`` in every entry that sits in the
+    vector's grid cell or in a probed neighbour; see the module docstring
+    for what that does and does not identify."""
 
-    def __init__(self, tol: float, guard: float | None = None):
+    def __init__(self, tol: float):
         self.tol = tol
-        # guard band: well above fp noise, well below the cell size
-        self.guard = tol * 1e-3 if guard is None else guard
+        self._seen: dict[tuple[float, ...], int] = {}
         self._cells: dict[tuple[int, ...], list[int]] = {}
         self._reps: list[tuple[float, ...]] = []
 
@@ -43,35 +48,29 @@ class FuzzyIndex:
 
     def key(self, values: Iterable[float]) -> int:
         vals = tuple(map(float, values))
+        ident = self._seen.get(vals)
+        if ident is None:
+            ident = self._seen[vals] = self._probe(vals)
+        return ident
+
+    def _probe(self, vals: tuple[float, ...]) -> int:
         tol = self.tol
-        guard_scaled = self.guard / tol
-        primary = []
-        split_at: list[tuple[int, int]] = []  # (position, alternative cell)
-        for i, x in enumerate(vals):
+        # per coordinate: its cell, then the neighbour when it sits in the
+        # guard band of a cell boundary (at most 6 coordinates split)
+        options: list[tuple[int, ...]] = []
+        splits = 0
+        for x in vals:
             scaled = x / tol
             cell = int(round(scaled))
-            primary.append(cell)
             off = scaled - cell  # in [-1/2, 1/2], boundaries at +-1/2
-            if 0.5 - off < guard_scaled:
-                split_at.append((i, cell + 1))
-            elif 0.5 + off < guard_scaled:
-                split_at.append((i, cell - 1))
-        primary_key = tuple(primary)
-        if not split_at:
-            cands = [primary_key]
-        else:
-            split_at = split_at[:6]  # cap the probe fan-out
-            cands = [primary_key]
-            for choice in product(*(((i, None), (i, alt)) for i, alt in split_at)):
-                cells = list(primary)
-                changed = False
-                for i, alt in choice:
-                    if alt is not None:
-                        cells[i] = alt
-                        changed = True
-                if changed:
-                    cands.append(tuple(cells))
-        for cell in cands:
+            alt = (cell + 1 if 0.5 - off < _GUARD
+                   else cell - 1 if 0.5 + off < _GUARD else None)
+            if alt is not None and splits < 6:
+                options.append((cell, alt))
+                splits += 1
+            else:
+                options.append((cell,))
+        for cell in product(*options):  # the primary cell comes first
             for ident in self._cells.get(cell, ()):
                 rep = self._reps[ident]
                 if len(rep) == len(vals) and all(
@@ -80,6 +79,5 @@ class FuzzyIndex:
                     return ident
         ident = len(self._reps)
         self._reps.append(vals)
-        self._cells.setdefault(primary_key, []).append(ident)
+        self._cells.setdefault(tuple(o[0] for o in options), []).append(ident)
         return ident
-

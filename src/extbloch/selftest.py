@@ -12,7 +12,7 @@ import numpy as np
 
 from .chains import hom_boundary, is_cycle, is_good, repair_with_certificate
 from .core import hopf, moebius, random_sl2, random_vector
-from .covering import check_flattening_condition, nu_hat
+from .covering import check_flattening_condition, coords, nu_hat
 from .dilog import PI2_6, rogers, rogers_real, vol
 from .fixtures import random_boundary_cycle, torsion_cycle
 from .path_lift import find_positive_base, verify_pq_pattern
@@ -54,9 +54,8 @@ def run_selftest(seed: int = 0, verbose: bool = True) -> int:
     for _ in range(200):
         x = rng.uniform(0.05, 0.95)
         y = rng.uniform(0.01, x - 0.01)
-        vals = (x, y, y / x, (1 - 1 / x) / (1 - 1 / y), (1 - x) / (1 - y))
         worst = max(worst, abs(sum((-1) ** i * rogers_real(v)
-                                   for i, v in enumerate(vals))))
+                                   for i, v in enumerate(coords(x, y)))))
     check("rogers five-term", worst < 1e-9, f"max {worst:.2e}")
 
     worst = 0.0

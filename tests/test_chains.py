@@ -1,8 +1,8 @@
 import pytest
 
 from extbloch.core import GroupElement, random_sl2, rotation
-from extbloch.chains import (BarChain, HomChain, bar_boundary, canonical_tuple,
-                             cone, conjugate_chain, hom_boundary, hom_to_inhom,
+from extbloch.chains import (BarChain, HomChain, bar_boundary, cone,
+                             conjugate_chain, hom_boundary, hom_to_inhom,
                              inhom_to_hom, is_cycle, is_good, is_v_good,
                              repair_to_good, repair_with_certificate,
                              sample_generic_v)
@@ -172,11 +172,3 @@ def test_conjugate_chain_is_cycle(rng):
     cc = conjugate_chain(g, c)
     ok, _ = is_cycle(cc)
     assert ok
-
-
-def test_canonical_tuple(rng):
-    g, h, k = (random_sl2(rng) for _ in range(3))
-    tup = (g, h, k)
-    canon = canonical_tuple(tup)
-    assert canon[0].close_to(GroupElement.identity())
-    assert canon[1].close_to(g.inverse() @ h)

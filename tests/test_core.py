@@ -23,6 +23,14 @@ def test_determinant_check_fails_loudly():
         GroupElement(2, 0, 0, 1)
 
 
+def test_nan_determinant_fails_the_check():
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(DeterminantError):
+        GroupElement(nan, 0, 0, 1)
+    with pytest.raises(DeterminantError):
+        GroupElement(inf, 1, -1, 0)  # inf * 0 makes the determinant NaN
+
+
 def test_moebius_identity_and_pole():
     g = GroupElement.identity()
     assert moebius(g, 0.3 + 0.1j) == 0.3 + 0.1j

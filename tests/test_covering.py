@@ -160,10 +160,10 @@ def test_wedge_antisymmetry_and_cancellation():
 
 
 def test_wedge_zero_report_heuristic():
-    w = WedgeElement([(1, 1.0 + 1j, 2.0 - 1j)], exact=False)
+    w = WedgeElement([(1, 1.0 + 1j, 2.0 - 1j)])
     assert w.zero_report() in ("nonzero", "inconclusive")
     # pairing Im(conj(a) b) = 0 but formally nonzero: inconclusive, never zero
-    w2 = WedgeElement([(1, 1.0 + 0j, 2.0 + 0j)], exact=False)
+    w2 = WedgeElement([(1, 1.0 + 0j, 2.0 + 0j)])
     assert w2.zero_report() == "inconclusive"
 
 

@@ -7,6 +7,7 @@ from extbloch.core import random_sl2, rotation
 from extbloch.chains import BarChain, SymbolTable
 from extbloch.covering import CoveringPoint, PreBlochElement, WedgeElement
 from extbloch.formal import FormalSum
+from extbloch.quantize import FuzzyIndex
 
 
 def _coefficients(s) -> dict:
@@ -96,3 +97,13 @@ def test_symbol_table_identifies_within_guard_band():
         table.intern(rotation(5, 2))
     assert table.mul(table.intern(t), table.inv(table.intern(t))) == \
         table.identity
+
+
+def test_fuzzy_index_repeat_keeps_first_id():
+    # at tol 1, 0.4999 sits in the guard band and joins the key of 1.0 in
+    # the next cell; -0.2 then opens a key in 0.4999's own cell, which a
+    # fresh probe of 0.4999 would reach first
+    idx = FuzzyIndex(1.0)
+    ids = [idx.key([x]) for x in (1.0, 0.4999, -0.2, 0.4999)]
+    assert ids == [0, 0, 1, 0]
+    assert len(idx) == 2

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 
 from extbloch.chainio import chain_to_obj, dumps_canonical, parse_cycle_file
 from extbloch.chains import is_cycle
+from extbloch.cli import main
 from extbloch.errors import DeterminantError, SchemaError
 from extbloch.fixtures import torsion_cycle
 
@@ -118,6 +120,22 @@ def test_cli_exit_codes(tmp_path):
             3, [(1, (torsion_cycle(3).terms[0][1]))]))))
     r = _run("check-cycle", str(notcycle))
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("matrix", [
+    [[math.nan, 0], [0, 0], [0, 0], [1, 0]],
+    [[math.inf, 0], [1, 0], [-1, 0], [0, 0]],
+])
+@pytest.mark.parametrize("command", ["check-cycle", "eval"])
+def test_cli_rejects_non_finite_entries(tmp_path, capsys, matrix, command):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps({"group": "SL2C", "degree": 1,
+                                "terms": [{"coef": 1, "bar": [matrix]}]}))
+    with pytest.raises(SystemExit) as stop:
+        main([command, str(path)])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "term 0, matrix 0" in err
 
 
 def test_cli_tolerance_reaches_cycle_check(tmp_path):

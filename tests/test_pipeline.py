@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from extbloch.core import ProjVector, random_sl2, rotation
 from extbloch.chains import (HomChain, conjugate_chain, complex_conjugate_chain,
-                             hom_boundary, inhom_to_hom)
-from extbloch.covering import to_covering_point
+                             hom_boundary, inhom_to_hom, near_pairs,
+                             repair_with_certificate)
+from extbloch.covering import check_flattening_condition, to_covering_point
 from extbloch.dilog import TWO_PI_SQ, lhat
 from extbloch.errors import DegenerateConfig, NotVGood
 from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
@@ -119,6 +121,25 @@ def test_lambda_hat_on_boundary_vanishes(rng):
     assert _mod1_dist(val.real, 0.0) < 1e-9
     assert abs(val.imag) < 1e-9
     assert lam.flattening_residual < 1e-9
+
+
+def test_diagnostic_residual_matches_face_path():
+    # the diagnostic flattens each certificate 5-configuration from one
+    # table of log-determinants; the face-by-face public path agrees exactly
+    for c in (torsion_cycle(4), random_boundary_cycle(5, n_terms=2)):
+        lam = lambda_hat(c, seed=3)
+        repair_seed, _ = np.random.SeedSequence(3).spawn(2)
+        want, tested = 0.0, 0
+        for _, tup in repair_with_certificate(c, repair_seed).homotopy:
+            vecs = tuple(g.apply(lam.vector) for g in tup)
+            if near_pairs(vecs):
+                continue
+            cfg = ConfigTuple(vecs)
+            faces = [sigma_hat(cfg.face(i)) for i in range(5)]
+            want = max(want, check_flattening_condition(faces).max_residual)
+            tested += 1
+        assert tested > 0
+        assert lam.flattening_residual == want
 
 
 def test_lambda_hat_v_independence(rng):
