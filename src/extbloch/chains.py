@@ -25,6 +25,8 @@ g_i = +-g_j coincidences, together with an explicit homotopy certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -287,10 +289,8 @@ def complex_conjugate_chain(c: BarChain) -> BarChain:
 # goodness predicates
 
 
-def _hom_tuples(c) -> list[tuple[int, GTuple]]:
-    if isinstance(c, BarChain):
-        return list(inhom_to_hom(c))
-    return list(c)
+def _hom(c) -> HomChain:
+    return inhom_to_hom(c) if isinstance(c, BarChain) else c
 
 
 def is_good(c, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, list]:
@@ -298,12 +298,12 @@ def is_good(c, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, list]:
 
     Returns (ok, offending): offenders are (term index, i, j) triples.
     """
-    offending = []
-    for t_idx, (_, tup) in enumerate(_hom_tuples(c)):
-        for i in range(len(tup)):
-            for j in range(i + 1, len(tup)):
-                if tup[i].sign_equiv(tup[j], tol.cmp):
-                    offending.append((t_idx, i, j))
+    hom = _hom(c)
+    elements = hom.table.elements
+    coincide = cache(lambda i, j: elements[i].sign_equiv(elements[j], tol.cmp))
+    offending = [(t_idx, i, j) for t_idx, (_, ids) in enumerate(hom.pairs())
+                 for i, j in combinations(range(len(ids)), 2)
+                 if coincide(ids[i], ids[j])]
     return not offending, offending
 
 
@@ -323,9 +323,11 @@ def near_pairs(vecs: Sequence[ProjVector],
 def is_v_good(c, v: ProjVector, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, list]:
     """All pairs satisfy |det(g_i v, g_j v)| above the scale-relative
     threshold.  Returns (ok, offending (term index, i, j) triples)."""
-    offending = [(t_idx, i, j)
-                 for t_idx, (_, tup) in enumerate(_hom_tuples(c))
-                 for i, j in near_pairs([g.apply(v) for g in tup], tol)]
+    hom = _hom(c)
+    elements = hom.table.elements
+    vec = cache(lambda i: elements[i].apply(v))
+    offending = [(t_idx, i, j) for t_idx, (_, ids) in enumerate(hom.pairs())
+                 for i, j in near_pairs([vec(k) for k in ids], tol)]
     return not offending, offending
 
 
@@ -360,10 +362,14 @@ class RepairResult:
     boundary(H) = phi_image - original_hom, verifiable directly.
     """
 
-    chain: BarChain
     phi_image: HomChain
     homotopy: HomChain
     original_hom: HomChain
+
+    @property
+    def chain(self) -> BarChain:
+        """The repaired cycle in bar form."""
+        return hom_to_inhom(self.phi_image)
 
 
 class _ConeRepairer:
@@ -375,17 +381,16 @@ class _ConeRepairer:
     identical images.
     """
 
-    def __init__(self, rng, table: SymbolTable, max_attempts: int = 1000):
+    def __init__(self, rng, table: SymbolTable):
         self.rng = rng
         self.table = table
-        self.max_attempts = max_attempts
         self._phi_memo: dict[Ids, HomChain] = {}
         self._h_memo: dict[Ids, HomChain] = {}
 
     def _generic_avoiding(self, chains: Sequence[HomChain]) -> GroupElement:
         avoid = [self.table.elements[i] for i in
                  {i for chain in chains for _, ids in chain.pairs() for i in ids}]
-        for _ in range(self.max_attempts):
+        for _ in range(1000):
             g = random_sl2(self.rng)
             margin = min(
                 (min(max(abs(x - y) for x, y in zip(g.entries(), h.entries())),
@@ -464,8 +469,7 @@ def _repair_core(c: BarChain, seed, build_homotopy: bool) -> RepairResult:
                 f"{len(certificate_residual)} residual terms")
     else:
         h = HomChain._on(c.table, hom.degree + 1, [], coinvariant=True)
-    return RepairResult(chain=hom_to_inhom(phi_img), phi_image=phi_img,
-                        homotopy=h, original_hom=hom)
+    return RepairResult(phi_image=phi_img, homotopy=h, original_hom=hom)
 
 
 def repair_with_certificate(c: BarChain, seed,

@@ -182,24 +182,26 @@ def rotation(n: int, k: int) -> GroupElement:
     return GroupElement(c, -s, s, c)
 
 
-def random_sl2(rng, box: float = 1.0, min_det: float = 0.05) -> GroupElement:
-    """Random element: entries uniform in a complex box, then the first
-    column scaled to normalize the determinant.  Any continuous full-support
-    distribution works here; callers only need genericity."""
+def random_sl2(rng) -> GroupElement:
+    """Random element: entries uniform in the complex box |Re|, |Im| <= 1,
+    redrawn while |det| < 0.05, then the first column scaled to normalize
+    the determinant.  Any continuous full-support distribution works here;
+    callers only need genericity."""
     while True:
         a, b, c, d = (
-            complex(rng.uniform(-box, box), rng.uniform(-box, box))
+            complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
             for _ in range(4)
         )
         det = a * d - b * c
-        if abs(det) >= min_det:
+        if abs(det) >= 0.05:
             return GroupElement(a / det, b, c / det, d)
 
 
-def random_vector(rng, radius: float = 1.0, min_norm: float = 0.05) -> ProjVector:
-    """Random vector with entries uniform in the complex bidisc."""
+def random_vector(rng) -> ProjVector:
+    """Random vector with entries uniform in the complex box |Re|, |Im| <= 1,
+    redrawn while its norm is below 0.05."""
     while True:
-        v1 = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-        v2 = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-        if math.hypot(abs(v1), abs(v2)) >= min_norm:
+        v1 = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        v2 = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        if math.hypot(abs(v1), abs(v2)) >= 0.05:
             return ProjVector(v1, v2)

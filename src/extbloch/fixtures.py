@@ -48,9 +48,9 @@ def five_term_boundary(x: complex, y: complex) -> BarChain:
 
 
 def random_good_hom_chain(rng_or_seed, degree: int, n_terms: int,
-                          tol: Tolerances = DEFAULT_TOL,
-                          coef_range: int = 2) -> HomChain:
-    """Random homogeneous chain with good tuples and nonzero coefficients."""
+                          tol: Tolerances = DEFAULT_TOL) -> HomChain:
+    """Random homogeneous chain with good tuples and nonzero coefficients
+    in [-2, 2]."""
     rng = np.random.default_rng(rng_or_seed) if isinstance(
         rng_or_seed, (int, np.random.SeedSequence)) else rng_or_seed
     terms = []
@@ -62,7 +62,7 @@ def random_good_hom_chain(rng_or_seed, degree: int, n_terms: int,
             continue
         coeff = 0
         while coeff == 0:
-            coeff = int(rng.integers(-coef_range, coef_range + 1))
+            coeff = int(rng.integers(-2, 3))
         terms.append((coeff, tup))
     return HomChain(degree, terms, coinvariant=True)
 

@@ -241,11 +241,11 @@ DEFAULT_BASE_SEARCH_GRID = (
 )
 
 
-def find_positive_base(min_margin: float = 0.25) -> tuple[complex, complex]:
+def find_positive_base() -> tuple[complex, complex]:
     """Search a small grid for a base (x0, x1) whose five coordinates all
-    have positive imaginary part, with margin from the real axis and from
-    0 and 1.  The first grid point at the best margin is returned
-    (deterministically (0.25+0.5j, 0.5+1.5j) on the default grid)."""
+    have positive imaginary part, with margin at least 0.25 from the real
+    axis and from 0 and 1.  The first grid point at the best margin is
+    returned (deterministically (0.25+0.5j, 0.5+1.5j) on the default grid)."""
     res, ims = DEFAULT_BASE_SEARCH_GRID
     best: tuple[float, complex, complex] | None = None
     for ar in res:
@@ -264,8 +264,8 @@ def find_positive_base(min_margin: float = 0.25) -> tuple[complex, complex]:
                         continue
                     if best is None or margin > best[0]:
                         best = (margin, x, y)
-    if best is None or best[0] < min_margin:
-        raise PathDegenerate("no base point with the requested margin")
+    if best is None or best[0] < 0.25:
+        raise PathDegenerate("no base point with margin 0.25")
     return best[1], best[2]
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -77,34 +78,20 @@ def sigma_hat(t: ConfigTuple, tol: Tolerances = DEFAULT_TOL) -> FlatteningTriple
     the four sphere images and w0 + w1 + w2 = 0 on the nose; the ledger
     records the eight signed atoms.
     """
-    if len(t) != 4:
+    return _flattening(lambda i, j: plog(det_pair(t[i], t[j])), range(len(t)))
+
+
+def _flattening(log, idx) -> FlatteningTriple:
+    """``sigma_hat`` of the configuration (v_a, v_b, v_c, v_d), with
+    (a, b, c, d) = ``idx``, where ``log(i, j)`` is Log det(v_i, v_j)."""
+    if len(idx) != 4:
         raise DegenerateConfig("flattening needs exactly four vectors")
-    return _flattening(_log_dets(t.vectors), range(4))
-
-
-def _log_dets(vecs) -> dict[tuple[int, int], complex]:
-    """Log det(v_i, v_j) for every pair i < j."""
-    return {(i, j): plog(det_pair(vecs[i], vecs[j]))
-            for i, j in combinations(range(len(vecs)), 2)}
-
-
-def _flattening(logs, idx) -> FlatteningTriple:
-    """``sigma_hat`` of the 4-configuration (v_a, v_b, v_c, v_d), with
-    (a, b, c, d) = ``idx`` increasing, read from its ``_log_dets`` table."""
-    l01, l02, l03, l12, l13, l23 = (logs[p] for p in combinations(idx, 2))
+    l01, l02, l03, l12, l13, l23 = (log(i, j) for i, j in combinations(idx, 2))
     return FlatteningTriple(
         l03 + l12 - l02 - l13, l02 + l13 - l01 - l23, l01 + l23 - l03 - l12,
         (((1, l03), (1, l12), (-1, l02), (-1, l13)),
          ((1, l02), (1, l13), (-1, l01), (-1, l23)),
          ((1, l01), (1, l23), (-1, l03), (-1, l12))))
-
-
-def _face_flattenings(vecs) -> list[FlatteningTriple]:
-    """``sigma_hat`` of the five faces of a 5-configuration, from one table
-    of its ten log-determinants."""
-    logs = _log_dets(vecs)
-    return [_flattening(logs, [j for j in range(5) if j != i])
-            for i in range(5)]
 
 
 @dataclass
@@ -149,8 +136,11 @@ def _lambda_hat(c: BarChain, seed, deep_checks: bool) -> LambdaResult:
     rng = np.random.default_rng(v_seed)
     v, _ = sample_generic_v(good_hom, rng, tol=tol)
 
-    configs = psi_v(good_hom, v, tol)
-    triples = [(coeff, sigma_hat(t, tol)) for coeff, t in configs]
+    # g.v once per id and Log det once per ordered id pair, for this trial
+    elements = c.table.elements
+    vec = cache(lambda i: elements[i].apply(v))
+    log = cache(lambda i, j: plog(det_pair(vec(i), vec(j))))
+    triples = [(coeff, _flattening(log, ids)) for coeff, ids in good_hom.pairs()]
     element = PreBlochElement(
         [(coeff, to_covering_point(t)) for coeff, t in triples], tol)
 
@@ -163,11 +153,11 @@ def _lambda_hat(c: BarChain, seed, deep_checks: bool) -> LambdaResult:
     # whenever the input itself was not good) admit no v at all and are
     # skipped; everything v-testable is tested.
     flat_residual = 0.0
-    for _, tup in result.homotopy:
-        vecs = tuple(g.apply(v) for g in tup)
-        if near_pairs(vecs, tol):
+    for _, ids in result.homotopy.pairs():
+        if near_pairs([vec(i) for i in ids], tol):
             continue
-        report = check_flattening_condition(_face_flattenings(vecs))
+        report = check_flattening_condition(
+            [_flattening(log, ids[:i] + ids[i + 1:]) for i in range(5)])
         flat_residual = max(flat_residual, report.max_residual)
 
     return LambdaResult(element=element, triples=triples, vector=v,

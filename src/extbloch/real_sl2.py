@@ -15,58 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .core import INF, GroupElement, ProjVector, cross_ratio_ext, det_pair, is_inf
+from .core import (INF, GroupElement, ProjVector, cross_ratio_ext, det_pair,
+                   is_inf, moebius)
 from .covering import to_covering_point
 from .dilog import lhat, rogers_real
 from .errors import Incomparable, NotSortable, PreconditionFailed
 
 
-@dataclass(frozen=True)
-class RealGroupElement:
-    """An element of SL(2,R)."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > DEFAULT_TOL.det:
-            raise ValueError(f"determinant {det} differs from 1")
-
-    @classmethod
-    def identity(cls) -> "RealGroupElement":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    @classmethod
-    def from_complex(cls, g: GroupElement,
-                     tol_zero: float = DEFAULT_TOL.zero) -> "RealGroupElement":
-        for x in g.entries():
-            if abs(x.imag) > tol_zero:
-                raise ValueError(f"entry {x} is not real")
-        return cls(g.a.real, g.b.real, g.c.real, g.d.real)
-
-    def complex_form(self) -> GroupElement:
-        return GroupElement(complex(self.a), complex(self.b),
-                            complex(self.c), complex(self.d))
-
-    def __matmul__(self, other: "RealGroupElement") -> "RealGroupElement":
-        return RealGroupElement(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "RealGroupElement":
-        return RealGroupElement(self.d, -self.b, -self.c, self.a)
-
-    def boundary_point(self):
-        """Image of infinity under the Moebius action: a/c, or INF."""
-        if abs(self.c) <= DEFAULT_TOL.zero:
-            return INF
-        return self.a / self.c
+# an element of SL(2,R): a GroupElement with real entries
+RealGroupElement = GroupElement
 
 
 def is_positive(g: RealGroupElement, tol_zero: float = DEFAULT_TOL.zero) -> bool:
@@ -122,7 +79,7 @@ def rogers_cocycle(g0: RealGroupElement, g1: RealGroupElement,
     g_i(infinity).  Zero on tuples with coinciding boundary points (the
     degenerate symbol is the zero element, not an argument to the
     dilogarithm)."""
-    pts = [g.boundary_point() for g in (g0, g1, g2, g3)]
+    pts = [moebius(g, INF) for g in (g0, g1, g2, g3)]
     cr = cross_ratio_ext(*pts, tol)
     if cr == 0:
         return 0.0
@@ -165,7 +122,7 @@ def check_small_positive_agreement(
 
     prods = (g1, g1 @ g2, g1 @ g2 @ g3)
     v = ProjVector(1.0, 0.0)
-    vecs = [v] + [g.complex_form().apply(v) for g in prods]
+    vecs = [v] + [g.apply(v) for g in prods]
 
     dets = []
     for i in range(4):
@@ -176,7 +133,7 @@ def check_small_positive_agreement(
             "determinant positivity: some det(v_i, v_j) <= 0 "
             "(a product of the triple is not positive)")
 
-    bnd = [INF] + [g.boundary_point() for g in prods]
+    bnd = [INF] + [moebius(g, INF) for g in prods]
     for k in range(3):
         lo, hi = _boundary_key(bnd[k + 1]), _boundary_key(bnd[k])
         if not lo < hi:

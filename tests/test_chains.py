@@ -1,6 +1,10 @@
+from itertools import combinations
+
 import pytest
 
-from extbloch.core import GroupElement, random_sl2, rotation
+from extbloch.config import DEFAULT_TOL
+from extbloch.core import (GroupElement, det_pair, random_sl2, random_vector,
+                           rotation)
 from extbloch.chains import (BarChain, HomChain, bar_boundary, cone,
                              conjugate_chain, hom_boundary, hom_to_inhom,
                              inhom_to_hom, is_cycle, is_good, is_v_good,
@@ -95,6 +99,22 @@ def test_is_good_examples(rng):
     bad = HomChain(1, [(1, (GroupElement.identity(), -GroupElement.identity()))])
     ok, offenders = is_good(bad)
     assert not ok and offenders
+    # torsion tuples repeat elements up to sign; offenders come in the
+    # order of a brute-force pairwise check over the tuples
+    c = inhom_to_hom(torsion_cycle(4))
+    v = random_vector(rng)
+    coincide, near = [], []
+    for t, (_, tup) in enumerate(list(c)):
+        vecs = [g.apply(v) for g in tup]
+        for i, j in combinations(range(len(tup)), 2):
+            if tup[i].sign_equiv(tup[j]):
+                coincide.append((t, i, j))
+            scale = vecs[i].norm() * vecs[j].norm()
+            if abs(det_pair(vecs[i], vecs[j])) <= DEFAULT_TOL.vgood * scale:
+                near.append((t, i, j))
+    assert coincide
+    assert is_good(c) == (False, coincide)
+    assert is_v_good(c, v) == (False, near)
 
 
 def test_is_v_good_detects_sign_coincidence(rng):

@@ -124,13 +124,19 @@ def test_lambda_hat_on_boundary_vanishes(rng):
 
 
 def test_diagnostic_residual_matches_face_path():
-    # the diagnostic flattens each certificate 5-configuration from one
-    # table of log-determinants; the face-by-face public path agrees exactly
+    # the flattening and the diagnostic read Log det once per id pair; the
+    # public psi_v / sigma_hat / ConfigTuple.face path agrees exactly
     for c in (torsion_cycle(4), random_boundary_cycle(5, n_terms=2)):
         lam = lambda_hat(c, seed=3)
         repair_seed, _ = np.random.SeedSequence(3).spawn(2)
+        rr = repair_with_certificate(c, repair_seed)
+        triples = [(coeff, sigma_hat(cfg))
+                   for coeff, cfg in psi_v(rr.phi_image, lam.vector)]
+        assert lam.triples == triples
+        assert ([t.ledger for _, t in lam.triples]
+                == [t.ledger for _, t in triples])
         want, tested = 0.0, 0
-        for _, tup in repair_with_certificate(c, repair_seed).homotopy:
+        for _, tup in rr.homotopy:
             vecs = tuple(g.apply(lam.vector) for g in tup)
             if near_pairs(vecs):
                 continue
