@@ -19,7 +19,8 @@ re-interns its input into a new table at the caller's tolerance and leaves
 the input's table alone.
 
 ``repair_to_good`` replaces a cycle by a homologous one avoiding all
-g_i = +-g_j coincidences, together with an explicit homotopy certificate.
+g_i = +-g_j coincidences, together with an explicit homotopy certificate;
+it changes only the simplices that have such a coincidence.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ class SymbolTable:
     ``elements[i]`` is the first element seen with id ``i``.  Elements are
     keyed through a ``FuzzyIndex`` over their eight entry floats at
     ``tol.cmp`` (see :mod:`extbloch.quantize` for what that identifies).
-    Products and inverses of representatives are memoized by id.
+    Products, inverses and sign coincidences of representatives are
+    memoized by id.
     """
 
     def __init__(self, tol: Tolerances = DEFAULT_TOL):
@@ -58,6 +60,7 @@ class SymbolTable:
         self._index = FuzzyIndex(tol.cmp)
         self._products: dict[tuple[int, int], int] = {}
         self._inverses: dict[int, int] = {}
+        self._coincide: dict[tuple[int, int], bool] = {}
         self.identity = self.intern(GroupElement.identity())
 
     def intern(self, g: GroupElement) -> int:
@@ -79,6 +82,19 @@ class SymbolTable:
         if ident is None:
             ident = self._inverses[i] = self.intern(self.elements[i].inverse())
         return ident
+
+    def coincide(self, i: int, j: int) -> bool:
+        """g_i = +-g_j at ``tol.cmp``, decided once per unordered id pair."""
+        key = (i, j) if i <= j else (j, i)
+        hit = self._coincide.get(key)
+        if hit is None:
+            hit = self._coincide[key] = self.elements[i].sign_equiv(
+                self.elements[j], self.tol.cmp)
+        return hit
+
+    def good(self, ids: Ids) -> bool:
+        """No two entries of ``ids`` coincide up to sign."""
+        return not any(self.coincide(i, j) for i, j in combinations(ids, 2))
 
     def canonical(self, ids: Ids) -> Ids:
         """Left-translate so the first entry is the identity."""
@@ -293,14 +309,14 @@ def _hom(c) -> HomChain:
     return inhom_to_hom(c) if isinstance(c, BarChain) else c
 
 
-def is_good(c, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, list]:
-    """All pairs within each homogeneous tuple satisfy g_i != +-g_j.
+def is_good(c) -> tuple[bool, list]:
+    """All pairs within each homogeneous tuple satisfy g_i != +-g_j, at the
+    tolerance of the chain's symbol table.
 
     Returns (ok, offending): offenders are (term index, i, j) triples.
     """
     hom = _hom(c)
-    elements = hom.table.elements
-    coincide = cache(lambda i, j: elements[i].sign_equiv(elements[j], tol.cmp))
+    coincide = hom.table.coincide
     offending = [(t_idx, i, j) for t_idx, (_, ids) in enumerate(hom.pairs())
                  for i, j in combinations(range(len(ids)), 2)
                  if coincide(ids[i], ids[j])]
@@ -376,6 +392,10 @@ class _ConeRepairer:
     """Recursive cone construction of a chain map phi into good chains and a
     homotopy H with dH + Hd = phi - id.
 
+    A good tuple is kept: phi(s) = s and H(s) = 0.  Goodness is pairwise,
+    so every face of a good tuple is good and both identities hold on it.
+    A bad tuple s is coned off a generic apex a:
+    phi(s) = cone(a, phi(ds)) and H(s) = cone(a', phi(s) - s - H(ds)).
     Both maps are defined on canonical orbit representatives and extended
     equivariantly; memoization by the canonical id tuple gives shared faces
     identical images.
@@ -414,8 +434,8 @@ class _ConeRepairer:
         canon = self.table.canonical(ids)
         img = self._phi_memo.get(canon)
         if img is None:
-            if len(canon) == 1:
-                img = HomChain._on(self.table, 0, [(1, canon)])
+            if self.table.good(canon):
+                img = HomChain._on(self.table, len(canon) - 1, [(1, canon)])
             else:
                 img = self.linear(self.phi, _faces(canon), len(canon) - 2)
                 img = cone(self._generic_avoiding([img]), img)
@@ -427,8 +447,8 @@ class _ConeRepairer:
         h = self._h_memo.get(canon)
         if h is None:
             n = len(canon) - 1
-            if n == 0:
-                h = HomChain._on(self.table, 1, [])
+            if self.table.good(canon):
+                h = HomChain._on(self.table, n + 1, [])
             else:
                 rest = [*self.phi(canon).pairs(), (-1, canon)]
                 lower = self.linear(self.homotopy, _faces(canon), n)
@@ -451,24 +471,22 @@ def _faces(ids: Ids) -> list[tuple[int, Ids]]:
     return [((-1) ** i, ids[:i] + ids[i + 1:]) for i in range(len(ids))]
 
 
-def _repair_core(c: BarChain, seed, build_homotopy: bool) -> RepairResult:
-    """Repair of a cycle already interned for this evaluation."""
+def _repair_core(c: BarChain, seed) -> RepairResult:
+    """Repair of a cycle already interned for this evaluation, with its
+    homotopy certificate built and checked."""
     rng = np.random.default_rng(seed)
     hom = inhom_to_hom(c)
     rep = _ConeRepairer(rng, c.table)
     phi_img = rep.linear(rep.phi, hom.pairs(), hom.degree, True)
-    good_ok, offenders = is_good(phi_img, c.tol)
+    good_ok, offenders = is_good(phi_img)
     if not good_ok:
         raise RepairFailed(f"cone image not good: offenders {offenders[:3]}")
-    if build_homotopy:
-        h = rep.linear(rep.homotopy, hom.pairs(), hom.degree + 1, True)
-        certificate_residual = hom_boundary(h) - (phi_img - hom)
-        if not certificate_residual.is_empty():
-            raise RepairFailed(
-                f"homotopy certificate failed: "
-                f"{len(certificate_residual)} residual terms")
-    else:
-        h = HomChain._on(c.table, hom.degree + 1, [], coinvariant=True)
+    h = rep.linear(rep.homotopy, hom.pairs(), hom.degree + 1, True)
+    certificate_residual = hom_boundary(h) - (phi_img - hom)
+    if not certificate_residual.is_empty():
+        raise RepairFailed(
+            f"homotopy certificate failed: "
+            f"{len(certificate_residual)} residual terms")
     return RepairResult(phi_image=phi_img, homotopy=h, original_hom=hom)
 
 
@@ -476,11 +494,11 @@ def repair_with_certificate(c: BarChain, seed,
                             tol: Tolerances = DEFAULT_TOL) -> RepairResult:
     """Replace a cycle by a homologous good cycle via the recursive cone
     chain map, returning the explicit, verified homotopy certificate."""
-    return _repair_core(_checked_cycle(c, tol), seed, build_homotopy=True)
+    return _repair_core(_checked_cycle(c, tol), seed)
 
 
 def repair_to_good(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL) -> BarChain:
     """As repair_with_certificate but returning only the repaired chain.
-    Already-good cycles still pass through the chain map, keeping the
-    output distribution independent of the input's goodness."""
+    Only simplices with +-coincident entries are replaced, so an
+    already-good cycle comes back unchanged."""
     return repair_with_certificate(c, seed, tol).chain

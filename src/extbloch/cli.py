@@ -17,10 +17,22 @@ from .fixtures import five_term_boundary, torsion_cycle
 from .pipeline import ccs_value
 
 
-def _tolerances(args) -> Tolerances:
-    if getattr(args, "tolerance", None) is None:
-        return DEFAULT_TOL
-    return Tolerances(cmp=args.tolerance)
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    return integer
+
+
+def _tolerance(text: str) -> Tolerances:
+    """An argparse type: the comparison tolerance, positive and finite."""
+    try:
+        return Tolerances(cmp=float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_chain(path: str):
@@ -40,7 +52,7 @@ def _load_chain(path: str):
 def cmd_eval(args) -> int:
     chain = _load_chain(args.cycle)
     report = ccs_value(chain, seed=args.seed, trials=args.trials,
-                       tol=_tolerances(args))
+                       tol=args.tolerance)
     emit_report(report, path=args.out, out=sys.stdout,
                 extra={"trials_requested": args.trials})
     return 0
@@ -48,7 +60,7 @@ def cmd_eval(args) -> int:
 
 def cmd_check_cycle(args) -> int:
     chain = _load_chain(args.cycle)
-    ok, residual = is_cycle(chain, _tolerances(args))
+    ok, residual = is_cycle(chain, args.tolerance)
     doc = {"file": args.cycle, "degree": chain.degree, "terms": len(chain),
            "is_cycle": ok, "boundary_terms": len(residual)}
     write_json(doc, sys.stdout, args.out)
@@ -151,13 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, tolerance=True):
         p.add_argument("--out", help="write the JSON result to this file")
         if tolerance:
-            p.add_argument("--tolerance", type=float,
+            p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL,
                            help="override the comparison tolerance")
 
     p = sub.add_parser("eval", help="evaluate a cycle file")
     p.add_argument("cycle")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_at_least(1), default=5)
     common(p)
     p.set_defaults(func=cmd_eval)
 
@@ -167,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_cycle)
 
     p = sub.add_parser("torsion", help="emit a rotation torsion cycle")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(2), required=True)
     common(p, tolerance=False)
     p.set_defaults(func=cmd_torsion)
 
@@ -182,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_five_term)
 
     p = sub.add_parser("real-check", help="run the small-positive agreement suite")
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--samples", type=_at_least(1), default=500)
     p.add_argument("--seed", type=int, default=0)
     common(p, tolerance=False)
     p.set_defaults(func=cmd_real_check)

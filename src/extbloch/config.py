@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -22,8 +23,10 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("det", "cmp", "zero", "vgood"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"tolerance {name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails too
+                raise ValueError(
+                    f"tolerance {name} must be positive and finite, got {value}")
 
 
 DEFAULT_TOL = Tolerances()

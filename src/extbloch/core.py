@@ -124,15 +124,16 @@ def det_pair(v: ProjVector, w: ProjVector) -> complex:
     return v.v1 * w.v2 - v.v2 * w.v1
 
 
-def hopf(v: ProjVector, tol_zero: float = DEFAULT_TOL.zero):
+def hopf(v: ProjVector):
     """Hopf map (v1, v2) -> v1/v2, sending (., 0) to infinity."""
-    if abs(v.v2) <= tol_zero:
+    if abs(v.v2) <= DEFAULT_TOL.zero:
         return INF
     return v.v1 / v.v2
 
 
-def moebius(g: GroupElement, z, tol_zero: float = DEFAULT_TOL.zero):
+def moebius(g: GroupElement, z):
     """Moebius action of g on C u {inf}, poles handled by limits."""
+    tol_zero = DEFAULT_TOL.zero
     if is_inf(z):
         if abs(g.c) <= tol_zero:
             return INF

@@ -35,14 +35,14 @@ class CutSide(Enum):
     BELOW = -1
 
 
-def plog(z: complex, tol_zero: float = DEFAULT_TOL.zero) -> complex:
+def plog(z: complex) -> complex:
     """Principal logarithm, ln|z| + i Arg z with Arg in (-pi, pi].
 
     Negative reals (including ones carrying a negative-zero imaginary part)
     get +i*pi exactly.
     """
     z = complex(z)
-    if abs(z) <= tol_zero:
+    if abs(z) <= DEFAULT_TOL.zero:
         raise LogOfZero(f"log of {z}")
     if z.imag == 0.0:
         z = complex(z.real, 0.0)  # normalize -0.0 onto the principal side

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .core import INF, GroupElement, is_inf, random_sl2, rotation
 from .chains import BarChain, HomChain, hom_boundary, hom_to_inhom, is_good
 
@@ -47,8 +46,7 @@ def five_term_boundary(x: complex, y: complex) -> BarChain:
     return hom_to_inhom(hom_boundary(top))
 
 
-def random_good_hom_chain(rng_or_seed, degree: int, n_terms: int,
-                          tol: Tolerances = DEFAULT_TOL) -> HomChain:
+def random_good_hom_chain(rng_or_seed, degree: int, n_terms: int) -> HomChain:
     """Random homogeneous chain with good tuples and nonzero coefficients
     in [-2, 2]."""
     rng = np.random.default_rng(rng_or_seed) if isinstance(
@@ -57,7 +55,7 @@ def random_good_hom_chain(rng_or_seed, degree: int, n_terms: int,
     while len(terms) < n_terms:
         tup = tuple(random_sl2(rng) for _ in range(degree + 1))
         probe = HomChain(degree, [(1, tup)])
-        ok, _ = is_good(probe, tol)
+        ok, _ = is_good(probe)
         if not ok:
             continue
         coeff = 0
@@ -67,10 +65,9 @@ def random_good_hom_chain(rng_or_seed, degree: int, n_terms: int,
     return HomChain(degree, terms, coinvariant=True)
 
 
-def random_boundary_cycle(rng_or_seed, n_terms: int = 2,
-                          tol: Tolerances = DEFAULT_TOL) -> BarChain:
+def random_boundary_cycle(rng_or_seed, n_terms: int = 2) -> BarChain:
     """A random degree-3 cycle that is a boundary (evaluates to zero)."""
     rng = np.random.default_rng(rng_or_seed) if isinstance(
         rng_or_seed, (int, np.random.SeedSequence)) else rng_or_seed
-    top = random_good_hom_chain(rng, 4, n_terms, tol)
+    top = random_good_hom_chain(rng, 4, n_terms)
     return hom_to_inhom(hom_boundary(top))

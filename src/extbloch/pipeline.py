@@ -25,7 +25,7 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .chains import (BarChain, HomChain, _checked_cycle, _repair_core,
                      is_v_good, near_pairs, sample_generic_v)
-from .core import ProjVector, det_pair
+from .core import ProjVector, det_pair, random_vector
 from .covering import (FlatteningTriple, PreBlochElement,
                        check_flattening_condition, nu_hat, to_covering_point)
 from .dilog import TWO_PI_SQ, lhat, plog, vol
@@ -67,7 +67,7 @@ def psi_v(c: HomChain, v: ProjVector,
             for coeff, tup in c]
 
 
-def sigma_hat(t: ConfigTuple, tol: Tolerances = DEFAULT_TOL) -> FlatteningTriple:
+def sigma_hat(t: ConfigTuple) -> FlatteningTriple:
     """Log-determinant flattening of a 4-vector configuration:
 
         w0 = (03) + (12) - (02) - (13)
@@ -97,48 +97,53 @@ def _flattening(log, idx) -> FlatteningTriple:
 @dataclass
 class LambdaResult:
     """Image of a cycle as a formal sum of covering points, plus the data
-    needed for diagnostics and exact wedge checks."""
+    needed for diagnostics and exact wedge checks.  ``apex`` is the vector
+    off which the diagnostic cones each repaired configuration."""
 
     element: PreBlochElement
     triples: list[tuple[int, FlatteningTriple]]
     vector: ProjVector
+    apex: ProjVector
     nu_report: str
     flattening_residual: float
     repair_terms: int
 
 
-def lambda_hat(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL,
-               deep_checks: bool = True) -> LambdaResult:
-    """Full composite on a cycle: repair to a good representative, push to
-    vector configurations by a generic v, flatten termwise.
+def lambda_hat(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL) -> LambdaResult:
+    """Full composite on a cycle: repair to a good representative with a
+    checked homotopy certificate, push to vector configurations by a
+    generic v, flatten termwise.
 
     Side checks: exact wedge cancellation of the image (raises NuNonzero on
     failure; that would be an implementation bug, not bad input), and the
-    ten-equation residuals over the faces of the homotopy certificate's
-    5-vector configurations.  ``deep_checks=False`` skips the certificate
-    and its diagnostics (used for repeated cross-validation trials where
-    the first trial already ran them).  Raises NotACycle, a ValueError,
-    when ``c`` is not a cycle at ``tol``.
+    ten-equation residuals over the faces of the certificate's 5-vector
+    configurations and of each repaired configuration coned off the apex
+    vector.  Raises NotACycle, a ValueError, when ``c`` is not a cycle at
+    ``tol``.
     """
-    return _lambda_hat(_checked_cycle(c, tol), seed, deep_checks)
+    return _lambda_hat(_checked_cycle(c, tol), seed)
 
 
-def _lambda_hat(c: BarChain, seed, deep_checks: bool) -> LambdaResult:
+_APEX = -1  # the id under which the diagnostic's apex vector is memoized
+
+
+def _lambda_hat(c: BarChain, seed) -> LambdaResult:
     """lambda_hat on a cycle already checked and interned for this
     evaluation; its symbol table carries the tolerances."""
     tol = c.tol
     seq = np.random.SeedSequence(seed) if not isinstance(
         seed, np.random.SeedSequence) else seed
     repair_seed, v_seed = seq.spawn(2)
-    result = _repair_core(c, repair_seed, build_homotopy=deep_checks)
+    result = _repair_core(c, repair_seed)
     good_hom = result.phi_image
 
     rng = np.random.default_rng(v_seed)
     v, _ = sample_generic_v(good_hom, rng, tol=tol)
+    apex = random_vector(rng)
 
     # g.v once per id and Log det once per ordered id pair, for this trial
     elements = c.table.elements
-    vec = cache(lambda i: elements[i].apply(v))
+    vec = cache(lambda i: apex if i == _APEX else elements[i].apply(v))
     log = cache(lambda i, j: plog(det_pair(vec(i), vec(j))))
     triples = [(coeff, _flattening(log, ids)) for coeff, ids in good_hom.pairs()]
     element = PreBlochElement(
@@ -148,19 +153,22 @@ def _lambda_hat(c: BarChain, seed, deep_checks: bool) -> LambdaResult:
     if nu_report != "zero":
         raise NuNonzero(f"wedge of the image failed to cancel: {nu_report}")
 
-    # health diagnostic: the certificate's 5-vector configurations give real
-    # ten-equation instances.  Tuples with +-coincident entries (present
-    # whenever the input itself was not good) admit no v at all and are
-    # skipped; everything v-testable is tested.
+    # health diagnostic: the certificate's 5-vector configurations and the
+    # repaired ones coned off the apex give real ten-equation instances.
+    # Tuples with +-coincident entries (in the certificate whenever the
+    # input was not good) admit no v at all and are skipped; everything
+    # v-testable is tested.
     flat_residual = 0.0
-    for _, ids in result.homotopy.pairs():
+    configs = [ids for _, ids in result.homotopy.pairs()]
+    configs.extend((_APEX,) + ids for _, ids in good_hom.pairs())
+    for ids in configs:
         if near_pairs([vec(i) for i in ids], tol):
             continue
         report = check_flattening_condition(
             [_flattening(log, ids[:i] + ids[i + 1:]) for i in range(5)])
         flat_residual = max(flat_residual, report.max_residual)
 
-    return LambdaResult(element=element, triples=triples, vector=v,
+    return LambdaResult(element=element, triples=triples, vector=v, apex=apex,
                         nu_report=nu_report, flattening_residual=flat_residual,
                         repair_terms=len(good_hom))
 
@@ -220,9 +228,11 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
               tol: Tolerances = DEFAULT_TOL) -> CcsReport:
     """Evaluate a cycle over several independent repair/vector draws.
 
-    Every trial must agree (mod 1, within fp) by independence of the
-    choices; the max pairwise deviation is reported as a health measure.
-    All trials share one symbol table at ``tol``.  Raises NotACycle, a
+    Every trial runs all of ``lambda_hat``, certificate and diagnostic
+    included; ``flattening_max`` is the largest residual over the trials.
+    Trials must agree (mod 1, within fp) by independence of the choices;
+    the max pairwise deviation is reported as a health measure.  All
+    trials share one symbol table at ``tol``.  Raises NotACycle, a
     ValueError, when ``c`` is not a cycle at ``tol``.
     """
     if trials < 1:
@@ -234,8 +244,8 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     raws: list[complex] = []
     flat_res = 0.0
     vol_res = 0.0
-    for trial, child in enumerate(children):
-        lam = _lambda_hat(c, child, deep_checks=(trial == 0))
+    for child in children:
+        lam = _lambda_hat(c, child)
         raw = lhat_sum(lam.element)
         value = -raw / TWO_PI_SQ
         values.append(complex(_mod1(value.real), value.imag))

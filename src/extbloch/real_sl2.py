@@ -26,26 +26,24 @@ from .errors import Incomparable, NotSortable, PreconditionFailed
 RealGroupElement = GroupElement
 
 
-def is_positive(g: RealGroupElement, tol_zero: float = DEFAULT_TOL.zero) -> bool:
-    return g.c > tol_zero
+def is_positive(g: RealGroupElement) -> bool:
+    return g.c > DEFAULT_TOL.zero
 
 
-def is_nonzero(g: RealGroupElement, tol_zero: float = DEFAULT_TOL.zero) -> bool:
-    return abs(g.c) > tol_zero
+def is_nonzero(g: RealGroupElement) -> bool:
+    return abs(g.c) > DEFAULT_TOL.zero
 
 
-def less(g1: RealGroupElement, g2: RealGroupElement,
-         tol_zero: float = DEFAULT_TOL.zero) -> bool:
+def less(g1: RealGroupElement, g2: RealGroupElement) -> bool:
     """g1 < g2 iff g1^{-1} g2 is positive.  Raises Incomparable when the
     quotient has vanishing lower-left entry."""
     q = g1.inverse() @ g2
-    if not is_nonzero(q, tol_zero):
+    if not is_nonzero(q):
         raise Incomparable("quotient has c = 0")
-    return is_positive(q, tol_zero)
+    return is_positive(q)
 
 
-def sort_tuple(elements: tuple[RealGroupElement, ...],
-               tol_zero: float = DEFAULT_TOL.zero) -> tuple[int, ...]:
+def sort_tuple(elements: tuple[RealGroupElement, ...]) -> tuple[int, ...]:
     """Permutation sigma with g_{sigma(0)} < ... < g_{sigma(n)}, found by
     bubble sort and then verified on all pairs.
 
@@ -58,11 +56,11 @@ def sort_tuple(elements: tuple[RealGroupElement, ...],
     perm = list(range(n))
     for i in range(n):
         for j in range(n - 1 - i):
-            if not less(elements[perm[j]], elements[perm[j + 1]], tol_zero):
+            if not less(elements[perm[j]], elements[perm[j + 1]]):
                 perm[j], perm[j + 1] = perm[j + 1], perm[j]
     for i in range(n):
         for j in range(i + 1, n):
-            if not less(elements[perm[i]], elements[perm[j]], tol_zero):
+            if not less(elements[perm[i]], elements[perm[j]]):
                 raise NotSortable(
                     f"positions {i}, {j} of the sorted output disagree")
     return tuple(perm)
@@ -140,7 +138,7 @@ def check_small_positive_agreement(
             raise PreconditionFailed(
                 f"boundary ordering: point {k} !> point {k + 1}")
 
-    triple = sigma_hat(ConfigTuple(tuple(vecs)), tol)
+    triple = sigma_hat(ConfigTuple(tuple(vecs)))
     pt = to_covering_point(triple)
     if pt.p != 0 or pt.q != 0:
         raise PreconditionFailed(

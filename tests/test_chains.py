@@ -157,10 +157,13 @@ def test_cone_recovers_cycles(rng):
 
 
 def test_repair_already_good(rng):
+    # a good cycle is kept as it is: phi(c) = c and the homotopy is empty
     c = random_boundary_cycle(rng)
     good, _ = is_good(c)
     assert good
     rr = repair_with_certificate(c, seed=5)
+    assert (rr.phi_image - rr.original_hom).is_empty()
+    assert rr.homotopy.is_empty()
     ok, _ = is_cycle(rr.chain)
     assert ok
     g2, _ = is_good(rr.chain)
@@ -175,6 +178,7 @@ def test_repair_torsion_fixtures(rng):
         ok, _ = is_cycle(rr.chain)
         good, _ = is_good(rr.chain)
         assert ok and good
+        assert not rr.homotopy.is_empty()
         res = hom_boundary(rr.homotopy) - (rr.phi_image - rr.original_hom)
         assert res.is_empty()
 

@@ -1,5 +1,7 @@
 """Cross-module invariants that do not fit a single module's test file."""
 
+import math
+
 from extbloch.config import Tolerances
 from extbloch.chainio import prebloch_to_obj
 from extbloch.covering import CoveringPoint, PreBlochElement
@@ -16,11 +18,11 @@ def _mod1_dist(x: float) -> float:
 
 
 def test_boundary_annihilation_100(rng):
-    # pipeline values of boundaries vanish mod 1 (fast path, single draw)
+    # pipeline values of boundaries vanish mod 1 (single draw)
     worst = 0.0
     for k in range(100):
         c = random_boundary_cycle(rng, n_terms=1)
-        lam = lambda_hat(c, seed=k, deep_checks=False)
+        lam = lambda_hat(c, seed=k)
         val = -lhat_sum(lam.element) / TWO_PI_SQ
         worst = max(worst, _mod1_dist(val.real), abs(val.imag))
     assert worst < 1e-7
@@ -38,5 +40,6 @@ def test_prebloch_serialization():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        Tolerances(cmp=-1.0)
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Tolerances(cmp=bad)

@@ -138,6 +138,26 @@ def test_cli_rejects_non_finite_entries(tmp_path, capsys, matrix, command):
     assert err.startswith("error:") and "term 0, matrix 0" in err
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["eval", "{cycle}", "--trials", "0"], "argument --trials: must be at least 1"),
+    (["eval", "{cycle}", "--tolerance", "0"], "argument --tolerance: tolerance cmp"),
+    (["eval", "{cycle}", "--tolerance", "-1"], "argument --tolerance: tolerance cmp"),
+    (["eval", "{cycle}", "--tolerance", "nan"], "argument --tolerance: tolerance cmp"),
+    (["check-cycle", "{cycle}", "--tolerance", "inf"],
+     "argument --tolerance: tolerance cmp"),
+    (["torsion", "--n", "1"], "argument --n: must be at least 2"),
+    (["real-check", "--samples", "0"], "argument --samples: must be at least 1"),
+])
+def test_cli_rejects_bad_arguments(tmp_path, capsys, argv, reason):
+    path = tmp_path / "t3.json"
+    path.write_text(dumps_canonical(chain_to_obj(torsion_cycle(3))))
+    with pytest.raises(SystemExit) as stop:
+        main([a.format(cycle=path) for a in argv])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: " + reason in err and "Traceback" not in err
+
+
 def test_cli_tolerance_reaches_cycle_check(tmp_path):
     # torsion 5 with one rotation off by 1e-7 rad: a cycle only when the
     # comparison tolerance identifies the perturbed symbol with the exact one

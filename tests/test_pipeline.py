@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from extbloch.core import ProjVector, random_sl2, rotation
 from extbloch.chains import (HomChain, conjugate_chain, complex_conjugate_chain,
                              hom_boundary, inhom_to_hom, near_pairs,
                              repair_with_certificate)
-from extbloch.covering import check_flattening_condition, to_covering_point
+from extbloch.covering import (check_flattening_condition, nu_hat,
+                               to_covering_point)
 from extbloch.dilog import TWO_PI_SQ, lhat
 from extbloch.errors import DegenerateConfig, NotVGood
 from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
@@ -123,9 +125,24 @@ def test_lambda_hat_on_boundary_vanishes(rng):
     assert lam.flattening_residual < 1e-9
 
 
+def test_nu_hat_sees_a_perturbed_atom():
+    # the wedge check is not vacuous: one ledger atom moved by 1e-3 no
+    # longer cancels, on a boundary and on a torsion cycle
+    for c in (random_boundary_cycle(5, n_terms=2), torsion_cycle(5)):
+        lam = lambda_hat(c, seed=3)
+        assert nu_hat(lam.triples).zero_report() == "zero"
+        coeff, t = lam.triples[0]
+        (k, atom), *rest = t.ledger[0]
+        ledger = (((k, atom + 1e-3), *rest),) + t.ledger[1:]
+        bent = [(coeff, dataclasses.replace(t, ledger=ledger))]
+        assert nu_hat(bent + lam.triples[1:]).zero_report() != "zero"
+
+
 def test_diagnostic_residual_matches_face_path():
     # the flattening and the diagnostic read Log det once per id pair; the
-    # public psi_v / sigma_hat / ConfigTuple.face path agrees exactly
+    # public psi_v / sigma_hat / ConfigTuple.face path agrees exactly, over
+    # the certificate's configurations and the repaired ones coned off the
+    # apex vector
     for c in (torsion_cycle(4), random_boundary_cycle(5, n_terms=2)):
         lam = lambda_hat(c, seed=3)
         repair_seed, _ = np.random.SeedSequence(3).spawn(2)
@@ -136,8 +153,11 @@ def test_diagnostic_residual_matches_face_path():
         assert ([t.ledger for _, t in lam.triples]
                 == [t.ledger for _, t in triples])
         want, tested = 0.0, 0
-        for _, tup in rr.homotopy:
-            vecs = tuple(g.apply(lam.vector) for g in tup)
+        configs = [tuple(g.apply(lam.vector) for g in tup)
+                   for _, tup in rr.homotopy]
+        configs.extend((lam.apex,) + tuple(g.apply(lam.vector) for g in tup)
+                       for _, tup in rr.phi_image)
+        for vecs in configs:
             if near_pairs(vecs):
                 continue
             cfg = ConfigTuple(vecs)
@@ -152,7 +172,7 @@ def test_lambda_hat_v_independence(rng):
     c = torsion_cycle(3)
     vals = []
     for seed in range(4):
-        lam = lambda_hat(c, seed=seed, deep_checks=False)
+        lam = lambda_hat(c, seed=seed)
         vals.append(-lhat_sum(lam.element) / TWO_PI_SQ)
     for v in vals[1:]:
         assert _mod1_dist(v.real, vals[0].real) < 1e-7
