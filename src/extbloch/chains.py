@@ -354,8 +354,7 @@ def sample_generic_v(c, rng_or_seed, max_attempts: int = 1000,
     The failure locus is a finite union of hypersurfaces, so a good chain
     succeeds almost surely within a few draws.  Returns (v, attempts).
     """
-    rng = np.random.default_rng(rng_or_seed) if isinstance(
-        rng_or_seed, (int, np.random.SeedSequence)) else rng_or_seed
+    rng = np.random.default_rng(rng_or_seed)
     for attempt in range(1, max_attempts + 1):
         v = random_vector(rng)
         ok, _ = is_v_good(c, v, tol)

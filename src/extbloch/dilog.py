@@ -212,10 +212,8 @@ def lifted_rogers_sided(x: float, p: int, q: int, side: CutSide) -> complex:
     return base + 0.5j * PI * (q * log_z - p * log_inv)
 
 
-def lhat(pt, side: CutSide | None = None) -> complex:
+def lhat(pt) -> complex:
     """Lifted Rogers evaluation of a covering point (duck-typed: needs
-    .z, .p, .q).  ``side`` selects the cut edge for real z outside [0, 1]."""
-    z = complex(pt.z)
-    if side is not None and z.imag == 0.0 and (z.real < 0.0 or z.real > 1.0):
-        return lifted_rogers_sided(z.real, pt.p, pt.q, side)
-    return lifted_rogers(z, pt.p, pt.q)
+    .z, .p, .q).  Real z in (1, oo) raises OnCut; ``lifted_rogers_sided``
+    evaluates real z outside [0, 1] from a chosen side."""
+    return lifted_rogers(complex(pt.z), pt.p, pt.q)

@@ -49,8 +49,7 @@ def five_term_boundary(x: complex, y: complex) -> BarChain:
 def random_good_hom_chain(rng_or_seed, degree: int, n_terms: int) -> HomChain:
     """Random homogeneous chain with good tuples and nonzero coefficients
     in [-2, 2]."""
-    rng = np.random.default_rng(rng_or_seed) if isinstance(
-        rng_or_seed, (int, np.random.SeedSequence)) else rng_or_seed
+    rng = np.random.default_rng(rng_or_seed)
     terms = []
     while len(terms) < n_terms:
         tup = tuple(random_sl2(rng) for _ in range(degree + 1))
@@ -67,7 +66,6 @@ def random_good_hom_chain(rng_or_seed, degree: int, n_terms: int) -> HomChain:
 
 def random_boundary_cycle(rng_or_seed, n_terms: int = 2) -> BarChain:
     """A random degree-3 cycle that is a boundary (evaluates to zero)."""
-    rng = np.random.default_rng(rng_or_seed) if isinstance(
-        rng_or_seed, (int, np.random.SeedSequence)) else rng_or_seed
+    rng = np.random.default_rng(rng_or_seed)
     top = random_good_hom_chain(rng, 4, n_terms)
     return hom_to_inhom(hom_boundary(top))

@@ -25,9 +25,9 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .chains import (BarChain, HomChain, _checked_cycle, _repair_core,
                      is_v_good, near_pairs, sample_generic_v)
-from .core import ProjVector, det_pair, random_vector
-from .covering import (FlatteningTriple, PreBlochElement,
-                       check_flattening_condition, nu_hat, to_covering_point)
+from .core import ProjVector, det_pair
+from .covering import (FlatteningTriple, PreBlochElement, nu_hat,
+                       to_covering_point)
 from .dilog import TWO_PI_SQ, lhat, plog, vol
 from .errors import DegenerateConfig, NotVGood, NuNonzero
 
@@ -76,7 +76,10 @@ def sigma_hat(t: ConfigTuple) -> FlatteningTriple:
 
     writing (ij) for Log det(v_i, v_j).  Then e^{w0} is the cross-ratio of
     the four sphere images and w0 + w1 + w2 = 0 on the nose; the ledger
-    records the eight signed atoms.
+    records the eight signed atoms.  Over the five faces of a 5-vector
+    configuration the ten edge equations (``covering.EDGE_EQUATIONS``)
+    cancel atom by atom, so they hold identically and are checked by
+    tests and ``ccs selftest``, not per evaluation.
     """
     return _flattening(lambda i, j: plog(det_pair(t[i], t[j])), range(len(t)))
 
@@ -97,15 +100,12 @@ def _flattening(log, idx) -> FlatteningTriple:
 @dataclass
 class LambdaResult:
     """Image of a cycle as a formal sum of covering points, plus the data
-    needed for diagnostics and exact wedge checks.  ``apex`` is the vector
-    off which the diagnostic cones each repaired configuration."""
+    needed for exact wedge checks."""
 
     element: PreBlochElement
     triples: list[tuple[int, FlatteningTriple]]
     vector: ProjVector
-    apex: ProjVector
     nu_report: str
-    flattening_residual: float
     repair_terms: int
 
 
@@ -114,17 +114,13 @@ def lambda_hat(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL) -> LambdaResult
     checked homotopy certificate, push to vector configurations by a
     generic v, flatten termwise.
 
-    Side checks: exact wedge cancellation of the image (raises NuNonzero on
-    failure; that would be an implementation bug, not bad input), and the
-    ten-equation residuals over the faces of the certificate's 5-vector
-    configurations and of each repaired configuration coned off the apex
-    vector.  Raises NotACycle, a ValueError, when ``c`` is not a cycle at
-    ``tol``.
+    Side check: exact wedge cancellation of the image (raises NuNonzero on
+    failure; that would be an implementation bug, not bad input).  The ten
+    edge equations need no runtime check: they are an identity of the
+    log-determinant flattening (see ``sigma_hat``).  Raises NotACycle, a
+    ValueError, when ``c`` is not a cycle at ``tol``.
     """
     return _lambda_hat(_checked_cycle(c, tol), seed)
-
-
-_APEX = -1  # the id under which the diagnostic's apex vector is memoized
 
 
 def _lambda_hat(c: BarChain, seed) -> LambdaResult:
@@ -134,16 +130,12 @@ def _lambda_hat(c: BarChain, seed) -> LambdaResult:
     seq = np.random.SeedSequence(seed) if not isinstance(
         seed, np.random.SeedSequence) else seed
     repair_seed, v_seed = seq.spawn(2)
-    result = _repair_core(c, repair_seed)
-    good_hom = result.phi_image
-
-    rng = np.random.default_rng(v_seed)
-    v, _ = sample_generic_v(good_hom, rng, tol=tol)
-    apex = random_vector(rng)
+    good_hom = _repair_core(c, repair_seed).phi_image
+    v, _ = sample_generic_v(good_hom, v_seed, tol=tol)
 
     # g.v once per id and Log det once per ordered id pair, for this trial
     elements = c.table.elements
-    vec = cache(lambda i: apex if i == _APEX else elements[i].apply(v))
+    vec = cache(lambda i: elements[i].apply(v))
     log = cache(lambda i, j: plog(det_pair(vec(i), vec(j))))
     triples = [(coeff, _flattening(log, ids)) for coeff, ids in good_hom.pairs()]
     element = PreBlochElement(
@@ -152,25 +144,8 @@ def _lambda_hat(c: BarChain, seed) -> LambdaResult:
     nu_report = nu_hat(triples).zero_report()
     if nu_report != "zero":
         raise NuNonzero(f"wedge of the image failed to cancel: {nu_report}")
-
-    # health diagnostic: the certificate's 5-vector configurations and the
-    # repaired ones coned off the apex give real ten-equation instances.
-    # Tuples with +-coincident entries (in the certificate whenever the
-    # input was not good) admit no v at all and are skipped; everything
-    # v-testable is tested.
-    flat_residual = 0.0
-    configs = [ids for _, ids in result.homotopy.pairs()]
-    configs.extend((_APEX,) + ids for _, ids in good_hom.pairs())
-    for ids in configs:
-        if near_pairs([vec(i) for i in ids], tol):
-            continue
-        report = check_flattening_condition(
-            [_flattening(log, ids[:i] + ids[i + 1:]) for i in range(5)])
-        flat_residual = max(flat_residual, report.max_residual)
-
-    return LambdaResult(element=element, triples=triples, vector=v, apex=apex,
-                        nu_report=nu_report, flattening_residual=flat_residual,
-                        repair_terms=len(good_hom))
+    return LambdaResult(element=element, triples=triples, vector=v,
+                        nu_report=nu_report, repair_terms=len(good_hom))
 
 
 def volume_of(e: PreBlochElement) -> float:
@@ -201,7 +176,7 @@ class CcsReport:
     form a real lattice).  The reported quantity is twice the degree-three
     characteristic value, the combination that is well defined in C/Z.
     volume equals Im(raw_lhat) by construction; residuals record the
-    independent per-term volume sum and the wedge/flattening health.
+    independent per-term volume sum.
     """
 
     value_mod1: complex
@@ -228,8 +203,9 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
               tol: Tolerances = DEFAULT_TOL) -> CcsReport:
     """Evaluate a cycle over several independent repair/vector draws.
 
-    Every trial runs all of ``lambda_hat``, certificate and diagnostic
-    included; ``flattening_max`` is the largest residual over the trials.
+    Every trial runs all of ``lambda_hat``, certificate and wedge check
+    included; ``volume_vs_im_lhat`` is the largest gap over the trials
+    between the per-term volume sum and Im of the lifted Rogers sum.
     Trials must agree (mod 1, within fp) by independence of the choices;
     the max pairwise deviation is reported as a health measure.  All
     trials share one symbol table at ``tol``.  Raises NotACycle, a
@@ -242,7 +218,6 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     children = seq.spawn(trials)
     values: list[complex] = []
     raws: list[complex] = []
-    flat_res = 0.0
     vol_res = 0.0
     for child in children:
         lam = _lambda_hat(c, child)
@@ -250,7 +225,6 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
         value = -raw / TWO_PI_SQ
         values.append(complex(_mod1(value.real), value.imag))
         raws.append(raw)
-        flat_res = max(flat_res, lam.flattening_residual)
         vol_res = max(vol_res, abs(volume_of(lam.element) - raw.imag))
     dev = 0.0
     for i in range(len(values)):
@@ -263,6 +237,6 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
         volume=raws[0].imag,
         trials=values,
         max_trial_deviation=dev,
-        residuals={"flattening_max": flat_res, "volume_vs_im_lhat": vol_res},
+        residuals={"volume_vs_im_lhat": vol_res},
         seed=seed if isinstance(seed, int) else None,
     )

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -212,3 +214,17 @@ def test_cli_real_check():
     doc = json.loads(r.stdout)
     assert doc["worst_agreement_error"] == 0
     assert doc["all_principal_branch"] is True
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv", [
+    *([str(p.relative_to(ROOT))] for p in sorted(ROOT.glob("demos/*.py"))),
+    ["-m", "extbloch.cli", "selftest"],
+], ids=lambda argv: argv[-1])
+def test_demos_and_selftest_exit_zero(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    r = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr[-2000:]

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from extbloch.core import ProjVector, random_sl2, rotation
-from extbloch.chains import (HomChain, conjugate_chain, complex_conjugate_chain,
-                             hom_boundary, inhom_to_hom, near_pairs,
-                             repair_with_certificate)
+from extbloch.core import ProjVector, random_sl2, random_vector, rotation
+from extbloch.chains import (BarChain, HomChain, conjugate_chain,
+                             complex_conjugate_chain, hom_boundary,
+                             inhom_to_hom, near_pairs, repair_with_certificate)
 from extbloch.covering import (check_flattening_condition, nu_hat,
                                to_covering_point)
 from extbloch.dilog import TWO_PI_SQ, lhat
@@ -122,7 +122,6 @@ def test_lambda_hat_on_boundary_vanishes(rng):
     val = lhat_sum(lam.element) / TWO_PI_SQ
     assert _mod1_dist(val.real, 0.0) < 1e-9
     assert abs(val.imag) < 1e-9
-    assert lam.flattening_residual < 1e-9
 
 
 def test_nu_hat_sees_a_perturbed_atom():
@@ -138,11 +137,12 @@ def test_nu_hat_sees_a_perturbed_atom():
         assert nu_hat(bent + lam.triples[1:]).zero_report() != "zero"
 
 
-def test_diagnostic_residual_matches_face_path():
-    # the flattening and the diagnostic read Log det once per id pair; the
-    # public psi_v / sigma_hat / ConfigTuple.face path agrees exactly, over
-    # the certificate's configurations and the repaired ones coned off the
-    # apex vector
+def test_flattening_matches_face_path_and_edge_ledgers_cancel():
+    # the evaluation reads Log det once per id pair; the public psi_v /
+    # sigma_hat path agrees exactly.  The ten edge equations cancel atom by
+    # atom over the faces of the certificate's 5-vector configurations and
+    # of the repaired 4-vector ones coned off an apex vector
+    apex = random_vector(np.random.default_rng(11))
     for c in (torsion_cycle(4), random_boundary_cycle(5, n_terms=2)):
         lam = lambda_hat(c, seed=3)
         repair_seed, _ = np.random.SeedSequence(3).spawn(2)
@@ -152,20 +152,20 @@ def test_diagnostic_residual_matches_face_path():
         assert lam.triples == triples
         assert ([t.ledger for _, t in lam.triples]
                 == [t.ledger for _, t in triples])
-        want, tested = 0.0, 0
         configs = [tuple(g.apply(lam.vector) for g in tup)
                    for _, tup in rr.homotopy]
-        configs.extend((lam.apex,) + tuple(g.apply(lam.vector) for g in tup)
+        configs.extend((apex,) + tuple(g.apply(lam.vector) for g in tup)
                        for _, tup in rr.phi_image)
+        tested = 0
         for vecs in configs:
             if near_pairs(vecs):
                 continue
             cfg = ConfigTuple(vecs)
             faces = [sigma_hat(cfg.face(i)) for i in range(5)]
-            want = max(want, check_flattening_condition(faces).max_residual)
+            report = check_flattening_condition(faces, with_ledger=True)
+            assert report.exact is not None and all(report.exact), report
             tested += 1
         assert tested > 0
-        assert lam.flattening_residual == want
 
 
 def test_lambda_hat_v_independence(rng):
@@ -251,15 +251,27 @@ def test_ccs_report_fields(rng):
                       "max_trial_deviation", "residuals", "seed"}
 
 
+def _rotation_cycle(n: int, k: int) -> BarChain:
+    # sum_i [t | t^i | t] for t = rotation(n, k); torsion_cycle(n) is k = 1
+    t = rotation(n, k)
+    return BarChain(3, [(1, (t, rotation(n, k * i % n), t)) for i in range(n)])
+
+
 def test_closed_form_values():
-    # torsion n gives -2/n mod 1 (also after conjugation), boundaries 0;
-    # agreement is at rounding level, far inside 1e-12
+    # rotation by 2 pi k / n gives -2k^2/n mod 1 (also after conjugation),
+    # the value is additive over sums and multiples of cycles, boundaries
+    # give 0; agreement is at rounding level, far inside 1e-12
     a, b, c = 1.2 + 0.3j, 0.5 - 0.2j, 0.4 + 0.1j
     g = __import__("extbloch.core", fromlist=["GroupElement"]).GroupElement(
         a, b, c, (1 + b * c) / a)
     cases = [(torsion_cycle(5), -2 / 5), (torsion_cycle(12), -2 / 12),
              (conjugate_chain(g, torsion_cycle(7)), -2 / 7),
-             (random_boundary_cycle(4, n_terms=4), 0.0)]
+             (random_boundary_cycle(4, n_terms=4), 0.0),
+             (torsion_cycle(5) + torsion_cycle(7), 11 / 35),
+             (2 * torsion_cycle(5), -4 / 5), (3 * torsion_cycle(5), -6 / 5),
+             (5 * torsion_cycle(5), 0.0), (7 * torsion_cycle(7), 0.0)]
+    cases += [(_rotation_cycle(n, k), -2 * k * k / n)
+              for n, k in ((5, 2), (7, 3), (8, 3), (12, 5))]
     for cycle, want in cases:
         rep = ccs_value(cycle, seed=1, trials=2)
         assert _mod1_dist(rep.value_mod1.real, want) < 1e-12, rep.value_mod1
@@ -268,7 +280,6 @@ def test_closed_form_values():
 
 
 def test_evaluations_reject_non_cycles():
-    from extbloch.chains import BarChain
     bad = BarChain(3, [torsion_cycle(3).terms[0]])
     with pytest.raises(ValueError, match="not a cycle"):
         ccs_value(bad, seed=0, trials=2)
