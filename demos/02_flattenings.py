@@ -7,7 +7,7 @@ five simplices whose flattenings satisfy ten signed edge equations, and
 the wedge image of a boundary cancels exactly.
 """
 
-import numpy as np
+import random
 
 from extbloch import (ConfigTuple, ProjVector, check_flattening_condition,
                       cross_ratio, from_covering_point, hopf, mu, nu_hat,
@@ -32,7 +32,7 @@ print("recovered w0, w1:", back.w0, back.w1)
 
 print()
 print("= ten edge equations on a random five-vector configuration =")
-rng = np.random.default_rng(7)
+rng = random.Random(7)
 
 
 def random_config(n):

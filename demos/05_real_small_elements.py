@@ -6,13 +6,13 @@ plain real Rogers cocycle: principal branches, cross-ratio in (0, 1),
 exact agreement.
 """
 
-import numpy as np
+import random
 
 from extbloch.real_sl2 import (RealGroupElement, check_small_positive_agreement,
                                is_positive, less, rogers_cocycle,
                                sample_small_positive, sort_tuple)
 
-rng = np.random.default_rng(9)
+rng = random.Random(9)
 
 print("= positivity and the partial order =")
 g1 = RealGroupElement(1, 0, 1, 1)

@@ -31,10 +31,10 @@ def matrix_from_obj(obj, where: str) -> GroupElement:
     if (not isinstance(obj, list) or len(obj) != 4
             or any(not isinstance(p, list) or len(p) != 2 for p in obj)):
         raise SchemaError(f"{where}: matrix must be four [re, im] pairs")
-    try:
-        vals = [complex(float(p[0]), float(p[1])) for p in obj]
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: non-numeric entry ({exc})")
+    bad = [x for p in obj for x in p if type(x) not in (int, float)]
+    if bad:  # bools and numeric strings too, which float() would take
+        raise SchemaError(f"{where}: non-numeric entry {bad[0]!r}")
+    vals = [complex(*p) for p in obj]
     if not all(cmath.isfinite(z) for z in vals):
         raise SchemaError(f"{where}: non-finite entry")
     try:
@@ -58,7 +58,7 @@ def chain_from_obj(obj) -> BarChain:
     if obj.get("group") != "SL2C":
         raise SchemaError(f"unsupported group {obj.get('group')!r}")
     degree = obj.get("degree")
-    if not isinstance(degree, int) or not 0 <= degree <= 4:
+    if type(degree) is not int or not 0 <= degree <= 4:
         raise SchemaError(f"bad degree {degree!r}")
     terms_obj = obj.get("terms")
     if not isinstance(terms_obj, list):
@@ -68,7 +68,7 @@ def chain_from_obj(obj) -> BarChain:
         if not isinstance(t, dict) or "coef" not in t or "bar" not in t:
             raise SchemaError(f"term {k}: need 'coef' and 'bar'")
         coeff = t["coef"]
-        if not isinstance(coeff, int):
+        if type(coeff) is not int:
             raise SchemaError(f"term {k}: coefficient must be an integer")
         bar = t["bar"]
         if not isinstance(bar, list) or len(bar) != degree:

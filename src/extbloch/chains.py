@@ -30,10 +30,9 @@ from functools import cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .config import DEFAULT_TOL, Tolerances
-from .core import GroupElement, ProjVector, det_pair, random_sl2, random_vector
+from .core import (GroupElement, ProjVector, as_rng, det_pair, random_sl2,
+                   random_vector)
 from .errors import NotACycle, RepairFailed, SamplingExhausted
 from .formal import FormalSum
 from .quantize import FuzzyIndex
@@ -278,7 +277,9 @@ def is_cycle(c: BarChain, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, BarChain
 
 def _checked_cycle(c: BarChain, tol: Tolerances) -> BarChain:
     """``c`` re-interned into a new symbol table at ``tol``, for one
-    evaluation; raises NotACycle (a ValueError) unless it is a cycle there."""
+    evaluation; raises NotACycle (a ValueError) unless it is a 3-cycle there."""
+    if c.degree != 3:
+        raise NotACycle(f"evaluation needs a 3-cycle, got degree {c.degree}")
     c = c.interned(SymbolTable(tol))
     residual = _residual(c)
     if not residual.is_empty():
@@ -354,7 +355,7 @@ def sample_generic_v(c, rng_or_seed, max_attempts: int = 1000,
     The failure locus is a finite union of hypersurfaces, so a good chain
     succeeds almost surely within a few draws.  Returns (v, attempts).
     """
-    rng = np.random.default_rng(rng_or_seed)
+    rng = as_rng(rng_or_seed)
     for attempt in range(1, max_attempts + 1):
         v = random_vector(rng)
         ok, _ = is_v_good(c, v, tol)
@@ -470,10 +471,9 @@ def _faces(ids: Ids) -> list[tuple[int, Ids]]:
     return [((-1) ** i, ids[:i] + ids[i + 1:]) for i in range(len(ids))]
 
 
-def _repair_core(c: BarChain, seed) -> RepairResult:
+def _repair_core(c: BarChain, rng) -> RepairResult:
     """Repair of a cycle already interned for this evaluation, with its
-    homotopy certificate built and checked."""
-    rng = np.random.default_rng(seed)
+    homotopy certificate built and checked; apexes are drawn from rng."""
     hom = inhom_to_hom(c)
     rep = _ConeRepairer(rng, c.table)
     phi_img = rep.linear(rep.phi, hom.pairs(), hom.degree, True)
@@ -491,9 +491,10 @@ def _repair_core(c: BarChain, seed) -> RepairResult:
 
 def repair_with_certificate(c: BarChain, seed,
                             tol: Tolerances = DEFAULT_TOL) -> RepairResult:
-    """Replace a cycle by a homologous good cycle via the recursive cone
-    chain map, returning the explicit, verified homotopy certificate."""
-    return _repair_core(_checked_cycle(c, tol), seed)
+    """Replace a 3-cycle by a homologous good cycle via the recursive cone
+    chain map, returning the explicit, verified homotopy certificate.
+    ``seed`` is an integer or a generator (see ``as_rng``)."""
+    return _repair_core(_checked_cycle(c, tol), as_rng(seed))
 
 
 def repair_to_good(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL) -> BarChain:

@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a cycle file")
     p.add_argument("cycle")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--trials", type=_at_least(1), default=5)
     common(p)
     p.set_defaults(func=cmd_eval)
@@ -189,13 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True)
     p.add_argument("--verify", action="store_true",
                    help="evaluate the fixture instead of emitting it")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     common(p, tolerance=False)
     p.set_defaults(func=cmd_five_term)
 
     p = sub.add_parser("real-check", help="run the small-positive agreement suite")
     p.add_argument("--samples", type=_at_least(1), default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     common(p, tolerance=False)
     p.set_defaults(func=cmd_real_check)
 
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lift_path)
 
     p = sub.add_parser("selftest", help="run the built-in property suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_selftest)
 
     return ap

@@ -8,6 +8,8 @@ intertwined by the Hopf map (z, w) -> z/w.
 from __future__ import annotations
 
 import math
+import numbers
+import random
 from dataclasses import dataclass
 
 from .config import DEFAULT_TOL, Tolerances
@@ -181,6 +183,17 @@ def rotation(n: int, k: int) -> GroupElement:
     theta = 2.0 * math.pi * k / n
     c, s = math.cos(theta), math.sin(theta)
     return GroupElement(c, -s, s, c)
+
+
+def as_rng(seed):
+    """A non-negative integer seeds a ``random.Random`` (a negative one is
+    refused: ``Random(-s)`` is ``Random(s)``); anything else is taken as a
+    generator already, with at least ``uniform``."""
+    if not isinstance(seed, numbers.Integral):
+        return seed
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return random.Random(int(seed))
 
 
 def random_sl2(rng) -> GroupElement:

@@ -60,10 +60,14 @@ def _bernoulli_coeffs(count: int) -> list[float]:
     """B_k / (k+1)! for k = 0..count-1, B_1 = -1/2 convention."""
     bern = [Fraction(1)]
     for m in range(1, count):
+        if m > 1 and m % 2:  # B_m = 0: neither computed nor summed
+            bern.append(Fraction(0))
+            continue
         acc = Fraction(0)
         binom = 1
         for j in range(m):
-            acc += binom * bern[j]
+            if bern[j]:
+                acc += binom * bern[j]
             binom = binom * (m + 1 - j) // (j + 1)
         bern.append(-acc / (m + 1))
     coeffs = []

@@ -46,7 +46,7 @@ class NotVGood(CcsError):
 
 
 class NotACycle(CcsError, ValueError):
-    """A chain given for evaluation has a nonzero boundary."""
+    """A chain given for evaluation is not a 3-cycle."""
 
 
 class SamplingExhausted(CcsError):

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-from .core import INF, GroupElement, is_inf, random_sl2, rotation
+from .core import INF, GroupElement, as_rng, is_inf, random_sl2, rotation
 from .chains import BarChain, HomChain, hom_boundary, hom_to_inhom, is_good
 
 
@@ -49,23 +47,16 @@ def five_term_boundary(x: complex, y: complex) -> BarChain:
 def random_good_hom_chain(rng_or_seed, degree: int, n_terms: int) -> HomChain:
     """Random homogeneous chain with good tuples and nonzero coefficients
     in [-2, 2]."""
-    rng = np.random.default_rng(rng_or_seed)
+    rng = as_rng(rng_or_seed)
     terms = []
     while len(terms) < n_terms:
         tup = tuple(random_sl2(rng) for _ in range(degree + 1))
-        probe = HomChain(degree, [(1, tup)])
-        ok, _ = is_good(probe)
-        if not ok:
-            continue
-        coeff = 0
-        while coeff == 0:
-            coeff = int(rng.integers(-2, 3))
-        terms.append((coeff, tup))
+        if is_good(HomChain(degree, [(1, tup)]))[0]:
+            terms.append((int(rng.choice((-2, -1, 1, 2))), tup))
     return HomChain(degree, terms, coinvariant=True)
 
 
 def random_boundary_cycle(rng_or_seed, n_terms: int = 2) -> BarChain:
     """A random degree-3 cycle that is a boundary (evaluates to zero)."""
-    rng = np.random.default_rng(rng_or_seed)
-    top = random_good_hom_chain(rng, 4, n_terms)
+    top = random_good_hom_chain(as_rng(rng_or_seed), 4, n_terms)
     return hom_to_inhom(hom_boundary(top))

@@ -10,10 +10,9 @@ through another table is re-keyed through the left operand's first.
 from __future__ import annotations
 
 import copy
+import numbers
 from itertools import chain
 from typing import Any, Hashable, Iterable
-
-import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 
@@ -42,7 +41,7 @@ class FormalSum:
     def _merge(self, keyed: Keyed) -> None:
         merged: dict[Hashable, list] = {}
         for coeff, key, rep in keyed:
-            if not isinstance(coeff, (int, np.integer)):
+            if not isinstance(coeff, numbers.Integral):
                 raise TypeError(f"coefficients must be integers, got {coeff!r}")
             term = merged.get(key)
             if term is None:

@@ -20,12 +20,10 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 
-import numpy as np
-
 from .config import DEFAULT_TOL, Tolerances
 from .chains import (BarChain, HomChain, _checked_cycle, _repair_core,
                      is_v_good, near_pairs, sample_generic_v)
-from .core import ProjVector, det_pair
+from .core import ProjVector, as_rng, det_pair
 from .covering import (FlatteningTriple, PreBlochElement, nu_hat,
                        to_covering_point)
 from .dilog import TWO_PI_SQ, lhat, plog, vol
@@ -117,21 +115,20 @@ def lambda_hat(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL) -> LambdaResult
     Side check: exact wedge cancellation of the image (raises NuNonzero on
     failure; that would be an implementation bug, not bad input).  The ten
     edge equations need no runtime check: they are an identity of the
-    log-determinant flattening (see ``sigma_hat``).  Raises NotACycle, a
-    ValueError, when ``c`` is not a cycle at ``tol``.
+    log-determinant flattening (see ``sigma_hat``).  ``seed`` is an
+    integer or a generator (see ``as_rng``).  Raises NotACycle, a
+    ValueError, when ``c`` is not a 3-cycle at ``tol``.
     """
-    return _lambda_hat(_checked_cycle(c, tol), seed)
+    return _lambda_hat(_checked_cycle(c, tol), as_rng(seed))
 
 
-def _lambda_hat(c: BarChain, seed) -> LambdaResult:
+def _lambda_hat(c: BarChain, rng) -> LambdaResult:
     """lambda_hat on a cycle already checked and interned for this
-    evaluation; its symbol table carries the tolerances."""
+    evaluation; its symbol table carries the tolerances.  The repair
+    draws from ``rng`` first, then v."""
     tol = c.tol
-    seq = np.random.SeedSequence(seed) if not isinstance(
-        seed, np.random.SeedSequence) else seed
-    repair_seed, v_seed = seq.spawn(2)
-    good_hom = _repair_core(c, repair_seed).phi_image
-    v, _ = sample_generic_v(good_hom, v_seed, tol=tol)
+    good_hom = _repair_core(c, rng).phi_image
+    v, _ = sample_generic_v(good_hom, rng, tol=tol)
 
     # g.v once per id and Log det once per ordered id pair, for this trial
     elements = c.table.elements
@@ -203,24 +200,24 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
               tol: Tolerances = DEFAULT_TOL) -> CcsReport:
     """Evaluate a cycle over several independent repair/vector draws.
 
-    Every trial runs all of ``lambda_hat``, certificate and wedge check
-    included; ``volume_vs_im_lhat`` is the largest gap over the trials
+    One generator is made from ``seed`` (see ``as_rng``); the trials draw
+    from it in turn.  Every trial runs all of ``lambda_hat``, certificate
+    and wedge check included; ``volume_vs_im_lhat`` is the largest gap over the trials
     between the per-term volume sum and Im of the lifted Rogers sum.
     Trials must agree (mod 1, within fp) by independence of the choices;
     the max pairwise deviation is reported as a health measure.  All
     trials share one symbol table at ``tol``.  Raises NotACycle, a
-    ValueError, when ``c`` is not a cycle at ``tol``.
+    ValueError, when ``c`` is not a 3-cycle at ``tol``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    rng = as_rng(seed)
     c = _checked_cycle(c, tol)
-    seq = np.random.SeedSequence(seed)
-    children = seq.spawn(trials)
     values: list[complex] = []
     raws: list[complex] = []
     vol_res = 0.0
-    for child in children:
-        lam = _lambda_hat(c, child)
+    for _ in range(trials):
+        lam = _lambda_hat(c, rng)
         raw = lhat_sum(lam.element)
         value = -raw / TWO_PI_SQ
         values.append(complex(_mod1(value.real), value.imag))

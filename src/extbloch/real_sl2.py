@@ -12,11 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import DEFAULT_TOL, Tolerances
-from .core import (INF, GroupElement, ProjVector, cross_ratio_ext, det_pair,
-                   is_inf, moebius)
+from .core import (INF, GroupElement, ProjVector, as_rng, cross_ratio_ext,
+                   det_pair, is_inf, moebius)
 from .covering import to_covering_point
 from .dilog import lhat, rogers_real
 from .errors import Incomparable, NotSortable, PreconditionFailed
@@ -174,7 +172,7 @@ def sample_agreement_suite(seed, samples: int = 500,
     """Draw small positive triples and run the agreement check on each.
     Triples whose products fail positivity are redrawn (the neighbourhood
     hypothesis), so every returned report passed all requirements."""
-    rng = np.random.default_rng(seed)
+    rng = as_rng(seed)
     out = []
     while len(out) < samples:
         gs = [sample_small_positive(rng) for _ in range(3)]

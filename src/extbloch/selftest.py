@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from .chains import hom_boundary, is_cycle, is_good, repair_with_certificate
-from .core import hopf, moebius, random_sl2, random_vector
-from .covering import check_flattening_condition, coords, nu_hat
+from .core import as_rng, hopf, is_inf, moebius, random_sl2, random_vector
+from .covering import check_flattening_condition, coords, mu, nu_hat
 from .dilog import PI2_6, rogers, rogers_real, vol
 from .fixtures import random_boundary_cycle, torsion_cycle
 from .path_lift import find_positive_base, verify_pq_pattern
@@ -29,7 +27,7 @@ def _random_config(rng, n: int) -> ConfigTuple:
 
 
 def run_selftest(seed: int = 0, verbose: bool = True) -> int:
-    rng = np.random.default_rng(seed)
+    rng = as_rng(seed)
     failures = 0
 
     def check(name: str, ok: bool, detail: str = ""):
@@ -73,7 +71,6 @@ def run_selftest(seed: int = 0, verbose: bool = True) -> int:
         v = random_vector(rng)
         lhs = moebius(g, hopf(v))
         rhs = hopf(g.apply(v))
-        from .core import is_inf
         if is_inf(lhs) or is_inf(rhs):
             continue
         worst = max(worst, abs(lhs - rhs))
@@ -91,7 +88,6 @@ def run_selftest(seed: int = 0, verbose: bool = True) -> int:
     for _ in range(50):
         cfg = _random_config(rng, 4)
         w = nu_hat([(1, sigma_hat(cfg))])
-        from .covering import mu
         w_mu = (mu(cfg[1], cfg[2], cfg[3]) - mu(cfg[0], cfg[2], cfg[3])
                 + mu(cfg[0], cfg[1], cfg[3]) - mu(cfg[0], cfg[1], cfg[2]))
         if not (w - w_mu).is_zero():
@@ -128,7 +124,7 @@ def run_selftest(seed: int = 0, verbose: bool = True) -> int:
     base = find_positive_base()
     ok_all = True
     for _ in range(5):
-        vec = tuple(int(v) for v in rng.integers(-2, 3, 5))
+        vec = tuple(rng.randint(-2, 2) for _ in range(5))
         okv, det = verify_pq_pattern(*vec, base=base)
         ok_all = ok_all and okv and abs(det["five_term_sum"]) < 1e-8
     check("winding endpoint pattern", ok_all)

@@ -1,12 +1,14 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
 from extbloch.covering import CoveringPoint
-from extbloch.dilog import (PI, PI2_6, PI_SQ, TWO_PI_SQ, CutSide, lhat, li2,
-                            lifted_rogers, lifted_rogers_sided, plog, rogers,
-                            rogers_real, rogers_sided, vol)
+from extbloch.dilog import (PI, PI2_6, PI_SQ, TWO_PI_SQ, CutSide,
+                            _bernoulli_coeffs, lhat, li2, lifted_rogers,
+                            lifted_rogers_sided, plog, rogers, rogers_real,
+                            rogers_sided, vol)
 from extbloch.errors import LogOfZero, OnCut
 
 from oracles import li2_simpson, vol_simpson
@@ -166,3 +168,18 @@ def test_rogers_sided_matches_limits():
     for x in (-3.0, -0.7, 1.4, 5.0):
         for side, eps in ((CutSide.ABOVE, 1e-10j), (CutSide.BELOW, -1e-10j)):
             assert abs(rogers_sided(x, side) - rogers(x + eps)) < 1e-8
+
+
+def test_bernoulli_coeffs_match_the_full_recurrence():
+    # the table skips the odd Bernoulli numbers above B_1 (all zero); the
+    # full recurrence over every index gives the same floats
+    bern = [Fraction(1)]
+    for m in range(1, 90):
+        acc = Fraction(0)
+        binom = 1
+        for j in range(m):
+            acc += binom * bern[j]
+            binom = binom * (m + 1 - j) // (j + 1)
+        bern.append(-acc / (m + 1))
+    full = [float(b / math.factorial(k + 1)) for k, b in enumerate(bern)]
+    assert _bernoulli_coeffs(90) == full

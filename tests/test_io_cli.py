@@ -149,6 +149,12 @@ def test_cli_rejects_non_finite_entries(tmp_path, capsys, matrix, command):
      "argument --tolerance: tolerance cmp"),
     (["torsion", "--n", "1"], "argument --n: must be at least 2"),
     (["real-check", "--samples", "0"], "argument --samples: must be at least 1"),
+    (["eval", "{cycle}", "--seed", "-1"],
+     "argument --seed: must be at least 0, got -1"),
+    (["five-term", "--x", "0.5", "--y", "0.25", "--verify", "--seed", "-1"],
+     "argument --seed: must be at least 0, got -1"),
+    (["real-check", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+    (["selftest", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
 ])
 def test_cli_rejects_bad_arguments(tmp_path, capsys, argv, reason):
     path = tmp_path / "t3.json"
@@ -158,6 +164,30 @@ def test_cli_rejects_bad_arguments(tmp_path, capsys, argv, reason):
     assert stop.value.code == 2
     err = capsys.readouterr().err
     assert "error: " + reason in err and "Traceback" not in err
+
+
+_IDENTITY = [[1, 0], [0, 0], [0, 0], [1, 0]]
+
+
+@pytest.mark.parametrize("doc, reason", [
+    ({"group": "SL2C", "degree": 4, "terms": []},
+     "evaluation needs a 3-cycle, got degree 4"),
+    ({"group": "SL2C", "degree": True, "terms": []}, "bad degree True"),
+    ({"group": "SL2C", "degree": 1, "terms": [{"coef": True, "bar": [_IDENTITY]}]},
+     "term 0: coefficient must be an integer"),
+    ({"group": "SL2C", "degree": 1,
+      "terms": [{"coef": 1, "bar": [[["1", 0], *_IDENTITY[1:]]]}]},
+     "term 0, matrix 0: non-numeric entry '1'"),
+], ids=["degree-4", "bool-degree", "bool-coef", "string-entry"])
+def test_cli_eval_rejects_bad_chain_files(tmp_path, capsys, doc, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    try:
+        code = main(["eval", str(path)])
+    except SystemExit as stop:
+        code = stop.code
+    assert code == 2
+    assert "error: " + reason in capsys.readouterr().err
 
 
 def test_cli_tolerance_reaches_cycle_check(tmp_path):
@@ -222,9 +252,22 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("argv", [
     *([str(p.relative_to(ROOT))] for p in sorted(ROOT.glob("demos/*.py"))),
     ["-m", "extbloch.cli", "selftest"],
-], ids=lambda argv: argv[-1])
-def test_demos_and_selftest_exit_zero(argv):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    r = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
-                       capture_output=True, text=True, timeout=120)
+    ["-m", "extbloch.cli", "eval", "{torsion}"],
+    ["-m", "extbloch.cli", "real-check", "--samples", "5"],
+    ["-m", "extbloch.cli", "five-term", "--x", "0.5", "--y", "0.25", "--verify"],
+    ["-m", "extbloch.cli", "lift-path"],
+], ids=lambda argv: " ".join(argv[2:]) or argv[0])
+def test_demos_and_selftest_exit_zero(tmp_path, argv):
+    # numpy is not a runtime dependency: a package of that name that fails
+    # to import comes first on the path
+    (tmp_path / "numpy").mkdir()
+    (tmp_path / "numpy" / "__init__.py").write_text(
+        "raise ImportError('numpy is not available here')\n")
+    torsion = tmp_path / "t5.json"
+    torsion.write_text(dumps_canonical(chain_to_obj(torsion_cycle(5))))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tmp_path), str(ROOT / "src")]))
+    r = subprocess.run([sys.executable, *(a.format(torsion=torsion) for a in argv)],
+                       cwd=ROOT, env=env, capture_output=True, text=True,
+                       timeout=120)
     assert r.returncode == 0, r.stderr[-2000:]

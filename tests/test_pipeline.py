@@ -1,17 +1,18 @@
 import dataclasses
 import math
+import random
 
-import numpy as np
 import pytest
 
-from extbloch.core import ProjVector, random_sl2, random_vector, rotation
+from extbloch.core import (GroupElement, ProjVector, random_sl2,
+                           random_vector, rotation)
 from extbloch.chains import (BarChain, HomChain, conjugate_chain,
                              complex_conjugate_chain, hom_boundary,
                              inhom_to_hom, near_pairs, repair_with_certificate)
 from extbloch.covering import (check_flattening_condition, nu_hat,
                                to_covering_point)
 from extbloch.dilog import TWO_PI_SQ, lhat
-from extbloch.errors import DegenerateConfig, NotVGood
+from extbloch.errors import DegenerateConfig, NotACycle, NotVGood
 from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
                                torsion_cycle)
 from extbloch.pipeline import (ConfigTuple, ccs_value, lambda_hat,
@@ -142,11 +143,10 @@ def test_flattening_matches_face_path_and_edge_ledgers_cancel():
     # sigma_hat path agrees exactly.  The ten edge equations cancel atom by
     # atom over the faces of the certificate's 5-vector configurations and
     # of the repaired 4-vector ones coned off an apex vector
-    apex = random_vector(np.random.default_rng(11))
+    apex = random_vector(random.Random(11))
     for c in (torsion_cycle(4), random_boundary_cycle(5, n_terms=2)):
         lam = lambda_hat(c, seed=3)
-        repair_seed, _ = np.random.SeedSequence(3).spawn(2)
-        rr = repair_with_certificate(c, repair_seed)
+        rr = repair_with_certificate(c, random.Random(3))  # repair draws first
         triples = [(coeff, sigma_hat(cfg))
                    for coeff, cfg in psi_v(rr.phi_image, lam.vector)]
         assert lam.triples == triples
@@ -251,6 +251,26 @@ def test_ccs_report_fields(rng):
                       "max_trial_deviation", "residuals", "seed"}
 
 
+def test_trials_draw_in_turn_from_one_stream():
+    # ccs_value makes one generator from the seed; each trial repairs, then
+    # draws v, from it, exactly as successive lambda_hat calls on it do
+    cases = (torsion_cycle(5), torsion_cycle(6),
+             conjugate_chain(GroupElement(3, 0.3, 0, 1 / 3), torsion_cycle(7)),
+             random_boundary_cycle(5, n_terms=2))
+    for c in cases:
+        for seed in (0, 1, 7):
+            rng = random.Random(seed)
+            expected = []
+            for _ in range(3):
+                value = -lhat_sum(lambda_hat(c, rng).element) / TWO_PI_SQ
+                expected.append(complex(value.real - math.floor(value.real),
+                                        value.imag))
+            assert ccs_value(c, seed=seed, trials=3).trials == expected
+    for evaluate in (ccs_value, lambda_hat):
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            evaluate(torsion_cycle(5), seed=-1)
+
+
 def _rotation_cycle(n: int, k: int) -> BarChain:
     # sum_i [t | t^i | t] for t = rotation(n, k); torsion_cycle(n) is k = 1
     t = rotation(n, k)
@@ -262,8 +282,7 @@ def test_closed_form_values():
     # the value is additive over sums and multiples of cycles, boundaries
     # give 0; agreement is at rounding level, far inside 1e-12
     a, b, c = 1.2 + 0.3j, 0.5 - 0.2j, 0.4 + 0.1j
-    g = __import__("extbloch.core", fromlist=["GroupElement"]).GroupElement(
-        a, b, c, (1 + b * c) / a)
+    g = GroupElement(a, b, c, (1 + b * c) / a)
     cases = [(torsion_cycle(5), -2 / 5), (torsion_cycle(12), -2 / 12),
              (conjugate_chain(g, torsion_cycle(7)), -2 / 7),
              (random_boundary_cycle(4, n_terms=4), 0.0),
@@ -285,3 +304,8 @@ def test_evaluations_reject_non_cycles():
         ccs_value(bad, seed=0, trials=2)
     with pytest.raises(ValueError, match="not a cycle"):
         lambda_hat(bad, seed=0)
+    for empty in (BarChain(2, []), BarChain(4, [])):  # cycles, but not 3-cycles
+        with pytest.raises(NotACycle, match="3-cycle"):
+            ccs_value(empty, seed=0, trials=2)
+        with pytest.raises(NotACycle, match="3-cycle"):
+            lambda_hat(empty, seed=0)
