@@ -34,7 +34,10 @@ def matrix_from_obj(obj, where: str) -> GroupElement:
     bad = [x for p in obj for x in p if type(x) not in (int, float)]
     if bad:  # bools and numeric strings too, which float() would take
         raise SchemaError(f"{where}: non-numeric entry {bad[0]!r}")
-    vals = [complex(*p) for p in obj]
+    try:
+        vals = [complex(*p) for p in obj]
+    except OverflowError:  # an integer beyond the float range
+        raise SchemaError(f"{where}: entry out of range")
     if not all(cmath.isfinite(z) for z in vals):
         raise SchemaError(f"{where}: non-finite entry")
     try:

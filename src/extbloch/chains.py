@@ -63,8 +63,8 @@ class SymbolTable:
         self.identity = self.intern(GroupElement.identity())
 
     def intern(self, g: GroupElement) -> int:
-        ident = self._index.key(
-            [x for z in g.entries() for x in (z.real, z.imag)])
+        ident = self._index.key((g.a.real, g.a.imag, g.b.real, g.b.imag,
+                                 g.c.real, g.c.imag, g.d.real, g.d.imag))
         if ident == len(self.elements):
             self.elements.append(g)
         return ident
@@ -328,13 +328,9 @@ def near_pairs(vecs: Sequence[ProjVector],
                tol: Tolerances = DEFAULT_TOL) -> list[tuple[int, int]]:
     """Index pairs (i, j) whose determinant |det(v_i, v_j)| is at or below
     the scale-relative threshold ``tol.vgood * |v_i| |v_j|``."""
-    out = []
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            scale = vecs[i].norm() * vecs[j].norm()
-            if abs(det_pair(vecs[i], vecs[j])) <= tol.vgood * scale:
-                out.append((i, j))
-    return out
+    return [(i, j) for i, j in combinations(range(len(vecs)), 2)
+            if abs(det_pair(vecs[i], vecs[j]))
+            <= tol.vgood * (vecs[i].norm() * vecs[j].norm())]
 
 
 def is_v_good(c, v: ProjVector, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, list]:

@@ -323,7 +323,8 @@ def nu_hat(element) -> WedgeElement:
 
     Accepts a PreBlochElement (numeric atoms, heuristic checks only) or a
     sequence of (coeff, FlatteningTriple) pairs; ledger-backed triples give
-    exact cancellation.
+    exact cancellation.  This keys every atom occurrence; an evaluation
+    keys each Log det once per trial instead and keeps this as its oracle.
     """
     if isinstance(element, PreBlochElement):
         element = [(c, from_covering_point(pt)) for c, pt in element]

@@ -10,7 +10,7 @@ through another table is re-keyed through the left operand's first.
 from __future__ import annotations
 
 import copy
-import numbers
+from numbers import Integral
 from itertools import chain
 from typing import Any, Hashable, Iterable
 
@@ -41,7 +41,7 @@ class FormalSum:
     def _merge(self, keyed: Keyed) -> None:
         merged: dict[Hashable, list] = {}
         for coeff, key, rep in keyed:
-            if not isinstance(coeff, numbers.Integral):
+            if type(coeff) is not int and not isinstance(coeff, Integral):
                 raise TypeError(f"coefficients must be integers, got {coeff!r}")
             term = merged.get(key)
             if term is None:

@@ -28,6 +28,8 @@ from .covering import (FlatteningTriple, PreBlochElement, nu_hat,
                        to_covering_point)
 from .dilog import TWO_PI_SQ, lhat, plog, vol
 from .errors import DegenerateConfig, NotVGood, NuNonzero
+from .formal import FormalSum
+from .quantize import FuzzyIndex
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,7 @@ class ConfigTuple:
     def __post_init__(self):
         if len(self.vectors) > 5:
             raise ValueError("tuples of more than 5 vectors are not used")
-        near = near_pairs(self.vectors)
-        if near:
+        if near := near_pairs(self.vectors):
             raise DegenerateConfig("det(v%d, v%d) too small" % near[0])
 
     def __len__(self) -> int:
@@ -123,26 +124,43 @@ def lambda_hat(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL) -> LambdaResult
 
 
 def _lambda_hat(c: BarChain, rng) -> LambdaResult:
-    """lambda_hat on a cycle already checked and interned for this
-    evaluation; its symbol table carries the tolerances.  The repair
-    draws from ``rng`` first, then v."""
+    """lambda_hat on a cycle checked and interned for this evaluation, whose
+    symbol table carries the tolerances; the repair draws from ``rng``
+    first, then v.  nu_hat is checked over per-trial atom ids (``_nu_ids``)."""
     tol = c.tol
     good_hom = _repair_core(c, rng).phi_image
     v, _ = sample_generic_v(good_hom, rng, tol=tol)
 
-    # g.v once per id and Log det once per ordered id pair, for this trial
+    # g.v once per id, Log det and its atom id once per ordered id pair
     elements = c.table.elements
     vec = cache(lambda i: elements[i].apply(v))
     log = cache(lambda i, j: plog(det_pair(vec(i), vec(j))))
+    key = FuzzyIndex(tol.cmp).key
+    atom = cache(lambda i, j: key((log(i, j).real, log(i, j).imag)))
     triples = [(coeff, _flattening(log, ids)) for coeff, ids in good_hom.pairs()]
     element = PreBlochElement(
         [(coeff, to_covering_point(t)) for coeff, t in triples], tol)
 
-    nu_report = nu_hat(triples).zero_report()
-    if nu_report != "zero":
-        raise NuNonzero(f"wedge of the image failed to cancel: {nu_report}")
+    if not _nu_ids(good_hom.pairs(), atom).is_zero():
+        raise NuNonzero("wedge of the image failed to cancel: "
+                        + nu_hat(triples).zero_report())
     return LambdaResult(element=element, triples=triples, vector=v,
-                        nu_report=nu_report, repair_terms=len(good_hom))
+                        nu_report="zero", repair_terms=len(good_hom))
+
+
+def _nu_ids(terms, atom) -> FormalSum:
+    """``nu_hat`` of the flattenings of ``terms`` over the ids ``atom(i, j)``
+    of Log det(v_i, v_j), met and keyed as there: both give the same keys."""
+    wedges = []
+    for coeff, (a, b, c, d) in terms:
+        # w0 x w1 as in ``_flattening``; nu_hat meets (03), w1's atoms, (12)
+        k03, k02, k13 = atom(a, d), atom(a, c), atom(b, d)
+        w1 = ((1, k02), (1, k13), (-1, atom(a, b)), (-1, atom(c, d)))
+        for ca, ka in ((1, k03), (1, atom(b, c)), (-1, k02), (-1, k13)):
+            wedges.extend((coeff * ca * cb, (ka, kb), None) if ka < kb
+                          else (-coeff * ca * cb, (kb, ka), None)
+                          for cb, kb in w1 if ka != kb)
+    return FormalSum(wedges)
 
 
 def volume_of(e: PreBlochElement) -> float:
@@ -223,11 +241,8 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
         values.append(complex(_mod1(value.real), value.imag))
         raws.append(raw)
         vol_res = max(vol_res, abs(volume_of(lam.element) - raw.imag))
-    dev = 0.0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            dev = max(dev, _circle_distance(values[i].real, values[j].real),
-                      abs(values[i].imag - values[j].imag))
+    dev = max((max(_circle_distance(a.real, b.real), abs(a.imag - b.imag))
+               for a, b in combinations(values, 2)), default=0.0)
     return CcsReport(
         value_mod1=values[0],
         raw_lhat=raws[0],

@@ -1,5 +1,8 @@
 """Properties of FormalSum and of the sums built on it."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from extbloch.config import Tolerances
@@ -55,8 +58,12 @@ def test_zero_coefficients_are_dropped():
 
 
 def test_coefficients_must_be_integers():
-    with pytest.raises(TypeError):
-        FormalSum([(0.5, "a", None)])
+    for coeff in (0.5, 1.0, Fraction(1, 1), np.float64(1)):
+        with pytest.raises(TypeError):
+            FormalSum([(coeff, "a", None)])
+    # integral types other than int still pass, bool included
+    s = FormalSum([(np.int64(2), "a", None), (True, "b", None)])
+    assert _coefficients(s) == {"a": 2, "b": 1}
 
 
 def test_tolerance_kept_across_operations(rng):

@@ -178,7 +178,10 @@ _IDENTITY = [[1, 0], [0, 0], [0, 0], [1, 0]]
     ({"group": "SL2C", "degree": 1,
       "terms": [{"coef": 1, "bar": [[["1", 0], *_IDENTITY[1:]]]}]},
      "term 0, matrix 0: non-numeric entry '1'"),
-], ids=["degree-4", "bool-degree", "bool-coef", "string-entry"])
+    ({"group": "SL2C", "degree": 1,
+      "terms": [{"coef": 1, "bar": [[[10**400, 0], *_IDENTITY[1:]]]}]},
+     "term 0, matrix 0: entry out of range"),
+], ids=["degree-4", "bool-degree", "bool-coef", "string-entry", "huge-entry"])
 def test_cli_eval_rejects_bad_chain_files(tmp_path, capsys, doc, reason):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -188,6 +191,19 @@ def test_cli_eval_rejects_bad_chain_files(tmp_path, capsys, doc, reason):
         code = stop.code
     assert code == 2
     assert "error: " + reason in capsys.readouterr().err
+
+
+def test_cli_check_cycle_rejects_huge_entry(tmp_path, capsys):
+    # an integer entry beyond the float range is named, not a traceback
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"group": "SL2C", "degree": 1, "terms": [
+        {"coef": 1, "bar": [[[1, 0], [0, 0], [-10**400, 0], [1, 0]]]}]}))
+    with pytest.raises(SystemExit) as stop:
+        main(["check-cycle", str(path)])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: term 0, matrix 0: entry out of range" in err
+    assert "Traceback" not in err
 
 
 def test_cli_tolerance_reaches_cycle_check(tmp_path):

@@ -1,22 +1,25 @@
 import dataclasses
 import math
 import random
+from itertools import combinations
 
 import pytest
 
-from extbloch.core import (GroupElement, ProjVector, random_sl2,
+from extbloch.config import DEFAULT_TOL
+from extbloch.core import (GroupElement, ProjVector, det_pair, random_sl2,
                            random_vector, rotation)
 from extbloch.chains import (BarChain, HomChain, conjugate_chain,
                              complex_conjugate_chain, hom_boundary,
                              inhom_to_hom, near_pairs, repair_with_certificate)
 from extbloch.covering import (check_flattening_condition, nu_hat,
                                to_covering_point)
-from extbloch.dilog import TWO_PI_SQ, lhat
+from extbloch.dilog import TWO_PI_SQ, lhat, plog
 from extbloch.errors import DegenerateConfig, NotACycle, NotVGood
 from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
                                torsion_cycle)
-from extbloch.pipeline import (ConfigTuple, ccs_value, lambda_hat,
+from extbloch.pipeline import (ConfigTuple, _nu_ids, ccs_value, lambda_hat,
                                lhat_sum, psi_v, sigma_hat, volume_of)
+from extbloch.quantize import FuzzyIndex
 
 
 def _mod1_dist(a: float, b: float) -> float:
@@ -136,6 +139,54 @@ def test_nu_hat_sees_a_perturbed_atom():
         ledger = (((k, atom + 1e-3), *rest),) + t.ledger[1:]
         bent = [(coeff, dataclasses.replace(t, ledger=ledger))]
         assert nu_hat(bent + lam.triples[1:]).zero_report() != "zero"
+
+
+def _wedge_items(w) -> dict:
+    return {k: c for c, k, _ in w.items()}
+
+
+def _ledger(log, ids):
+    # the atom ledger of sigma_hat (see its docstring) on the ids' vectors
+    l01, l02, l03, l12, l13, l23 = (log(i, j) for i, j in combinations(ids, 2))
+    return (((1, l03), (1, l12), (-1, l02), (-1, l13)),
+            ((1, l02), (1, l13), (-1, l01), (-1, l23)),
+            ((1, l01), (1, l23), (-1, l03), (-1, l12)))
+
+
+def test_integer_wedge_agrees_with_nu_hat():
+    # the trial's wedge over integer atom ids against the nu_hat oracle on
+    # the same repair and v: both cancel, and with one ordered id pair's
+    # atom moved by 1e-3 both give the same nonzero coefficients
+    conj = conjugate_chain(GroupElement(3, 0.3, 0, 1 / 3), torsion_cycle(7))
+    for c in (torsion_cycle(4), torsion_cycle(5), torsion_cycle(6),
+              random_boundary_cycle(5, n_terms=2), conj):
+        lam = lambda_hat(c, seed=3)
+        rr = repair_with_certificate(c, random.Random(3))  # repair draws first
+        terms = list(rr.phi_image.pairs())
+        elements = rr.phi_image.table.elements
+
+        def log(i, j):
+            return plog(det_pair(elements[i].apply(lam.vector),
+                                 elements[j].apply(lam.vector)))
+
+        # Log det(v_1, v_3) of the first term; on these cycles its wedges
+        # cancel against other terms' (an apex's atoms may cancel alone)
+        _, b, _, d = terms[0][1]
+        bent = {(b, d): 1e-3}
+        for moved in ({}, bent):
+            def moved_log(i, j):
+                return log(i, j) + moved.get((i, j), 0)
+
+            key = FuzzyIndex(DEFAULT_TOL.cmp).key
+            wedge = _nu_ids(terms, lambda i, j: key(
+                (moved_log(i, j).real, moved_log(i, j).imag)))
+            triples = [(coeff, dataclasses.replace(t, ledger=_ledger(moved_log, ids)))
+                       for (coeff, ids), (_, t) in zip(terms, lam.triples)]
+            assert _wedge_items(wedge) == _wedge_items(nu_hat(triples))
+            assert wedge.is_zero() == (not moved)
+        assert [t.ledger for _, t in lam.triples] == [
+            _ledger(log, ids) for _, ids in terms]
+        assert _wedge_items(nu_hat(lam.triples)) == {}
 
 
 def test_flattening_matches_face_path_and_edge_ledgers_cancel():
