@@ -371,7 +371,8 @@ class RepairResult:
     """A good cycle homologous to the input, with the certificate.
 
     ``homotopy`` is a degree (n+1) coinvariant chain H with
-    boundary(H) = phi_image - original_hom, verifiable directly.
+    boundary(H) = phi_image - original_hom, verifiable directly; it is
+    coned off the identity, so only ``phi_image``'s apexes are drawn.
     """
 
     phi_image: HomChain
@@ -390,11 +391,12 @@ class _ConeRepairer:
 
     A good tuple is kept: phi(s) = s and H(s) = 0.  Goodness is pairwise,
     so every face of a good tuple is good and both identities hold on it.
-    A bad tuple s is coned off a generic apex a:
-    phi(s) = cone(a, phi(ds)) and H(s) = cone(a', phi(s) - s - H(ds)).
-    Both maps are defined on canonical orbit representatives and extended
-    equivariantly; memoization by the canonical id tuple gives shared faces
-    identical images.
+    A bad tuple s is coned off a generic apex a, phi(s) = cone(a, phi(ds)),
+    and H off the identity, H(s) = cone(1, X) with X = phi(s) - s - H(ds):
+    X is a cycle by induction, so any apex bounds it, and only phi's chains
+    (pushed through a vector) need a generic one.  Both maps are defined on
+    canonical orbit representatives and extended equivariantly; memoization
+    by the canonical id tuple gives shared faces identical images.
     """
 
     def __init__(self, rng, table: SymbolTable):
@@ -403,17 +405,15 @@ class _ConeRepairer:
         self._phi_memo: dict[Ids, HomChain] = {}
         self._h_memo: dict[Ids, HomChain] = {}
 
-    def _generic_avoiding(self, chains: Sequence[HomChain]) -> GroupElement:
-        avoid = [self.table.elements[i] for i in
-                 {i for chain in chains for _, ids in chain.pairs() for i in ids}]
+    def _generic_avoiding(self, chain: HomChain) -> GroupElement:
+        avoid = [self.table.elements[i]
+                 for i in {i for _, ids in chain.pairs() for i in ids}]
         for _ in range(1000):
             g = random_sl2(self.rng)
             margin = min(
                 (min(max(abs(x - y) for x, y in zip(g.entries(), h.entries())),
                      max(abs(x + y) for x, y in zip(g.entries(), h.entries())))
-                 for h in avoid),
-                default=1.0,
-            )
+                 for h in avoid), default=1.0)
             if margin > 1e-3:
                 return g
         raise RepairFailed("could not sample a generic cone apex")
@@ -434,7 +434,7 @@ class _ConeRepairer:
                 img = HomChain._on(self.table, len(canon) - 1, [(1, canon)])
             else:
                 img = self.linear(self.phi, _faces(canon), len(canon) - 2)
-                img = cone(self._generic_avoiding([img]), img)
+                img = cone(self._generic_avoiding(img), img)
             self._phi_memo[canon] = img
         return self._translated(ids[0], img)
 
@@ -449,8 +449,9 @@ class _ConeRepairer:
                 rest = [*self.phi(canon).pairs(), (-1, canon)]
                 lower = self.linear(self.homotopy, _faces(canon), n)
                 rest.extend((-c, t) for c, t in lower.pairs())
-                rest = HomChain._on(self.table, n, rest)
-                h = cone(self._generic_avoiding([rest]), rest)
+                one = (self.table.identity,)  # h = cone(1, rest)
+                h = HomChain._on(self.table, n + 1,
+                                 ((c, one + t) for c, t in rest))
             self._h_memo[canon] = h
         return self._translated(ids[0], h)
 
@@ -469,7 +470,7 @@ def _faces(ids: Ids) -> list[tuple[int, Ids]]:
 
 def _repair_core(c: BarChain, rng) -> RepairResult:
     """Repair of a cycle already interned for this evaluation, with its
-    homotopy certificate built and checked; apexes are drawn from rng."""
+    homotopy certificate built and checked; phi's apexes are drawn from rng."""
     hom = inhom_to_hom(c)
     rep = _ConeRepairer(rng, c.table)
     phi_img = rep.linear(rep.phi, hom.pairs(), hom.degree, True)

@@ -54,7 +54,7 @@ class SamplingExhausted(CcsError):
 
 
 class RepairFailed(CcsError):
-    """Generic-element sampling exhausted while repairing a cycle."""
+    """Repair failed: apex sampling, goodness or the certificate check."""
 
 
 class NuNonzero(CcsError):

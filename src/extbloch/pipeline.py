@@ -104,7 +104,6 @@ class LambdaResult:
     element: PreBlochElement
     triples: list[tuple[int, FlatteningTriple]]
     vector: ProjVector
-    nu_report: str
     repair_terms: int
 
 
@@ -144,8 +143,7 @@ def _lambda_hat(c: BarChain, rng) -> LambdaResult:
     if not _nu_ids(good_hom.pairs(), atom).is_zero():
         raise NuNonzero("wedge of the image failed to cancel: "
                         + nu_hat(triples).zero_report())
-    return LambdaResult(element=element, triples=triples, vector=v,
-                        nu_report="zero", repair_terms=len(good_hom))
+    return LambdaResult(element, triples, v, repair_terms=len(good_hom))
 
 
 def _nu_ids(terms, atom) -> FormalSum:

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from extbloch.config import DEFAULT_TOL
 from extbloch.core import (GroupElement, det_pair, random_sl2, random_vector,
                            rotation)
-from extbloch.chains import (BarChain, HomChain, bar_boundary, cone,
+from extbloch.chains import (BarChain, HomChain, _checked_cycle,
+                             _ConeRepairer, bar_boundary, cone,
                              conjugate_chain, hom_boundary, hom_to_inhom,
                              inhom_to_hom, is_cycle, is_good, is_v_good,
                              repair_to_good, repair_with_certificate,
@@ -178,6 +180,24 @@ def test_repair_torsion_fixtures(rng):
         ok, _ = is_cycle(rr.chain)
         good, _ = is_good(rr.chain)
         assert ok and good
+        assert not rr.homotopy.is_empty()
+        res = hom_boundary(rr.homotopy) - (rr.phi_image - rr.original_hom)
+        assert res.is_empty()
+
+
+def test_certificate_draws_nothing():
+    # H is coned off the identity: the random stream holds phi's apexes only
+    g = GroupElement(3, 0.3, 0, 1 / 3)
+    for seed, c in ((1, torsion_cycle(4)), (2, torsion_cycle(6)),
+                    (3, conjugate_chain(g, torsion_cycle(7)))):
+        rng = random.Random(seed)
+        rr = repair_with_certificate(c, rng)
+        alone = random.Random(seed)
+        checked = _checked_cycle(c, DEFAULT_TOL)
+        rep = _ConeRepairer(alone, checked.table)
+        hom = inhom_to_hom(checked)
+        rep.linear(rep.phi, hom.pairs(), hom.degree, True)
+        assert rng.getstate() == alone.getstate()
         assert not rr.homotopy.is_empty()
         res = hom_boundary(rr.homotopy) - (rr.phi_image - rr.original_hom)
         assert res.is_empty()

@@ -122,7 +122,6 @@ def test_sigma_hat_scaling_moves_within_fiber(rng):
 def test_lambda_hat_on_boundary_vanishes(rng):
     c = random_boundary_cycle(rng)
     lam = lambda_hat(c, seed=3)
-    assert lam.nu_report == "zero"
     val = lhat_sum(lam.element) / TWO_PI_SQ
     assert _mod1_dist(val.real, 0.0) < 1e-9
     assert abs(val.imag) < 1e-9
@@ -192,10 +191,12 @@ def test_integer_wedge_agrees_with_nu_hat():
 def test_flattening_matches_face_path_and_edge_ledgers_cancel():
     # the evaluation reads Log det once per id pair; the public psi_v /
     # sigma_hat path agrees exactly.  The ten edge equations cancel atom by
-    # atom over the faces of the certificate's 5-vector configurations and
-    # of the repaired 4-vector ones coned off an apex vector
+    # atom over the faces of the certificate's non-degenerate 5-vector
+    # configurations and of the repaired 4-vector ones coned off an apex
+    # vector, each counted apart
     apex = random_vector(random.Random(11))
-    for c in (torsion_cycle(4), random_boundary_cycle(5, n_terms=2)):
+    for c, bad in ((torsion_cycle(4), True),
+                   (random_boundary_cycle(5, n_terms=2), False)):
         lam = lambda_hat(c, seed=3)
         rr = repair_with_certificate(c, random.Random(3))  # repair draws first
         triples = [(coeff, sigma_hat(cfg))
@@ -203,20 +204,24 @@ def test_flattening_matches_face_path_and_edge_ledgers_cancel():
         assert lam.triples == triples
         assert ([t.ledger for _, t in lam.triples]
                 == [t.ledger for _, t in triples])
-        configs = [tuple(g.apply(lam.vector) for g in tup)
-                   for _, tup in rr.homotopy]
-        configs.extend((apex,) + tuple(g.apply(lam.vector) for g in tup)
-                       for _, tup in rr.phi_image)
-        tested = 0
-        for vecs in configs:
-            if near_pairs(vecs):
-                continue
-            cfg = ConfigTuple(vecs)
-            faces = [sigma_hat(cfg.face(i)) for i in range(5)]
-            report = check_flattening_condition(faces, with_ledger=True)
-            assert report.exact is not None and all(report.exact), report
-            tested += 1
-        assert tested > 0
+        certificate = [tuple(g.apply(lam.vector) for g in tup)
+                       for _, tup in rr.homotopy]
+        coned = [(apex,) + tuple(g.apply(lam.vector) for g in tup)
+                 for _, tup in rr.phi_image]
+        tested = []
+        for configs in (certificate, coned):
+            tested.append(0)
+            for vecs in configs:
+                if near_pairs(vecs):
+                    continue  # H's (1, 1, ...) tuples repeat a vector
+                cfg = ConfigTuple(vecs)
+                faces = [sigma_hat(cfg.face(i)) for i in range(5)]
+                report = check_flattening_condition(faces, with_ledger=True)
+                assert report.exact is not None and all(report.exact), report
+                tested[-1] += 1
+        # the boundary has no bad simplex, so its certificate is empty
+        assert (tested[0] > 0) == bad, tested
+        assert tested[1] > 0, tested
 
 
 def test_lambda_hat_v_independence(rng):
@@ -347,6 +352,23 @@ def test_closed_form_values():
         assert _mod1_dist(rep.value_mod1.real, want) < 1e-12, rep.value_mod1
         assert abs(rep.value_mod1.imag) < 1e-12
         assert rep.max_trial_deviation < 1e-12
+
+
+def test_closed_form_grid():
+    # -2k^2/n mod 1 for n = 2..60 with k = 1 and the smallest 1 < k < n
+    # coprime to n (none for n = 2): 117 cases
+    cases = []
+    for n in range(2, 61):
+        cases.append((n, 1))
+        k = next((k for k in range(2, n) if math.gcd(k, n) == 1), None)
+        if k:
+            cases.append((n, k))
+    assert len(cases) == 117
+    for n, k in cases:
+        rep = ccs_value(_rotation_cycle(n, k), seed=1, trials=2)
+        want = -2 * k * k / n
+        assert _mod1_dist(rep.value_mod1.real, want) < 1e-12, (n, k)
+        assert abs(rep.value_mod1.imag) < 1e-12, (n, k)
 
 
 def test_evaluations_reject_non_cycles():
