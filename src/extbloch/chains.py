@@ -70,6 +70,8 @@ class SymbolTable:
         return ident
 
     def mul(self, i: int, j: int) -> int:
+        if i == self.identity:  # 1 g = g exactly: no product, no intern
+            return j
         ident = self._products.get((i, j))
         if ident is None:
             ident = self._products[(i, j)] = self.intern(

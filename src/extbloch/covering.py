@@ -323,8 +323,9 @@ def nu_hat(element) -> WedgeElement:
 
     Accepts a PreBlochElement (numeric atoms, heuristic checks only) or a
     sequence of (coeff, FlatteningTriple) pairs; ledger-backed triples give
-    exact cancellation.  This keys every atom occurrence; an evaluation
-    keys each Log det once per trial instead and keeps this as its oracle.
+    exact cancellation.  Atoms are keyed by value at every occurrence; an
+    evaluation keys its Log dets by edge element and runs no wedge check,
+    and tests use this as the oracle on its images.
     """
     if isinstance(element, PreBlochElement):
         element = [(c, from_covering_point(pt)) for c, pt in element]

@@ -57,10 +57,6 @@ class RepairFailed(CcsError):
     """Repair failed: apex sampling, goodness or the certificate check."""
 
 
-class NuNonzero(CcsError):
-    """Exact wedge cancellation failed on a pipeline output (internal bug)."""
-
-
 class Incomparable(CcsError):
     """Neither g1 < g2 nor g2 < g1 (quotient has c = 0)."""
 

@@ -24,12 +24,9 @@ from .config import DEFAULT_TOL, Tolerances
 from .chains import (BarChain, HomChain, _checked_cycle, _repair_core,
                      is_v_good, near_pairs, sample_generic_v)
 from .core import ProjVector, as_rng, det_pair
-from .covering import (FlatteningTriple, PreBlochElement, nu_hat,
-                       to_covering_point)
+from .covering import FlatteningTriple, PreBlochElement, to_covering_point
 from .dilog import TWO_PI_SQ, lhat, plog, vol
-from .errors import DegenerateConfig, NotVGood, NuNonzero
-from .formal import FormalSum
-from .quantize import FuzzyIndex
+from .errors import DegenerateConfig, NotVGood
 
 
 @dataclass(frozen=True)
@@ -98,8 +95,8 @@ def _flattening(log, idx) -> FlatteningTriple:
 
 @dataclass
 class LambdaResult:
-    """Image of a cycle as a formal sum of covering points, plus the data
-    needed for exact wedge checks."""
+    """Image of a cycle as a formal sum of covering points, with the
+    ledger-backed flattening triples it was built from and the vector v."""
 
     element: PreBlochElement
     triples: list[tuple[int, FlatteningTriple]]
@@ -112,10 +109,9 @@ def lambda_hat(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL) -> LambdaResult
     checked homotopy certificate, push to vector configurations by a
     generic v, flatten termwise.
 
-    Side check: exact wedge cancellation of the image (raises NuNonzero on
-    failure; that would be an implementation bug, not bad input).  The ten
-    edge equations need no runtime check: they are an identity of the
-    log-determinant flattening (see ``sigma_hat``).  ``seed`` is an
+    The image needs no wedge check: its Log dets are keyed by edge element
+    (see ``_lambda_hat``), so its nu_hat is mu of the repaired cycle's
+    boundary, which the certificate check proves zero.  ``seed`` is an
     integer or a generator (see ``as_rng``).  Raises NotACycle, a
     ValueError, when ``c`` is not a 3-cycle at ``tol``.
     """
@@ -125,40 +121,22 @@ def lambda_hat(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL) -> LambdaResult
 def _lambda_hat(c: BarChain, rng) -> LambdaResult:
     """lambda_hat on a cycle checked and interned for this evaluation, whose
     symbol table carries the tolerances; the repair draws from ``rng``
-    first, then v.  nu_hat is checked over per-trial atom ids (``_nu_ids``)."""
-    tol = c.tol
+    first, then v.  det is SL(2, C) invariant, so Log det(g_i v, g_j v) =
+    Log det(v, e v) is computed once per edge id e = g_i^-1 g_j: translates
+    of an edge share it bit for bit, and no Log det is keyed by value."""
     good_hom = _repair_core(c, rng).phi_image
-    v, _ = sample_generic_v(good_hom, rng, tol=tol)
+    v, _ = sample_generic_v(good_hom, rng, tol=c.tol)
 
-    # g.v once per id, Log det and its atom id once per ordered id pair
-    elements = c.table.elements
-    vec = cache(lambda i: elements[i].apply(v))
-    log = cache(lambda i, j: plog(det_pair(vec(i), vec(j))))
-    key = FuzzyIndex(tol.cmp).key
-    atom = cache(lambda i, j: key((log(i, j).real, log(i, j).imag)))
+    table, elements = c.table, c.table.elements
+    edge_log = cache(lambda e: plog(det_pair(v, elements[e].apply(v))))
+
+    def log(i, j):
+        return edge_log(table.mul(table.inv(i), j))
+
     triples = [(coeff, _flattening(log, ids)) for coeff, ids in good_hom.pairs()]
     element = PreBlochElement(
-        [(coeff, to_covering_point(t)) for coeff, t in triples], tol)
-
-    if not _nu_ids(good_hom.pairs(), atom).is_zero():
-        raise NuNonzero("wedge of the image failed to cancel: "
-                        + nu_hat(triples).zero_report())
+        [(coeff, to_covering_point(t)) for coeff, t in triples], c.tol)
     return LambdaResult(element, triples, v, repair_terms=len(good_hom))
-
-
-def _nu_ids(terms, atom) -> FormalSum:
-    """``nu_hat`` of the flattenings of ``terms`` over the ids ``atom(i, j)``
-    of Log det(v_i, v_j), met and keyed as there: both give the same keys."""
-    wedges = []
-    for coeff, (a, b, c, d) in terms:
-        # w0 x w1 as in ``_flattening``; nu_hat meets (03), w1's atoms, (12)
-        k03, k02, k13 = atom(a, d), atom(a, c), atom(b, d)
-        w1 = ((1, k02), (1, k13), (-1, atom(a, b)), (-1, atom(c, d)))
-        for ca, ka in ((1, k03), (1, atom(b, c)), (-1, k02), (-1, k13)):
-            wedges.extend((coeff * ca * cb, (ka, kb), None) if ka < kb
-                          else (-coeff * ca * cb, (kb, ka), None)
-                          for cb, kb in w1 if ka != kb)
-    return FormalSum(wedges)
 
 
 def volume_of(e: PreBlochElement) -> float:
@@ -217,9 +195,9 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     """Evaluate a cycle over several independent repair/vector draws.
 
     One generator is made from ``seed`` (see ``as_rng``); the trials draw
-    from it in turn.  Every trial runs all of ``lambda_hat``, certificate
-    and wedge check included; ``volume_vs_im_lhat`` is the largest gap over the trials
-    between the per-term volume sum and Im of the lifted Rogers sum.
+    from it in turn.  Every trial runs all of ``lambda_hat``, its checked
+    certificate included; ``volume_vs_im_lhat`` is the largest gap over the
+    trials between the per-term volume sum and Im of the lifted Rogers sum.
     Trials must agree (mod 1, within fp) by independence of the choices;
     the max pairwise deviation is reported as a health measure.  All
     trials share one symbol table at ``tol``.  Raises NotACycle, a

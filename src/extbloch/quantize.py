@@ -2,7 +2,8 @@
 
 Formal sums key their terms by integers, and this index is where float
 values get those integers: group elements (eight entry floats each),
-covering-point cross-ratios and log atoms (two floats each).  A value the
+covering-point cross-ratios and, in the value-keyed ``nu_hat`` oracle of
+tests and ``ccs selftest``, log atoms (two floats each).  A value the
 index has already keyed is answered from a dictionary with the id it got
 the first time, so a repeated value always keeps its first id.  A new value
 is rounded onto a grid of cell size ``tol``; plain rounding fails when two
@@ -47,7 +48,7 @@ class FuzzyIndex:
         return len(self._reps)
 
     def key(self, values: Iterable[float]) -> int:
-        vals = tuple(map(float, values))
+        vals = tuple(values)
         ident = self._seen.get(vals)
         if ident is None:
             ident = self._seen[vals] = self._probe(vals)

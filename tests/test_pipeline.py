@@ -5,21 +5,20 @@ from itertools import combinations
 
 import pytest
 
-from extbloch.config import DEFAULT_TOL
 from extbloch.core import (GroupElement, ProjVector, det_pair, random_sl2,
                            random_vector, rotation)
-from extbloch.chains import (BarChain, HomChain, conjugate_chain,
-                             complex_conjugate_chain, hom_boundary,
-                             inhom_to_hom, near_pairs, repair_with_certificate)
+from extbloch.chains import (BarChain, HomChain, _ConeRepairer,
+                             conjugate_chain, complex_conjugate_chain,
+                             hom_boundary, inhom_to_hom, near_pairs,
+                             repair_with_certificate, sample_generic_v)
 from extbloch.covering import (check_flattening_condition, nu_hat,
                                to_covering_point)
 from extbloch.dilog import TWO_PI_SQ, lhat, plog
-from extbloch.errors import DegenerateConfig, NotACycle, NotVGood
+from extbloch.errors import DegenerateConfig, NotACycle, NotVGood, RepairFailed
 from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
                                torsion_cycle)
-from extbloch.pipeline import (ConfigTuple, _nu_ids, ccs_value, lambda_hat,
-                               lhat_sum, psi_v, sigma_hat, volume_of)
-from extbloch.quantize import FuzzyIndex
+from extbloch.pipeline import (ConfigTuple, ccs_value, lambda_hat, lhat_sum,
+                               psi_v, sigma_hat, volume_of)
 
 
 def _mod1_dist(a: float, b: float) -> float:
@@ -127,10 +126,17 @@ def test_lambda_hat_on_boundary_vanishes(rng):
     assert abs(val.imag) < 1e-9
 
 
+def _conj_torsion(n: int, s: float) -> BarChain:
+    # torsion_cycle(n) conjugated by the large-entry matrix (s, 0.3; 0, 1/s)
+    return conjugate_chain(GroupElement(s, 0.3, 0, 1 / s), torsion_cycle(n))
+
+
 def test_nu_hat_sees_a_perturbed_atom():
-    # the wedge check is not vacuous: one ledger atom moved by 1e-3 no
-    # longer cancels, on a boundary and on a torsion cycle
-    for c in (random_boundary_cycle(5, n_terms=2), torsion_cycle(5)):
+    # the value-keyed oracle cancels on the evaluation's image, and is not
+    # vacuous: one ledger atom moved by 1e-3 no longer cancels
+    for c in (random_boundary_cycle(5, n_terms=2), torsion_cycle(4),
+              torsion_cycle(5), torsion_cycle(6), _conj_torsion(7, 3),
+              _conj_torsion(7, 30)):
         lam = lambda_hat(c, seed=3)
         assert nu_hat(lam.triples).zero_report() == "zero"
         coeff, t = lam.triples[0]
@@ -140,8 +146,29 @@ def test_nu_hat_sees_a_perturbed_atom():
         assert nu_hat(bent + lam.triples[1:]).zero_report() != "zero"
 
 
-def _wedge_items(w) -> dict:
-    return {k: c for c, k, _ in w.items()}
+@pytest.mark.parametrize("mutation", ["drop", "flip"])
+def test_certificate_catches_what_nu_hat_would(monkeypatch, mutation):
+    # an evaluation runs no wedge check of its own: with one term of the
+    # repaired torsion cycle dropped or sign-flipped, the certificate check
+    # fails first, and nu_hat of the mutated image would have failed too
+    linear, mutated = _ConeRepairer.linear, []
+
+    def mutating(self, f, terms, degree, coinvariant=False):
+        out = linear(self, f, terms, degree, coinvariant)
+        if f == self.phi and coinvariant:  # the top-level phi call
+            (coeff, ids), *rest = out.pairs()
+            kept = rest if mutation == "drop" else [(-coeff, ids), *rest]
+            out = HomChain._on(self.table, degree, kept, coinvariant)
+            mutated.append(out)
+        return out
+
+    monkeypatch.setattr(_ConeRepairer, "linear", mutating)
+    with pytest.raises(RepairFailed, match="homotopy certificate failed"):
+        lambda_hat(torsion_cycle(5), seed=3)
+    [image] = mutated
+    v, _ = sample_generic_v(image, random.Random(3))
+    triples = [(coeff, sigma_hat(cfg)) for coeff, cfg in psi_v(image, v)]
+    assert not nu_hat(triples).is_zero()
 
 
 def _ledger(log, ids):
@@ -152,61 +179,38 @@ def _ledger(log, ids):
             ((1, l01), (1, l23), (-1, l03), (-1, l12)))
 
 
-def test_integer_wedge_agrees_with_nu_hat():
-    # the trial's wedge over integer atom ids against the nu_hat oracle on
-    # the same repair and v: both cancel, and with one ordered id pair's
-    # atom moved by 1e-3 both give the same nonzero coefficients
-    conj = conjugate_chain(GroupElement(3, 0.3, 0, 1 / 3), torsion_cycle(7))
-    for c in (torsion_cycle(4), torsion_cycle(5), torsion_cycle(6),
-              random_boundary_cycle(5, n_terms=2), conj):
-        lam = lambda_hat(c, seed=3)
-        rr = repair_with_certificate(c, random.Random(3))  # repair draws first
-        terms = list(rr.phi_image.pairs())
-        elements = rr.phi_image.table.elements
-
-        def log(i, j):
-            return plog(det_pair(elements[i].apply(lam.vector),
-                                 elements[j].apply(lam.vector)))
-
-        # Log det(v_1, v_3) of the first term; on these cycles its wedges
-        # cancel against other terms' (an apex's atoms may cancel alone)
-        _, b, _, d = terms[0][1]
-        bent = {(b, d): 1e-3}
-        for moved in ({}, bent):
-            def moved_log(i, j):
-                return log(i, j) + moved.get((i, j), 0)
-
-            key = FuzzyIndex(DEFAULT_TOL.cmp).key
-            wedge = _nu_ids(terms, lambda i, j: key(
-                (moved_log(i, j).real, moved_log(i, j).imag)))
-            triples = [(coeff, dataclasses.replace(t, ledger=_ledger(moved_log, ids)))
-                       for (coeff, ids), (_, t) in zip(terms, lam.triples)]
-            assert _wedge_items(wedge) == _wedge_items(nu_hat(triples))
-            assert wedge.is_zero() == (not moved)
-        assert [t.ledger for _, t in lam.triples] == [
-            _ledger(log, ids) for _, ids in terms]
-        assert _wedge_items(nu_hat(lam.triples)) == {}
-
-
 def test_flattening_matches_face_path_and_edge_ledgers_cancel():
-    # the evaluation reads Log det once per id pair; the public psi_v /
-    # sigma_hat path agrees exactly.  The ten edge equations cancel atom by
-    # atom over the faces of the certificate's non-degenerate 5-vector
-    # configurations and of the repaired 4-vector ones coned off an apex
-    # vector, each counted apart
+    # the evaluation reads Log det(v, g_i^-1 g_j v) once per edge element:
+    # its ledgers equal those built from it exactly, and the public psi_v /
+    # sigma_hat path (Log det(g_i v, g_j v)) agrees to 1e-12 relative.  The
+    # ten edge equations cancel atom by atom over the faces of the
+    # certificate's non-degenerate 5-vector configurations and of the
+    # repaired 4-vector ones coned off an apex vector, each counted apart
     apex = random_vector(random.Random(11))
     for c, bad in ((torsion_cycle(4), True),
                    (random_boundary_cycle(5, n_terms=2), False)):
         lam = lambda_hat(c, seed=3)
         rr = repair_with_certificate(c, random.Random(3))  # repair draws first
-        triples = [(coeff, sigma_hat(cfg))
-                   for coeff, cfg in psi_v(rr.phi_image, lam.vector)]
-        assert lam.triples == triples
-        assert ([t.ledger for _, t in lam.triples]
-                == [t.ledger for _, t in triples])
-        certificate = [tuple(g.apply(lam.vector) for g in tup)
+        table, v = rr.phi_image.table, lam.vector
+
+        def edge_log(i, j):
+            e = table.elements[table.mul(table.inv(i), j)]
+            return plog(det_pair(v, e.apply(v)))
+
+        assert [t.ledger for _, t in lam.triples] == [
+            _ledger(edge_log, ids) for _, ids in rr.phi_image.pairs()]
+        configs = psi_v(rr.phi_image, v)
+        assert [coeff for coeff, _ in lam.triples] == [
+            coeff for coeff, _ in configs]
+        for (_, t), (_, cfg) in zip(lam.triples, configs):
+            ref = sigma_hat(cfg)
+            got = t.values() + tuple(x for w in t.ledger for _, x in w)
+            want = ref.values() + tuple(x for w in ref.ledger for _, x in w)
+            scale = max(map(abs, want))
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * scale
+        certificate = [tuple(g.apply(v) for g in tup)
                        for _, tup in rr.homotopy]
-        coned = [(apex,) + tuple(g.apply(lam.vector) for g in tup)
+        coned = [(apex,) + tuple(g.apply(v) for g in tup)
                  for _, tup in rr.phi_image]
         tested = []
         for configs in (certificate, coned):
@@ -222,6 +226,19 @@ def test_flattening_matches_face_path_and_edge_ledgers_cancel():
         # the boundary has no bad simplex, so its certificate is empty
         assert (tested[0] > 0) == bad, tested
         assert tested[1] > 0, tested
+
+
+def test_conjugated_torsion_stays_at_rounding_level():
+    # torsion n conjugated by (s, 0.3; 0, 1/s) at s = 10 and 30: the value
+    # is within 1e-13 of -2/n mod 1, with no volume, and the trials agree
+    # within 1e-12 (translates of one edge share their Log det)
+    for n in (5, 7):
+        for s in (10, 30):
+            rep = ccs_value(_conj_torsion(n, s), seed=0, trials=3)
+            value = rep.value_mod1
+            assert _mod1_dist(value.real, -2 / n) <= 1e-13, (n, s, value)
+            assert abs(value.imag) <= 1e-13, (n, s, value)
+            assert rep.max_trial_deviation <= 1e-12, (n, s, rep)
 
 
 def test_lambda_hat_v_independence(rng):
