@@ -39,6 +39,7 @@ from .quantize import FuzzyIndex
 
 GTuple = tuple[GroupElement, ...]
 Ids = tuple[int, ...]
+_Terms = list[tuple[int, Ids]]
 
 MAX_DEGREE = 4  # the pipeline needs cycles (3) and homotopies (4) only
 
@@ -372,9 +373,9 @@ def sample_generic_v(c, rng_or_seed, max_attempts: int = 1000,
 class RepairResult:
     """A good cycle homologous to the input, with the certificate.
 
-    ``homotopy`` is a degree (n+1) coinvariant chain H with
-    boundary(H) = phi_image - original_hom, verifiable directly; it is
-    coned off the identity, so only ``phi_image``'s apexes are drawn.
+    ``phi_image`` is hom - B + phi(B), B the bad part of ``original_hom``;
+    ``homotopy`` is the coinvariant H(B), with boundary(H) = phi(B) - B,
+    verifiable directly, coned off the identity so only phi draws apexes.
     """
 
     phi_image: HomChain
@@ -398,14 +399,16 @@ class _ConeRepairer:
     X is a cycle by induction, so any apex bounds it, and only phi's chains
     (pushed through a vector) need a generic one.  Both maps are defined on
     canonical orbit representatives and extended equivariantly; memoization
-    by the canonical id tuple gives shared faces identical images.
+    by the canonical id tuple gives shared faces identical images.  They
+    return (coefficient, ids) lists: only ``linear``, whose sums cancel,
+    merges terms into a chain.
     """
 
     def __init__(self, rng, table: SymbolTable):
         self.rng = rng
         self.table = table
-        self._phi_memo: dict[Ids, HomChain] = {}
-        self._h_memo: dict[Ids, HomChain] = {}
+        self._phi_memo: dict[Ids, _Terms] = {}
+        self._h_memo: dict[Ids, _Terms] = {}
 
     def _generic_avoiding(self, chain: HomChain) -> GroupElement:
         avoid = [self.table.elements[i]
@@ -420,40 +423,36 @@ class _ConeRepairer:
                 return g
         raise RepairFailed("could not sample a generic cone apex")
 
-    def _translated(self, first: int, c: HomChain) -> HomChain:
+    def _translated(self, first: int, terms: _Terms) -> _Terms:
         if first == self.table.identity:
-            return c
+            return terms
         mul = self.table.mul
-        return HomChain._on(self.table, c.degree,
-                            ((coeff, tuple(mul(first, i) for i in ids))
-                             for coeff, ids in c.pairs()))
+        return [(c, tuple(mul(first, i) for i in t)) for c, t in terms]
 
-    def phi(self, ids: Ids) -> HomChain:
+    def phi(self, ids: Ids) -> _Terms:
         canon = self.table.canonical(ids)
         img = self._phi_memo.get(canon)
         if img is None:
             if self.table.good(canon):
-                img = HomChain._on(self.table, len(canon) - 1, [(1, canon)])
+                img = [(1, canon)]
             else:
-                img = self.linear(self.phi, _faces(canon), len(canon) - 2)
-                img = cone(self._generic_avoiding(img), img)
+                faces = self.linear(self.phi, _faces(canon), len(canon) - 2)
+                apex = self.table.intern(self._generic_avoiding(faces))
+                img = [(c, (apex,) + t) for c, t in faces.pairs()]
             self._phi_memo[canon] = img
         return self._translated(ids[0], img)
 
-    def homotopy(self, ids: Ids) -> HomChain:
+    def homotopy(self, ids: Ids) -> _Terms:
         canon = self.table.canonical(ids)
         h = self._h_memo.get(canon)
         if h is None:
-            n = len(canon) - 1
             if self.table.good(canon):
-                h = HomChain._on(self.table, n + 1, [])
-            else:
-                rest = [*self.phi(canon).pairs(), (-1, canon)]
-                lower = self.linear(self.homotopy, _faces(canon), n)
-                rest.extend((-c, t) for c, t in lower.pairs())
-                one = (self.table.identity,)  # h = cone(1, rest)
-                h = HomChain._on(self.table, n + 1,
-                                 ((c, one + t) for c, t in rest))
+                h = []
+            else:  # h = cone(1, phi(s) - s - H(ds))
+                one = (self.table.identity,)
+                h = [(c, one + t) for c, t in [*self.phi(canon), (-1, canon)]]
+                lower = self.linear(self.homotopy, _faces(canon), len(canon) - 1)
+                h += [(-c, one + t) for c, t in lower.pairs()]
             self._h_memo[canon] = h
         return self._translated(ids[0], h)
 
@@ -461,31 +460,32 @@ class _ConeRepairer:
                coinvariant: bool = False) -> HomChain:
         """The linear extension of ``f`` (phi or homotopy) to a chain of
         the given output degree."""
-        collected = [(coeff * c, t) for coeff, ids in terms
-                     for c, t in f(ids).pairs()]
+        collected = [(coeff * c, t) for coeff, ids in terms for c, t in f(ids)]
         return HomChain._on(self.table, degree, collected, coinvariant)
 
 
-def _faces(ids: Ids) -> list[tuple[int, Ids]]:
+def _faces(ids: Ids) -> _Terms:
     return [((-1) ** i, ids[:i] + ids[i + 1:]) for i in range(len(ids))]
 
 
-def _repair_core(c: BarChain, rng) -> RepairResult:
-    """Repair of a cycle already interned for this evaluation, with its
-    homotopy certificate built and checked; phi's apexes are drawn from rng."""
-    hom = inhom_to_hom(c)
-    rep = _ConeRepairer(rng, c.table)
-    phi_img = rep.linear(rep.phi, hom.pairs(), hom.degree, True)
-    good_ok, offenders = is_good(phi_img)
+def _repair_core(hom: HomChain, rng) -> RepairResult:
+    """Repair of a homogeneous cycle interned for this evaluation: phi = hom
+    - B + phi(B) and H = H(B) for its bad part B, apexes drawn from rng.
+    Checks dH(B) = phi(B) - B and that phi(B) is good (kept tuples are)."""
+    table, n = hom.table, hom.degree
+    bad = HomChain._on(table, n, [(coeff, ids) for coeff, ids in hom.pairs()
+                                  if not table.good(ids)], True)
+    rep = _ConeRepairer(rng, table)
+    phi_bad = rep.linear(rep.phi, bad.pairs(), n, True)
+    good_ok, offenders = is_good(phi_bad)
     if not good_ok:
         raise RepairFailed(f"cone image not good: offenders {offenders[:3]}")
-    h = rep.linear(rep.homotopy, hom.pairs(), hom.degree + 1, True)
-    certificate_residual = hom_boundary(h) - (phi_img - hom)
+    h = rep.linear(rep.homotopy, bad.pairs(), n + 1, True)
+    certificate_residual = hom_boundary(h) - (phi_bad - bad)
     if not certificate_residual.is_empty():
-        raise RepairFailed(
-            f"homotopy certificate failed: "
-            f"{len(certificate_residual)} residual terms")
-    return RepairResult(phi_image=phi_img, homotopy=h, original_hom=hom)
+        raise RepairFailed(f"homotopy certificate failed: "
+                           f"{len(certificate_residual)} residual terms")
+    return RepairResult(hom - bad + phi_bad, h, hom)
 
 
 def repair_with_certificate(c: BarChain, seed,
@@ -493,7 +493,7 @@ def repair_with_certificate(c: BarChain, seed,
     """Replace a 3-cycle by a homologous good cycle via the recursive cone
     chain map, returning the explicit, verified homotopy certificate.
     ``seed`` is an integer or a generator (see ``as_rng``)."""
-    return _repair_core(_checked_cycle(c, tol), as_rng(seed))
+    return _repair_core(inhom_to_hom(_checked_cycle(c, tol)), as_rng(seed))
 
 
 def repair_to_good(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL) -> BarChain:

@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .config import DEFAULT_TOL, Tolerances
 from .chains import (BarChain, HomChain, _checked_cycle, _repair_core,
-                     is_v_good, near_pairs, sample_generic_v)
+                     inhom_to_hom, is_v_good, near_pairs, sample_generic_v)
 from .core import ProjVector, as_rng, det_pair
 from .covering import FlatteningTriple, PreBlochElement, to_covering_point
 from .dilog import TWO_PI_SQ, lhat, plog, vol
@@ -101,7 +101,6 @@ class LambdaResult:
     element: PreBlochElement
     triples: list[tuple[int, FlatteningTriple]]
     vector: ProjVector
-    repair_terms: int
 
 
 def lambda_hat(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL) -> LambdaResult:
@@ -115,28 +114,31 @@ def lambda_hat(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL) -> LambdaResult
     integer or a generator (see ``as_rng``).  Raises NotACycle, a
     ValueError, when ``c`` is not a 3-cycle at ``tol``.
     """
-    return _lambda_hat(_checked_cycle(c, tol), as_rng(seed))
+    return _lambda_hat(inhom_to_hom(_checked_cycle(c, tol)), as_rng(seed))
 
 
-def _lambda_hat(c: BarChain, rng) -> LambdaResult:
-    """lambda_hat on a cycle checked and interned for this evaluation, whose
-    symbol table carries the tolerances; the repair draws from ``rng``
-    first, then v.  det is SL(2, C) invariant, so Log det(g_i v, g_j v) =
-    Log det(v, e v) is computed once per edge id e = g_i^-1 g_j: translates
-    of an edge share it bit for bit, and no Log det is keyed by value."""
-    good_hom = _repair_core(c, rng).phi_image
-    v, _ = sample_generic_v(good_hom, rng, tol=c.tol)
+def _lambda_hat(hom: HomChain, rng) -> LambdaResult:
+    """lambda_hat on a homogeneous cycle checked and interned for this
+    evaluation, whose table carries the tolerances; the repair draws from
+    ``rng`` first, then v.  det is SL(2, C) invariant, so every translate of
+    an edge e = g_i^-1 g_j shares the Log det(g_i v, g_j v) of the first met."""
+    good_hom = _repair_core(hom, rng).phi_image
+    v, _ = sample_generic_v(good_hom, rng, tol=hom.tol)
 
-    table, elements = c.table, c.table.elements
-    edge_log = cache(lambda e: plog(det_pair(v, elements[e].apply(v))))
+    table, elements = hom.table, hom.table.elements
+    vec = cache(lambda i: elements[i].apply(v))
+    edge_log: dict[int, complex] = {}
 
     def log(i, j):
-        return edge_log(table.mul(table.inv(i), j))
+        e = table.mul(table.inv(i), j)
+        if (x := edge_log.get(e)) is None:
+            x = edge_log[e] = plog(det_pair(vec(i), vec(j)))
+        return x
 
     triples = [(coeff, _flattening(log, ids)) for coeff, ids in good_hom.pairs()]
     element = PreBlochElement(
-        [(coeff, to_covering_point(t)) for coeff, t in triples], c.tol)
-    return LambdaResult(element, triples, v, repair_terms=len(good_hom))
+        [(coeff, to_covering_point(t)) for coeff, t in triples], hom.tol)
+    return LambdaResult(element, triples, v)
 
 
 def volume_of(e: PreBlochElement) -> float:
@@ -206,12 +208,12 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = as_rng(seed)
-    c = _checked_cycle(c, tol)
+    hom = inhom_to_hom(_checked_cycle(c, tol))
     values: list[complex] = []
     raws: list[complex] = []
     vol_res = 0.0
     for _ in range(trials):
-        lam = _lambda_hat(c, rng)
+        lam = _lambda_hat(hom, rng)
         raw = lhat_sum(lam.element)
         value = -raw / TWO_PI_SQ
         values.append(complex(_mod1(value.real), value.imag))

@@ -174,6 +174,37 @@ def test_repair_already_good(rng):
     assert res.is_empty()
 
 
+def test_repair_cones_only_the_bad_part(monkeypatch):
+    # phi = hom - B + phi(B) and H = H(B): the repairer sees only the part B
+    # of the cycle with a +-coincidence.  A good cycle makes no phi call;
+    # on torsion 5 the top-level phi calls (made with no phi or homotopy
+    # call open) receive exactly the bad simplices, in order
+    top, open_calls = [], []
+
+    def spying(f):
+        def spy(self, ids):
+            if f is phi and not open_calls:
+                top.append(ids)
+            open_calls.append(ids)
+            out = f(self, ids)
+            open_calls.pop()
+            return out
+        return spy
+
+    phi = _ConeRepairer.phi
+    monkeypatch.setattr(_ConeRepairer, "phi", spying(phi))
+    monkeypatch.setattr(_ConeRepairer, "homotopy",
+                        spying(_ConeRepairer.homotopy))
+    rr = repair_with_certificate(random_boundary_cycle(5, n_terms=2), seed=3)
+    assert top == []
+    assert list(rr.phi_image.pairs()) == list(rr.original_hom.pairs())
+    assert rr.homotopy.is_empty()
+    rr = repair_with_certificate(torsion_cycle(5), seed=3)
+    hom = rr.original_hom
+    bad = [ids for _, ids in hom.pairs() if not hom.table.good(ids)]
+    assert len(bad) == 3 and top == bad
+
+
 def test_repair_torsion_fixtures(rng):
     for n in (2, 3):
         rr = repair_with_certificate(torsion_cycle(n), seed=11)

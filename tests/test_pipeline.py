@@ -149,26 +149,37 @@ def test_nu_hat_sees_a_perturbed_atom():
 @pytest.mark.parametrize("mutation", ["drop", "flip"])
 def test_certificate_catches_what_nu_hat_would(monkeypatch, mutation):
     # an evaluation runs no wedge check of its own: with one term of the
-    # repaired torsion cycle dropped or sign-flipped, the certificate check
-    # fails first, and nu_hat of the mutated image would have failed too
-    linear, mutated = _ConeRepairer.linear, []
+    # coned part phi(B) of repaired torsion 5 dropped or sign-flipped, the
+    # certificate check fails first, and nu_hat of the mutated full image
+    # hom - B + phi(B)' would have failed too.  phi(B) alone has a nonzero
+    # nu_hat (3 of the 5 simplices are bad), so the control is that the
+    # unmutated full image cancels exactly
+    linear, seen = _ConeRepairer.linear, []
 
     def mutating(self, f, terms, degree, coinvariant=False):
+        terms = list(terms)
         out = linear(self, f, terms, degree, coinvariant)
-        if f == self.phi and coinvariant:  # the top-level phi call
+        if f == self.phi and coinvariant:  # the top-level phi call, on B
             (coeff, ids), *rest = out.pairs()
             kept = rest if mutation == "drop" else [(-coeff, ids), *rest]
+            bad = HomChain._on(self.table, degree, terms, coinvariant)
+            seen.append((bad, out))
             out = HomChain._on(self.table, degree, kept, coinvariant)
-            mutated.append(out)
+            seen.append((bad, out))
         return out
 
     monkeypatch.setattr(_ConeRepairer, "linear", mutating)
     with pytest.raises(RepairFailed, match="homotopy certificate failed"):
         lambda_hat(torsion_cycle(5), seed=3)
-    [image] = mutated
-    v, _ = sample_generic_v(image, random.Random(3))
-    triples = [(coeff, sigma_hat(cfg)) for coeff, cfg in psi_v(image, v)]
-    assert not nu_hat(triples).is_zero()
+    [(bad, phi_bad), (_, mutated)] = seen
+    hom = inhom_to_hom(torsion_cycle(5).interned(bad.table))
+    assert len(hom) == 5 and len(hom - bad) == 2  # B is 3 terms of hom
+    reports = []
+    for image in (hom - bad + phi_bad, hom - bad + mutated):
+        v, _ = sample_generic_v(image, random.Random(3))
+        triples = [(coeff, sigma_hat(cfg)) for coeff, cfg in psi_v(image, v)]
+        reports.append(nu_hat(triples).is_zero())
+    assert reports == [True, False]
 
 
 def _ledger(log, ids):
@@ -180,9 +191,10 @@ def _ledger(log, ids):
 
 
 def test_flattening_matches_face_path_and_edge_ledgers_cancel():
-    # the evaluation reads Log det(v, g_i^-1 g_j v) once per edge element:
-    # its ledgers equal those built from it exactly, and the public psi_v /
-    # sigma_hat path (Log det(g_i v, g_j v)) agrees to 1e-12 relative.  The
+    # the evaluation reads one Log det per edge element e = g_i^-1 g_j, that
+    # of the first translate met, Log det(g_i v, g_j v): its ledgers equal
+    # those built by that rule exactly, and the public psi_v / sigma_hat
+    # path (every translate's own Log det) agrees to 1e-12 relative.  The
     # ten edge equations cancel atom by atom over the faces of the
     # certificate's non-degenerate 5-vector configurations and of the
     # repaired 4-vector ones coned off an apex vector, each counted apart
@@ -191,11 +203,14 @@ def test_flattening_matches_face_path_and_edge_ledgers_cancel():
                    (random_boundary_cycle(5, n_terms=2), False)):
         lam = lambda_hat(c, seed=3)
         rr = repair_with_certificate(c, random.Random(3))  # repair draws first
-        table, v = rr.phi_image.table, lam.vector
+        table, v, first = rr.phi_image.table, lam.vector, {}
 
         def edge_log(i, j):
-            e = table.elements[table.mul(table.inv(i), j)]
-            return plog(det_pair(v, e.apply(v)))
+            e = table.mul(table.inv(i), j)
+            if e not in first:
+                first[e] = plog(det_pair(table.elements[i].apply(v),
+                                         table.elements[j].apply(v)))
+            return first[e]
 
         assert [t.ledger for _, t in lam.triples] == [
             _ledger(edge_log, ids) for _, ids in rr.phi_image.pairs()]
@@ -239,6 +254,14 @@ def test_conjugated_torsion_stays_at_rounding_level():
             assert _mod1_dist(value.real, -2 / n) <= 1e-13, (n, s, value)
             assert abs(value.imag) <= 1e-13, (n, s, value)
             assert rep.max_trial_deviation <= 1e-12, (n, s, rep)
+
+
+def test_boundary_trials_agree_at_rounding_level():
+    # each edge's Log det comes from the vectors of its first translate, not
+    # from its interned representative, whose rounding follows a chain of
+    # products: on this 32-term boundary that put the trials 2.2e-13 apart
+    rep = ccs_value(random_boundary_cycle(104, n_terms=32), seed=4, trials=3)
+    assert rep.max_trial_deviation <= 5e-14, rep.max_trial_deviation
 
 
 def test_lambda_hat_v_independence(rng):
