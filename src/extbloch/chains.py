@@ -26,7 +26,6 @@ it changes only the simplices that have such a coincidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -50,8 +49,9 @@ class SymbolTable:
     ``elements[i]`` is the first element seen with id ``i``.  Elements are
     keyed through a ``FuzzyIndex`` over their eight entry floats at
     ``tol.cmp`` (see :mod:`extbloch.quantize` for what that identifies).
-    Products, inverses and sign coincidences of representatives are
-    memoized by id.
+    Products g_i g_j, left quotients g_i^-1 g_j and sign coincidences of
+    representatives are memoized by id; an inverse is never interned on
+    its own.
     """
 
     def __init__(self, tol: Tolerances = DEFAULT_TOL):
@@ -59,7 +59,7 @@ class SymbolTable:
         self.elements: list[GroupElement] = []
         self._index = FuzzyIndex(tol.cmp)
         self._products: dict[tuple[int, int], int] = {}
-        self._inverses: dict[int, int] = {}
+        self._quotients: dict[tuple[int, int], int] = {}
         self._coincide: dict[tuple[int, int], bool] = {}
         self.identity = self.intern(GroupElement.identity())
 
@@ -79,10 +79,18 @@ class SymbolTable:
                 self.elements[i] @ self.elements[j])
         return ident
 
-    def inv(self, i: int) -> int:
-        ident = self._inverses.get(i)
+    def ldiv(self, i: int, j: int) -> int:
+        """The id of g_i^-1 g_j, formed from g_i's adjugate (d, -b, -c, a)
+        with the float operations of ``g_i.inverse() @ g_j``."""
+        if i == self.identity:  # 1^-1 g = g exactly: no product, no intern
+            return j
+        ident = self._quotients.get((i, j))
         if ident is None:
-            ident = self._inverses[i] = self.intern(self.elements[i].inverse())
+            g, h = self.elements[i], self.elements[j]
+            a, b, c, d = g.d, -g.b, -g.c, g.a
+            ident = self._quotients[(i, j)] = self.intern(GroupElement(
+                a * h.a + b * h.c, a * h.b + b * h.d,
+                c * h.a + d * h.c, c * h.b + d * h.d))
         return ident
 
     def coincide(self, i: int, j: int) -> bool:
@@ -100,10 +108,10 @@ class SymbolTable:
 
     def canonical(self, ids: Ids) -> Ids:
         """Left-translate so the first entry is the identity."""
-        if ids[0] == self.identity:
+        first = ids[0]
+        if first == self.identity:
             return ids
-        inv = self.inv(ids[0])
-        return (self.identity,) + tuple(self.mul(inv, i) for i in ids[1:])
+        return (self.identity,) + tuple(self.ldiv(first, i) for i in ids[1:])
 
 
 class _Chain(FormalSum):
@@ -223,7 +231,7 @@ def hom_to_inhom(c: HomChain) -> BarChain:
     table = c.table
     out = []
     for coeff, ids in c.pairs():
-        sym = tuple(table.mul(table.inv(ids[i]), ids[i + 1])
+        sym = tuple(table.ldiv(ids[i], ids[i + 1])
                     for i in range(len(ids) - 1))
         out.append((coeff, sym))
     return BarChain._on(table, c.degree, out)
@@ -336,15 +344,52 @@ def near_pairs(vecs: Sequence[ProjVector],
             <= tol.vgood * (vecs[i].norm() * vecs[j].norm())]
 
 
+def _v_pass(hom: HomChain, v: ProjVector, tol: Tolerances):
+    """One pass of v over a homogeneous chain: every element is applied to v
+    once and every id pair (g_i, g_j) met in a tuple, in tuple order, gets
+    det(g_i v, g_j v) once, tested as ``near_pairs`` tests it.  Returns
+    (offending (term index, i, j) triples, {(id_i, id_j): det})."""
+    elements = hom.table.elements
+    vecs: dict[int, tuple[ProjVector, float]] = {}
+    dets: dict[tuple[int, int], complex] = {}
+    near: dict[tuple[int, int], bool] = {}
+    offending = []
+    vgood = tol.vgood
+    for t_idx, (_, ids) in enumerate(hom.pairs()):
+        for i in ids:
+            if i not in vecs:
+                w = elements[i].apply(v)
+                vecs[i] = (w, w.norm())
+        for a, b in combinations(range(len(ids)), 2):
+            key = (ids[a], ids[b])
+            hit = near.get(key)
+            if hit is None:
+                (x, nx), (y, ny) = vecs[key[0]], vecs[key[1]]
+                d = dets[key] = det_pair(x, y)
+                hit = near[key] = abs(d) <= vgood * (nx * ny)
+            if hit:
+                offending.append((t_idx, a, b))
+    return offending, dets
+
+
 def is_v_good(c, v: ProjVector, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, list]:
     """All pairs satisfy |det(g_i v, g_j v)| above the scale-relative
     threshold.  Returns (ok, offending (term index, i, j) triples)."""
-    hom = _hom(c)
-    elements = hom.table.elements
-    vec = cache(lambda i: elements[i].apply(v))
-    offending = [(t_idx, i, j) for t_idx, (_, ids) in enumerate(hom.pairs())
-                 for i, j in near_pairs([vec(k) for k in ids], tol)]
+    offending, _ = _v_pass(_hom(c), v, tol)
     return not offending, offending
+
+
+def _sample_v(hom: HomChain, rng, tol: Tolerances, max_attempts: int = 1000):
+    """``sample_generic_v`` on a homogeneous chain, also returning the
+    accepted v's determinants by id pair (see ``_v_pass``)."""
+    for attempt in range(1, max_attempts + 1):
+        v = random_vector(rng)
+        offending, dets = _v_pass(hom, v, tol)
+        if not offending:
+            return v, attempt, dets
+    raise SamplingExhausted(
+        f"no v-good vector in {max_attempts} attempts; "
+        "the chain is likely not good or the tolerance is too tight")
 
 
 def sample_generic_v(c, rng_or_seed, max_attempts: int = 1000,
@@ -353,16 +398,10 @@ def sample_generic_v(c, rng_or_seed, max_attempts: int = 1000,
 
     The failure locus is a finite union of hypersurfaces, so a good chain
     succeeds almost surely within a few draws.  Returns (v, attempts).
+    Each draw is checked by the one pass ``is_v_good`` also runs.
     """
-    rng = as_rng(rng_or_seed)
-    for attempt in range(1, max_attempts + 1):
-        v = random_vector(rng)
-        ok, _ = is_v_good(c, v, tol)
-        if ok:
-            return v, attempt
-    raise SamplingExhausted(
-        f"no v-good vector in {max_attempts} attempts; "
-        "the chain is likely not good or the tolerance is too tight")
+    v, attempts, _ = _sample_v(_hom(c), as_rng(rng_or_seed), tol, max_attempts)
+    return v, attempts
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +454,7 @@ class _ConeRepairer:
                  for i in {i for _, ids in chain.pairs() for i in ids}]
         for _ in range(1000):
             g = random_sl2(self.rng)
-            margin = min(
-                (min(max(abs(x - y) for x, y in zip(g.entries(), h.entries())),
-                     max(abs(x + y) for x, y in zip(g.entries(), h.entries())))
-                 for h in avoid), default=1.0)
+            margin = min((g.sign_distance(h) for h in avoid), default=1.0)
             if margin > 1e-3:
                 return g
         raise RepairFailed("could not sample a generic cone apex")

@@ -95,9 +95,16 @@ class GroupElement:
     def close_to(self, other: "GroupElement", tol: float = DEFAULT_TOL.cmp) -> bool:
         return max(abs(x - y) for x, y in zip(self.entries(), other.entries())) <= tol
 
+    def sign_distance(self, other: "GroupElement") -> float:
+        """Largest entrywise distance from g to the nearer of +h and -h,
+        through x - y and x + y directly."""
+        pairs = tuple(zip(self.entries(), other.entries()))
+        return min(max(abs(x - y) for x, y in pairs),
+                   max(abs(x + y) for x, y in pairs))
+
     def sign_equiv(self, other: "GroupElement", tol: float = DEFAULT_TOL.cmp) -> bool:
         """True when g is elementwise close to +h or to -h."""
-        return self.close_to(other, tol) or self.close_to(-other, tol)
+        return self.sign_distance(other) <= tol
 
     def max_abs(self) -> float:
         return max(abs(x) for x in self.entries())

@@ -216,6 +216,21 @@ def lifted_rogers_sided(x: float, p: int, q: int, side: CutSide) -> complex:
     return base + 0.5j * PI * (q * log_z - p * log_inv)
 
 
+def lhat_and_vol(pt) -> tuple[complex, float]:
+    """``lhat(pt)`` and ``vol(pt.z)`` from one evaluation each of Log z,
+    Log(1/(1-z)) and li2(z), by the expressions of ``rogers``,
+    ``lifted_rogers`` and ``vol`` in their order, so both are bit-equal to
+    the separate calls."""
+    z, p, q = complex(pt.z), pt.p, pt.q
+    log_z, log_inv, li2_z = plog(z), plog(1.0 / (1.0 - z)), li2(z)
+    value = -0.5 * log_z * log_inv + li2_z - PI2_6
+    if p or q:
+        value = value + 0.5j * PI * (q * log_z - p * log_inv)
+    if z.imag == 0.0:
+        return value, 0.0
+    return value, cmath.phase(1.0 - z) * math.log(abs(z)) + li2_z.imag
+
+
 def lhat(pt) -> complex:
     """Lifted Rogers evaluation of a covering point (duck-typed: needs
     .z, .p, .q).  Real z in (1, oo) raises OnCut; ``lifted_rogers_sided``

@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import combinations
 
 from .config import DEFAULT_TOL, Tolerances
 from .chains import (BarChain, HomChain, _checked_cycle, _repair_core,
-                     inhom_to_hom, is_v_good, near_pairs, sample_generic_v)
+                     _sample_v, inhom_to_hom, is_v_good, near_pairs)
 from .core import ProjVector, as_rng, det_pair
 from .covering import FlatteningTriple, PreBlochElement, to_covering_point
-from .dilog import TWO_PI_SQ, lhat, plog, vol
+from .dilog import TWO_PI_SQ, lhat, lhat_and_vol, plog, vol
 from .errors import DegenerateConfig, NotVGood
 
 
@@ -121,23 +120,22 @@ def _lambda_hat(hom: HomChain, rng) -> LambdaResult:
     """lambda_hat on a homogeneous cycle checked and interned for this
     evaluation, whose table carries the tolerances; the repair draws from
     ``rng`` first, then v.  det is SL(2, C) invariant, so every translate of
-    an edge e = g_i^-1 g_j shares the Log det(g_i v, g_j v) of the first met."""
+    an edge e = g_i^-1 g_j shares the Log det(g_i v, g_j v) of the first met,
+    whose det the v-check's pass already computed."""
     good_hom = _repair_core(hom, rng).phi_image
-    v, _ = sample_generic_v(good_hom, rng, tol=hom.tol)
-
-    table, elements = hom.table, hom.table.elements
-    vec = cache(lambda i: elements[i].apply(v))
+    table = hom.table
+    v, _, dets = _sample_v(good_hom, rng, table.tol)
     edge_log: dict[int, complex] = {}
 
     def log(i, j):
-        e = table.mul(table.inv(i), j)
+        e = table.ldiv(i, j)
         if (x := edge_log.get(e)) is None:
-            x = edge_log[e] = plog(det_pair(vec(i), vec(j)))
+            x = edge_log[e] = plog(dets[(i, j)])
         return x
 
     triples = [(coeff, _flattening(log, ids)) for coeff, ids in good_hom.pairs()]
     element = PreBlochElement(
-        [(coeff, to_covering_point(t)) for coeff, t in triples], hom.tol)
+        [(coeff, to_covering_point(t)) for coeff, t in triples], table.tol)
     return LambdaResult(element, triples, v)
 
 
@@ -200,6 +198,9 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     from it in turn.  Every trial runs all of ``lambda_hat``, its checked
     certificate included; ``volume_vs_im_lhat`` is the largest gap over the
     trials between the per-term volume sum and Im of the lifted Rogers sum.
+    Each covering point is evaluated once (``dilog.lhat_and_vol``): both
+    sums share its Log z, Log(1/(1-z)) and li2(z), and are bit-equal to
+    ``lhat_sum`` and ``volume_of``.
     Trials must agree (mod 1, within fp) by independence of the choices;
     the max pairwise deviation is reported as a health measure.  All
     trials share one symbol table at ``tol``.  Raises NotACycle, a
@@ -214,11 +215,13 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     vol_res = 0.0
     for _ in range(trials):
         lam = _lambda_hat(hom, rng)
-        raw = lhat_sum(lam.element)
+        points = [(coeff, *lhat_and_vol(pt)) for coeff, pt in lam.element]
+        raw = sum(coeff * lh for coeff, lh, _ in points)
         value = -raw / TWO_PI_SQ
         values.append(complex(_mod1(value.real), value.imag))
         raws.append(raw)
-        vol_res = max(vol_res, abs(volume_of(lam.element) - raw.imag))
+        volume = sum(coeff * d for coeff, _, d in points)
+        vol_res = max(vol_res, abs(volume - raw.imag))
     dev = max((max(_circle_distance(a.real, b.real), abs(a.imag - b.imag))
                for a, b in combinations(values, 2)), default=0.0)
     return CcsReport(

@@ -3,15 +3,15 @@ from itertools import combinations
 
 import pytest
 
-from extbloch.config import DEFAULT_TOL
+from extbloch.config import DEFAULT_TOL, Tolerances
 from extbloch.core import (GroupElement, det_pair, random_sl2, random_vector,
                            rotation)
 from extbloch.chains import (BarChain, HomChain, _checked_cycle,
-                             _ConeRepairer, bar_boundary, cone,
-                             conjugate_chain, hom_boundary, hom_to_inhom,
-                             inhom_to_hom, is_cycle, is_good, is_v_good,
-                             repair_to_good, repair_with_certificate,
-                             sample_generic_v)
+                             _ConeRepairer, _sample_v, _v_pass, bar_boundary,
+                             cone, conjugate_chain, hom_boundary,
+                             hom_to_inhom, inhom_to_hom, is_cycle, is_good,
+                             is_v_good, near_pairs, repair_to_good,
+                             repair_with_certificate, sample_generic_v)
 from extbloch.errors import SamplingExhausted
 from extbloch.fixtures import (random_boundary_cycle, random_good_hom_chain,
                                torsion_cycle)
@@ -136,6 +136,61 @@ def test_sample_generic_v(rng):
     bad = BarChain(3, [(1, (rotation(2, 1), rotation(2, 0), rotation(2, 1)))])
     with pytest.raises(SamplingExhausted):
         sample_generic_v(bad, 7, max_attempts=40)
+
+
+def _near_by_tuple(hom, v, tol):
+    """is_v_good's verdict from ``near_pairs`` on every tuple apart."""
+    return [(t, i, j) for t, (_, tup) in enumerate(hom)
+            for i, j in near_pairs([g.apply(v) for g in tup], tol)]
+
+
+def test_v_pass_decides_as_near_pairs_per_tuple():
+    # one apply per element and one det per id pair give the verdicts of
+    # near_pairs tuple by tuple, on chains with and without +- coincidences
+    # and at a vgood loose enough to reject some draws
+    draws = random.Random(4)
+    chains = [inhom_to_hom(torsion_cycle(4)),
+              inhom_to_hom(_checked_cycle(random_boundary_cycle(2, 3),
+                                          DEFAULT_TOL)),
+              HomChain(1, [(1, (GroupElement.identity(),
+                                -GroupElement.identity()))], True)]
+    verdicts = set()
+    for tol in (DEFAULT_TOL, Tolerances(vgood=0.3)):
+        for hom in chains:
+            for _ in range(5):
+                v = random_vector(draws)
+                offending, dets = _v_pass(hom, v, tol)
+                want = _near_by_tuple(hom, v, tol)
+                assert offending == want
+                assert is_v_good(hom, v, tol) == (not want, want)
+                verdicts.add(not want)
+                elements = hom.table.elements
+                for (i, j), d in dets.items():
+                    ref = det_pair(elements[i].apply(v), elements[j].apply(v))
+                    assert (d.real.hex(), d.imag.hex()) == \
+                        (ref.real.hex(), ref.imag.hex())
+    assert verdicts == {True, False}
+
+
+def test_sample_v_shares_sample_generic_v_draws():
+    # from one seed the shared pass accepts the same v after the same
+    # number of draws as sample_generic_v, and as a rejection loop over
+    # near_pairs; the loose vgood makes it reject some draws first
+    hom = inhom_to_hom(_checked_cycle(random_boundary_cycle(2, 3), DEFAULT_TOL))
+    tol = Tolerances(vgood=0.2)
+    attempts = set()
+    for seed in range(6):
+        v, n, dets = _sample_v(hom, random.Random(seed), tol)
+        assert sample_generic_v(hom, seed, tol=tol) == (v, n)
+        draws = random.Random(seed)
+        for ref_n in range(1, 1001):
+            ref = random_vector(draws)
+            if not _near_by_tuple(hom, ref, tol):
+                break
+        assert (ref, ref_n) == (v, n)
+        assert dets == _v_pass(hom, v, tol)[1]
+        attempts.add(n)
+    assert max(attempts) > 1
 
 
 def test_cone_identity(rng):

@@ -128,3 +128,22 @@ def test_sign_equiv():
     g = rotation(6, 1)
     assert g.sign_equiv(-g)
     assert not g.sign_equiv(rotation(6, 2))
+
+
+def test_sign_distance_matches_negated_element(rng):
+    # x - y and x + y entrywise decide as close_to(h) or close_to(-h), and
+    # the distance is the apex margin's min of the two entrywise maxima
+    elements = [random_sl2(rng) for _ in range(12)]
+    partners = [q for h in elements[:6] for q in (
+        h, -h, GroupElement(h.a + 1e-10, h.b, h.c, h.d),
+        GroupElement(-h.a, -h.b - 1e-10, -h.c, -h.d))]
+    for g in elements:
+        for h in partners:
+            pairs = list(zip(g.entries(), h.entries()))
+            ref = min(max(abs(x - y) for x, y in pairs),
+                      max(abs(x - y) for x, y in zip(g.entries(),
+                                                     (-h).entries())))
+            assert g.sign_distance(h).hex() == ref.hex()
+            for tol in (1e-8, 1e-3):
+                assert g.sign_equiv(h, tol) == (
+                    g.close_to(h, tol) or g.close_to(-h, tol))

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from extbloch.config import Tolerances
-from extbloch.core import random_sl2, rotation
-from extbloch.chains import BarChain, SymbolTable
+from extbloch.core import GroupElement, random_sl2, rotation
+from extbloch.chains import (BarChain, SymbolTable, _checked_cycle,
+                             conjugate_chain, inhom_to_hom)
 from extbloch.covering import CoveringPoint, PreBlochElement, WedgeElement
+from extbloch.fixtures import torsion_cycle
 from extbloch.formal import FormalSum
 from extbloch.quantize import FuzzyIndex
 
@@ -102,8 +104,43 @@ def test_symbol_table_identifies_within_guard_band():
     assert table.intern(rotation(5, 2)) != table.intern(t)
     assert table.mul(table.intern(t), table.intern(t)) == \
         table.intern(rotation(5, 2))
-    assert table.mul(table.intern(t), table.inv(table.intern(t))) == \
+    assert table.mul(table.intern(t), table.intern(t.inverse())) == \
         table.identity
+
+
+def _bits(g: GroupElement) -> tuple[str, ...]:
+    return tuple(x.hex() for e in g.entries() for x in (e.real, e.imag))
+
+
+def _check_ldiv(table: SymbolTable, i: int, j: int) -> None:
+    size = len(table.elements)
+    q = table.ldiv(i, j)
+    ref = table.elements[i].inverse() @ table.elements[j]
+    if len(table.elements) > size:  # a new quotient is the product itself
+        assert _bits(table.elements[q]) == _bits(ref)
+    assert table.intern(ref) == q
+    assert table.ldiv(i, j) == q
+
+
+def test_ldiv_is_the_interned_left_quotient():
+    # ldiv(i, j) is the id intern(g_i.inverse() @ g_j) gets, on random
+    # elements and on the tuples of a torsion cycle conjugated by a
+    # large-entry matrix
+    rng = np.random.default_rng(5)
+    table = SymbolTable()
+    ids = [table.intern(random_sl2(rng)) for _ in range(8)]
+    for i in ids:
+        for j in ids:
+            _check_ldiv(table, i, j)
+    assert table.ldiv(table.identity, ids[3]) == ids[3]
+    assert all(table.ldiv(i, i) == table.identity for i in ids)
+    conj = GroupElement(30.0, 0.3, 0.0, 1.0 / 30.0)
+    hom = inhom_to_hom(_checked_cycle(conjugate_chain(conj, torsion_cycle(5)),
+                                      Tolerances()))
+    for _, tup in hom.pairs():
+        for i in tup:
+            for j in tup:
+                _check_ldiv(hom.table, i, j)
 
 
 def test_fuzzy_index_repeat_keeps_first_id():

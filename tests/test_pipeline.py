@@ -206,7 +206,7 @@ def test_flattening_matches_face_path_and_edge_ledgers_cancel():
         table, v, first = rr.phi_image.table, lam.vector, {}
 
         def edge_log(i, j):
-            e = table.mul(table.inv(i), j)
+            e = table.mul(table.intern(table.elements[i].inverse()), j)
             if e not in first:
                 first[e] = plog(det_pair(table.elements[i].apply(v),
                                          table.elements[j].apply(v)))
@@ -280,6 +280,24 @@ def test_volume_of_matches_im_lhat(rng):
         lam = lambda_hat(chain, seed=seed)
         raw = lhat_sum(lam.element)
         assert abs(volume_of(lam.element) - raw.imag) < 1e-8
+
+
+def _hex(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def test_ccs_value_single_pass_matches_reference_sums():
+    # ccs_value evaluates each covering point once; its raw L-hat and the
+    # volume residual are bit-equal to those from lhat_sum and volume_of
+    for c in (torsion_cycle(5), torsion_cycle(12),
+              random_boundary_cycle(3, n_terms=16), _conj_torsion(7, 3)):
+        for seed in (0, 1):
+            rep = ccs_value(c, seed=seed, trials=1)
+            lam = lambda_hat(c, seed=seed)
+            raw = lhat_sum(lam.element)
+            assert _hex(rep.raw_lhat) == _hex(raw)
+            residual = abs(volume_of(lam.element) - raw.imag)
+            assert rep.residuals["volume_vs_im_lhat"].hex() == residual.hex()
 
 
 def test_volume_of_real_points_zero():
