@@ -205,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--p1", type=int, default=0)
     p.add_argument("--q1", type=int, default=0)
-    p.add_argument("--base", help="base point as 'x,y' (default: searched)")
+    p.add_argument("--base",
+                   help="base point as 'x,y' (default: 0.25+0.5j,0.5+1.5j)")
     common(p, tolerance=False)
     p.set_defaults(func=cmd_lift_path)
 

@@ -139,28 +139,33 @@ def li2(z: complex, side: CutSide | None = None) -> complex:
     return _li2_log_series(-plog(1.0 - z))
 
 
+def _lifted_rogers(log_z: complex, log_inv: complex, li2_z: complex,
+                   p: int, q: int) -> complex:
+    """-1/2 Log z Log 1/(1-z) + li2(z) - pi^2/6, plus
+    pi*i/2 * (q Log z - p Log 1/(1-z)) when p or q is nonzero."""
+    value = -0.5 * log_z * log_inv + li2_z - PI2_6
+    if p or q:
+        value = value + 0.5j * PI * (q * log_z - p * log_inv)
+    return value
+
+
+def _bloch_wigner(z: complex, li2_z: complex) -> float:
+    """Arg(1-z) log|z| + Im li2(z), for non-real z."""
+    return cmath.phase(1.0 - z) * math.log(abs(z)) + li2_z.imag
+
+
 def rogers(z: complex) -> complex:
     """Rogers dilogarithm, normalized so the five-term sum vanishes.
 
     Defined off {0, 1}; real arguments outside (0, 1) sit on discontinuity
     cuts, use rogers_real (or the sided variant) there.
     """
-    z = complex(z)
-    return -0.5 * plog(z) * plog(1.0 / (1.0 - z)) + li2(z) - PI2_6
+    return lifted_rogers(z, 0, 0)
 
 
 def rogers_sided(x: float, side: CutSide) -> complex:
     """Limit of rogers at a real argument outside [0, 1] from one side."""
-    if 0.0 <= x <= 1.0:
-        raise ValueError("sided evaluation is for arguments outside [0, 1]")
-    if x < 0.0:
-        # li2 is continuous here; only Log(x) is sided
-        lz = plog_sided(x, side)
-        return -0.5 * lz * plog(1.0 / (1.0 - x)) + li2(x) - PI2_6
-    # x > 1: 1 - x is negative and approached from the opposite side
-    other = CutSide.BELOW if side is CutSide.ABOVE else CutSide.ABOVE
-    inv = -plog_sided(1.0 - x, other)  # Log(1/(1-x)) on the matching side
-    return -0.5 * math.log(x) * inv + li2(x, side) - PI2_6
+    return lifted_rogers_sided(x, 0, 0, side)
 
 
 def rogers_real(x: float) -> float:
@@ -186,7 +191,7 @@ def vol(z: complex) -> float:
     z = complex(z)
     if z.imag == 0.0:
         return 0.0
-    return cmath.phase(1.0 - z) * math.log(abs(z)) + li2(z).imag
+    return _bloch_wigner(z, li2(z))
 
 
 def lifted_rogers(z: complex, p: int, q: int) -> complex:
@@ -196,39 +201,33 @@ def lifted_rogers(z: complex, p: int, q: int) -> complex:
     Two labels identified across a cut (the side convention being the upper
     half plane limit) give values differing by an element of 2 pi^2 Z.
     """
-    base = rogers(z)
-    if p == 0 and q == 0:
-        return base
-    corr = q * plog(z) - p * plog(1.0 / (1.0 - z))
-    return base + 0.5j * PI * corr
+    z = complex(z)
+    return _lifted_rogers(plog(z), plog(1.0 / (1.0 - z)), li2(z), p, q)
 
 
 def lifted_rogers_sided(x: float, p: int, q: int, side: CutSide) -> complex:
     """Lifted Rogers value at a real point on a cut, from a chosen side."""
-    base = rogers_sided(x, side)
+    if 0.0 <= x <= 1.0:
+        raise ValueError("sided evaluation is for arguments outside [0, 1]")
     if x < 0.0:
+        # li2 is continuous here; only Log(x) is sided
         log_z = plog_sided(x, side)
         log_inv = plog(1.0 / (1.0 - x))
     else:
+        # x > 1: 1 - x is negative and approached from the opposite side
         other = CutSide.BELOW if side is CutSide.ABOVE else CutSide.ABOVE
         log_z = complex(math.log(x), 0.0)
-        log_inv = -plog_sided(1.0 - x, other)
-    return base + 0.5j * PI * (q * log_z - p * log_inv)
+        log_inv = -plog_sided(1.0 - x, other)  # Log(1/(1-x)), matching side
+    return _lifted_rogers(log_z, log_inv, li2(x, side), p, q)
 
 
 def lhat_and_vol(pt) -> tuple[complex, float]:
     """``lhat(pt)`` and ``vol(pt.z)`` from one evaluation each of Log z,
-    Log(1/(1-z)) and li2(z), by the expressions of ``rogers``,
-    ``lifted_rogers`` and ``vol`` in their order, so both are bit-equal to
-    the separate calls."""
-    z, p, q = complex(pt.z), pt.p, pt.q
+    Log(1/(1-z)) and li2(z), so both are bit-equal to the separate calls."""
+    z = complex(pt.z)
     log_z, log_inv, li2_z = plog(z), plog(1.0 / (1.0 - z)), li2(z)
-    value = -0.5 * log_z * log_inv + li2_z - PI2_6
-    if p or q:
-        value = value + 0.5j * PI * (q * log_z - p * log_inv)
-    if z.imag == 0.0:
-        return value, 0.0
-    return value, cmath.phase(1.0 - z) * math.log(abs(z)) + li2_z.imag
+    value = _lifted_rogers(log_z, log_inv, li2_z, pt.p, pt.q)
+    return value, 0.0 if z.imag == 0.0 else _bloch_wigner(z, li2_z)
 
 
 def lhat(pt) -> complex:

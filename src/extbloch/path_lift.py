@@ -1,13 +1,16 @@
 """Branch lifting of five-tuple paths over the doubly-cut plane.
 
 A path moves the two free parameters (x0, x1); the five face cross-ratios
-move with them.  Whenever a coordinate crosses the cut (-inf, 0) its first
-branch integer jumps by +-2, and crossing (1, inf) jumps the second one,
-the sign fixed by the crossing direction: downward (upper half plane to
-lower) increments, upward decrements.  That convention is exactly what
-keeps the lifted Rogers value continuous along the lift, and it reproduces
-the closed-form endpoint pattern of composite winding loops, which
-``verify_pq_pattern`` checks by exact integer comparison.
+move with them.  A covering point (z; p, q) stands for the logarithms
+Log z + p*pi*i and Log 1/(1-z) + q*pi*i, so carrying it along a path means
+continuing those two logarithms: the branch integers are the offsets of
+the continued logarithms from the principal ones.  With ``plog``'s
+convention (Arg in (-pi, pi], real points on a cut read from above),
+crossing (-inf, 0) downward raises p by 2 and crossing (1, inf) downward
+raises q by 2.  That keeps the lifted Rogers value continuous along the
+lift, and it reproduces the closed-form endpoint pattern of composite
+winding loops, which ``verify_pq_pattern`` checks by exact integer
+comparison.
 """
 
 from __future__ import annotations
@@ -18,13 +21,8 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_TOL, Tolerances
 from .covering import CoveringPoint, coords
-from .dilog import lhat
+from .dilog import PI, lhat, plog
 from .errors import PathDegenerate
-
-# how far a cut crossing must stay from the cut endpoints 0 and 1
-_ENDPOINT_MARGIN = 1e-9
-# target parameter accuracy for crossing localization
-_BISECT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -80,83 +78,46 @@ def start_lift(x0: complex, x1: complex) -> LiftedFiveTuple:
         (x0, x1), tuple(CoveringPoint(z, 0, 0) for z in coords(x0, x1)))
 
 
-def _check_sample(w: complex):
-    if abs(w) <= DEFAULT_TOL.zero or abs(w - 1.0) <= DEFAULT_TOL.zero:
-        raise PathDegenerate(f"coordinate hits {w}")
-
-
-def _segment_crossings(f, w_a: complex, w_b: complex) -> list[tuple[str, int]]:
-    """Cut crossings of one coordinate along one refined segment.
-
-    f maps [0,1] to the coordinate values; endpoints are precomputed.
-    Returns at most one crossing: ('p'|'q', +-2).
-    """
-    im_a, im_b = w_a.imag, w_b.imag
-    if im_a == 0.0 or im_b == 0.0:
-        if w_a.real < 0 or w_a.real > 1 or w_b.real < 0 or w_b.real > 1:
-            raise PathDegenerate("sample point exactly on a cut")
-        return []
-    if (im_a > 0) == (im_b > 0):
-        return []
-    lo, hi = 0.0, 1.0
-    sign_a = im_a > 0
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        im_mid = f(mid).imag
-        if im_mid == 0.0:
-            break
-        if (im_mid > 0) == sign_a:
-            lo = mid
-        else:
-            hi = mid
-    x_cross = f(0.5 * (lo + hi)).real
-    if abs(x_cross) <= _ENDPOINT_MARGIN or abs(x_cross - 1.0) <= _ENDPOINT_MARGIN:
-        raise PathDegenerate(f"crossing at {x_cross}, too close to a cut endpoint")
-    step = 2 if im_a > 0 else -2  # downward crossing increments
-    if x_cross < 0.0:
-        return [("p", step)]
-    if x_cross > 1.0:
-        return [("q", step)]
-    return []  # passed between the cuts
+def _lag(a: complex, b: complex) -> int:
+    """The even integer by which the principal Log b falls behind Log a
+    continued over a step from a to b that does not wind around 0."""
+    return round((plog(b / a) - plog(b) + plog(a)).imag / PI)
 
 
 def _advance(point_a, point_b, branches: list[list[int]], depth: int = 0):
-    """Process one joint-space segment, refining until each coordinate's
-    chord is small enough to isolate crossings, then update branches."""
-    ca = coords(*point_a)
-    cb = coords(*point_b)
-    for w in ca:
-        _check_sample(w)
-    needs_split = False
-    for wa, wb in zip(ca, cb):
-        scale = 0.08 * (1.0 + min(abs(wa), abs(wb)))
-        if abs(wb - wa) > scale:
-            needs_split = True
-            break
-    if needs_split and depth < 40:
+    """Carry the branch integers over one joint-space segment.
+
+    The segment is halved until every coordinate's chord is shorter than
+    0.8 of its start's distance to 0 and to 1, so that no step winds
+    around either point; a segment that still needs halving at depth 40
+    is degenerate.  Each step
+    then adds to p the lag of Log z and to q that of Log 1/(1-z); a step
+    within one open half plane adds nothing.
+    """
+    ca, cb = coords(*point_a), coords(*point_b)
+    if any(abs(wb - wa) >= 0.8 * min(abs(wa), abs(wa - 1.0))
+           for wa, wb in zip(ca, cb)):
+        if depth == 40:
+            raise PathDegenerate(
+                f"segment {point_a} -> {point_b} meets 0 or 1")
         mid = (0.5 * (point_a[0] + point_b[0]), 0.5 * (point_a[1] + point_b[1]))
         _advance(point_a, mid, branches, depth + 1)
         _advance(mid, point_b, branches, depth + 1)
         return
-    d0 = point_b[0] - point_a[0]
-    d1 = point_b[1] - point_a[1]
-    for i, (wa, wb) in enumerate(zip(ca, cb)):
-        if wa == wb:
+    for pq, wa, wb in zip(branches, ca, cb):
+        if abs(wb) <= DEFAULT_TOL.zero or abs(wb - 1.0) <= DEFAULT_TOL.zero:
+            raise PathDegenerate(f"coordinate hits {wb}")
+        if wa.imag * wb.imag > 0.0:
             continue
-
-        def f(t, i=i):
-            return coords(point_a[0] + t * d0, point_a[1] + t * d1)[i]
-
-        for kind, step in _segment_crossings(f, wa, wb):
-            if kind == "p":
-                branches[i][0] += step
-            else:
-                branches[i][1] += step
+        pq[0] += _lag(wa, wb)
+        pq[1] += _lag(1.0 / (1.0 - wa), 1.0 / (1.0 - wb))
 
 
 def lift_path(path: ParamPath, start: LiftedFiveTuple,
               tol: Tolerances = DEFAULT_TOL) -> LiftedFiveTuple:
-    """Transport branch integers along the path from the given lift."""
+    """Transport branch integers along the path from the given lift: at
+    the end, each coordinate's Log z + p*pi*i and Log 1/(1-z) + q*pi*i are
+    the start's logarithms continued along the path."""
     sx0, sx1 = path.start
     bx0, bx1 = start.base
     if abs(sx0 - bx0) > tol.cmp or abs(sx1 - bx1) > tol.cmp:
@@ -235,38 +196,11 @@ def winding_loop(base: tuple[complex, complex], coord: int, center: complex,
     return ParamPath(tuple(verts))
 
 
-DEFAULT_BASE_SEARCH_GRID = (
-    [x / 4.0 for x in range(-8, 9)],  # real parts
-    [y / 4.0 for y in range(1, 9)],   # imaginary parts (upper half plane)
-)
-
-
 def find_positive_base() -> tuple[complex, complex]:
-    """Search a small grid for a base (x0, x1) whose five coordinates all
-    have positive imaginary part, with margin at least 0.25 from the real
-    axis and from 0 and 1.  The first grid point at the best margin is
-    returned (deterministically (0.25+0.5j, 0.5+1.5j) on the default grid)."""
-    res, ims = DEFAULT_BASE_SEARCH_GRID
-    best: tuple[float, complex, complex] | None = None
-    for ar in res:
-        for ai in ims:
-            for br in res:
-                for bi in ims:
-                    x, y = complex(ar, ai), complex(br, bi)
-                    if min(abs(x), abs(x - 1), abs(y), abs(y - 1),
-                           abs(x - y)) < 0.3:
-                        continue
-                    cs = coords(x, y)
-                    margin = min(min(c.imag for c in cs),
-                                 min(abs(c) for c in cs),
-                                 min(abs(c - 1) for c in cs))
-                    if margin <= 0:
-                        continue
-                    if best is None or margin > best[0]:
-                        best = (margin, x, y)
-    if best is None or best[0] < 0.25:
-        raise PathDegenerate("no base point with margin 0.25")
-    return best[1], best[2]
+    """The base (x0, x1) = (0.25+0.5j, 0.5+1.5j).  Its five coordinates
+    have imaginary part, modulus and distance to 1 at least 0.35: the best
+    such margin on the quarter-step grid of the upper half plane."""
+    return 0.25 + 0.5j, 0.5 + 1.5j
 
 
 def composite_winding_path(base: tuple[complex, complex], p0: int, q0: int,

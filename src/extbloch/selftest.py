@@ -12,6 +12,7 @@ from .chains import hom_boundary, is_cycle, is_good, repair_with_certificate
 from .core import as_rng, hopf, is_inf, moebius, random_sl2, random_vector
 from .covering import check_flattening_condition, coords, mu, nu_hat
 from .dilog import PI2_6, rogers, rogers_real, vol
+from .errors import DegenerateConfig
 from .fixtures import random_boundary_cycle, torsion_cycle
 from .path_lift import find_positive_base, verify_pq_pattern
 from .pipeline import ConfigTuple, ccs_value, sigma_hat
@@ -22,7 +23,7 @@ def _random_config(rng, n: int) -> ConfigTuple:
     while True:
         try:
             return ConfigTuple(tuple(random_vector(rng) for _ in range(n)))
-        except Exception:
+        except DegenerateConfig:
             continue
 
 

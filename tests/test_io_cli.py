@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from extbloch import selftest
 from extbloch.chainio import chain_to_obj, dumps_canonical, parse_cycle_file
 from extbloch.chains import is_cycle
 from extbloch.cli import main
@@ -260,6 +261,22 @@ def test_cli_real_check():
     doc = json.loads(r.stdout)
     assert doc["worst_agreement_error"] == 0
     assert doc["all_principal_branch"] is True
+
+
+def test_selftest_config_draw_redraws_only_degenerate_configs(monkeypatch):
+    # a programming error must surface, not be retried with a fresh draw
+    real, calls = selftest.ConfigTuple, []
+
+    def broken_once(vectors):
+        calls.append(vectors)
+        if len(calls) == 1:
+            raise TypeError("bug in the constructor")
+        return real(vectors)
+
+    monkeypatch.setattr(selftest, "ConfigTuple", broken_once)
+    with pytest.raises(TypeError):
+        selftest._random_config(selftest.as_rng(0), 4)
+    assert len(calls) == 1
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -12,8 +12,9 @@ BASE = find_positive_base()
 
 
 def test_base_point_has_positive_imaginary_parts():
+    # the margin from the real axis, 0 and 1 is 0.35
     for c in coords(*BASE):
-        assert c.imag > 0.2
+        assert min(c.imag, abs(c), abs(c - 1)) >= 0.25
 
 
 def test_constant_path():
@@ -95,6 +96,28 @@ def test_five_term_sum_vanishes_at_base_and_shifts_off_component():
     pts[2] = CoveringPoint(pts[2].z, pts[2].p, pts[2].q + 2)
     shifted = LiftedFiveTuple(s.base, tuple(pts))
     assert abs(five_term_sum_along(shifted)) > 0.1
+
+
+def _x0_loop(*x0_vertices):
+    x0, x1 = BASE
+    return ParamPath(tuple((z, x1) for z in (x0, *x0_vertices, x0)))
+
+
+@pytest.mark.parametrize("x0_vertices, windings", [
+    # a vertex exactly on (-inf, 0)
+    ((-1, -1 - 0.5j, 0.5 - 0.5j), (1, 0, 0, 0, 0)),
+    # crossing (-inf, 0) 1e-10 left of 0
+    ((-1e-10 + 1.3e-10j, -1e-10 - 0.7e-10j, 0.5 - 0.5j), (1, 0, 0, 0, 0)),
+    # clockwise around 1, crossing (1, inf) 1e-10 right of 1
+    ((1 + 1e-10 + 1.3e-10j, 1 + 1e-10 - 0.7e-10j, 0.9 - 0.5j, 0.5 + 0.2j),
+     (0, 1, 0, 0, 0)),
+    # out to the cut and straight back
+    ((-1,), (0, 0, 0, 0, 0)),
+])
+def test_loops_touching_cuts_lift_to_closed_form(x0_vertices, windings):
+    out = lift_path(_x0_loop(*x0_vertices), start_lift(*BASE))
+    assert out.branches() == expected_endpoint_branches(*windings)
+    assert abs(five_term_sum_along(out)) < 1e-8
 
 
 def test_path_degenerate_on_special_point():
