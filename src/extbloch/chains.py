@@ -26,7 +26,7 @@ it changes only the simplices that have such a coincidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_TOL, Tolerances
@@ -328,11 +328,16 @@ def is_good(c) -> tuple[bool, list]:
     Returns (ok, offending): offenders are (term index, i, j) triples.
     """
     hom = _hom(c)
-    coincide = hom.table.coincide
-    offending = [(t_idx, i, j) for t_idx, (_, ids) in enumerate(hom.pairs())
-                 for i, j in combinations(range(len(ids)), 2)
-                 if coincide(ids[i], ids[j])]
+    offending = _offending(hom.table, hom.pairs())
     return not offending, offending
+
+
+def _offending(table: SymbolTable, terms: Iterable[tuple[int, Ids]]) -> list:
+    """(term index, i, j) for every +-coincident pair within a term."""
+    coincide = table.coincide
+    return [(t_idx, i, j) for t_idx, (_, ids) in enumerate(terms)
+            for i, j in combinations(range(len(ids)), 2)
+            if coincide(ids[i], ids[j])]
 
 
 def near_pairs(vecs: Sequence[ProjVector],
@@ -440,7 +445,7 @@ class _ConeRepairer:
     canonical orbit representatives and extended equivariantly; memoization
     by the canonical id tuple gives shared faces identical images.  They
     return (coefficient, ids) lists: only ``linear``, whose sums cancel,
-    merges terms into a chain.
+    merges terms.
     """
 
     def __init__(self, rng, table: SymbolTable):
@@ -449,9 +454,9 @@ class _ConeRepairer:
         self._phi_memo: dict[Ids, _Terms] = {}
         self._h_memo: dict[Ids, _Terms] = {}
 
-    def _generic_avoiding(self, chain: HomChain) -> GroupElement:
+    def _generic_avoiding(self, terms: _Terms) -> GroupElement:
         avoid = [self.table.elements[i]
-                 for i in {i for _, ids in chain.pairs() for i in ids}]
+                 for i in {i for _, ids in terms for i in ids}]
         for _ in range(1000):
             g = random_sl2(self.rng)
             margin = min((g.sign_distance(h) for h in avoid), default=1.0)
@@ -471,10 +476,11 @@ class _ConeRepairer:
         if img is None:
             if self.table.good(canon):
                 img = [(1, canon)]
-            else:
-                faces = self.linear(self.phi, _faces(canon), len(canon) - 2)
+            elif faces := self.linear(self.phi, _faces(canon)):
                 apex = self.table.intern(self._generic_avoiding(faces))
-                img = [(c, (apex,) + t) for c, t in faces.pairs()]
+                img = [(c, (apex,) + t) for c, t in faces]
+            else:  # cone(a, 0) = 0 for every apex a: draw none
+                img = []
             self._phi_memo[canon] = img
         return self._translated(ids[0], img)
 
@@ -487,17 +493,25 @@ class _ConeRepairer:
             else:  # h = cone(1, phi(s) - s - H(ds))
                 one = (self.table.identity,)
                 h = [(c, one + t) for c, t in [*self.phi(canon), (-1, canon)]]
-                lower = self.linear(self.homotopy, _faces(canon), len(canon) - 1)
-                h += [(-c, one + t) for c, t in lower.pairs()]
+                lower = self.linear(self.homotopy, _faces(canon))
+                h += [(-c, one + t) for c, t in lower]
             self._h_memo[canon] = h
         return self._translated(ids[0], h)
 
-    def linear(self, f, terms: Iterable[tuple[int, Ids]], degree: int,
-               coinvariant: bool = False) -> HomChain:
-        """The linear extension of ``f`` (phi or homotopy) to a chain of
-        the given output degree."""
-        collected = [(coeff * c, t) for coeff, ids in terms for c, t in f(ids)]
-        return HomChain._on(self.table, degree, collected, coinvariant)
+    def linear(self, f, terms: Iterable[tuple[int, Ids]],
+               canonical: bool = False) -> _Terms:
+        """The linear extension of ``f`` (phi, homotopy or ``_faces``; None
+        maps a tuple to itself) to ``terms``, merged: equal tuples add,
+        first-seen order, zeros dropped, tuples keyed by their canonical
+        representative when ``canonical``."""
+        canon = self.table.canonical if canonical else None
+        acc: dict[Ids, int] = {}
+        for coeff, ids in terms:
+            for c, t in f(ids) if f else ((1, ids),):
+                if canon:
+                    t = canon(t)
+                acc[t] = acc.get(t, 0) + coeff * c
+        return [(c, t) for t, c in acc.items() if c]
 
 
 def _faces(ids: Ids) -> _Terms:
@@ -507,21 +521,25 @@ def _faces(ids: Ids) -> _Terms:
 def _repair_core(hom: HomChain, rng) -> RepairResult:
     """Repair of a homogeneous cycle interned for this evaluation: phi = hom
     - B + phi(B) and H = H(B) for its bad part B, apexes drawn from rng.
-    Checks dH(B) = phi(B) - B and that phi(B) is good (kept tuples are)."""
+    Checks dH(B) = phi(B) - B and that phi(B) is good (kept tuples are).
+    Chains are built once, for the result; inside, sums are merged lists."""
     table, n = hom.table, hom.degree
-    bad = HomChain._on(table, n, [(coeff, ids) for coeff, ids in hom.pairs()
-                                  if not table.good(ids)], True)
+    good, bad = [], []
+    for term in hom.pairs():
+        (good if table.good(term[1]) else bad).append(term)
     rep = _ConeRepairer(rng, table)
-    phi_bad = rep.linear(rep.phi, bad.pairs(), n, True)
-    good_ok, offenders = is_good(phi_bad)
-    if not good_ok:
+    phi_bad = rep.linear(rep.phi, bad, True)
+    if offenders := _offending(table, phi_bad):
         raise RepairFailed(f"cone image not good: offenders {offenders[:3]}")
-    h = rep.linear(rep.homotopy, bad.pairs(), n + 1, True)
-    certificate_residual = hom_boundary(h) - (phi_bad - bad)
-    if not certificate_residual.is_empty():
+    h = rep.linear(rep.homotopy, bad, True)
+    residual = rep.linear(None, chain(
+        ((c * s, face) for c, ids in h for s, face in _faces(ids)),
+        ((-c, ids) for c, ids in phi_bad), bad), True)
+    if residual:
         raise RepairFailed(f"homotopy certificate failed: "
-                           f"{len(certificate_residual)} residual terms")
-    return RepairResult(hom - bad + phi_bad, h, hom)
+                           f"{len(residual)} residual terms")
+    return RepairResult(HomChain._on(table, n, good + phi_bad, True),
+                        HomChain._on(table, n + 1, h, True), hom)
 
 
 def repair_with_certificate(c: BarChain, seed,

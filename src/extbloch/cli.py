@@ -121,6 +121,7 @@ def cmd_real_check(args) -> int:
 
 
 def cmd_lift_path(args) -> int:
+    from .covering import five_tuple
     from .path_lift import find_positive_base, verify_pq_pattern
 
     if args.base:
@@ -132,8 +133,12 @@ def cmd_lift_path(args) -> int:
             return 2
     else:
         base = find_positive_base()
+    five_tuple(*base)  # DegenerateFT (exit 2) names a coordinate on 0 or 1
     ok, details = verify_pq_pattern(args.p0, args.q0, args.r,
                                     args.p1, args.q1, base=base)
+    # off the positive region the all-zero start lift breaks the five-term
+    # relation, so matching branches alone prove nothing
+    ok = ok and abs(details["five_term_sum"]) < 1e-8
     doc = {
         "base": [[base[0].real, base[0].imag], [base[1].real, base[1].imag]],
         "windings": [args.p0, args.q0, args.r, args.p1, args.q1],

@@ -98,9 +98,10 @@ class GroupElement:
     def sign_distance(self, other: "GroupElement") -> float:
         """Largest entrywise distance from g to the nearer of +h and -h,
         through x - y and x + y directly."""
-        pairs = tuple(zip(self.entries(), other.entries()))
-        return min(max(abs(x - y) for x, y in pairs),
-                   max(abs(x + y) for x, y in pairs))
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = other.a, other.b, other.c, other.d
+        return min(max(abs(a - e), abs(b - f), abs(c - g), abs(d - h)),
+                   max(abs(a + e), abs(b + f), abs(c + g), abs(d + h)))
 
     def sign_equiv(self, other: "GroupElement", tol: float = DEFAULT_TOL.cmp) -> bool:
         """True when g is elementwise close to +h or to -h."""

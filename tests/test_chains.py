@@ -282,11 +282,28 @@ def test_certificate_draws_nothing():
         checked = _checked_cycle(c, DEFAULT_TOL)
         rep = _ConeRepairer(alone, checked.table)
         hom = inhom_to_hom(checked)
-        rep.linear(rep.phi, hom.pairs(), hom.degree, True)
+        rep.linear(rep.phi, hom.pairs(), True)
         assert rng.getstate() == alone.getstate()
         assert not rr.homotopy.is_empty()
         res = hom_boundary(rr.homotopy) - (rr.phi_image - rr.original_hom)
         assert res.is_empty()
+
+
+def test_no_apex_for_a_cone_over_nothing(monkeypatch):
+    # phi(s) = cone(a, phi(ds)) is 0 for every apex a once phi(ds) merges to
+    # 0: torsion 6 has such bad simplices, and none of them draws an apex
+    sizes, real = [], _ConeRepairer._generic_avoiding
+
+    def spy(self, terms):
+        sizes.append(len(terms))
+        return real(self, terms)
+
+    monkeypatch.setattr(_ConeRepairer, "_generic_avoiding", spy)
+    checked = _checked_cycle(torsion_cycle(6), DEFAULT_TOL)
+    rep = _ConeRepairer(random.Random(0), checked.table)
+    rep.linear(rep.phi, inhom_to_hom(checked).pairs(), True)
+    assert [] in rep._phi_memo.values()
+    assert sizes and 0 not in sizes
 
 
 def test_repair_deterministic(rng):

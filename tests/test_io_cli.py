@@ -255,6 +255,25 @@ def test_cli_lift_path():
     assert doc["five_term_sum_abs"] < 1e-8
 
 
+@pytest.mark.parametrize("base, reason", [
+    ("0,1j", "x = 0j hits 0 or 1"),
+    ("1,1j", "x = (1+0j) hits 0 or 1"),
+    ("0.3+1j,0.3+1j", "x = y makes coordinate 2 equal to 1"),
+])
+def test_cli_lift_path_degenerate_base_exits_2(capsys, base, reason):
+    assert main(["lift-path", "--base", base, "--p0", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+
+
+def test_cli_lift_path_off_the_five_term_relation_exits_3(capsys):
+    # the branches match, but the all-zero start lift is not on the
+    # five-term relation at this base
+    assert main(["lift-path", "--base", "0.5-1j,0.2+3j", "--p0", "1"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["lifted"] == doc["expected"]
+    assert doc["match"] is False and doc["five_term_sum_abs"] > 1
+
+
 def test_cli_real_check():
     r = _run("real-check", "--samples", "25", "--seed", "3")
     assert r.returncode == 0

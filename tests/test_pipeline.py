@@ -156,16 +156,16 @@ def test_certificate_catches_what_nu_hat_would(monkeypatch, mutation):
     # unmutated full image cancels exactly
     linear, seen = _ConeRepairer.linear, []
 
-    def mutating(self, f, terms, degree, coinvariant=False):
+    def mutating(self, f, terms, canonical=False):
         terms = list(terms)
-        out = linear(self, f, terms, degree, coinvariant)
-        if f == self.phi and coinvariant:  # the top-level phi call, on B
-            (coeff, ids), *rest = out.pairs()
+        out = linear(self, f, terms, canonical)
+        if f == self.phi and canonical:  # the top-level phi call, on B
+            (coeff, ids), *rest = out
             kept = rest if mutation == "drop" else [(-coeff, ids), *rest]
-            bad = HomChain._on(self.table, degree, terms, coinvariant)
-            seen.append((bad, out))
-            out = HomChain._on(self.table, degree, kept, coinvariant)
-            seen.append((bad, out))
+            bad = HomChain._on(self.table, 3, terms, True)
+            for image in (out, kept):
+                seen.append((bad, HomChain._on(self.table, 3, image, True)))
+            out = kept
         return out
 
     monkeypatch.setattr(_ConeRepairer, "linear", mutating)
