@@ -23,13 +23,22 @@ from typing import Iterable, Sequence
 
 from .config import DEFAULT_TOL, Tolerances
 from .core import ProjVector, det_pair
-from .dilog import PI, plog
+from .dilog import PI, _log1m, _point_values, plog
 from .errors import ChiAtZero, DegenerateConfig, DegenerateFT, InvalidFlattening, NotEven
 from .formal import FormalSum
 from .quantize import FuzzyIndex
 
 # ---------------------------------------------------------------------------
 # covering points and flattening triples
+
+SUM_TOL = 1e-9  # |w0 + w1 + w2|, relative to 1 + |w0| + |w1|
+EXP_TOL = 1e-6  # |e^{w1} - 1/(1-z)|, relative to |1/(1-z)|
+INT_TOL = 1e-6  # distance of a branch integer from the nearest integer
+
+
+def _avoid_01(z: complex, zero: float) -> None:  # the CoveringPoint check
+    if abs(z) <= zero or abs(z - 1.0) <= zero:
+        raise ValueError(f"z = {z} must avoid 0 and 1")
 
 
 @dataclass(frozen=True)
@@ -41,8 +50,7 @@ class CoveringPoint:
     q: int
 
     def __post_init__(self):
-        if abs(self.z) <= DEFAULT_TOL.zero or abs(self.z - 1.0) <= DEFAULT_TOL.zero:
-            raise ValueError(f"z = {self.z} must avoid 0 and 1")
+        _avoid_01(self.z, DEFAULT_TOL.zero)
         if self.p % 2 or self.q % 2:
             raise ValueError(f"branch integers must be even, got ({self.p}, {self.q})")
 
@@ -67,12 +75,7 @@ class FlatteningTriple:
     ledger: Ledger | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if abs(self.w0 + self.w1 + self.w2) > 1e-9 * (1 + abs(self.w0) + abs(self.w1)):
-            raise InvalidFlattening("log-parameters must sum to zero")
-        z = cmath.exp(self.w0)
-        target = 1.0 / (1.0 - z)
-        if abs(cmath.exp(self.w1) - target) > 1e-6 * abs(target):
-            raise InvalidFlattening("w1 is not a logarithm of 1/(1 - e^{w0})")
+        _checked_z(self.w0, self.w1, self.w2)
 
     @classmethod
     def from_w01(cls, w0: complex, w1: complex,
@@ -95,21 +98,51 @@ def snap_real(z: complex, rel: float = 1e-12) -> complex:
     return z
 
 
-def to_covering_point(t: FlatteningTriple, int_tol: float = 1e-6) -> CoveringPoint:
-    """Recover (z; p, q) from log-parameters: z = e^{w0}, the branch
-    integers measuring the offsets from the principal logarithms."""
-    z = snap_real(cmath.exp(t.w0))
-    p_raw = (t.w0 - plog(z)) / (1j * PI)
-    q_raw = (t.w1 - plog(1.0 / (1.0 - z))) / (1j * PI)
-    out = []
-    for name, raw in (("p", p_raw), ("q", q_raw)):
-        n = int(round(raw.real))
+def _checked_z(w0: complex, w1: complex, w2: complex) -> complex:
+    """Snapped z = e^{w0}, once w0 + w1 + w2 = 0 and e^{w1} = 1/(1-z)."""
+    if abs(w0 + w1 + w2) > SUM_TOL * (1 + abs(w0) + abs(w1)):
+        raise InvalidFlattening("log-parameters must sum to zero")
+    z = snap_real(cmath.exp(w0))
+    target = 1.0 / (1.0 - z)
+    if abs(cmath.exp(w1) - target) > EXP_TOL * abs(target):
+        raise InvalidFlattening("w1 is not a logarithm of 1/(1 - e^{w0})")
+    return z
+
+
+def _branch(z: complex, w0: complex, w1: complex, int_tol: float = INT_TOL):
+    """[Log z, Log(1-z), p, q], p and q the even integers with
+    w0 = Log z + p pi i and w1 = Log(1/(1-z)) + q pi i; Log(1/(1-z)) is
+    -Log(1-z), with imaginary part +pi where 1 - z is a negative real."""
+    log_z, l1 = plog(z), _log1m(z)
+    log_inv = complex(-l1.real, PI) if z.imag == 0.0 and z.real > 1.0 else -l1
+    out = [log_z, l1]
+    for name, raw in (("p", (w0 - log_z) / (1j * PI)),
+                      ("q", (w1 - log_inv) / (1j * PI))):
+        n = round(raw.real)
         if abs(raw - n) > int_tol:
             raise NotEven(f"{name} = {raw} is not an integer")
         if n % 2:
             raise NotEven(f"{name} = {n} is odd")
         out.append(n)
-    return CoveringPoint(z, out[0], out[1])
+    return out
+
+
+def to_covering_point(t: FlatteningTriple, int_tol: float = INT_TOL) -> CoveringPoint:
+    """Recover (z; p, q) from log-parameters: z = e^{w0}, the branch
+    integers measuring the offsets from the principal logarithms."""
+    z = snap_real(cmath.exp(t.w0))
+    return CoveringPoint(z, *_branch(z, t.w0, t.w1, int_tol)[2:])
+
+
+def _point_value(w0: complex, w1: complex, w2: complex,
+                 zero: float = DEFAULT_TOL.zero) -> tuple[complex, float]:
+    """(lhat, vol) of the covering point of (w0, w1, w2), bit-equal to
+    ``lhat(to_covering_point(t))`` and its ``vol``, with the checks of that
+    path (``CoveringPoint``'s at ``zero``) in order and no object built."""
+    z = _checked_z(w0, w1, w2)
+    log_z, l1, p, q = _branch(z, w0, w1)
+    _avoid_01(z, zero)
+    return _point_values(z, log_z, l1, p, q)
 
 
 def from_covering_point(pt: CoveringPoint) -> FlatteningTriple:

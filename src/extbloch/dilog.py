@@ -13,7 +13,10 @@ Branch conventions, fixed once for the whole library:
 
 li2 sums one Bernoulli series, in u = -Log(1-z), or in u = -Log z after
 reflection, whichever has |u| <= 1.3, or else after one inversion z -> 1/z
-in u = -Log(1-1/z): the least of the three |u| never exceeds pi/3.
+in u = -Log(1-1/z): the least of the three |u| never exceeds pi/3.  Every
+evaluation takes Log z and Log(1-z) once and passes them in: li2, vol,
+lifted_rogers and lhat share one body (``_point_values``), and so does the
+per-point evaluation of :mod:`extbloch.covering`.
 """
 
 from __future__ import annotations
@@ -106,9 +109,7 @@ def li2(z: complex, side: CutSide | None = None) -> complex:
     z = complex(z)
     if z.imag == 0.0:
         x = z.real
-        if x > 1.0:
-            if side is None:
-                raise OnCut(f"li2({x}) is on the cut; pass a side flag")
+        if x > 1.0 and side is not None:
             lx = math.log(x)
             real = PI_SQ / 3.0 - 0.5 * lx * lx - li2(1.0 / x).real
             return complex(real, side.value * PI * lx)
@@ -117,16 +118,29 @@ def li2(z: complex, side: CutSide | None = None) -> complex:
         return 0j
     if z == 1.0:
         return complex(PI2_6, 0.0)
-    # z and 1 - z are nonzero here; the rounding of 1 - z is divided out
+    return _li2(z, cmath.log(z), _log1m(z))  # z normalized: cmath.log is Log
+
+
+def _log1m(z: complex) -> complex:
+    """Log(1 - z) for z != 1, with the rounding of 1 - z divided out."""
     w = 1.0 - z
-    l1 = -z if w == 1.0 else cmath.log(w) * (z / (1.0 - w))
+    return -z if w == 1.0 else cmath.log(w) * (z / (1.0 - w))
+
+
+def _li2(z: complex, log_z: complex, l1: complex) -> complex:
+    """li2(z) for z off {0, 1}, given log_z = Log z and l1 = Log(1 - z).
+    Real z > 1 raises OnCut.  Where neither given logarithm is a series
+    variable, |Log(1 - 1/z)| is below 0.7, so li2(1/z) is its first series
+    and costs one more logarithm."""
+    if z.imag == 0.0 and z.real > 1.0:
+        raise OnCut(f"li2({z.real}) is on the cut; pass a side flag")
     if abs(l1) <= _SERIES_MAX:
         return _li2_bernoulli(-l1)
-    lz = cmath.log(z)
-    if abs(lz) <= _SERIES_MAX:  # reflection: li2(1 - z) in u = -Log z
-        return PI2_6 - lz * l1 - _li2_bernoulli(-lz)
-    lz = plog(-z)  # inversion
-    return -li2(1.0 / z) - PI2_6 - 0.5 * lz * lz
+    if abs(log_z) <= _SERIES_MAX:  # reflection: li2(1 - z) in u = -Log z
+        return PI2_6 - log_z * l1 - _li2_bernoulli(-log_z)
+    # inversion, with Log(-z) = Log z -+ pi i
+    lz = log_z - 1j * PI if log_z.imag > 0.0 else log_z + 1j * PI
+    return -_li2_bernoulli(-_log1m(1.0 / z)) - PI2_6 - 0.5 * lz * lz
 
 
 def _lifted_rogers(log_z: complex, log_inv: complex, li2_z: complex,
@@ -139,9 +153,16 @@ def _lifted_rogers(log_z: complex, log_inv: complex, li2_z: complex,
     return value
 
 
-def _bloch_wigner(z: complex, li2_z: complex) -> float:
-    """Arg(1-z) log|z| + Im li2(z), for non-real z."""
-    return cmath.phase(1.0 - z) * math.log(abs(z)) + li2_z.imag
+def _point_values(z: complex, log_z: complex, l1: complex,
+                  p: int, q: int) -> tuple[complex, float]:
+    """The lifted Rogers value of (z; p, q) and the volume of z, from
+    log_z = Log z and l1 = Log(1 - z): the one body behind lifted_rogers,
+    lhat and vol.  Log(1/(1-z)) is -l1, as z off the cut is not real > 1.
+    Real z > 1 raises OnCut."""
+    li2_z = _li2(z, log_z, l1)
+    value = _lifted_rogers(log_z, -l1, li2_z, p, q)
+    # Bloch-Wigner: Arg(1-z) log|z| + Im li2(z), zero on the real line
+    return value, 0.0 if z.imag == 0.0 else l1.imag * log_z.real + li2_z.imag
 
 
 def rogers(z: complex) -> complex:
@@ -181,7 +202,7 @@ def vol(z: complex) -> float:
     z = complex(z)
     if z.imag == 0.0:
         return 0.0
-    return _bloch_wigner(z, li2(z))
+    return _point_values(z, cmath.log(z), _log1m(z), 0, 0)[1]
 
 
 def lifted_rogers(z: complex, p: int, q: int) -> complex:
@@ -192,7 +213,7 @@ def lifted_rogers(z: complex, p: int, q: int) -> complex:
     half plane limit) give values differing by an element of 2 pi^2 Z.
     """
     z = complex(z)
-    return _lifted_rogers(plog(z), plog(1.0 / (1.0 - z)), li2(z), p, q)
+    return _point_values(z, plog(z), _log1m(z), p, q)[0]
 
 
 def lifted_rogers_sided(x: float, p: int, q: int, side: CutSide) -> complex:
@@ -209,15 +230,6 @@ def lifted_rogers_sided(x: float, p: int, q: int, side: CutSide) -> complex:
         log_z = complex(math.log(x), 0.0)
         log_inv = -plog_sided(1.0 - x, other)  # Log(1/(1-x)), matching side
     return _lifted_rogers(log_z, log_inv, li2(x, side), p, q)
-
-
-def lhat_and_vol(pt) -> tuple[complex, float]:
-    """``lhat(pt)`` and ``vol(pt.z)`` from one evaluation each of Log z,
-    Log(1/(1-z)) and li2(z), so both are bit-equal to the separate calls."""
-    z = complex(pt.z)
-    log_z, log_inv, li2_z = plog(z), plog(1.0 / (1.0 - z)), li2(z)
-    value = _lifted_rogers(log_z, log_inv, li2_z, pt.p, pt.q)
-    return value, 0.0 if z.imag == 0.0 else _bloch_wigner(z, li2_z)
 
 
 def lhat(pt) -> complex:

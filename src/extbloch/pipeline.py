@@ -23,8 +23,9 @@ from .config import DEFAULT_TOL, Tolerances
 from .chains import (BarChain, HomChain, _checked_cycle, _repair_core,
                      _sample_v, inhom_to_hom, is_v_good, near_pairs)
 from .core import ProjVector, as_rng, det_pair
-from .covering import FlatteningTriple, PreBlochElement, to_covering_point
-from .dilog import TWO_PI_SQ, lhat, lhat_and_vol, plog, vol
+from .covering import (FlatteningTriple, PreBlochElement, _point_value,
+                       to_covering_point)
+from .dilog import TWO_PI_SQ, lhat, plog, vol
 from .errors import DegenerateConfig, NotVGood
 
 
@@ -76,17 +77,23 @@ def sigma_hat(t: ConfigTuple) -> FlatteningTriple:
     cancel atom by atom, so they hold identically and are checked by
     tests and ``ccs selftest``, not per evaluation.
     """
-    return _flattening(lambda i, j: plog(det_pair(t[i], t[j])), range(len(t)))
+    return _flattening([plog(det_pair(t[i], t[j]))
+                        for i, j in combinations(range(len(t)), 2)])
 
 
-def _flattening(log, idx) -> FlatteningTriple:
-    """``sigma_hat`` of the configuration (v_a, v_b, v_c, v_d), with
-    (a, b, c, d) = ``idx``, where ``log(i, j)`` is Log det(v_i, v_j)."""
-    if len(idx) != 4:
+def _log_params(l01, l02, l03, l12, l13, l23) -> tuple[complex, complex, complex]:
+    """(w0, w1, w2) of ``sigma_hat`` from the six Log dets (ij), i < j."""
+    return l03 + l12 - l02 - l13, l02 + l13 - l01 - l23, l01 + l23 - l03 - l12
+
+
+def _flattening(logs) -> FlatteningTriple:
+    """``sigma_hat`` from the six Log dets ``logs``, in ``combinations``
+    order: (01), (02), (03), (12), (13), (23)."""
+    if len(logs) != 6:
         raise DegenerateConfig("flattening needs exactly four vectors")
-    l01, l02, l03, l12, l13, l23 = (log(i, j) for i, j in combinations(idx, 2))
+    l01, l02, l03, l12, l13, l23 = logs
     return FlatteningTriple(
-        l03 + l12 - l02 - l13, l02 + l13 - l01 - l23, l01 + l23 - l03 - l12,
+        *_log_params(*logs),
         (((1, l03), (1, l12), (-1, l02), (-1, l13)),
          ((1, l02), (1, l13), (-1, l01), (-1, l23)),
          ((1, l01), (1, l23), (-1, l03), (-1, l12))))
@@ -113,15 +120,21 @@ def lambda_hat(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL) -> LambdaResult
     integer or a generator (see ``as_rng``).  Raises NotACycle, a
     ValueError, when ``c`` is not a 3-cycle at ``tol``.
     """
-    return _lambda_hat(inhom_to_hom(_checked_cycle(c, tol)), as_rng(seed))
+    hom = inhom_to_hom(_checked_cycle(c, tol))
+    v, terms = _lambda_hat(hom, as_rng(seed))
+    triples = [(coeff, _flattening(logs)) for coeff, logs in terms]
+    element = PreBlochElement(
+        [(coeff, to_covering_point(t)) for coeff, t in triples], hom.table.tol)
+    return LambdaResult(element, triples, v)
 
 
-def _lambda_hat(hom: HomChain, rng) -> LambdaResult:
-    """lambda_hat on a homogeneous cycle checked and interned for this
-    evaluation, whose table carries the tolerances; the repair draws from
-    ``rng`` first, then v.  det is SL(2, C) invariant, so every translate of
-    an edge e = g_i^-1 g_j shares the Log det(g_i v, g_j v) of the first met,
-    whose det the v-check's pass already computed."""
+def _lambda_hat(hom: HomChain, rng):
+    """v and, per repaired term, its coefficient and six Log dets in
+    ``_flattening`` order, for a homogeneous cycle checked and interned for
+    this evaluation, whose table carries the tolerances; the repair draws
+    from ``rng`` first, then v.  det is SL(2, C) invariant, so every
+    translate of an edge e = g_i^-1 g_j shares the Log det(g_i v, g_j v)
+    of the first met, whose det the v-check's pass already computed."""
     good_hom = _repair_core(hom, rng).phi_image
     table = hom.table
     v, _, dets = _sample_v(good_hom, rng, table.tol)
@@ -133,10 +146,8 @@ def _lambda_hat(hom: HomChain, rng) -> LambdaResult:
             x = edge_log[e] = plog(dets[(i, j)])
         return x
 
-    triples = [(coeff, _flattening(log, ids)) for coeff, ids in good_hom.pairs()]
-    element = PreBlochElement(
-        [(coeff, to_covering_point(t)) for coeff, t in triples], table.tol)
-    return LambdaResult(element, triples, v)
+    return v, [(coeff, [log(i, j) for i, j in combinations(ids, 2)])
+               for coeff, ids in good_hom.pairs()]
 
 
 def volume_of(e: PreBlochElement) -> float:
@@ -195,12 +206,15 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     """Evaluate a cycle over several independent repair/vector draws.
 
     One generator is made from ``seed`` (see ``as_rng``); the trials draw
-    from it in turn.  Every trial runs all of ``lambda_hat``, its checked
-    certificate included; ``volume_vs_im_lhat`` is the largest gap over the
-    trials between the per-term volume sum and Im of the lifted Rogers sum.
-    Each covering point is evaluated once (``dilog.lhat_and_vol``): both
-    sums share its Log z, Log(1/(1-z)) and li2(z), and are bit-equal to
-    ``lhat_sum`` and ``volume_of``.
+    from it in turn, as successive ``lambda_hat`` calls on it do, checked
+    certificate included.  Each repaired term is then evaluated once,
+    straight from its log-parameters (``covering._point_value``: one
+    e^{w0}, Log z, Log(1-z) and li2 series, with every check of the
+    ``lambda_hat`` path), and nothing is merged.  ``volume_vs_im_lhat`` is
+    the largest gap over the trials between the per-term volume sum and Im
+    of the lifted Rogers sum; both are ``math.fsum`` sums, bit-equal to
+    those of ``lhat`` and ``vol`` over the ``to_covering_point`` images of
+    ``lambda_hat(...).triples``.
     Trials must agree (mod 1, within fp) by independence of the choices;
     the max pairwise deviation is reported as a health measure.  All
     trials share one symbol table at ``tol``.  Raises NotACycle, a
@@ -210,17 +224,21 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
         raise ValueError("trials must be >= 1")
     rng = as_rng(seed)
     hom = inhom_to_hom(_checked_cycle(c, tol))
+    zero = hom.table.tol.zero
     values: list[complex] = []
     raws: list[complex] = []
     vol_res = 0.0
     for _ in range(trials):
-        lam = _lambda_hat(hom, rng)
-        points = [(coeff, *lhat_and_vol(pt)) for coeff, pt in lam.element]
-        raw = sum(coeff * lh for coeff, lh, _ in points)
+        _, terms = _lambda_hat(hom, rng)
+        points = [(coeff, *_point_value(*_log_params(*logs), zero))
+                  for coeff, logs in terms]
+        # correctly rounded sums, independent of the order of the terms
+        raw = complex(math.fsum(c * lh.real for c, lh, _ in points),
+                      math.fsum(c * lh.imag for c, lh, _ in points))
+        volume = math.fsum(c * d for c, _, d in points)
         value = -raw / TWO_PI_SQ
         values.append(complex(_mod1(value.real), value.imag))
         raws.append(raw)
-        volume = sum(coeff * d for coeff, _, d in points)
         vol_res = max(vol_res, abs(volume - raw.imag))
     dev = max((max(_circle_distance(a.real, b.real), abs(a.imag - b.imag))
                for a, b in combinations(values, 2)), default=0.0)

@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -5,11 +6,13 @@ import pytest
 
 from extbloch.core import ProjVector
 from extbloch.covering import (CoveringPoint, FlatteningTriple, PreBlochElement,
-                               WedgeElement, check_flattening_condition, chi_hat,
-                               five_tuple, from_covering_point, mu, nu_hat,
+                               WedgeElement, _branch, _point_value,
+                               check_flattening_condition, chi_hat, five_tuple,
+                               from_covering_point, mu, nu_hat,
                                to_covering_point)
-from extbloch.dilog import PI, TWO_PI_SQ, lhat, plog
-from extbloch.errors import ChiAtZero, DegenerateFT, NotEven
+from extbloch.dilog import PI, TWO_PI_SQ, lhat, plog, vol
+from extbloch.errors import (ChiAtZero, DegenerateFT, InvalidFlattening,
+                             NotEven, OnCut)
 from extbloch.pipeline import ConfigTuple, sigma_hat
 
 from conftest import random_complex
@@ -88,6 +91,67 @@ def test_not_even_on_raw_log_parameters():
     off = SimpleNamespace(w0=plog(z) + 0.5j, w1=plog(1 / (1 - z)), w2=0j)
     with pytest.raises(NotEven):
         to_covering_point(off)
+
+
+def test_point_value_bit_equal_to_separate_calls():
+    # the one-pass evaluation gives lhat and vol of the covering point bit
+    # for bit, and raises OnCut on real z > 1 as lhat does
+    for z in (0.3 + 0.4j, -2.0 + 0.1j, 3.0 - 5.0j, 0.5, -1.5,
+              cmath.exp(1j * PI / 3), 0.999 + 1e-9j, 40.0 + 1e-3j):
+        for p, q in ((0, 0), (2, 0), (0, -2), (4, 6)):
+            t = from_covering_point(CoveringPoint(z, p, q))
+            value, volume = _point_value(t.w0, t.w1, t.w2)
+            pt = to_covering_point(t)
+            assert (pt.p, pt.q) == (p, q)
+            ref = lhat(pt)
+            assert (value.real.hex(), value.imag.hex()) == \
+                (ref.real.hex(), ref.imag.hex())
+            assert volume.hex() == vol(pt.z).hex()
+    t = from_covering_point(CoveringPoint(2.0, 0, 0))
+    with pytest.raises(OnCut):
+        _point_value(t.w0, t.w1, t.w2)
+
+
+def _old_path(w0, w1, w2):
+    pt = to_covering_point(FlatteningTriple(w0, w1, w2))
+    return lhat(pt), vol(pt.z)
+
+
+def _raised(f, *args):
+    with pytest.raises(Exception) as info:
+        f(*args)
+    return type(info.value), str(info.value)
+
+
+def test_point_value_mutations_fail_as_the_triple_path_does():
+    # each broken input raises the class and text of the FlatteningTriple,
+    # to_covering_point, CoveringPoint and lhat path
+    z = 0.3 + 0.4j
+    w0, w1 = plog(z) + 2j * PI, plog(1 / (1 - z)) - 2j * PI
+    near_1 = math.log(1 - 5e-14) + 0j  # e^{w0} within 1e-13 of 1
+    w1_near = plog(1 / (1 - cmath.exp(near_1)))
+    on_cut = math.log(3) + 1e-14j  # e^{w0} snaps to the real 3 > 1
+    cases = [
+        # w1 shifted by pi i: e^{w1} changes sign
+        ((w0, w1 + 1j * PI, -w0 - w1 - 1j * PI), InvalidFlattening, "w1 is not"),
+        # w0 shifted by pi i would carry an odd p, but z = e^{w0} turns to -z,
+        # so e^{w1} = 1/(1 - z) fails first
+        ((w0 + 1j * PI, w1, -w0 - w1 - 1j * PI), InvalidFlattening, "w1 is not"),
+        ((w0, w1 + 1e-3, -w0 - w1 - 1e-3), InvalidFlattening, "w1 is not"),
+        ((w0, w1, -w0 - w1 + 1e-6), InvalidFlattening, "sum to zero"),
+        ((near_1, w1_near, -near_1 - w1_near), ValueError, "avoid 0 and 1"),
+        ((on_cut, plog(-0.5), -on_cut - plog(-0.5)), OnCut, "on the cut"),
+    ]
+    for args, cls, text in cases:
+        old = _raised(_old_path, *args)
+        assert old[0] is cls and text in old[1], old
+        assert _raised(_point_value, *args) == old
+    # an odd or non-integral branch against a given z: the check shared by
+    # to_covering_point and _point_value
+    with pytest.raises(NotEven, match="p = 3 is odd"):
+        _branch(z, w0 + 1j * PI, w1)
+    with pytest.raises(NotEven, match="q = .* is not an integer"):
+        _branch(z, w0, w1 + 0.5j)
 
 
 def test_five_tuple_examples():

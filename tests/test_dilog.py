@@ -7,7 +7,7 @@ import pytest
 
 from extbloch.covering import CoveringPoint
 from extbloch.dilog import (PI, PI2_6, PI_SQ, TWO_PI_SQ, CutSide,
-                            _bernoulli_coeffs, lhat, lhat_and_vol, li2,
+                            _bernoulli_coeffs, lhat, li2,
                             lifted_rogers, lifted_rogers_sided, plog, rogers,
                             rogers_real, rogers_sided, vol)
 from extbloch.errors import LogOfZero, OnCut
@@ -238,18 +238,3 @@ def test_bernoulli_coeffs_match_the_full_recurrence():
         bern.append(-acc / (m + 1))
     full = [float(b / math.factorial(k + 1)) for k, b in enumerate(bern)]
     assert _bernoulli_coeffs(90) == full
-
-
-def test_lhat_and_vol_bit_equal_to_separate_calls():
-    points = [CoveringPoint(z, p, q)
-              for z in (0.3 + 0.4j, -2.0 + 0.1j, 3.0 - 5.0j, 0.5, -1.5,
-                        cmath.exp(1j * PI / 3), 0.999 + 1e-9j)
-              for p, q in ((0, 0), (2, 0), (0, -2), (4, 6))]
-    for pt in points:
-        value, volume = lhat_and_vol(pt)
-        ref = lhat(pt)
-        assert (value.real.hex(), value.imag.hex()) == \
-            (ref.real.hex(), ref.imag.hex())
-        assert volume.hex() == vol(pt.z).hex()
-    with pytest.raises(OnCut):
-        lhat_and_vol(CoveringPoint(2.0, 0, 0))

@@ -13,7 +13,7 @@ from extbloch.chains import (BarChain, HomChain, _ConeRepairer,
                              repair_with_certificate, sample_generic_v)
 from extbloch.covering import (check_flattening_condition, nu_hat,
                                to_covering_point)
-from extbloch.dilog import TWO_PI_SQ, lhat, plog
+from extbloch.dilog import TWO_PI_SQ, lhat, plog, vol
 from extbloch.errors import DegenerateConfig, NotACycle, NotVGood, RepairFailed
 from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
                                torsion_cycle)
@@ -286,17 +286,27 @@ def _hex(z: complex) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
 
 
+def _reference_sums(lam) -> tuple[complex, float]:
+    # lhat and vol of every flattened term through the public path, unmerged
+    # terms, each sum correctly rounded by math.fsum as in ccs_value
+    points = [(coeff, to_covering_point(t)) for coeff, t in lam.triples]
+    terms = [(coeff * lhat(pt), coeff * vol(pt.z)) for coeff, pt in points]
+    return (complex(math.fsum(lh.real for lh, _ in terms),
+                    math.fsum(lh.imag for lh, _ in terms)),
+            math.fsum(d for _, d in terms))
+
+
 def test_ccs_value_single_pass_matches_reference_sums():
-    # ccs_value evaluates each covering point once; its raw L-hat and the
-    # volume residual are bit-equal to those from lhat_sum and volume_of
+    # ccs_value evaluates each flattened term once, straight from its
+    # log-parameters; its raw L-hat and the volume residual are bit-equal to
+    # the termwise sums of lhat and vol over lambda_hat's triples
     for c in (torsion_cycle(5), torsion_cycle(12),
               random_boundary_cycle(3, n_terms=16), _conj_torsion(7, 3)):
         for seed in (0, 1):
             rep = ccs_value(c, seed=seed, trials=1)
-            lam = lambda_hat(c, seed=seed)
-            raw = lhat_sum(lam.element)
+            raw, volume = _reference_sums(lambda_hat(c, seed=seed))
             assert _hex(rep.raw_lhat) == _hex(raw)
-            residual = abs(volume_of(lam.element) - raw.imag)
+            residual = abs(volume - raw.imag)
             assert rep.residuals["volume_vs_im_lhat"].hex() == residual.hex()
 
 
@@ -365,6 +375,55 @@ def test_ccs_report_fields(rng):
                       "max_trial_deviation", "residuals", "seed"}
 
 
+def test_covering_points_take_two_logarithms_each(monkeypatch):
+    # a covering point costs Log z and Log(1 - z), plus Log(1 - 1/z) where
+    # li2 inverts; the edge Log dets are taken outside the per-point pass
+    import cmath
+    from extbloch import covering, dilog, pipeline
+    count = {"logs": 0, "points": 0, "inversions": 0}
+    inside = []
+    real_log, real_point, real_log1m = cmath.log, pipeline._point_value, dilog._log1m
+
+    def log(*args):
+        count["logs"] += bool(inside)
+        return real_log(*args)
+
+    def point(*args):
+        count["points"] += 1
+        inside.append(True)
+        try:
+            return real_point(*args)
+        finally:
+            inside.pop()
+
+    def inverted_log1m(z):  # li2's own; _branch holds covering's binding
+        count["inversions"] += 1
+        return real_log1m(z)
+
+    monkeypatch.setattr(cmath, "log", log)
+    monkeypatch.setattr(pipeline, "_point_value", point)
+    monkeypatch.setattr(dilog, "_log1m", inverted_log1m)
+    assert covering._log1m is real_log1m
+    for c in (torsion_cycle(6), random_boundary_cycle(1, n_terms=16)):
+        ccs_value(c, seed=0, trials=10)
+    assert count["points"] > 0
+    assert count["logs"] <= 2 * count["points"] + count["inversions"], count
+
+
+def test_ccs_value_builds_no_triple_point_or_merged_sum(monkeypatch):
+    # trials evaluate the flattened terms directly: no FlatteningTriple, no
+    # CoveringPoint and no PreBlochElement, so no fuzzy key per point
+    from extbloch import pipeline
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built on the trial path")
+
+    for name in ("FlatteningTriple", "to_covering_point", "PreBlochElement"):
+        monkeypatch.setattr(pipeline, name, refuse)
+    rep = ccs_value(torsion_cycle(6), seed=0, trials=3)
+    assert _mod1_dist(rep.value_mod1.real, 2 / 3) < 1e-12
+
+
 def test_trials_draw_in_turn_from_one_stream():
     # ccs_value makes one generator from the seed; each trial repairs, then
     # draws v, from it, exactly as successive lambda_hat calls on it do
@@ -376,7 +435,7 @@ def test_trials_draw_in_turn_from_one_stream():
             rng = random.Random(seed)
             expected = []
             for _ in range(3):
-                value = -lhat_sum(lambda_hat(c, rng).element) / TWO_PI_SQ
+                value = -_reference_sums(lambda_hat(c, rng))[0] / TWO_PI_SQ
                 expected.append(complex(value.real - math.floor(value.real),
                                         value.imag))
             assert ccs_value(c, seed=seed, trials=3).trials == expected
