@@ -45,7 +45,7 @@ def random_config(n):
 
 big = random_config(5)
 faces = [sigma_hat(big.face(i)) for i in range(5)]
-report = check_flattening_condition(faces, with_ledger=True)
+report = check_flattening_condition(faces)
 for label, residual in report.residuals:
     print(f"  edge {label}: |signed sum| = {residual:.2e}")
 print("exact ledger cancellation on every equation:", all(report.exact))

@@ -11,10 +11,9 @@ hyperbolic volume of the class.
 from .config import DEFAULT_TOL, Tolerances
 from .core import (INF, ExtComplex, GroupElement, ProjVector, cross_ratio,
                    cross_ratio_ext, det_pair, hopf, is_inf, moebius, rotation)
-from .covering import (CoveringPoint, FlatteningTriple, PreBlochElement,
-                       WedgeElement, check_flattening_condition, chi_hat,
-                       five_tuple, from_covering_point, mu, nu_hat,
-                       to_covering_point)
+from .covering import (CoveringPoint, FlatteningTriple, WedgeElement,
+                       check_flattening_condition, chi_hat, five_tuple,
+                       from_covering_point, mu, nu_hat, to_covering_point)
 from .dilog import (CutSide, lhat, li2, lifted_rogers, plog, rogers,
                     rogers_real, vol)
 from .chains import (BarChain, HomChain, bar_boundary, cone, conjugate_chain,
@@ -23,8 +22,8 @@ from .chains import (BarChain, HomChain, bar_boundary, cone, conjugate_chain,
                      repair_to_good, repair_with_certificate, sample_generic_v)
 from .fixtures import (five_term_boundary, random_boundary_cycle,
                        random_good_hom_chain, torsion_cycle)
-from .pipeline import (CcsReport, ConfigTuple, ccs_value, lambda_hat,
-                       lhat_sum, psi_v, sigma_hat, volume_of)
+from .pipeline import (CcsReport, ConfigTuple, ccs_value, lambda_hat, psi_v,
+                       sigma_hat)
 from .real_sl2 import (RealGroupElement, check_small_positive_agreement,
                        is_nonzero, is_positive, less, rogers_cocycle,
                        sort_tuple)

@@ -19,7 +19,6 @@ from typing import IO
 
 from .chains import BarChain
 from .core import GroupElement
-from .covering import PreBlochElement
 from .errors import DeterminantError, SchemaError
 
 
@@ -89,11 +88,6 @@ def parse_cycle_file(path: str) -> BarChain:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON ({exc})")
     return chain_from_obj(obj)
-
-
-def prebloch_to_obj(e: PreBlochElement) -> list:
-    return [{"coef": c, "z": [pt.z.real, pt.z.imag], "p": pt.p, "q": pt.q}
-            for c, pt in e]
 
 
 # ---------------------------------------------------------------------------

@@ -79,11 +79,7 @@ def cmd_five_term(args) -> int:
     except ValueError:
         print("error: --x and --y must parse as complex numbers", file=sys.stderr)
         return 2
-    try:
-        chain = five_term_boundary(x, y)
-    except (CcsError, ZeroDivisionError) as exc:
-        print(f"error: degenerate parameters: {exc}", file=sys.stderr)
-        return 2
+    chain = five_term_boundary(x, y)  # DegenerateFT (exit 2) names a coordinate
     ok, _ = is_cycle(chain)
     if args.verify:
         report = ccs_value(chain, seed=args.seed, trials=2)

@@ -10,19 +10,17 @@ from dataclasses import dataclass
 class Tolerances:
     """Comparison thresholds used throughout.
 
-    det:   allowed |ad - bc - 1| when constructing a group element
     cmp:   equality threshold for complex scalars and matrix entries
     zero:  absolute "is zero" threshold
     vgood: scale-relative determinant threshold for v-goodness
     """
 
-    det: float = 1e-9
     cmp: float = 1e-8
     zero: float = 1e-12
     vgood: float = 1e-7
 
     def __post_init__(self):
-        for name in ("det", "cmp", "zero", "vgood"):
+        for name in ("cmp", "zero", "vgood"):
             value = getattr(self, name)
             if not 0 < value < math.inf:  # NaN fails too
                 raise ValueError(

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DegenerateTuple, DeterminantError
 
+DET_TOL = 1e-9  # allowed |ad - bc - 1| when constructing a group element
+
 
 class _Infinity:
     """The point at infinity on the Riemann sphere (singleton INF)."""
@@ -57,7 +59,7 @@ class GroupElement:
 
     def __post_init__(self):
         det = self.a * self.d - self.b * self.c
-        if not abs(det - 1.0) <= DEFAULT_TOL.det:  # a NaN det fails too
+        if not abs(det - 1.0) <= DET_TOL:  # a NaN det fails too
             raise DeterminantError(f"determinant {det} differs from 1")
 
     @classmethod

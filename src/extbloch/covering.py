@@ -6,12 +6,13 @@ cross-ratio: (z; p, q) with p, q even integers.  Equivalently it is a triple
 w1 a logarithm of 1/(1-z); the two descriptions are exchanged by
 ``to_covering_point`` / ``from_covering_point``.
 
-Formal integer combinations of covering points (``PreBlochElement``) and of
-wedges of logarithms (``WedgeElement``) provide the targets of the maps
-defined in :mod:`extbloch.pipeline`.  Both are ``FormalSum`` objects whose
-complex values (cross-ratios, log atoms) get integer ids from a
-``FuzzyIndex`` at ``tol.cmp``; see :mod:`extbloch.quantize` for which values
-that identifies.
+A flattened term is evaluated as it is, never merged with others: its
+value is the lifted Rogers dilogarithm of its covering point
+(``_point_value``).  Formal integer combinations of wedges of logarithms
+(``WedgeElement``) are the target of the map ``nu_hat``; they are
+``FormalSum`` objects whose log atoms get integer ids from a ``FuzzyIndex``
+at ``tol.cmp``; see :mod:`extbloch.quantize` for which values that
+identifies.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .quantize import FuzzyIndex
 SUM_TOL = 1e-9  # |w0 + w1 + w2|, relative to 1 + |w0| + |w1|
 EXP_TOL = 1e-6  # |e^{w1} - 1/(1-z)|, relative to |1/(1-z)|
 INT_TOL = 1e-6  # distance of a branch integer from the nearest integer
+REAL_TOL = 1e-12  # |Im z| read as 0, relative to 1 + |Re z|
 
 
 def _avoid_01(z: complex, zero: float) -> None:  # the CoveringPoint check
@@ -86,14 +88,14 @@ class FlatteningTriple:
         return (self.w0, self.w1, self.w2)
 
 
-def snap_real(z: complex, rel: float = 1e-12) -> complex:
+def snap_real(z: complex) -> complex:
     """Snap a numerically-real value onto the real axis.
 
     Real points on the cuts are read as their upper-half-plane limits
     throughout the library; exponentials of genuinely real log-parameters
     must not leak to the wrong side through fp noise in the branch shifts.
     """
-    if z.imag != 0.0 and abs(z.imag) <= rel * (1.0 + abs(z.real)):
+    if z.imag != 0.0 and abs(z.imag) <= REAL_TOL * (1.0 + abs(z.real)):
         return complex(z.real, 0.0)
     return z
 
@@ -103,13 +105,15 @@ def _checked_z(w0: complex, w1: complex, w2: complex) -> complex:
     if abs(w0 + w1 + w2) > SUM_TOL * (1 + abs(w0) + abs(w1)):
         raise InvalidFlattening("log-parameters must sum to zero")
     z = snap_real(cmath.exp(w0))
+    if z == 1.0:
+        raise InvalidFlattening(f"z = {z}: no logarithm of 1/(1 - z)")
     target = 1.0 / (1.0 - z)
     if abs(cmath.exp(w1) - target) > EXP_TOL * abs(target):
         raise InvalidFlattening("w1 is not a logarithm of 1/(1 - e^{w0})")
     return z
 
 
-def _branch(z: complex, w0: complex, w1: complex, int_tol: float = INT_TOL):
+def _branch(z: complex, w0: complex, w1: complex):
     """[Log z, Log(1-z), p, q], p and q the even integers with
     w0 = Log z + p pi i and w1 = Log(1/(1-z)) + q pi i; Log(1/(1-z)) is
     -Log(1-z), with imaginary part +pi where 1 - z is a negative real."""
@@ -119,7 +123,7 @@ def _branch(z: complex, w0: complex, w1: complex, int_tol: float = INT_TOL):
     for name, raw in (("p", (w0 - log_z) / (1j * PI)),
                       ("q", (w1 - log_inv) / (1j * PI))):
         n = round(raw.real)
-        if abs(raw - n) > int_tol:
+        if abs(raw - n) > INT_TOL:
             raise NotEven(f"{name} = {raw} is not an integer")
         if n % 2:
             raise NotEven(f"{name} = {n} is odd")
@@ -127,11 +131,11 @@ def _branch(z: complex, w0: complex, w1: complex, int_tol: float = INT_TOL):
     return out
 
 
-def to_covering_point(t: FlatteningTriple, int_tol: float = INT_TOL) -> CoveringPoint:
+def to_covering_point(t: FlatteningTriple) -> CoveringPoint:
     """Recover (z; p, q) from log-parameters: z = e^{w0}, the branch
     integers measuring the offsets from the principal logarithms."""
     z = snap_real(cmath.exp(t.w0))
-    return CoveringPoint(z, *_branch(z, t.w0, t.w1, int_tol)[2:])
+    return CoveringPoint(z, *_branch(z, t.w0, t.w1)[2:])
 
 
 def _point_value(w0: complex, w1: complex, w2: complex,
@@ -221,21 +225,18 @@ class FlatteningReport:
 
 
 def check_flattening_condition(
-        triples: Sequence[FlatteningTriple],
-        with_ledger: bool = False) -> FlatteningReport:
+        triples: Sequence[FlatteningTriple]) -> FlatteningReport:
     """Evaluate the ten signed log-parameter sums over five flattenings.
 
     Report-only: callers decide what residual magnitude is acceptable.
-    With ``with_ledger`` (and ledgers on all five triples) each equation is
-    additionally checked for exact integer cancellation of its atoms.
+    When all five triples carry ledgers, each equation is additionally
+    checked for exact integer cancellation of its atoms.
     """
     if len(triples) != 5:
         raise ValueError("need flattenings of all five simplices")
     residuals = []
     exact: list[bool] | None = (
-        [] if with_ledger and all(t.ledger is not None for t in triples)
-        else None
-    )
+        [] if all(t.ledger is not None for t in triples) else None)
     for label, parts in EDGE_EQUATIONS:
         acc = 0j
         atoms: list[tuple[int, complex]] = []
@@ -254,41 +255,17 @@ def check_flattening_condition(
 
 
 # ---------------------------------------------------------------------------
-# formal sums of covering points
+# the torsion element
 
 
-class PreBlochElement(FormalSum):
-    """Formal integer combination of covering points, kept merged: terms
-    merge when z gets the same id from a FuzzyIndex at ``tol.cmp`` and the
-    branch integers agree exactly; zero coefficients are dropped."""
-
-    __slots__ = ()
-
-    def __init__(self, terms: Iterable[tuple[int, CoveringPoint]],
-                 tol: Tolerances = DEFAULT_TOL):
-        super().__init__(terms, tol, FuzzyIndex(tol.cmp))
-
-    def _keyed(self, terms):
-        key = self.table.key
-        return ((c, (key((pt.z.real, pt.z.imag)), pt.p, pt.q), pt)
-                for c, pt in terms)
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "PreBlochElement(0)"
-        bits = [f"{c:+d}[{pt.z:.6g};{pt.p},{pt.q}]" for c, pt in self]
-        return "PreBlochElement(" + " ".join(bits) + ")"
-
-
-def chi_hat(r) -> PreBlochElement:
+def chi_hat(r) -> tuple[tuple[int, CoveringPoint], ...]:
     """The two-term combination [e^{2 pi i r}; 0, 2] - [e^{2 pi i r}; 0, 0]
-    attached to a rational r in (0, 1)."""
+    attached to a rational r in (0, 1), as (coefficient, point) pairs."""
     r = Fraction(r).limit_denominator(10**9) if not isinstance(r, Fraction) else r
     if r == 0:
         raise ChiAtZero("undefined at r = 0 (the exponential hits 1)")
     z = cmath.exp(2j * PI * float(r))
-    return PreBlochElement([(1, CoveringPoint(z, 0, 2)),
-                            (-1, CoveringPoint(z, 0, 0))])
+    return (1, CoveringPoint(z, 0, 2)), (-1, CoveringPoint(z, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -350,18 +327,18 @@ class WedgeElement(FormalSum):
         return "WedgeElement(" + " ".join(bits) + ")"
 
 
-def nu_hat(element) -> WedgeElement:
-    """Map into wedges of logarithms: a covering point (z; p, q) goes to
-    (Log z + p pi i) ^ (Log 1/(1-z) + q pi i), extended by linearity.
+def nu_hat(element: Iterable[tuple[int, FlatteningTriple]]) -> WedgeElement:
+    """Map into wedges of logarithms: a flattening (w0, w1, w2) goes to
+    w0 ^ w1, extended by linearity over (coeff, FlatteningTriple) pairs.
+    For the triple of a covering point (z; p, q) (``from_covering_point``)
+    that is (Log z + p pi i) ^ (Log 1/(1-z) + q pi i).
 
-    Accepts a PreBlochElement (numeric atoms, heuristic checks only) or a
-    sequence of (coeff, FlatteningTriple) pairs; ledger-backed triples give
-    exact cancellation.  Atoms are keyed by value at every occurrence; an
-    evaluation keys its Log dets by edge element and runs no wedge check,
-    and tests use this as the oracle on its images.
+    Ledger-backed triples give exact cancellation; triples without a
+    ledger give numeric atoms, so heuristic checks only.  Atoms are keyed
+    by value at every occurrence; an evaluation keys its Log dets by edge
+    element and runs no wedge check, and tests use this as the oracle on
+    its images.
     """
-    if isinstance(element, PreBlochElement):
-        element = [(c, from_covering_point(pt)) for c, pt in element]
     terms: list[tuple[int, complex, complex]] = []
     for coeff, triple in element:
         if triple.ledger is None:

@@ -124,6 +124,8 @@ def li2(z: complex, side: CutSide | None = None) -> complex:
 def _log1m(z: complex) -> complex:
     """Log(1 - z) for z != 1, with the rounding of 1 - z divided out."""
     w = 1.0 - z
+    if w == 0.0:
+        raise LogOfZero(f"Log(1 - z) at z = {z}")
     return -z if w == 1.0 else cmath.log(w) * (z / (1.0 - w))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from .core import INF, GroupElement, as_rng, is_inf, random_sl2, rotation
 from .chains import BarChain, HomChain, hom_boundary, hom_to_inhom, is_good
+from .covering import five_tuple
 
 
 def torsion_cycle(n: int) -> BarChain:
@@ -33,9 +34,11 @@ def five_term_boundary(x: complex, y: complex) -> BarChain:
     The five ideal points (0, inf, 1, A, B) with A = (1-x)/(1-y) and
     B = y(1-x)/(x(1-y)) have face cross-ratios exactly
     (x, y, y/x, (1-1/x)/(1-1/y), (1-x)/(1-y)); the matrices below move
-    infinity to those points.
+    infinity to those points.  Raises DegenerateFT naming the first
+    coordinate that hits 0 or 1 (``covering.five_tuple``).
     """
     x, y = complex(x), complex(y)
+    five_tuple(x, y)
     a_pt = (1.0 - x) / (1.0 - y)
     b_pt = y * (1.0 - x) / (x * (1.0 - y))
     points = [0.0 + 0j, INF, 1.0 + 0j, a_pt, b_pt]

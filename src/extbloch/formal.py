@@ -1,6 +1,6 @@
 """Formal integer combinations of terms identified by exact keys.
 
-Chains, pre-Bloch elements and wedges are all ``FormalSum`` objects.  Float
+Chains and wedges are both ``FormalSum`` objects.  Float
 values are identified once, when a term is keyed through the sum's ``table``
 (a symbol table of group elements, or a ``FuzzyIndex``); after that, sums
 keyed through one table add by exact dictionary merging, and a sum keyed

@@ -2,9 +2,9 @@
 
 A cycle is repaired to a good representative, pushed into configurations of
 vectors in C^2 \\ {0} by a generic vector, each 4-tuple of vectors is turned
-into a flattening triple of log-determinants, and the resulting formal sum
-of covering points is evaluated by the lifted Rogers dilogarithm.  The
-reported quantity is
+into a flattening triple of log-determinants, and the covering point of
+each triple is evaluated by the lifted Rogers dilogarithm.  The reported
+quantity is
 
     value = -(1 / 2 pi^2) * sum_i coeff_i * L(z_i; p_i, q_i)
 
@@ -23,9 +23,8 @@ from .config import DEFAULT_TOL, Tolerances
 from .chains import (BarChain, HomChain, _checked_cycle, _repair_core,
                      _sample_v, inhom_to_hom, is_v_good, near_pairs)
 from .core import ProjVector, as_rng, det_pair
-from .covering import (FlatteningTriple, PreBlochElement, _point_value,
-                       to_covering_point)
-from .dilog import TWO_PI_SQ, lhat, plog, vol
+from .covering import FlatteningTriple, _point_value
+from .dilog import TWO_PI_SQ, plog
 from .errors import DegenerateConfig, NotVGood
 
 
@@ -101,10 +100,9 @@ def _flattening(logs) -> FlatteningTriple:
 
 @dataclass
 class LambdaResult:
-    """Image of a cycle as a formal sum of covering points, with the
-    ledger-backed flattening triples it was built from and the vector v."""
+    """Image of a cycle as ledger-backed flattening triples, one per
+    repaired term with its coefficient, and the vector v."""
 
-    element: PreBlochElement
     triples: list[tuple[int, FlatteningTriple]]
     vector: ProjVector
 
@@ -122,10 +120,7 @@ def lambda_hat(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL) -> LambdaResult
     """
     hom = inhom_to_hom(_checked_cycle(c, tol))
     v, terms = _lambda_hat(hom, as_rng(seed))
-    triples = [(coeff, _flattening(logs)) for coeff, logs in terms]
-    element = PreBlochElement(
-        [(coeff, to_covering_point(t)) for coeff, t in triples], hom.table.tol)
-    return LambdaResult(element, triples, v)
+    return LambdaResult([(coeff, _flattening(logs)) for coeff, logs in terms], v)
 
 
 def _lambda_hat(hom: HomChain, rng):
@@ -148,16 +143,6 @@ def _lambda_hat(hom: HomChain, rng):
 
     return v, [(coeff, [log(i, j) for i, j in combinations(ids, 2)])
                for coeff, ids in good_hom.pairs()]
-
-
-def volume_of(e: PreBlochElement) -> float:
-    """Sum of oriented simplex volumes over the element's terms."""
-    return sum(coeff * vol(pt.z) for coeff, pt in e)
-
-
-def lhat_sum(e: PreBlochElement) -> complex:
-    """Sum of lifted Rogers values over the element's terms."""
-    return sum(coeff * lhat(pt) for coeff, pt in e)
 
 
 def _mod1(x: float) -> float:
@@ -210,7 +195,8 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     certificate included.  Each repaired term is then evaluated once,
     straight from its log-parameters (``covering._point_value``: one
     e^{w0}, Log z, Log(1-z) and li2 series, with every check of the
-    ``lambda_hat`` path), and nothing is merged.  ``volume_vs_im_lhat`` is
+    ``FlatteningTriple``, ``to_covering_point`` and ``lhat`` path), and
+    nothing is merged.  ``volume_vs_im_lhat`` is
     the largest gap over the trials between the per-term volume sum and Im
     of the lifted Rogers sum; both are ``math.fsum`` sums, bit-equal to
     those of ``lhat`` and ``vol`` over the ``to_covering_point`` images of

@@ -1,9 +1,9 @@
 """Tolerance-aware identification of float vectors.
 
 Formal sums key their terms by integers, and this index is where float
-values get those integers: group elements (eight entry floats each),
-covering-point cross-ratios and, in the value-keyed ``nu_hat`` oracle of
-tests and ``ccs selftest``, log atoms (two floats each).  A value the
+values get those integers: group elements (eight entry floats each) and,
+in the value-keyed ``nu_hat`` oracle of tests and ``ccs selftest``, log
+atoms (two floats each).  A value the
 index has already keyed is answered from a dictionary with the id it got
 the first time, so a repeated value always keeps its first id.  A new value
 is rounded onto a grid of cell size ``tol``; plain rounding fails when two

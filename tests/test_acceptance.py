@@ -113,7 +113,7 @@ def test_criterion_04_flattening_condition():
     for _ in range(200):
         cfg = _random_config(rng, 5)
         faces = [sigma_hat(cfg.face(i)) for i in range(5)]
-        rep = check_flattening_condition(faces, with_ledger=True)
+        rep = check_flattening_condition(faces)
         worst = max(worst, rep.max_residual)
         all_exact = all_exact and rep.exact is not None and all(rep.exact)
     elapsed = time.time() - t0

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from extbloch.core import ProjVector
-from extbloch.covering import (CoveringPoint, FlatteningTriple, PreBlochElement,
-                               WedgeElement, _branch, _point_value,
+from extbloch.covering import (CoveringPoint, FlatteningTriple, WedgeElement,
+                               _branch, _point_value,
                                check_flattening_condition, chi_hat, five_tuple,
                                from_covering_point, mu, nu_hat,
                                to_covering_point)
@@ -131,6 +131,8 @@ def test_point_value_mutations_fail_as_the_triple_path_does():
     near_1 = math.log(1 - 5e-14) + 0j  # e^{w0} within 1e-13 of 1
     w1_near = plog(1 / (1 - cmath.exp(near_1)))
     on_cut = math.log(3) + 1e-14j  # e^{w0} snaps to the real 3 > 1
+    at_1 = plog(1 + 5e-14j)  # e^{w0} snaps to 1, where 1/(1 - z) is infinite
+    w1_at_1 = plog(1 / -5e-14j)
     cases = [
         # w1 shifted by pi i: e^{w1} changes sign
         ((w0, w1 + 1j * PI, -w0 - w1 - 1j * PI), InvalidFlattening, "w1 is not"),
@@ -141,6 +143,8 @@ def test_point_value_mutations_fail_as_the_triple_path_does():
         ((w0, w1, -w0 - w1 + 1e-6), InvalidFlattening, "sum to zero"),
         ((near_1, w1_near, -near_1 - w1_near), ValueError, "avoid 0 and 1"),
         ((on_cut, plog(-0.5), -on_cut - plog(-0.5)), OnCut, "on the cut"),
+        ((at_1, w1_at_1, -at_1 - w1_at_1), InvalidFlattening,
+         "z = (1+0j): no logarithm of 1/(1 - z)"),
     ]
     for args, cls, text in cases:
         old = _raised(_old_path, *args)
@@ -169,7 +173,7 @@ def test_flattening_condition_on_faces(rng):
     for _ in range(50):
         cfg = _random_config(rng, 5)
         faces = [sigma_hat(cfg.face(i)) for i in range(5)]
-        rep = check_flattening_condition(faces, with_ledger=True)
+        rep = check_flattening_condition(faces)
         assert rep.max_residual < 1e-8
         assert rep.exact is not None and all(rep.exact)
 
@@ -207,14 +211,6 @@ def test_chi_hat_rejects_zero():
         chi_hat(Fraction(0, 1))
 
 
-def test_prebloch_normalization():
-    pt = CoveringPoint(0.5 + 0.5j, 0, 2)
-    e = PreBlochElement([(1, pt), (2, pt), (-3, pt)])
-    assert e.is_zero()
-    e2 = PreBlochElement([(1, pt), (1, CoveringPoint(0.5 + 0.5j, 2, 0))])
-    assert len(e2) == 2
-
-
 def test_wedge_antisymmetry_and_cancellation():
     a, b = 1.0 + 0j, 2.0 + 0j
     w = WedgeElement([(1, a, b), (1, b, a)])
@@ -233,8 +229,8 @@ def test_wedge_zero_report_heuristic():
 
 def test_nu_hat_branch_bump_is_two_atom_wedge():
     z = 0.3 + 0.7j
-    e1 = nu_hat(PreBlochElement([(1, CoveringPoint(z, 0, 0))]))
-    e2 = nu_hat(PreBlochElement([(1, CoveringPoint(z, 0, 2))]))
+    e1 = nu_hat([(1, from_covering_point(CoveringPoint(z, 0, 0)))])
+    e2 = nu_hat([(1, from_covering_point(CoveringPoint(z, 0, 2)))])
     diff = e1 - e2
     assert len(diff.terms) == 1
     coeff, a, b = diff.terms[0]

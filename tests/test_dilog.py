@@ -26,6 +26,9 @@ def test_plog_examples():
 def test_plog_zero():
     with pytest.raises(LogOfZero):
         plog(0.0)
+    # Log(1 - z) at z = 1: named, not a bare math domain error
+    with pytest.raises(LogOfZero, match=r"Log\(1 - z\) at z = \(1\+0j\)"):
+        lifted_rogers(1, 0, 0)
 
 
 def test_li2_special_values():

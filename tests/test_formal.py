@@ -9,7 +9,7 @@ from extbloch.config import Tolerances
 from extbloch.core import GroupElement, random_sl2, rotation
 from extbloch.chains import (BarChain, SymbolTable, _checked_cycle,
                              conjugate_chain, inhom_to_hom)
-from extbloch.covering import CoveringPoint, PreBlochElement, WedgeElement
+from extbloch.covering import WedgeElement
 from extbloch.fixtures import torsion_cycle
 from extbloch.formal import FormalSum
 from extbloch.quantize import FuzzyIndex
@@ -75,10 +75,6 @@ def test_tolerance_kept_across_operations(rng):
     b = BarChain(1, [(2, (h,))])
     for s in (a + b, a - b, -a, 3 * a):
         assert s.tol is tol and s.table is a.table
-    pt = CoveringPoint(0.5 + 0.5j, 0, 2)
-    e = PreBlochElement([(1, pt)], tol)
-    for s in (e + e, e - e, -e, 2 * e):
-        assert s.tol is tol
     w = WedgeElement([(1, 1j, 2.0 + 0j)], tol=tol)
     assert (w + w).tol is tol and (w - w).tol is tol
 

@@ -265,6 +265,23 @@ def test_cli_lift_path_degenerate_base_exits_2(capsys, base, reason):
     assert capsys.readouterr().err == f"error: {reason}\n"
 
 
+@pytest.mark.parametrize("x, y, reason", [
+    ("0.5", "1", "y = (1+0j) hits 0 or 1"),
+    ("0", "0.5", "x = 0j hits 0 or 1"),
+    ("0.5", "0.5", "x = y makes coordinate 2 equal to 1"),
+    ("1", "0.5", "x = (1+0j) hits 0 or 1"),
+    ("0.5", "0", "y = 0j hits 0 or 1"),
+    ("2", "2", "x = y makes coordinate 2 equal to 1"),
+])
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_cli_five_term_degenerate_parameters_exit_2(capsys, x, y, reason,
+                                                    verify):
+    # the fixture validates its five-tuple, as lift-path does its base
+    assert main(["five-term", "--x", x, "--y", y, *verify]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {reason}\n" and captured.out == ""
+
+
 def test_cli_lift_path_off_the_five_term_relation_exits_3(capsys):
     # the branches match, but the all-zero start lift is not on the
     # five-term relation at this base

@@ -17,13 +17,23 @@ from extbloch.dilog import TWO_PI_SQ, lhat, plog, vol
 from extbloch.errors import DegenerateConfig, NotACycle, NotVGood, RepairFailed
 from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
                                torsion_cycle)
-from extbloch.pipeline import (ConfigTuple, ccs_value, lambda_hat, lhat_sum,
-                               psi_v, sigma_hat, volume_of)
+from extbloch.pipeline import (ConfigTuple, ccs_value, lambda_hat, psi_v,
+                               sigma_hat)
 
 
 def _mod1_dist(a: float, b: float) -> float:
     d = abs((a - b) % 1.0)
     return min(d, 1.0 - d)
+
+
+def _reference_sums(lam) -> tuple[complex, float]:
+    # lhat and vol of every flattened term through the public path, unmerged
+    # terms, each sum correctly rounded by math.fsum as in ccs_value
+    points = [(coeff, to_covering_point(t)) for coeff, t in lam.triples]
+    terms = [(coeff * lhat(pt), coeff * vol(pt.z)) for coeff, pt in points]
+    return (complex(math.fsum(lh.real for lh, _ in terms),
+                    math.fsum(lh.imag for lh, _ in terms)),
+            math.fsum(d for _, d in terms))
 
 
 def test_config_tuple_rejects_degenerate():
@@ -120,8 +130,7 @@ def test_sigma_hat_scaling_moves_within_fiber(rng):
 
 def test_lambda_hat_on_boundary_vanishes(rng):
     c = random_boundary_cycle(rng)
-    lam = lambda_hat(c, seed=3)
-    val = lhat_sum(lam.element) / TWO_PI_SQ
+    val = _reference_sums(lambda_hat(c, seed=3))[0] / TWO_PI_SQ
     assert _mod1_dist(val.real, 0.0) < 1e-9
     assert abs(val.imag) < 1e-9
 
@@ -235,7 +244,7 @@ def test_flattening_matches_face_path_and_edge_ledgers_cancel():
                     continue  # H's (1, 1, ...) tuples repeat a vector
                 cfg = ConfigTuple(vecs)
                 faces = [sigma_hat(cfg.face(i)) for i in range(5)]
-                report = check_flattening_condition(faces, with_ledger=True)
+                report = check_flattening_condition(faces)
                 assert report.exact is not None and all(report.exact), report
                 tested[-1] += 1
         # the boundary has no bad simplex, so its certificate is empty
@@ -268,32 +277,20 @@ def test_lambda_hat_v_independence(rng):
     c = torsion_cycle(3)
     vals = []
     for seed in range(4):
-        lam = lambda_hat(c, seed=seed)
-        vals.append(-lhat_sum(lam.element) / TWO_PI_SQ)
+        vals.append(-_reference_sums(lambda_hat(c, seed=seed))[0] / TWO_PI_SQ)
     for v in vals[1:]:
         assert _mod1_dist(v.real, vals[0].real) < 1e-7
         assert abs(v.imag - vals[0].imag) < 1e-7
 
 
-def test_volume_of_matches_im_lhat(rng):
+def test_volume_matches_im_lhat(rng):
     for seed, chain in ((1, torsion_cycle(3)), (2, random_boundary_cycle(rng))):
-        lam = lambda_hat(chain, seed=seed)
-        raw = lhat_sum(lam.element)
-        assert abs(volume_of(lam.element) - raw.imag) < 1e-8
+        raw, volume = _reference_sums(lambda_hat(chain, seed=seed))
+        assert abs(volume - raw.imag) < 1e-8
 
 
 def _hex(z: complex) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
-
-
-def _reference_sums(lam) -> tuple[complex, float]:
-    # lhat and vol of every flattened term through the public path, unmerged
-    # terms, each sum correctly rounded by math.fsum as in ccs_value
-    points = [(coeff, to_covering_point(t)) for coeff, t in lam.triples]
-    terms = [(coeff * lhat(pt), coeff * vol(pt.z)) for coeff, pt in points]
-    return (complex(math.fsum(lh.real for lh, _ in terms),
-                    math.fsum(lh.imag for lh, _ in terms)),
-            math.fsum(d for _, d in terms))
 
 
 def test_ccs_value_single_pass_matches_reference_sums():
@@ -308,20 +305,6 @@ def test_ccs_value_single_pass_matches_reference_sums():
             assert _hex(rep.raw_lhat) == _hex(raw)
             residual = abs(volume - raw.imag)
             assert rep.residuals["volume_vs_im_lhat"].hex() == residual.hex()
-
-
-def test_volume_of_real_points_zero():
-    from extbloch.covering import CoveringPoint, PreBlochElement
-    e = PreBlochElement([(1, CoveringPoint(0.5, 0, 0)),
-                         (3, CoveringPoint(0.25, 2, -2))])
-    assert volume_of(e) == 0.0
-
-
-def test_volume_of_known_point():
-    import cmath
-    from extbloch.covering import CoveringPoint, PreBlochElement
-    e = PreBlochElement([(1, CoveringPoint(cmath.exp(1j * math.pi / 3), 0, 0))])
-    assert abs(volume_of(e) - 1.0149416064096536) < 1e-12
 
 
 def test_ccs_value_torsion_family():
@@ -411,15 +394,16 @@ def test_covering_points_take_two_logarithms_each(monkeypatch):
 
 
 def test_ccs_value_builds_no_triple_point_or_merged_sum(monkeypatch):
-    # trials evaluate the flattened terms directly: no FlatteningTriple, no
-    # CoveringPoint and no PreBlochElement, so no fuzzy key per point
-    from extbloch import pipeline
+    # trials evaluate the flattened terms directly and sum numbers: no
+    # FlatteningTriple and no CoveringPoint is built, so nothing is merged
+    from extbloch import covering, pipeline
 
     def refuse(*args, **kwargs):
         raise AssertionError("built on the trial path")
 
-    for name in ("FlatteningTriple", "to_covering_point", "PreBlochElement"):
-        monkeypatch.setattr(pipeline, name, refuse)
+    monkeypatch.setattr(pipeline, "FlatteningTriple", refuse)
+    for name in ("FlatteningTriple", "to_covering_point", "CoveringPoint"):
+        monkeypatch.setattr(covering, name, refuse)
     rep = ccs_value(torsion_cycle(6), seed=0, trials=3)
     assert _mod1_dist(rep.value_mod1.real, 2 / 3) < 1e-12
 
