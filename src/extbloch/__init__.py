@@ -8,7 +8,6 @@ lifted Rogers dilogarithm.  The imaginary part of the result is the
 hyperbolic volume of the class.
 """
 
-from .config import DEFAULT_TOL, Tolerances
 from .core import (INF, ExtComplex, GroupElement, ProjVector, cross_ratio,
                    cross_ratio_ext, det_pair, hopf, is_inf, moebius, rotation)
 from .covering import (CoveringPoint, FlatteningTriple, WedgeElement,

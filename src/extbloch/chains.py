@@ -15,8 +15,8 @@ so boundaries, conversions and sums merge terms by exact keys; a group
 element is identified numerically only once, when the table first meets it.
 Public constructors give a chain a table of its own.  An evaluation
 (``is_cycle``, ``repair_with_certificate``, ``lambda_hat``, ``ccs_value``)
-re-interns its input into a new table at the caller's tolerance and leaves
-the input's table alone.
+re-interns its input into a new table (at the caller's tolerance, for
+``is_cycle`` and ``ccs_value``) and leaves the input's table alone.
 
 ``repair_to_good`` replaces a cycle by a homologous one avoiding all
 g_i = +-g_j coincidences, together with an explicit homotopy certificate;
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable, Sequence
 
-from .config import DEFAULT_TOL, Tolerances
+from . import config
 from .core import (GroupElement, ProjVector, as_rng, det_pair, random_sl2,
                    random_vector)
 from .errors import NotACycle, RepairFailed, SamplingExhausted
@@ -47,17 +47,19 @@ class SymbolTable:
     """Integer ids for the group elements of one computation.
 
     ``elements[i]`` is the first element seen with id ``i``.  Elements are
-    keyed through a ``FuzzyIndex`` over their eight entry floats at
-    ``tol.cmp`` (see :mod:`extbloch.quantize` for what that identifies).
+    keyed through a ``FuzzyIndex`` over their eight entry floats at the
+    comparison tolerance ``tol``, ``config.CMP`` when not given and checked
+    by ``config.check_cmp`` (see :mod:`extbloch.quantize` for what it
+    identifies).
     Products g_i g_j, left quotients g_i^-1 g_j and sign coincidences of
     representatives are memoized by id; an inverse is never interned on
     its own.
     """
 
-    def __init__(self, tol: Tolerances = DEFAULT_TOL):
-        self.tol = tol
+    def __init__(self, tol: float | None = None):
+        self.tol = config.check_cmp(config.CMP if tol is None else tol)
         self.elements: list[GroupElement] = []
-        self._index = FuzzyIndex(tol.cmp)
+        self._index = FuzzyIndex(self.tol)
         self._products: dict[tuple[int, int], int] = {}
         self._quotients: dict[tuple[int, int], int] = {}
         self._coincide: dict[tuple[int, int], bool] = {}
@@ -94,12 +96,12 @@ class SymbolTable:
         return ident
 
     def coincide(self, i: int, j: int) -> bool:
-        """g_i = +-g_j at ``tol.cmp``, decided once per unordered id pair."""
+        """g_i = +-g_j at ``tol``, decided once per unordered id pair."""
         key = (i, j) if i <= j else (j, i)
         hit = self._coincide.get(key)
         if hit is None:
             hit = self._coincide[key] = self.elements[i].sign_equiv(
-                self.elements[j], self.tol.cmp)
+                self.elements[j], self.tol)
         return hit
 
     def good(self, ids: Ids) -> bool:
@@ -121,19 +123,18 @@ class _Chain(FormalSum):
     __slots__ = ("degree", "coinvariant")
     _extra = 0  # tuple length minus degree
 
-    def __init__(self, degree: int, terms, tol: Tolerances, coinvariant: bool):
+    def __init__(self, degree: int, terms, coinvariant: bool):
         if not 0 <= degree <= MAX_DEGREE:
             raise ValueError(f"degree {degree} outside supported range")
         self.degree, self.coinvariant = degree, coinvariant
-        super().__init__(terms, tol, SymbolTable(tol))
+        super().__init__(terms, SymbolTable())
 
     @classmethod
     def _on(cls, table: SymbolTable, degree: int,
             pairs: Iterable[tuple[int, Ids]], coinvariant: bool = False):
         """A chain over ids of ``table`` from (coefficient, ids) pairs."""
         c = cls.__new__(cls)
-        c.degree, c.coinvariant, c.tol, c.table = (degree, coinvariant,
-                                                   table.tol, table)
+        c.degree, c.coinvariant, c.table = degree, coinvariant, table
         c._merge((coeff, c._canonical(ids), None) for coeff, ids in pairs)
         return c
 
@@ -180,9 +181,8 @@ class BarChain(_Chain):
 
     __slots__ = ()
 
-    def __init__(self, degree: int, terms: Iterable[tuple[int, GTuple]],
-                 tol: Tolerances = DEFAULT_TOL):
-        super().__init__(degree, terms, tol, False)
+    def __init__(self, degree: int, terms: Iterable[tuple[int, GTuple]]):
+        super().__init__(degree, terms, False)
 
     def __repr__(self) -> str:
         return f"BarChain(degree={self.degree}, {len(self)} terms)"
@@ -201,8 +201,8 @@ class HomChain(_Chain):
     _extra = 1
 
     def __init__(self, degree: int, terms: Iterable[tuple[int, GTuple]],
-                 coinvariant: bool = False, tol: Tolerances = DEFAULT_TOL):
-        super().__init__(degree, terms, tol, coinvariant)
+                 coinvariant: bool = False):
+        super().__init__(degree, terms, coinvariant)
 
     def __repr__(self) -> str:
         tag = ", coinvariant" if self.coinvariant else ""
@@ -279,19 +279,20 @@ def _residual(c: BarChain) -> BarChain:
     return bar_boundary(c) if c.degree else BarChain._on(c.table, 0, [])
 
 
-def is_cycle(c: BarChain, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, BarChain]:
+def is_cycle(c: BarChain, tol: float | None = None) -> tuple[bool, BarChain]:
     """True when the bar boundary merges to the empty chain, with symbols
-    identified at ``tol``; the residual chain is returned either way."""
+    identified at the comparison tolerance ``tol`` (see ``SymbolTable``);
+    the residual chain is returned either way."""
     res = _residual(c.interned(SymbolTable(tol)))
     return res.is_empty(), res
 
 
-def _checked_cycle(c: BarChain, tol: Tolerances) -> BarChain:
-    """``c`` re-interned into a new symbol table at ``tol``, for one
+def _checked_cycle(c: BarChain, table: SymbolTable) -> BarChain:
+    """``c`` re-interned into ``table``, a new symbol table for one
     evaluation; raises NotACycle (a ValueError) unless it is a 3-cycle there."""
     if c.degree != 3:
         raise NotACycle(f"evaluation needs a 3-cycle, got degree {c.degree}")
-    c = c.interned(SymbolTable(tol))
+    c = c.interned(table)
     residual = _residual(c)
     if not residual.is_empty():
         raise NotACycle(f"not a cycle: boundary has {len(residual)} terms")
@@ -301,16 +302,15 @@ def _checked_cycle(c: BarChain, tol: Tolerances) -> BarChain:
 def conjugate_chain(g: GroupElement, c: BarChain) -> BarChain:
     """Entrywise conjugation g . g_i . g^-1 of every symbol."""
     ginv = g.inverse()
-    return BarChain(c.degree,
-                    [(coeff, tuple(g @ h @ ginv for h in sym)) for coeff, sym in c],
-                    c.tol)
+    return BarChain(c.degree, [(coeff, tuple(g @ h @ ginv for h in sym))
+                               for coeff, sym in c])
 
 
 def complex_conjugate_chain(c: BarChain) -> BarChain:
     """Entrywise complex conjugation of every matrix."""
     return BarChain(c.degree,
                     [(coeff, tuple(h.conjugate_entries() for h in sym))
-                     for coeff, sym in c], c.tol)
+                     for coeff, sym in c])
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +340,15 @@ def _offending(table: SymbolTable, terms: Iterable[tuple[int, Ids]]) -> list:
             if coincide(ids[i], ids[j])]
 
 
-def near_pairs(vecs: Sequence[ProjVector],
-               tol: Tolerances = DEFAULT_TOL) -> list[tuple[int, int]]:
+def near_pairs(vecs: Sequence[ProjVector]) -> list[tuple[int, int]]:
     """Index pairs (i, j) whose determinant |det(v_i, v_j)| is at or below
-    the scale-relative threshold ``tol.vgood * |v_i| |v_j|``."""
+    the scale-relative threshold ``config.VGOOD * |v_i| |v_j|``."""
     return [(i, j) for i, j in combinations(range(len(vecs)), 2)
             if abs(det_pair(vecs[i], vecs[j]))
-            <= tol.vgood * (vecs[i].norm() * vecs[j].norm())]
+            <= config.VGOOD * (vecs[i].norm() * vecs[j].norm())]
 
 
-def _v_pass(hom: HomChain, v: ProjVector, tol: Tolerances):
+def _v_pass(hom: HomChain, v: ProjVector):
     """One pass of v over a homogeneous chain: every element is applied to v
     once and every id pair (g_i, g_j) met in a tuple, in tuple order, gets
     det(g_i v, g_j v) once, tested as ``near_pairs`` tests it.  Returns
@@ -359,7 +358,7 @@ def _v_pass(hom: HomChain, v: ProjVector, tol: Tolerances):
     dets: dict[tuple[int, int], complex] = {}
     near: dict[tuple[int, int], bool] = {}
     offending = []
-    vgood = tol.vgood
+    vgood = config.VGOOD
     for t_idx, (_, ids) in enumerate(hom.pairs()):
         for i in ids:
             if i not in vecs:
@@ -377,19 +376,19 @@ def _v_pass(hom: HomChain, v: ProjVector, tol: Tolerances):
     return offending, dets
 
 
-def is_v_good(c, v: ProjVector, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, list]:
+def is_v_good(c, v: ProjVector) -> tuple[bool, list]:
     """All pairs satisfy |det(g_i v, g_j v)| above the scale-relative
     threshold.  Returns (ok, offending (term index, i, j) triples)."""
-    offending, _ = _v_pass(_hom(c), v, tol)
+    offending, _ = _v_pass(_hom(c), v)
     return not offending, offending
 
 
-def _sample_v(hom: HomChain, rng, tol: Tolerances, max_attempts: int = 1000):
+def _sample_v(hom: HomChain, rng, max_attempts: int = 1000):
     """``sample_generic_v`` on a homogeneous chain, also returning the
     accepted v's determinants by id pair (see ``_v_pass``)."""
     for attempt in range(1, max_attempts + 1):
         v = random_vector(rng)
-        offending, dets = _v_pass(hom, v, tol)
+        offending, dets = _v_pass(hom, v)
         if not offending:
             return v, attempt, dets
     raise SamplingExhausted(
@@ -397,15 +396,15 @@ def _sample_v(hom: HomChain, rng, tol: Tolerances, max_attempts: int = 1000):
         "the chain is likely not good or the tolerance is too tight")
 
 
-def sample_generic_v(c, rng_or_seed, max_attempts: int = 1000,
-                     tol: Tolerances = DEFAULT_TOL) -> tuple[ProjVector, int]:
+def sample_generic_v(c, rng_or_seed,
+                     max_attempts: int = 1000) -> tuple[ProjVector, int]:
     """Rejection-sample a vector making the chain v-good.
 
     The failure locus is a finite union of hypersurfaces, so a good chain
     succeeds almost surely within a few draws.  Returns (v, attempts).
     Each draw is checked by the one pass ``is_v_good`` also runs.
     """
-    v, attempts, _ = _sample_v(_hom(c), as_rng(rng_or_seed), tol, max_attempts)
+    v, attempts, _ = _sample_v(_hom(c), as_rng(rng_or_seed), max_attempts)
     return v, attempts
 
 
@@ -460,7 +459,7 @@ class _ConeRepairer:
         for _ in range(1000):
             g = random_sl2(self.rng)
             margin = min((g.sign_distance(h) for h in avoid), default=1.0)
-            if margin > 1e-3:
+            if margin > config.APEX_MARGIN:
                 return g
         raise RepairFailed("could not sample a generic cone apex")
 
@@ -542,16 +541,16 @@ def _repair_core(hom: HomChain, rng) -> RepairResult:
                         HomChain._on(table, n + 1, h, True), hom)
 
 
-def repair_with_certificate(c: BarChain, seed,
-                            tol: Tolerances = DEFAULT_TOL) -> RepairResult:
+def repair_with_certificate(c: BarChain, seed) -> RepairResult:
     """Replace a 3-cycle by a homologous good cycle via the recursive cone
     chain map, returning the explicit, verified homotopy certificate.
     ``seed`` is an integer or a generator (see ``as_rng``)."""
-    return _repair_core(inhom_to_hom(_checked_cycle(c, tol)), as_rng(seed))
+    return _repair_core(inhom_to_hom(_checked_cycle(c, SymbolTable())),
+                        as_rng(seed))
 
 
-def repair_to_good(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL) -> BarChain:
+def repair_to_good(c: BarChain, seed) -> BarChain:
     """As repair_with_certificate but returning only the repaired chain.
     Only simplices with +-coincident entries are replaced, so an
     already-good cycle comes back unchanged."""
-    return repair_with_certificate(c, seed, tol).chain
+    return repair_with_certificate(c, seed).chain

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import DEFAULT_TOL, Tolerances
+from . import config
 from .chains import is_cycle
 from .chainio import chain_to_obj, emit_report, parse_cycle_file, write_json
 from .errors import CcsError
@@ -27,10 +27,10 @@ def _at_least(low: int):
     return integer
 
 
-def _tolerance(text: str) -> Tolerances:
-    """An argparse type: the comparison tolerance, positive and finite."""
+def _tolerance(text: str) -> float:
+    """An argparse type: the comparison tolerance (``config.check_cmp``)."""
     try:
-        return Tolerances(cmp=float(text))
+        return config.check_cmp(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -164,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, tolerance=True):
         p.add_argument("--out", help="write the JSON result to this file")
         if tolerance:
-            p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL,
-                           help="override the comparison tolerance")
+            p.add_argument("--tolerance", type=_tolerance, help=f"comparison "
+                           f"tolerance cmp (default {config.CMP:g})")
 
     p = sub.add_parser("eval", help="evaluate a cycle file")
     p.add_argument("cycle")

@@ -1,31 +1,25 @@
-"""Numeric tolerances shared across the library."""
+"""Numeric thresholds shared across the library.
+
+Modules read them as ``config.NAME`` when they run, never as bound
+defaults.  Only the comparison tolerance is settable: ``ccs_value``,
+``is_cycle`` and ``SymbolTable`` take it as ``tol`` (``CMP`` when not
+given), and ``check_cmp`` decides which values it may take.
+"""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+CMP = 1e-8  # equality of complex scalars and matrix entries
+ZERO = 1e-12  # absolute "is zero"
+VGOOD = 1e-7  # scale-relative determinant threshold for v-goodness
+APEX_MARGIN = 1e-3  # least sign distance of a cone apex from what it avoids
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Comparison thresholds used throughout.
-
-    cmp:   equality threshold for complex scalars and matrix entries
-    zero:  absolute "is zero" threshold
-    vgood: scale-relative determinant threshold for v-goodness
-    """
-
-    cmp: float = 1e-8
-    zero: float = 1e-12
-    vgood: float = 1e-7
-
-    def __post_init__(self):
-        for name in ("cmp", "zero", "vgood"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:  # NaN fails too
-                raise ValueError(
-                    f"tolerance {name} must be positive and finite, got {value}")
-
-
-DEFAULT_TOL = Tolerances()
-
+def check_cmp(cmp: float) -> float:
+    """``cmp``, when it is a usable comparison tolerance: positive and below
+    ``APEX_MARGIN`` (so finite), else ValueError.  A cone apex is only drawn
+    ``APEX_MARGIN`` away from the elements it avoids, so at a coarser
+    tolerance it could be identified with one of them."""
+    if not 0 < cmp < APEX_MARGIN:  # NaN fails too
+        raise ValueError(f"tolerance cmp must lie in (0, {APEX_MARGIN:g}), "
+                         f"got {cmp}")
+    return cmp

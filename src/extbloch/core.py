@@ -12,7 +12,7 @@ import numbers
 import random
 from dataclasses import dataclass
 
-from .config import DEFAULT_TOL, Tolerances
+from . import config
 from .errors import DegenerateTuple, DeterminantError
 
 DET_TOL = 1e-9  # allowed |ad - bc - 1| when constructing a group element
@@ -37,7 +37,7 @@ def is_inf(z) -> bool:
     return isinstance(z, _Infinity)
 
 
-def ext_close(z, w, tol: float = DEFAULT_TOL.cmp) -> bool:
+def ext_close(z, w, tol: float) -> bool:
     """Equality on C u {inf} within an absolute tolerance."""
     if is_inf(z) or is_inf(w):
         return is_inf(z) and is_inf(w)
@@ -94,7 +94,7 @@ class GroupElement:
         return ProjVector(self.a * v.v1 + self.b * v.v2,
                           self.c * v.v1 + self.d * v.v2)
 
-    def close_to(self, other: "GroupElement", tol: float = DEFAULT_TOL.cmp) -> bool:
+    def close_to(self, other: "GroupElement", tol: float) -> bool:
         return max(abs(x - y) for x, y in zip(self.entries(), other.entries())) <= tol
 
     def sign_distance(self, other: "GroupElement") -> float:
@@ -105,7 +105,7 @@ class GroupElement:
         return min(max(abs(a - e), abs(b - f), abs(c - g), abs(d - h)),
                    max(abs(a + e), abs(b + f), abs(c + g), abs(d + h)))
 
-    def sign_equiv(self, other: "GroupElement", tol: float = DEFAULT_TOL.cmp) -> bool:
+    def sign_equiv(self, other: "GroupElement", tol: float) -> bool:
         """True when g is elementwise close to +h or to -h."""
         return self.sign_distance(other) <= tol
 
@@ -121,7 +121,7 @@ class ProjVector:
     v2: complex
 
     def __post_init__(self):
-        if max(abs(self.v1), abs(self.v2)) <= DEFAULT_TOL.zero:
+        if max(abs(self.v1), abs(self.v2)) <= config.ZERO:
             raise ValueError("projective vector must be nonzero")
 
     def entries(self) -> tuple[complex, complex]:
@@ -138,14 +138,14 @@ def det_pair(v: ProjVector, w: ProjVector) -> complex:
 
 def hopf(v: ProjVector):
     """Hopf map (v1, v2) -> v1/v2, sending (., 0) to infinity."""
-    if abs(v.v2) <= DEFAULT_TOL.zero:
+    if abs(v.v2) <= config.ZERO:
         return INF
     return v.v1 / v.v2
 
 
 def moebius(g: GroupElement, z):
     """Moebius action of g on C u {inf}, poles handled by limits."""
-    tol_zero = DEFAULT_TOL.zero
+    tol_zero = config.ZERO
     if is_inf(z):
         if abs(g.c) <= tol_zero:
             return INF
@@ -156,16 +156,16 @@ def moebius(g: GroupElement, z):
     return (g.a * z + g.b) / den
 
 
-def cross_ratio(z0, z1, z2, z3, tol: Tolerances = DEFAULT_TOL) -> complex:
+def cross_ratio(z0, z1, z2, z3) -> complex:
     """(z0-z3)(z1-z2) / ((z0-z2)(z1-z3)), with infinite entries resolved by
     cancelling the dominant factors rather than by large-number substitution.
 
-    Raises DegenerateTuple when two of the points coincide within tol.cmp.
+    Raises DegenerateTuple when two points coincide within ``config.CMP``.
     """
     pts = (z0, z1, z2, z3)
     for i in range(4):
         for j in range(i + 1, 4):
-            if ext_close(pts[i], pts[j], tol.cmp):
+            if ext_close(pts[i], pts[j], config.CMP):
                 raise DegenerateTuple(f"points {i} and {j} coincide")
     if is_inf(z0):
         return (z1 - z2) / (z1 - z3)
@@ -178,10 +178,10 @@ def cross_ratio(z0, z1, z2, z3, tol: Tolerances = DEFAULT_TOL) -> complex:
     return ((z0 - z3) * (z1 - z2)) / ((z0 - z2) * (z1 - z3))
 
 
-def cross_ratio_ext(z0, z1, z2, z3, tol: Tolerances = DEFAULT_TOL) -> complex:
+def cross_ratio_ext(z0, z1, z2, z3) -> complex:
     """As cross_ratio but returning 0 when any two points coincide."""
     try:
-        return cross_ratio(z0, z1, z2, z3, tol)
+        return cross_ratio(z0, z1, z2, z3)
     except DegenerateTuple:
         return 0j
 

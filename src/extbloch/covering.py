@@ -11,7 +11,7 @@ value is the lifted Rogers dilogarithm of its covering point
 (``_point_value``).  Formal integer combinations of wedges of logarithms
 (``WedgeElement``) are the target of the map ``nu_hat``; they are
 ``FormalSum`` objects whose log atoms get integer ids from a ``FuzzyIndex``
-at ``tol.cmp``; see :mod:`extbloch.quantize` for which values that
+at ``config.CMP``; see :mod:`extbloch.quantize` for which values that
 identifies.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .config import DEFAULT_TOL, Tolerances
+from . import config
 from .core import ProjVector, det_pair
 from .dilog import PI, _log1m, _point_values, plog
 from .errors import ChiAtZero, DegenerateConfig, DegenerateFT, InvalidFlattening, NotEven
@@ -38,8 +38,8 @@ INT_TOL = 1e-6  # distance of a branch integer from the nearest integer
 REAL_TOL = 1e-12  # |Im z| read as 0, relative to 1 + |Re z|
 
 
-def _avoid_01(z: complex, zero: float) -> None:  # the CoveringPoint check
-    if abs(z) <= zero or abs(z - 1.0) <= zero:
+def _avoid_01(z: complex) -> None:  # the CoveringPoint check
+    if abs(z) <= config.ZERO or abs(z - 1.0) <= config.ZERO:
         raise ValueError(f"z = {z} must avoid 0 and 1")
 
 
@@ -52,7 +52,7 @@ class CoveringPoint:
     q: int
 
     def __post_init__(self):
-        _avoid_01(self.z, DEFAULT_TOL.zero)
+        _avoid_01(self.z)
         if self.p % 2 or self.q % 2:
             raise ValueError(f"branch integers must be even, got ({self.p}, {self.q})")
 
@@ -138,14 +138,14 @@ def to_covering_point(t: FlatteningTriple) -> CoveringPoint:
     return CoveringPoint(z, *_branch(z, t.w0, t.w1)[2:])
 
 
-def _point_value(w0: complex, w1: complex, w2: complex,
-                 zero: float = DEFAULT_TOL.zero) -> tuple[complex, float]:
+def _point_value(w0: complex, w1: complex,
+                 w2: complex) -> tuple[complex, float]:
     """(lhat, vol) of the covering point of (w0, w1, w2), bit-equal to
     ``lhat(to_covering_point(t))`` and its ``vol``, with the checks of that
-    path (``CoveringPoint``'s at ``zero``) in order and no object built."""
+    path (``CoveringPoint``'s included) in order and no object built."""
     z = _checked_z(w0, w1, w2)
     log_z, l1, p, q = _branch(z, w0, w1)
-    _avoid_01(z, zero)
+    _avoid_01(z)
     return _point_values(z, log_z, l1, p, q)
 
 
@@ -174,19 +174,21 @@ def coords(x: complex, y: complex) -> tuple[complex, ...]:
             (1.0 - x) / (1.0 - y))
 
 
-def five_tuple(x: complex, y: complex,
-               tol: Tolerances = DEFAULT_TOL) -> tuple[complex, ...]:
+def five_tuple(x: complex, y: complex) -> tuple[complex, ...]:
     """``coords(x, y)``, validated: raises DegenerateFT naming the first
-    coordinate that hits 0 or 1."""
-    x, y = complex(x), complex(y)
+    parameter that is not finite or the first coordinate that hits 0 or 1,
+    at ``config.CMP``."""
+    x, y, cmp = complex(x), complex(y), config.CMP
     for name, val in (("x", x), ("y", y)):
-        if abs(val) <= tol.cmp or abs(val - 1.0) <= tol.cmp:
+        if not cmath.isfinite(val):
+            raise DegenerateFT(f"{name} = {val} is not finite")
+        if abs(val) <= cmp or abs(val - 1.0) <= cmp:
             raise DegenerateFT(f"{name} = {val} hits 0 or 1")
-    if abs(x - y) <= tol.cmp:
+    if abs(x - y) <= cmp:
         raise DegenerateFT("x = y makes coordinate 2 equal to 1")
     vals = coords(x, y)
     for i, val in enumerate(vals):
-        if abs(val) <= tol.cmp or abs(val - 1.0) <= tol.cmp:
+        if abs(val) <= cmp or abs(val - 1.0) <= cmp:
             raise DegenerateFT(f"coordinate {i} = {val} hits 0 or 1")
     return vals
 
@@ -247,7 +249,7 @@ def check_flattening_condition(
                              for c, v in triples[simplex].ledger[param])
         residuals.append((label, abs(acc)))
         if exact is not None:  # atoms identified by value
-            idx = FuzzyIndex(DEFAULT_TOL.cmp)
+            idx = FuzzyIndex(config.CMP)
             exact.append(FormalSum((c, idx.key((v.real, v.imag)), v)
                                    for c, v in atoms).is_zero())
     return FlatteningReport(tuple(residuals),
@@ -275,7 +277,7 @@ def chi_hat(r) -> tuple[tuple[int, CoveringPoint], ...]:
 class WedgeElement(FormalSum):
     """Formal integer combination of wedges a ^ b of log atoms.
 
-    Atoms are identified by value, through a FuzzyIndex at ``tol.cmp``: the
+    Atoms are identified by value, through a FuzzyIndex at ``config.CMP``: the
     exterior square of the additive group of C is a group of values, so two
     atoms carrying the same complex number are the same generator.
     Cancellation over the identified atoms is exact integer arithmetic; when
@@ -287,9 +289,8 @@ class WedgeElement(FormalSum):
 
     __slots__ = ()
 
-    def __init__(self, terms: Iterable[tuple[int, complex, complex]],
-                 tol: Tolerances = DEFAULT_TOL):
-        super().__init__(terms, tol, FuzzyIndex(tol.cmp))
+    def __init__(self, terms: Iterable[tuple[int, complex, complex]]):
+        super().__init__(terms, FuzzyIndex(config.CMP))
 
     def _keyed(self, terms):
         key = self.table.key
@@ -350,8 +351,7 @@ def nu_hat(element: Iterable[tuple[int, FlatteningTriple]]) -> WedgeElement:
     return WedgeElement(terms)
 
 
-def mu(v0: ProjVector, v1: ProjVector, v2: ProjVector,
-       tol: Tolerances = DEFAULT_TOL) -> WedgeElement:
+def mu(v0: ProjVector, v1: ProjVector, v2: ProjVector) -> WedgeElement:
     """The three-term wedge of log-determinants attached to a vector triple:
     (01)^(02) - (01)^(12) + (02)^(12), writing (ij) for Log det(v_i, v_j)."""
     vs = (v0, v1, v2)
@@ -359,7 +359,7 @@ def mu(v0: ProjVector, v1: ProjVector, v2: ProjVector,
     for i in range(3):
         for j in range(i + 1, 3):
             d = det_pair(vs[i], vs[j])
-            if abs(d) <= tol.zero * vs[i].norm() * vs[j].norm():
+            if abs(d) <= config.ZERO * vs[i].norm() * vs[j].norm():
                 raise DegenerateConfig(f"det(v{i}, v{j}) vanishes")
             logs[(i, j)] = plog(d)
     return WedgeElement([

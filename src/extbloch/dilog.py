@@ -26,7 +26,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from .config import DEFAULT_TOL
+from . import config
 from .errors import LogOfZero, OnCut
 
 PI = math.pi
@@ -49,7 +49,7 @@ def plog(z: complex) -> complex:
     get +i*pi exactly.
     """
     z = complex(z)
-    if abs(z) <= DEFAULT_TOL.zero:
+    if abs(z) <= config.ZERO:
         raise LogOfZero(f"log of {z}")
     if z.imag == 0.0:
         z = complex(z.real, 0.0)  # normalize -0.0 onto the principal side

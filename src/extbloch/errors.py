@@ -73,5 +73,9 @@ class PathDegenerate(CcsError):
     """A lifted coordinate hits 0, 1 or a cut endpoint."""
 
 
+class OutOfGrid(CcsError):
+    """A value too large, for the comparison tolerance, to be keyed."""
+
+
 class SchemaError(CcsError):
     """A chain or report file does not match the expected JSON schema."""

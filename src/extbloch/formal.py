@@ -14,8 +14,6 @@ from numbers import Integral
 from itertools import chain
 from typing import Any, Hashable, Iterable
 
-from .config import DEFAULT_TOL, Tolerances
-
 Keyed = Iterable[tuple[int, Hashable, Any]]  # (coefficient, key, representative)
 
 
@@ -23,13 +21,11 @@ class FormalSum:
     """Integer combination of terms, kept merged: equal keys add their
     coefficients and keep the first-seen position and representative; zero
     coefficients are dropped.  ``+``, ``-``, negation and ``n *`` keep the
-    ``tol`` and ``table`` of the left operand."""
+    ``table`` of the left operand."""
 
-    __slots__ = ("_terms", "tol", "table")
+    __slots__ = ("_terms", "table")
 
-    def __init__(self, terms: Iterable = (), tol: Tolerances = DEFAULT_TOL,
-                 table: Any = None):
-        self.tol = tol
+    def __init__(self, terms: Iterable = (), table: Any = None):
         self.table = table
         self._merge(self._keyed(terms))
 

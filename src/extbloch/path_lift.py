@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .config import DEFAULT_TOL, Tolerances
+from . import config
 from .covering import CoveringPoint, coords
 from .dilog import PI, lhat, plog
 from .errors import PathDegenerate
@@ -65,7 +65,7 @@ class LiftedFiveTuple:
             raise ValueError("need exactly five covering points")
         vals = coords(*self.base)
         for pt, val in zip(self.points, vals):
-            if abs(pt.z - val) > DEFAULT_TOL.cmp * (1.0 + abs(val)):
+            if abs(pt.z - val) > config.CMP * (1.0 + abs(val)):
                 raise ValueError("points do not lie over the base five-tuple")
 
     def branches(self) -> tuple[tuple[int, int], ...]:
@@ -105,7 +105,7 @@ def _advance(point_a, point_b, branches: list[list[int]], depth: int = 0):
         _advance(mid, point_b, branches, depth + 1)
         return
     for pq, wa, wb in zip(branches, ca, cb):
-        if abs(wb) <= DEFAULT_TOL.zero or abs(wb - 1.0) <= DEFAULT_TOL.zero:
+        if abs(wb) <= config.ZERO or abs(wb - 1.0) <= config.ZERO:
             raise PathDegenerate(f"coordinate hits {wb}")
         if wa.imag * wb.imag > 0.0:
             continue
@@ -113,14 +113,13 @@ def _advance(point_a, point_b, branches: list[list[int]], depth: int = 0):
         pq[1] += _lag(1.0 / (1.0 - wa), 1.0 / (1.0 - wb))
 
 
-def lift_path(path: ParamPath, start: LiftedFiveTuple,
-              tol: Tolerances = DEFAULT_TOL) -> LiftedFiveTuple:
+def lift_path(path: ParamPath, start: LiftedFiveTuple) -> LiftedFiveTuple:
     """Transport branch integers along the path from the given lift: at
     the end, each coordinate's Log z + p*pi*i and Log 1/(1-z) + q*pi*i are
     the start's logarithms continued along the path."""
     sx0, sx1 = path.start
     bx0, bx1 = start.base
-    if abs(sx0 - bx0) > tol.cmp or abs(sx1 - bx1) > tol.cmp:
+    if abs(sx0 - bx0) > config.CMP or abs(sx1 - bx1) > config.CMP:
         raise ValueError("start lift does not lie over the path's start")
     branches = [[pt.p, pt.q] for pt in start.points]
     for a, b in zip(path.vertices, path.vertices[1:]):

@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .config import DEFAULT_TOL, Tolerances
-from .chains import (BarChain, HomChain, _checked_cycle, _repair_core,
-                     _sample_v, inhom_to_hom, is_v_good, near_pairs)
+from .chains import (BarChain, HomChain, SymbolTable, _checked_cycle,
+                     _repair_core, _sample_v, inhom_to_hom, is_v_good,
+                     near_pairs)
 from .core import ProjVector, as_rng, det_pair
 from .covering import FlatteningTriple, _point_value
 from .dilog import TWO_PI_SQ, plog
@@ -51,11 +51,10 @@ class ConfigTuple:
         return ConfigTuple(self.vectors[:i] + self.vectors[i + 1:])
 
 
-def psi_v(c: HomChain, v: ProjVector,
-          tol: Tolerances = DEFAULT_TOL) -> list[tuple[int, ConfigTuple]]:
+def psi_v(c: HomChain, v: ProjVector) -> list[tuple[int, ConfigTuple]]:
     """Apply every group element to v, termwise: (g_0,...,g_n) becomes the
     configuration (g_0 v, ..., g_n v)."""
-    ok, offending = is_v_good(c, v, tol)
+    ok, offending = is_v_good(c, v)
     if not ok:
         raise NotVGood(f"offending pairs {offending[:3]}")
     return [(coeff, ConfigTuple(tuple(g.apply(v) for g in tup)))
@@ -107,7 +106,7 @@ class LambdaResult:
     vector: ProjVector
 
 
-def lambda_hat(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL) -> LambdaResult:
+def lambda_hat(c: BarChain, seed) -> LambdaResult:
     """Full composite on a cycle: repair to a good representative with a
     checked homotopy certificate, push to vector configurations by a
     generic v, flatten termwise.
@@ -116,9 +115,9 @@ def lambda_hat(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL) -> LambdaResult
     (see ``_lambda_hat``), so its nu_hat is mu of the repaired cycle's
     boundary, which the certificate check proves zero.  ``seed`` is an
     integer or a generator (see ``as_rng``).  Raises NotACycle, a
-    ValueError, when ``c`` is not a 3-cycle at ``tol``.
+    ValueError, when ``c`` is not a 3-cycle.
     """
-    hom = inhom_to_hom(_checked_cycle(c, tol))
+    hom = inhom_to_hom(_checked_cycle(c, SymbolTable()))
     v, terms = _lambda_hat(hom, as_rng(seed))
     return LambdaResult([(coeff, _flattening(logs)) for coeff, logs in terms], v)
 
@@ -126,13 +125,13 @@ def lambda_hat(c: BarChain, seed, tol: Tolerances = DEFAULT_TOL) -> LambdaResult
 def _lambda_hat(hom: HomChain, rng):
     """v and, per repaired term, its coefficient and six Log dets in
     ``_flattening`` order, for a homogeneous cycle checked and interned for
-    this evaluation, whose table carries the tolerances; the repair draws
+    this evaluation; the repair draws
     from ``rng`` first, then v.  det is SL(2, C) invariant, so every
     translate of an edge e = g_i^-1 g_j shares the Log det(g_i v, g_j v)
     of the first met, whose det the v-check's pass already computed."""
     good_hom = _repair_core(hom, rng).phi_image
     table = hom.table
-    v, _, dets = _sample_v(good_hom, rng, table.tol)
+    v, _, dets = _sample_v(good_hom, rng)
     edge_log: dict[int, complex] = {}
 
     def log(i, j):
@@ -187,7 +186,7 @@ class CcsReport:
 
 
 def ccs_value(c: BarChain, seed=0, trials: int = 5,
-              tol: Tolerances = DEFAULT_TOL) -> CcsReport:
+              tol: float | None = None) -> CcsReport:
     """Evaluate a cycle over several independent repair/vector draws.
 
     One generator is made from ``seed`` (see ``as_rng``); the trials draw
@@ -203,20 +202,20 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     ``lambda_hat(...).triples``.
     Trials must agree (mod 1, within fp) by independence of the choices;
     the max pairwise deviation is reported as a health measure.  All
-    trials share one symbol table at ``tol``.  Raises NotACycle, a
-    ValueError, when ``c`` is not a 3-cycle at ``tol``.
+    trials share one symbol table at the comparison tolerance ``tol`` (see
+    ``SymbolTable``).  Raises NotACycle, a ValueError, when ``c`` is not a
+    3-cycle at ``tol``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = as_rng(seed)
-    hom = inhom_to_hom(_checked_cycle(c, tol))
-    zero = hom.table.tol.zero
+    hom = inhom_to_hom(_checked_cycle(c, SymbolTable(tol)))
     values: list[complex] = []
     raws: list[complex] = []
     vol_res = 0.0
     for _ in range(trials):
         _, terms = _lambda_hat(hom, rng)
-        points = [(coeff, *_point_value(*_log_params(*logs), zero))
+        points = [(coeff, *_point_value(*_log_params(*logs)))
                   for coeff, logs in terms]
         # correctly rounded sums, independent of the order of the terms
         raw = complex(math.fsum(c * lh.real for c, lh, _ in points),

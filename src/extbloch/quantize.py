@@ -17,13 +17,15 @@ more than ``2 * tol`` apart never share an id.  A value within the guard
 band (``tol * 1e-3``) of a stored vector always finds a stored id, so
 floating-point copies of a stored value get no new id.  Between the two
 nothing is promised: values closer than ``tol`` can land in adjacent cells
-and get different ids.
+and get different ids.  A value with ``x / tol`` infinite raises OutOfGrid.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from typing import Iterable
+
+from .errors import OutOfGrid
 
 # guard band, as a fraction of the cell size: well above fp noise, well
 # below the cell size
@@ -62,7 +64,11 @@ class FuzzyIndex:
         splits = 0
         for x in vals:
             scaled = x / tol
-            cell = int(round(scaled))
+            try:
+                cell = int(round(scaled))
+            except OverflowError:  # x / tol is infinite
+                raise OutOfGrid(f"value {x!r} is out of range at comparison "
+                                f"tolerance {tol!r}") from None
             off = scaled - cell  # in [-1/2, 1/2], boundaries at +-1/2
             alt = (cell + 1 if 0.5 - off < _GUARD
                    else cell - 1 if 0.5 + off < _GUARD else None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import DEFAULT_TOL, Tolerances
+from . import config
 from .core import (INF, GroupElement, ProjVector, as_rng, cross_ratio_ext,
                    det_pair, is_inf, moebius)
 from .covering import to_covering_point
@@ -25,11 +25,11 @@ RealGroupElement = GroupElement
 
 
 def is_positive(g: RealGroupElement) -> bool:
-    return g.c > DEFAULT_TOL.zero
+    return g.c > config.ZERO
 
 
 def is_nonzero(g: RealGroupElement) -> bool:
-    return abs(g.c) > DEFAULT_TOL.zero
+    return abs(g.c) > config.ZERO
 
 
 def less(g1: RealGroupElement, g2: RealGroupElement) -> bool:
@@ -69,14 +69,13 @@ def _boundary_key(pt) -> float:
 
 
 def rogers_cocycle(g0: RealGroupElement, g1: RealGroupElement,
-                   g2: RealGroupElement, g3: RealGroupElement,
-                   tol: Tolerances = DEFAULT_TOL) -> float:
+                   g2: RealGroupElement, g3: RealGroupElement) -> float:
     """Real Rogers value of the cross-ratio of the four boundary points
     g_i(infinity).  Zero on tuples with coinciding boundary points (the
     degenerate symbol is the zero element, not an argument to the
     dilogarithm)."""
     pts = [moebius(g, INF) for g in (g0, g1, g2, g3)]
-    cr = cross_ratio_ext(*pts, tol)
+    cr = cross_ratio_ext(*pts)
     if cr == 0:
         return 0.0
     return rogers_real(cr.real)
@@ -95,8 +94,8 @@ class SmallPositiveReport:
 
 
 def check_small_positive_agreement(
-        g1: RealGroupElement, g2: RealGroupElement, g3: RealGroupElement,
-        tol: Tolerances = DEFAULT_TOL) -> SmallPositiveReport:
+        g1: RealGroupElement, g2: RealGroupElement,
+        g3: RealGroupElement) -> SmallPositiveReport:
     """Verify the flat-configuration picture for a positive triple.
 
     With v = (1, 0) and the partial products applied to v:
@@ -124,7 +123,7 @@ def check_small_positive_agreement(
     for i in range(4):
         for j in range(i + 1, 4):
             dets.append(det_pair(vecs[i], vecs[j]).real)
-    if min(dets) <= tol.zero:
+    if min(dets) <= config.ZERO:
         raise PreconditionFailed(
             "determinant positivity: some det(v_i, v_j) <= 0 "
             "(a product of the triple is not positive)")
@@ -167,8 +166,8 @@ def sample_small_positive(rng, spread: float = 0.2) -> RealGroupElement:
             return RealGroupElement(a, b, c, d)
 
 
-def sample_agreement_suite(seed, samples: int = 500,
-                           tol: Tolerances = DEFAULT_TOL) -> list[SmallPositiveReport]:
+def sample_agreement_suite(seed,
+                           samples: int = 500) -> list[SmallPositiveReport]:
     """Draw small positive triples and run the agreement check on each.
     Triples whose products fail positivity are redrawn (the neighbourhood
     hypothesis), so every returned report passed all requirements."""
@@ -177,7 +176,7 @@ def sample_agreement_suite(seed, samples: int = 500,
     while len(out) < samples:
         gs = [sample_small_positive(rng) for _ in range(3)]
         try:
-            out.append(check_small_positive_agreement(*gs, tol))
+            out.append(check_small_positive_agreement(*gs))
         except PreconditionFailed:
             continue
     return out

@@ -3,10 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from extbloch.config import DEFAULT_TOL, Tolerances
+from extbloch import config
 from extbloch.core import (GroupElement, det_pair, random_sl2, random_vector,
                            rotation)
-from extbloch.chains import (BarChain, HomChain, _checked_cycle,
+from extbloch.chains import (BarChain, HomChain, SymbolTable, _checked_cycle,
                              _ConeRepairer, _sample_v, _v_pass, bar_boundary,
                              cone, conjugate_chain, hom_boundary,
                              hom_to_inhom, inhom_to_hom, is_cycle, is_good,
@@ -33,9 +33,9 @@ def test_inhom_to_hom_examples(rng):
     hom = inhom_to_hom(c)
     ((coeff, tup),) = hom.terms
     assert coeff == 1
-    assert tup[0].close_to(GroupElement.identity())
-    assert tup[1].close_to(g)
-    assert tup[2].close_to(g @ h)
+    assert tup[0].close_to(GroupElement.identity(), config.CMP)
+    assert tup[1].close_to(g, config.CMP)
+    assert tup[2].close_to(g @ h, config.CMP)
 
 
 def test_hom_to_inhom_left_invariance(rng):
@@ -109,10 +109,10 @@ def test_is_good_examples(rng):
     for t, (_, tup) in enumerate(list(c)):
         vecs = [g.apply(v) for g in tup]
         for i, j in combinations(range(len(tup)), 2):
-            if tup[i].sign_equiv(tup[j]):
+            if tup[i].sign_equiv(tup[j], config.CMP):
                 coincide.append((t, i, j))
             scale = vecs[i].norm() * vecs[j].norm()
-            if abs(det_pair(vecs[i], vecs[j])) <= DEFAULT_TOL.vgood * scale:
+            if abs(det_pair(vecs[i], vecs[j])) <= config.VGOOD * scale:
                 near.append((t, i, j))
     assert coincide
     assert is_good(c) == (False, coincide)
@@ -138,31 +138,32 @@ def test_sample_generic_v(rng):
         sample_generic_v(bad, 7, max_attempts=40)
 
 
-def _near_by_tuple(hom, v, tol):
+def _near_by_tuple(hom, v):
     """is_v_good's verdict from ``near_pairs`` on every tuple apart."""
     return [(t, i, j) for t, (_, tup) in enumerate(hom)
-            for i, j in near_pairs([g.apply(v) for g in tup], tol)]
+            for i, j in near_pairs([g.apply(v) for g in tup])]
 
 
-def test_v_pass_decides_as_near_pairs_per_tuple():
+def test_v_pass_decides_as_near_pairs_per_tuple(monkeypatch):
     # one apply per element and one det per id pair give the verdicts of
     # near_pairs tuple by tuple, on chains with and without +- coincidences
     # and at a vgood loose enough to reject some draws
     draws = random.Random(4)
     chains = [inhom_to_hom(torsion_cycle(4)),
               inhom_to_hom(_checked_cycle(random_boundary_cycle(2, 3),
-                                          DEFAULT_TOL)),
+                                          SymbolTable())),
               HomChain(1, [(1, (GroupElement.identity(),
                                 -GroupElement.identity()))], True)]
     verdicts = set()
-    for tol in (DEFAULT_TOL, Tolerances(vgood=0.3)):
+    for vgood in (config.VGOOD, 0.3):
+        monkeypatch.setattr(config, "VGOOD", vgood)
         for hom in chains:
             for _ in range(5):
                 v = random_vector(draws)
-                offending, dets = _v_pass(hom, v, tol)
-                want = _near_by_tuple(hom, v, tol)
+                offending, dets = _v_pass(hom, v)
+                want = _near_by_tuple(hom, v)
                 assert offending == want
-                assert is_v_good(hom, v, tol) == (not want, want)
+                assert is_v_good(hom, v) == (not want, want)
                 verdicts.add(not want)
                 elements = hom.table.elements
                 for (i, j), d in dets.items():
@@ -172,23 +173,24 @@ def test_v_pass_decides_as_near_pairs_per_tuple():
     assert verdicts == {True, False}
 
 
-def test_sample_v_shares_sample_generic_v_draws():
+def test_sample_v_shares_sample_generic_v_draws(monkeypatch):
     # from one seed the shared pass accepts the same v after the same
     # number of draws as sample_generic_v, and as a rejection loop over
     # near_pairs; the loose vgood makes it reject some draws first
-    hom = inhom_to_hom(_checked_cycle(random_boundary_cycle(2, 3), DEFAULT_TOL))
-    tol = Tolerances(vgood=0.2)
+    hom = inhom_to_hom(_checked_cycle(random_boundary_cycle(2, 3),
+                                      SymbolTable()))
+    monkeypatch.setattr(config, "VGOOD", 0.2)
     attempts = set()
     for seed in range(6):
-        v, n, dets = _sample_v(hom, random.Random(seed), tol)
-        assert sample_generic_v(hom, seed, tol=tol) == (v, n)
+        v, n, dets = _sample_v(hom, random.Random(seed))
+        assert sample_generic_v(hom, seed) == (v, n)
         draws = random.Random(seed)
         for ref_n in range(1, 1001):
             ref = random_vector(draws)
-            if not _near_by_tuple(hom, ref, tol):
+            if not _near_by_tuple(hom, ref):
                 break
         assert (ref, ref_n) == (v, n)
-        assert dets == _v_pass(hom, v, tol)[1]
+        assert dets == _v_pass(hom, v)[1]
         attempts.add(n)
     assert max(attempts) > 1
 
@@ -279,7 +281,7 @@ def test_certificate_draws_nothing():
         rng = random.Random(seed)
         rr = repair_with_certificate(c, rng)
         alone = random.Random(seed)
-        checked = _checked_cycle(c, DEFAULT_TOL)
+        checked = _checked_cycle(c, SymbolTable())
         rep = _ConeRepairer(alone, checked.table)
         hom = inhom_to_hom(checked)
         rep.linear(rep.phi, hom.pairs(), True)
@@ -299,7 +301,7 @@ def test_no_apex_for_a_cone_over_nothing(monkeypatch):
         return real(self, terms)
 
     monkeypatch.setattr(_ConeRepairer, "_generic_avoiding", spy)
-    checked = _checked_cycle(torsion_cycle(6), DEFAULT_TOL)
+    checked = _checked_cycle(torsion_cycle(6), SymbolTable())
     rep = _ConeRepairer(random.Random(0), checked.table)
     rep.linear(rep.phi, inhom_to_hom(checked).pairs(), True)
     assert [] in rep._phi_memo.values()

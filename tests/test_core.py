@@ -1,5 +1,6 @@
 import pytest
 
+from extbloch.config import CMP
 from extbloch.core import (INF, GroupElement, ProjVector, cross_ratio,
                            cross_ratio_ext, det_pair, hopf, is_inf, moebius,
                            random_sl2, random_vector, rotation)
@@ -126,8 +127,8 @@ def test_rotation_examples():
 
 def test_sign_equiv():
     g = rotation(6, 1)
-    assert g.sign_equiv(-g)
-    assert not g.sign_equiv(rotation(6, 2))
+    assert g.sign_equiv(-g, CMP)
+    assert not g.sign_equiv(rotation(6, 2), CMP)
 
 
 def test_sign_distance_matches_negated_element(rng):

@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from extbloch.config import Tolerances
 from extbloch.core import GroupElement, random_sl2, rotation
 from extbloch.chains import (BarChain, SymbolTable, _checked_cycle,
                              conjugate_chain, inhom_to_hom)
@@ -69,14 +68,14 @@ def test_coefficients_must_be_integers():
 
 
 def test_tolerance_kept_across_operations(rng):
-    tol = Tolerances(cmp=1e-6)
+    # a sum's tolerance is its table's, and sums keep the left table
     g, h = random_sl2(rng), random_sl2(rng)
-    a = BarChain(1, [(1, (g,))], tol)
+    a = BarChain(1, [(1, (g,))]).interned(SymbolTable(1e-6))
     b = BarChain(1, [(2, (h,))])
     for s in (a + b, a - b, -a, 3 * a):
-        assert s.tol is tol and s.table is a.table
-    w = WedgeElement([(1, 1j, 2.0 + 0j)], tol=tol)
-    assert (w + w).tol is tol and (w - w).tol is tol
+        assert s.table is a.table and s.table.tol == 1e-6
+    w = WedgeElement([(1, 1j, 2.0 + 0j)])
+    assert (w + w).table is w.table and (w - w).table is w.table
 
 
 def test_sums_over_different_tables_rekey(rng):
@@ -92,7 +91,7 @@ def test_sums_over_different_tables_rekey(rng):
 
 
 def test_symbol_table_identifies_within_guard_band():
-    table = SymbolTable(Tolerances(cmp=1e-8))
+    table = SymbolTable(1e-8)
     t = rotation(5, 1)
     noisy = rotation(5, 1) @ rotation(7, 1) @ rotation(7, -1)
     assert noisy != t  # differs by rounding only
@@ -132,7 +131,7 @@ def test_ldiv_is_the_interned_left_quotient():
     assert all(table.ldiv(i, i) == table.identity for i in ids)
     conj = GroupElement(30.0, 0.3, 0.0, 1.0 / 30.0)
     hom = inhom_to_hom(_checked_cycle(conjugate_chain(conj, torsion_cycle(5)),
-                                      Tolerances()))
+                                      SymbolTable()))
     for _, tup in hom.pairs():
         for i in tup:
             for j in tup:

@@ -4,7 +4,8 @@ import ast
 import math
 from pathlib import Path
 
-from extbloch.config import Tolerances
+from extbloch import config
+from extbloch.chains import SymbolTable
 from extbloch.fixtures import random_boundary_cycle
 from extbloch.pipeline import ccs_value
 
@@ -27,9 +28,14 @@ def test_boundary_annihilation_100(rng):
 
 
 def test_config_validation():
-    for bad in (-1.0, 0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="positive and finite"):
-            Tolerances(cmp=bad)
+    # the one settable tolerance: positive, finite and below the apex margin
+    for bad in (-1.0, 0.0, math.nan, math.inf, 0.3, config.APEX_MARGIN):
+        for check in (config.check_cmp, SymbolTable):
+            with pytest.raises(ValueError,
+                               match="tolerance cmp must lie in"):
+                check(bad)
+    for good in (config.CMP, 1e-4):
+        assert config.check_cmp(good) == good == SymbolTable(good).tol
 
 
 def test_src_modules_use_every_import():

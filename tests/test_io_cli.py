@@ -156,6 +156,12 @@ def test_cli_rejects_non_finite_entries(tmp_path, capsys, matrix, command):
      "argument --seed: must be at least 0, got -1"),
     (["real-check", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
     (["selftest", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+    # at a cmp as coarse as the apex margin a cone apex can be identified
+    # with an element it avoids
+    (["eval", "{cycle}", "--tolerance", "0.3"],
+     "argument --tolerance: tolerance cmp must lie in (0, 0.001), got 0.3"),
+    (["check-cycle", "{cycle}", "--tolerance", "1e-3"],
+     "argument --tolerance: tolerance cmp must lie in (0, 0.001), got 0.001"),
 ])
 def test_cli_rejects_bad_arguments(tmp_path, capsys, argv, reason):
     path = tmp_path / "t3.json"
@@ -205,6 +211,27 @@ def test_cli_check_cycle_rejects_huge_entry(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: term 0, matrix 0: entry out of range" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check-cycle", "eval"])
+@pytest.mark.parametrize("doc, extra, reason", [
+    ({"group": "SL2C", "degree": 1, "terms": [
+        {"coef": 1, "bar": [[[1e301, 0], [0, 0], [0, 0], [1e-301, 0]]]}]}, [],
+     "value 1e+301 is out of range at comparison tolerance 1e-08"),
+    (chain_to_obj(torsion_cycle(3)), ["--tolerance", "1e-310"],
+     "value 1.0 is out of range at comparison tolerance 1e-310"),
+], ids=["huge-entry", "tiny-tolerance"])
+def test_cli_refuses_values_off_the_grid(tmp_path, capsys, command, doc,
+                                         extra, reason):
+    # x / cmp overflows when keying a group element: named, not a traceback
+    path = tmp_path / "chain.json"
+    path.write_text(dumps_canonical(doc))
+    try:
+        code = main([command, str(path), *extra])
+    except SystemExit as stop:
+        code = stop.code
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
 
 
 def test_cli_tolerance_reaches_cycle_check(tmp_path):
@@ -259,6 +286,7 @@ def test_cli_lift_path():
     ("0,1j", "x = 0j hits 0 or 1"),
     ("1,1j", "x = (1+0j) hits 0 or 1"),
     ("0.3+1j,0.3+1j", "x = y makes coordinate 2 equal to 1"),
+    ("nan,0.5", "x = (nan+0j) is not finite"),
 ])
 def test_cli_lift_path_degenerate_base_exits_2(capsys, base, reason):
     assert main(["lift-path", "--base", base, "--p0", "1"]) == 2
@@ -272,6 +300,8 @@ def test_cli_lift_path_degenerate_base_exits_2(capsys, base, reason):
     ("1", "0.5", "x = (1+0j) hits 0 or 1"),
     ("0.5", "0", "y = 0j hits 0 or 1"),
     ("2", "2", "x = y makes coordinate 2 equal to 1"),
+    ("nan", "0.5", "x = (nan+0j) is not finite"),
+    ("0.5", "inf", "y = (inf+0j) is not finite"),
 ])
 @pytest.mark.parametrize("verify", [[], ["--verify"]])
 def test_cli_five_term_degenerate_parameters_exit_2(capsys, x, y, reason,
