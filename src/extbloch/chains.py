@@ -437,14 +437,17 @@ class _ConeRepairer:
 
     A good tuple is kept: phi(s) = s and H(s) = 0.  Goodness is pairwise,
     so every face of a good tuple is good and both identities hold on it.
-    A bad tuple s is coned off a generic apex a, phi(s) = cone(a, phi(ds)),
-    and H off the identity, H(s) = cone(1, X) with X = phi(s) - s - H(ds):
-    X is a cycle by induction, so any apex bounds it, and only phi's chains
-    (pushed through a vector) need a generic one.  Both maps are defined on
-    canonical orbit representatives and extended equivariantly; memoization
-    by the canonical id tuple gives shared faces identical images.  They
-    return (coefficient, ids) lists: only ``linear``, whose sums cancel,
-    merges terms.
+    A bad tuple s is coned off an apex a, phi(s) = cone(a, phi(ds)), and H
+    off the identity, H(s) = cone(1, X) with X = phi(s) - s - H(ds): X is a
+    cycle by induction, so any apex bounds it, and only phi's chains (pushed
+    through a vector) need a generic one.  phi is a chain map for any apex
+    per tuple, so each degree's apex is reused while it clears
+    ``config.APEX_MARGIN`` against phi(ds), which holds only lower-degree
+    apexes, and redrawn when not; cone terms over shared apexes cancel.
+    Both maps are defined on canonical orbit representatives and extended
+    equivariantly; memoization by the canonical id tuple gives shared faces
+    identical images.  They return (coefficient, ids) lists: only
+    ``linear``, whose sums cancel, merges terms.
     """
 
     def __init__(self, rng, table: SymbolTable):
@@ -452,14 +455,18 @@ class _ConeRepairer:
         self.table = table
         self._phi_memo: dict[Ids, _Terms] = {}
         self._h_memo: dict[Ids, _Terms] = {}
+        self._apex: dict[int, int] = {}  # tuple length -> current apex id
+
+    def _clears(self, g: GroupElement, terms: _Terms) -> bool:
+        """g lies over ``config.APEX_MARGIN`` from +-every id in ``terms``."""
+        elements = self.table.elements
+        return all(g.sign_distance(elements[i]) > config.APEX_MARGIN
+                   for i in {i for _, ids in terms for i in ids})
 
     def _generic_avoiding(self, terms: _Terms) -> GroupElement:
-        avoid = [self.table.elements[i]
-                 for i in {i for _, ids in terms for i in ids}]
         for _ in range(1000):
             g = random_sl2(self.rng)
-            margin = min((g.sign_distance(h) for h in avoid), default=1.0)
-            if margin > config.APEX_MARGIN:
+            if self._clears(g, terms):
                 return g
         raise RepairFailed("could not sample a generic cone apex")
 
@@ -476,7 +483,11 @@ class _ConeRepairer:
             if self.table.good(canon):
                 img = [(1, canon)]
             elif faces := self.linear(self.phi, _faces(canon)):
-                apex = self.table.intern(self._generic_avoiding(faces))
+                apex = self._apex.get(len(canon))
+                if apex is None or not self._clears(
+                        self.table.elements[apex], faces):
+                    apex = self._apex[len(canon)] = self.table.intern(
+                        self._generic_avoiding(faces))
                 img = [(c, (apex,) + t) for c, t in faces]
             else:  # cone(a, 0) = 0 for every apex a: draw none
                 img = []
@@ -519,9 +530,10 @@ def _faces(ids: Ids) -> _Terms:
 
 def _repair_core(hom: HomChain, rng) -> RepairResult:
     """Repair of a homogeneous cycle interned for this evaluation: phi = hom
-    - B + phi(B) and H = H(B) for its bad part B, apexes drawn from rng.
-    Checks dH(B) = phi(B) - B and that phi(B) is good (kept tuples are).
-    Chains are built once, for the result; inside, sums are merged lists."""
+    - B + phi(B) and H = H(B) for its bad part B, off one apex per degree
+    from rng (redrawn for a tuple it does not clear).  Checks dH(B) =
+    phi(B) - B and that phi(B) is good (kept tuples are).  Chains are
+    built once, for the result; inside, sums are merged lists."""
     table, n = hom.table, hom.degree
     good, bad = [], []
     for term in hom.pairs():

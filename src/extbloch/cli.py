@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation failure, 3 numeric-residual failure
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import config
@@ -154,6 +155,7 @@ def cmd_selftest(args) -> int:
     return 0 if failures == 0 else 3
 
 
+@functools.cache  # parse_args leaves the parser as it was: build it once
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ccs",

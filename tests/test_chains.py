@@ -7,8 +7,9 @@ from extbloch import config
 from extbloch.core import (GroupElement, det_pair, random_sl2, random_vector,
                            rotation)
 from extbloch.chains import (BarChain, HomChain, SymbolTable, _checked_cycle,
-                             _ConeRepairer, _sample_v, _v_pass, bar_boundary,
-                             cone, conjugate_chain, hom_boundary,
+                             _ConeRepairer, _faces, _offending, _sample_v,
+                             _v_pass, bar_boundary, cone, conjugate_chain,
+                             hom_boundary,
                              hom_to_inhom, inhom_to_hom, is_cycle, is_good,
                              is_v_good, near_pairs, repair_to_good,
                              repair_with_certificate, sample_generic_v)
@@ -291,21 +292,60 @@ def test_certificate_draws_nothing():
         assert res.is_empty()
 
 
-def test_no_apex_for_a_cone_over_nothing(monkeypatch):
-    # phi(s) = cone(a, phi(ds)) is 0 for every apex a once phi(ds) merges to
-    # 0: torsion 6 has such bad simplices, and none of them draws an apex
-    sizes, real = [], _ConeRepairer._generic_avoiding
+def _spy_draws(monkeypatch) -> list:
+    """The face terms of every apex draw, in order."""
+    drawn, real = [], _ConeRepairer._generic_avoiding
 
     def spy(self, terms):
-        sizes.append(len(terms))
+        drawn.append(terms)
         return real(self, terms)
 
     monkeypatch.setattr(_ConeRepairer, "_generic_avoiding", spy)
+    return drawn
+
+
+def test_no_apex_for_a_cone_over_nothing(monkeypatch):
+    # phi(s) = cone(a, phi(ds)) is 0 for every apex a once phi(ds) merges to
+    # 0: torsion 6 has such bad simplices, and none of them draws an apex
+    drawn = _spy_draws(monkeypatch)
     checked = _checked_cycle(torsion_cycle(6), SymbolTable())
     rep = _ConeRepairer(random.Random(0), checked.table)
     rep.linear(rep.phi, inhom_to_hom(checked).pairs(), True)
     assert [] in rep._phi_memo.values()
-    assert sizes and 0 not in sizes
+    assert drawn and [] not in drawn
+
+
+def test_one_apex_per_degree_per_trial(monkeypatch):
+    # every term of torsion 6 is bad, down to 1-simplices; each degree's
+    # apex is reused while it clears the margin, so a repair draws at most
+    # one apex per degree (12 draws with one apex per bad simplex)
+    drawn = _spy_draws(monkeypatch)
+    for seed in range(5):
+        drawn.clear()
+        rr = repair_with_certificate(torsion_cycle(6), seed)
+        lengths = [len(terms[0][1]) + 1 for terms in drawn]  # cone tuples
+        assert sorted(lengths) == [2, 3, 4], (seed, lengths)  # degrees 1-3
+        assert is_good(rr.phi_image)[0]
+
+
+def test_apex_too_close_to_a_face_is_redrawn(monkeypatch):
+    # plant, as a degree's current apex, the negative of an element of
+    # phi(ds): the reuse test must refuse it, draw a fresh apex and keep the
+    # cone image good
+    checked = _checked_cycle(torsion_cycle(6), SymbolTable())
+    table = checked.table
+    rep = _ConeRepairer(random.Random(0), table)
+    for _, ids in inhom_to_hom(checked).pairs():
+        canon = table.canonical(ids)
+        if faces := rep.linear(rep.phi, _faces(canon)):
+            break
+    planted = table.intern(-table.elements[faces[0][1][-1]])
+    rep._apex[len(canon)] = planted
+    drawn = _spy_draws(monkeypatch)
+    img = rep.phi(canon)
+    assert len(drawn) == 1 and rep._apex[len(canon)] != planted
+    assert img and all(t[0] == rep._apex[len(canon)] for _, t in img)
+    assert not _offending(table, img)
 
 
 def test_repair_deterministic(rng):

@@ -10,7 +10,7 @@ import pytest
 from extbloch import selftest
 from extbloch.chainio import chain_to_obj, dumps_canonical, parse_cycle_file
 from extbloch.chains import is_cycle
-from extbloch.cli import main
+from extbloch.cli import build_parser, main
 from extbloch.errors import DeterminantError, SchemaError
 from extbloch.fixtures import torsion_cycle
 
@@ -105,6 +105,27 @@ def test_cli_determinism(tmp_path):
     r1 = _run("eval", str(fixture), "--seed", "7", "--trials", "2")
     r2 = _run("eval", str(fixture), "--seed", "7", "--trials", "2")
     assert r1.stdout == r2.stdout  # byte-identical reports
+
+
+
+def test_cli_main_twice_in_one_process(tmp_path, capsys):
+    # the parser is built once per process; neither a call's options nor an
+    # argparse error carries over to the next call
+    assert build_parser() is build_parser()
+    path = tmp_path / "t3.json"
+    path.write_text(dumps_canonical(chain_to_obj(torsion_cycle(3))))
+    assert main(["eval", str(path), "--seed", "5", "--trials", "2"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert (first["seed"], first["trials_requested"]) == (5, 2)
+    assert main(["eval", str(path)]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert (plain["seed"], plain["trials_requested"]) == (0, 5)
+    with pytest.raises(SystemExit) as stop:
+        main(["eval", str(path), "--trials", "0"])
+    assert stop.value.code == 2
+    capsys.readouterr()
+    assert main(["eval", str(path), "--trials", "1"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["trials"]) == 1
 
 
 def test_cli_exit_codes(tmp_path):
