@@ -21,6 +21,8 @@ from .chains import BarChain
 from .core import GroupElement
 from .errors import DeterminantError, SchemaError
 
+MAX_COEF = 2**53  # every integer up to this size is exactly a float
+
 
 def matrix_to_obj(g: GroupElement) -> list:
     return [[x.real, x.imag] for x in g.entries()]
@@ -72,6 +74,8 @@ def chain_from_obj(obj) -> BarChain:
         coeff = t["coef"]
         if type(coeff) is not int:
             raise SchemaError(f"term {k}: coefficient must be an integer")
+        if abs(coeff) > MAX_COEF:  # the trial sums take it as a float
+            raise SchemaError(f"term {k}: coefficient out of range")
         bar = t["bar"]
         if not isinstance(bar, list) or len(bar) != degree:
             raise SchemaError(f"term {k}: bar symbol must list {degree} matrices")
@@ -85,7 +89,12 @@ def parse_cycle_file(path: str) -> BarChain:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc.reason} at "
+                              f"byte {exc.start})")
+        except (ValueError, RecursionError) as exc:
+            # malformed JSON, an integer past int()'s digit limit, or
+            # nesting deeper than the decoder recurses
             raise SchemaError(f"{path}: invalid JSON ({exc})")
     return chain_from_obj(obj)
 

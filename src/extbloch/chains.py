@@ -26,7 +26,7 @@ it changes only the simplices that have such a coincidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from . import config
@@ -41,6 +41,7 @@ Ids = tuple[int, ...]
 _Terms = list[tuple[int, Ids]]
 
 MAX_DEGREE = 4  # the pipeline needs cycles (3) and homotopies (4) only
+V_ATTEMPTS = 1000  # draws of v before ``sample_generic_v`` gives up
 
 
 class SymbolTable:
@@ -287,16 +288,17 @@ def is_cycle(c: BarChain, tol: float | None = None) -> tuple[bool, BarChain]:
     return res.is_empty(), res
 
 
-def _checked_cycle(c: BarChain, table: SymbolTable) -> BarChain:
+def _checked_cycle(c: BarChain, table: SymbolTable) -> HomChain:
     """``c`` re-interned into ``table``, a new symbol table for one
-    evaluation; raises NotACycle (a ValueError) unless it is a 3-cycle there."""
+    evaluation, in homogeneous form; raises NotACycle (a ValueError) unless
+    it is a 3-cycle there."""
     if c.degree != 3:
         raise NotACycle(f"evaluation needs a 3-cycle, got degree {c.degree}")
     c = c.interned(table)
     residual = _residual(c)
     if not residual.is_empty():
         raise NotACycle(f"not a cycle: boundary has {len(residual)} terms")
-    return c
+    return inhom_to_hom(c)
 
 
 def conjugate_chain(g: GroupElement, c: BarChain) -> BarChain:
@@ -348,18 +350,18 @@ def near_pairs(vecs: Sequence[ProjVector]) -> list[tuple[int, int]]:
             <= config.VGOOD * (vecs[i].norm() * vecs[j].norm())]
 
 
-def _v_pass(hom: HomChain, v: ProjVector):
-    """One pass of v over a homogeneous chain: every element is applied to v
-    once and every id pair (g_i, g_j) met in a tuple, in tuple order, gets
-    det(g_i v, g_j v) once, tested as ``near_pairs`` tests it.  Returns
-    (offending (term index, i, j) triples, {(id_i, id_j): det})."""
-    elements = hom.table.elements
+def _v_pass(elements: list[GroupElement], terms: _Terms, v: ProjVector):
+    """One pass of v over the (coefficient, ids) ``terms`` of a homogeneous
+    chain over ``elements``: every element is applied to v once and every
+    id pair (g_i, g_j) met in a tuple, in tuple order, gets det(g_i v, g_j v)
+    once, tested as ``near_pairs`` tests it.  Returns (offending (term
+    index, i, j) triples, {(id_i, id_j): det})."""
     vecs: dict[int, tuple[ProjVector, float]] = {}
     dets: dict[tuple[int, int], complex] = {}
     near: dict[tuple[int, int], bool] = {}
     offending = []
     vgood = config.VGOOD
-    for t_idx, (_, ids) in enumerate(hom.pairs()):
+    for t_idx, (_, ids) in enumerate(terms):
         for i in ids:
             if i not in vecs:
                 w = elements[i].apply(v)
@@ -379,32 +381,35 @@ def _v_pass(hom: HomChain, v: ProjVector):
 def is_v_good(c, v: ProjVector) -> tuple[bool, list]:
     """All pairs satisfy |det(g_i v, g_j v)| above the scale-relative
     threshold.  Returns (ok, offending (term index, i, j) triples)."""
-    offending, _ = _v_pass(_hom(c), v)
+    hom = _hom(c)
+    offending, _ = _v_pass(hom.table.elements, list(hom.pairs()), v)
     return not offending, offending
 
 
-def _sample_v(hom: HomChain, rng, max_attempts: int = 1000):
-    """``sample_generic_v`` on a homogeneous chain, also returning the
-    accepted v's determinants by id pair (see ``_v_pass``)."""
-    for attempt in range(1, max_attempts + 1):
+def _sample_v(elements: list[GroupElement], terms: _Terms, rng):
+    """``sample_generic_v`` on the (coefficient, ids) ``terms`` of a
+    homogeneous chain over ``elements``, also returning the accepted v's
+    determinants by id pair (see ``_v_pass``)."""
+    for attempt in range(1, V_ATTEMPTS + 1):
         v = random_vector(rng)
-        offending, dets = _v_pass(hom, v)
+        offending, dets = _v_pass(elements, terms, v)
         if not offending:
             return v, attempt, dets
     raise SamplingExhausted(
-        f"no v-good vector in {max_attempts} attempts; "
+        f"no v-good vector in {V_ATTEMPTS} attempts; "
         "the chain is likely not good or the tolerance is too tight")
 
 
-def sample_generic_v(c, rng_or_seed,
-                     max_attempts: int = 1000) -> tuple[ProjVector, int]:
+def sample_generic_v(c, rng_or_seed) -> tuple[ProjVector, int]:
     """Rejection-sample a vector making the chain v-good.
 
     The failure locus is a finite union of hypersurfaces, so a good chain
     succeeds almost surely within a few draws.  Returns (v, attempts).
     Each draw is checked by the one pass ``is_v_good`` also runs.
     """
-    v, attempts, _ = _sample_v(_hom(c), as_rng(rng_or_seed), max_attempts)
+    hom = _hom(c)
+    v, attempts, _ = _sample_v(hom.table.elements, list(hom.pairs()),
+                               as_rng(rng_or_seed))
     return v, attempts
 
 
@@ -433,7 +438,7 @@ class RepairResult:
 
 class _ConeRepairer:
     """Recursive cone construction of a chain map phi into good chains and a
-    homotopy H with dH + Hd = phi - id.
+    homotopy H with dH + Hd = phi - id, one recursion for both.
 
     A good tuple is kept: phi(s) = s and H(s) = 0.  Goodness is pairwise,
     so every face of a good tuple is good and both identities hold on it.
@@ -444,17 +449,16 @@ class _ConeRepairer:
     per tuple, so each degree's apex is reused while it clears
     ``config.APEX_MARGIN`` against phi(ds), which holds only lower-degree
     apexes, and redrawn when not; cone terms over shared apexes cancel.
-    Both maps are defined on canonical orbit representatives and extended
-    equivariantly; memoization by the canonical id tuple gives shared faces
-    identical images.  They return (coefficient, ids) lists: only
-    ``linear``, whose sums cancel, merges terms.
+    ``images`` gives (phi(s), H(s)) on canonical orbit representatives,
+    memoized by the canonical id tuple so shared faces get identical
+    images, and extended equivariantly.  Images are (coefficient, ids)
+    lists: only ``linear``, whose sums cancel, merges terms.
     """
 
     def __init__(self, rng, table: SymbolTable):
         self.rng = rng
         self.table = table
-        self._phi_memo: dict[Ids, _Terms] = {}
-        self._h_memo: dict[Ids, _Terms] = {}
+        self._memo: dict[Ids, tuple[_Terms, _Terms]] = {}
         self._apex: dict[int, int] = {}  # tuple length -> current apex id
 
     def _clears(self, g: GroupElement, terms: _Terms) -> bool:
@@ -470,54 +474,46 @@ class _ConeRepairer:
                 return g
         raise RepairFailed("could not sample a generic cone apex")
 
-    def _translated(self, first: int, terms: _Terms) -> _Terms:
-        if first == self.table.identity:
-            return terms
-        mul = self.table.mul
-        return [(c, tuple(mul(first, i) for i in t)) for c, t in terms]
+    def images(self, ids: Ids) -> tuple[_Terms, _Terms]:
+        """(phi(s), H(s)) for the tuple s = ``ids``."""
+        table = self.table
+        canon = table.canonical(ids)
+        pair = self._memo.get(canon)
+        if pair is None:
+            if table.good(canon):
+                pair = [(1, canon)], []
+            else:
+                faces = [(c, self.images(f)) for c, f in _faces(canon)]
+                phi = self.linear((c, img[0]) for c, img in faces)
+                if phi:
+                    apex = self._apex.get(len(canon))
+                    if apex is None or not self._clears(
+                            table.elements[apex], phi):
+                        apex = self._apex[len(canon)] = table.intern(
+                            self._generic_avoiding(phi))
+                    phi = [(c, (apex,) + t) for c, t in phi]
+                # else cone(a, 0) = 0 for every apex a: draw none
+                one = (table.identity,)
+                x = self.linear([(1, phi), (-1, [(1, canon)]),
+                                 *((-c, img[1]) for c, img in faces)])
+                pair = phi, [(c, one + t) for c, t in x]
+            self._memo[canon] = pair
+        first = ids[0]
+        if first == table.identity:
+            return pair
+        mul = table.mul
+        return tuple([(c, tuple(mul(first, i) for i in t)) for c, t in terms]
+                     for terms in pair)
 
-    def phi(self, ids: Ids) -> _Terms:
-        canon = self.table.canonical(ids)
-        img = self._phi_memo.get(canon)
-        if img is None:
-            if self.table.good(canon):
-                img = [(1, canon)]
-            elif faces := self.linear(self.phi, _faces(canon)):
-                apex = self._apex.get(len(canon))
-                if apex is None or not self._clears(
-                        self.table.elements[apex], faces):
-                    apex = self._apex[len(canon)] = self.table.intern(
-                        self._generic_avoiding(faces))
-                img = [(c, (apex,) + t) for c, t in faces]
-            else:  # cone(a, 0) = 0 for every apex a: draw none
-                img = []
-            self._phi_memo[canon] = img
-        return self._translated(ids[0], img)
-
-    def homotopy(self, ids: Ids) -> _Terms:
-        canon = self.table.canonical(ids)
-        h = self._h_memo.get(canon)
-        if h is None:
-            if self.table.good(canon):
-                h = []
-            else:  # h = cone(1, phi(s) - s - H(ds))
-                one = (self.table.identity,)
-                h = [(c, one + t) for c, t in [*self.phi(canon), (-1, canon)]]
-                lower = self.linear(self.homotopy, _faces(canon))
-                h += [(-c, one + t) for c, t in lower]
-            self._h_memo[canon] = h
-        return self._translated(ids[0], h)
-
-    def linear(self, f, terms: Iterable[tuple[int, Ids]],
+    def linear(self, sums: Iterable[tuple[int, _Terms]],
                canonical: bool = False) -> _Terms:
-        """The linear extension of ``f`` (phi, homotopy or ``_faces``; None
-        maps a tuple to itself) to ``terms``, merged: equal tuples add,
-        first-seen order, zeros dropped, tuples keyed by their canonical
-        representative when ``canonical``."""
+        """The sum of coefficient times term list over ``sums``, merged:
+        equal tuples add, first-seen order, zeros dropped, tuples keyed by
+        their canonical representative when ``canonical``."""
         canon = self.table.canonical if canonical else None
         acc: dict[Ids, int] = {}
-        for coeff, ids in terms:
-            for c, t in f(ids) if f else ((1, ids),):
+        for coeff, terms in sums:
+            for c, t in terms:
                 if canon:
                     t = canon(t)
                 acc[t] = acc.get(t, 0) + coeff * c
@@ -528,37 +524,38 @@ def _faces(ids: Ids) -> _Terms:
     return [((-1) ** i, ids[:i] + ids[i + 1:]) for i in range(len(ids))]
 
 
-def _repair_core(hom: HomChain, rng) -> RepairResult:
-    """Repair of a homogeneous cycle interned for this evaluation: phi = hom
-    - B + phi(B) and H = H(B) for its bad part B, off one apex per degree
-    from rng (redrawn for a tuple it does not clear).  Checks dH(B) =
-    phi(B) - B and that phi(B) is good (kept tuples are).  Chains are
-    built once, for the result; inside, sums are merged lists."""
-    table, n = hom.table, hom.degree
+def _repair_core(hom: HomChain, rng) -> tuple[_Terms, _Terms]:
+    """Repair of a homogeneous cycle interned for this evaluation: the
+    merged (coefficient, ids) lists phi = hom - B + phi(B) and H = H(B) for
+    its bad part B, off one apex per degree from rng (redrawn for a tuple
+    it does not clear).  Checks that phi(B) is good (kept tuples are) and
+    the certificate dH(B) = phi(B) - B.  Builds no chain."""
+    table = hom.table
     good, bad = [], []
     for term in hom.pairs():
         (good if table.good(term[1]) else bad).append(term)
     rep = _ConeRepairer(rng, table)
-    phi_bad = rep.linear(rep.phi, bad, True)
+    imgs = [(c, rep.images(ids)) for c, ids in bad]
+    phi_bad = rep.linear(((c, img[0]) for c, img in imgs), True)
     if offenders := _offending(table, phi_bad):
         raise RepairFailed(f"cone image not good: offenders {offenders[:3]}")
-    h = rep.linear(rep.homotopy, bad, True)
-    residual = rep.linear(None, chain(
-        ((c * s, face) for c, ids in h for s, face in _faces(ids)),
-        ((-c, ids) for c, ids in phi_bad), bad), True)
+    h = rep.linear((c, img[1]) for c, img in imgs)  # (1, ...): canonical
+    residual = rep.linear([*((c, _faces(ids)) for c, ids in h),
+                           (-1, phi_bad), (1, bad)], True)
     if residual:
         raise RepairFailed(f"homotopy certificate failed: "
                            f"{len(residual)} residual terms")
-    return RepairResult(HomChain._on(table, n, good + phi_bad, True),
-                        HomChain._on(table, n + 1, h, True), hom)
+    return rep.linear([(1, good), (1, phi_bad)]), h
 
 
 def repair_with_certificate(c: BarChain, seed) -> RepairResult:
     """Replace a 3-cycle by a homologous good cycle via the recursive cone
     chain map, returning the explicit, verified homotopy certificate.
     ``seed`` is an integer or a generator (see ``as_rng``)."""
-    return _repair_core(inhom_to_hom(_checked_cycle(c, SymbolTable())),
-                        as_rng(seed))
+    hom = _checked_cycle(c, SymbolTable())
+    phi, h = _repair_core(hom, as_rng(seed))
+    return RepairResult(HomChain._on(hom.table, hom.degree, phi, True),
+                        HomChain._on(hom.table, hom.degree + 1, h, True), hom)
 
 
 def repair_to_good(c: BarChain, seed) -> BarChain:

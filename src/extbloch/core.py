@@ -37,11 +37,11 @@ def is_inf(z) -> bool:
     return isinstance(z, _Infinity)
 
 
-def ext_close(z, w, tol: float) -> bool:
-    """Equality on C u {inf} within an absolute tolerance."""
+def ext_close(z, w) -> bool:
+    """Equality on C u {inf} within ``config.CMP``, absolute."""
     if is_inf(z) or is_inf(w):
         return is_inf(z) and is_inf(w)
-    return abs(z - w) <= tol
+    return abs(z - w) <= config.CMP
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def cross_ratio(z0, z1, z2, z3) -> complex:
     pts = (z0, z1, z2, z3)
     for i in range(4):
         for j in range(i + 1, 4):
-            if ext_close(pts[i], pts[j], config.CMP):
+            if ext_close(pts[i], pts[j]):
                 raise DegenerateTuple(f"points {i} and {j} coincide")
     if is_inf(z0):
         return (z1 - z2) / (z1 - z3)

@@ -36,6 +36,7 @@ SUM_TOL = 1e-9  # |w0 + w1 + w2|, relative to 1 + |w0| + |w1|
 EXP_TOL = 1e-6  # |e^{w1} - 1/(1-z)|, relative to |1/(1-z)|
 INT_TOL = 1e-6  # distance of a branch integer from the nearest integer
 REAL_TOL = 1e-12  # |Im z| read as 0, relative to 1 + |Re z|
+PAIRING_TOL = 1e-9  # |pairing| of a wedge that ``zero_report`` reads as 0
 
 
 def _avoid_01(z: complex) -> None:  # the CoveringPoint check
@@ -312,12 +313,13 @@ class WedgeElement(FormalSum):
         A heuristic invariant only: zero pairing proves nothing."""
         return sum(c * ((a.conjugate() * b).imag) for c, a, b in self)
 
-    def zero_report(self, tol: float = 1e-9) -> str:
+    def zero_report(self) -> str:
         """'zero' on formal cancellation, else 'inconclusive' or 'nonzero'
-        depending on the heuristic pairing.  Only 'zero' is a proof."""
+        as the heuristic pairing is within ``PAIRING_TOL`` of 0 or not.
+        Only 'zero' is a proof."""
         if self.is_zero():
             return "zero"
-        if abs(self.pairing()) <= tol:
+        if abs(self.pairing()) <= PAIRING_TOL:
             return "inconclusive"
         return "nonzero"
 

@@ -24,6 +24,9 @@ from .covering import CoveringPoint, coords
 from .dilog import PI, lhat, plog
 from .errors import PathDegenerate
 
+NGON = 64  # vertices per turn of a winding loop's circle
+FIVE_TERM_TOL = 1e-8  # |five-term sum| of a lift that lies on the relation
+
 
 @dataclass(frozen=True)
 class ParamPath:
@@ -135,7 +138,7 @@ def lift_path(path: ParamPath, start: LiftedFiveTuple) -> LiftedFiveTuple:
 
 
 def _loop_vertices(base: complex, center: complex, ccw_turns: int,
-                   avoid: tuple[complex, ...], ngon: int = 64) -> list[complex]:
+                   avoid: tuple[complex, ...]) -> list[complex]:
     """Closed circuit from ``base``: radial spoke to a small circle around
     ``center``, the required number of turns, and the spoke back.
 
@@ -170,26 +173,26 @@ def _loop_vertices(base: complex, center: complex, ccw_turns: int,
     entry = center + radius * cmath.exp(1j * theta)
 
     pts = [base, entry]
-    total = abs(ccw_turns) * ngon
+    total = abs(ccw_turns) * NGON
     direction = 1.0 if ccw_turns > 0 else -1.0
     for k in range(1, total + 1):
-        ang = theta + direction * 2.0 * math.pi * k / ngon
+        ang = theta + direction * 2.0 * math.pi * k / NGON
         pts.append(center + radius * cmath.exp(1j * ang))
     pts.append(base)
     return pts
 
 
 def winding_loop(base: tuple[complex, complex], coord: int, center: complex,
-                 ccw_turns: int, ngon: int = 64) -> ParamPath:
+                 ccw_turns: int) -> ParamPath:
     """Loop moving one of the two parameters around a special point,
     the other parameter held fixed.  ``ccw_turns`` is signed."""
     x0, x1 = base
     if coord == 0:
         avoid = (0.0, 1.0, x1)
-        verts = [(z, x1) for z in _loop_vertices(x0, center, ccw_turns, avoid, ngon)]
+        verts = [(z, x1) for z in _loop_vertices(x0, center, ccw_turns, avoid)]
     elif coord == 1:
         avoid = (0.0, 1.0, x0)
-        verts = [(x0, z) for z in _loop_vertices(x1, center, ccw_turns, avoid, ngon)]
+        verts = [(x0, z) for z in _loop_vertices(x1, center, ccw_turns, avoid)]
     else:
         raise ValueError("coord must be 0 or 1")
     return ParamPath(tuple(verts))
@@ -235,7 +238,10 @@ def verify_pq_pattern(p0: int, q0: int, r: int, p1: int, q1: int,
                       base: tuple[complex, complex] | None = None
                       ) -> tuple[bool, dict]:
     """Lift the composite winding loop and compare the endpoint branches to
-    the closed form, by exact integer equality.  Returns (ok, details)."""
+    the closed form, by exact integer equality.  Returns (ok, details); ok
+    also needs the lift's five-term sum within ``FIVE_TERM_TOL``, since off
+    the positive region the all-zero start lift breaks the relation and
+    matching branches alone prove nothing."""
     if base is None:
         base = find_positive_base()
     path = composite_winding_path(base, p0, q0, r, p1, q1)
@@ -248,7 +254,8 @@ def verify_pq_pattern(p0: int, q0: int, r: int, p1: int, q1: int,
         "expected": want,
         "five_term_sum": five_term_sum_along(lifted),
     }
-    return got == want, details
+    ok = got == want and abs(details["five_term_sum"]) < FIVE_TERM_TOL
+    return ok, details
 
 
 def five_term_sum_along(lift: LiftedFiveTuple) -> complex:

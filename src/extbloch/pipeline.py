@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .chains import (BarChain, HomChain, SymbolTable, _checked_cycle,
-                     _repair_core, _sample_v, inhom_to_hom, is_v_good,
-                     near_pairs)
+                     _repair_core, _sample_v, is_v_good, near_pairs)
 from .core import ProjVector, as_rng, det_pair
 from .covering import FlatteningTriple, _point_value
 from .dilog import TWO_PI_SQ, plog
@@ -117,8 +116,7 @@ def lambda_hat(c: BarChain, seed) -> LambdaResult:
     integer or a generator (see ``as_rng``).  Raises NotACycle, a
     ValueError, when ``c`` is not a 3-cycle.
     """
-    hom = inhom_to_hom(_checked_cycle(c, SymbolTable()))
-    v, terms = _lambda_hat(hom, as_rng(seed))
+    v, terms = _lambda_hat(_checked_cycle(c, SymbolTable()), as_rng(seed))
     return LambdaResult([(coeff, _flattening(logs)) for coeff, logs in terms], v)
 
 
@@ -129,9 +127,9 @@ def _lambda_hat(hom: HomChain, rng):
     from ``rng`` first, then v.  det is SL(2, C) invariant, so every
     translate of an edge e = g_i^-1 g_j shares the Log det(g_i v, g_j v)
     of the first met, whose det the v-check's pass already computed."""
-    good_hom = _repair_core(hom, rng).phi_image
+    phi, _ = _repair_core(hom, rng)
     table = hom.table
-    v, _, dets = _sample_v(good_hom, rng)
+    v, _, dets = _sample_v(table.elements, phi, rng)
     edge_log: dict[int, complex] = {}
 
     def log(i, j):
@@ -141,7 +139,7 @@ def _lambda_hat(hom: HomChain, rng):
         return x
 
     return v, [(coeff, [log(i, j) for i, j in combinations(ids, 2)])
-               for coeff, ids in good_hom.pairs()]
+               for coeff, ids in phi]
 
 
 def _mod1(x: float) -> float:
@@ -209,7 +207,7 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = as_rng(seed)
-    hom = inhom_to_hom(_checked_cycle(c, SymbolTable(tol)))
+    hom = _checked_cycle(c, SymbolTable(tol))
     values: list[complex] = []
     raws: list[complex] = []
     vol_res = 0.0

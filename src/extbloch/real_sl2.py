@@ -18,10 +18,13 @@ from .core import (INF, GroupElement, ProjVector, as_rng, cross_ratio_ext,
 from .covering import to_covering_point
 from .dilog import lhat, rogers_real
 from .errors import Incomparable, NotSortable, PreconditionFailed
+from .pipeline import ConfigTuple, sigma_hat
 
 
 # an element of SL(2,R): a GroupElement with real entries
 RealGroupElement = GroupElement
+
+SPREAD = 0.2  # ``sample_small_positive``'s entries lie this near the identity
 
 
 def is_positive(g: RealGroupElement) -> bool:
@@ -109,8 +112,6 @@ def check_small_positive_agreement(
 
     Raises PreconditionFailed naming the first failed requirement.
     """
-    from .pipeline import ConfigTuple, sigma_hat  # local: avoids cycle
-
     for name, g in (("g1", g1), ("g2", g2), ("g3", g3)):
         if not is_positive(g):
             raise PreconditionFailed(f"{name} is not positive")
@@ -153,16 +154,16 @@ def check_small_positive_agreement(
     )
 
 
-def sample_small_positive(rng, spread: float = 0.2) -> RealGroupElement:
-    """Random positive element with entries within ``spread`` of the
-    identity and lower-left entry in (0, spread); the fourth entry is
+def sample_small_positive(rng) -> RealGroupElement:
+    """Random positive element with entries within ``SPREAD`` of the
+    identity and lower-left entry in (0, SPREAD); the fourth entry is
     solved from the determinant."""
     while True:
-        a = 1.0 + rng.uniform(-spread, spread)
-        b = rng.uniform(-spread, spread)
-        c = rng.uniform(1e-3, spread)
+        a = 1.0 + rng.uniform(-SPREAD, SPREAD)
+        b = rng.uniform(-SPREAD, SPREAD)
+        c = rng.uniform(1e-3, SPREAD)
         d = (1.0 + b * c) / a
-        if abs(d - 1.0) <= spread:
+        if abs(d - 1.0) <= SPREAD:
             return RealGroupElement(a, b, c, d)
 
 

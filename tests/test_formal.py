@@ -7,7 +7,7 @@ import pytest
 
 from extbloch.core import GroupElement, random_sl2, rotation
 from extbloch.chains import (BarChain, SymbolTable, _checked_cycle,
-                             conjugate_chain, inhom_to_hom)
+                             conjugate_chain)
 from extbloch.covering import WedgeElement
 from extbloch.fixtures import torsion_cycle
 from extbloch.formal import FormalSum
@@ -130,8 +130,8 @@ def test_ldiv_is_the_interned_left_quotient():
     assert table.ldiv(table.identity, ids[3]) == ids[3]
     assert all(table.ldiv(i, i) == table.identity for i in ids)
     conj = GroupElement(30.0, 0.3, 0.0, 1.0 / 30.0)
-    hom = inhom_to_hom(_checked_cycle(conjugate_chain(conj, torsion_cycle(5)),
-                                      SymbolTable()))
+    hom = _checked_cycle(conjugate_chain(conj, torsion_cycle(5)),
+                         SymbolTable())
     for _, tup in hom.pairs():
         for i in tup:
             for j in tup:

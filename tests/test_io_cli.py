@@ -129,8 +129,12 @@ def test_cli_main_twice_in_one_process(tmp_path, capsys):
 
 
 def test_cli_exit_codes(tmp_path):
-    r = _run("eval", str(tmp_path / "missing.json"))
-    assert r.returncode == 4
+    missing = tmp_path / "missing.json"
+    for command in ("eval", "check-cycle"):
+        r = _run(command, str(missing))
+        assert r.returncode == 4
+        assert r.stderr.startswith("error:") and str(missing) in r.stderr
+        assert "Traceback" not in r.stderr
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
         "group": "SL2C", "degree": 3,
@@ -155,9 +159,7 @@ def test_cli_rejects_non_finite_entries(tmp_path, capsys, matrix, command):
     path = tmp_path / "nonfinite.json"
     path.write_text(json.dumps({"group": "SL2C", "degree": 1,
                                 "terms": [{"coef": 1, "bar": [matrix]}]}))
-    with pytest.raises(SystemExit) as stop:
-        main([command, str(path)])
-    assert stop.value.code == 2
+    assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "term 0, matrix 0" in err
 
@@ -226,12 +228,63 @@ def test_cli_check_cycle_rejects_huge_entry(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"group": "SL2C", "degree": 1, "terms": [
         {"coef": 1, "bar": [[[1, 0], [0, 0], [-10**400, 0], [1, 0]]]}]}))
-    with pytest.raises(SystemExit) as stop:
-        main(["check-cycle", str(path)])
-    assert stop.value.code == 2
+    assert main(["check-cycle", str(path)]) == 2
     err = capsys.readouterr().err
     assert "error: term 0, matrix 0: entry out of range" in err
     assert "Traceback" not in err
+
+
+def _torsion5_obj(coef: int) -> dict:
+    doc = chain_to_obj(torsion_cycle(5))
+    for term in doc["terms"]:
+        term["coef"] *= coef
+    return doc
+
+
+@pytest.mark.parametrize("command", ["check-cycle", "eval"])
+@pytest.mark.parametrize("coef", [10**400, 10**17 + 1, -(2**53 + 1)],
+                         ids=["10**400", "10**17+1", "-(2**53+1)"])
+def test_cli_refuses_coefficients_a_float_does_not_hold(tmp_path, capsys,
+                                                        command, coef):
+    # the trial sums take each coefficient as a float: 10**400 overflowed
+    # there and 10**17 + 1 evaluated to a wrong value; both are refused
+    # before any evaluation, by check-cycle too, which does not sum
+    path = tmp_path / "coef.json"
+    path.write_text(json.dumps(_torsion5_obj(coef)))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == "error: term 0: coefficient out of range\n"
+
+
+def test_cli_takes_coefficients_up_to_2_53(tmp_path, capsys):
+    path = tmp_path / "coef.json"
+    for coef in (2**53, -(2**53)):
+        path.write_text(json.dumps(_torsion5_obj(coef)))
+        assert main(["check-cycle", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["is_cycle"] and doc["terms"] == 5
+        assert parse_cycle_file(str(path)).terms[0][0] == coef
+
+
+@pytest.mark.parametrize("command", ["check-cycle", "eval"])
+@pytest.mark.parametrize("text, reason", [
+    (b"\xff\xfe\x00" + json.dumps(_torsion5_obj(1)).encode(),
+     "not UTF-8 text (invalid start byte at byte 0)"),
+    (b"[" * 100000 + b"]" * 100000, "invalid JSON (maximum recursion depth"),
+    (b'{"group": "SL2C", "degree": 1, "terms": [{"coef": ' + b"1" * 5000
+     + b', "bar": [[[1, 0], [0, 0], [0, 0], [1, 0]]]}]}', ""),
+], ids=["utf16", "deep-nesting", "5000-digit-coef"])
+def test_cli_refuses_files_json_cannot_read(tmp_path, capsys, command, text,
+                                            reason):
+    # named with exit 2, not a traceback; the digit limit of int() depends
+    # on the Python release, so only the exit and the "error:" prefix of the
+    # last case are fixed
+    path = tmp_path / "chain.json"
+    path.write_bytes(text)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if reason:
+        assert err.startswith(f"error: {path}: {reason}")
 
 
 @pytest.mark.parametrize("command", ["check-cycle", "eval"])

@@ -54,10 +54,15 @@ def test_lift_additivity(rng):
 
 
 def test_refinement_invariance():
-    # same geometric path, doubled vertex density: identical integer lift
+    # same geometric path, doubled vertex density (each segment's midpoint
+    # inserted): identical integer lift
     s = start_lift(*BASE)
-    loop = winding_loop(BASE, 0, 0.0, 1, ngon=64)
-    fine = winding_loop(BASE, 0, 0.0, 1, ngon=128)
+    loop = winding_loop(BASE, 0, 0.0, 1)
+    fine = [loop.start]
+    for a, b in zip(loop.vertices, loop.vertices[1:]):
+        fine += [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2), b]
+    fine = ParamPath(tuple(fine))
+    assert len(fine.vertices) == 2 * len(loop.vertices) - 1
     assert lift_path(loop, s).branches() == lift_path(fine, s).branches()
 
 

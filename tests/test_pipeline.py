@@ -7,7 +7,7 @@ import pytest
 
 from extbloch.core import (GroupElement, ProjVector, det_pair, random_sl2,
                            random_vector, rotation)
-from extbloch.chains import (BarChain, HomChain, _ConeRepairer,
+from extbloch.chains import (BarChain, HomChain, _Chain, _ConeRepairer,
                              conjugate_chain, complex_conjugate_chain,
                              hom_boundary, inhom_to_hom, near_pairs,
                              repair_with_certificate, sample_generic_v)
@@ -165,23 +165,24 @@ def test_certificate_catches_what_nu_hat_would(monkeypatch, mutation):
     # unmutated full image cancels exactly
     linear, seen = _ConeRepairer.linear, []
 
-    def mutating(self, f, terms, canonical=False):
-        terms = list(terms)
-        out = linear(self, f, terms, canonical)
-        if f == self.phi and canonical:  # the top-level phi call, on B
+    def mutating(self, sums, canonical=False):
+        out = linear(self, sums, canonical)
+        if canonical and not seen:  # a repair's first canonical merge: phi(B)
             (coeff, ids), *rest = out
             kept = rest if mutation == "drop" else [(-coeff, ids), *rest]
-            bad = HomChain._on(self.table, 3, terms, True)
             for image in (out, kept):
-                seen.append((bad, HomChain._on(self.table, 3, image, True)))
+                seen.append(HomChain._on(self.table, 3, image, True))
             out = kept
         return out
 
     monkeypatch.setattr(_ConeRepairer, "linear", mutating)
     with pytest.raises(RepairFailed, match="homotopy certificate failed"):
         lambda_hat(torsion_cycle(5), seed=3)
-    [(bad, phi_bad), (_, mutated)] = seen
-    hom = inhom_to_hom(torsion_cycle(5).interned(bad.table))
+    [phi_bad, mutated] = seen
+    table = phi_bad.table
+    hom = inhom_to_hom(torsion_cycle(5).interned(table))
+    bad = HomChain._on(table, 3, [(c, ids) for c, ids in hom.pairs()
+                                  if not table.good(ids)], True)
     assert len(hom) == 5 and len(hom - bad) == 2  # B is 3 terms of hom
     reports = []
     for image in (hom - bad + phi_bad, hom - bad + mutated):
@@ -189,6 +190,25 @@ def test_certificate_catches_what_nu_hat_would(monkeypatch, mutation):
         triples = [(coeff, sigma_hat(cfg)) for coeff, cfg in psi_v(image, v)]
         reports.append(nu_hat(triples).is_zero())
     assert reports == [True, False]
+
+
+def test_trials_build_no_chain_objects(monkeypatch):
+    # an evaluation builds its chains once, for the checked cycle: each
+    # trial repairs, samples v and flattens over plain (coefficient, ids)
+    # lists, so ten trials build as many chain objects as one
+    built, on = [], _Chain._on.__func__
+
+    def spy(cls, *args):
+        built.append(cls)
+        return on(cls, *args)
+
+    monkeypatch.setattr(_Chain, "_on", classmethod(spy))
+    counts = []
+    for trials in (1, 10):
+        built.clear()
+        ccs_value(torsion_cycle(6), seed=0, trials=trials)
+        counts.append(len(built))
+    assert counts[0] == counts[1], counts
 
 
 def _ledger(log, ids):
