@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import cmath
 import json
-from typing import IO
+from io import TextIOBase
 
-from .chains import BarChain
+from .chains import BarChain, SymbolTable
 from .core import GroupElement
 from .errors import DeterminantError, SchemaError
 
@@ -56,7 +56,10 @@ def chain_to_obj(c: BarChain) -> dict:
     }
 
 
-def chain_from_obj(obj) -> BarChain:
+def chain_from_obj(obj, tol: float | None = None) -> BarChain:
+    """The chain a parsed chain file describes, its terms keyed on a
+    ``SymbolTable`` at the comparison tolerance ``tol``: terms whose
+    symbols agree at ``tol`` merge as they are read."""
     if not isinstance(obj, dict):
         raise SchemaError("top level must be an object")
     if obj.get("group") != "SL2C":
@@ -82,10 +85,13 @@ def chain_from_obj(obj) -> BarChain:
         sym = tuple(matrix_from_obj(m, f"term {k}, matrix {i}")
                     for i, m in enumerate(bar))
         terms.append((coeff, sym))
-    return BarChain(degree, terms)
+    table = SymbolTable(tol)
+    return BarChain._on(table, degree, ((coeff, tuple(map(table.intern, sym)))
+                                        for coeff, sym in terms))
 
 
-def parse_cycle_file(path: str) -> BarChain:
+def parse_cycle_file(path: str, tol: float | None = None) -> BarChain:
+    """``chain_from_obj`` of the JSON file at ``path``, keyed at ``tol``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
@@ -96,7 +102,7 @@ def parse_cycle_file(path: str) -> BarChain:
             # malformed JSON, an integer past int()'s digit limit, or
             # nesting deeper than the decoder recurses
             raise SchemaError(f"{path}: invalid JSON ({exc})")
-    return chain_from_obj(obj)
+    return chain_from_obj(obj, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +135,7 @@ def dumps_canonical(obj) -> str:
     return _fmt(obj) + "\n"
 
 
-def write_json(obj, out: IO[str] | None, path: str | None):
+def write_json(obj, out: TextIOBase | None, path: str | None):
     text = dumps_canonical(obj)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -138,7 +144,7 @@ def write_json(obj, out: IO[str] | None, path: str | None):
         out.write(text)
 
 
-def emit_report(report, path: str | None = None, out: IO[str] | None = None,
+def emit_report(report, path: str | None = None, out: TextIOBase | None = None,
                 extra: dict | None = None):
     """Serialize a CcsReport (duck-typed: needs .as_dict) deterministically."""
     doc = report.as_dict()

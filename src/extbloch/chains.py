@@ -25,13 +25,12 @@ it changes only the simplices that have such a coincidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from . import config
-from .core import (GroupElement, ProjVector, as_rng, det_pair, random_sl2,
-                   random_vector)
+from .core import (GroupElement, ProjVector, Record, as_rng, det_pair,
+                   random_sl2, random_vector)
 from .errors import NotACycle, RepairFailed, SamplingExhausted
 from .formal import FormalSum
 from .quantize import FuzzyIndex
@@ -417,8 +416,7 @@ def sample_generic_v(c, rng_or_seed) -> tuple[ProjVector, int]:
 # repair of cycles to good representatives
 
 
-@dataclass
-class RepairResult:
+class RepairResult(Record):
     """A good cycle homologous to the input, with the certificate.
 
     ``phi_image`` is hom - B + phi(B), B the bad part of ``original_hom``;
@@ -426,9 +424,13 @@ class RepairResult:
     verifiable directly, coned off the identity so only phi draws apexes.
     """
 
-    phi_image: HomChain
-    homotopy: HomChain
-    original_hom: HomChain
+    __slots__ = ("phi_image", "homotopy", "original_hom")
+
+    def __init__(self, phi_image: HomChain, homotopy: HomChain,
+                 original_hom: HomChain):
+        self.phi_image = phi_image
+        self.homotopy = homotopy
+        self.original_hom = original_hom
 
     @property
     def chain(self) -> BarChain:

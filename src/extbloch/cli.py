@@ -14,7 +14,6 @@ from . import config
 from .chains import is_cycle
 from .chainio import chain_to_obj, emit_report, parse_cycle_file, write_json
 from .errors import CcsError
-from .fixtures import five_term_boundary, torsion_cycle
 from .pipeline import ccs_value
 
 
@@ -37,7 +36,7 @@ def _tolerance(text: str) -> float:
 
 
 def cmd_eval(args) -> int:
-    chain = parse_cycle_file(args.cycle)
+    chain = parse_cycle_file(args.cycle, args.tolerance)
     report = ccs_value(chain, seed=args.seed, trials=args.trials,
                        tol=args.tolerance)
     emit_report(report, path=args.out, out=sys.stdout,
@@ -46,7 +45,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check_cycle(args) -> int:
-    chain = parse_cycle_file(args.cycle)
+    chain = parse_cycle_file(args.cycle, args.tolerance)
     ok, residual = is_cycle(chain, args.tolerance)
     doc = {"file": args.cycle, "degree": chain.degree, "terms": len(chain),
            "is_cycle": ok, "boundary_terms": len(residual)}
@@ -54,12 +53,16 @@ def cmd_check_cycle(args) -> int:
     return 0 if ok else 2
 
 def cmd_torsion(args) -> int:
+    from .fixtures import torsion_cycle
+
     chain = torsion_cycle(args.n)
     write_json(chain_to_obj(chain), sys.stdout, args.out)
     return 0
 
 
 def cmd_five_term(args) -> int:
+    from .fixtures import five_term_boundary
+
     try:
         x = complex(args.x)
         y = complex(args.y)

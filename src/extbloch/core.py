@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import numbers
 import random
-from dataclasses import dataclass
 
 from . import config
 from .errors import DegenerateTuple, DeterminantError
@@ -37,6 +36,56 @@ def is_inf(z) -> bool:
     return isinstance(z, _Infinity)
 
 
+class Record:
+    """A ``__slots__`` class with the value semantics of a dataclass: ``==``
+    compares the fields named by the class keyword ``compare`` (default:
+    every slot) between instances of one class, ``repr`` lists every slot,
+    and instances are not hashable.  Subclasses assign their slots in
+    ``__init__`` after its checks."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compare=None, **kw):
+        super().__init_subclass__(**kw)
+        cls._compare = cls.__slots__ if compare is None else compare
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compare)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A ``Record`` that refuses assignment and hashes its compared fields.
+    ``__init__`` sets its slots through ``object.__setattr__``; copies and
+    pickles are rebuilt through the constructor, checks included."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+_set = object.__setattr__  # how a FrozenRecord's __init__ fills its slots
+
+
 def ext_close(z, w) -> bool:
     """Equality on C u {inf} within ``config.CMP``, absolute."""
     if is_inf(z) or is_inf(w):
@@ -44,23 +93,23 @@ def ext_close(z, w) -> bool:
     return abs(z - w) <= config.CMP
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(FrozenRecord):
     """A 2x2 complex matrix (a b; c d) with determinant 1.
 
     Construction fails loudly when |det - 1| exceeds the tolerance; silent
     renormalization would mask caller bugs.
     """
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
+    def __init__(self, a: complex, b: complex, c: complex, d: complex):
+        det = a * d - b * c
         if not abs(det - 1.0) <= DET_TOL:  # a NaN det fails too
             raise DeterminantError(f"determinant {det} differs from 1")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
 
     @classmethod
     def identity(cls) -> "GroupElement":
@@ -113,16 +162,16 @@ class GroupElement:
         return max(abs(x) for x in self.entries())
 
 
-@dataclass(frozen=True)
-class ProjVector:
+class ProjVector(FrozenRecord):
     """A nonzero vector in C^2."""
 
-    v1: complex
-    v2: complex
+    __slots__ = ("v1", "v2")
 
-    def __post_init__(self):
-        if max(abs(self.v1), abs(self.v2)) <= config.ZERO:
+    def __init__(self, v1: complex, v2: complex):
+        if max(abs(v1), abs(v2)) <= config.ZERO:
             raise ValueError("projective vector must be nonzero")
+        _set(self, "v1", v1)
+        _set(self, "v2", v2)
 
     def entries(self) -> tuple[complex, complex]:
         return (self.v1, self.v2)

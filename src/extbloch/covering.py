@@ -18,12 +18,10 @@ identifies.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import config
-from .core import ProjVector, det_pair
+from .core import FrozenRecord, ProjVector, _set, det_pair
 from .dilog import PI, _log1m, _point_values, plog
 from .errors import ChiAtZero, DegenerateConfig, DegenerateFT, InvalidFlattening, NotEven
 from .formal import FormalSum
@@ -44,41 +42,42 @@ def _avoid_01(z: complex) -> None:  # the CoveringPoint check
         raise ValueError(f"z = {z} must avoid 0 and 1")
 
 
-@dataclass(frozen=True)
-class CoveringPoint:
+class CoveringPoint(FrozenRecord):
     """A point (z; p, q) of the cover: z off {0, 1}, p and q even."""
 
-    z: complex
-    p: int
-    q: int
+    __slots__ = ("z", "p", "q")
 
-    def __post_init__(self):
-        _avoid_01(self.z)
-        if self.p % 2 or self.q % 2:
-            raise ValueError(f"branch integers must be even, got ({self.p}, {self.q})")
+    def __init__(self, z: complex, p: int, q: int):
+        _avoid_01(z)
+        if p % 2 or q % 2:
+            raise ValueError(f"branch integers must be even, got ({p}, {q})")
+        _set(self, "z", z)
+        _set(self, "p", p)
+        _set(self, "q", q)
 
 
 # an atom ledger is, per log-parameter, a tuple of (integer coeff, log value)
 Ledger = tuple[tuple[tuple[int, complex], ...], ...]
 
 
-@dataclass(frozen=True)
-class FlatteningTriple:
+class FlatteningTriple(FrozenRecord, compare=("w0", "w1", "w2")):
     """Log-parameters (w0, w1, w2) with w0 + w1 + w2 = 0.
 
     w0 is a logarithm of the cross-ratio z = e^{w0} and w1 a logarithm of
     1/(1-z); this is validated at construction.  ``ledger``, when present,
     expresses each w as an integer combination of log atoms and enables
-    exact wedge cancellation downstream.
+    exact wedge cancellation downstream; ``==`` and ``hash`` ignore it.
     """
 
-    w0: complex
-    w1: complex
-    w2: complex
-    ledger: Ledger | None = field(default=None, compare=False)
+    __slots__ = ("w0", "w1", "w2", "ledger")
 
-    def __post_init__(self):
-        _checked_z(self.w0, self.w1, self.w2)
+    def __init__(self, w0: complex, w1: complex, w2: complex,
+                 ledger: Ledger | None = None):
+        _checked_z(w0, w1, w2)
+        _set(self, "w0", w0)
+        _set(self, "w1", w1)
+        _set(self, "w2", w2)
+        _set(self, "ledger", ledger)
 
     @classmethod
     def from_w01(cls, w0: complex, w1: complex,
@@ -214,13 +213,16 @@ EDGE_EQUATIONS: tuple[tuple[str, tuple[tuple[int, int, int], ...]], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class FlatteningReport:
+class FlatteningReport(FrozenRecord):
     """Residuals of the ten signed edge sums, plus exact ledger cancellation
     when all five triples carry ledgers."""
 
-    residuals: tuple[tuple[str, float], ...]
-    exact: tuple[bool, ...] | None
+    __slots__ = ("residuals", "exact")
+
+    def __init__(self, residuals: tuple[tuple[str, float], ...],
+                 exact: tuple[bool, ...] | None):
+        _set(self, "residuals", residuals)
+        _set(self, "exact", exact)
 
     @property
     def max_residual(self) -> float:
@@ -264,6 +266,8 @@ def check_flattening_condition(
 def chi_hat(r) -> tuple[tuple[int, CoveringPoint], ...]:
     """The two-term combination [e^{2 pi i r}; 0, 2] - [e^{2 pi i r}; 0, 0]
     attached to a rational r in (0, 1), as (coefficient, point) pairs."""
+    from fractions import Fraction  # here: no evaluation calls chi_hat
+
     r = Fraction(r).limit_denominator(10**9) if not isinstance(r, Fraction) else r
     if r == 0:
         raise ChiAtZero("undefined at r = 0 (the exponential hits 1)")

@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import math
 from enum import Enum
-from fractions import Fraction
 
 from . import config
 from .errors import LogOfZero, OnCut
@@ -63,29 +62,17 @@ def plog_sided(x: float, side: CutSide) -> complex:
     return complex(math.log(-x), side.value * PI)
 
 
-def _bernoulli_coeffs(count: int) -> list[float]:
-    """B_k / (k+1)! for k = 0..count-1, B_1 = -1/2 convention."""
-    bern = [Fraction(1)]
-    for m in range(1, count):
-        if m > 1 and m % 2:  # B_m = 0: neither computed nor summed
-            bern.append(Fraction(0))
-            continue
-        acc = Fraction(0)
-        binom = 1
-        for j in range(m):
-            if bern[j]:
-                acc += binom * bern[j]
-            binom = binom * (m + 1 - j) // (j + 1)
-        bern.append(-acc / (m + 1))
-    coeffs = []
-    fact = 1
-    for k in range(count):
-        fact *= k + 1  # (k+1)!
-        coeffs.append(float(bern[k] / fact))
-    return coeffs
-
-
-_BERN_COEFFS = _bernoulli_coeffs(28)
+# B_k / (k+1)! for k = 0..27, B_1 = -1/2 convention: the floats nearest the
+# exact rationals (tests rebuild them from the Bernoulli recurrence)
+_BERN_COEFFS = [
+    1.0, -0.25, 0.027777777777777776, 0.0, -0.0002777777777777778, 0.0,
+    4.72411186696901e-06, 0.0, -9.185773074661964e-08, 0.0,
+    1.8978869988971e-09, 0.0, -4.0647616451442256e-11, 0.0,
+    8.921691020456452e-13, 0.0, -1.9939295860721074e-14, 0.0,
+    4.518980029619918e-16, 0.0, -1.0356517612181247e-17, 0.0,
+    2.395218621026187e-19, 0.0, -5.581785874325009e-21, 0.0,
+    1.3091507554183213e-22, 0.0,
+]
 _ODD_DESC = _BERN_COEFFS[26:1:-2]  # B_2m / (2m+1)! for m = 13, ..., 1
 _SERIES_MAX = 1.3  # |u| bound of the series; every z has a u within pi/3
 

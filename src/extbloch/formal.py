@@ -12,9 +12,9 @@ from __future__ import annotations
 import copy
 from numbers import Integral
 from itertools import chain
-from typing import Any, Hashable, Iterable
+from collections.abc import Hashable, Iterable
 
-Keyed = Iterable[tuple[int, Hashable, Any]]  # (coefficient, key, representative)
+Keyed = Iterable[tuple[int, Hashable, object]]  # (coefficient, key, representative)
 
 
 class FormalSum:
@@ -25,7 +25,7 @@ class FormalSum:
 
     __slots__ = ("_terms", "table")
 
-    def __init__(self, terms: Iterable = (), table: Any = None):
+    def __init__(self, terms: Iterable = (), table: object = None):
         self.table = table
         self._merge(self._keyed(terms))
 

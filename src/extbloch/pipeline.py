@@ -16,29 +16,28 @@ which is exactly why the reduction is legitimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .chains import (BarChain, HomChain, SymbolTable, _checked_cycle,
                      _repair_core, _sample_v, is_v_good, near_pairs)
-from .core import ProjVector, as_rng, det_pair
+from .core import FrozenRecord, ProjVector, Record, _set, as_rng, det_pair
 from .covering import FlatteningTriple, _point_value
 from .dilog import TWO_PI_SQ, plog
 from .errors import DegenerateConfig, NotVGood
 
 
-@dataclass(frozen=True)
-class ConfigTuple:
+class ConfigTuple(FrozenRecord):
     """Vectors in C^2 \\ {0} with pairwise distinct images on the sphere,
     witnessed by scale-relative nonvanishing determinants."""
 
-    vectors: tuple[ProjVector, ...]
+    __slots__ = ("vectors",)
 
-    def __post_init__(self):
-        if len(self.vectors) > 5:
+    def __init__(self, vectors: tuple[ProjVector, ...]):
+        if len(vectors) > 5:
             raise ValueError("tuples of more than 5 vectors are not used")
-        if near := near_pairs(self.vectors):
+        if near := near_pairs(vectors):
             raise DegenerateConfig("det(v%d, v%d) too small" % near[0])
+        _set(self, "vectors", vectors)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -96,13 +95,16 @@ def _flattening(logs) -> FlatteningTriple:
          ((1, l01), (1, l23), (-1, l03), (-1, l12))))
 
 
-@dataclass
-class LambdaResult:
+class LambdaResult(Record):
     """Image of a cycle as ledger-backed flattening triples, one per
     repaired term with its coefficient, and the vector v."""
 
-    triples: list[tuple[int, FlatteningTriple]]
-    vector: ProjVector
+    __slots__ = ("triples", "vector")
+
+    def __init__(self, triples: list[tuple[int, FlatteningTriple]],
+                 vector: ProjVector):
+        self.triples = triples
+        self.vector = vector
 
 
 def lambda_hat(c: BarChain, seed) -> LambdaResult:
@@ -151,8 +153,7 @@ def _circle_distance(a: float, b: float) -> float:
     return min(d, 1.0 - d)
 
 
-@dataclass
-class CcsReport:
+class CcsReport(Record):
     """Evaluation report for one cycle.
 
     value_mod1 carries the class value: real part in [0, 1), and
@@ -160,16 +161,24 @@ class CcsReport:
     form a real lattice).  The reported quantity is twice the degree-three
     characteristic value, the combination that is well defined in C/Z.
     volume equals Im(raw_lhat) by construction; residuals record the
-    independent per-term volume sum.
+    independent per-term volume sum.  ``trials`` and ``residuals`` default
+    to a new empty list and dict.
     """
 
-    value_mod1: complex
-    raw_lhat: complex
-    volume: float
-    trials: list[complex] = field(default_factory=list)
-    max_trial_deviation: float = 0.0
-    residuals: dict = field(default_factory=dict)
-    seed: int | None = None
+    __slots__ = ("value_mod1", "raw_lhat", "volume", "trials",
+                 "max_trial_deviation", "residuals", "seed")
+
+    def __init__(self, value_mod1: complex, raw_lhat: complex, volume: float,
+                 trials: list[complex] | None = None,
+                 max_trial_deviation: float = 0.0,
+                 residuals: dict | None = None, seed: int | None = None):
+        self.value_mod1 = value_mod1
+        self.raw_lhat = raw_lhat
+        self.volume = volume
+        self.trials = [] if trials is None else trials
+        self.max_trial_deviation = max_trial_deviation
+        self.residuals = {} if residuals is None else residuals
+        self.seed = seed
 
     def as_dict(self) -> dict:
         return {

@@ -23,7 +23,7 @@ and get different ids.  A value with ``x / tol`` infinite raises OutOfGrid.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import OutOfGrid
 

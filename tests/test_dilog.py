@@ -7,7 +7,7 @@ import pytest
 
 from extbloch.covering import CoveringPoint
 from extbloch.dilog import (PI, PI2_6, PI_SQ, TWO_PI_SQ, CutSide,
-                            _bernoulli_coeffs, lhat, li2,
+                            _BERN_COEFFS, lhat, li2,
                             lifted_rogers, lifted_rogers_sided, plog, rogers,
                             rogers_real, rogers_sided, vol)
 from extbloch.errors import LogOfZero, OnCut
@@ -229,10 +229,10 @@ def test_rogers_sided_matches_limits():
 
 
 def test_bernoulli_coeffs_match_the_full_recurrence():
-    # the table skips the odd Bernoulli numbers above B_1 (all zero); the
-    # full recurrence over every index gives the same floats
+    # the literal table of B_k / (k+1)! holds, bit for bit, the floats
+    # nearest the exact rationals of the Bernoulli recurrence
     bern = [Fraction(1)]
-    for m in range(1, 90):
+    for m in range(1, len(_BERN_COEFFS)):
         acc = Fraction(0)
         binom = 1
         for j in range(m):
@@ -240,4 +240,4 @@ def test_bernoulli_coeffs_match_the_full_recurrence():
             binom = binom * (m + 1 - j) // (j + 1)
         bern.append(-acc / (m + 1))
     full = [float(b / math.factorial(k + 1)) for k, b in enumerate(bern)]
-    assert _bernoulli_coeffs(90) == full
+    assert [c.hex() for c in _BERN_COEFFS] == [c.hex() for c in full]

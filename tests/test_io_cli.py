@@ -329,6 +329,39 @@ def test_cli_tolerance_reaches_cycle_check(tmp_path):
     assert json.loads(r.stdout)["is_cycle"] is True
 
 
+def test_cli_keys_chain_files_at_the_tolerance(tmp_path, capsys):
+    # torsion 5 plus a +1 copy of its first term and a -1 copy whose first
+    # matrix is moved by 5e-10: at the default cmp (1e-8) the copies cancel
+    # into a 5-term cycle; at cmp 1e-10 the file is read as 6 terms that
+    # are not a cycle, so neither command may merge at 1e-8 before the check
+    from extbloch.chainio import matrix_to_obj
+    from extbloch.core import GroupElement
+    doc = chain_to_obj(torsion_cycle(5))
+    first = doc["terms"][0]
+    g = GroupElement(*(complex(*p) for p in first["bar"][0]))
+    moved = g @ GroupElement(1, 5e-10, 0, 1)
+    doc["terms"] += [{"coef": 1, "bar": first["bar"]},
+                     {"coef": -1, "bar": [matrix_to_obj(moved)]
+                      + first["bar"][1:]}]
+    path = tmp_path / "copies.json"
+    path.write_text(dumps_canonical(doc))
+    assert len(parse_cycle_file(str(path))) == 5
+    assert len(parse_cycle_file(str(path), 1e-10)) == 6
+
+    assert main(["check-cycle", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["terms"], out["is_cycle"]) == (5, True)
+    assert main(["eval", str(path), "--trials", "2"]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert abs(value[0] - 0.6) < 1e-12 and abs(value[1]) < 1e-12
+
+    assert main(["check-cycle", str(path), "--tolerance", "1e-10"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert (out["terms"], out["is_cycle"]) == (6, False)
+    assert main(["eval", str(path), "--tolerance", "1e-10"]) == 2
+    assert capsys.readouterr().err.startswith("error: not a cycle")
+
+
 def test_cli_five_term_verify():
     r = _run("five-term", "--x", "0.5", "--y", "0.25", "--verify")
     assert r.returncode == 0

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from itertools import combinations
@@ -11,8 +10,8 @@ from extbloch.chains import (BarChain, HomChain, _Chain, _ConeRepairer,
                              conjugate_chain, complex_conjugate_chain,
                              hom_boundary, inhom_to_hom, near_pairs,
                              repair_with_certificate, sample_generic_v)
-from extbloch.covering import (check_flattening_condition, nu_hat,
-                               to_covering_point)
+from extbloch.covering import (FlatteningTriple, check_flattening_condition,
+                               nu_hat, to_covering_point)
 from extbloch.dilog import TWO_PI_SQ, lhat, plog, vol
 from extbloch.errors import DegenerateConfig, NotACycle, NotVGood, RepairFailed
 from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
@@ -151,7 +150,7 @@ def test_nu_hat_sees_a_perturbed_atom():
         coeff, t = lam.triples[0]
         (k, atom), *rest = t.ledger[0]
         ledger = (((k, atom + 1e-3), *rest),) + t.ledger[1:]
-        bent = [(coeff, dataclasses.replace(t, ledger=ledger))]
+        bent = [(coeff, FlatteningTriple(t.w0, t.w1, t.w2, ledger))]
         assert nu_hat(bent + lam.triples[1:]).zero_report() != "zero"
 
 
