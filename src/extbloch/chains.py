@@ -42,6 +42,9 @@ _Terms = list[tuple[int, Ids]]
 MAX_DEGREE = 4  # the pipeline needs cycles (3) and homotopies (4) only
 V_ATTEMPTS = 1000  # draws of v before ``sample_generic_v`` gives up
 
+# kinds of the events on a repair's tape (see ``_Tape``)
+_MUL, _LDIV, _REUSE, _DRAW = range(4)
+
 
 class SymbolTable:
     """Integer ids for the group elements of one computation.
@@ -53,7 +56,8 @@ class SymbolTable:
     identifies).
     Products g_i g_j, left quotients g_i^-1 g_j and sign coincidences of
     representatives are memoized by id; an inverse is never interned on
-    its own.
+    its own.  While ``tape`` is a list, every product or quotient formed
+    on a memo miss is appended to it (see ``_Tape``).
     """
 
     def __init__(self, tol: float | None = None):
@@ -63,6 +67,7 @@ class SymbolTable:
         self._products: dict[tuple[int, int], int] = {}
         self._quotients: dict[tuple[int, int], int] = {}
         self._coincide: dict[tuple[int, int], bool] = {}
+        self.tape: list | None = None
         self.identity = self.intern(GroupElement.identity())
 
     def intern(self, g: GroupElement) -> int:
@@ -77,8 +82,8 @@ class SymbolTable:
             return j
         ident = self._products.get((i, j))
         if ident is None:
-            ident = self._products[(i, j)] = self.intern(
-                self.elements[i] @ self.elements[j])
+            ident = self._products[(i, j)] = self._formed(
+                _MUL, i, j, self.elements[i] @ self.elements[j])
         return ident
 
     def ldiv(self, i: int, j: int) -> int:
@@ -90,9 +95,18 @@ class SymbolTable:
         if ident is None:
             g, h = self.elements[i], self.elements[j]
             a, b, c, d = g.d, -g.b, -g.c, g.a
-            ident = self._quotients[(i, j)] = self.intern(GroupElement(
-                a * h.a + b * h.c, a * h.b + b * h.d,
-                c * h.a + d * h.c, c * h.b + d * h.d))
+            q = GroupElement(a * h.a + b * h.c, a * h.b + b * h.d,
+                             c * h.a + d * h.c, c * h.b + d * h.d)
+            ident = self._quotients[(i, j)] = self._formed(_LDIV, i, j, q)
+        return ident
+
+    def _formed(self, op: int, i: int, j: int, g: GroupElement) -> int:
+        """The id of g, just formed from ids i and j by ``op``; the event
+        goes on the tape when one is on."""
+        fresh = len(self.elements)
+        ident = self.intern(g)
+        if self.tape is not None:
+            self.tape.append((op, i, j, ident, ident == fresh))
         return ident
 
     def coincide(self, i: int, j: int) -> bool:
@@ -463,18 +477,38 @@ class _ConeRepairer:
         self._memo: dict[Ids, tuple[_Terms, _Terms]] = {}
         self._apex: dict[int, int] = {}  # tuple length -> current apex id
 
-    def _clears(self, g: GroupElement, terms: _Terms) -> bool:
-        """g lies over ``config.APEX_MARGIN`` from +-every id in ``terms``."""
+    def _clears(self, g: GroupElement, ids: Iterable[int]) -> bool:
+        """g lies over ``config.APEX_MARGIN`` from +-every id in ``ids``."""
         elements = self.table.elements
         return all(g.sign_distance(elements[i]) > config.APEX_MARGIN
-                   for i in {i for _, ids in terms for i in ids})
+                   for i in ids)
 
-    def _generic_avoiding(self, terms: _Terms) -> GroupElement:
+    def _generic_avoiding(self, ids: set[int]) -> GroupElement:
         for _ in range(1000):
             g = random_sl2(self.rng)
-            if self._clears(g, terms):
+            if self._clears(g, ids):
                 return g
         raise RepairFailed("could not sample a generic cone apex")
+
+    def _apex_for(self, length: int, phi: _Terms) -> int:
+        """The apex id for coning ``phi`` into tuples of ``length``: the
+        current one while it clears ``phi``, else a new draw.  Each reuse
+        test (apex, ids tested, outcome) and each draw (ids, apex id, new)
+        goes on the table's tape when one is on."""
+        table, tape = self.table, self.table.tape
+        ids = {i for _, t in phi for i in t}
+        apex = self._apex.get(length)
+        if apex is not None:
+            cleared = self._clears(table.elements[apex], ids)
+            if tape is not None:
+                tape.append((_REUSE, apex, ids, None, cleared))
+            if cleared:
+                return apex
+        fresh = len(table.elements)
+        apex = self._apex[length] = table.intern(self._generic_avoiding(ids))
+        if tape is not None:
+            tape.append((_DRAW, None, ids, apex, apex == fresh))
+        return apex
 
     def images(self, ids: Ids) -> tuple[_Terms, _Terms]:
         """(phi(s), H(s)) for the tuple s = ``ids``."""
@@ -488,11 +522,7 @@ class _ConeRepairer:
                 faces = [(c, self.images(f)) for c, f in _faces(canon)]
                 phi = self.linear((c, img[0]) for c, img in faces)
                 if phi:
-                    apex = self._apex.get(len(canon))
-                    if apex is None or not self._clears(
-                            table.elements[apex], phi):
-                        apex = self._apex[len(canon)] = table.intern(
-                            self._generic_avoiding(phi))
+                    apex = self._apex_for(len(canon), phi)
                     phi = [(c, (apex,) + t) for c, t in phi]
                 # else cone(a, 0) = 0 for every apex a: draw none
                 one = (table.identity,)
@@ -526,28 +556,126 @@ def _faces(ids: Ids) -> _Terms:
     return [((-1) ** i, ids[:i] + ids[i + 1:]) for i in range(len(ids))]
 
 
-def _repair_core(hom: HomChain, rng) -> tuple[_Terms, _Terms]:
+class _Tape:
+    """What one trial's repair decided, for later trials to replay.
+
+    ``events`` lists, in order, every product or quotient the symbol table
+    formed on a memo miss, the certificate residual's included, as
+    (``_MUL`` or ``_LDIV``, i, j, result id, whether it was new), and
+    every apex decision of the repairer, as
+    (``_REUSE``, apex id, ids tested, None, whether the apex cleared them)
+    or (``_DRAW``, None, ids the apex clears, apex id, whether it was new).
+    ``phi_bad`` and ``phi`` are the trial's merged phi(B) and phi.
+    """
+
+    __slots__ = ("events", "phi_bad", "phi")
+
+    def __init__(self):
+        self.events: list[tuple] = []
+        self.phi_bad: _Terms | None = None
+        self.phi: _Terms | None = None
+
+
+def _repair_core(hom: HomChain, rng,
+                 tape: _Tape | None = None) -> tuple[_Terms, _Terms]:
     """Repair of a homogeneous cycle interned for this evaluation: the
     merged (coefficient, ids) lists phi = hom - B + phi(B) and H = H(B) for
     its bad part B, off one apex per degree from rng (redrawn for a tuple
     it does not clear).  Checks that phi(B) is good (kept tuples are) and
-    the certificate dH(B) = phi(B) - B.  Builds no chain."""
+    the certificate dH(B) = phi(B) - B.  Builds no chain.  Given a
+    ``tape``, records on it what ``_replay`` needs, the quotients of the
+    certificate residual included."""
     table = hom.table
     good, bad = [], []
     for term in hom.pairs():
         (good if table.good(term[1]) else bad).append(term)
     rep = _ConeRepairer(rng, table)
-    imgs = [(c, rep.images(ids)) for c, ids in bad]
-    phi_bad = rep.linear(((c, img[0]) for c, img in imgs), True)
-    if offenders := _offending(table, phi_bad):
-        raise RepairFailed(f"cone image not good: offenders {offenders[:3]}")
-    h = rep.linear((c, img[1]) for c, img in imgs)  # (1, ...): canonical
-    residual = rep.linear([*((c, _faces(ids)) for c, ids in h),
-                           (-1, phi_bad), (1, bad)], True)
+    table.tape = None if tape is None else tape.events
+    try:
+        imgs = [(c, rep.images(ids)) for c, ids in bad]
+        phi_bad = rep.linear(((c, img[0]) for c, img in imgs), True)
+        _check_good(table, phi_bad)
+        h = rep.linear((c, img[1]) for c, img in imgs)  # (1, ...): canonical
+        residual = rep.linear([*((c, _faces(ids)) for c, ids in h),
+                               (-1, phi_bad), (1, bad)], True)
+    finally:
+        table.tape = None
     if residual:
         raise RepairFailed(f"homotopy certificate failed: "
                            f"{len(residual)} residual terms")
-    return rep.linear([(1, good), (1, phi_bad)]), h
+    phi = rep.linear([(1, good), (1, phi_bad)])
+    if tape is not None:
+        tape.phi_bad, tape.phi = phi_bad, phi
+    return phi, h
+
+
+def _check_good(table: SymbolTable, phi_bad: _Terms) -> None:
+    if offenders := _offending(table, phi_bad):
+        raise RepairFailed(f"cone image not good: offenders {offenders[:3]}")
+
+
+def _replay(hom: HomChain, rng, tape: _Tape) -> _Terms | None:
+    """phi of ``_repair_core`` for a later trial on the cycle whose first
+    trial recorded ``tape``, or None as soon as a decision differs.
+
+    Every event is taken again with this trial's ids: each product or
+    quotient is formed with the same float operations and interned, and
+    must come out as the recorded id renamed (the same old id, the same
+    earlier renamed id, or a new id where the tape has a new one); each
+    reuse test must come out as recorded; each apex is drawn afresh from
+    ``rng`` through the same ``random_sl2``/``_clears`` loop.  When all
+    match, phi(B), H(B) and the certificate residual, whose quotients end
+    the tape, are the tape's renamed, so the residual is empty as it was,
+    and its identifications were checked in this trial; phi(B) is checked
+    for goodness, which raises RepairFailed as ``_repair_core`` would.
+    Draws nothing a full repair on the same stream would not draw first.
+    """
+    table = hom.table
+    elements, mul, ldiv = table.elements, table.mul, table.ldiv
+    rep = _ConeRepairer(rng, table)
+    ren = list(range(len(elements)))  # recorded id -> this trial's id
+    fresh = len(ren)  # the id the next new element gets
+    for op, a, b, r, flag in tape.events:
+        if op == _MUL:
+            got = mul(ren[a], ren[b])
+        elif op == _LDIV:
+            got = ldiv(ren[a], ren[b])
+        elif op == _REUSE:
+            if rep._clears(elements[ren[a]], {ren[i] for i in b}) != flag:
+                return None
+            continue
+        else:
+            got = table.intern(rep._generic_avoiding({ren[i] for i in b}))
+        if flag:
+            if got != fresh:
+                return None
+            ren[r] = got
+            fresh += 1
+        elif got != ren[r]:
+            return None
+    _check_good(table, [(c, tuple([ren[i] for i in t]))
+                        for c, t in tape.phi_bad])
+    return [(c, tuple([ren[i] for i in t])) for c, t in tape.phi]
+
+
+class _Rewindable:
+    """A generator over ``rng`` that keeps the values its ``uniform`` hands
+    out; after ``rewind`` it hands the same values out again, then draws
+    anew.  Every draw of a repair is ``uniform(-1, 1)``."""
+
+    __slots__ = ("rng", "drawn", "at")
+
+    def __init__(self, rng):
+        self.rng, self.drawn, self.at = rng, [], 0
+
+    def uniform(self, a: float, b: float) -> float:
+        if self.at == len(self.drawn):
+            self.drawn.append(self.rng.uniform(a, b))
+        self.at += 1
+        return self.drawn[self.at - 1]
+
+    def rewind(self) -> None:
+        self.at = 0
 
 
 def repair_with_certificate(c: BarChain, seed) -> RepairResult:

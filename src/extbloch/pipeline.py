@@ -16,10 +16,12 @@ which is exactly why the reduction is legitimate.
 from __future__ import annotations
 
 import math
+import numbers
 from itertools import combinations
 
 from .chains import (BarChain, HomChain, SymbolTable, _checked_cycle,
-                     _repair_core, _sample_v, is_v_good, near_pairs)
+                     _repair_core, _replay, _Rewindable, _sample_v, _Tape,
+                     is_v_good, near_pairs)
 from .core import FrozenRecord, ProjVector, Record, _set, as_rng, det_pair
 from .covering import FlatteningTriple, _point_value
 from .dilog import TWO_PI_SQ, plog
@@ -122,14 +124,23 @@ def lambda_hat(c: BarChain, seed) -> LambdaResult:
     return LambdaResult([(coeff, _flattening(logs)) for coeff, logs in terms], v)
 
 
-def _lambda_hat(hom: HomChain, rng):
+def _lambda_hat(hom: HomChain, rng, tape: _Tape | None = None):
     """v and, per repaired term, its coefficient and six Log dets in
     ``_flattening`` order, for a homogeneous cycle checked and interned for
     this evaluation; the repair draws
     from ``rng`` first, then v.  det is SL(2, C) invariant, so every
     translate of an edge e = g_i^-1 g_j shares the Log det(g_i v, g_j v)
-    of the first met, whose det the v-check's pass already computed."""
-    phi, _ = _repair_core(hom, rng)
+    of the first met, whose det the v-check's pass already computed.
+    Given a ``tape``, the first call records it and later ones replay it
+    (see ``_replay``)."""
+    if tape is None or tape.phi is None:
+        phi, _ = _repair_core(hom, rng, tape)
+    else:
+        draws = _Rewindable(rng)
+        phi = _replay(hom, draws, tape)
+        if phi is None:
+            draws.rewind()
+            phi, _ = _repair_core(hom, draws)
     table = hom.table
     v, _, dets = _sample_v(table.elements, phi, rng)
     edge_log: dict[int, complex] = {}
@@ -197,8 +208,9 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     """Evaluate a cycle over several independent repair/vector draws.
 
     One generator is made from ``seed`` (see ``as_rng``); the trials draw
-    from it in turn, as successive ``lambda_hat`` calls on it do, checked
-    certificate included.  Each repaired term is then evaluated once,
+    from it in turn, as successive ``lambda_hat`` calls on it do, and give
+    the same values; later trials replay the first trial's repair at their
+    own apexes (see ``_replay``).  Each repaired term is evaluated once,
     straight from its log-parameters (``covering._point_value``: one
     e^{w0}, Log z, Log(1-z) and li2 series, with every check of the
     ``FlatteningTriple``, ``to_covering_point`` and ``lhat`` path), and
@@ -210,18 +222,21 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     Trials must agree (mod 1, within fp) by independence of the choices;
     the max pairwise deviation is reported as a health measure.  All
     trials share one symbol table at the comparison tolerance ``tol`` (see
-    ``SymbolTable``).  Raises NotACycle, a ValueError, when ``c`` is not a
-    3-cycle at ``tol``.
+    ``SymbolTable``).  The report's ``seed`` is ``int(seed)`` for an
+    integer seed (``numbers.Integral``, bool and numpy integers included)
+    and None for a generator.  Raises NotACycle, a ValueError, when ``c``
+    is not a 3-cycle at ``tol``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = as_rng(seed)
     hom = _checked_cycle(c, SymbolTable(tol))
+    tape = _Tape() if trials > 1 else None
     values: list[complex] = []
     raws: list[complex] = []
     vol_res = 0.0
     for _ in range(trials):
-        _, terms = _lambda_hat(hom, rng)
+        _, terms = _lambda_hat(hom, rng, tape)
         points = [(coeff, *_point_value(*_log_params(*logs)))
                   for coeff, logs in terms]
         # correctly rounded sums, independent of the order of the terms
@@ -241,5 +256,5 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
         trials=values,
         max_trial_deviation=dev,
         residuals={"volume_vs_im_lhat": vol_res},
-        seed=seed if isinstance(seed, int) else None,
+        seed=int(seed) if isinstance(seed, numbers.Integral) else None,
     )

@@ -281,9 +281,9 @@ def test_certificate_draws_nothing(monkeypatch):
         drawn.clear()
         rng = random.Random(seed)
         rr = repair_with_certificate(c, rng)
-        apexes = [apex for _, apex in drawn]
+        apexes = [apex for _, _, apex in drawn]
         alone = _ConeRepairer(random.Random(seed), rr.phi_image.table)
-        assert [draw(alone, terms) for terms, _ in drawn] == apexes
+        assert [draw(alone, ids) for ids, _, _ in drawn] == apexes
         assert rng.getstate() == alone.rng.getstate()
         one = rr.homotopy.table.identity
         assert all(ids[0] == one for _, ids in rr.homotopy.pairs())
@@ -293,13 +293,21 @@ def test_certificate_draws_nothing(monkeypatch):
 
 
 def _spy_draws(monkeypatch) -> list:
-    """(face terms, apex) of every apex draw, in order."""
-    drawn, real = [], _ConeRepairer._generic_avoiding
+    """(ids the apex clears, length of the tuples it cones, apex) of every
+    apex draw, in order."""
+    drawn, length = [], [None]
+    real_for = _ConeRepairer._apex_for
+    real_draw = _ConeRepairer._generic_avoiding
 
-    def spy(self, terms):
-        drawn.append((terms, real(self, terms)))
-        return drawn[-1][1]
+    def apex_for(self, n, phi):
+        length[0] = n
+        return real_for(self, n, phi)
 
+    def spy(self, ids):
+        drawn.append((ids, length[0], real_draw(self, ids)))
+        return drawn[-1][2]
+
+    monkeypatch.setattr(_ConeRepairer, "_apex_for", apex_for)
     monkeypatch.setattr(_ConeRepairer, "_generic_avoiding", spy)
     return drawn
 
@@ -313,7 +321,7 @@ def test_no_apex_for_a_cone_over_nothing(monkeypatch):
     for _, ids in hom.pairs():
         rep.images(ids)
     assert [] in [phi for phi, _ in rep._memo.values()]
-    assert drawn and [] not in [terms for terms, _ in drawn]
+    assert drawn and all(ids for ids, _, _ in drawn)
 
 
 def test_one_apex_per_degree_per_trial(monkeypatch):
@@ -324,7 +332,7 @@ def test_one_apex_per_degree_per_trial(monkeypatch):
     for seed in range(5):
         drawn.clear()
         rr = repair_with_certificate(torsion_cycle(6), seed)
-        lengths = [len(terms[0][1]) + 1 for terms, _ in drawn]  # cone tuples
+        lengths = [n for _, n, _ in drawn]  # cone tuples
         assert sorted(lengths) == [2, 3, 4], (seed, lengths)  # degrees 1-3
         assert is_good(rr.phi_image)[0]
 

@@ -2,12 +2,16 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from extbloch import chains, pipeline
+from extbloch.chainio import dumps_canonical
 from extbloch.core import (GroupElement, ProjVector, det_pair, random_sl2,
                            random_vector, rotation)
-from extbloch.chains import (BarChain, HomChain, _Chain, _ConeRepairer,
-                             conjugate_chain, complex_conjugate_chain,
+from extbloch.chains import (_LDIV, _MUL, _REUSE, BarChain, HomChain, _Chain,
+                             _ConeRepairer, _Tape, conjugate_chain,
+                             complex_conjugate_chain,
                              hom_boundary, inhom_to_hom, near_pairs,
                              repair_with_certificate, sample_generic_v)
 from extbloch.covering import (FlatteningTriple, check_flattening_condition,
@@ -434,22 +438,175 @@ def test_ccs_value_builds_no_triple_point_or_merged_sum(monkeypatch):
 
 def test_trials_draw_in_turn_from_one_stream():
     # ccs_value makes one generator from the seed; each trial repairs, then
-    # draws v, from it, exactly as successive lambda_hat calls on it do
-    cases = (torsion_cycle(5), torsion_cycle(6),
+    # draws v, from it, exactly as successive lambda_hat calls on it do.
+    # Trials 2-10 replay the first trial's repair at their own apexes, and
+    # their values are bit-identical to full repairs
+    cases = (torsion_cycle(5), torsion_cycle(6), torsion_cycle(12),
+             torsion_cycle(48),
              conjugate_chain(GroupElement(3, 0.3, 0, 1 / 3), torsion_cycle(7)),
-             random_boundary_cycle(5, n_terms=2))
+             random_boundary_cycle(5, n_terms=2), five_term_boundary(0.5, 0.25))
     for c in cases:
         for seed in (0, 1, 7):
             rng = random.Random(seed)
             expected = []
-            for _ in range(3):
+            for _ in range(10):
                 value = -_reference_sums(lambda_hat(c, rng))[0] / TWO_PI_SQ
                 expected.append(complex(value.real - math.floor(value.real),
                                         value.imag))
-            assert ccs_value(c, seed=seed, trials=3).trials == expected
+            assert ccs_value(c, seed=seed, trials=10).trials == expected
     for evaluate in (ccs_value, lambda_hat):
         with pytest.raises(ValueError, match="non-negative, got -1"):
             evaluate(torsion_cycle(5), seed=-1)
+
+
+def test_report_seed_is_the_integer_evaluated():
+    # any integer as_rng takes evaluates as int(seed), and the report says
+    # so: a numpy integer is not reported as null, nor True as true
+    c = torsion_cycle(5)
+    for seed, plain in ((np.int64(3), 3), (np.uint8(3), 3), (True, 1)):
+        rep = ccs_value(c, seed=seed, trials=2)
+        want = ccs_value(c, seed=plain, trials=2)
+        assert type(rep.seed) is int and rep == want
+        assert (dumps_canonical(rep.as_dict())
+                == dumps_canonical(want.as_dict()))
+    assert ccs_value(c, seed=random.Random(3), trials=2).seed is None
+
+
+class _UniformOnly:
+    """A generator with nothing but ``uniform``."""
+
+    def __init__(self, seed):
+        self.source = random.Random(seed)
+
+    def uniform(self, a, b):
+        return self.source.uniform(a, b)
+
+
+def _other_id(e):
+    return e[:3] + (0 if e[3] else 1, False)
+
+
+# one decision of a tape recorded otherwise: (kind, flag) of the last event
+# changed, whether it is taken from the certificate residual's quotients
+# (recorded after phi(B) is checked) or from before them, and the change: a
+# passed reuse test as failed, a new product as an old id, an old quotient
+# as another old id
+_FORCED = {
+    "reuse-failed": (_REUSE, True, False, lambda e: e[:4] + (False,)),
+    "product-old": (_MUL, True, False, lambda e: e[:4] + (False,)),
+    "quotient-other-id": (_LDIV, False, False, _other_id),
+    "residual-quotient-other-id": (_LDIV, False, True, _other_id),
+}
+
+
+@pytest.mark.parametrize("make", [random.Random, _UniformOnly])
+@pytest.mark.parametrize("forced", sorted(_FORCED))
+def test_a_decision_that_differs_falls_back_to_the_full_repair(
+        monkeypatch, make, forced):
+    # trial 2 replays a tape with one decision recorded otherwise.  The
+    # replay stops there, after drawing apexes, and the trial repairs in
+    # full on those draws: the report and the generator's final state equal
+    # those of a run with replay off (every trial a full repair)
+    kind, flag, residual, change = _FORCED[forced]
+    real_check, split = chains._check_good, []
+
+    def check(table, phi_bad):
+        if table.tape is not None:  # recording: the residual comes next
+            split.append(len(table.tape))
+        return real_check(table, phi_bad)
+
+    def mutate(events):
+        k = max(k for k, e in enumerate(events) if (k >= split[-1]) == residual
+                and e[0] == kind and e[4] == flag)
+        events[k] = change(events[k])
+        return events
+
+    real_replay, real_core = pipeline._replay, pipeline._repair_core
+    outcomes, cores = [], []
+
+    def replay(hom, rng, tape):
+        if not outcomes:
+            forced = _Tape()
+            forced.events = mutate(list(tape.events))
+            forced.phi_bad, forced.phi = tape.phi_bad, tape.phi
+            tape = forced
+        outcomes.append(real_replay(hom, rng, tape))
+        if outcomes[-1] is None:
+            assert rng.drawn  # the fallback re-reads these
+        return outcomes[-1]
+
+    def core(*args):
+        cores.append(len(outcomes))
+        return real_core(*args)
+
+    monkeypatch.setattr(pipeline, "_repair_core", core)
+    monkeypatch.setattr(chains, "_check_good", check)
+    for seed in (0, 1):
+        runs = []
+        for replay_on in (False, True):
+            outcomes.clear()
+            cores.clear()
+            with monkeypatch.context() as m:
+                if replay_on:
+                    m.setattr(pipeline, "_replay", replay)
+                else:
+                    m.setattr(pipeline, "_Tape", lambda: None)
+                gen = make(seed)
+                rep = ccs_value(torsion_cycle(6), seed=gen, trials=10)
+            source = gen if isinstance(gen, random.Random) else gen.source
+            runs.append((dumps_canonical(rep.as_dict()), source.getstate()))
+        assert outcomes[0] is None and None not in outcomes[1:]
+        assert len(outcomes) == 9 and cores == [0, 1]  # trials 1 and 2
+        assert runs[0] == runs[1]
+
+
+def test_replayed_trials_check_their_cone_image(monkeypatch):
+    # a replayed trial takes phi(B) from the tape renamed and still checks
+    # it for goodness: a coincidence put into the tape's phi(B) after trial
+    # 1 is refused by trial 2's replay
+    real, raised = pipeline._replay, []
+
+    def replay(hom, rng, tape):
+        coeff, ids = tape.phi_bad[0]
+        tape.phi_bad[0] = (coeff, ids[:-1] + ids[-2:-1])  # g_3 = g_2
+        try:
+            return real(hom, rng, tape)
+        except RepairFailed:
+            raised.append(tape)
+            raise
+
+    monkeypatch.setattr(pipeline, "_replay", replay)
+    with pytest.raises(RepairFailed, match="cone image not good"):
+        ccs_value(torsion_cycle(6), seed=0, trials=10)
+    assert len(raised) == 1
+
+
+def test_only_the_first_trial_enters_the_cone_recursion(monkeypatch):
+    # torsion 6, 10 trials: every later trial replays the first one's
+    # repair, so _ConeRepairer.images is entered in exactly one trial; one
+    # trial records no tape
+    trial, entered, tapes = [0], set(), []
+    images, sample, tape = _ConeRepairer.images, pipeline._sample_v, _Tape
+
+    def spy_images(self, ids):
+        entered.add(trial[0])
+        return images(self, ids)
+
+    def spy_sample(*args):
+        trial[0] += 1
+        return sample(*args)
+
+    def spy_tape():
+        tapes.append(tape())
+        return tapes[-1]
+
+    monkeypatch.setattr(_ConeRepairer, "images", spy_images)
+    monkeypatch.setattr(pipeline, "_sample_v", spy_sample)
+    monkeypatch.setattr(pipeline, "_Tape", spy_tape)
+    ccs_value(torsion_cycle(6), seed=0, trials=10)
+    assert trial[0] == 10 and entered == {0} and len(tapes) == 1
+    ccs_value(torsion_cycle(6), seed=0, trials=1)
+    assert len(tapes) == 1
 
 
 def _rotation_cycle(n: int, k: int) -> BarChain:
