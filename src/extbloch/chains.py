@@ -25,12 +25,13 @@ it changes only the simplices that have such a coincidence.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from itertools import combinations
 
 from . import config
-from .core import (GroupElement, ProjVector, Record, as_rng, det_pair,
-                   random_sl2, random_vector)
+from .core import (GroupElement, ProjVector, Record, as_rng, check_det,
+                   det_pair, random_sl2, random_vector)
 from .errors import NotACycle, RepairFailed, SamplingExhausted
 from .formal import FormalSum
 from .quantize import FuzzyIndex
@@ -82,8 +83,10 @@ class SymbolTable:
             return j
         ident = self._products.get((i, j))
         if ident is None:
+            g, h = self.elements[i], self.elements[j]
             ident = self._products[(i, j)] = self._formed(
-                _MUL, i, j, self.elements[i] @ self.elements[j])
+                _MUL, i, j, g.a * h.a + g.b * h.c, g.a * h.b + g.b * h.d,
+                g.c * h.a + g.d * h.c, g.c * h.b + g.d * h.d)
         return ident
 
     def ldiv(self, i: int, j: int) -> int:
@@ -95,16 +98,23 @@ class SymbolTable:
         if ident is None:
             g, h = self.elements[i], self.elements[j]
             a, b, c, d = g.d, -g.b, -g.c, g.a
-            q = GroupElement(a * h.a + b * h.c, a * h.b + b * h.d,
-                             c * h.a + d * h.c, c * h.b + d * h.d)
-            ident = self._quotients[(i, j)] = self._formed(_LDIV, i, j, q)
+            ident = self._quotients[(i, j)] = self._formed(
+                _LDIV, i, j, a * h.a + b * h.c, a * h.b + b * h.d,
+                c * h.a + d * h.c, c * h.b + d * h.d)
         return ident
 
-    def _formed(self, op: int, i: int, j: int, g: GroupElement) -> int:
-        """The id of g, just formed from ids i and j by ``op``; the event
-        goes on the tape when one is on."""
+    def _formed(self, op: int, i: int, j: int, a: complex, b: complex,
+                c: complex, d: complex) -> int:
+        """The id of (a b; c d), just formed from ids i and j by ``op``: det
+        checked and eight floats keyed as ``GroupElement`` and ``intern`` do,
+        an element built for a new id only.  The event goes on the tape when
+        one is on."""
+        check_det(a, b, c, d)
         fresh = len(self.elements)
-        ident = self.intern(g)
+        ident = self._index.key((a.real, a.imag, b.real, b.imag,
+                                 c.real, c.imag, d.real, d.imag))
+        if ident == fresh:
+            self.elements.append(GroupElement(a, b, c, d))
         if self.tape is not None:
             self.tape.append((op, i, j, ident, ident == fresh))
         return ident
@@ -367,24 +377,29 @@ def _v_pass(elements: list[GroupElement], terms: _Terms, v: ProjVector):
     """One pass of v over the (coefficient, ids) ``terms`` of a homogeneous
     chain over ``elements``: every element is applied to v once and every
     id pair (g_i, g_j) met in a tuple, in tuple order, gets det(g_i v, g_j v)
-    once, tested as ``near_pairs`` tests it.  Returns (offending (term
-    index, i, j) triples, {(id_i, id_j): det})."""
-    vecs: dict[int, tuple[ProjVector, float]] = {}
+    once, tested as ``near_pairs`` tests it, on plain (w1, w2, |w|) tuples
+    with the float operations and nonzero check of ``GroupElement.apply``,
+    ``ProjVector.norm`` and ``det_pair``.  Returns (offending (term index,
+    i, j) triples, {(id_i, id_j): det} in first-met order)."""
+    vecs: dict[int, tuple[complex, complex, float]] = {}
     dets: dict[tuple[int, int], complex] = {}
     near: dict[tuple[int, int], bool] = {}
     offending = []
-    vgood = config.VGOOD
+    vgood, zero, v1, v2 = config.VGOOD, config.ZERO, v.v1, v.v2
     for t_idx, (_, ids) in enumerate(terms):
         for i in ids:
             if i not in vecs:
-                w = elements[i].apply(v)
-                vecs[i] = (w, w.norm())
+                g = elements[i]
+                w1, w2 = g.a * v1 + g.b * v2, g.c * v1 + g.d * v2
+                if max(abs(w1), abs(w2)) <= zero:
+                    raise ValueError("projective vector must be nonzero")
+                vecs[i] = (w1, w2, math.hypot(abs(w1), abs(w2)))
         for a, b in combinations(range(len(ids)), 2):
             key = (ids[a], ids[b])
             hit = near.get(key)
             if hit is None:
-                (x, nx), (y, ny) = vecs[key[0]], vecs[key[1]]
-                d = dets[key] = det_pair(x, y)
+                (x1, x2, nx), (y1, y2, ny) = vecs[key[0]], vecs[key[1]]
+                d = dets[key] = x1 * y2 - x2 * y1
                 hit = near[key] = abs(d) <= vgood * (nx * ny)
             if hit:
                 offending.append((t_idx, a, b))
@@ -479,9 +494,8 @@ class _ConeRepairer:
 
     def _clears(self, g: GroupElement, ids: Iterable[int]) -> bool:
         """g lies over ``config.APEX_MARGIN`` from +-every id in ``ids``."""
-        elements = self.table.elements
-        return all(g.sign_distance(elements[i]) > config.APEX_MARGIN
-                   for i in ids)
+        elements, margin = self.table.elements, config.APEX_MARGIN
+        return not any(g.sign_equiv(elements[i], margin) for i in ids)
 
     def _generic_avoiding(self, ids: set[int]) -> GroupElement:
         for _ in range(1000):

@@ -93,6 +93,13 @@ def ext_close(z, w) -> bool:
     return abs(z - w) <= config.CMP
 
 
+def check_det(a: complex, b: complex, c: complex, d: complex) -> None:
+    """DeterminantError unless |ad - bc - 1| <= ``DET_TOL`` (read per call)."""
+    det = a * d - b * c
+    if not abs(det - 1.0) <= DET_TOL:  # a NaN det fails too
+        raise DeterminantError(f"determinant {det} differs from 1")
+
+
 class GroupElement(FrozenRecord):
     """A 2x2 complex matrix (a b; c d) with determinant 1.
 
@@ -103,9 +110,7 @@ class GroupElement(FrozenRecord):
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: complex, b: complex, c: complex, d: complex):
-        det = a * d - b * c
-        if not abs(det - 1.0) <= DET_TOL:  # a NaN det fails too
-            raise DeterminantError(f"determinant {det} differs from 1")
+        check_det(a, b, c, d)
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "c", c)
@@ -155,8 +160,14 @@ class GroupElement(FrozenRecord):
                    max(abs(a + e), abs(b + f), abs(c + g), abs(d + h)))
 
     def sign_equiv(self, other: "GroupElement", tol: float) -> bool:
-        """True when g is elementwise close to +h or to -h."""
-        return self.sign_distance(other) <= tol
+        """g is within ``tol`` of +h or of -h in every entry, deciding at the
+        first entry apart; ``sign_distance(h) <= tol`` when there is no NaN."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = other.a, other.b, other.c, other.d
+        return ((abs(a - e) <= tol and abs(b - f) <= tol
+                 and abs(c - g) <= tol and abs(d - h) <= tol)
+                or (abs(a + e) <= tol and abs(b + f) <= tol
+                    and abs(c + g) <= tol and abs(d + h) <= tol))
 
     def max_abs(self) -> float:
         return max(abs(x) for x in self.entries())

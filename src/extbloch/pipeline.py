@@ -127,12 +127,12 @@ def lambda_hat(c: BarChain, seed) -> LambdaResult:
 def _lambda_hat(hom: HomChain, rng, tape: _Tape | None = None):
     """v and, per repaired term, its coefficient and six Log dets in
     ``_flattening`` order, for a homogeneous cycle checked and interned for
-    this evaluation; the repair draws
-    from ``rng`` first, then v.  det is SL(2, C) invariant, so every
-    translate of an edge e = g_i^-1 g_j shares the Log det(g_i v, g_j v)
-    of the first met, whose det the v-check's pass already computed.
-    Given a ``tape``, the first call records it and later ones replay it
-    (see ``_replay``)."""
+    this evaluation; the repair draws from ``rng`` first, then v.  det is
+    SL(2, C) invariant, so every translate of an edge e = g_i^-1 g_j shares
+    the Log det(g_i v, g_j v) of the first met, whose det the v-check's
+    pass already computed; each distinct id pair is resolved to its edge
+    once, in the pass's first-met order.  Given a ``tape``, the first call
+    records it and later ones replay it (see ``_replay``)."""
     if tape is None or tape.phi is None:
         phi, _ = _repair_core(hom, rng, tape)
     else:
@@ -143,15 +143,13 @@ def _lambda_hat(hom: HomChain, rng, tape: _Tape | None = None):
             phi, _ = _repair_core(hom, draws)
     table = hom.table
     v, _, dets = _sample_v(table.elements, phi, rng)
-    edge_log: dict[int, complex] = {}
-
-    def log(i, j):
-        e = table.ldiv(i, j)
+    edge_log, logs = {}, {}  # Log det by edge id, and by id pair
+    for pair, d in dets.items():  # id pairs in the order phi meets them
+        e = table.ldiv(*pair)
         if (x := edge_log.get(e)) is None:
-            x = edge_log[e] = plog(dets[(i, j)])
-        return x
-
-    return v, [(coeff, [log(i, j) for i, j in combinations(ids, 2)])
+            x = edge_log[e] = plog(d)
+        logs[pair] = x
+    return v, [(coeff, [logs[pair] for pair in combinations(ids, 2)])
                for coeff, ids in phi]
 
 

@@ -23,6 +23,7 @@ and get different ids.  A value with ``x / tol`` infinite raises OutOfGrid.
 from __future__ import annotations
 
 from itertools import product
+from operator import sub
 from collections.abc import Iterable
 
 from .errors import OutOfGrid
@@ -30,6 +31,9 @@ from .errors import OutOfGrid
 # guard band, as a fraction of the cell size: well above fp noise, well
 # below the cell size
 _GUARD = 1e-3
+# a coordinate closer than this to its cell centre splits nothing, whatever
+# the rounding of ``0.5 - off``
+_CLEAR = 0.5 - 2 * _GUARD
 
 
 class FuzzyIndex:
@@ -38,7 +42,10 @@ class FuzzyIndex:
     A repeated value gets its first id.  A new value gets the id of the
     first stored vector within ``tol`` in every entry that sits in the
     vector's grid cell or in a probed neighbour; see the module docstring
-    for what that does and does not identify."""
+    for what that does and does not identify.  ``key`` is the entry point.
+    A new value with no coordinate within ``2 * _GUARD`` of a cell boundary
+    cannot split, so only its own cell is looked up, with the first-match
+    rule and storage of the probe of all cells (``_probe_all``)."""
 
     def __init__(self, tol: float):
         self.tol = tol
@@ -57,6 +64,18 @@ class FuzzyIndex:
         return ident
 
     def _probe(self, vals: tuple[float, ...]) -> int:
+        tol = self.tol
+        try:
+            scaled = [x / tol for x in vals]
+            cells = tuple(map(round, scaled))
+        except (OverflowError, ValueError):  # an infinite or NaN x / tol
+            return self._probe_all(vals)  # raises, naming the value
+        if max(map(abs, map(sub, scaled, cells)), default=0.0) < _CLEAR:
+            return self._lookup((cells,), cells, vals)  # nothing splits
+        return self._probe_all(vals)
+
+    def _probe_all(self, vals: tuple[float, ...]) -> int:
+        """``_probe`` through every cell the guard band splits into."""
         tol = self.tol
         # per coordinate: its cell, then the neighbour when it sits in the
         # guard band of a cell boundary (at most 6 coordinates split)
@@ -77,7 +96,15 @@ class FuzzyIndex:
                 splits += 1
             else:
                 options.append((cell,))
-        for cell in product(*options):  # the primary cell comes first
+        primary = tuple(o[0] for o in options)  # product's first cell
+        return self._lookup(product(*options), primary, vals)
+
+    def _lookup(self, cells: Iterable[tuple[int, ...]],
+                primary: tuple[int, ...], vals: tuple[float, ...]) -> int:
+        """The first id stored in ``cells``, in order, within ``tol`` of
+        ``vals`` in every entry; else a new id stored under ``primary``."""
+        tol = self.tol
+        for cell in cells:
             for ident in self._cells.get(cell, ()):
                 rep = self._reps[ident]
                 if len(rep) == len(vals) and all(
@@ -86,5 +113,5 @@ class FuzzyIndex:
                     return ident
         ident = len(self._reps)
         self._reps.append(vals)
-        self._cells.setdefault(tuple(o[0] for o in options), []).append(ident)
+        self._cells.setdefault(primary, []).append(ident)
         return ident

@@ -1,0 +1,204 @@
+"""The trial loop's short-cut kernels against the slower references they
+replace: the +- and apex-margin tests against ``sign_distance``, the
+one-cell lookup of ``FuzzyIndex`` against the probe of all cells, and the
+symbol table's products against a det-checked ``GroupElement``."""
+
+import math
+import random
+import re
+import traceback
+
+import pytest
+
+from extbloch import config, core
+from extbloch.chains import SymbolTable, _ConeRepairer, conjugate_chain
+from extbloch.core import GroupElement, random_sl2
+from extbloch.errors import DeterminantError, OutOfGrid
+from extbloch.fixtures import torsion_cycle
+from extbloch.pipeline import ccs_value
+from extbloch.quantize import _GUARD, FuzzyIndex
+
+import report_digest
+
+TOLS = (1e-8, 1e-3)
+DYADIC = [k / 8 for k in range(-16, 17)]
+
+
+def _unchecked(*entries) -> GroupElement:
+    # entries moved by an exact offset rarely keep det 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "DET_TOL", math.inf)
+        return GroupElement(*entries)
+
+
+def _apart_by(rng, g: GroupElement, t: float) -> GroupElement:
+    """+-g with each dyadic entry moved by an imaginary offset near ``t``:
+    x - (x + i s) is exactly -i s, so |x -+ y| hits ``t`` exactly."""
+    offsets = (0.0, t, -t, math.nextafter(t, 0.0), math.nextafter(t, 2 * t),
+               2 * t)
+    sign = rng.choice((1, -1))
+    return _unchecked(*(sign * (x + 1j * rng.choice(offsets))
+                        for x in g.entries()))
+
+
+def _pairs(rng, t):
+    """Random elements, +-h and dyadic elements moved by about ``t``."""
+    out = []
+    for _ in range(40):
+        g, h = random_sl2(rng), random_sl2(rng)
+        out += [(g, h), (g, h), (g, -g), (g, g)]
+        d = _unchecked(*(rng.choice(DYADIC) for _ in range(4)))
+        out += [(d, _apart_by(rng, d, t)) for _ in range(8)]
+    return out
+
+
+def test_sign_equiv_agrees_with_sign_distance():
+    rng = random.Random(5)
+    verdicts = set()
+    for tol in TOLS:
+        for g, h in _pairs(rng, tol):
+            want = g.sign_distance(h) <= tol
+            assert g.sign_equiv(h, tol) == want == h.sign_equiv(g, tol)
+            verdicts.add((want, g.sign_distance(h) == tol))
+    # both verdicts, and the boundary |x - y| == tol itself, were met
+    assert verdicts >= {(True, True), (True, False), (False, False)}
+
+
+def test_clears_agrees_with_sign_distance():
+    # elements at exactly the apex margin from the apex do not clear it
+    rng = random.Random(6)
+    margin = config.APEX_MARGIN
+    table = SymbolTable()
+    rep = _ConeRepairer(rng, table)
+    pairs = _pairs(rng, margin) + _pairs(rng, config.CMP)
+    ids = [table.intern(h) for _, h in pairs]
+    outcomes = set()
+    for k, (g, _) in enumerate(pairs):
+        for group in ([ids[k]], ids[k:k + 3], ids[::17], []):
+            distances = [g.sign_distance(table.elements[i]) for i in group]
+            want = all(d > margin for d in distances)
+            assert rep._clears(g, group) == want
+            outcomes.add((want, margin in distances))
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+class _AllCells(FuzzyIndex):
+    """The reference: every value through the probe of all cells."""
+
+    def _probe(self, vals):
+        return self._probe_all(vals)
+
+
+class _Counting(FuzzyIndex):
+    all_cells = 0
+
+    def _probe_all(self, vals):
+        self.all_cells += 1
+        return super()._probe_all(vals)
+
+
+def _stream(rng, tol, dim):
+    """Vectors near half-cells, inside and outside the guard band and its
+    one-cell margin, and values within ``tol`` and beyond ``2 * tol`` of
+    earlier ones."""
+    out = []
+    for _ in range(300):
+        kind = rng.randrange(3)
+        if kind == 0 or not out:
+            band = rng.choice((0.5, 1.5, 1.9, 2.0, 2.1, 3.0, 50.0)) * _GUARD
+            vec = tuple((rng.randrange(-50, 50) + 0.5
+                         + rng.choice((1, -1)) * band) * tol
+                        for _ in range(dim))
+        elif kind == 1:
+            vec = tuple(rng.uniform(-1, 1) for _ in range(dim))
+        else:
+            step = rng.choice((0.3, 0.9, 1.0, 2.1, 5.0)) * tol
+            vec = tuple(x + rng.choice((1, -1, 0)) * step
+                        for x in rng.choice(out))
+        out.append(vec)
+        if rng.random() < 0.1:
+            out.append(vec)  # an exact repeat
+    return out
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 8])
+@pytest.mark.parametrize("tol", [1e-8, 1e-3, 1.0])
+def test_one_cell_lookup_gives_the_full_probe_ids(tol, dim):
+    for seed in range(3):
+        stream = _stream(random.Random(seed), tol, dim)
+        fast, ref = _Counting(tol), _AllCells(tol)
+        assert [fast.key(v) for v in stream] == [ref.key(v) for v in stream]
+        assert fast._reps == ref._reps and fast._cells == ref._cells
+        if dim:  # not vacuous: both lookups ran, and ids were shared
+            assert 0 < fast.all_cells < len(fast)
+            assert len(fast) < len(set(stream))
+
+
+@pytest.mark.parametrize("vals, first", [
+    ((0.5, -math.inf, math.inf), -math.inf),
+    ((2.0, 1e305, -1e306), 1e305),  # x / tol overflows for finite x
+    ((math.inf,), math.inf),
+])
+def test_out_of_grid_names_the_first_offending_value(vals, first):
+    for index in (FuzzyIndex(1e-8), _AllCells(1e-8)):
+        with pytest.raises(OutOfGrid,
+                           match=f"^value {re.escape(repr(first))} is out"):
+            index.key(vals)
+        assert len(index) == 0 and index.key((0.5,)) == 0
+
+
+@pytest.mark.parametrize("vals", [(math.nan,), (1.0, math.nan, math.inf),
+                                  (0.0,) * 7 + (math.nan,)])
+def test_nan_raises_value_error(vals):
+    for index in (FuzzyIndex(1e-8), _AllCells(1e-8)):
+        with pytest.raises(ValueError) as err:
+            index.key(vals)
+        assert not isinstance(err.value, OutOfGrid)
+        assert len(index) == 0
+
+
+def test_formed_products_are_det_checked(monkeypatch):
+    rng = random.Random(8)
+    g, h, k = (random_sl2(rng) for _ in range(3))
+    table = SymbolTable()
+    i, j, m = map(table.intern, (g, h, k))
+    gh = table.intern(g @ h)  # the product is known before it is formed
+    with monkeypatch.context() as mp:
+        mp.setattr(core, "DET_TOL", -1.0)  # every det check fails
+        for form in (table.mul, table.ldiv):
+            with pytest.raises(DeterminantError,
+                               match=r"^determinant .* differs from 1$"):
+                form(i, j)
+    # a re-identified product appends nothing; a new one appends one
+    size = len(table.elements)
+    assert table.mul(i, j) == gh and len(table.elements) == size
+    left = table.mul(table.mul(i, j), m)
+    assert len(table.elements) == size + 1
+    assert table.mul(i, table.mul(j, m)) == left
+    assert len(table.elements) == size + 2  # h k is new, (g h) k is not
+    assert table.elements[left] == (g @ h) @ k
+    assert table.ldiv(i, gh) == j and len(table.elements) == size + 2
+
+
+def _conj_torsion5(s):
+    return conjugate_chain(GroupElement(s, 0.3, 0, 1 / s), torsion_cycle(5))
+
+
+def test_large_conjugates_keep_their_value_or_det_error():
+    value = ccs_value(_conj_torsion5(30), seed=0, trials=3).value_mod1
+    assert abs(value - 0.6) < 1e-12
+    for s in (60, 100):
+        with pytest.raises(DeterminantError,
+                           match=r"^determinant \(.*\) differs from 1$") as e:
+            ccs_value(_conj_torsion5(s), seed=0, trials=3)
+        frames = [f.name for f in traceback.extract_tb(e.value.__traceback__)]
+        assert "ldiv" in frames
+
+
+def test_report_digest_repeats():
+    cycles = list(report_digest.corpus())
+    first = report_digest.digest(cycles, seeds=(0,), trials=(2,))
+    assert first == report_digest.digest(cycles, seeds=(0,), trials=(2,))
+    assert first[1] == len(cycles) == 58
+    assert report_digest.digest(cycles[:3], seeds=(7,), trials=(2,)) != \
+        report_digest.digest(cycles[:3], seeds=(0,), trials=(2,))
