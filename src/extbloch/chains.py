@@ -43,7 +43,7 @@ _Terms = list[tuple[int, Ids]]
 MAX_DEGREE = 4  # the pipeline needs cycles (3) and homotopies (4) only
 V_ATTEMPTS = 1000  # draws of v before ``sample_generic_v`` gives up
 
-# kinds of the events on a repair's tape (see ``_Tape``)
+# kinds of the events on a repair's tape (see ``_repairs``)
 _MUL, _LDIV, _REUSE, _DRAW = range(4)
 
 
@@ -58,7 +58,7 @@ class SymbolTable:
     Products g_i g_j, left quotients g_i^-1 g_j and sign coincidences of
     representatives are memoized by id; an inverse is never interned on
     its own.  While ``tape`` is a list, every product or quotient formed
-    on a memo miss is appended to it (see ``_Tape``).
+    on a memo miss is appended to it (see ``_repairs``).
     """
 
     def __init__(self, tol: float | None = None):
@@ -570,57 +570,53 @@ def _faces(ids: Ids) -> _Terms:
     return [((-1) ** i, ids[:i] + ids[i + 1:]) for i in range(len(ids))]
 
 
-class _Tape:
-    """What one trial's repair decided, for later trials to replay.
-
-    ``events`` lists, in order, every product or quotient the symbol table
-    formed on a memo miss, the certificate residual's included, as
-    (``_MUL`` or ``_LDIV``, i, j, result id, whether it was new), and
-    every apex decision of the repairer, as
-    (``_REUSE``, apex id, ids tested, None, whether the apex cleared them)
-    or (``_DRAW``, None, ids the apex clears, apex id, whether it was new).
-    ``phi_bad`` and ``phi`` are the trial's merged phi(B) and phi.
-    """
-
-    __slots__ = ("events", "phi_bad", "phi")
-
-    def __init__(self):
-        self.events: list[tuple] = []
-        self.phi_bad: _Terms | None = None
-        self.phi: _Terms | None = None
-
-
-def _repair_core(hom: HomChain, rng,
-                 tape: _Tape | None = None) -> tuple[_Terms, _Terms]:
+def _repair_core(hom: HomChain, rng) -> tuple[_Terms, _Terms, _Terms]:
     """Repair of a homogeneous cycle interned for this evaluation: the
-    merged (coefficient, ids) lists phi = hom - B + phi(B) and H = H(B) for
-    its bad part B, off one apex per degree from rng (redrawn for a tuple
-    it does not clear).  Checks that phi(B) is good (kept tuples are) and
-    the certificate dH(B) = phi(B) - B.  Builds no chain.  Given a
-    ``tape``, records on it what ``_replay`` needs, the quotients of the
-    certificate residual included."""
+    merged (coefficient, ids) lists phi(B), phi = hom - B + phi(B) and
+    H = H(B) for its bad part B, off one apex per degree from rng (redrawn
+    for a tuple it does not clear).  Checks that phi(B) is good (kept
+    tuples are) and the certificate dH(B) = phi(B) - B.  Builds no chain."""
     table = hom.table
     good, bad = [], []
     for term in hom.pairs():
         (good if table.good(term[1]) else bad).append(term)
     rep = _ConeRepairer(rng, table)
-    table.tape = None if tape is None else tape.events
-    try:
-        imgs = [(c, rep.images(ids)) for c, ids in bad]
-        phi_bad = rep.linear(((c, img[0]) for c, img in imgs), True)
-        _check_good(table, phi_bad)
-        h = rep.linear((c, img[1]) for c, img in imgs)  # (1, ...): canonical
-        residual = rep.linear([*((c, _faces(ids)) for c, ids in h),
-                               (-1, phi_bad), (1, bad)], True)
-    finally:
-        table.tape = None
+    imgs = [(c, rep.images(ids)) for c, ids in bad]
+    phi_bad = rep.linear(((c, img[0]) for c, img in imgs), True)
+    _check_good(table, phi_bad)
+    h = rep.linear((c, img[1]) for c, img in imgs)  # (1, ...): canonical
+    residual = rep.linear([*((c, _faces(ids)) for c, ids in h),
+                           (-1, phi_bad), (1, bad)], True)
     if residual:
         raise RepairFailed(f"homotopy certificate failed: "
                            f"{len(residual)} residual terms")
-    phi = rep.linear([(1, good), (1, phi_bad)])
-    if tape is not None:
-        tape.phi_bad, tape.phi = phi_bad, phi
-    return phi, h
+    return phi_bad, rep.linear([(1, good), (1, phi_bad)]), h
+
+
+def _repairs(hom: HomChain, rng, trials: int):
+    """phi for each of ``trials`` trials of one evaluation of ``hom``,
+    yielded in turn, each drawn from ``rng`` only when asked for (so v,
+    drawn between trials, falls between them).  With more than one trial,
+    the first trial's repair records the table's tape: every product or
+    quotient formed on a memo miss, the certificate residual's included,
+    as (``_MUL`` or ``_LDIV``, i, j, result id, whether it was new), and
+    every apex decision, as (``_REUSE``, apex id, ids tested, None,
+    whether the apex cleared them) or (``_DRAW``, None, ids the apex
+    clears, apex id, whether it was new).  Later trials replay it at their
+    own apexes (see ``_replay``) and repair in full on the same draws when
+    a decision differs; one trial records nothing."""
+    table = hom.table
+    table.tape = [] if trials > 1 else None
+    phi_bad, phi, _ = _repair_core(hom, rng)
+    events, table.tape = table.tape, None
+    yield phi
+    for _ in range(trials - 1):
+        draws = _Rewindable(rng)
+        replayed = _replay(table, draws, events, phi_bad, phi)
+        if replayed is None:
+            draws.rewind()
+            _, replayed, _ = _repair_core(hom, draws)
+        yield replayed
 
 
 def _check_good(table: SymbolTable, phi_bad: _Terms) -> None:
@@ -628,9 +624,11 @@ def _check_good(table: SymbolTable, phi_bad: _Terms) -> None:
         raise RepairFailed(f"cone image not good: offenders {offenders[:3]}")
 
 
-def _replay(hom: HomChain, rng, tape: _Tape) -> _Terms | None:
+def _replay(table: SymbolTable, rng, events: list, phi_bad: _Terms,
+            phi: _Terms) -> _Terms | None:
     """phi of ``_repair_core`` for a later trial on the cycle whose first
-    trial recorded ``tape``, or None as soon as a decision differs.
+    trial recorded ``events`` and gave ``phi_bad`` and ``phi`` (see
+    ``_repairs``), or None as soon as a decision differs.
 
     Every event is taken again with this trial's ids: each product or
     quotient is formed with the same float operations and interned, and
@@ -639,17 +637,17 @@ def _replay(hom: HomChain, rng, tape: _Tape) -> _Terms | None:
     reuse test must come out as recorded; each apex is drawn afresh from
     ``rng`` through the same ``random_sl2``/``_clears`` loop.  When all
     match, phi(B), H(B) and the certificate residual, whose quotients end
-    the tape, are the tape's renamed, so the residual is empty as it was,
-    and its identifications were checked in this trial; phi(B) is checked
-    for goodness, which raises RepairFailed as ``_repair_core`` would.
-    Draws nothing a full repair on the same stream would not draw first.
+    the tape, are the recorded ones renamed, so the residual is empty as it
+    was, and its identifications were checked in this trial; phi(B) is
+    checked for goodness, which raises RepairFailed as ``_repair_core``
+    would.  Draws nothing a full repair on the same stream would not draw
+    first.
     """
-    table = hom.table
     elements, mul, ldiv = table.elements, table.mul, table.ldiv
     rep = _ConeRepairer(rng, table)
     ren = list(range(len(elements)))  # recorded id -> this trial's id
     fresh = len(ren)  # the id the next new element gets
-    for op, a, b, r, flag in tape.events:
+    for op, a, b, r, flag in events:
         if op == _MUL:
             got = mul(ren[a], ren[b])
         elif op == _LDIV:
@@ -667,9 +665,8 @@ def _replay(hom: HomChain, rng, tape: _Tape) -> _Terms | None:
             fresh += 1
         elif got != ren[r]:
             return None
-    _check_good(table, [(c, tuple([ren[i] for i in t]))
-                        for c, t in tape.phi_bad])
-    return [(c, tuple([ren[i] for i in t])) for c, t in tape.phi]
+    _check_good(table, [(c, tuple([ren[i] for i in t])) for c, t in phi_bad])
+    return [(c, tuple([ren[i] for i in t])) for c, t in phi]
 
 
 class _Rewindable:
@@ -697,7 +694,7 @@ def repair_with_certificate(c: BarChain, seed) -> RepairResult:
     chain map, returning the explicit, verified homotopy certificate.
     ``seed`` is an integer or a generator (see ``as_rng``)."""
     hom = _checked_cycle(c, SymbolTable())
-    phi, h = _repair_core(hom, as_rng(seed))
+    _, phi, h = _repair_core(hom, as_rng(seed))
     return RepairResult(HomChain._on(hom.table, hom.degree, phi, True),
                         HomChain._on(hom.table, hom.degree + 1, h, True), hom)
 

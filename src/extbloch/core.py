@@ -258,8 +258,11 @@ def rotation(n: int, k: int) -> GroupElement:
 def as_rng(seed):
     """A non-negative integer seeds a ``random.Random`` (a negative one is
     refused: ``Random(-s)`` is ``Random(s)``); anything else is taken as a
-    generator already, with at least ``uniform``."""
+    generator already and must have a callable ``uniform``."""
     if not isinstance(seed, numbers.Integral):
+        if not callable(getattr(seed, "uniform", None)):
+            raise TypeError("seed must be a non-negative integer or a "
+                            f"generator with uniform, got {seed!r}")
         return seed
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")

@@ -20,8 +20,7 @@ import numbers
 from itertools import combinations
 
 from .chains import (BarChain, HomChain, SymbolTable, _checked_cycle,
-                     _repair_core, _replay, _Rewindable, _sample_v, _Tape,
-                     is_v_good, near_pairs)
+                     _repairs, _sample_v, is_v_good, near_pairs)
 from .core import FrozenRecord, ProjVector, Record, _set, as_rng, det_pair
 from .covering import FlatteningTriple, _point_value
 from .dilog import TWO_PI_SQ, plog
@@ -120,28 +119,19 @@ def lambda_hat(c: BarChain, seed) -> LambdaResult:
     integer or a generator (see ``as_rng``).  Raises NotACycle, a
     ValueError, when ``c`` is not a 3-cycle.
     """
-    v, terms = _lambda_hat(_checked_cycle(c, SymbolTable()), as_rng(seed))
+    rng = as_rng(seed)
+    hom = _checked_cycle(c, SymbolTable())
+    v, terms = _lambda_hat(hom.table, next(_repairs(hom, rng, 1)), rng)
     return LambdaResult([(coeff, _flattening(logs)) for coeff, logs in terms], v)
 
 
-def _lambda_hat(hom: HomChain, rng, tape: _Tape | None = None):
-    """v and, per repaired term, its coefficient and six Log dets in
-    ``_flattening`` order, for a homogeneous cycle checked and interned for
-    this evaluation; the repair draws from ``rng`` first, then v.  det is
-    SL(2, C) invariant, so every translate of an edge e = g_i^-1 g_j shares
-    the Log det(g_i v, g_j v) of the first met, whose det the v-check's
-    pass already computed; each distinct id pair is resolved to its edge
-    once, in the pass's first-met order.  Given a ``tape``, the first call
-    records it and later ones replay it (see ``_replay``)."""
-    if tape is None or tape.phi is None:
-        phi, _ = _repair_core(hom, rng, tape)
-    else:
-        draws = _Rewindable(rng)
-        phi = _replay(hom, draws, tape)
-        if phi is None:
-            draws.rewind()
-            phi, _ = _repair_core(hom, draws)
-    table = hom.table
+def _lambda_hat(table: SymbolTable, phi, rng):
+    """v drawn from ``rng`` and, per term of a repaired cycle ``phi`` over
+    ``table``, its coefficient and six Log dets in ``_flattening`` order.
+    det is SL(2, C) invariant, so every translate of an edge
+    e = g_i^-1 g_j shares the Log det(g_i v, g_j v) of the first met, whose
+    det the v-check's pass already computed; each distinct id pair is
+    resolved to its edge once, in the pass's first-met order."""
     v, _, dets = _sample_v(table.elements, phi, rng)
     edge_log, logs = {}, {}  # Log det by edge id, and by id pair
     for pair, d in dets.items():  # id pairs in the order phi meets them
@@ -154,7 +144,10 @@ def _lambda_hat(hom: HomChain, rng, tape: _Tape | None = None):
 
 
 def _mod1(x: float) -> float:
-    return x - math.floor(x)
+    """x reduced into [0, 1): +0.0, not -0.0, and not the 1.0 that
+    x - floor(x) rounds to for x just below 0."""
+    r = x - math.floor(x)
+    return 0.0 if r == 1.0 or r == 0.0 else r
 
 
 def _circle_distance(a: float, b: float) -> float:
@@ -208,7 +201,7 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     One generator is made from ``seed`` (see ``as_rng``); the trials draw
     from it in turn, as successive ``lambda_hat`` calls on it do, and give
     the same values; later trials replay the first trial's repair at their
-    own apexes (see ``_replay``).  Each repaired term is evaluated once,
+    own apexes (see ``_repairs``).  Each repaired term is evaluated once,
     straight from its log-parameters (``covering._point_value``: one
     e^{w0}, Log z, Log(1-z) and li2 series, with every check of the
     ``FlatteningTriple``, ``to_covering_point`` and ``lhat`` path), and
@@ -229,12 +222,11 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
         raise ValueError("trials must be >= 1")
     rng = as_rng(seed)
     hom = _checked_cycle(c, SymbolTable(tol))
-    tape = _Tape() if trials > 1 else None
     values: list[complex] = []
     raws: list[complex] = []
     vol_res = 0.0
-    for _ in range(trials):
-        _, terms = _lambda_hat(hom, rng, tape)
+    for phi in _repairs(hom, rng, trials):
+        _, terms = _lambda_hat(hom.table, phi, rng)
         points = [(coeff, *_point_value(*_log_params(*logs)))
                   for coeff, logs in terms]
         # correctly rounded sums, independent of the order of the terms

@@ -75,6 +75,16 @@ def test_empty_chain_evaluates_to_zero(tmp_path):
     assert rep.volume == 0.0
 
 
+def test_cli_eval_of_the_empty_cycle_prints_plus_zero(tmp_path, capsys):
+    # every real part is reduced into [0, 1), so no -0 is printed
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"group": "SL2C", "degree": 3, "terms": []}))
+    assert main(["eval", str(path), "--trials", "2"]) == 0
+    out = capsys.readouterr().out
+    assert '"value": [0, 0]' in out and "-0" not in out
+    assert json.loads(out)["trials"] == [[0, 0], [0, 0]]
+
+
 def test_canonical_floats_lossless():
     vals = [0.1, 1.0 / 3.0, 2.0, -1.2345678901234567e-8]
     text = dumps_canonical({"v": vals})
