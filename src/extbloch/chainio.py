@@ -28,15 +28,21 @@ def matrix_to_obj(g: GroupElement) -> list:
     return [[x.real, x.imag] for x in g.entries()]
 
 
-def matrix_from_obj(obj, where: str) -> GroupElement:
+def _numbers(obj, where: str) -> tuple:
+    """The eight numbers of a matrix object, shape and types checked."""
     if (not isinstance(obj, list) or len(obj) != 4
             or any(not isinstance(p, list) or len(p) != 2 for p in obj)):
         raise SchemaError(f"{where}: matrix must be four [re, im] pairs")
-    bad = [x for p in obj for x in p if type(x) not in (int, float)]
+    nums = (*obj[0], *obj[1], *obj[2], *obj[3])
+    bad = [x for x in nums if type(x) not in (int, float)]
     if bad:  # bools and numeric strings too, which float() would take
         raise SchemaError(f"{where}: non-numeric entry {bad[0]!r}")
+    return nums
+
+
+def _element(nums: tuple, where: str) -> GroupElement:
     try:
-        vals = [complex(*p) for p in obj]
+        vals = [complex(nums[k], nums[k + 1]) for k in (0, 2, 4, 6)]
     except OverflowError:  # an integer beyond the float range
         raise SchemaError(f"{where}: entry out of range")
     if not all(cmath.isfinite(z) for z in vals):
@@ -59,7 +65,10 @@ def chain_to_obj(c: BarChain) -> dict:
 def chain_from_obj(obj, tol: float | None = None) -> BarChain:
     """The chain a parsed chain file describes, its terms keyed on a
     ``SymbolTable`` at the comparison tolerance ``tol``: terms whose
-    symbols agree at ``tol`` merge as they are read."""
+    symbols agree at ``tol`` merge as they are read.  Each distinct matrix
+    (by its eight numbers, after the shape and type checks of each
+    occurrence) is validated and keyed once; the table holds the surviving
+    terms' symbols only, in first-occurrence order, as ``ccs_value`` would."""
     if not isinstance(obj, dict):
         raise SchemaError("top level must be an object")
     if obj.get("group") != "SL2C":
@@ -70,7 +79,8 @@ def chain_from_obj(obj, tol: float | None = None) -> BarChain:
     terms_obj = obj.get("terms")
     if not isinstance(terms_obj, list):
         raise SchemaError("terms must be a list")
-    terms = []
+    table = SymbolTable(tol)
+    terms, ids = [], {}  # ids: a matrix's eight numbers -> its id
     for k, t in enumerate(terms_obj):
         if not isinstance(t, dict) or "coef" not in t or "bar" not in t:
             raise SchemaError(f"term {k}: need 'coef' and 'bar'")
@@ -82,12 +92,18 @@ def chain_from_obj(obj, tol: float | None = None) -> BarChain:
         bar = t["bar"]
         if not isinstance(bar, list) or len(bar) != degree:
             raise SchemaError(f"term {k}: bar symbol must list {degree} matrices")
-        sym = tuple(matrix_from_obj(m, f"term {k}, matrix {i}")
-                    for i, m in enumerate(bar))
-        terms.append((coeff, sym))
-    table = SymbolTable(tol)
-    return BarChain._on(table, degree, ((coeff, tuple(map(table.intern, sym)))
-                                        for coeff, sym in terms))
+        sym = []
+        for i, m in enumerate(bar):
+            where = f"term {k}, matrix {i}"
+            nums = _numbers(m, where)
+            if (x := ids.get(nums)) is None:
+                x = ids[nums] = table.intern(_element(nums, where))
+            sym.append(x)
+        terms.append((coeff, tuple(sym)))
+    chain = BarChain._on(table, degree, terms)
+    if len(chain) < len({key for _, key in terms}):  # a term cancelled
+        chain = chain.interned(SymbolTable(tol))  # drop its symbols
+    return chain
 
 
 def parse_cycle_file(path: str, tol: float | None = None) -> BarChain:

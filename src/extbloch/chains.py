@@ -16,7 +16,8 @@ element is identified numerically only once, when the table first meets it.
 Public constructors give a chain a table of its own.  An evaluation
 (``is_cycle``, ``repair_with_certificate``, ``lambda_hat``, ``ccs_value``)
 re-interns its input into a new table (at the caller's tolerance, for
-``is_cycle`` and ``ccs_value``) and leaves the input's table alone.
+``is_cycle`` and ``ccs_value``) and leaves the input's table alone;
+``ccs eval`` and ``check-cycle`` use the table the file was read into.
 
 ``repair_to_good`` replaces a cycle by a homologous one avoiding all
 g_i = +-g_j coincidences, together with an explicit homotopy certificate;
@@ -57,8 +58,10 @@ class SymbolTable:
     identifies).
     Products g_i g_j, left quotients g_i^-1 g_j and sign coincidences of
     representatives are memoized by id; an inverse is never interned on
-    its own.  While ``tape`` is a list, every product or quotient formed
-    on a memo miss is appended to it (see ``_repairs``).
+    its own.  Forming g_i g_j = g_k memoizes g_i^-1 g_k = g_j and forming
+    g_i^-1 g_j = g_k memoizes g_i g_k = g_j, unless memoized already (exact
+    in SL(2, C); never formed, so never det-checked).  While ``tape`` is a
+    list, every product or quotient formed on a memo miss goes on it.
     """
 
     def __init__(self, tol: float | None = None):
@@ -87,6 +90,7 @@ class SymbolTable:
             ident = self._products[(i, j)] = self._formed(
                 _MUL, i, j, g.a * h.a + g.b * h.c, g.a * h.b + g.b * h.d,
                 g.c * h.a + g.d * h.c, g.c * h.b + g.d * h.d)
+            self._quotients.setdefault((i, ident), j)
         return ident
 
     def ldiv(self, i: int, j: int) -> int:
@@ -101,6 +105,7 @@ class SymbolTable:
             ident = self._quotients[(i, j)] = self._formed(
                 _LDIV, i, j, a * h.a + b * h.c, a * h.b + b * h.d,
                 c * h.a + d * h.c, c * h.b + d * h.d)
+            self._products.setdefault((i, ident), j)
         return ident
 
     def _formed(self, op: int, i: int, j: int, a: complex, b: complex,
@@ -312,9 +317,9 @@ def is_cycle(c: BarChain, tol: float | None = None) -> tuple[bool, BarChain]:
 
 
 def _checked_cycle(c: BarChain, table: SymbolTable) -> HomChain:
-    """``c`` re-interned into ``table``, a new symbol table for one
-    evaluation, in homogeneous form; raises NotACycle (a ValueError) unless
-    it is a 3-cycle there."""
+    """``c`` re-interned into ``table`` (a new table for one evaluation,
+    or ``c.table``) in homogeneous form; raises NotACycle (a ValueError)
+    unless it is a 3-cycle there."""
     if c.degree != 3:
         raise NotACycle(f"evaluation needs a 3-cycle, got degree {c.degree}")
     c = c.interned(table)
@@ -598,11 +603,11 @@ def _repairs(hom: HomChain, rng, trials: int):
     yielded in turn, each drawn from ``rng`` only when asked for (so v,
     drawn between trials, falls between them).  With more than one trial,
     the first trial's repair records the table's tape: every product or
-    quotient formed on a memo miss, the certificate residual's included,
-    as (``_MUL`` or ``_LDIV``, i, j, result id, whether it was new), and
-    every apex decision, as (``_REUSE``, apex id, ids tested, None,
-    whether the apex cleared them) or (``_DRAW``, None, ids the apex
-    clears, apex id, whether it was new).  Later trials replay it at their
+    quotient formed on a memo miss (a memo answer is no event), the
+    residual's included, as (``_MUL`` or ``_LDIV``, i, j, result id,
+    whether it was new), and every apex decision, as (``_REUSE``, apex id,
+    ids tested, None, whether the apex cleared them) or (``_DRAW``, None,
+    ids the apex clears, apex id, whether it was new).  Later trials replay it at their
     own apexes (see ``_replay``) and repair in full on the same draws when
     a decision differs; one trial records nothing."""
     table = hom.table
@@ -630,18 +635,18 @@ def _replay(table: SymbolTable, rng, events: list, phi_bad: _Terms,
     trial recorded ``events`` and gave ``phi_bad`` and ``phi`` (see
     ``_repairs``), or None as soon as a decision differs.
 
-    Every event is taken again with this trial's ids: each product or
-    quotient is formed with the same float operations and interned, and
-    must come out as the recorded id renamed (the same old id, the same
-    earlier renamed id, or a new id where the tape has a new one); each
-    reuse test must come out as recorded; each apex is drawn afresh from
-    ``rng`` through the same ``random_sl2``/``_clears`` loop.  When all
-    match, phi(B), H(B) and the certificate residual, whose quotients end
-    the tape, are the recorded ones renamed, so the residual is empty as it
-    was, and its identifications were checked in this trial; phi(B) is
-    checked for goodness, which raises RepairFailed as ``_repair_core``
-    would.  Draws nothing a full repair on the same stream would not draw
-    first.
+    Every event is taken again with this trial's ids: each formed product
+    or quotient is formed with the same float operations and interned (or
+    answered by this table's memo), and must come out as the recorded id
+    renamed (the same old id, the same earlier renamed id, or a new id
+    where the tape has a new one); each reuse test must come out as
+    recorded; each apex is drawn afresh from ``rng`` through the same
+    ``random_sl2``/``_clears`` loop.  A memo answer of trial 1 is no event
+    and holds for the renamed ids as it did.  When all match, phi(B), H(B) and the certificate residual, whose formed
+    quotients (if any) end the tape, are the recorded ones renamed, so the
+    residual is empty as it was; phi(B) is checked for goodness, which
+    raises RepairFailed as ``_repair_core`` would.  Draws nothing a full
+    repair on the same stream would not draw first.
     """
     elements, mul, ldiv = table.elements, table.mul, table.ldiv
     rep = _ConeRepairer(rng, table)

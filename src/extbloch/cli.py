@@ -11,10 +11,11 @@ import functools
 import sys
 
 from . import config
-from .chains import is_cycle
+from .chains import _checked_cycle, _residual, is_cycle
 from .chainio import chain_to_obj, emit_report, parse_cycle_file, write_json
+from .core import as_rng
 from .errors import CcsError
-from .pipeline import ccs_value
+from .pipeline import _trial_loop, ccs_value
 
 
 def _at_least(low: int):
@@ -37,8 +38,9 @@ def _tolerance(text: str) -> float:
 
 def cmd_eval(args) -> int:
     chain = parse_cycle_file(args.cycle, args.tolerance)
-    report = ccs_value(chain, seed=args.seed, trials=args.trials,
-                       tol=args.tolerance)
+    # ccs_value on the table the parse keyed (see chain_from_obj)
+    report = _trial_loop(_checked_cycle(chain, chain.table),
+                         as_rng(args.seed), args.trials, args.seed)
     emit_report(report, path=args.out, out=sys.stdout,
                 extra={"trials_requested": args.trials})
     return 0
@@ -46,7 +48,8 @@ def cmd_eval(args) -> int:
 
 def cmd_check_cycle(args) -> int:
     chain = parse_cycle_file(args.cycle, args.tolerance)
-    ok, residual = is_cycle(chain, args.tolerance)
+    residual = _residual(chain)  # on the table the parse keyed
+    ok = residual.is_empty()
     doc = {"file": args.cycle, "degree": chain.degree, "terms": len(chain),
            "is_cycle": ok, "boundary_terms": len(residual)}
     write_json(doc, sys.stdout, args.out)

@@ -221,7 +221,13 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = as_rng(seed)
-    hom = _checked_cycle(c, SymbolTable(tol))
+    return _trial_loop(_checked_cycle(c, SymbolTable(tol)), rng, trials,
+                       int(seed) if isinstance(seed, numbers.Integral) else None)
+
+
+def _trial_loop(hom: HomChain, rng, trials: int, seed: int | None) -> CcsReport:
+    """``ccs_value``'s report on the checked cycle ``hom`` (see
+    ``_checked_cycle``), drawing from ``rng``, with ``seed`` as its seed."""
     values: list[complex] = []
     raws: list[complex] = []
     vol_res = 0.0
@@ -246,5 +252,5 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
         trials=values,
         max_trial_deviation=dev,
         residuals={"volume_vs_im_lhat": vol_res},
-        seed=int(seed) if isinstance(seed, numbers.Integral) else None,
+        seed=seed,
     )

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -8,11 +9,13 @@ from pathlib import Path
 import pytest
 
 from extbloch import selftest
-from extbloch.chainio import chain_to_obj, dumps_canonical, parse_cycle_file
+from extbloch.chainio import (chain_to_obj, dumps_canonical, emit_report,
+                              parse_cycle_file)
 from extbloch.chains import is_cycle
 from extbloch.cli import build_parser, main
 from extbloch.errors import DeterminantError, SchemaError
-from extbloch.fixtures import torsion_cycle
+from extbloch.fixtures import five_term_boundary, torsion_cycle
+from extbloch.pipeline import ccs_value
 
 
 def _run(*args, **kw):
@@ -370,6 +373,97 @@ def test_cli_keys_chain_files_at_the_tolerance(tmp_path, capsys):
     assert (out["terms"], out["is_cycle"]) == (6, False)
     assert main(["eval", str(path), "--tolerance", "1e-10"]) == 2
     assert capsys.readouterr().err.startswith("error: not a cycle")
+
+
+def _cli_eval(path, capsys, *extra):
+    assert main(["eval", str(path), "--seed", "3", "--trials", "4",
+                 *extra]) == 0
+    return capsys.readouterr().out
+
+
+def _library_eval(path):
+    out = io.StringIO()
+    emit_report(ccs_value(parse_cycle_file(str(path)), seed=3, trials=4),
+                out=out, extra={"trials_requested": 4})
+    return out.getvalue()
+
+
+def _respelled(nums):
+    """The numbers of a repeated matrix spelled otherwise: 1.0 as 1, 0.0 as
+    -0.0 and as 0 in turn."""
+    out, zeros = [], 0
+    for x in nums:
+        if x == 0.0:
+            x, zeros = (0, -0.0)[zeros % 2], zeros + 1
+        elif x == int(x):
+            x = int(x)
+        out.append(x)
+    return out
+
+
+def _repeats(doc):
+    """(term, matrix, numbers) of every occurrence of a matrix that occurs
+    earlier in ``doc``."""
+    seen = set()
+    for k, term in enumerate(doc["terms"]):
+        for i, m in enumerate(term["bar"]):
+            nums = tuple(x for p in m for x in p)
+            if nums in seen:
+                yield k, i, nums
+            seen.add(nums)
+
+
+def test_cli_eval_of_repeated_matrices_in_other_spellings(tmp_path, capsys):
+    # each distinct matrix is validated and keyed once, by its numbers:
+    # a repeat spelled 1 for 1.0, or -0.0 or 0 for 0.0, is the same matrix
+    doc = chain_to_obj(five_term_boundary(0.5, 0.25))
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(doc))
+    repeats = list(_repeats(doc))
+    assert len(repeats) == 9
+    for k, i, nums in repeats:
+        flat = _respelled(nums)
+        doc["terms"][k]["bar"][i] = [flat[n:n + 2] for n in range(0, 8, 2)]
+    path = tmp_path / "respelled.json"
+    path.write_text(json.dumps(doc))
+    assert "-0.0" in path.read_text() and "[1, 0]" in path.read_text()
+    out = _cli_eval(path, capsys)
+    assert out == _library_eval(path) == _cli_eval(plain, capsys)
+
+
+def test_cli_eval_refuses_true_in_a_repeated_matrix(tmp_path, capsys):
+    # true equals 1, so its numbers match an earlier matrix's; the type
+    # check still runs on every occurrence and names this one
+    doc = chain_to_obj(five_term_boundary(0.5, 0.25))
+    k, i, nums = next(r for r in _repeats(doc) if 1.0 in r[2])
+    doc["terms"][k]["bar"][i][nums.index(1.0) // 2][nums.index(1.0) % 2] = True
+    path = tmp_path / "true.json"
+    path.write_text(json.dumps(doc))
+    assert (k, i) != (0, 0)
+    for command in ("eval", "check-cycle"):
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: term {k}, matrix {i}: non-numeric entry True\n")
+
+
+def test_cli_eval_of_a_file_with_a_cancelled_term(tmp_path, capsys):
+    # the cancelled pair comes first and holds a matrix no other term uses:
+    # the chain is keyed again without it, as ccs_value keys it
+    from extbloch.chainio import matrix_to_obj
+    from extbloch.core import random_sl2
+    import random
+    doc = chain_to_obj(torsion_cycle(5))
+    lone = random_sl2(random.Random(4))
+    bar = [matrix_to_obj(lone)] + doc["terms"][4]["bar"][1:]
+    doc["terms"][:0] = [{"coef": 2, "bar": bar}, {"coef": -2, "bar": bar}]
+    path = tmp_path / "cancelled.json"
+    path.write_text(json.dumps(doc))
+    chain = parse_cycle_file(str(path))
+    assert len(chain) == 5 and lone not in chain.table.elements
+    out = _cli_eval(path, capsys)
+    assert out == _library_eval(path)
+    assert main(["check-cycle", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["terms"] == 5
 
 
 def test_cli_five_term_verify():

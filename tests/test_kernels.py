@@ -180,6 +180,65 @@ def test_formed_products_are_det_checked(monkeypatch):
     assert table.ldiv(i, gh) == j and len(table.elements) == size + 2
 
 
+def _forms_counted(monkeypatch):
+    """A list that grows by one for every product or quotient formed."""
+    formed, real = [], SymbolTable._formed
+
+    def counted(self, *args):
+        formed.append(args[:3])
+        return real(self, *args)
+
+    monkeypatch.setattr(SymbolTable, "_formed", counted)
+    return formed
+
+
+def _conjugates(rng, count):
+    """Random elements, and conjugates of them whose entries reach 30."""
+    out = []
+    while len(out) < count:
+        g = random_sl2(rng)
+        s = rng.choice((1.0, 2.0, 4.0, 5.5))
+        k = GroupElement(s, rng.uniform(-1, 1), 0, 1 / s)
+        h = k @ g @ k.inverse()
+        if h.max_abs() <= 30:
+            out.append(h)
+    return out
+
+
+def test_a_formed_product_knows_its_quotient(monkeypatch):
+    rng = random.Random(10)
+    table = SymbolTable()
+    ids = [table.intern(g) for g in _conjugates(rng, 40)]
+    formed = _forms_counted(monkeypatch)
+    for i, j in zip(ids, ids[1:]):
+        k = table.mul(i, j)
+        assert len(formed) == 1
+        assert table.ldiv(i, k) == j and len(formed) == 1
+        q = table.ldiv(j, i)
+        assert len(formed) == 2
+        assert table.mul(j, q) == i and len(formed) == 2
+        formed.clear()
+
+
+def test_a_known_quotient_is_the_one_formed():
+    # the memo answers g_i^-1 (g_i g_j) and g_i (g_i^-1 g_j) with g_j; a
+    # table that has only interned the same elements forms the answer and
+    # must land on the same id
+    rng = random.Random(11)
+    elements = _conjugates(rng, 200)
+    assert max(g.max_abs() for g in elements) > 20
+    for g, h in zip(elements, elements[1:]):
+        for form, inverse in (("mul", "ldiv"), ("ldiv", "mul")):
+            table = SymbolTable()
+            i, j = table.intern(g), table.intern(h)
+            k = getattr(table, form)(i, j)
+            assert getattr(table, inverse)(i, k) == j
+            reference = SymbolTable()
+            assert [reference.intern(x) for x in table.elements] == list(
+                range(len(table.elements)))
+            assert getattr(reference, inverse)(i, k) == j
+
+
 def _conj_torsion5(s):
     return conjugate_chain(GroupElement(s, 0.3, 0, 1 / s), torsion_cycle(5))
 

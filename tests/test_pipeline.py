@@ -526,12 +526,15 @@ def _other_id(e):
 # one decision of a tape recorded otherwise: (kind, flag) of the last event
 # changed, whether it is taken from the certificate residual's quotients
 # (recorded after phi(B) is checked) or from before them, and the change: a
-# passed reuse test as failed, a new product as an old id, an old quotient
-# as another old id
+# passed reuse test as failed, a new product or quotient as an old id, an
+# old quotient as another old id.  Every quotient the residual needs is
+# known from a product formed before it, so for the residual case the
+# quotient memo is emptied when phi(B) is checked and the residual forms
+# its quotients again, each landing on an old id
 _FORCED = {
     "reuse-failed": (_REUSE, True, False, lambda e: e[:4] + (False,)),
     "product-old": (_MUL, True, False, lambda e: e[:4] + (False,)),
-    "quotient-other-id": (_LDIV, False, False, _other_id),
+    "quotient-old": (_LDIV, True, False, lambda e: e[:4] + (False,)),
     "residual-quotient-other-id": (_LDIV, False, True, _other_id),
 }
 
@@ -551,6 +554,8 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
     def check(table, phi_bad):
         if table.tape is not None:  # recording: the residual comes next
             split.append(len(table.tape))
+            if residual:
+                table._quotients.clear()
         return real_check(table, phi_bad)
 
     def mutate(events):
