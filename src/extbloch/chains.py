@@ -31,8 +31,8 @@ from collections.abc import Iterable, Sequence
 from itertools import combinations
 
 from . import config
-from .core import (GroupElement, ProjVector, Record, as_rng, check_det,
-                   det_pair, random_sl2, random_vector)
+from .core import (GroupElement, ProjVector, Record, _set, as_rng,
+                   check_det, det_pair, random_sl2, random_vector)
 from .errors import NotACycle, RepairFailed, SamplingExhausted
 from .formal import FormalSum
 from .quantize import FuzzyIndex
@@ -59,9 +59,14 @@ class SymbolTable:
     Products g_i g_j, left quotients g_i^-1 g_j and sign coincidences of
     representatives are memoized by id; an inverse is never interned on
     its own.  Forming g_i g_j = g_k memoizes g_i^-1 g_k = g_j and forming
-    g_i^-1 g_j = g_k memoizes g_i g_k = g_j, unless memoized already (exact
-    in SL(2, C); never formed, so never det-checked).  While ``tape`` is a
-    list, every product or quotient formed on a memo miss goes on it.
+    g_i^-1 g_j = g_k memoizes g_i g_k = g_j, unless memoized already.  Each
+    id keeps the left factor and base of the first product or quotient
+    that landed on it (g_k = g_f g_x or g_f^-1 g_x), so the quotient of two
+    translates by one factor, (g_f g_x)^-1 (g_f g_y) or (g_f^-1 g_x)^-1
+    (g_f^-1 g_y), is g_x^-1 g_y's id when that is known.  These answers are
+    exact in SL(2, C) and never formed, so never det-checked.  While
+    ``tape`` is a list, every product or quotient formed on a memo miss
+    goes on it.
     """
 
     def __init__(self, tol: float | None = None):
@@ -70,6 +75,8 @@ class SymbolTable:
         self._index = FuzzyIndex(self.tol)
         self._products: dict[tuple[int, int], int] = {}
         self._quotients: dict[tuple[int, int], int] = {}
+        # id -> ((op, left factor), base) of the first formation landing on it
+        self._translates: dict[int, tuple[tuple[int, int], int]] = {}
         self._coincide: dict[tuple[int, int], bool] = {}
         self.tape: list | None = None
         self.identity = self.intern(GroupElement.identity())
@@ -94,32 +101,52 @@ class SymbolTable:
         return ident
 
     def ldiv(self, i: int, j: int) -> int:
-        """The id of g_i^-1 g_j, formed from g_i's adjugate (d, -b, -c, a)
-        with the float operations of ``g_i.inverse() @ g_j``."""
+        """The id of g_i^-1 g_j: g_j for i the identity, memoized, or the
+        quotient of two translates by one factor (see ``_translated``), or
+        else formed from g_i's adjugate (d, -b, -c, a) with the float
+        operations of ``g_i.inverse() @ g_j``."""
         if i == self.identity:  # 1^-1 g = g exactly: no product, no intern
             return j
         ident = self._quotients.get((i, j))
         if ident is None:
-            g, h = self.elements[i], self.elements[j]
-            a, b, c, d = g.d, -g.b, -g.c, g.a
-            ident = self._quotients[(i, j)] = self._formed(
-                _LDIV, i, j, a * h.a + b * h.c, a * h.b + b * h.d,
-                c * h.a + d * h.c, c * h.b + d * h.d)
-            self._products.setdefault((i, ident), j)
+            ident = self._translated(i, j)
+            if ident is None:
+                g, h = self.elements[i], self.elements[j]
+                a, b, c, d = g.d, -g.b, -g.c, g.a
+                ident = self._formed(
+                    _LDIV, i, j, a * h.a + b * h.c, a * h.b + b * h.d,
+                    c * h.a + d * h.c, c * h.b + d * h.d)
+                self._products.setdefault((i, ident), j)
+            self._quotients[(i, j)] = ident
         return ident
+
+    def _translated(self, i: int, j: int) -> int | None:
+        """g_x^-1 g_y's id when g_i, g_j are g_f g_x, g_f g_y (or g_f^-1 g_x,
+        g_f^-1 g_y) and that quotient is known, else None."""
+        t, u = self._translates.get(i), self._translates.get(j)
+        if t is None or u is None or t[0] != u[0]:
+            return None
+        x, y = t[1], u[1]
+        return y if x == self.identity else self._quotients.get((x, y))
 
     def _formed(self, op: int, i: int, j: int, a: complex, b: complex,
                 c: complex, d: complex) -> int:
         """The id of (a b; c d), just formed from ids i and j by ``op``: det
         checked and eight floats keyed as ``GroupElement`` and ``intern`` do,
-        an element built for a new id only.  The event goes on the tape when
-        one is on."""
+        an element built for a new id only (its det is not checked again).
+        The event goes on the tape when one is on."""
         check_det(a, b, c, d)
         fresh = len(self.elements)
         ident = self._index.key((a.real, a.imag, b.real, b.imag,
                                  c.real, c.imag, d.real, d.imag))
         if ident == fresh:
-            self.elements.append(GroupElement(a, b, c, d))
+            g = object.__new__(GroupElement)
+            _set(g, "a", a)
+            _set(g, "b", b)
+            _set(g, "c", c)
+            _set(g, "d", d)
+            self.elements.append(g)
+        self._translates.setdefault(ident, ((op, i), j))
         if self.tape is not None:
             self.tape.append((op, i, j, ident, ident == fresh))
         return ident
@@ -385,13 +412,14 @@ def _v_pass(elements: list[GroupElement], terms: _Terms, v: ProjVector):
     once, tested as ``near_pairs`` tests it, on plain (w1, w2, |w|) tuples
     with the float operations and nonzero check of ``GroupElement.apply``,
     ``ProjVector.norm`` and ``det_pair``.  Returns (offending (term index,
-    i, j) triples, {(id_i, id_j): det} in first-met order)."""
+    i, j) triples, {(id_i, id_j): det} in first-met order); the offenders
+    are listed in a second pass over the terms, only when some pair is
+    near."""
     vecs: dict[int, tuple[complex, complex, float]] = {}
     dets: dict[tuple[int, int], complex] = {}
-    near: dict[tuple[int, int], bool] = {}
-    offending = []
+    near: set[tuple[int, int]] = set()
     vgood, zero, v1, v2 = config.VGOOD, config.ZERO, v.v1, v.v2
-    for t_idx, (_, ids) in enumerate(terms):
+    for _, ids in terms:
         for i in ids:
             if i not in vecs:
                 g = elements[i]
@@ -399,15 +427,16 @@ def _v_pass(elements: list[GroupElement], terms: _Terms, v: ProjVector):
                 if max(abs(w1), abs(w2)) <= zero:
                     raise ValueError("projective vector must be nonzero")
                 vecs[i] = (w1, w2, math.hypot(abs(w1), abs(w2)))
-        for a, b in combinations(range(len(ids)), 2):
-            key = (ids[a], ids[b])
-            hit = near.get(key)
-            if hit is None:
+        for key in combinations(ids, 2):
+            if key not in dets:
                 (x1, x2, nx), (y1, y2, ny) = vecs[key[0]], vecs[key[1]]
                 d = dets[key] = x1 * y2 - x2 * y1
-                hit = near[key] = abs(d) <= vgood * (nx * ny)
-            if hit:
-                offending.append((t_idx, a, b))
+                if abs(d) <= vgood * (nx * ny):
+                    near.add(key)
+    offending = [] if not near else [
+        (t_idx, a, b) for t_idx, (_, ids) in enumerate(terms)
+        for a, b in combinations(range(len(ids)), 2)
+        if (ids[a], ids[b]) in near]
     return offending, dets
 
 
@@ -625,7 +654,11 @@ def _repairs(hom: HomChain, rng, trials: int):
 
 
 def _check_good(table: SymbolTable, phi_bad: _Terms) -> None:
-    if offenders := _offending(table, phi_bad):
+    """RepairFailed unless every term of ``phi_bad`` is good (memoized
+    ``SymbolTable.good``); the offenders are listed only on failure."""
+    good = table.good
+    if not all(good(ids) for _, ids in phi_bad):
+        offenders = _offending(table, phi_bad)
         raise RepairFailed(f"cone image not good: offenders {offenders[:3]}")
 
 

@@ -131,7 +131,9 @@ def _lambda_hat(table: SymbolTable, phi, rng):
     det is SL(2, C) invariant, so every translate of an edge
     e = g_i^-1 g_j shares the Log det(g_i v, g_j v) of the first met, whose
     det the v-check's pass already computed; each distinct id pair is
-    resolved to its edge once, in the pass's first-met order."""
+    resolved to its edge once, in the pass's first-met order, by
+    ``SymbolTable.ldiv``: an edge between two translates by one factor of a
+    known edge is a memo answer, not a product."""
     v, _, dets = _sample_v(table.elements, phi, rng)
     edge_log, logs = {}, {}  # Log det by edge id, and by id pair
     for pair, d in dets.items():  # id pairs in the order phi meets them

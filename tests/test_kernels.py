@@ -239,6 +239,35 @@ def test_a_known_quotient_is_the_one_formed():
             assert getattr(reference, inverse)(i, k) == j
 
 
+def test_a_quotient_of_translates_is_the_one_formed(monkeypatch):
+    # (g_f g_x)^-1 (g_f g_y) and (g_f^-1 g_x)^-1 (g_f^-1 g_y) are g_x^-1 g_y:
+    # once that is known the memo answers with its id, forming nothing, and
+    # a table that has only interned the same elements forms the quotient
+    # and lands on the same id; before it is known the quotient is formed
+    rng = random.Random(12)
+    elements = _conjugates(rng, 150)
+    assert max(g.max_abs() for g in elements) > 20
+    formed = _forms_counted(monkeypatch)
+    for f, x, y in zip(elements[::3], elements[1::3], elements[2::3]):
+        for form in ("mul", "ldiv"):
+            for base_known in (True, False):
+                table = SymbolTable()
+                ids = [table.intern(g) for g in (f, x, y)]
+                q = table.ldiv(ids[1], ids[2]) if base_known else None
+                translate = getattr(table, form)
+                i, j = translate(ids[0], ids[1]), translate(ids[0], ids[2])
+                formed.clear()
+                k = table.ldiv(i, j)
+                assert len(formed) == (0 if base_known else 1)
+                if not base_known:
+                    continue
+                assert k == q
+                reference = SymbolTable()
+                assert [reference.intern(g) for g in table.elements] == list(
+                    range(len(table.elements)))
+                assert reference.ldiv(i, j) == k and len(formed) == 1
+
+
 def _conj_torsion5(s):
     return conjugate_chain(GroupElement(s, 0.3, 0, 1 / s), torsion_cycle(5))
 

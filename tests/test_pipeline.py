@@ -657,6 +657,41 @@ def test_only_the_first_trial_enters_the_cone_recursion(monkeypatch):
     assert taped == [False] and not replays
 
 
+def _small_conjugate(n: int, rng) -> BarChain:
+    # torsion n conjugated by a random element, all entries at most 4
+    while True:
+        cycle = conjugate_chain(random_sl2(rng), torsion_cycle(n))
+        if max(h.max_abs() for _, sym in cycle for h in sym) <= 4:
+            return cycle
+
+
+def test_every_later_trial_replays_without_a_fallback(monkeypatch):
+    # quotients of two translates by one factor are answered from the memo
+    # (on these cycles, in every trial's Log-det edge loop) and stay
+    # memoized for the trials after: no replay gives up, so each 10-trial
+    # evaluation repairs in full once, and every trial agrees with the first
+    core, cores = chains._repair_core, []
+
+    def spy_core(hom, rng):
+        cores.append(hom)
+        return core(hom, rng)
+
+    monkeypatch.setattr(chains, "_repair_core", spy_core)
+    rng = random.Random(13)
+    cycles = [_small_conjugate(n, rng) for n in range(4, 13)]
+    cycles += [random_boundary_cycle(k, n_terms=k) for k in range(1, 5)]
+    for cycle in cycles:
+        for seed in range(5):
+            cores.clear()
+            rep = ccs_value(cycle, seed=seed, trials=10)
+            assert len(cores) == 1
+            first = rep.trials[0]
+            assert len(rep.trials) == 10
+            for value in rep.trials[1:]:
+                assert _mod1_dist(value.real, first.real) <= 1e-12
+                assert abs(value.imag - first.imag) <= 1e-12
+
+
 def _rotation_cycle(n: int, k: int) -> BarChain:
     # sum_i [t | t^i | t] for t = rotation(n, k); torsion_cycle(n) is k = 1
     t = rotation(n, k)
