@@ -13,17 +13,17 @@ them all.  The names of the demo and fixture modules (``fixtures``,
 ``real_sl2``, ``path_lift``) load on first use, through ``__getattr__``.
 """
 
-from .core import (INF, ExtComplex, GroupElement, ProjVector, cross_ratio,
-                   cross_ratio_ext, det_pair, hopf, is_inf, moebius, rotation)
+from .core import (INF, GroupElement, ProjVector, cross_ratio, cross_ratio_ext,
+                   det_pair, hopf, is_inf, moebius, rotation)
 from .covering import (CoveringPoint, FlatteningTriple, WedgeElement,
                        check_flattening_condition, chi_hat, five_tuple,
                        from_covering_point, mu, nu_hat, to_covering_point)
 from .dilog import (CutSide, lhat, li2, lifted_rogers, plog, rogers,
                     rogers_real, vol)
 from .chains import (BarChain, HomChain, bar_boundary, cone, conjugate_chain,
-                     complex_conjugate_chain, hom_boundary, hom_to_inhom,
-                     inhom_to_hom, is_cycle, is_good, is_v_good,
-                     repair_to_good, repair_with_certificate, sample_generic_v)
+                     hom_boundary, hom_to_inhom, inhom_to_hom, is_cycle,
+                     is_good, is_v_good, repair_with_certificate,
+                     sample_generic_v)
 from .pipeline import (CcsReport, ConfigTuple, ccs_value, lambda_hat, psi_v,
                        sigma_hat)
 from .chainio import chain_from_obj, chain_to_obj, emit_report, parse_cycle_file

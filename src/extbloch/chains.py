@@ -19,9 +19,9 @@ re-interns its input into a new table (at the caller's tolerance, for
 ``is_cycle`` and ``ccs_value``) and leaves the input's table alone;
 ``ccs eval`` and ``check-cycle`` use the table the file was read into.
 
-``repair_to_good`` replaces a cycle by a homologous one avoiding all
-g_i = +-g_j coincidences, together with an explicit homotopy certificate;
-it changes only the simplices that have such a coincidence.
+``repair_with_certificate`` replaces a cycle by a homologous one avoiding
+all g_i = +-g_j coincidences, together with an explicit homotopy
+certificate; it changes only the simplices that have such a coincidence.
 """
 
 from __future__ import annotations
@@ -361,13 +361,6 @@ def conjugate_chain(g: GroupElement, c: BarChain) -> BarChain:
     ginv = g.inverse()
     return BarChain(c.degree, [(coeff, tuple(g @ h @ ginv for h in sym))
                                for coeff, sym in c])
-
-
-def complex_conjugate_chain(c: BarChain) -> BarChain:
-    """Entrywise complex conjugation of every matrix."""
-    return BarChain(c.degree,
-                    [(coeff, tuple(h.conjugate_entries() for h in sym))
-                     for coeff, sym in c])
 
 
 # ---------------------------------------------------------------------------
@@ -735,10 +728,3 @@ def repair_with_certificate(c: BarChain, seed) -> RepairResult:
     _, phi, h = _repair_core(hom, as_rng(seed))
     return RepairResult(HomChain._on(hom.table, hom.degree, phi, True),
                         HomChain._on(hom.table, hom.degree + 1, h, True), hom)
-
-
-def repair_to_good(c: BarChain, seed) -> BarChain:
-    """As repair_with_certificate but returning only the repaired chain.
-    Only simplices with +-coincident entries are replaced, so an
-    already-good cycle comes back unchanged."""
-    return repair_with_certificate(c, seed).chain

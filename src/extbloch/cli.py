@@ -17,13 +17,18 @@ from .core import as_rng
 from .errors import CcsError
 from .pipeline import _trial_loop, ccs_value
 
+MAX_TURNS = 2000  # per lift-path winding count; a turn is 64 loop vertices
 
-def _at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
+
+def _integer(low: int, high: int | None = None):
+    """An argparse type: an integer no smaller than ``low`` and, when
+    ``high`` is given, no larger than it."""
     def integer(text: str) -> int:
         n = int(text)
         if n < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        if high is not None and n > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {n}")
         return n
     return integer
 
@@ -160,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a cycle file")
     p.add_argument("cycle")
-    p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--trials", type=_at_least(1), default=5)
+    p.add_argument("--seed", type=_integer(0), default=0)
+    p.add_argument("--trials", type=_integer(1), default=5)
     common(p)
     p.set_defaults(func=cmd_eval)
 
@@ -171,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_cycle)
 
     p = sub.add_parser("torsion", help="emit a rotation torsion cycle")
-    p.add_argument("--n", type=_at_least(2), required=True)
+    p.add_argument("--n", type=_integer(2), required=True)
     common(p, tolerance=False)
     p.set_defaults(func=cmd_torsion)
 
@@ -181,29 +186,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True)
     p.add_argument("--verify", action="store_true",
                    help="evaluate the fixture instead of emitting it")
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--seed", type=_integer(0), default=0)
     common(p, tolerance=False)
     p.set_defaults(func=cmd_five_term)
 
     p = sub.add_parser("real-check", help="run the small-positive agreement suite")
-    p.add_argument("--samples", type=_at_least(1), default=500)
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--samples", type=_integer(1), default=500)
+    p.add_argument("--seed", type=_integer(0), default=0)
     common(p, tolerance=False)
     p.set_defaults(func=cmd_real_check)
 
     p = sub.add_parser("lift-path", help="lift a composite winding loop")
-    p.add_argument("--p0", type=int, default=0)
-    p.add_argument("--q0", type=int, default=0)
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--p1", type=int, default=0)
-    p.add_argument("--q1", type=int, default=0)
+    for name in ("--p0", "--q0", "--r", "--p1", "--q1"):
+        p.add_argument(name, type=_integer(-MAX_TURNS, MAX_TURNS), default=0)
     p.add_argument("--base",
                    help="base point as 'x,y' (default: 0.25+0.5j,0.5+1.5j)")
     common(p, tolerance=False)
     p.set_defaults(func=cmd_lift_path)
 
     p = sub.add_parser("selftest", help="run the built-in property suites")
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--seed", type=_integer(0), default=0)
     p.set_defaults(func=cmd_selftest)
 
     return ap

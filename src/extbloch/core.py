@@ -28,9 +28,6 @@ class _Infinity:
 
 INF = _Infinity()
 
-# A point of C u {inf}: either a finite complex value or the INF singleton.
-ExtComplex = "complex | _Infinity"
-
 
 def is_inf(z) -> bool:
     return isinstance(z, _Infinity)
@@ -136,13 +133,6 @@ class GroupElement(FrozenRecord):
 
     def __neg__(self) -> "GroupElement":
         return GroupElement(-self.a, -self.b, -self.c, -self.d)
-
-    def conjugate_entries(self) -> "GroupElement":
-        """Entrywise complex conjugate (again in SL(2,C))."""
-        return GroupElement(
-            self.a.conjugate(), self.b.conjugate(),
-            self.c.conjugate(), self.d.conjugate(),
-        )
 
     def apply(self, v: "ProjVector") -> "ProjVector":
         return ProjVector(self.a * v.v1 + self.b * v.v2,

@@ -34,7 +34,6 @@ SUM_TOL = 1e-9  # |w0 + w1 + w2|, relative to 1 + |w0| + |w1|
 EXP_TOL = 1e-6  # |e^{w1} - 1/(1-z)|, relative to |1/(1-z)|
 INT_TOL = 1e-6  # distance of a branch integer from the nearest integer
 REAL_TOL = 1e-12  # |Im z| read as 0, relative to 1 + |Re z|
-PAIRING_TOL = 1e-9  # |pairing| of a wedge that ``zero_report`` reads as 0
 
 
 def _avoid_01(z: complex) -> None:  # the CoveringPoint check
@@ -286,10 +285,9 @@ class WedgeElement(FormalSum):
     exterior square of the additive group of C is a group of values, so two
     atoms carrying the same complex number are the same generator.
     Cancellation over the identified atoms is exact integer arithmetic; when
-    it succeeds the element is genuinely zero.  When it does not, nothing
-    follows: relations between distinct log values are invisible, so the
-    numeric pairing below is only a heuristic and is never reported as
-    equality.
+    it succeeds (``is_zero``) the element is genuinely zero.  When it does
+    not, nothing follows: relations between distinct log values are
+    invisible, so an element that does not cancel may still be zero.
     """
 
     __slots__ = ()
@@ -312,21 +310,6 @@ class WedgeElement(FormalSum):
     def __iter__(self):
         return ((c, a, b) for c, (a, b) in super().__iter__())
 
-    def pairing(self) -> float:
-        """The continuous antisymmetric form Im(conj(a) * b), summed.
-        A heuristic invariant only: zero pairing proves nothing."""
-        return sum(c * ((a.conjugate() * b).imag) for c, a, b in self)
-
-    def zero_report(self) -> str:
-        """'zero' on formal cancellation, else 'inconclusive' or 'nonzero'
-        as the heuristic pairing is within ``PAIRING_TOL`` of 0 or not.
-        Only 'zero' is a proof."""
-        if self.is_zero():
-            return "zero"
-        if abs(self.pairing()) <= PAIRING_TOL:
-            return "inconclusive"
-        return "nonzero"
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "WedgeElement(0)"
@@ -340,11 +323,11 @@ def nu_hat(element: Iterable[tuple[int, FlatteningTriple]]) -> WedgeElement:
     For the triple of a covering point (z; p, q) (``from_covering_point``)
     that is (Log z + p pi i) ^ (Log 1/(1-z) + q pi i).
 
-    Ledger-backed triples give exact cancellation; triples without a
-    ledger give numeric atoms, so heuristic checks only.  Atoms are keyed
-    by value at every occurrence; an evaluation keys its Log dets by edge
-    element and runs no wedge check, and tests use this as the oracle on
-    its images.
+    Ledger-backed triples give exact cancellation; a triple without a
+    ledger gives the single wedge w0 ^ w1, which cancels only against an
+    equal wedge.  Atoms are keyed by value at every occurrence; an
+    evaluation keys its Log dets by edge element and runs no wedge check,
+    and tests use this as the oracle on its images.
     """
     terms: list[tuple[int, complex, complex]] = []
     for coeff, triple in element:

@@ -56,9 +56,7 @@ def plog(z: complex) -> complex:
 
 
 def plog_sided(x: float, side: CutSide) -> complex:
-    """Logarithm of a negative real approached from above or below the axis."""
-    if x >= 0:
-        return plog(complex(x, 0.0))
+    """Log of a negative real x, approached from above or below the axis."""
     return complex(math.log(-x), side.value * PI)
 
 
@@ -161,11 +159,6 @@ def rogers(z: complex) -> complex:
     cuts, use rogers_real (or the sided variant) there.
     """
     return lifted_rogers(z, 0, 0)
-
-
-def rogers_sided(x: float, side: CutSide) -> complex:
-    """Limit of rogers at a real argument outside [0, 1] from one side."""
-    return lifted_rogers_sided(x, 0, 0, side)
 
 
 def rogers_real(x: float) -> float:

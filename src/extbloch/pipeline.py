@@ -20,7 +20,7 @@ import numbers
 from itertools import combinations
 
 from .chains import (BarChain, HomChain, SymbolTable, _checked_cycle,
-                     _repairs, _sample_v, is_v_good, near_pairs)
+                     _repairs, _sample_v, near_pairs)
 from .core import FrozenRecord, ProjVector, Record, _set, as_rng, det_pair
 from .covering import FlatteningTriple, _point_value
 from .dilog import TWO_PI_SQ, plog
@@ -52,12 +52,15 @@ class ConfigTuple(FrozenRecord):
 
 def psi_v(c: HomChain, v: ProjVector) -> list[tuple[int, ConfigTuple]]:
     """Apply every group element to v, termwise: (g_0,...,g_n) becomes the
-    configuration (g_0 v, ..., g_n v)."""
-    ok, offending = is_v_good(c, v)
-    if not ok:
-        raise NotVGood(f"offending pairs {offending[:3]}")
-    return [(coeff, ConfigTuple(tuple(g.apply(v) for g in tup)))
-            for coeff, tup in c]
+    configuration (g_0 v, ..., g_n v).  Raises NotVGood naming the first
+    term whose configuration ``ConfigTuple`` refuses."""
+    configs = []
+    for t_idx, (coeff, tup) in enumerate(c):
+        try:
+            configs.append((coeff, ConfigTuple(tuple(g.apply(v) for g in tup))))
+        except DegenerateConfig as exc:
+            raise NotVGood(f"term {t_idx}: {exc}") from None
+    return configs
 
 
 def sigma_hat(t: ConfigTuple) -> FlatteningTriple:

@@ -11,8 +11,8 @@ from extbloch.chains import (BarChain, HomChain, SymbolTable, _checked_cycle,
                              _v_pass, bar_boundary, cone, conjugate_chain,
                              hom_boundary,
                              hom_to_inhom, inhom_to_hom, is_cycle, is_good,
-                             is_v_good, near_pairs, repair_to_good,
-                             repair_with_certificate, sample_generic_v)
+                             is_v_good, near_pairs, repair_with_certificate,
+                             sample_generic_v)
 from extbloch.errors import SamplingExhausted
 from extbloch.fixtures import (random_boundary_cycle, random_good_hom_chain,
                                torsion_cycle)
@@ -360,8 +360,8 @@ def test_apex_too_close_to_a_face_is_redrawn(monkeypatch):
 
 def test_repair_deterministic(rng):
     c = torsion_cycle(3)
-    r1 = repair_to_good(c, seed=9)
-    r2 = repair_to_good(c, seed=9)
+    r1 = repair_with_certificate(c, seed=9).chain
+    r2 = repair_with_certificate(c, seed=9).chain
     assert (r1 - r2).is_empty()
 
 

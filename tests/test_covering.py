@@ -11,8 +11,8 @@ from extbloch.covering import (CoveringPoint, FlatteningTriple, WedgeElement,
                                from_covering_point, mu, nu_hat,
                                to_covering_point)
 from extbloch.dilog import PI, TWO_PI_SQ, lhat, plog, vol
-from extbloch.errors import (ChiAtZero, DegenerateFT, InvalidFlattening,
-                             NotEven, OnCut)
+from extbloch.errors import (ChiAtZero, DegenerateConfig, DegenerateFT,
+                             InvalidFlattening, NotEven, OnCut)
 from extbloch.pipeline import ConfigTuple, sigma_hat
 
 from conftest import random_complex
@@ -219,14 +219,6 @@ def test_wedge_antisymmetry_and_cancellation():
     assert w2.is_zero()
 
 
-def test_wedge_zero_report_heuristic():
-    w = WedgeElement([(1, 1.0 + 1j, 2.0 - 1j)])
-    assert w.zero_report() in ("nonzero", "inconclusive")
-    # pairing Im(conj(a) b) = 0 but formally nonzero: inconclusive, never zero
-    w2 = WedgeElement([(1, 1.0 + 0j, 2.0 + 0j)])
-    assert w2.zero_report() == "inconclusive"
-
-
 def test_nu_hat_branch_bump_is_two_atom_wedge():
     z = 0.3 + 0.7j
     e1 = nu_hat([(1, from_covering_point(CoveringPoint(z, 0, 0)))])
@@ -246,10 +238,31 @@ def test_nu_sigma_of_boundary_cancels_exactly(rng):
         assert w.is_zero()
 
 
+def test_nu_hat_of_triples_without_a_ledger():
+    # a bare triple gives the one wedge w0 ^ w1: it cancels against the
+    # same triple with the opposite coefficient, and alone it does not
+    t = from_covering_point(CoveringPoint(0.3 + 0.7j, 0, 2))
+    bare = FlatteningTriple(t.w0, t.w1, t.w2)
+    assert bare.ledger is None
+    assert nu_hat([(1, bare), (-1, bare)]).is_zero()
+    alone = nu_hat([(1, bare)])
+    assert not alone.is_zero() and alone.terms == ((1, t.w0, t.w1),)
+
+
+@pytest.mark.parametrize("vectors, pair", [
+    ((ProjVector(1, 0), ProjVector(2, 0), ProjVector(0, 1)), "v0, v1"),
+    ((ProjVector(1, 1), ProjVector(1, 0), ProjVector(-3j, -3j)), "v0, v2"),
+    ((ProjVector(1, 0), ProjVector(0, 1), ProjVector(0, 0.5)), "v1, v2"),
+])
+def test_mu_of_parallel_vectors_names_the_pair(vectors, pair):
+    with pytest.raises(DegenerateConfig, match=rf"^det\({pair}\) vanishes$"):
+        mu(*vectors)
+
+
 def test_mu_example_unit_determinants():
     w = mu(ProjVector(1, 0), ProjVector(0, 1), ProjVector(1, 1))
     # all three determinants are 1, all atoms equal: everything cancels
-    assert w.is_zero() or w.pairing() == 0
+    assert w.is_zero()
 
 
 def test_wedge_square_against_symbolic_oracle():

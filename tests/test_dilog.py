@@ -9,7 +9,7 @@ from extbloch.covering import CoveringPoint
 from extbloch.dilog import (PI, PI2_6, PI_SQ, TWO_PI_SQ, CutSide,
                             _BERN_COEFFS, lhat, li2,
                             lifted_rogers, lifted_rogers_sided, plog, rogers,
-                            rogers_real, rogers_sided, vol)
+                            rogers_real, vol)
 from extbloch.errors import LogOfZero, OnCut
 
 from oracles import li2_simpson, vol_simpson
@@ -225,7 +225,8 @@ def test_lifted_rogers_continuous_across_cuts_with_branch_bumps():
 def test_rogers_sided_matches_limits():
     for x in (-3.0, -0.7, 1.4, 5.0):
         for side, eps in ((CutSide.ABOVE, 1e-10j), (CutSide.BELOW, -1e-10j)):
-            assert abs(rogers_sided(x, side) - rogers(x + eps)) < 1e-8
+            assert abs(lifted_rogers_sided(x, 0, 0, side)
+                       - rogers(x + eps)) < 1e-8
 
 
 def test_bernoulli_coeffs_match_the_full_recurrence():

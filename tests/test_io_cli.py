@@ -12,7 +12,7 @@ from extbloch import selftest
 from extbloch.chainio import (chain_to_obj, dumps_canonical, emit_report,
                               parse_cycle_file)
 from extbloch.chains import is_cycle
-from extbloch.cli import build_parser, main
+from extbloch.cli import MAX_TURNS, build_parser, main
 from extbloch.errors import DeterminantError, SchemaError
 from extbloch.fixtures import five_term_boundary, torsion_cycle
 from extbloch.pipeline import ccs_value
@@ -198,6 +198,11 @@ def test_cli_rejects_non_finite_entries(tmp_path, capsys, matrix, command):
      "argument --tolerance: tolerance cmp must lie in (0, 0.001), got 0.3"),
     (["check-cycle", "{cycle}", "--tolerance", "1e-3"],
      "argument --tolerance: tolerance cmp must lie in (0, 0.001), got 0.001"),
+    # refused before a loop of 64 vertices a turn is built
+    (["lift-path", "--p0", str(MAX_TURNS + 1)],
+     f"argument --p0: must be at most {MAX_TURNS}, got {MAX_TURNS + 1}"),
+    (["lift-path", "--q1", str(-MAX_TURNS - 1)],
+     f"argument --q1: must be at least {-MAX_TURNS}, got {-MAX_TURNS - 1}"),
 ])
 def test_cli_rejects_bad_arguments(tmp_path, capsys, argv, reason):
     path = tmp_path / "t3.json"
@@ -207,6 +212,12 @@ def test_cli_rejects_bad_arguments(tmp_path, capsys, argv, reason):
     assert stop.value.code == 2
     err = capsys.readouterr().err
     assert "error: " + reason in err and "Traceback" not in err
+
+
+def test_cli_lift_path_takes_winding_counts_up_to_the_bound():
+    for n in (MAX_TURNS, -MAX_TURNS):
+        args = build_parser().parse_args(["lift-path", "--r", str(n)])
+        assert (args.p0, args.r) == (0, n)
 
 
 _IDENTITY = [[1, 0], [0, 0], [0, 0], [1, 0]]
@@ -224,7 +235,15 @@ _IDENTITY = [[1, 0], [0, 0], [0, 0], [1, 0]]
     ({"group": "SL2C", "degree": 1,
       "terms": [{"coef": 1, "bar": [[[10**400, 0], *_IDENTITY[1:]]]}]},
      "term 0, matrix 0: entry out of range"),
-], ids=["degree-4", "bool-degree", "bool-coef", "string-entry", "huge-entry"])
+    ({"group": "SL2C", "degree": 1, "terms": [{"coef": 1, "bar": [_IDENTITY[:3]]}]},
+     "term 0, matrix 0: matrix must be four [re, im] pairs"),
+    ({"group": "SL2C", "degree": 1, "terms": {"coef": 1}}, "terms must be a list"),
+    ({"group": "SL2C", "degree": 1, "terms": [{"bar": [_IDENTITY]}]},
+     "term 0: need 'coef' and 'bar'"),
+    ({"group": "SL2C", "degree": 1, "terms": [{"coef": 1}]},
+     "term 0: need 'coef' and 'bar'"),
+], ids=["degree-4", "bool-degree", "bool-coef", "string-entry", "huge-entry",
+        "three-pairs", "terms-not-a-list", "no-coef", "no-bar"])
 def test_cli_eval_rejects_bad_chain_files(tmp_path, capsys, doc, reason):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -233,7 +252,8 @@ def test_cli_eval_rejects_bad_chain_files(tmp_path, capsys, doc, reason):
     except SystemExit as stop:
         code = stop.code
     assert code == 2
-    assert "error: " + reason in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: " + reason in err and "Traceback" not in err
 
 
 def test_cli_check_cycle_rejects_huge_entry(tmp_path, capsys):
@@ -498,6 +518,7 @@ def test_cli_lift_path():
     ("1,1j", "x = (1+0j) hits 0 or 1"),
     ("0.3+1j,0.3+1j", "x = y makes coordinate 2 equal to 1"),
     ("nan,0.5", "x = (nan+0j) is not finite"),
+    ("0.3", "--base expects 'x,y' complex pair"),
 ])
 def test_cli_lift_path_degenerate_base_exits_2(capsys, base, reason):
     assert main(["lift-path", "--base", base, "--p0", "1"]) == 2
@@ -513,6 +534,9 @@ def test_cli_lift_path_degenerate_base_exits_2(capsys, base, reason):
     ("2", "2", "x = y makes coordinate 2 equal to 1"),
     ("nan", "0.5", "x = (nan+0j) is not finite"),
     ("0.5", "inf", "y = (inf+0j) is not finite"),
+    ("0.5", "notcomplex", "--x and --y must parse as complex numbers"),
+    # coordinate 2 is within cmp of 1, not equal to it
+    ("1000", "1000.000005", "coordinate 2 = (1.000000005+0j) hits 0 or 1"),
 ])
 @pytest.mark.parametrize("verify", [[], ["--verify"]])
 def test_cli_five_term_degenerate_parameters_exit_2(capsys, x, y, reason,

@@ -1,6 +1,7 @@
 """The package surface: what ``import extbloch`` loads, which names it
 exports, and the value semantics of its plain record classes."""
 
+import ast
 import copy
 import importlib
 import math
@@ -65,7 +66,7 @@ def test_package_import_loads_the_evaluation_modules():
 # eagerly, by home module
 
 EXPORTED = {
-    "core": ["GroupElement", "INF", "ExtComplex", "ProjVector", "cross_ratio",
+    "core": ["GroupElement", "INF", "ProjVector", "cross_ratio",
              "cross_ratio_ext", "det_pair", "hopf", "is_inf", "moebius",
              "rotation"],
     "covering": ["CoveringPoint", "FlatteningTriple", "WedgeElement",
@@ -73,11 +74,10 @@ EXPORTED = {
                  "from_covering_point", "mu", "nu_hat", "to_covering_point"],
     "dilog": ["CutSide", "lhat", "li2", "lifted_rogers", "plog", "rogers",
               "rogers_real", "vol"],
-    "chains": ["BarChain", "HomChain", "bar_boundary", "complex_conjugate_chain",
-               "cone", "conjugate_chain", "hom_boundary", "hom_to_inhom",
+    "chains": ["BarChain", "HomChain", "bar_boundary", "cone",
+               "conjugate_chain", "hom_boundary", "hom_to_inhom",
                "inhom_to_hom", "is_cycle", "is_good", "is_v_good",
-               "repair_to_good", "repair_with_certificate",
-               "sample_generic_v"],
+               "repair_with_certificate", "sample_generic_v"],
     "fixtures": ["five_term_boundary", "random_boundary_cycle",
                  "random_good_hom_chain", "torsion_cycle"],
     "pipeline": ["CcsReport", "ConfigTuple", "ccs_value", "lambda_hat", "psi_v",
@@ -127,6 +127,34 @@ def test_unknown_name_raises_attribute_error_naming_it():
         extbloch.no_such_name  # noqa: B018
     with pytest.raises(ImportError, match="no_such_name"):
         exec("from extbloch import no_such_name", {})
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound -> line, for every import in ``tree`` but __future__'s."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a deleted helper can leave its import behind; ``__init__`` imports
+    # names to export them, so it is not checked
+    unused = []
+    for path in sorted((SRC / "extbloch").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in _imported_names(tree).items()
+                   if name not in used]
+    assert unused == []
 
 
 # ---------------------------------------------------------------------------
