@@ -31,7 +31,7 @@ from collections.abc import Iterable, Sequence
 from itertools import combinations
 
 from . import config
-from .core import (GroupElement, ProjVector, Record, _set, as_rng,
+from .core import (GroupElement, ProjVector, Record, as_rng,
                    check_det, det_pair, random_sl2, random_vector)
 from .errors import NotACycle, RepairFailed, SamplingExhausted
 from .formal import FormalSum
@@ -140,11 +140,12 @@ class SymbolTable:
         ident = self._index.key((a.real, a.imag, b.real, b.imag,
                                  c.real, c.imag, d.real, d.imag))
         if ident == fresh:
-            g = object.__new__(GroupElement)
-            _set(g, "a", a)
-            _set(g, "b", b)
-            _set(g, "c", c)
-            _set(g, "d", d)
+            # filled directly: Record.__init__ would double this hot step
+            g, fill = object.__new__(GroupElement), object.__setattr__
+            fill(g, "a", a)
+            fill(g, "b", b)
+            fill(g, "c", c)
+            fill(g, "d", d)
             self.elements.append(g)
         self._translates.setdefault(ident, ((op, i), j))
         if self.tape is not None:
@@ -473,20 +474,13 @@ def sample_generic_v(c, rng_or_seed) -> tuple[ProjVector, int]:
 
 
 class RepairResult(Record):
-    """A good cycle homologous to the input, with the certificate.
-
-    ``phi_image`` is hom - B + phi(B), B the bad part of ``original_hom``;
-    ``homotopy`` is the coinvariant H(B), with boundary(H) = phi(B) - B,
-    verifiable directly, coned off the identity so only phi draws apexes.
-    """
+    """A good cycle homologous to the input, with the certificate: the
+    HomChains ``phi_image`` = hom - B + phi(B), ``homotopy`` = H(B) and
+    ``original_hom`` = hom, B the bad part of hom.  H(B) is coinvariant,
+    with boundary(H) = phi(B) - B verifiable directly, and coned off the
+    identity so only phi draws apexes."""
 
     __slots__ = ("phi_image", "homotopy", "original_hom")
-
-    def __init__(self, phi_image: HomChain, homotopy: HomChain,
-                 original_hom: HomChain):
-        self.phi_image = phi_image
-        self.homotopy = homotopy
-        self.original_hom = original_hom
 
     @property
     def chain(self) -> BarChain:

@@ -18,6 +18,7 @@ from .errors import CcsError
 from .pipeline import _trial_loop, ccs_value
 
 MAX_TURNS = 2000  # per lift-path winding count; a turn is 64 loop vertices
+MAX_TORSION_N = 100_000  # torsion --n; at the top 10 s, 0.4 GB, 35 MB out
 
 
 def _integer(low: int, high: int | None = None):
@@ -176,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_cycle)
 
     p = sub.add_parser("torsion", help="emit a rotation torsion cycle")
-    p.add_argument("--n", type=_integer(2), required=True)
+    p.add_argument("--n", type=_integer(2, MAX_TORSION_N), required=True)
     common(p, tolerance=False)
     p.set_defaults(func=cmd_torsion)
 

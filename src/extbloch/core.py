@@ -34,17 +34,25 @@ def is_inf(z) -> bool:
 
 
 class Record:
-    """A ``__slots__`` class with the value semantics of a dataclass: ``==``
-    compares the fields named by the class keyword ``compare`` (default:
-    every slot) between instances of one class, ``repr`` lists every slot,
-    and instances are not hashable.  Subclasses assign their slots in
-    ``__init__`` after its checks."""
+    """The package's one kind of value type: ``Record(*values)`` fills the
+    ``__slots__`` in order; a subclass with checks or defaults runs them in
+    its own ``__init__``, then calls this one.  ``==`` compares the fields
+    named by the class keyword ``compare`` (default: every slot) between
+    instances of one class, ``repr`` lists every slot, no hash."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, compare=None, **kw):
         super().__init_subclass__(**kw)
         cls._compare = cls.__slots__ if compare is None else compare
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__qualname__} takes {len(names)} "
+                            f"values, got {len(values)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._compare)
@@ -61,9 +69,9 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """A ``Record`` that refuses assignment and hashes its compared fields.
-    ``__init__`` sets its slots through ``object.__setattr__``; copies and
-    pickles are rebuilt through the constructor, checks included."""
+    """A ``Record`` that refuses assignment and hashes its compared fields;
+    copies and pickles are rebuilt through the constructor, checks
+    included."""
 
     __slots__ = ()
 
@@ -78,9 +86,6 @@ class FrozenRecord(Record):
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
-
-
-_set = object.__setattr__  # how a FrozenRecord's __init__ fills its slots
 
 
 def ext_close(z, w) -> bool:
@@ -108,10 +113,7 @@ class GroupElement(FrozenRecord):
 
     def __init__(self, a: complex, b: complex, c: complex, d: complex):
         check_det(a, b, c, d)
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "d", d)
+        super().__init__(a, b, c, d)
 
     @classmethod
     def identity(cls) -> "GroupElement":
@@ -171,8 +173,7 @@ class ProjVector(FrozenRecord):
     def __init__(self, v1: complex, v2: complex):
         if max(abs(v1), abs(v2)) <= config.ZERO:
             raise ValueError("projective vector must be nonzero")
-        _set(self, "v1", v1)
-        _set(self, "v2", v2)
+        super().__init__(v1, v2)
 
     def entries(self) -> tuple[complex, complex]:
         return (self.v1, self.v2)

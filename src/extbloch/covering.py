@@ -21,7 +21,7 @@ import cmath
 from collections.abc import Iterable, Sequence
 
 from . import config
-from .core import FrozenRecord, ProjVector, _set, det_pair
+from .core import FrozenRecord, ProjVector, det_pair
 from .dilog import PI, _log1m, _point_values, plog
 from .errors import ChiAtZero, DegenerateConfig, DegenerateFT, InvalidFlattening, NotEven
 from .formal import FormalSum
@@ -50,9 +50,7 @@ class CoveringPoint(FrozenRecord):
         _avoid_01(z)
         if p % 2 or q % 2:
             raise ValueError(f"branch integers must be even, got ({p}, {q})")
-        _set(self, "z", z)
-        _set(self, "p", p)
-        _set(self, "q", q)
+        super().__init__(z, p, q)
 
 
 # an atom ledger is, per log-parameter, a tuple of (integer coeff, log value)
@@ -73,10 +71,7 @@ class FlatteningTriple(FrozenRecord, compare=("w0", "w1", "w2")):
     def __init__(self, w0: complex, w1: complex, w2: complex,
                  ledger: Ledger | None = None):
         _checked_z(w0, w1, w2)
-        _set(self, "w0", w0)
-        _set(self, "w1", w1)
-        _set(self, "w2", w2)
-        _set(self, "ledger", ledger)
+        super().__init__(w0, w1, w2, ledger)
 
     @classmethod
     def from_w01(cls, w0: complex, w1: complex,
@@ -213,15 +208,11 @@ EDGE_EQUATIONS: tuple[tuple[str, tuple[tuple[int, int, int], ...]], ...] = (
 
 
 class FlatteningReport(FrozenRecord):
-    """Residuals of the ten signed edge sums, plus exact ledger cancellation
-    when all five triples carry ledgers."""
+    """The ten signed edge sums over five flattenings: ``residuals``, their
+    (label, |sum|) pairs, and ``exact``, whether each sum's atoms cancel
+    exactly, or None unless all five triples carry ledgers."""
 
     __slots__ = ("residuals", "exact")
-
-    def __init__(self, residuals: tuple[tuple[str, float], ...],
-                 exact: tuple[bool, ...] | None):
-        _set(self, "residuals", residuals)
-        _set(self, "exact", exact)
 
     @property
     def max_residual(self) -> float:

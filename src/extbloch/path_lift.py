@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from . import config
+from .core import FrozenRecord
 from .covering import CoveringPoint, coords
 from .dilog import PI, lhat, plog
 from .errors import PathDegenerate
@@ -28,15 +28,15 @@ NGON = 64  # vertices per turn of a winding loop's circle
 FIVE_TERM_TOL = 1e-8  # |five-term sum| of a lift that lies on the relation
 
 
-@dataclass(frozen=True)
-class ParamPath:
+class ParamPath(FrozenRecord):
     """Piecewise-linear path t -> (x0(t), x1(t)), given by its vertices."""
 
-    vertices: tuple[tuple[complex, complex], ...]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        if len(self.vertices) < 1:
+    def __init__(self, vertices: tuple[tuple[complex, complex], ...]):
+        if len(vertices) < 1:
             raise ValueError("a path needs at least one vertex")
+        super().__init__(vertices)
 
     @property
     def start(self) -> tuple[complex, complex]:
@@ -56,20 +56,19 @@ class ParamPath:
         return ParamPath(tuple(reversed(self.vertices)))
 
 
-@dataclass(frozen=True)
-class LiftedFiveTuple:
+class LiftedFiveTuple(FrozenRecord):
     """Five covering points lying over the five-tuple of a base (x0, x1)."""
 
-    base: tuple[complex, complex]
-    points: tuple[CoveringPoint, ...]
+    __slots__ = ("base", "points")
 
-    def __post_init__(self):
-        if len(self.points) != 5:
+    def __init__(self, base: tuple[complex, complex],
+                 points: tuple[CoveringPoint, ...]):
+        if len(points) != 5:
             raise ValueError("need exactly five covering points")
-        vals = coords(*self.base)
-        for pt, val in zip(self.points, vals):
+        for pt, val in zip(points, coords(*base)):
             if abs(pt.z - val) > config.CMP * (1.0 + abs(val)):
                 raise ValueError("points do not lie over the base five-tuple")
+        super().__init__(base, points)
 
     def branches(self) -> tuple[tuple[int, int], ...]:
         return tuple((pt.p, pt.q) for pt in self.points)

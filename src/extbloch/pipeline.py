@@ -21,7 +21,7 @@ from itertools import combinations
 
 from .chains import (BarChain, HomChain, SymbolTable, _checked_cycle,
                      _repairs, _sample_v, near_pairs)
-from .core import FrozenRecord, ProjVector, Record, _set, as_rng, det_pair
+from .core import FrozenRecord, ProjVector, Record, as_rng, det_pair
 from .covering import FlatteningTriple, _point_value
 from .dilog import TWO_PI_SQ, plog
 from .errors import DegenerateConfig, NotVGood
@@ -38,7 +38,7 @@ class ConfigTuple(FrozenRecord):
             raise ValueError("tuples of more than 5 vectors are not used")
         if near := near_pairs(vectors):
             raise DegenerateConfig("det(v%d, v%d) too small" % near[0])
-        _set(self, "vectors", vectors)
+        super().__init__(vectors)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -100,15 +100,10 @@ def _flattening(logs) -> FlatteningTriple:
 
 
 class LambdaResult(Record):
-    """Image of a cycle as ledger-backed flattening triples, one per
-    repaired term with its coefficient, and the vector v."""
+    """Image of a cycle: ``triples``, a (coefficient, ledger-backed
+    FlatteningTriple) per repaired term, and ``vector``, the v drawn."""
 
     __slots__ = ("triples", "vector")
-
-    def __init__(self, triples: list[tuple[int, FlatteningTriple]],
-                 vector: ProjVector):
-        self.triples = triples
-        self.vector = vector
 
 
 def lambda_hat(c: BarChain, seed) -> LambdaResult:
@@ -179,13 +174,9 @@ class CcsReport(Record):
                  trials: list[complex] | None = None,
                  max_trial_deviation: float = 0.0,
                  residuals: dict | None = None, seed: int | None = None):
-        self.value_mod1 = value_mod1
-        self.raw_lhat = raw_lhat
-        self.volume = volume
-        self.trials = [] if trials is None else trials
-        self.max_trial_deviation = max_trial_deviation
-        self.residuals = {} if residuals is None else residuals
-        self.seed = seed
+        super().__init__(value_mod1, raw_lhat, volume,
+                         [] if trials is None else trials, max_trial_deviation,
+                         {} if residuals is None else residuals, seed)
 
     def as_dict(self) -> dict:
         return {

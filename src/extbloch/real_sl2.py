@@ -10,11 +10,10 @@ reduces termwise to the real Rogers cocycle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import config
-from .core import (INF, GroupElement, ProjVector, as_rng, cross_ratio_ext,
-                   det_pair, is_inf, moebius)
+from .core import (INF, FrozenRecord, GroupElement, ProjVector, as_rng,
+                   cross_ratio_ext, det_pair, is_inf, moebius)
 from .covering import to_covering_point
 from .dilog import lhat, rogers_real
 from .errors import Incomparable, NotSortable, PreconditionFailed
@@ -84,16 +83,15 @@ def rogers_cocycle(g0: RealGroupElement, g1: RealGroupElement,
     return rogers_real(cr.real)
 
 
-@dataclass(frozen=True)
-class SmallPositiveReport:
-    """Outcome of the termwise agreement check on one positive triple."""
+class SmallPositiveReport(FrozenRecord):
+    """Outcome of the termwise agreement check on one positive triple:
+    ``cross_ratio`` (a float in (0, 1)), ``covering_p`` and ``covering_q``
+    (its branch, both 0), ``det_values`` (the six pairwise determinants),
+    ``boundary_points`` (the four descending boundary keys) and
+    ``agreement_error`` (|L-hat - real Rogers|)."""
 
-    cross_ratio: float
-    covering_p: int
-    covering_q: int
-    det_values: tuple[float, ...]
-    boundary_points: tuple[float, ...]
-    agreement_error: float
+    __slots__ = ("cross_ratio", "covering_p", "covering_q", "det_values",
+                 "boundary_points", "agreement_error")
 
 
 def check_small_positive_agreement(
@@ -147,11 +145,7 @@ def check_small_positive_agreement(
 
     err = abs(lhat(pt) - rogers_real(z))
     return SmallPositiveReport(
-        cross_ratio=z, covering_p=pt.p, covering_q=pt.q,
-        det_values=tuple(dets),
-        boundary_points=tuple(_boundary_key(b) for b in bnd),
-        agreement_error=err,
-    )
+        z, pt.p, pt.q, tuple(dets), tuple(_boundary_key(b) for b in bnd), err)
 
 
 def sample_small_positive(rng) -> RealGroupElement:

@@ -12,7 +12,7 @@ from extbloch import selftest
 from extbloch.chainio import (chain_to_obj, dumps_canonical, emit_report,
                               parse_cycle_file)
 from extbloch.chains import is_cycle
-from extbloch.cli import MAX_TURNS, build_parser, main
+from extbloch.cli import MAX_TORSION_N, MAX_TURNS, build_parser, main
 from extbloch.errors import DeterminantError, SchemaError
 from extbloch.fixtures import five_term_boundary, torsion_cycle
 from extbloch.pipeline import ccs_value
@@ -163,10 +163,15 @@ def test_cli_exit_codes(tmp_path):
     assert r.returncode == 2
 
 
+# Explicit ids keep each case's name when a case is inserted before it.
+# The cases that were named by position keep those names (matrix0, argv0,
+# verify0, ...), so that a record of passing tests still finds them.
+
+
 @pytest.mark.parametrize("matrix", [
     [[math.nan, 0], [0, 0], [0, 0], [1, 0]],
     [[math.inf, 0], [1, 0], [-1, 0], [0, 0]],
-])
+], ids=["matrix0", "matrix1"])
 @pytest.mark.parametrize("command", ["check-cycle", "eval"])
 def test_cli_rejects_non_finite_entries(tmp_path, capsys, matrix, command):
     path = tmp_path / "nonfinite.json"
@@ -177,32 +182,55 @@ def test_cli_rejects_non_finite_entries(tmp_path, capsys, matrix, command):
     assert err.startswith("error:") and "term 0, matrix 0" in err
 
 
+def _refused(name, argv, reason):
+    """A bad-arguments case whose id is its fixed name, then its reason."""
+    return pytest.param(argv, reason, id=f"{name}-{reason}")
+
+
 @pytest.mark.parametrize("argv, reason", [
-    (["eval", "{cycle}", "--trials", "0"], "argument --trials: must be at least 1"),
-    (["eval", "{cycle}", "--tolerance", "0"], "argument --tolerance: tolerance cmp"),
-    (["eval", "{cycle}", "--tolerance", "-1"], "argument --tolerance: tolerance cmp"),
-    (["eval", "{cycle}", "--tolerance", "nan"], "argument --tolerance: tolerance cmp"),
-    (["check-cycle", "{cycle}", "--tolerance", "inf"],
-     "argument --tolerance: tolerance cmp"),
-    (["torsion", "--n", "1"], "argument --n: must be at least 2"),
-    (["real-check", "--samples", "0"], "argument --samples: must be at least 1"),
-    (["eval", "{cycle}", "--seed", "-1"],
-     "argument --seed: must be at least 0, got -1"),
-    (["five-term", "--x", "0.5", "--y", "0.25", "--verify", "--seed", "-1"],
-     "argument --seed: must be at least 0, got -1"),
-    (["real-check", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
-    (["selftest", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+    _refused("argv0", ["eval", "{cycle}", "--trials", "0"],
+             "argument --trials: must be at least 1"),
+    _refused("argv1", ["eval", "{cycle}", "--tolerance", "0"],
+             "argument --tolerance: tolerance cmp"),
+    _refused("argv2", ["eval", "{cycle}", "--tolerance", "-1"],
+             "argument --tolerance: tolerance cmp"),
+    _refused("argv3", ["eval", "{cycle}", "--tolerance", "nan"],
+             "argument --tolerance: tolerance cmp"),
+    _refused("argv4", ["check-cycle", "{cycle}", "--tolerance", "inf"],
+             "argument --tolerance: tolerance cmp"),
+    _refused("argv5", ["torsion", "--n", "1"],
+             "argument --n: must be at least 2"),
+    # refused before any of its n terms is built
+    _refused("torsion-n-above-bound",
+             ["torsion", "--n", str(MAX_TORSION_N + 1)],
+             f"argument --n: must be at most {MAX_TORSION_N}, "
+             f"got {MAX_TORSION_N + 1}"),
+    _refused("argv6", ["real-check", "--samples", "0"],
+             "argument --samples: must be at least 1"),
+    _refused("argv7", ["eval", "{cycle}", "--seed", "-1"],
+             "argument --seed: must be at least 0, got -1"),
+    _refused("argv8", ["five-term", "--x", "0.5", "--y", "0.25", "--verify",
+                       "--seed", "-1"],
+             "argument --seed: must be at least 0, got -1"),
+    _refused("argv9", ["real-check", "--seed", "-1"],
+             "argument --seed: must be at least 0, got -1"),
+    _refused("argv10", ["selftest", "--seed", "-1"],
+             "argument --seed: must be at least 0, got -1"),
     # at a cmp as coarse as the apex margin a cone apex can be identified
     # with an element it avoids
-    (["eval", "{cycle}", "--tolerance", "0.3"],
-     "argument --tolerance: tolerance cmp must lie in (0, 0.001), got 0.3"),
-    (["check-cycle", "{cycle}", "--tolerance", "1e-3"],
-     "argument --tolerance: tolerance cmp must lie in (0, 0.001), got 0.001"),
+    _refused("argv11", ["eval", "{cycle}", "--tolerance", "0.3"],
+             "argument --tolerance: tolerance cmp must lie in (0, 0.001), "
+             "got 0.3"),
+    _refused("argv12", ["check-cycle", "{cycle}", "--tolerance", "1e-3"],
+             "argument --tolerance: tolerance cmp must lie in (0, 0.001), "
+             "got 0.001"),
     # refused before a loop of 64 vertices a turn is built
-    (["lift-path", "--p0", str(MAX_TURNS + 1)],
-     f"argument --p0: must be at most {MAX_TURNS}, got {MAX_TURNS + 1}"),
-    (["lift-path", "--q1", str(-MAX_TURNS - 1)],
-     f"argument --q1: must be at least {-MAX_TURNS}, got {-MAX_TURNS - 1}"),
+    _refused("argv13", ["lift-path", "--p0", str(MAX_TURNS + 1)],
+             f"argument --p0: must be at most {MAX_TURNS}, "
+             f"got {MAX_TURNS + 1}"),
+    _refused("argv14", ["lift-path", "--q1", str(-MAX_TURNS - 1)],
+             f"argument --q1: must be at least {-MAX_TURNS}, "
+             f"got {-MAX_TURNS - 1}"),
 ])
 def test_cli_rejects_bad_arguments(tmp_path, capsys, argv, reason):
     path = tmp_path / "t3.json"
@@ -218,6 +246,19 @@ def test_cli_lift_path_takes_winding_counts_up_to_the_bound():
     for n in (MAX_TURNS, -MAX_TURNS):
         args = build_parser().parse_args(["lift-path", "--r", str(n)])
         assert (args.p0, args.r) == (0, n)
+
+
+def test_cli_torsion_above_the_bound_builds_nothing(tmp_path, capsys,
+                                                    monkeypatch):
+    built = []
+    monkeypatch.setattr("extbloch.fixtures.torsion_cycle", built.append)
+    out = tmp_path / "t.json"
+    with pytest.raises(SystemExit) as stop:
+        main(["torsion", "--n", str(MAX_TORSION_N + 1), "--out", str(out)])
+    assert stop.value.code == 2 and "must be at most" in capsys.readouterr().err
+    assert built == [] and not out.exists()
+    args = build_parser().parse_args(["torsion", "--n", str(MAX_TORSION_N)])
+    assert args.n == MAX_TORSION_N
 
 
 _IDENTITY = [[1, 0], [0, 0], [0, 0], [1, 0]]
@@ -538,7 +579,8 @@ def test_cli_lift_path_degenerate_base_exits_2(capsys, base, reason):
     # coordinate 2 is within cmp of 1, not equal to it
     ("1000", "1000.000005", "coordinate 2 = (1.000000005+0j) hits 0 or 1"),
 ])
-@pytest.mark.parametrize("verify", [[], ["--verify"]])
+@pytest.mark.parametrize("verify", [[], ["--verify"]],
+                         ids=["verify0", "verify1"])
 def test_cli_five_term_degenerate_parameters_exit_2(capsys, x, y, reason,
                                                     verify):
     # the fixture validates its five-tuple, as lift-path does its base

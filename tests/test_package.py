@@ -21,7 +21,9 @@ from extbloch.covering import (CoveringPoint, FlatteningReport,
 from extbloch.errors import (DegenerateConfig, DeterminantError,
                              InvalidFlattening)
 from extbloch.fixtures import torsion_cycle
+from extbloch.path_lift import LiftedFiveTuple, ParamPath, start_lift
 from extbloch.pipeline import CcsReport, ConfigTuple, LambdaResult, lambda_hat
+from extbloch.real_sl2 import SmallPositiveReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -47,6 +49,14 @@ def test_cli_import_loads_no_demo_or_heavy_modules():
     assert not loaded & {"dataclasses", "inspect", "typing", "fractions",
                          "extbloch.real_sl2", "extbloch.path_lift",
                          "extbloch.fixtures", "extbloch.selftest"}
+
+
+def test_selftest_import_loads_no_heavy_modules():
+    # selftest loads path_lift and real_sl2, whose records are Records too,
+    # so no ccs command brings dataclasses (with inspect) back
+    loaded = _loaded_after("import extbloch.selftest")
+    assert {"extbloch.path_lift", "extbloch.real_sl2"} <= loaded
+    assert not loaded & {"dataclasses", "inspect", "typing", "fractions"}
 
 
 def test_package_import_loads_the_evaluation_modules():
@@ -158,7 +168,7 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 # ---------------------------------------------------------------------------
-# the record classes keep the contracts of the dataclasses they replaced
+# every value type is a Record: filled in slot order, checks first
 
 
 def test_record_constructors_check_in_order():
@@ -178,6 +188,24 @@ def test_record_constructors_check_in_order():
         ConfigTuple((ProjVector(1, 0),) * 6)  # before the determinant check
     with pytest.raises(DegenerateConfig, match=r"det\(v0, v1\) too small"):
         ConfigTuple((ProjVector(1, 0), ProjVector(2, 0)))
+    with pytest.raises(ValueError, match="at least one vertex"):
+        ParamPath(())
+    lift = start_lift(0.25 + 0.5j, 0.5 + 1.5j)
+    with pytest.raises(ValueError, match="exactly five covering points"):
+        LiftedFiveTuple((0.5, 0.1), lift.points[:4])  # before the base check
+    with pytest.raises(ValueError, match="do not lie over the base"):
+        LiftedFiveTuple((0.5, 0.1), lift.points)
+
+
+def test_records_want_one_value_per_slot():
+    for cls in (FlatteningReport, LambdaResult, RepairResult,
+                SmallPositiveReport):
+        k = len(cls.__slots__)
+        for n in (k - 1, k + 1):
+            with pytest.raises(TypeError,
+                               match=f"^{cls.__name__} takes {k} values, "
+                                     f"got {n}$"):
+                cls(*range(n))
 
 
 def _frozen_examples():
@@ -189,6 +217,12 @@ def _frozen_examples():
         (from_covering_point(pt), ("w0", "w1", "w2", "ledger")),
         (FlatteningReport((("z0z1", 0.0),), None), ("residuals", "exact")),
         (ConfigTuple((ProjVector(1, 0), ProjVector(0, 1))), ("vectors",)),
+        (ParamPath(((0.25 + 0.5j, 0.5 + 1.5j),)), ("vertices",)),
+        (start_lift(0.25 + 0.5j, 0.5 + 1.5j), ("base", "points")),
+        (SmallPositiveReport(0.5, 0, 0, (1.0,) * 6, (2.0, 1.0, 0.5, 0.0),
+                             1e-17),
+         ("cross_ratio", "covering_p", "covering_q", "det_values",
+          "boundary_points", "agreement_error")),
     ]
 
 
