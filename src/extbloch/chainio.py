@@ -160,6 +160,22 @@ def write_json(obj, out: TextIOBase | None, path: str | None):
         out.write(text)
 
 
+def _write_chain(c: BarChain, out: TextIOBase | None, path: str | None):
+    """``write_json(chain_to_obj(c), out, path)`` a term at a time: the
+    same bytes, with neither the object tree nor the whole text held."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            _write_chain(c, fh, None)
+    elif out is not None:
+        out.write(f'{{"group": "SL2C", "degree": {c.degree}, "terms": [')
+        sep = ""
+        for coeff, sym in c:
+            out.write(sep + _fmt({"coef": coeff,
+                                  "bar": [matrix_to_obj(g) for g in sym]}))
+            sep = ", "
+        out.write("]}\n")
+
+
 def emit_report(report, path: str | None = None, out: TextIOBase | None = None,
                 extra: dict | None = None):
     """Serialize a CcsReport (duck-typed: needs .as_dict) deterministically."""

@@ -22,6 +22,10 @@ re-interns its input into a new table (at the caller's tolerance, for
 ``repair_with_certificate`` replaces a cycle by a homologous one avoiding
 all g_i = +-g_j coincidences, together with an explicit homotopy
 certificate; it changes only the simplices that have such a coincidence.
+Within one evaluation, ``_repairs`` repairs the first trial in full and
+replays that repair for each later trial, yielding the renaming of the
+first trial's ids; the v pass runs over a ``_Plan`` of the repaired
+cycle's distinct ids and id pairs, which every replayed trial shares.
 """
 
 from __future__ import annotations
@@ -162,8 +166,17 @@ class SymbolTable:
         return hit
 
     def good(self, ids: Ids) -> bool:
-        """No two entries of ``ids`` coincide up to sign."""
-        return not any(self.coincide(i, j) for i, j in combinations(ids, 2))
+        """No two entries of ``ids`` coincide up to sign: ``coincide`` on
+        each pair in ``combinations`` order, up to the first coincidence."""
+        memo, elements, tol = self._coincide, self.elements, self.tol
+        for i, j in combinations(ids, 2):
+            key = (i, j) if i <= j else (j, i)
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = elements[i].sign_equiv(elements[j], tol)
+            if hit:
+                return False
+        return True
 
     def canonical(self, ids: Ids) -> Ids:
         """Left-translate so the first entry is the identity."""
@@ -399,56 +412,93 @@ def near_pairs(vecs: Sequence[ProjVector]) -> list[tuple[int, int]]:
             <= config.VGOOD * (vecs[i].norm() * vecs[j].norm())]
 
 
-def _v_pass(elements: list[GroupElement], terms: _Terms, v: ProjVector):
-    """One pass of v over the (coefficient, ids) ``terms`` of a homogeneous
-    chain over ``elements``: every element is applied to v once and every
-    id pair (g_i, g_j) met in a tuple, in tuple order, gets det(g_i v, g_j v)
-    once, tested as ``near_pairs`` tests it, on plain (w1, w2, |w|) tuples
-    with the float operations and nonzero check of ``GroupElement.apply``,
+class _Plan(Record):
+    """The layout of the (coefficient, ids) terms of a homogeneous chain,
+    which every trial on a renaming of their ids shares: ``slots``, the
+    distinct ids in first-met order; ``pairs``, the distinct ordered id
+    pairs (g_i, g_j) met within a term, in first-met order (within a term,
+    ``combinations`` order), as pairs of slot indices; ``rows``, per term
+    its coefficient and the indices in ``pairs`` of its id pairs, in
+    ``combinations`` order."""
+
+    __slots__ = ("slots", "pairs", "rows")
+
+    def __init__(self, terms: Iterable[tuple[int, Ids]]):
+        slot_of: dict[int, int] = {}
+        pair_of: dict[tuple[int, int], int] = {}
+        rows = []
+        for coeff, ids in terms:
+            at = []
+            for i in ids:
+                s = slot_of.get(i)
+                if s is None:
+                    s = slot_of[i] = len(slot_of)
+                at.append(s)
+            row = []
+            for key in combinations(at, 2):
+                k = pair_of.get(key)
+                if k is None:
+                    k = pair_of[key] = len(pair_of)
+                row.append(k)
+            rows.append((coeff, row))
+        super().__init__(list(slot_of), list(pair_of), rows)
+
+
+# the position pairs (i, j) of a tuple, in ``combinations`` order, by count
+_POSITIONS = {len(p): p for p in (list(combinations(range(n), 2))
+                                  for n in range(1, MAX_DEGREE + 2))}
+
+
+def _v_pass(elements: list[GroupElement], plan: _Plan, ids: list[int],
+            v: ProjVector) -> tuple[list, list[complex]]:
+    """One pass of v over ``plan`` with its slots holding ``ids`` (ids of
+    ``elements``): each slot's element is applied to v once, in slot order,
+    and each pair (g_i, g_j) gets det(g_i v, g_j v) once, in pair order,
+    tested as ``near_pairs`` tests it, on plain (w1, w2, |w|) tuples with
+    the float operations and nonzero check of ``GroupElement.apply``,
     ``ProjVector.norm`` and ``det_pair``.  Returns (offending (term index,
-    i, j) triples, {(id_i, id_j): det} in first-met order); the offenders
-    are listed in a second pass over the terms, only when some pair is
-    near."""
-    vecs: dict[int, tuple[complex, complex, float]] = {}
-    dets: dict[tuple[int, int], complex] = {}
-    near: set[tuple[int, int]] = set()
+    i, j) triples, dets by pair); the offenders are listed only when some
+    pair is near."""
     vgood, zero, v1, v2 = config.VGOOD, config.ZERO, v.v1, v.v2
-    for _, ids in terms:
-        for i in ids:
-            if i not in vecs:
-                g = elements[i]
-                w1, w2 = g.a * v1 + g.b * v2, g.c * v1 + g.d * v2
-                if max(abs(w1), abs(w2)) <= zero:
-                    raise ValueError("projective vector must be nonzero")
-                vecs[i] = (w1, w2, math.hypot(abs(w1), abs(w2)))
-        for key in combinations(ids, 2):
-            if key not in dets:
-                (x1, x2, nx), (y1, y2, ny) = vecs[key[0]], vecs[key[1]]
-                d = dets[key] = x1 * y2 - x2 * y1
-                if abs(d) <= vgood * (nx * ny):
-                    near.add(key)
-    offending = [] if not near else [
-        (t_idx, a, b) for t_idx, (_, ids) in enumerate(terms)
-        for a, b in combinations(range(len(ids)), 2)
-        if (ids[a], ids[b]) in near]
-    return offending, dets
+    vecs = []
+    for i in ids:
+        g = elements[i]
+        w1, w2 = g.a * v1 + g.b * v2, g.c * v1 + g.d * v2
+        n1, n2 = abs(w1), abs(w2)
+        if max(n1, n2) <= zero:
+            raise ValueError("projective vector must be nonzero")
+        vecs.append((w1, w2, math.hypot(n1, n2)))
+    dets, near = [], []
+    for a, b in plan.pairs:
+        x1, x2, nx = vecs[a]
+        y1, y2, ny = vecs[b]
+        d = x1 * y2 - x2 * y1
+        if abs(d) <= vgood * (nx * ny):
+            near.append(len(dets))
+        dets.append(d)
+    if not near:
+        return [], dets
+    near = set(near)
+    return [(t_idx, a, b) for t_idx, (_, row) in enumerate(plan.rows)
+            for (a, b), k in zip(_POSITIONS[len(row)], row) if k in near], dets
 
 
 def is_v_good(c, v: ProjVector) -> tuple[bool, list]:
     """All pairs satisfy |det(g_i v, g_j v)| above the scale-relative
     threshold.  Returns (ok, offending (term index, i, j) triples)."""
     hom = _hom(c)
-    offending, _ = _v_pass(hom.table.elements, list(hom.pairs()), v)
+    plan = _Plan(hom.pairs())
+    offending, _ = _v_pass(hom.table.elements, plan, plan.slots, v)
     return not offending, offending
 
 
-def _sample_v(elements: list[GroupElement], terms: _Terms, rng):
-    """``sample_generic_v`` on the (coefficient, ids) ``terms`` of a
-    homogeneous chain over ``elements``, also returning the accepted v's
-    determinants by id pair (see ``_v_pass``)."""
+def _sample_v(elements: list[GroupElement], plan: _Plan, ids: list[int],
+              rng):
+    """``sample_generic_v`` on ``plan`` with its slots holding ``ids``,
+    also returning the accepted v's dets by pair (see ``_v_pass``)."""
     for attempt in range(1, V_ATTEMPTS + 1):
         v = random_vector(rng)
-        offending, dets = _v_pass(elements, terms, v)
+        offending, dets = _v_pass(elements, plan, ids, v)
         if not offending:
             return v, attempt, dets
     raise SamplingExhausted(
@@ -464,7 +514,8 @@ def sample_generic_v(c, rng_or_seed) -> tuple[ProjVector, int]:
     Each draw is checked by the one pass ``is_v_good`` also runs.
     """
     hom = _hom(c)
-    v, attempts, _ = _sample_v(hom.table.elements, list(hom.pairs()),
+    plan = _Plan(hom.pairs())
+    v, attempts, _ = _sample_v(hom.table.elements, plan, plan.slots,
                                as_rng(rng_or_seed))
     return v, attempts
 
@@ -615,29 +666,34 @@ def _repair_core(hom: HomChain, rng) -> tuple[_Terms, _Terms, _Terms]:
 
 
 def _repairs(hom: HomChain, rng, trials: int):
-    """phi for each of ``trials`` trials of one evaluation of ``hom``,
-    yielded in turn, each drawn from ``rng`` only when asked for (so v,
-    drawn between trials, falls between them).  With more than one trial,
-    the first trial's repair records the table's tape: every product or
-    quotient formed on a memo miss (a memo answer is no event), the
-    residual's included, as (``_MUL`` or ``_LDIV``, i, j, result id,
-    whether it was new), and every apex decision, as (``_REUSE``, apex id,
-    ids tested, None, whether the apex cleared them) or (``_DRAW``, None,
-    ids the apex clears, apex id, whether it was new).  Later trials replay it at their
-    own apexes (see ``_replay``) and repair in full on the same draws when
-    a decision differs; one trial records nothing."""
+    """(phi, ren) for each of ``trials`` trials of one evaluation of
+    ``hom``, yielded in turn, each drawn from ``rng`` only when asked for
+    (so v, drawn between trials, falls between them).  A trial repaired in
+    full gives its phi and ren None; a replayed trial gives the first
+    trial's phi and the list ``ren`` that renames its ids: the trial's
+    phi is the first one with every id i replaced by ``ren[i]``.  With
+    more than one trial, the first trial's repair records the table's
+    tape: every product or quotient formed on a memo miss (a memo answer
+    is no event), the residual's included, as (``_MUL`` or ``_LDIV``, i, j,
+    result id, whether it was new), and every apex decision, as
+    (``_REUSE``, apex id, ids tested, None, whether the apex cleared them)
+    or (``_DRAW``, None, ids the apex clears, apex id, whether it was
+    new).  Later trials replay it at their own apexes (see ``_replay``)
+    and repair in full on the same draws when a decision differs; one
+    trial records nothing."""
     table = hom.table
     table.tape = [] if trials > 1 else None
     phi_bad, phi, _ = _repair_core(hom, rng)
     events, table.tape = table.tape, None
-    yield phi
+    yield phi, None
     for _ in range(trials - 1):
         draws = _Rewindable(rng)
-        replayed = _replay(table, draws, events, phi_bad, phi)
-        if replayed is None:
+        ren = _replay(table, draws, events, phi_bad)
+        if ren is None:
             draws.rewind()
-            _, replayed, _ = _repair_core(hom, draws)
-        yield replayed
+            yield _repair_core(hom, draws)[1], None
+        else:
+            yield phi, ren
 
 
 def _check_good(table: SymbolTable, phi_bad: _Terms) -> None:
@@ -649,11 +705,14 @@ def _check_good(table: SymbolTable, phi_bad: _Terms) -> None:
         raise RepairFailed(f"cone image not good: offenders {offenders[:3]}")
 
 
-def _replay(table: SymbolTable, rng, events: list, phi_bad: _Terms,
-            phi: _Terms) -> _Terms | None:
-    """phi of ``_repair_core`` for a later trial on the cycle whose first
-    trial recorded ``events`` and gave ``phi_bad`` and ``phi`` (see
-    ``_repairs``), or None as soon as a decision differs.
+def _replay(table: SymbolTable, rng, events: list,
+            phi_bad: _Terms) -> list[int] | None:
+    """The renaming of ids (a list, recorded id -> this trial's id) that
+    turns the first trial's phi into that of ``_repair_core`` for a later
+    trial on the cycle whose first trial recorded ``events`` and gave
+    ``phi_bad`` (see ``_repairs``), or None as soon as a decision differs.
+    Only ids new on the tape are renamed, so in every replay the same ids
+    are.
 
     Every event is taken again with this trial's ids: each formed product
     or quotient is formed with the same float operations and interned (or
@@ -662,11 +721,12 @@ def _replay(table: SymbolTable, rng, events: list, phi_bad: _Terms,
     where the tape has a new one); each reuse test must come out as
     recorded; each apex is drawn afresh from ``rng`` through the same
     ``random_sl2``/``_clears`` loop.  A memo answer of trial 1 is no event
-    and holds for the renamed ids as it did.  When all match, phi(B), H(B) and the certificate residual, whose formed
-    quotients (if any) end the tape, are the recorded ones renamed, so the
-    residual is empty as it was; phi(B) is checked for goodness, which
-    raises RepairFailed as ``_repair_core`` would.  Draws nothing a full
-    repair on the same stream would not draw first.
+    and holds for the renamed ids as it did.  When all match, phi(B), H(B)
+    and the certificate residual, whose formed quotients (if any) end the
+    tape, are the recorded ones renamed, so the residual is empty as it
+    was; phi(B) is checked for goodness, which raises RepairFailed as
+    ``_repair_core`` would.  Draws nothing a full repair on the same stream
+    would not draw first.
     """
     elements, mul, ldiv = table.elements, table.mul, table.ldiv
     rep = _ConeRepairer(rng, table)
@@ -691,7 +751,7 @@ def _replay(table: SymbolTable, rng, events: list, phi_bad: _Terms,
         elif got != ren[r]:
             return None
     _check_good(table, [(c, tuple([ren[i] for i in t])) for c, t in phi_bad])
-    return [(c, tuple([ren[i] for i in t])) for c, t in phi]
+    return ren
 
 
 class _Rewindable:

@@ -12,13 +12,13 @@ import sys
 
 from . import config
 from .chains import _checked_cycle, _residual, is_cycle
-from .chainio import chain_to_obj, emit_report, parse_cycle_file, write_json
+from .chainio import _write_chain, emit_report, parse_cycle_file, write_json
 from .core import as_rng
 from .errors import CcsError
 from .pipeline import _trial_loop, ccs_value
 
 MAX_TURNS = 2000  # per lift-path winding count; a turn is 64 loop vertices
-MAX_TORSION_N = 100_000  # torsion --n; at the top 10 s, 0.4 GB, 35 MB out
+MAX_TORSION_N = 100_000  # torsion --n; at the top 7 s, 0.15 GB, 35 MB out
 
 
 def _integer(low: int, high: int | None = None):
@@ -65,7 +65,7 @@ def cmd_torsion(args) -> int:
     from .fixtures import torsion_cycle
 
     chain = torsion_cycle(args.n)
-    write_json(chain_to_obj(chain), sys.stdout, args.out)
+    _write_chain(chain, sys.stdout, args.out)
     return 0
 
 
@@ -92,7 +92,7 @@ def cmd_five_term(args) -> int:
         write_json(doc, sys.stdout, args.out)
         dist = min(report.value_mod1.real, 1.0 - report.value_mod1.real)
         return 0 if ok and dist < 1e-6 and abs(report.volume) < 1e-6 else 3
-    write_json(chain_to_obj(chain), sys.stdout, args.out)
+    _write_chain(chain, sys.stdout, args.out)
     return 0 if ok else 2
 
 

@@ -11,15 +11,21 @@ quantity is
 with the real part reduced into [0, 1); its imaginary part is the volume of
 the class.  The real part of the unreduced sum is only defined up to 2 pi^2,
 which is exactly why the reduction is legitimate.
+
+``ccs_value`` compiles the first trial's repaired cycle into a plan of
+slots and pairs (``chains._Plan``) once; each replayed trial is one pass
+over that plan with renamed slots, and keeps the first trial's edge id
+for every pair with no renamed slot.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left
 from itertools import combinations
 
-from .chains import (BarChain, HomChain, SymbolTable, _checked_cycle,
+from .chains import (BarChain, HomChain, SymbolTable, _checked_cycle, _Plan,
                      _repairs, _sample_v, near_pairs)
 from .core import FrozenRecord, ProjVector, Record, as_rng, det_pair
 from .covering import FlatteningTriple, _point_value
@@ -119,28 +125,42 @@ def lambda_hat(c: BarChain, seed) -> LambdaResult:
     """
     rng = as_rng(seed)
     hom = _checked_cycle(c, SymbolTable())
-    v, terms = _lambda_hat(hom.table, next(_repairs(hom, rng, 1)), rng)
-    return LambdaResult([(coeff, _flattening(logs)) for coeff, logs in terms], v)
+    phi, _ = next(_repairs(hom, rng, 1))
+    plan = _Plan(phi)
+    v, logs, _ = _lambda_hat(hom.table, plan, plan.slots, rng)
+    return LambdaResult([(coeff, _flattening([logs[k] for k in row]))
+                         for coeff, row in plan.rows], v)
 
 
-def _lambda_hat(table: SymbolTable, phi, rng):
-    """v drawn from ``rng`` and, per term of a repaired cycle ``phi`` over
-    ``table``, its coefficient and six Log dets in ``_flattening`` order.
-    det is SL(2, C) invariant, so every translate of an edge
-    e = g_i^-1 g_j shares the Log det(g_i v, g_j v) of the first met, whose
-    det the v-check's pass already computed; each distinct id pair is
-    resolved to its edge once, in the pass's first-met order, by
-    ``SymbolTable.ldiv``: an edge between two translates by one factor of a
-    known edge is a memo answer, not a product."""
-    v, _, dets = _sample_v(table.elements, phi, rng)
-    edge_log, logs = {}, {}  # Log det by edge id, and by id pair
-    for pair, d in dets.items():  # id pairs in the order phi meets them
-        e = table.ldiv(*pair)
-        if (x := edge_log.get(e)) is None:
+def _lambda_hat(table: SymbolTable, plan: _Plan, ids: list[int], rng,
+                known: tuple[list[int], list[int]] | None = None):
+    """v drawn from ``rng`` and, for ``plan`` (see ``chains._Plan``) with
+    its slots holding ids of ``table``, the Log det and the edge id of
+    each pair, in pair order.  det is SL(2, C) invariant, so every
+    translate of an edge e = g_i^-1 g_j shares the Log det(g_i v, g_j v) of
+    the first met, whose det the v-check's pass already computed.  Each
+    pair is resolved to its edge by ``SymbolTable.ldiv``, in pair order
+    (an edge between two translates by one factor of a known edge is a
+    memo answer, not a product), except that ``known`` = (edge ids by
+    pair, the pairs to resolve) keeps the others' given edge ids: a
+    replayed trial keeps the first trial's edge id for every pair with no
+    renamed slot, which is ``ldiv``'s memo answer for it."""
+    v, _, dets = _sample_v(table.elements, plan, ids, rng)
+    pairs, ldiv = plan.pairs, table.ldiv
+    if known is None:
+        edges = [ldiv(ids[a], ids[b]) for a, b in pairs]
+    else:
+        edges, stale = known[0][:], known[1]
+        for k in stale:
+            a, b = pairs[k]
+            edges[k] = ldiv(ids[a], ids[b])
+    edge_log, logs = {}, []  # Log det by edge id, and by pair
+    for e, d in zip(edges, dets):
+        x = edge_log.get(e)
+        if x is None:
             x = edge_log[e] = plog(d)
-        logs[pair] = x
-    return v, [(coeff, [logs[pair] for pair in combinations(ids, 2)])
-               for coeff, ids in phi]
+        logs.append(x)
+    return v, logs, edges
 
 
 def _mod1(x: float) -> float:
@@ -223,30 +243,68 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
 
 def _trial_loop(hom: HomChain, rng, trials: int, seed: int | None) -> CcsReport:
     """``ccs_value``'s report on the checked cycle ``hom`` (see
-    ``_checked_cycle``), drawing from ``rng``, with ``seed`` as its seed."""
+    ``_checked_cycle``), drawing from ``rng``, with ``seed`` as its seed.
+    The first trial's phi gives the evaluation's plan (see
+    ``chains._Plan``) and edge ids; a replayed trial runs on that plan
+    with its slots renamed, and a trial repaired in full on a plan of its
+    own."""
+    table = hom.table
     values: list[complex] = []
     raws: list[complex] = []
     vol_res = 0.0
-    for phi in _repairs(hom, rng, trials):
-        _, terms = _lambda_hat(hom.table, phi, rng)
-        points = [(coeff, *_point_value(*_log_params(*logs)))
-                  for coeff, logs in terms]
+    first = stale = None  # trial 1's (plan, edge ids); its renamed pairs
+    for phi, ren in _repairs(hom, rng, trials):
+        if ren is None:
+            plan = _Plan(phi)
+            _, logs, edges = _lambda_hat(table, plan, plan.slots, rng)
+            if first is None:
+                first = plan, edges
+        else:
+            plan, edges = first
+            slots = plan.slots
+            ids = [ren[i] for i in slots]
+            if stale is None:  # the same pairs in every replay
+                stale = [k for k, (a, b) in enumerate(plan.pairs)
+                         if ids[a] != slots[a] or ids[b] != slots[b]]
+            _, logs, _ = _lambda_hat(table, plan, ids, rng, (edges, stale))
+        re, im, vol = [], [], []
+        for coeff, row in plan.rows:
+            lh, d = _point_value(*_log_params(*[logs[k] for k in row]))
+            re.append(coeff * lh.real)
+            im.append(coeff * lh.imag)
+            vol.append(coeff * d)
         # correctly rounded sums, independent of the order of the terms
-        raw = complex(math.fsum(c * lh.real for c, lh, _ in points),
-                      math.fsum(c * lh.imag for c, lh, _ in points))
-        volume = math.fsum(c * d for c, _, d in points)
+        raw = complex(math.fsum(re), math.fsum(im))
         value = -raw / TWO_PI_SQ
         values.append(complex(_mod1(value.real), value.imag))
         raws.append(raw)
-        vol_res = max(vol_res, abs(volume - raw.imag))
-    dev = max((max(_circle_distance(a.real, b.real), abs(a.imag - b.imag))
-               for a, b in combinations(values, 2)), default=0.0)
+        vol_res = max(vol_res, abs(math.fsum(vol) - raw.imag))
     return CcsReport(
         value_mod1=values[0],
         raw_lhat=raws[0],
         volume=raws[0].imag,
         trials=values,
-        max_trial_deviation=dev,
+        max_trial_deviation=_max_deviation(values),
         residuals={"volume_vs_im_lhat": vol_res},
         seed=seed,
     )
+
+
+def _max_deviation(values: list[complex]) -> float:
+    """The largest, over pairs of ``values`` (real parts in [0, 1)), of
+    the circle distance of the real parts and |difference| of the
+    imaginary parts: the same float as the maximum over all pairs.  The
+    largest imaginary gap is max - min (float subtraction is monotone).
+    For x before y in the sorted real parts, d = y - x grows with y, so
+    min(d, 1 - d) rises while d <= 1 - d and falls after: over the y after
+    each x, one bisection finds the two candidates."""
+    if len(values) < 2:
+        return 0.0
+    ims = [v.imag for v in values]
+    res = sorted(v.real for v in values)
+    best = max(ims) - min(ims)
+    for k, x in enumerate(res):
+        j = bisect_left(res, True, k, key=lambda y: y - x > 1.0 - (y - x))
+        for y in res[j - 1:j + 1]:
+            best = max(best, _circle_distance(x, y))
+    return best

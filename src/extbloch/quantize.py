@@ -44,8 +44,9 @@ class FuzzyIndex:
     vector's grid cell or in a probed neighbour; see the module docstring
     for what that does and does not identify.  ``key`` is the entry point.
     A new value with no coordinate within ``2 * _GUARD`` of a cell boundary
-    cannot split, so only its own cell is looked up, with the first-match
-    rule and storage of the probe of all cells (``_probe_all``)."""
+    cannot split, so only its own cell is looked up (an empty one gives a
+    new id at once), with the first-match rule and storage of the probe of
+    all cells (``_probe_all``), which takes every other new value."""
 
     def __init__(self, tol: float):
         self.tol = tol
@@ -59,23 +60,28 @@ class FuzzyIndex:
     def key(self, values: Iterable[float]) -> int:
         vals = tuple(values)
         ident = self._seen.get(vals)
-        if ident is None:
-            ident = self._seen[vals] = self._probe(vals)
-        return ident
-
-    def _probe(self, vals: tuple[float, ...]) -> int:
+        if ident is not None:
+            return ident
         tol = self.tol
         try:
             scaled = [x / tol for x in vals]
             cells = tuple(map(round, scaled))
         except (OverflowError, ValueError):  # an infinite or NaN x / tol
             return self._probe_all(vals)  # raises, naming the value
-        if max(map(abs, map(sub, scaled, cells)), default=0.0) < _CLEAR:
-            return self._lookup((cells,), cells, vals)  # nothing splits
-        return self._probe_all(vals)
+        if max(map(abs, map(sub, scaled, cells)), default=0.0) >= _CLEAR:
+            ident = self._probe_all(vals)  # some coordinate may split
+        elif cells not in self._cells:  # nothing splits, and no one is
+            ident = len(self._reps)     # stored in the one cell
+            self._reps.append(vals)
+            self._cells[cells] = [ident]
+        else:
+            ident = self._lookup((cells,), cells, vals)
+        self._seen[vals] = ident
+        return ident
 
     def _probe_all(self, vals: tuple[float, ...]) -> int:
-        """``_probe`` through every cell the guard band splits into."""
+        """The id of the new value ``vals``, looked up in every cell the
+        guard band splits it into."""
         tol = self.tol
         # per coordinate: its cell, then the neighbour when it sits in the
         # guard band of a cell boundary (at most 6 coordinates split)

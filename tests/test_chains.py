@@ -7,8 +7,8 @@ from extbloch import config
 from extbloch.core import (GroupElement, det_pair, random_sl2, random_vector,
                            rotation)
 from extbloch.chains import (BarChain, HomChain, SymbolTable, _checked_cycle,
-                             _ConeRepairer, _faces, _offending, _sample_v,
-                             _v_pass, bar_boundary, cone, conjugate_chain,
+                             _ConeRepairer, _faces, _offending, _Plan,
+                             _sample_v, _v_pass, bar_boundary, cone, conjugate_chain,
                              hom_boundary,
                              hom_to_inhom, inhom_to_hom, is_cycle, is_good,
                              is_v_good, near_pairs, repair_with_certificate,
@@ -160,14 +160,17 @@ def test_v_pass_decides_as_near_pairs_per_tuple(monkeypatch):
         for hom in chains:
             for _ in range(5):
                 v = random_vector(draws)
-                offending, dets = _v_pass(hom.table.elements,
-                                          list(hom.pairs()), v)
+                plan = _Plan(hom.pairs())
+                offending, dets = _v_pass(hom.table.elements, plan,
+                                          plan.slots, v)
                 want = _near_by_tuple(hom, v)
                 assert offending == want
                 assert is_v_good(hom, v) == (not want, want)
                 verdicts.add(not want)
                 elements = hom.table.elements
-                for (i, j), d in dets.items():
+                assert len(dets) == len(plan.pairs)
+                for (a, b), d in zip(plan.pairs, dets):
+                    i, j = plan.slots[a], plan.slots[b]
                     ref = det_pair(elements[i].apply(v), elements[j].apply(v))
                     assert (d.real.hex(), d.imag.hex()) == \
                         (ref.real.hex(), ref.imag.hex())
@@ -179,11 +182,11 @@ def test_sample_v_shares_sample_generic_v_draws(monkeypatch):
     # number of draws as sample_generic_v, and as a rejection loop over
     # near_pairs; the loose vgood makes it reject some draws first
     hom = _checked_cycle(random_boundary_cycle(2, 3), SymbolTable())
-    elements, terms = hom.table.elements, list(hom.pairs())
+    elements, plan = hom.table.elements, _Plan(hom.pairs())
     monkeypatch.setattr(config, "VGOOD", 0.2)
     attempts = set()
     for seed in range(6):
-        v, n, dets = _sample_v(elements, terms, random.Random(seed))
+        v, n, dets = _sample_v(elements, plan, plan.slots, random.Random(seed))
         assert sample_generic_v(hom, seed) == (v, n)
         draws = random.Random(seed)
         for ref_n in range(1, 1001):
@@ -191,7 +194,7 @@ def test_sample_v_shares_sample_generic_v_draws(monkeypatch):
             if not _near_by_tuple(hom, ref):
                 break
         assert (ref, ref_n) == (v, n)
-        assert dets == _v_pass(elements, terms, v)[1]
+        assert dets == _v_pass(elements, plan, plan.slots, v)[1]
         attempts.add(n)
     assert max(attempts) > 1
 

@@ -261,6 +261,18 @@ def test_cli_torsion_above_the_bound_builds_nothing(tmp_path, capsys,
     assert args.n == MAX_TORSION_N
 
 
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_cli_torsion_writes_the_canonical_text(tmp_path, capsys, n):
+    # written a term at a time, the file is byte for byte the canonical
+    # text of the whole chain's object tree, on stdout and through --out
+    want = dumps_canonical(chain_to_obj(torsion_cycle(n)))
+    assert main(["torsion", "--n", str(n)]) == 0
+    assert capsys.readouterr().out == want
+    out = tmp_path / "t.json"
+    assert main(["torsion", "--n", str(n), "--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode() and not capsys.readouterr().out
+
+
 _IDENTITY = [[1, 0], [0, 0], [0, 0], [1, 0]]
 
 

@@ -1,21 +1,30 @@
 """The trial loop's short-cut kernels against the slower references they
 replace: the +- and apex-margin tests against ``sign_distance``, the
-one-cell lookup of ``FuzzyIndex`` against the probe of all cells, and the
-symbol table's products against a det-checked ``GroupElement``."""
+one-cell lookup of ``FuzzyIndex`` against the probe of all cells, the
+symbol table's products against a det-checked ``GroupElement``, the
+slot-indexed v pass against ``near_pairs`` term by term, kept edge ids
+against ``ldiv`` on every pair, replays against full repairs, and the
+largest trial deviation against the maximum over all pairs."""
 
 import math
 import random
 import re
 import traceback
+from itertools import combinations
 
 import pytest
 
-from extbloch import config, core
-from extbloch.chains import SymbolTable, _ConeRepairer, conjugate_chain
-from extbloch.core import GroupElement, random_sl2
+from extbloch import chains, config, core, pipeline
+from extbloch.chainio import dumps_canonical
+from extbloch.chains import (SymbolTable, _checked_cycle, _ConeRepairer,
+                             _Plan, _repair_core, _v_pass, conjugate_chain,
+                             near_pairs)
+from extbloch.core import GroupElement, det_pair, random_sl2, random_vector
 from extbloch.errors import DeterminantError, OutOfGrid
-from extbloch.fixtures import torsion_cycle
-from extbloch.pipeline import ccs_value
+from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
+                               torsion_cycle)
+from extbloch.pipeline import (_circle_distance, _max_deviation, _mod1,
+                               _trial_loop, ccs_value)
 from extbloch.quantize import _GUARD, FuzzyIndex
 
 import report_digest
@@ -83,10 +92,14 @@ def test_clears_agrees_with_sign_distance():
 
 
 class _AllCells(FuzzyIndex):
-    """The reference: every value through the probe of all cells."""
+    """The reference: every new value through the probe of all cells."""
 
-    def _probe(self, vals):
-        return self._probe_all(vals)
+    def key(self, values):
+        vals = tuple(values)
+        ident = self._seen.get(vals)
+        if ident is None:
+            ident = self._seen[vals] = self._probe_all(vals)
+        return ident
 
 
 class _Counting(FuzzyIndex):
@@ -290,3 +303,149 @@ def test_report_digest_repeats():
     assert first[1] == len(cycles) == 58
     assert report_digest.digest(cycles[:3], seeds=(7,), trials=(2,)) != \
         report_digest.digest(cycles[:3], seeds=(0,), trials=(2,))
+
+
+def _by_near_pairs(elements, terms, v):
+    """The reference v pass: per term, its vectors, ``near_pairs`` on them
+    and its dets in ``combinations`` order."""
+    offending, dets = [], []
+    for t_idx, (_, ids) in enumerate(terms):
+        vecs = [elements[i].apply(v) for i in ids]
+        offending += [(t_idx, i, j) for i, j in near_pairs(vecs)]
+        dets.append([det_pair(vecs[i], vecs[j])
+                     for i, j in combinations(range(len(ids)), 2)])
+    return offending, dets
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def test_slot_pass_agrees_with_near_pairs_term_by_term(monkeypatch):
+    # a plan's pass with its slots holding the plan's own ids, or ids of
+    # the same table renamed at random (as a replay renames them), gives
+    # near_pairs' decision, offenders in order and dets, term by term
+    draws = random.Random(9)
+    phis = []
+    for cycle in (torsion_cycle(6), random_boundary_cycle(2, n_terms=3),
+                  five_term_boundary(0.5, 0.25)):
+        hom = _checked_cycle(cycle, SymbolTable())
+        phis.append((hom.table.elements, _repair_core(hom, draws)[1]))
+    verdicts = set()
+    for vgood in (config.VGOOD, 0.3):
+        monkeypatch.setattr(config, "VGOOD", vgood)
+        for elements, phi in phis:
+            plan = _Plan(phi)
+            for renamed in (False, True):
+                ren = {i: i for i in plan.slots}
+                if renamed:
+                    pool = draws.sample(range(len(elements)), len(plan.slots))
+                    ren = dict(zip(plan.slots, pool))
+                terms = [(c, tuple(ren[i] for i in ids)) for c, ids in phi]
+                for _ in range(4):
+                    v = random_vector(draws)
+                    offending, dets = _v_pass(
+                        elements, plan, [ren[i] for i in plan.slots], v)
+                    want, want_dets = _by_near_pairs(elements, terms, v)
+                    assert offending == want
+                    assert [[_bits(dets[k]) for k in row]
+                            for _, row in plan.rows] == \
+                        [list(map(_bits, row)) for row in want_dets]
+                    verdicts.add(not want)
+    assert verdicts == {True, False}
+
+
+_EDGE_CYCLES = [torsion_cycle(6), torsion_cycle(12),
+                random_boundary_cycle(3, n_terms=3),
+                five_term_boundary(0.5, 0.25)]
+
+
+def test_kept_edges_are_those_ldiv_gives(monkeypatch):
+    # a replayed trial keeps the first trial's edge id for every pair with
+    # no renamed slot: its edge ids are ldiv's on every pair (each then a
+    # memo answer), and the evaluation, its symbol table included, is
+    # that of a run resolving every pair through ldiv
+    real, kept = pipeline._lambda_hat, []
+
+    def checked(table, plan, ids, rng, known=None):
+        out = real(table, plan, ids, rng, known)
+        size = len(table.elements)
+        assert out[2] == [table.ldiv(ids[a], ids[b]) for a, b in plan.pairs]
+        assert len(table.elements) == size
+        if known is not None:
+            kept.append((len(plan.pairs) - len(known[1]), len(known[1])))
+        return out
+
+    def every_pair(table, plan, ids, rng, known=None):
+        return real(table, plan, ids, rng)
+
+    for cycle in _EDGE_CYCLES:
+        for seed in (0, 1):
+            runs = []
+            for lam in (checked, every_pair):
+                monkeypatch.setattr(pipeline, "_lambda_hat", lam)
+                hom = _checked_cycle(cycle, SymbolTable())
+                rep = _trial_loop(hom, random.Random(seed), 10, seed)
+                t = hom.table
+                runs.append((dumps_canonical(rep.as_dict()), len(t.elements),
+                             t._products, t._quotients, t._translates))
+            assert runs[0] == runs[1]
+    # not vacuous: every later trial replayed, and (on torsion 12) a
+    # replay kept some edge ids and resolved other pairs anew
+    assert len(kept) == 9 * 2 * len(_EDGE_CYCLES)
+    assert any(k and stale for k, stale in kept)
+
+
+def test_replays_report_as_full_repairs(monkeypatch):
+    # the report digest over a sub-corpus is the same when every later
+    # trial repairs in full (``report_digest --full-repairs``)
+    cycles = [("torsion 6", torsion_cycle(6)), ("torsion 12", torsion_cycle(12)),
+              ("boundary 3", random_boundary_cycle(3, n_terms=3))]
+    real, renamings = chains._replay, []
+
+    def replay(*args):
+        renamings.append(real(*args))
+        return renamings[-1]
+
+    monkeypatch.setattr(chains, "_replay", replay)
+    want = report_digest.digest(cycles, seeds=(0, 7), trials=(10,))
+    assert len(renamings) == 54 and None not in renamings  # all replayed
+    monkeypatch.setattr(chains, "_replay", report_digest.give_up)
+    assert report_digest.digest(cycles, seeds=(0, 7), trials=(10,)) == want
+
+
+def _pairwise_deviation(values):
+    """The reference: the maximum over every pair of trial values."""
+    return max((max(_circle_distance(a.real, b.real), abs(a.imag - b.imag))
+                for a, b in combinations(values, 2)), default=0.0)
+
+
+def _trial_values(rng, n):
+    """``n`` trial values: real parts spread out or clustered near 0, 1,
+    0.5 apart (where the circle distance turns), with ties and 0.0."""
+    kind = rng.randrange(4)
+    base = rng.choice((0.0, 0.25, 0.6, 1 - 1e-15))
+    out = []
+    for _ in range(n):
+        if kind == 0:
+            x = rng.random()
+        elif kind == 1:
+            x = base + rng.choice((0.0, 0.5)) + rng.uniform(-1e-12, 1e-12)
+        elif kind == 2:
+            x = rng.choice((0.0, 1e-16, -1e-16, 0.5, 0.5 + 2e-16, base))
+        else:
+            x = math.nextafter(base + 0.5, rng.choice((0.0, 2.0))) \
+                if rng.random() < 0.5 else base
+        y = rng.choice((0.0, -0.0, rng.uniform(-1e-12, 1e-12),
+                        rng.uniform(-1, 1)))
+        out.append(complex(_mod1(x), y))
+    if out and rng.random() < 0.3:
+        out += out[:rng.randrange(len(out)) + 1]  # repeated trials
+    return out
+
+
+def test_max_deviation_is_the_pairwise_maximum():
+    rng = random.Random(12)
+    for count in (*range(1, 12), *(rng.randrange(12, 201) for _ in range(300))):
+        values = _trial_values(rng, count)
+        assert repr(_max_deviation(values)) == repr(_pairwise_deviation(values))

@@ -542,14 +542,17 @@ _FORCED = {
 
 
 @pytest.mark.parametrize("make", [random.Random, _UniformOnly])
-@pytest.mark.parametrize("forced", sorted(_FORCED))
+@pytest.mark.parametrize("forced, at", [
+    *(pytest.param(name, 2, id=name) for name in sorted(_FORCED)),
+    *(pytest.param(name, 6, id=f"{name}-trial-6") for name in sorted(_FORCED))])
 def test_a_decision_that_differs_falls_back_to_the_full_repair(
-        monkeypatch, make, forced):
-    # trial 2 replays a tape with one decision recorded otherwise.  The
-    # replay stops there, after drawing apexes, and the trial repairs in
-    # full on those draws: the report and the generator's final state equal
-    # those of a run whose replays all give up at once (every later trial a
-    # full repair on the stream)
+        monkeypatch, make, forced, at):
+    # trial ``at`` replays a tape with one decision recorded otherwise.
+    # The replay stops there, after drawing apexes, and the trial repairs
+    # in full on those draws, on a plan of its own; the trials after it
+    # replay again on the first trial's plan: the report and the
+    # generator's final state equal those of a run whose replays all give
+    # up at once (every later trial a full repair on the stream)
     kind, flag, residual, change = _FORCED[forced]
     real_check, split = chains._check_good, []
 
@@ -570,7 +573,7 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
     outcomes, cores = [], []
 
     def replay(table, rng, events, *phis):
-        if not outcomes:
+        if len(outcomes) == at - 2:  # the replay of trial ``at``
             events = mutate(list(events))
         outcomes.append(real_replay(table, rng, events, *phis))
         if outcomes[-1] is None:
@@ -595,8 +598,9 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
                 rep = ccs_value(torsion_cycle(6), seed=gen, trials=10)
             source = gen if isinstance(gen, random.Random) else gen.source
             runs.append((dumps_canonical(rep.as_dict()), source.getstate()))
-        assert outcomes[0] is None and None not in outcomes[1:]
-        assert len(outcomes) == 9 and cores == [0, 1]  # trials 1 and 2
+        assert outcomes[at - 2] is None
+        assert None not in outcomes[:at - 2] + outcomes[at - 1:]
+        assert len(outcomes) == 9 and cores == [0, at - 1]  # trials 1, at
         assert runs[0] == runs[1]
 
 
@@ -606,11 +610,11 @@ def test_replayed_trials_check_their_cone_image(monkeypatch):
     # is refused by trial 2's replay
     real, raised = chains._replay, []
 
-    def replay(table, rng, events, phi_bad, phi):
+    def replay(table, rng, events, phi_bad):
         coeff, ids = phi_bad[0]
         phi_bad[0] = (coeff, ids[:-1] + ids[-2:-1])  # g_3 = g_2
         try:
-            return real(table, rng, events, phi_bad, phi)
+            return real(table, rng, events, phi_bad)
         except RepairFailed:
             raised.append(phi_bad)
             raise
