@@ -18,7 +18,7 @@ import json
 from io import TextIOBase
 
 from .chains import BarChain, SymbolTable
-from .core import GroupElement
+from .core import GroupElement, check_det
 from .errors import DeterminantError, SchemaError
 
 MAX_COEF = 2**53  # every integer up to this size is exactly a float
@@ -28,29 +28,42 @@ def matrix_to_obj(g: GroupElement) -> list:
     return [[x.real, x.imag] for x in g.entries()]
 
 
-def _numbers(obj, where: str) -> tuple:
-    """The eight numbers of a matrix object, shape and types checked."""
-    if (not isinstance(obj, list) or len(obj) != 4
-            or any(not isinstance(p, list) or len(p) != 2 for p in obj)):
-        raise SchemaError(f"{where}: matrix must be four [re, im] pairs")
-    nums = (*obj[0], *obj[1], *obj[2], *obj[3])
-    bad = [x for x in nums if type(x) not in (int, float)]
-    if bad:  # bools and numeric strings too, which float() would take
-        raise SchemaError(f"{where}: non-numeric entry {bad[0]!r}")
-    return nums
+def _numbers(obj, k: int, i: int) -> tuple:
+    """The eight numbers of matrix ``i`` of term ``k``, shape and entry
+    types checked; the error, naming the place, is worded only on failure."""
+    if isinstance(obj, list) and len(obj) == 4:
+        p, q, r, s = obj
+        if (isinstance(p, list) and len(p) == 2
+                and isinstance(q, list) and len(q) == 2
+                and isinstance(r, list) and len(r) == 2
+                and isinstance(s, list) and len(s) == 2):
+            nums = (*p, *q, *r, *s)
+            for x in nums:
+                # bools and numeric strings too, which float() would take
+                if type(x) is not float and type(x) is not int:
+                    raise SchemaError(f"term {k}, matrix {i}: "
+                                      f"non-numeric entry {x!r}")
+            return nums
+    raise SchemaError(f"term {k}, matrix {i}: matrix must be four "
+                      "[re, im] pairs")
 
 
-def _element(nums: tuple, where: str) -> GroupElement:
+def _element(nums: tuple, k: int, i: int) -> GroupElement:
+    """The element of ``nums``, matrix ``i`` of term ``k``: its range,
+    finiteness and det validated, and the element built, once."""
     try:
-        vals = [complex(nums[k], nums[k + 1]) for k in (0, 2, 4, 6)]
+        a, b, c, d = (complex(nums[0], nums[1]), complex(nums[2], nums[3]),
+                      complex(nums[4], nums[5]), complex(nums[6], nums[7]))
     except OverflowError:  # an integer beyond the float range
-        raise SchemaError(f"{where}: entry out of range")
-    if not all(cmath.isfinite(z) for z in vals):
-        raise SchemaError(f"{where}: non-finite entry")
+        raise SchemaError(f"term {k}, matrix {i}: entry out of range")
+    isfinite = cmath.isfinite
+    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
+        raise SchemaError(f"term {k}, matrix {i}: non-finite entry")
     try:
-        return GroupElement(*vals)
+        check_det(a, b, c, d)
     except DeterminantError as exc:
-        raise DeterminantError(f"{where}: {exc}")
+        raise DeterminantError(f"term {k}, matrix {i}: {exc}")
+    return GroupElement._unchecked(a, b, c, d)
 
 
 def chain_to_obj(c: BarChain) -> dict:
@@ -94,10 +107,9 @@ def chain_from_obj(obj, tol: float | None = None) -> BarChain:
             raise SchemaError(f"term {k}: bar symbol must list {degree} matrices")
         sym = []
         for i, m in enumerate(bar):
-            where = f"term {k}, matrix {i}"
-            nums = _numbers(m, where)
+            nums = _numbers(m, k, i)
             if (x := ids.get(nums)) is None:
-                x = ids[nums] = table.intern(_element(nums, where))
+                x = ids[nums] = table.intern(_element(nums, k, i))
             sym.append(x)
         terms.append((coeff, tuple(sym)))
     chain = BarChain._on(table, degree, terms)
@@ -125,23 +137,56 @@ def parse_cycle_file(path: str, tol: float | None = None) -> BarChain:
 # deterministic writer
 
 
+# what ``_fmt`` writes a value as: its exact type, or else the first of
+# these it is an instance of (bool before int)
+_KINDS = (bool, int, float, str, type(None), list, tuple, dict)
+_PAIR = "[%.17g, %.17g]"
+_MATRIX = ", ".join([_PAIR] * 4).join("[]")
+_quote = json.encoder.encode_basestring_ascii  # json.dumps of a str
+
+
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
+    """The canonical JSON text of ``value``, dispatched on its exact type.
+    A float takes 17 significant digits, ``null`` when not finite (the
+    only formatted floats with an "n": inf and nan).  A [re, im] pair of
+    plain floats, and a four-pair matrix of them in lists, is written
+    with one format; with a value not a plain float or not finite, it
+    takes the general path, element by element."""
+    kind = type(value)
+    if kind not in _KINDS:  # a subclass writes as its base
+        kind = next((t for t in _KINDS if isinstance(value, t)), None)
+    if kind is float:
+        out = "%.17g" % value
+        return out if "n" not in out else "null"
+    if kind is list or kind is tuple:
+        if len(value) == 2:
+            re, im = value
+            if type(re) is float and type(im) is float:
+                out = _PAIR % (re, im)
+                if "n" not in out:
+                    return out
+        elif len(value) == 4:
+            p, q, r, s = value
+            if (type(p) is list and len(p) == 2 and type(q) is list
+                    and len(q) == 2 and type(r) is list and len(r) == 2
+                    and type(s) is list and len(s) == 2):
+                nums = (*p, *q, *r, *s)
+                if all([type(x) is float for x in nums]):
+                    out = _MATRIX % nums
+                    if "n" not in out:
+                        return out
+        return "[" + ", ".join(map(_fmt, value)) + "]"
+    if kind is dict:
+        return "{" + ", ".join([f"{_quote(str(k))}: {_fmt(v)}"
+                                for k, v in value.items()]) + "}"
+    if kind is str:
+        return _quote(value)
+    if kind is int:
         return str(value)
-    if isinstance(value, float):
-        out = format(value, ".17g")
-        return out if out not in ("inf", "-inf", "nan") else "null"
-    if isinstance(value, str):
-        return json.dumps(value)
+    if kind is bool:
+        return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fmt(v) for v in value) + "]"
-    if isinstance(value, dict):
-        items = (f"{json.dumps(str(k))}: {_fmt(v)}" for k, v in value.items())
-        return "{" + ", ".join(items) + "}"
     raise TypeError(f"cannot serialize {type(value)}")
 
 

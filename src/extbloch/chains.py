@@ -48,6 +48,8 @@ _Terms = list[tuple[int, Ids]]
 MAX_DEGREE = 4  # the pipeline needs cycles (3) and homotopies (4) only
 V_ATTEMPTS = 1000  # draws of v before ``sample_generic_v`` gives up
 
+_SIGNS = (1, -1) * 3  # (-1)^i for the faces of a tuple of up to 6 entries
+
 # kinds of the events on a repair's tape (see ``_repairs``)
 _MUL, _LDIV, _REUSE, _DRAW = range(4)
 
@@ -137,20 +139,15 @@ class SymbolTable:
                 c: complex, d: complex) -> int:
         """The id of (a b; c d), just formed from ids i and j by ``op``: det
         checked and eight floats keyed as ``GroupElement`` and ``intern`` do,
-        an element built for a new id only (its det is not checked again).
-        The event goes on the tape when one is on."""
+        an element built for a new id only (``GroupElement._unchecked``: its
+        det is not checked again).  The event goes on the tape when one is
+        on."""
         check_det(a, b, c, d)
         fresh = len(self.elements)
         ident = self._index.key((a.real, a.imag, b.real, b.imag,
                                  c.real, c.imag, d.real, d.imag))
         if ident == fresh:
-            # filled directly: Record.__init__ would double this hot step
-            g, fill = object.__new__(GroupElement), object.__setattr__
-            fill(g, "a", a)
-            fill(g, "b", b)
-            fill(g, "c", c)
-            fill(g, "d", d)
-            self.elements.append(g)
+            self.elements.append(GroupElement._unchecked(a, b, c, d))
         self._translates.setdefault(ident, ((op, i), j))
         if self.tape is not None:
             self.tape.append((op, i, j, ident, ident == fresh))
@@ -183,7 +180,8 @@ class SymbolTable:
         first = ids[0]
         if first == self.identity:
             return ids
-        return (self.identity,) + tuple(self.ldiv(first, i) for i in ids[1:])
+        ldiv = self.ldiv
+        return (self.identity, *[ldiv(first, i) for i in ids[1:]])
 
 
 class _Chain(FormalSum):
@@ -307,21 +305,34 @@ def hom_to_inhom(c: HomChain) -> BarChain:
     return BarChain._on(table, c.degree, out)
 
 
+def _bar_faces(c: BarChain) -> dict[Ids, int]:
+    """The bar boundary of ``c`` (degree >= 1) summed into a dict, face ids
+    -> coefficient, in first-met order, zero sums kept: per term the face
+    dropping the first symbol, those merging adjacent pairs (each product
+    formed in turn) and the one dropping the last."""
+    mul, n = c.table.mul, c.degree
+    acc: dict[Ids, int] = {}
+    get = acc.get
+    for ids, t in c._terms.items():
+        coeff = t[0]
+        face = ids[1:]
+        acc[face] = get(face, 0) + coeff
+        for i in range(n - 1):
+            face = ids[:i] + (mul(ids[i], ids[i + 1]),) + ids[i + 2:]
+            acc[face] = get(face, 0) + coeff * _SIGNS[i + 1]
+        face = ids[:-1]
+        acc[face] = get(face, 0) + coeff * _SIGNS[n]
+    return acc
+
+
 def bar_boundary(c: BarChain) -> BarChain:
     """Alternating sum dropping the first symbol, merging adjacent pairs,
     and dropping the last."""
     if c.degree < 1:
         raise ValueError("boundary needs degree >= 1")
-    mul = c.table.mul
-    out = []
-    n = c.degree
-    for coeff, ids in c.pairs():
-        out.append((coeff, ids[1:]))
-        for i in range(n - 1):
-            merged = ids[:i] + (mul(ids[i], ids[i + 1]),) + ids[i + 2:]
-            out.append((coeff * (-1) ** (i + 1), merged))
-        out.append((coeff * (-1) ** n, ids[:-1]))
-    return BarChain._on(c.table, n - 1, out)
+    faces = _bar_faces(c)
+    return BarChain._on(c.table, c.degree - 1,
+                        ((coeff, face) for face, coeff in faces.items()))
 
 
 def hom_boundary(c: HomChain) -> HomChain:
@@ -364,17 +375,21 @@ def _checked_cycle(c: BarChain, table: SymbolTable) -> HomChain:
     if c.degree != 3:
         raise NotACycle(f"evaluation needs a 3-cycle, got degree {c.degree}")
     c = c.interned(table)
-    residual = _residual(c)
-    if not residual.is_empty():
-        raise NotACycle(f"not a cycle: boundary has {len(residual)} terms")
+    if nonzero := sum(1 for coeff in _bar_faces(c).values() if coeff):
+        raise NotACycle(f"not a cycle: boundary has {nonzero} terms")
     return inhom_to_hom(c)
 
 
 def conjugate_chain(g: GroupElement, c: BarChain) -> BarChain:
-    """Entrywise conjugation g . g_i . g^-1 of every symbol."""
-    ginv = g.inverse()
-    return BarChain(c.degree, [(coeff, tuple(g @ h @ ginv for h in sym))
-                               for coeff, sym in c])
+    """Entrywise conjugation g . g_i . g^-1 of every symbol, formed once
+    per distinct id of ``c`` and keyed, in first-met order, on a table of
+    its own."""
+    ginv, elements, table = g.inverse(), c.table.elements, SymbolTable()
+    first_met = dict.fromkeys(i for _, ids in c.pairs() for i in ids)
+    conj = {i: table.intern(g @ elements[i] @ ginv) for i in first_met}
+    return BarChain._on(table, c.degree,
+                        ((coeff, tuple([conj[i] for i in ids]))
+                         for coeff, ids in c.pairs()))
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +570,7 @@ class _ConeRepairer:
     ``images`` gives (phi(s), H(s)) on canonical orbit representatives,
     memoized by the canonical id tuple so shared faces get identical
     images, and extended equivariantly.  Images are (coefficient, ids)
-    lists: only ``linear``, whose sums cancel, merges terms.
+    lists, merged as ``linear`` merges: equal tuples add, zeros drop.
     """
 
     def __init__(self, rng, table: SymbolTable):
@@ -599,47 +614,62 @@ class _ConeRepairer:
     def images(self, ids: Ids) -> tuple[_Terms, _Terms]:
         """(phi(s), H(s)) for the tuple s = ``ids``."""
         table = self.table
-        canon = table.canonical(ids)
+        first = ids[0]
+        canon = ids if first == table.identity else table.canonical(ids)
         pair = self._memo.get(canon)
         if pair is None:
             if table.good(canon):
                 pair = [(1, canon)], []
             else:
                 faces = [(c, self.images(f)) for c, f in _faces(canon)]
-                phi = self.linear((c, img[0]) for c, img in faces)
+                acc: dict[Ids, int] = {}  # phi(ds), merged as ``linear``
+                get = acc.get
+                for c, (phi_f, _) in faces:
+                    for d, t in phi_f:
+                        acc[t] = get(t, 0) + c * d
+                phi = [(d, t) for t, d in acc.items() if d]
                 if phi:
-                    apex = self._apex_for(len(canon), phi)
-                    phi = [(c, (apex,) + t) for c, t in phi]
+                    apex = (self._apex_for(len(canon), phi),)
+                    phi = [(d, apex + t) for d, t in phi]
                 # else cone(a, 0) = 0 for every apex a: draw none
+                acc = {}  # X = phi(s) - s - H(ds)
+                get = acc.get
+                for d, t in phi:
+                    acc[t] = get(t, 0) + d
+                acc[canon] = get(canon, 0) - 1
+                for c, (_, h_f) in faces:
+                    for d, t in h_f:
+                        acc[t] = get(t, 0) - c * d
                 one = (table.identity,)
-                x = self.linear([(1, phi), (-1, [(1, canon)]),
-                                 *((-c, img[1]) for c, img in faces)])
-                pair = phi, [(c, one + t) for c, t in x]
+                pair = phi, [(d, one + t) for t, d in acc.items() if d]
             self._memo[canon] = pair
-        first = ids[0]
         if first == table.identity:
             return pair
         mul = table.mul
-        return tuple([(c, tuple(mul(first, i) for i in t)) for c, t in terms]
-                     for terms in pair)
+        return ([(c, tuple([mul(first, i) for i in t])) for c, t in pair[0]],
+                [(c, tuple([mul(first, i) for i in t])) for c, t in pair[1]])
 
     def linear(self, sums: Iterable[tuple[int, _Terms]],
                canonical: bool = False) -> _Terms:
         """The sum of coefficient times term list over ``sums``, merged:
         equal tuples add, first-seen order, zeros dropped, tuples keyed by
-        their canonical representative when ``canonical``."""
-        canon = self.table.canonical if canonical else None
+        their canonical representative when ``canonical`` (a tuple that
+        starts with the identity is its own)."""
+        one, canon = self.table.identity, self.table.canonical
         acc: dict[Ids, int] = {}
+        get = acc.get
         for coeff, terms in sums:
             for c, t in terms:
-                if canon:
+                if canonical and t[0] != one:
                     t = canon(t)
-                acc[t] = acc.get(t, 0) + coeff * c
+                acc[t] = get(t, 0) + coeff * c
         return [(c, t) for t, c in acc.items() if c]
 
 
 def _faces(ids: Ids) -> _Terms:
-    return [((-1) ** i, ids[:i] + ids[i + 1:]) for i in range(len(ids))]
+    """(-1)^i and ``ids`` less its entry i, for i = 0, 1, ... (the order
+    reverses that of ``combinations``, which first drops the last entry)."""
+    return list(zip(_SIGNS, reversed([*combinations(ids, len(ids) - 1)])))
 
 
 def _repair_core(hom: HomChain, rng) -> tuple[_Terms, _Terms, _Terms]:

@@ -116,6 +116,18 @@ class GroupElement(FrozenRecord):
         super().__init__(a, b, c, d)
 
     @classmethod
+    def _unchecked(cls, a: complex, b: complex, c: complex,
+                   d: complex) -> "GroupElement":
+        """(a b; c d) with its slots filled directly and no det check, for
+        a caller that ran ``check_det`` itself."""
+        g, fill = object.__new__(cls), object.__setattr__
+        fill(g, "a", a)
+        fill(g, "b", b)
+        fill(g, "c", c)
+        fill(g, "d", d)
+        return g
+
+    @classmethod
     def identity(cls) -> "GroupElement":
         return cls(1.0, 0.0, 0.0, 1.0)
 
@@ -162,7 +174,7 @@ class GroupElement(FrozenRecord):
                     and abs(c + g) <= tol and abs(d + h) <= tol))
 
     def max_abs(self) -> float:
-        return max(abs(x) for x in self.entries())
+        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
 
 class ProjVector(FrozenRecord):

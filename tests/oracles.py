@@ -1,14 +1,16 @@
 """Independent oracles used to freeze expected values.
 
 These deliberately avoid the library's own code paths: the dilogarithm is
-integrated by composite Simpson from its defining integral, and the wedge
+integrated by composite Simpson from its defining integral, the wedge
 identity is expanded over opaque symbols with a dict, not the library's
-wedge type.
+wedge type, and the canonical JSON text is written by a plain recursive
+``isinstance`` dispatch, element by element.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 
 
 def li2_simpson(z: complex, panels: int | None = None) -> complex:
@@ -100,3 +102,30 @@ def dict_difference(d1: dict, d2: dict) -> dict:
         if out[k] == 0:
             del out[k]
     return out
+
+
+# ---------------------------------------------------------------------------
+# canonical JSON text, element by element (the reference for chainio's writer)
+
+
+def fmt_reference(value) -> str:
+    """The canonical JSON text of ``value``: insertion key order, floats
+    with 17 significant digits, ``null`` for a float that is not finite."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        out = format(value, ".17g")
+        return out if out not in ("inf", "-inf", "nan") else "null"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(fmt_reference(v) for v in value) + "]"
+    if isinstance(value, dict):
+        items = (f"{json.dumps(str(k))}: {fmt_reference(v)}"
+                 for k, v in value.items())
+        return "{" + ", ".join(items) + "}"
+    raise TypeError(f"cannot serialize {type(value)}")

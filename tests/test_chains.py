@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from extbloch import config
+from extbloch.chainio import chain_to_obj, dumps_canonical
 from extbloch.core import (GroupElement, det_pair, random_sl2, random_vector,
                            rotation)
 from extbloch.chains import (BarChain, HomChain, SymbolTable, _checked_cycle,
@@ -366,6 +367,22 @@ def test_repair_deterministic(rng):
     r1 = repair_with_certificate(c, seed=9).chain
     r2 = repair_with_certificate(c, seed=9).chain
     assert (r1 - r2).is_empty()
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_conjugate_chain_forms_each_distinct_conjugate_once(n):
+    # one conjugate per distinct id gives the chain, and the canonical
+    # text, of conjugating every occurrence
+    rng = random.Random(n)
+    for _ in range(3):
+        g, c = random_sl2(rng), torsion_cycle(n)
+        ginv = g.inverse()
+        each = BarChain(c.degree, [(coeff, tuple(g @ h @ ginv for h in sym))
+                                   for coeff, sym in c])
+        once = conjugate_chain(g, c)
+        assert (dumps_canonical(chain_to_obj(once))
+                == dumps_canonical(chain_to_obj(each)))
+        assert once.table.elements == each.table.elements
 
 
 def test_conjugate_chain_is_cycle(rng):

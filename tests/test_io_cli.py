@@ -2,20 +2,26 @@ import io
 import json
 import math
 import os
+import random
+import struct
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
 
 from extbloch import selftest
-from extbloch.chainio import (chain_to_obj, dumps_canonical, emit_report,
-                              parse_cycle_file)
-from extbloch.chains import is_cycle
+from extbloch.chainio import (_write_chain, chain_to_obj, dumps_canonical,
+                              emit_report, parse_cycle_file)
+from extbloch.chains import bar_boundary, conjugate_chain, is_cycle
 from extbloch.cli import MAX_TORSION_N, MAX_TURNS, build_parser, main
+from extbloch.core import GroupElement
 from extbloch.errors import DeterminantError, SchemaError
-from extbloch.fixtures import five_term_boundary, torsion_cycle
+from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
+                               torsion_cycle)
 from extbloch.pipeline import ccs_value
+from oracles import fmt_reference
 
 
 def _run(*args, **kw):
@@ -93,6 +99,115 @@ def test_canonical_floats_lossless():
     text = dumps_canonical({"v": vals})
     parsed = json.loads(text)
     assert parsed["v"] == vals
+
+
+_SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                   -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                   0.1, 1e16, 1e-7, 123456789012345680.0)
+
+
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
+def _random_float(rng):
+    """A special value, a float of any bit pattern (NaN, subnormal and
+    infinite ones included) or a float near 1."""
+    pick = rng.random()
+    if pick < 0.3:
+        return rng.choice(_SPECIAL_FLOATS)
+    if pick < 0.6:
+        bits = rng.getrandbits(64).to_bytes(8, "little")
+        return struct.unpack("<d", bits)[0]
+    return rng.uniform(-4.0, 4.0)
+
+
+def _random_leaf(rng):
+    kind = rng.randrange(7)
+    if kind == 0:
+        return rng.choice((0, 1, -7, 2**53, 2**53 + 1, -(2**64) - 3, 10**30))
+    if kind == 1:
+        return rng.choice((True, False, None))
+    if kind == 2:
+        return rng.choice(('', 'plain', 'say "hi"', 'back\\slash', 'tab\t',
+                           'caf\u00e9', '\u6f22\u5b57', '\U0001f600', '\x00'))
+    if kind == 3:
+        return rng.choice((_Float(0.25), _Float(math.inf), _Int(5),
+                           _Str('sub "str"')))
+    return _random_float(rng)
+
+
+def _random_pairs(rng, count):
+    """``count`` [re, im] pairs of floats; at times one entry is an int or
+    not finite, or a pair is a tuple."""
+    nums = [_random_float(rng) if rng.random() < 0.3 else rng.uniform(-2, 2)
+            for _ in range(2 * count)]
+    if rng.random() < 0.4:
+        nums[rng.randrange(len(nums))] = rng.choice(
+            (1, 0, -3, 2**60, True, math.nan, math.inf, -math.inf))
+    pairs = [[nums[2 * k], nums[2 * k + 1]] for k in range(count)]
+    if rng.random() < 0.1:
+        pairs[rng.randrange(count)] = tuple(pairs[0])
+    return pairs
+
+
+def _random_value(rng, depth=0):
+    kind = rng.randrange(9) if depth < 4 else 0
+    if kind == 0:
+        return _random_leaf(rng)
+    if kind == 1:
+        return _random_pairs(rng, 1)[0]
+    if kind == 2:
+        return _random_pairs(rng, 4)
+    if kind == 3:
+        return [_random_value(rng, depth + 1) for _ in range(rng.randrange(6))]
+    if kind == 4:
+        return tuple(_random_value(rng, depth + 1)
+                     for _ in range(rng.randrange(5)))
+    if kind == 5:
+        return _List(_random_value(rng, depth + 1) for _ in range(2))
+    keys = (rng.choice(("a", 'q"k', "\u00e9", 3, -1, 2.5, math.inf, True,
+                        None)) for _ in range(rng.randrange(5)))
+    out = {k: _random_value(rng, depth + 1) for k in keys}
+    return OrderedDict(out) if kind == 6 else out
+
+
+def test_canonical_text_is_the_reference_byte_for_byte():
+    # the writer's exact-type dispatch and one-format pairs and matrices
+    # give the text of the element-by-element reference, on values of
+    # every kind and subclass, non-finite and int entries in pairs and
+    # matrices included
+    rng = random.Random(20)
+    for _ in range(3000):
+        value = _random_value(rng)
+        assert dumps_canonical(value) == fmt_reference(value) + "\n", value
+    for value in ({1: {2}}, [1j], (b"x",)):
+        with pytest.raises(TypeError, match="^cannot serialize "):
+            dumps_canonical(value)
+
+
+@pytest.mark.parametrize("chain", [
+    torsion_cycle(7),
+    five_term_boundary(0.5, 0.25),
+    conjugate_chain(GroupElement(3, 0.3, 0, 1 / 3), torsion_cycle(7)),
+], ids=["torsion-7", "five-term", "torsion-7-conjugated"])
+def test_streamed_chain_text_is_the_canonical_text(chain):
+    out = io.StringIO()
+    _write_chain(chain, out, None)
+    obj = chain_to_obj(chain)
+    assert out.getvalue() == dumps_canonical(obj) == fmt_reference(obj) + "\n"
 
 
 def test_cli_torsion_eval_round_trip(tmp_path):
@@ -180,6 +295,45 @@ def test_cli_rejects_non_finite_entries(tmp_path, capsys, matrix, command):
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "term 0, matrix 0" in err
+
+
+@pytest.mark.parametrize("command", ["check-cycle", "eval"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_cli_refuses_the_non_finite_literals_json_reads(tmp_path, capsys,
+                                                        literal, command):
+    # Python's json reads NaN, Infinity and -Infinity as floats; the file
+    # promises finite numbers, so such an entry is refused where it appears
+    text = dumps_canonical(chain_to_obj(torsion_cycle(5)))
+    doc = json.loads(text)
+    doc["terms"][1]["bar"][2][3][1] = "SPOT"
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(doc).replace('"SPOT"', literal))
+    assert literal in path.read_text()
+    assert main([command, str(path)]) == 2
+    assert (capsys.readouterr().err
+            == "error: term 1, matrix 2: non-finite entry\n")
+
+
+@pytest.mark.parametrize("case", ["torsion-coef", "boundary-dropped"])
+def test_residual_counts_agree(tmp_path, capsys, case):
+    # on a chain that is not a cycle, check-cycle's boundary_terms, the
+    # count eval's NotACycle names and the bar boundary's length agree
+    if case == "torsion-coef":
+        doc = chain_to_obj(torsion_cycle(7))
+        doc["terms"][2]["coef"] = 3
+    else:
+        doc = chain_to_obj(random_boundary_cycle(3, n_terms=2))
+        del doc["terms"][4]
+    path = tmp_path / "residual.json"
+    path.write_text(dumps_canonical(doc))
+    count = len(bar_boundary(parse_cycle_file(str(path))))
+    assert count > 0
+    assert main(["check-cycle", str(path)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert (out["is_cycle"], out["boundary_terms"]) == (False, count)
+    assert main(["eval", str(path)]) == 2
+    assert (capsys.readouterr().err
+            == f"error: not a cycle: boundary has {count} terms\n")
 
 
 def _refused(name, argv, reason):
