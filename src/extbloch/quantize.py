@@ -9,7 +9,19 @@ the first time, so a repeated value always keeps its first id.  A new value
 is rounded onto a grid of cell size ``tol``; plain rounding fails when two
 nearly-equal values straddle a cell boundary, so the lookup also probes the
 neighbouring cell whenever a coordinate sits within a guard band of the
-boundary.
+boundary, in every coordinate that does.
+
+The rounding rule: the cell of a coordinate ``x`` is ``round(x / tol)``,
+ties to even, as a float, computed as ``s + _MAGIC - _MAGIC`` with
+``s = x / tol``.  That sum is exact when ``s + _MAGIC`` lands in
+``[2**52, 2**53)``, where floats are the integers: for ``-2**51 <= s <
+2**51``.  Beyond that every float is a multiple of 1/2 and the sum may be
+off: above ``2**51`` it is ``s`` or at least 1/2 away from it, and below
+``-2**51`` it keeps a half-integer ``s`` as it is, so a result below
+``-2**51`` counts as off.  A coordinate rounded off, or near a cell
+boundary, takes the probe of all cells, which rounds it with ``round``
+where the sum is off.  Float cells equal the integer ones as dictionary
+keys.
 
 The identity rule this gives: a new value gets a stored id only when the
 first vector stored under it is within ``tol`` in every entry, so values
@@ -34,6 +46,9 @@ _GUARD = 1e-3
 # a coordinate closer than this to its cell centre splits nothing, whatever
 # the rounding of ``0.5 - off``
 _CLEAR = 0.5 - 2 * _GUARD
+# s + _MAGIC - _MAGIC is round(s), ties to even, for _LOW <= s < -_LOW
+_MAGIC = 1.5 * 2.0 ** 52
+_LOW = -2.0 ** 51
 
 
 class FuzzyIndex:
@@ -42,16 +57,19 @@ class FuzzyIndex:
     A repeated value gets its first id.  A new value gets the id of the
     first stored vector within ``tol`` in every entry that sits in the
     vector's grid cell or in a probed neighbour; see the module docstring
-    for what that does and does not identify.  ``key`` is the entry point.
-    A new value with no coordinate within ``2 * _GUARD`` of a cell boundary
-    cannot split, so only its own cell is looked up (an empty one gives a
-    new id at once), with the first-match rule and storage of the probe of
-    all cells (``_probe_all``), which takes every other new value."""
+    for what that does and does not identify, and for the rounding rule.
+    ``key`` is the entry point.  It rounds a new value in one pass over its
+    coordinates; when every coordinate rounds exactly (``_LOW <= r``) and
+    lies within ``_CLEAR`` of its cell centre, nothing splits, so only the
+    one cell is looked up (an empty one gives a new id at once).  Any
+    other new value takes the probe of all cells (``_probe_all``), which
+    splits every coordinate in the guard band, so at most ``2 ** dim``
+    cells; both scan a cell with ``_first_within``."""
 
     def __init__(self, tol: float):
         self.tol = tol
         self._seen: dict[tuple[float, ...], int] = {}
-        self._cells: dict[tuple[int, ...], list[int]] = {}
+        self._cells: dict[tuple[float, ...], list[int]] = {}
         self._reps: list[tuple[float, ...]] = []
 
     def __len__(self) -> int:
@@ -63,61 +81,69 @@ class FuzzyIndex:
         if ident is not None:
             return ident
         tol = self.tol
-        try:
-            scaled = [x / tol for x in vals]
-            cells = tuple(map(round, scaled))
-        except (OverflowError, ValueError):  # an infinite or NaN x / tol
-            return self._probe_all(vals)  # raises, naming the value
-        if max(map(abs, map(sub, scaled, cells)), default=0.0) >= _CLEAR:
-            ident = self._probe_all(vals)  # some coordinate may split
-        elif cells not in self._cells:  # nothing splits, and no one is
-            ident = len(self._reps)     # stored in the one cell
-            self._reps.append(vals)
-            self._cells[cells] = [ident]
+        cells = []
+        for x in vals:
+            s = x / tol
+            r = s + _MAGIC - _MAGIC
+            # fails for r off or near a cell boundary, and for the NaN
+            # offset of an infinite or NaN x / tol
+            if not (-_CLEAR < s - r < _CLEAR and _LOW <= r):
+                ident = self._probe_all(vals)  # raises for inf and NaN
+                break
+            cells.append(r)
         else:
-            ident = self._lookup((cells,), cells, vals)
+            cell = tuple(cells)
+            bucket = self._cells.get(cell)  # None: nothing splits, and no
+            ident = (None if bucket is None  # one is stored in the one cell
+                     else self._first_within(bucket, vals))
+            if ident is None:
+                ident = self._store(cell, vals)
         self._seen[vals] = ident
         return ident
 
     def _probe_all(self, vals: tuple[float, ...]) -> int:
-        """The id of the new value ``vals``, looked up in every cell the
-        guard band splits it into."""
+        """The id of the new value ``vals``: the first stored vector within
+        ``tol`` in the cells the guard band splits it into, in order, else
+        a new id stored under its own cell."""
         tol = self.tol
         # per coordinate: its cell, then the neighbour when it sits in the
-        # guard band of a cell boundary (at most 6 coordinates split)
-        options: list[tuple[int, ...]] = []
-        splits = 0
+        # guard band of a cell boundary
+        options: list[tuple[float, ...]] = []
         for x in vals:
-            scaled = x / tol
-            try:
-                cell = int(round(scaled))
-            except OverflowError:  # x / tol is infinite
-                raise OutOfGrid(f"value {x!r} is out of range at comparison "
-                                f"tolerance {tol!r}") from None
-            off = scaled - cell  # in [-1/2, 1/2], boundaries at +-1/2
-            alt = (cell + 1 if 0.5 - off < _GUARD
-                   else cell - 1 if 0.5 + off < _GUARD else None)
-            if alt is not None and splits < 6:
-                options.append((cell, alt))
-                splits += 1
-            else:
-                options.append((cell,))
-        primary = tuple(o[0] for o in options)  # product's first cell
-        return self._lookup(product(*options), primary, vals)
+            s = x / tol
+            r = s + _MAGIC - _MAGIC
+            # beyond 2**51 r may be off, and for x / tol infinite or NaN the
+            # offset is NaN: round s itself, which raises for those
+            if not (-0.5 <= s - r <= 0.5 and _LOW <= r):
+                try:
+                    r = float(round(s))  # a NaN raises ValueError
+                except OverflowError:
+                    raise OutOfGrid(f"value {x!r} is out of range at "
+                                    f"comparison tolerance {tol!r}") from None
+            off = s - r  # in [-1/2, 1/2], boundaries at +-1/2
+            options.append((r, r + 1.0) if 0.5 - off < _GUARD
+                           else (r, r - 1.0) if 0.5 + off < _GUARD
+                           else (r,))
+        for cell in product(*options):
+            ident = self._first_within(self._cells.get(cell, ()), vals)
+            if ident is not None:
+                return ident
+        return self._store(tuple(o[0] for o in options), vals)
 
-    def _lookup(self, cells: Iterable[tuple[int, ...]],
-                primary: tuple[int, ...], vals: tuple[float, ...]) -> int:
-        """The first id stored in ``cells``, in order, within ``tol`` of
-        ``vals`` in every entry; else a new id stored under ``primary``."""
-        tol = self.tol
-        for cell in cells:
-            for ident in self._cells.get(cell, ()):
-                rep = self._reps[ident]
-                if len(rep) == len(vals) and all(
-                    abs(a - b) <= tol for a, b in zip(rep, vals)
-                ):
-                    return ident
+    def _store(self, cell: tuple[float, ...], vals: tuple[float, ...]) -> int:
+        """A new id for ``vals``, stored under ``cell``."""
         ident = len(self._reps)
         self._reps.append(vals)
-        self._cells.setdefault(primary, []).append(ident)
+        self._cells.setdefault(cell, []).append(ident)
         return ident
+
+    def _first_within(self, bucket: Iterable[int],
+                      vals: tuple[float, ...]) -> int | None:
+        """The first id in ``bucket`` whose vector is within ``tol`` of
+        ``vals`` in every entry, else None.  Stored vectors are finite and
+        a cell holds vectors of one length, that of ``vals``."""
+        reps, tol = self._reps, self.tol
+        for ident in bucket:
+            if max(map(abs, map(sub, reps[ident], vals))) <= tol:
+                return ident
+        return None

@@ -3,14 +3,19 @@
 These deliberately avoid the library's own code paths: the dilogarithm is
 integrated by composite Simpson from its defining integral, the wedge
 identity is expanded over opaque symbols with a dict, not the library's
-wedge type, and the canonical JSON text is written by a plain recursive
-``isinstance`` dispatch, element by element.
+wedge type, the canonical JSON text is written by a plain recursive
+``isinstance`` dispatch, element by element, and float vectors are keyed
+by a frozen copy of the fuzzy index that rounds with ``round`` to int cells.
 """
 
 from __future__ import annotations
 
 import cmath
 import json
+from itertools import product
+from operator import sub
+
+from extbloch.errors import OutOfGrid
 
 
 def li2_simpson(z: complex, panels: int | None = None) -> complex:
@@ -129,3 +134,79 @@ def fmt_reference(value) -> str:
                  for k, v in value.items())
         return "{" + ", ".join(items) + "}"
     raise TypeError(f"cannot serialize {type(value)}")
+
+
+# ---------------------------------------------------------------------------
+# fuzzy index with int cells (the reference for quantize.FuzzyIndex)
+
+
+class FuzzyIndexReference:
+    """``quantize.FuzzyIndex`` as it keyed values with int cells from
+    ``round``, frozen as the reference for its ids, stored vectors and
+    cells, with one change: every coordinate in the guard band splits,
+    where the frozen copy split at most 6."""
+
+    GUARD = 1e-3
+    CLEAR = 0.5 - 2 * GUARD
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self._seen: dict = {}
+        self._cells: dict = {}
+        self._reps: list = []
+
+    def __len__(self) -> int:
+        return len(self._reps)
+
+    def key(self, values) -> int:
+        vals = tuple(values)
+        ident = self._seen.get(vals)
+        if ident is not None:
+            return ident
+        tol = self.tol
+        try:
+            scaled = [x / tol for x in vals]
+            cells = tuple(map(round, scaled))
+        except (OverflowError, ValueError):  # an infinite or NaN x / tol
+            return self._probe_all(vals)  # raises, naming the value
+        if max(map(abs, map(sub, scaled, cells)), default=0.0) >= self.CLEAR:
+            ident = self._probe_all(vals)  # some coordinate may split
+        elif cells not in self._cells:
+            ident = len(self._reps)
+            self._reps.append(vals)
+            self._cells[cells] = [ident]
+        else:
+            ident = self._lookup((cells,), cells, vals)
+        self._seen[vals] = ident
+        return ident
+
+    def _probe_all(self, vals) -> int:
+        tol = self.tol
+        options = []
+        for x in vals:
+            scaled = x / tol
+            try:
+                cell = int(round(scaled))
+            except OverflowError:  # x / tol is infinite
+                raise OutOfGrid(f"value {x!r} is out of range at comparison "
+                                f"tolerance {tol!r}") from None
+            off = scaled - cell
+            alt = (cell + 1 if 0.5 - off < self.GUARD
+                   else cell - 1 if 0.5 + off < self.GUARD else None)
+            options.append((cell,) if alt is None else (cell, alt))
+        primary = tuple(o[0] for o in options)
+        return self._lookup(product(*options), primary, vals)
+
+    def _lookup(self, cells, primary, vals) -> int:
+        tol = self.tol
+        for cell in cells:
+            for ident in self._cells.get(cell, ()):
+                rep = self._reps[ident]
+                if len(rep) == len(vals) and all(
+                    abs(a - b) <= tol for a, b in zip(rep, vals)
+                ):
+                    return ident
+        ident = len(self._reps)
+        self._reps.append(vals)
+        self._cells.setdefault(primary, []).append(ident)
+        return ident

@@ -2,11 +2,14 @@
 
 import ast
 import math
+import random
 from pathlib import Path
 
 from extbloch import config
-from extbloch.chains import SymbolTable
-from extbloch.fixtures import random_boundary_cycle
+from extbloch.chains import BarChain, SymbolTable, conjugate_chain
+from extbloch.core import GroupElement
+from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
+                               torsion_cycle)
 from extbloch.pipeline import ccs_value
 
 import pytest
@@ -25,6 +28,55 @@ def test_boundary_annihilation_100(rng):
         val = ccs_value(c, seed=k, trials=1).value_mod1
         worst = max(worst, _mod1_dist(val.real), abs(val.imag))
     assert worst < 1e-7
+
+
+# the conjugator of the tests below: entries up to 3, an upper triangle
+_CONJ = GroupElement(3.0, 0.3, 0.0, 1.0 / 3.0)
+
+
+def _value(c: BarChain) -> complex:
+    return ccs_value(c, seed=0, trials=1).value_mod1
+
+
+def _same_class_value(v: complex, w: complex) -> bool:
+    return (_mod1_dist(v.real - w.real) <= 1e-12
+            and abs(v.imag - w.imag) <= 1e-12)
+
+
+_CHAINS = {
+    "torsion 5": lambda: torsion_cycle(5),
+    "torsion 12": lambda: torsion_cycle(12),
+    "torsion 7 conjugated": lambda: conjugate_chain(_CONJ, torsion_cycle(7)),
+    "five-term": lambda: five_term_boundary(0.5, 0.25),
+}
+
+
+@pytest.mark.parametrize("name", list(_CHAINS))
+def test_term_order_keeps_the_value(name):
+    # a permuted chain interns its elements in another order, so other
+    # floats reach the fuzzy index first and ids are handed out anew
+    c = _CHAINS[name]()
+    want, terms = _value(c), list(c)
+    for seed in range(5):
+        order = list(range(len(terms)))
+        random.Random(seed).shuffle(order)
+        assert order != sorted(order)
+        got = _value(BarChain(3, [terms[k] for k in order]))
+        assert _same_class_value(got, want), (name, seed, got, want)
+
+
+@pytest.mark.parametrize("n", [5, 7, 12])
+@pytest.mark.parametrize("conjugated", [False, True])
+def test_inversion_map_keeps_the_value(n, conjugated):
+    # [g1|g2|g3] -> [g3^-1|g2^-1|g1^-1] reverses the homogeneous vertices,
+    # with sign (-1)^(3*4/2) = +1
+    c = torsion_cycle(n)
+    if conjugated:
+        c = conjugate_chain(_CONJ, c)
+    inverted = BarChain(3, [(coef, (g3.inverse(), g2.inverse(), g1.inverse()))
+                            for coef, (g1, g2, g3) in c])
+    got, want = _value(inverted), _value(c)
+    assert _same_class_value(got, want), (got, want)
 
 
 def test_config_validation():

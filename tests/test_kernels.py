@@ -1,8 +1,8 @@
 """The trial loop's short-cut kernels against the slower references they
 replace: the +- and apex-margin tests against ``sign_distance``, the
-one-cell lookup of ``FuzzyIndex`` against the probe of all cells, the
-symbol table's products against a det-checked ``GroupElement``, the
-slot-indexed v pass against ``near_pairs`` term by term, kept edge ids
+one-cell lookup of ``FuzzyIndex`` against the probe of all cells and the
+index against its frozen int-cell reference, the symbol table's products
+against a det-checked ``GroupElement``, the slot-indexed v pass against ``near_pairs`` term by term, kept edge ids
 against ``ldiv`` on every pair, replays against full repairs, and the
 largest trial deviation against the maximum over all pairs."""
 
@@ -25,9 +25,10 @@ from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
                                torsion_cycle)
 from extbloch.pipeline import (_circle_distance, _max_deviation, _mod1,
                                _trial_loop, ccs_value)
-from extbloch.quantize import _GUARD, FuzzyIndex
+from extbloch.quantize import _CLEAR, _GUARD, FuzzyIndex
 
 import report_digest
+from oracles import FuzzyIndexReference
 
 TOLS = (1e-8, 1e-3)
 DYADIC = [k / 8 for k in range(-16, 17)]
@@ -110,14 +111,52 @@ class _Counting(FuzzyIndex):
         return super()._probe_all(vals)
 
 
+# x / tol at and past 2**51, 2**52 and 2**53, where floats are multiples of
+# 1/2, 1 and 2, integer and half-integer: s + _MAGIC - _MAGIC rounds them
+# inexactly or, below -2**51, not at all
+_FAR = [m + d for m in (2.0 ** 51, 2.0 ** 52, 2.0 ** 53)
+        for d in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 4.0)]
+# offsets from a cell centre at the edges of the one-cell test and of the
+# guard band, and exact half-cells
+_EDGES = [e for c in (_CLEAR, 0.5 - _GUARD, 0.5)
+          for e in (c, math.nextafter(c, 0.0), math.nextafter(c, 1.0))]
+
+
+def _exactly(s, tol):
+    """An x with x / tol == s when one lies within a few ulps of s * tol."""
+    x = s * tol
+    for _ in range(4):
+        if x / tol == s:
+            break
+        x = math.nextafter(x, math.inf if x / tol < s else -math.inf)
+    return x
+
+
+def _near_zero(rng, tol):
+    """+-0.0 or a tiny value, or an edge offset from the centre of cell 0
+    (exact there) or of cell +-1."""
+    if rng.random() < 0.3:
+        return rng.choice((0.0, -0.0, 5e-324, -1e-300))
+    return _exactly(rng.choice((0, 0, 1, -1))
+                    + rng.choice((1, -1)) * rng.choice(_EDGES), tol)
+
+
 def _stream(rng, tol, dim):
     """Vectors near half-cells, inside and outside the guard band and its
     one-cell margin, and values within ``tol`` and beyond ``2 * tol`` of
-    earlier ones."""
+    earlier ones; coordinates at ``x / tol`` past 2**51, at the edge
+    offsets of a cell and exact half-cells, and +-0.0 and tiny values in
+    the cell of 0."""
     out = []
     for _ in range(300):
-        kind = rng.randrange(3)
-        if kind == 0 or not out:
+        kind = rng.randrange(8)
+        if kind == 3:
+            vec = tuple(_exactly(rng.choice((1, -1)) * rng.choice(_FAR), tol)
+                        if rng.random() < 0.5 else rng.uniform(-1, 1)
+                        for _ in range(dim))
+        elif kind == 4:
+            vec = tuple(_near_zero(rng, tol) for _ in range(dim))
+        elif kind == 0 or not out:
             band = rng.choice((0.5, 1.5, 1.9, 2.0, 2.1, 3.0, 50.0)) * _GUARD
             vec = tuple((rng.randrange(-50, 50) + 0.5
                          + rng.choice((1, -1)) * band) * tol
@@ -145,6 +184,56 @@ def test_one_cell_lookup_gives_the_full_probe_ids(tol, dim):
         if dim:  # not vacuous: both lookups ran, and ids were shared
             assert 0 < fast.all_cells < len(fast)
             assert len(fast) < len(set(stream))
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 8])
+@pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-3, 1.0])
+def test_index_gives_the_frozen_reference_ids(tol, dim):
+    # float cells from s + _MAGIC - _MAGIC against int cells from round
+    far = 0
+    for seed in range(3):
+        stream = _stream(random.Random(seed), tol, dim)
+        index, ref = FuzzyIndex(tol), FuzzyIndexReference(tol)
+        assert [index.key(v) for v in stream] == [ref.key(v) for v in stream]
+        assert index._reps == ref._reps and index._cells == ref._cells
+        far += sum(abs(x / tol) >= 2.0 ** 51 for v in stream for x in v)
+    assert far > 10 if dim else far == 0
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("tol", [1e-8, 1.0])
+def test_guard_band_splits_every_coordinate(tol, n):
+    # two values 2e-9 of a cell apart, on either side of the boundary in n
+    # of 8 coordinates: the second must find the first in the neighbour
+    # cell, n coordinates away
+    for index in (FuzzyIndex(tol), FuzzyIndexReference(tol)):
+        for side in (-1, 1):
+            vals = [(0.5 + side * 1e-9) * tol] * n + [0.0] * (8 - n)
+            assert index.key(vals) == 0
+        assert len(index) == 1
+
+
+def _outermost(s, tol, step):
+    """The x furthest towards ``step`` (+-inf) with x / tol == s."""
+    x = _exactly(s, tol)
+    assert x / tol == s
+    while math.nextafter(x, step) / tol == s:
+        x = math.nextafter(x, step)
+    return x
+
+
+@pytest.mark.parametrize("tol, k", [(1e-8, 2 ** 30), (0.1, 2 ** 20)])
+def test_a_cell_answers_its_first_stored_vector(tol, k):
+    # x / tol rounds, so away from 0 a cell spans a little more than tol:
+    # the values at its two half-cell ties (both round to the even k) are
+    # just over tol apart and both stored in it, and its centre, within
+    # tol of both, gets the first
+    low = _outermost(k - 0.5, tol, -math.inf)
+    high = _outermost(k + 0.5, tol, math.inf)
+    assert high - low > tol
+    for index in (FuzzyIndex(tol), FuzzyIndexReference(tol)):
+        assert [index.key((x,)) for x in (low, high, k * tol)] == [0, 1, 0]
+        assert index._cells[(k,)] == [0, 1]
 
 
 @pytest.mark.parametrize("vals, first", [
