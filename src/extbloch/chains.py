@@ -23,9 +23,10 @@ re-interns its input into a new table (at the caller's tolerance, for
 all g_i = +-g_j coincidences, together with an explicit homotopy
 certificate; it changes only the simplices that have such a coincidence.
 Within one evaluation, ``_repairs`` repairs the first trial in full and
-replays that repair for each later trial, yielding the renaming of the
-first trial's ids; the v pass runs over a ``_Plan`` of the repaired
-cycle's distinct ids and id pairs, which every replayed trial shares.
+replays that repair, with its Log-det edges, for each later trial: every
+trial comes as a ``_Plan`` of the repaired cycle's distinct ids and id
+pairs, the ids its slots hold and each pair's edge id, and a replayed
+trial shares the first one's plan with its slots and edges renamed.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ _Terms = list[tuple[int, Ids]]
 
 MAX_DEGREE = 4  # the pipeline needs cycles (3) and homotopies (4) only
 V_ATTEMPTS = 1000  # draws of v before ``sample_generic_v`` gives up
+APEX_ATTEMPTS = 1000  # draws of a cone apex before a repair gives up
 
 _SIGNS = (1, -1) * 3  # (-1)^i for the faces of a tuple of up to 6 entries
 
@@ -63,16 +65,16 @@ class SymbolTable:
     by ``config.check_cmp`` (see :mod:`extbloch.quantize` for what it
     identifies).
     Products g_i g_j, left quotients g_i^-1 g_j and sign coincidences of
-    representatives are memoized by id; an inverse is never interned on
-    its own.  Forming g_i g_j = g_k memoizes g_i^-1 g_k = g_j and forming
-    g_i^-1 g_j = g_k memoizes g_i g_k = g_j, unless memoized already.  Each
-    id keeps the left factor and base of the first product or quotient
-    that landed on it (g_k = g_f g_x or g_f^-1 g_x), so the quotient of two
-    translates by one factor, (g_f g_x)^-1 (g_f g_y) or (g_f^-1 g_x)^-1
-    (g_f^-1 g_y), is g_x^-1 g_y's id when that is known.  These answers are
-    exact in SL(2, C) and never formed, so never det-checked.  While
-    ``tape`` is a list, every product or quotient formed on a memo miss
-    goes on it.
+    representatives (``good``) are memoized by id; an inverse is never
+    interned on its own.  Forming g_i g_j = g_k memoizes g_i^-1 g_k = g_j
+    and forming g_i^-1 g_j = g_k memoizes g_i g_k = g_j, unless memoized
+    already.  Each id keeps the left factor and base of the first product
+    or quotient that landed on it (g_k = g_f g_x or g_f^-1 g_x), so the
+    quotient of two translates by one factor, (g_f g_x)^-1 (g_f g_y) or
+    (g_f^-1 g_x)^-1 (g_f^-1 g_y), is g_x^-1 g_y's id when that is known.
+    These answers are exact in SL(2, C) and never formed, so never
+    det-checked.  While ``tape`` is a list, every product or quotient
+    formed on a memo miss goes on it.
     """
 
     def __init__(self, tol: float | None = None):
@@ -153,18 +155,10 @@ class SymbolTable:
             self.tape.append((op, i, j, ident, ident == fresh))
         return ident
 
-    def coincide(self, i: int, j: int) -> bool:
-        """g_i = +-g_j at ``tol``, decided once per unordered id pair."""
-        key = (i, j) if i <= j else (j, i)
-        hit = self._coincide.get(key)
-        if hit is None:
-            hit = self._coincide[key] = self.elements[i].sign_equiv(
-                self.elements[j], self.tol)
-        return hit
-
     def good(self, ids: Ids) -> bool:
-        """No two entries of ``ids`` coincide up to sign: ``coincide`` on
-        each pair in ``combinations`` order, up to the first coincidence."""
+        """No two entries of ``ids`` coincide up to sign: g_i = +-g_j at
+        ``tol`` is decided once per unordered id pair, pair by pair in
+        ``combinations`` order, up to the first coincidence."""
         memo, elements, tol = self._coincide, self.elements, self.tol
         for i, j in combinations(ids, 2):
             key = (i, j) if i <= j else (j, i)
@@ -340,11 +334,15 @@ def hom_boundary(c: HomChain) -> HomChain:
     before merging."""
     if c.degree < 1:
         raise ValueError("boundary needs degree >= 1")
-    out = []
-    for coeff, ids in c.pairs():
-        for i in range(len(ids)):
-            out.append((coeff * (-1) ** i, ids[:i] + ids[i + 1:]))
-    return HomChain._on(c.table, c.degree - 1, out, c.coinvariant)
+    return HomChain._on(c.table, c.degree - 1,
+                        [(coeff * s, face) for coeff, ids in c.pairs()
+                         for s, face in _faces(ids)], c.coinvariant)
+
+
+def _faces(ids: Ids) -> _Terms:
+    """(-1)^i and ``ids`` less its entry i, for i = 0, 1, ... (the order
+    reverses that of ``combinations``, which first drops the last entry)."""
+    return list(zip(_SIGNS, reversed([*combinations(ids, len(ids) - 1)])))
 
 
 def cone(g: GroupElement, c: HomChain) -> HomChain:
@@ -413,10 +411,10 @@ def is_good(c) -> tuple[bool, list]:
 
 def _offending(table: SymbolTable, terms: Iterable[tuple[int, Ids]]) -> list:
     """(term index, i, j) for every +-coincident pair within a term."""
-    coincide = table.coincide
+    good = table.good
     return [(t_idx, i, j) for t_idx, (_, ids) in enumerate(terms)
             for i, j in combinations(range(len(ids)), 2)
-            if coincide(ids[i], ids[j])]
+            if not good((ids[i], ids[j]))]
 
 
 def near_pairs(vecs: Sequence[ProjVector]) -> list[tuple[int, int]]:
@@ -585,11 +583,12 @@ class _ConeRepairer:
         return not any(g.sign_equiv(elements[i], margin) for i in ids)
 
     def _generic_avoiding(self, ids: set[int]) -> GroupElement:
-        for _ in range(1000):
+        for _ in range(APEX_ATTEMPTS):
             g = random_sl2(self.rng)
             if self._clears(g, ids):
                 return g
-        raise RepairFailed("could not sample a generic cone apex")
+        raise RepairFailed(
+            f"no generic cone apex in {APEX_ATTEMPTS} attempts")
 
     def _apex_for(self, length: int, phi: _Terms) -> int:
         """The apex id for coning ``phi`` into tuples of ``length``: the
@@ -666,12 +665,6 @@ class _ConeRepairer:
         return [(c, t) for t, c in acc.items() if c]
 
 
-def _faces(ids: Ids) -> _Terms:
-    """(-1)^i and ``ids`` less its entry i, for i = 0, 1, ... (the order
-    reverses that of ``combinations``, which first drops the last entry)."""
-    return list(zip(_SIGNS, reversed([*combinations(ids, len(ids) - 1)])))
-
-
 def _repair_core(hom: HomChain, rng) -> tuple[_Terms, _Terms, _Terms]:
     """Repair of a homogeneous cycle interned for this evaluation: the
     merged (coefficient, ids) lists phi(B), phi = hom - B + phi(B) and
@@ -695,35 +688,47 @@ def _repair_core(hom: HomChain, rng) -> tuple[_Terms, _Terms, _Terms]:
     return phi_bad, rep.linear([(1, good), (1, phi_bad)]), h
 
 
+def _planned(table: SymbolTable, phi: _Terms):
+    """(plan, ids, edges) of a trial repaired in full to ``phi``: its
+    ``_Plan``, the plan's own slots as ids, and each pair's edge id
+    g_i^-1 g_j by ``SymbolTable.ldiv``, in pair order (an edge between two
+    translates by one factor of a known edge is a memo answer, not a
+    product)."""
+    plan = _Plan(phi)
+    slots, ldiv = plan.slots, table.ldiv
+    return plan, slots, [ldiv(slots[a], slots[b]) for a, b in plan.pairs]
+
+
 def _repairs(hom: HomChain, rng, trials: int):
-    """(phi, ren) for each of ``trials`` trials of one evaluation of
-    ``hom``, yielded in turn, each drawn from ``rng`` only when asked for
-    (so v, drawn between trials, falls between them).  A trial repaired in
-    full gives its phi and ren None; a replayed trial gives the first
-    trial's phi and the list ``ren`` that renames its ids: the trial's
-    phi is the first one with every id i replaced by ``ren[i]``.  With
-    more than one trial, the first trial's repair records the table's
-    tape: every product or quotient formed on a memo miss (a memo answer
-    is no event), the residual's included, as (``_MUL`` or ``_LDIV``, i, j,
-    result id, whether it was new), and every apex decision, as
-    (``_REUSE``, apex id, ids tested, None, whether the apex cleared them)
-    or (``_DRAW``, None, ids the apex clears, apex id, whether it was
-    new).  Later trials replay it at their own apexes (see ``_replay``)
-    and repair in full on the same draws when a decision differs; one
-    trial records nothing."""
+    """(plan, ids, edges) for each of ``trials`` trials of one evaluation
+    of ``hom``, yielded in turn, each drawn from ``rng`` only when asked
+    for (so v, drawn between trials, falls between them): the ``_Plan``
+    of the trial's phi, the ids its slots hold and each pair's edge id
+    g_i^-1 g_j, in pair order.  A trial repaired in full gives
+    ``_planned``'s; a replayed trial gives the first trial's plan with its
+    slots and edges renamed.  With more than one trial, the first trial's
+    repair and edges record the table's tape: every product or quotient
+    formed on a memo miss (a memo answer is no event), the residual's and
+    the edges' included, as (``_MUL`` or ``_LDIV``, i, j, result id,
+    whether it was new), and every apex decision, as (``_REUSE``, apex id,
+    ids tested, None, whether the apex cleared them) or (``_DRAW``, None,
+    ids the apex clears, apex id, whether it was new).  Later trials
+    replay it at their own apexes (see ``_replay``) and repair in full on
+    the same draws when a decision differs; one trial records nothing."""
     table = hom.table
     table.tape = [] if trials > 1 else None
     phi_bad, phi, _ = _repair_core(hom, rng)
+    plan, slots, edges = first = _planned(table, phi)
     events, table.tape = table.tape, None
-    yield phi, None
+    yield first
     for _ in range(trials - 1):
         draws = _Rewindable(rng)
         ren = _replay(table, draws, events, phi_bad)
         if ren is None:
             draws.rewind()
-            yield _repair_core(hom, draws)[1], None
+            yield _planned(table, _repair_core(hom, draws)[1])
         else:
-            yield phi, ren
+            yield plan, [ren[i] for i in slots], [ren[e] for e in edges]
 
 
 def _check_good(table: SymbolTable, phi_bad: _Terms) -> None:
@@ -738,11 +743,11 @@ def _check_good(table: SymbolTable, phi_bad: _Terms) -> None:
 def _replay(table: SymbolTable, rng, events: list,
             phi_bad: _Terms) -> list[int] | None:
     """The renaming of ids (a list, recorded id -> this trial's id) that
-    turns the first trial's phi into that of ``_repair_core`` for a later
-    trial on the cycle whose first trial recorded ``events`` and gave
-    ``phi_bad`` (see ``_repairs``), or None as soon as a decision differs.
-    Only ids new on the tape are renamed, so in every replay the same ids
-    are.
+    turns the first trial's phi and edges into those of ``_repair_core``
+    and ``_planned`` for a later trial on the cycle whose first trial
+    recorded ``events`` and gave ``phi_bad`` (see ``_repairs``), or None as
+    soon as a decision differs.  Only ids new on the tape are renamed, so
+    in every replay the same ids are.
 
     Every event is taken again with this trial's ids: each formed product
     or quotient is formed with the same float operations and interned (or
@@ -751,12 +756,12 @@ def _replay(table: SymbolTable, rng, events: list,
     where the tape has a new one); each reuse test must come out as
     recorded; each apex is drawn afresh from ``rng`` through the same
     ``random_sl2``/``_clears`` loop.  A memo answer of trial 1 is no event
-    and holds for the renamed ids as it did.  When all match, phi(B), H(B)
-    and the certificate residual, whose formed quotients (if any) end the
-    tape, are the recorded ones renamed, so the residual is empty as it
-    was; phi(B) is checked for goodness, which raises RepairFailed as
-    ``_repair_core`` would.  Draws nothing a full repair on the same stream
-    would not draw first.
+    and holds for the renamed ids as it did.  When all match, phi(B), H(B),
+    the certificate residual and the edges, whose formed quotients (if
+    any) end the tape, are the recorded ones renamed, so the residual is
+    empty as it was; phi(B) is checked for goodness, which raises
+    RepairFailed as ``_repair_core`` would.  Draws nothing a full repair on
+    the same stream would not draw first.
     """
     elements, mul, ldiv = table.elements, table.mul, table.ldiv
     rep = _ConeRepairer(rng, table)

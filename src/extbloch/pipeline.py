@@ -12,10 +12,11 @@ with the real part reduced into [0, 1); its imaginary part is the volume of
 the class.  The real part of the unreduced sum is only defined up to 2 pi^2,
 which is exactly why the reduction is legitimate.
 
-``ccs_value`` compiles the first trial's repaired cycle into a plan of
-slots and pairs (``chains._Plan``) once; each replayed trial is one pass
-over that plan with renamed slots, and keeps the first trial's edge id
-for every pair with no renamed slot.
+Every trial runs one body on what ``chains._repairs`` yields for it: a
+plan of slots and pairs (``chains._Plan``), the ids its slots hold and
+each pair's edge id.  The first trial's plan is compiled once and its edges
+are formed on the replay tape; a replayed trial is one pass over that plan
+with its slots and edges renamed.
 """
 
 from __future__ import annotations
@@ -125,42 +126,28 @@ def lambda_hat(c: BarChain, seed) -> LambdaResult:
     """
     rng = as_rng(seed)
     hom = _checked_cycle(c, SymbolTable())
-    phi, _ = next(_repairs(hom, rng, 1))
-    plan = _Plan(phi)
-    v, logs, _ = _lambda_hat(hom.table, plan, plan.slots, rng)
+    plan, ids, edges = next(_repairs(hom, rng, 1))
+    v, logs = _lambda_hat(hom.table.elements, plan, ids, edges, rng)
     return LambdaResult([(coeff, _flattening([logs[k] for k in row]))
                          for coeff, row in plan.rows], v)
 
 
-def _lambda_hat(table: SymbolTable, plan: _Plan, ids: list[int], rng,
-                known: tuple[list[int], list[int]] | None = None):
+def _lambda_hat(elements: list, plan: _Plan, ids: list[int],
+                edges: list[int], rng) -> tuple[ProjVector, list[complex]]:
     """v drawn from ``rng`` and, for ``plan`` (see ``chains._Plan``) with
-    its slots holding ids of ``table``, the Log det and the edge id of
-    each pair, in pair order.  det is SL(2, C) invariant, so every
-    translate of an edge e = g_i^-1 g_j shares the Log det(g_i v, g_j v) of
-    the first met, whose det the v-check's pass already computed.  Each
-    pair is resolved to its edge by ``SymbolTable.ldiv``, in pair order
-    (an edge between two translates by one factor of a known edge is a
-    memo answer, not a product), except that ``known`` = (edge ids by
-    pair, the pairs to resolve) keeps the others' given edge ids: a
-    replayed trial keeps the first trial's edge id for every pair with no
-    renamed slot, which is ``ldiv``'s memo answer for it."""
-    v, _, dets = _sample_v(table.elements, plan, ids, rng)
-    pairs, ldiv = plan.pairs, table.ldiv
-    if known is None:
-        edges = [ldiv(ids[a], ids[b]) for a, b in pairs]
-    else:
-        edges, stale = known[0][:], known[1]
-        for k in stale:
-            a, b = pairs[k]
-            edges[k] = ldiv(ids[a], ids[b])
+    its slots holding ``ids`` (ids of ``elements``), the Log det of each
+    pair, in pair order, taken once per edge id of ``edges`` (each pair's,
+    in pair order).  det is SL(2, C) invariant, so every translate of an
+    edge e = g_i^-1 g_j shares the Log det(g_i v, g_j v) of the first met,
+    whose det the v-check's pass already computed."""
+    v, _, dets = _sample_v(elements, plan, ids, rng)
     edge_log, logs = {}, []  # Log det by edge id, and by pair
     for e, d in zip(edges, dets):
         x = edge_log.get(e)
         if x is None:
             x = edge_log[e] = plog(d)
         logs.append(x)
-    return v, logs, edges
+    return v, logs
 
 
 def _mod1(x: float) -> float:
@@ -216,23 +203,23 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
 
     One generator is made from ``seed`` (see ``as_rng``); the trials draw
     from it in turn, as successive ``lambda_hat`` calls on it do, and give
-    the same values; later trials replay the first trial's repair at their
-    own apexes (see ``_repairs``).  Each repaired term is evaluated once,
-    straight from its log-parameters (``covering._point_value``: one
-    e^{w0}, Log z, Log(1-z) and li2 series, with every check of the
-    ``FlatteningTriple``, ``to_covering_point`` and ``lhat`` path), and
-    nothing is merged.  ``volume_vs_im_lhat`` is
-    the largest gap over the trials between the per-term volume sum and Im
-    of the lifted Rogers sum; both are ``math.fsum`` sums, bit-equal to
-    those of ``lhat`` and ``vol`` over the ``to_covering_point`` images of
-    ``lambda_hat(...).triples``.
-    Trials must agree (mod 1, within fp) by independence of the choices;
-    the max pairwise deviation is reported as a health measure.  All
-    trials share one symbol table at the comparison tolerance ``tol`` (see
-    ``SymbolTable``).  The report's ``seed`` is ``int(seed)`` for an
-    integer seed (``numbers.Integral``, bool and numpy integers included)
-    and None for a generator.  Raises NotACycle, a ValueError, when ``c``
-    is not a 3-cycle at ``tol``.
+    the same values.  Later trials replay the first trial's repair and
+    Log-det edges at their own apexes (see ``chains._repairs``), and every
+    trial runs one body on its plan, slot ids and edge ids.  Each repaired
+    term is evaluated once, straight from its log-parameters
+    (``covering._point_value``: one e^{w0}, Log z, Log(1-z) and li2 series,
+    with every check of the ``FlatteningTriple``, ``to_covering_point`` and
+    ``lhat`` path), and nothing is merged.  ``volume_vs_im_lhat`` is the
+    largest gap over the trials between the per-term volume sum and Im of
+    the lifted Rogers sum; both are ``math.fsum`` sums, bit-equal to those
+    of ``lhat`` and ``vol`` over the ``to_covering_point`` images of
+    ``lambda_hat(...).triples``.  Trials must agree (mod 1, within fp) by
+    independence of the choices; the max pairwise deviation is reported as
+    a health measure.  All trials share one symbol table at the comparison
+    tolerance ``tol`` (see ``SymbolTable``).  The report's ``seed`` is
+    ``int(seed)`` for an integer seed (``numbers.Integral``, bool and numpy
+    integers included) and None for a generator.  Raises NotACycle, a
+    ValueError, when ``c`` is not a 3-cycle at ``tol``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -243,30 +230,15 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
 
 def _trial_loop(hom: HomChain, rng, trials: int, seed: int | None) -> CcsReport:
     """``ccs_value``'s report on the checked cycle ``hom`` (see
-    ``_checked_cycle``), drawing from ``rng``, with ``seed`` as its seed.
-    The first trial's phi gives the evaluation's plan (see
-    ``chains._Plan``) and edge ids; a replayed trial runs on that plan
-    with its slots renamed, and a trial repaired in full on a plan of its
-    own."""
-    table = hom.table
+    ``_checked_cycle``), drawing from ``rng``, with ``seed`` as its seed:
+    one body per trial on the (plan, slot ids, edge ids) that
+    ``chains._repairs`` yields for it."""
+    elements = hom.table.elements
     values: list[complex] = []
     raws: list[complex] = []
     vol_res = 0.0
-    first = stale = None  # trial 1's (plan, edge ids); its renamed pairs
-    for phi, ren in _repairs(hom, rng, trials):
-        if ren is None:
-            plan = _Plan(phi)
-            _, logs, edges = _lambda_hat(table, plan, plan.slots, rng)
-            if first is None:
-                first = plan, edges
-        else:
-            plan, edges = first
-            slots = plan.slots
-            ids = [ren[i] for i in slots]
-            if stale is None:  # the same pairs in every replay
-                stale = [k for k, (a, b) in enumerate(plan.pairs)
-                         if ids[a] != slots[a] or ids[b] != slots[b]]
-            _, logs, _ = _lambda_hat(table, plan, ids, rng, (edges, stale))
+    for plan, ids, edges in _repairs(hom, rng, trials):
+        _, logs = _lambda_hat(elements, plan, ids, edges, rng)
         re, im, vol = [], [], []
         for coeff, row in plan.rows:
             lh, d = _point_value(*_log_params(*[logs[k] for k in row]))

@@ -3,18 +3,18 @@ from itertools import combinations
 
 import pytest
 
-from extbloch import config
+from extbloch import chains, config
 from extbloch.chainio import chain_to_obj, dumps_canonical
 from extbloch.core import (GroupElement, det_pair, random_sl2, random_vector,
                            rotation)
-from extbloch.chains import (BarChain, HomChain, SymbolTable, _checked_cycle,
-                             _ConeRepairer, _faces, _offending, _Plan,
-                             _sample_v, _v_pass, bar_boundary, cone, conjugate_chain,
-                             hom_boundary,
-                             hom_to_inhom, inhom_to_hom, is_cycle, is_good,
-                             is_v_good, near_pairs, repair_with_certificate,
+from extbloch.chains import (APEX_ATTEMPTS, BarChain, HomChain, SymbolTable,
+                             _checked_cycle, _ConeRepairer, _faces, _offending,
+                             _Plan, _sample_v, _v_pass, bar_boundary, cone,
+                             conjugate_chain, hom_boundary, hom_to_inhom,
+                             inhom_to_hom, is_cycle, is_good, is_v_good,
+                             near_pairs, repair_with_certificate,
                              sample_generic_v)
-from extbloch.errors import SamplingExhausted
+from extbloch.errors import RepairFailed, SamplingExhausted
 from extbloch.fixtures import (random_boundary_cycle, random_good_hom_chain,
                                torsion_cycle)
 
@@ -360,6 +360,24 @@ def test_apex_too_close_to_a_face_is_redrawn(monkeypatch):
     assert len(drawn) == 1 and rep._apex[len(canon)] != planted
     assert img and all(t[0] == rep._apex[len(canon)] for _, t in img)
     assert not _offending(table, img)
+
+
+def test_apex_draws_stop_at_the_cap(monkeypatch):
+    # every draw is the identity, which each coinvariant tuple of phi(ds)
+    # holds, so no apex clears: the repair gives up after exactly
+    # APEX_ATTEMPTS draws, naming the count
+    drawn = []
+
+    def identity(rng):
+        drawn.append(rng)
+        return GroupElement.identity()
+
+    monkeypatch.setattr(chains, "random_sl2", identity)
+    with pytest.raises(RepairFailed,
+                       match=f"no generic cone apex in {APEX_ATTEMPTS} "
+                             "attempts"):
+        repair_with_certificate(torsion_cycle(6), seed=0)
+    assert len(drawn) == APEX_ATTEMPTS == 1000
 
 
 def test_repair_deterministic(rng):

@@ -65,6 +65,26 @@ def test_term_order_keeps_the_value(name):
         assert _same_class_value(got, want), (name, seed, got, want)
 
 
+@pytest.mark.parametrize("name", list(_CHAINS))
+def test_adding_a_boundary_keeps_the_value(name):
+    # a sum keys its left operand's terms first, so c + b and b + c intern
+    # and repair in other orders; a boundary b adds nothing to the class
+    c = _CHAINS[name]()
+    want = _value(c)
+    for seed in range(5):
+        b = random_boundary_cycle(seed, n_terms=3)
+        for total in (c + b, b + c):
+            got = _value(total)
+            assert _same_class_value(got, want), (name, seed, got, want)
+
+
+@pytest.mark.parametrize("name", list(_CHAINS))
+def test_negating_the_chain_negates_the_value(name):
+    c = _CHAINS[name]()
+    got, want = _value(-c), _value(c)
+    assert _same_class_value(got, -want), (name, got, want)
+
+
 @pytest.mark.parametrize("n", [5, 7, 12])
 @pytest.mark.parametrize("conjugated", [False, True])
 def test_inversion_map_keeps_the_value(n, conjugated):

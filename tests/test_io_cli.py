@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from extbloch import selftest
+from extbloch import chains, selftest
 from extbloch.chainio import (_write_chain, chain_to_obj, dumps_canonical,
                               emit_report, parse_cycle_file)
-from extbloch.chains import bar_boundary, conjugate_chain, is_cycle
+from extbloch.chains import (APEX_ATTEMPTS, bar_boundary, conjugate_chain,
+                             is_cycle)
 from extbloch.cli import MAX_TORSION_N, MAX_TURNS, build_parser, main
 from extbloch.core import GroupElement
 from extbloch.errors import DeterminantError, SchemaError
@@ -334,6 +335,18 @@ def test_residual_counts_agree(tmp_path, capsys, case):
     assert main(["eval", str(path)]) == 2
     assert (capsys.readouterr().err
             == f"error: not a cycle: boundary has {count} terms\n")
+
+
+def test_cli_eval_exits_2_when_no_cone_apex_clears(tmp_path, capsys,
+                                                   monkeypatch):
+    # every apex draw is the identity, so torsion 6's repair gives up
+    path = tmp_path / "t6.json"
+    assert main(["torsion", "--n", "6", "--out", str(path)]) == 0
+    monkeypatch.setattr(chains, "random_sl2",
+                        lambda rng: GroupElement.identity())
+    assert main(["eval", str(path)]) == 2
+    assert (capsys.readouterr().err
+            == f"error: no generic cone apex in {APEX_ATTEMPTS} attempts\n")
 
 
 def _refused(name, argv, reason):

@@ -2,9 +2,10 @@
 replace: the +- and apex-margin tests against ``sign_distance``, the
 one-cell lookup of ``FuzzyIndex`` against the probe of all cells and the
 index against its frozen int-cell reference, the symbol table's products
-against a det-checked ``GroupElement``, the slot-indexed v pass against ``near_pairs`` term by term, kept edge ids
-against ``ldiv`` on every pair, replays against full repairs, and the
-largest trial deviation against the maximum over all pairs."""
+against a det-checked ``GroupElement``, the slot-indexed v pass against
+``near_pairs`` term by term, renamed edge ids against ``ldiv`` on every
+pair, replays against full repairs, and the largest trial deviation
+against the maximum over all pairs."""
 
 import math
 import random
@@ -450,29 +451,39 @@ _EDGE_CYCLES = [torsion_cycle(6), torsion_cycle(12),
 
 
 def test_kept_edges_are_those_ldiv_gives(monkeypatch):
-    # a replayed trial keeps the first trial's edge id for every pair with
-    # no renamed slot: its edge ids are ldiv's on every pair (each then a
-    # memo answer), and the evaluation, its symbol table included, is
-    # that of a run resolving every pair through ldiv
-    real, kept = pipeline._lambda_hat, []
+    # a replayed trial takes trial 1's edge ids renamed, forming none: each
+    # trial's edge ids are ldiv's on every pair (each then a memo answer),
+    # and the evaluation, its symbol table included, is that of a run
+    # resolving every pair through ldiv
+    real, kept = pipeline._repairs, []
 
-    def checked(table, plan, ids, rng, known=None):
-        out = real(table, plan, ids, rng, known)
-        size = len(table.elements)
-        assert out[2] == [table.ldiv(ids[a], ids[b]) for a, b in plan.pairs]
-        assert len(table.elements) == size
-        if known is not None:
-            kept.append((len(plan.pairs) - len(known[1]), len(known[1])))
-        return out
+    def checked(hom, rng, trials):
+        table, first = hom.table, None
+        for plan, ids, edges in real(hom, rng, trials):
+            table.tape = []  # records every product or quotient formed
+            assert edges == [table.ldiv(ids[a], ids[b])
+                             for a, b in plan.pairs]
+            assert table.tape == []
+            table.tape = None
+            if first is None:
+                first = plan
+            elif plan is first:  # a replay: trial 1's plan, slots renamed
+                slots = plan.slots
+                renamed = sum(ids[a] != slots[a] or ids[b] != slots[b]
+                              for a, b in plan.pairs)
+                kept.append((len(plan.pairs) - renamed, renamed))
+            yield plan, ids, edges
 
-    def every_pair(table, plan, ids, rng, known=None):
-        return real(table, plan, ids, rng)
+    def every_pair(hom, rng, trials):
+        ldiv = hom.table.ldiv
+        for plan, ids, _ in real(hom, rng, trials):
+            yield plan, ids, [ldiv(ids[a], ids[b]) for a, b in plan.pairs]
 
     for cycle in _EDGE_CYCLES:
         for seed in (0, 1):
             runs = []
-            for lam in (checked, every_pair):
-                monkeypatch.setattr(pipeline, "_lambda_hat", lam)
+            for stream in (checked, every_pair):
+                monkeypatch.setattr(pipeline, "_repairs", stream)
                 hom = _checked_cycle(cycle, SymbolTable())
                 rep = _trial_loop(hom, random.Random(seed), 10, seed)
                 t = hom.table
@@ -480,9 +491,9 @@ def test_kept_edges_are_those_ldiv_gives(monkeypatch):
                              t._products, t._quotients, t._translates))
             assert runs[0] == runs[1]
     # not vacuous: every later trial replayed, and (on torsion 12) a
-    # replay kept some edge ids and resolved other pairs anew
+    # replay has pairs both with and without renamed slots
     assert len(kept) == 9 * 2 * len(_EDGE_CYCLES)
-    assert any(k and stale for k, stale in kept)
+    assert any(k and renamed for k, renamed in kept)
 
 
 def test_replays_report_as_full_repairs(monkeypatch):

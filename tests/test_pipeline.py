@@ -22,6 +22,8 @@ from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
 from extbloch.pipeline import (ConfigTuple, ccs_value, lambda_hat, psi_v,
                                sigma_hat)
 
+import report_digest
+
 
 def _mod1_dist(a: float, b: float) -> float:
     d = abs((a - b) % 1.0)
@@ -526,18 +528,20 @@ def _other_id(e):
 
 
 # one decision of a tape recorded otherwise: (kind, flag) of the last event
-# changed, whether it is taken from the certificate residual's quotients
-# (recorded after phi(B) is checked) or from before them, and the change: a
+# changed, the part of the tape it is taken from (the repair's; the
+# certificate residual's quotients, recorded after phi(B) is checked; or
+# the edges' quotients, recorded after the residual's), and the change: a
 # passed reuse test as failed, a new product or quotient as an old id, an
 # old quotient as another old id.  Every quotient the residual needs is
 # known from a product formed before it, so for the residual case the
 # quotient memo is emptied when phi(B) is checked and the residual forms
 # its quotients again, each landing on an old id
 _FORCED = {
-    "reuse-failed": (_REUSE, True, False, lambda e: e[:4] + (False,)),
-    "product-old": (_MUL, True, False, lambda e: e[:4] + (False,)),
-    "quotient-old": (_LDIV, True, False, lambda e: e[:4] + (False,)),
-    "residual-quotient-other-id": (_LDIV, False, True, _other_id),
+    "reuse-failed": (_REUSE, True, "repair", lambda e: e[:4] + (False,)),
+    "product-old": (_MUL, True, "repair", lambda e: e[:4] + (False,)),
+    "quotient-old": (_LDIV, True, "repair", lambda e: e[:4] + (False,)),
+    "residual-quotient-other-id": (_LDIV, False, "residual", _other_id),
+    "edge-quotient-other-id": (_LDIV, False, "edges", _other_id),
 }
 
 
@@ -553,18 +557,27 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
     # replay again on the first trial's plan: the report and the
     # generator's final state equal those of a run whose replays all give
     # up at once (every later trial a full repair on the stream)
-    kind, flag, residual, change = _FORCED[forced]
-    real_check, split = chains._check_good, []
+    kind, flag, part, change = _FORCED[forced]
+    real_check, real_planned, starts = chains._check_good, chains._planned, {}
 
     def check(table, phi_bad):
         if table.tape is not None:  # recording: the residual comes next
-            split.append(len(table.tape))
-            if residual:
+            starts["residual"] = len(table.tape)
+            if part == "residual":
                 table._quotients.clear()
         return real_check(table, phi_bad)
 
+    def planned(table, phi):
+        if table.tape is not None:  # recording: the edges come next
+            starts["edges"] = len(table.tape)
+        return real_planned(table, phi)
+
+    def part_of(k):
+        return ("repair" if k < starts["residual"] else
+                "residual" if k < starts["edges"] else "edges")
+
     def mutate(events):
-        k = max(k for k, e in enumerate(events) if (k >= split[-1]) == residual
+        k = max(k for k, e in enumerate(events) if part_of(k) == part
                 and e[0] == kind and e[4] == flag)
         events[k] = change(events[k])
         return events
@@ -586,6 +599,7 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
 
     monkeypatch.setattr(chains, "_repair_core", core)
     monkeypatch.setattr(chains, "_check_good", check)
+    monkeypatch.setattr(chains, "_planned", planned)
     for seed in (0, 1):
         runs = []
         for replay_on in (False, True):
@@ -696,6 +710,18 @@ def test_every_later_trial_replays_without_a_fallback(monkeypatch):
             for value in rep.trials[1:]:
                 assert _mod1_dist(value.real, first.real) <= 1e-12
                 assert abs(value.imag - first.imag) <= 1e-12
+    # the report digest's corpus at seed 0: every one of its 58 cycles
+    # replays trial 1's repair and edges in each later trial
+    real, renamings = chains._replay, []
+
+    def replay(*args):
+        renamings.append(real(*args))
+        return renamings[-1]
+
+    monkeypatch.setattr(chains, "_replay", replay)
+    for _, cycle in report_digest.corpus():
+        ccs_value(cycle, seed=0, trials=10)
+    assert len(renamings) == 9 * 58 and None not in renamings
 
 
 def _rotation_cycle(n: int, k: int) -> BarChain:
