@@ -26,7 +26,10 @@ Within one evaluation, ``_repairs`` repairs the first trial in full and
 replays that repair, with its Log-det edges, for each later trial: every
 trial comes as a ``_Plan`` of the repaired cycle's distinct ids and id
 pairs, the ids its slots hold and each pair's edge id, and a replayed
-trial shares the first one's plan with its slots and edges renamed.
+trial shares the first one's plan with its slots and edges renamed.  The
+first trial's tape is compiled once (``_compiled``), and each replay is
+one flat pass over it (``_replay``) that leaves the table's memos as the
+first trial left them.
 """
 
 from __future__ import annotations
@@ -74,7 +77,10 @@ class SymbolTable:
     (g_f^-1 g_x)^-1 (g_f^-1 g_y), is g_x^-1 g_y's id when that is known.
     These answers are exact in SL(2, C) and never formed, so never
     det-checked.  While ``tape`` is a list, every product or quotient
-    formed on a memo miss goes on it.
+    formed on a memo miss goes on it.  Only ``mul``, ``ldiv`` and ``good``
+    fill the memos: a replayed trial (``_replay``) interns its own ids but
+    memoizes nothing, so the memos hold the input's ids and those of
+    trials repaired in full (the first, and fallbacks).
     """
 
     def __init__(self, tol: float | None = None):
@@ -578,11 +584,18 @@ class _ConeRepairer:
         self._apex: dict[int, int] = {}  # tuple length -> current apex id
 
     def _clears(self, g: GroupElement, ids: Iterable[int]) -> bool:
-        """g lies over ``config.APEX_MARGIN`` from +-every id in ``ids``."""
-        elements, margin = self.table.elements, config.APEX_MARGIN
-        return not any(g.sign_equiv(elements[i], margin) for i in ids)
+        """g lies over ``config.APEX_MARGIN`` from +-every id in ``ids``:
+        ``sign_equiv`` at the margin, asked only of an element whose first
+        entry is within the margin of +-g's (its first test either way)."""
+        elements, margin, a = self.table.elements, config.APEX_MARGIN, g.a
+        for i in ids:
+            h = elements[i]
+            if ((abs(a - h.a) <= margin or abs(a + h.a) <= margin)
+                    and g.sign_equiv(h, margin)):
+                return False
+        return True
 
-    def _generic_avoiding(self, ids: set[int]) -> GroupElement:
+    def _generic_avoiding(self, ids: Sequence[int]) -> GroupElement:
         for _ in range(APEX_ATTEMPTS):
             g = random_sl2(self.rng)
             if self._clears(g, ids):
@@ -712,18 +725,23 @@ def _repairs(hom: HomChain, rng, trials: int):
     the edges' included, as (``_MUL`` or ``_LDIV``, i, j, result id,
     whether it was new), and every apex decision, as (``_REUSE``, apex id,
     ids tested, None, whether the apex cleared them) or (``_DRAW``, None,
-    ids the apex clears, apex id, whether it was new).  Later trials
-    replay it at their own apexes (see ``_replay``) and repair in full on
-    the same draws when a decision differs; one trial records nothing."""
+    ids the apex clears, apex id, whether it was new).  The tape is
+    compiled once (``_compiled``), after the first trial; later trials
+    replay it at their own apexes (see ``_replay``), interning their ids
+    but adding no memo entries, and repair in full on the same draws when
+    a decision differs.  One trial records and compiles nothing."""
     table = hom.table
     table.tape = [] if trials > 1 else None
     phi_bad, phi, _ = _repair_core(hom, rng)
     plan, slots, edges = first = _planned(table, phi)
     events, table.tape = table.tape, None
     yield first
+    if trials < 2:
+        return
+    tape = _compiled(events, phi_bad, len(table.elements))
     for _ in range(trials - 1):
         draws = _Rewindable(rng)
-        ren = _replay(table, draws, events, phi_bad)
+        ren = _replay(table, draws, tape)
         if ren is None:
             draws.rewind()
             yield _planned(table, _repair_core(hom, draws)[1])
@@ -740,52 +758,94 @@ def _check_good(table: SymbolTable, phi_bad: _Terms) -> None:
         raise RepairFailed(f"cone image not good: offenders {offenders[:3]}")
 
 
-def _replay(table: SymbolTable, rng, events: list,
-            phi_bad: _Terms) -> list[int] | None:
+def _compiled(events: list, phi_bad: _Terms, size: int) -> tuple:
+    """The first trial's tape ``events`` and cone image ``phi_bad`` (see
+    ``_repairs``), compiled once per evaluation for ``_replay``, with
+    ``size`` the table's length after the first trial: (steps, pairs,
+    size, phi_bad).  The renamed ids are those new on the tape, the same
+    in every replay.  ``steps`` are the events in order, each reuse
+    test's and draw's id set as a tuple, less every product or quotient
+    with no renamed operand whose result was old and is not renamed: the
+    first trial memoized it, so its answer is the recorded id in every
+    replay.  ``pairs`` are the unordered id pairs within a term of
+    ``phi_bad`` that touch a renamed id, first met first; the others
+    passed the first trial's goodness test and are the same ids."""
+    renamed = {r for op, _, _, r, new in events if new and op != _REUSE}
+    steps = []
+    for op, a, b, r, new in events:
+        if op >= _REUSE:
+            steps.append((op, a, tuple(b), r, new))
+        elif new or not renamed.isdisjoint((a, b, r)):
+            steps.append((op, a, b, r, new))
+    pairs = {}
+    for _, ids in phi_bad:
+        for i, j in combinations(ids, 2):
+            if i in renamed or j in renamed:
+                pairs[(i, j) if i <= j else (j, i)] = None
+    return steps, list(pairs), size, phi_bad
+
+
+def _replay(table: SymbolTable, rng, tape: tuple) -> list[int] | None:
     """The renaming of ids (a list, recorded id -> this trial's id) that
     turns the first trial's phi and edges into those of ``_repair_core``
     and ``_planned`` for a later trial on the cycle whose first trial
-    recorded ``events`` and gave ``phi_bad`` (see ``_repairs``), or None as
-    soon as a decision differs.  Only ids new on the tape are renamed, so
-    in every replay the same ids are.
+    gave the compiled ``tape`` (see ``_compiled``), or None as soon as a
+    decision differs.
 
-    Every event is taken again with this trial's ids: each formed product
-    or quotient is formed with the same float operations and interned (or
-    answered by this table's memo), and must come out as the recorded id
-    renamed (the same old id, the same earlier renamed id, or a new id
-    where the tape has a new one); each reuse test must come out as
-    recorded; each apex is drawn afresh from ``rng`` through the same
-    ``random_sl2``/``_clears`` loop.  A memo answer of trial 1 is no event
-    and holds for the renamed ids as it did.  When all match, phi(B), H(B),
-    the certificate residual and the edges, whose formed quotients (if
-    any) end the tape, are the recorded ones renamed, so the residual is
-    empty as it was; phi(B) is checked for goodness, which raises
-    RepairFailed as ``_repair_core`` would.  Draws nothing a full repair on
-    the same stream would not draw first.
+    One pass takes every step again with this trial's ids: each product
+    or quotient is formed from the entries with the float operations of
+    ``SymbolTable.mul``/``ldiv``, det-checked and keyed through the
+    table's index (an element is built for a new id only), and must come
+    out as the recorded id renamed (the same old id, the same earlier
+    renamed id, or a new id where the tape has a new one); each reuse
+    test must come out as recorded; each apex is drawn afresh from
+    ``rng`` through the same ``random_sl2``/``_clears`` loop and interned.
+    A memo answer of trial 1 is no event and holds for the renamed ids as
+    it did.  When all match, phi(B), H(B), the certificate residual and
+    the edges, whose formed quotients (if any) end the tape, are the
+    recorded ones renamed, so the residual is empty as it was; phi(B)'s
+    pairs that touch a renamed id are tested for +-coincidence, which
+    raises RepairFailed as ``_repair_core`` would.  The trial's ids get no
+    memo entries, since no later trial asks about them.  Draws nothing a
+    full repair on the same stream would not draw first.
     """
-    elements, mul, ldiv = table.elements, table.mul, table.ldiv
+    steps, pairs, size, phi_bad = tape
+    elements, key, tol = table.elements, table._index.key, table.tol
     rep = _ConeRepairer(rng, table)
-    ren = list(range(len(elements)))  # recorded id -> this trial's id
-    fresh = len(ren)  # the id the next new element gets
-    for op, a, b, r, flag in events:
-        if op == _MUL:
-            got = mul(ren[a], ren[b])
-        elif op == _LDIV:
-            got = ldiv(ren[a], ren[b])
+    ren = list(range(size))  # recorded id -> this trial's id
+    for op, a, b, r, new in steps:
+        fresh = len(elements)  # the id the next new element gets
+        if op <= _LDIV:
+            g, h = elements[ren[a]], elements[ren[b]]
+            if op == _MUL:
+                p, q, s, t = g.a, g.b, g.c, g.d
+            else:  # g^-1 is g's adjugate
+                p, q, s, t = g.d, -g.b, -g.c, g.a
+            x, y = p * h.a + q * h.c, p * h.b + q * h.d
+            z, w = s * h.a + t * h.c, s * h.b + t * h.d
+            check_det(x, y, z, w)
+            got = key((x.real, x.imag, y.real, y.imag,
+                       z.real, z.imag, w.real, w.imag))
+            if got == fresh:
+                elements.append(GroupElement._unchecked(x, y, z, w))
         elif op == _REUSE:
-            if rep._clears(elements[ren[a]], {ren[i] for i in b}) != flag:
+            if rep._clears(elements[ren[a]], [ren[i] for i in b]) != new:
                 return None
             continue
         else:
-            got = table.intern(rep._generic_avoiding({ren[i] for i in b}))
-        if flag:
+            got = table.intern(rep._generic_avoiding([ren[i] for i in b]))
+        if new:
             if got != fresh:
                 return None
             ren[r] = got
-            fresh += 1
         elif got != ren[r]:
             return None
-    _check_good(table, [(c, tuple([ren[i] for i in t])) for c, t in phi_bad])
+    for i, j in pairs:  # sign_equiv's first test either way, then it
+        g, h = elements[ren[i]], elements[ren[j]]
+        if ((abs(g.a - h.a) <= tol or abs(g.a + h.a) <= tol)
+                and g.sign_equiv(h, tol)):
+            _check_good(table, [(c, tuple([ren[k] for k in t]))
+                                for c, t in phi_bad])
     return ren
 
 

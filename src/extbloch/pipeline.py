@@ -16,7 +16,9 @@ Every trial runs one body on what ``chains._repairs`` yields for it: a
 plan of slots and pairs (``chains._Plan``), the ids its slots hold and
 each pair's edge id.  The first trial's plan is compiled once and its edges
 are formed on the replay tape; a replayed trial is one pass over that plan
-with its slots and edges renamed.
+with its slots and edges renamed.  Each plan's map from pairs to distinct
+edges (``_edge_layout``) is built once and shared by its replays, so a
+trial takes one Log per distinct edge and keys nothing by edge id.
 """
 
 from __future__ import annotations
@@ -127,27 +129,42 @@ def lambda_hat(c: BarChain, seed) -> LambdaResult:
     rng = as_rng(seed)
     hom = _checked_cycle(c, SymbolTable())
     plan, ids, edges = next(_repairs(hom, rng, 1))
-    v, logs = _lambda_hat(hom.table.elements, plan, ids, edges, rng)
+    v, logs = _lambda_hat(hom.table.elements, plan, ids, _edge_layout(edges),
+                          rng)
     return LambdaResult([(coeff, _flattening([logs[k] for k in row]))
                          for coeff, row in plan.rows], v)
 
 
-def _lambda_hat(elements: list, plan: _Plan, ids: list[int],
-                edges: list[int], rng) -> tuple[ProjVector, list[complex]]:
+def _edge_layout(edges: list[int]) -> tuple[list[int], list[int]]:
+    """(firsts, where) for ``edges``, each pair's edge id in pair order:
+    the index of the first pair of each distinct edge, in pair order, and
+    per pair the index in ``firsts`` of its edge.  A replay's edges are
+    trial 1's renamed one to one, so every replay of a plan shares the
+    layout of the plan's first trial."""
+    at: dict[int, int] = {}
+    firsts, where = [], []
+    for k, e in enumerate(edges):
+        x = at.get(e)
+        if x is None:
+            x = at[e] = len(firsts)
+            firsts.append(k)
+        where.append(x)
+    return firsts, where
+
+
+def _lambda_hat(elements: list, plan: _Plan, ids: list[int], layout: tuple,
+                rng) -> tuple[ProjVector, list[complex]]:
     """v drawn from ``rng`` and, for ``plan`` (see ``chains._Plan``) with
     its slots holding ``ids`` (ids of ``elements``), the Log det of each
-    pair, in pair order, taken once per edge id of ``edges`` (each pair's,
-    in pair order).  det is SL(2, C) invariant, so every translate of an
-    edge e = g_i^-1 g_j shares the Log det(g_i v, g_j v) of the first met,
-    whose det the v-check's pass already computed."""
+    pair, in pair order, taken once per distinct edge at the edge's first
+    pair (``layout``, see ``_edge_layout``).  det is SL(2, C) invariant,
+    so every translate of an edge e = g_i^-1 g_j shares the Log
+    det(g_i v, g_j v) of the first met, whose det the v-check's pass
+    already computed."""
+    firsts, where = layout
     v, _, dets = _sample_v(elements, plan, ids, rng)
-    edge_log, logs = {}, []  # Log det by edge id, and by pair
-    for e, d in zip(edges, dets):
-        x = edge_log.get(e)
-        if x is None:
-            x = edge_log[e] = plog(d)
-        logs.append(x)
-    return v, logs
+    logs = [plog(dets[k]) for k in firsts]
+    return v, [logs[x] for x in where]
 
 
 def _mod1(x: float) -> float:
@@ -218,13 +235,17 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     a health measure.  All trials share one symbol table at the comparison
     tolerance ``tol`` (see ``SymbolTable``).  The report's ``seed`` is
     ``int(seed)`` for an integer seed (``numbers.Integral``, bool and numpy
-    integers included) and None for a generator.  Raises NotACycle, a
+    integers included) and None for a generator.  ``trials`` must be such
+    an integer, at least 1; anything else raises TypeError or ValueError
+    before the cycle is checked or anything is drawn.  Raises NotACycle, a
     ValueError, when ``c`` is not a 3-cycle at ``tol``.
     """
+    if not isinstance(trials, numbers.Integral):
+        raise TypeError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ValueError(f"trials must be >= 1, got {trials!r}")
     rng = as_rng(seed)
-    return _trial_loop(_checked_cycle(c, SymbolTable(tol)), rng, trials,
+    return _trial_loop(_checked_cycle(c, SymbolTable(tol)), rng, int(trials),
                        int(seed) if isinstance(seed, numbers.Integral) else None)
 
 
@@ -237,8 +258,11 @@ def _trial_loop(hom: HomChain, rng, trials: int, seed: int | None) -> CcsReport:
     values: list[complex] = []
     raws: list[complex] = []
     vol_res = 0.0
+    laid_out = None  # the plan ``layout`` was built for
     for plan, ids, edges in _repairs(hom, rng, trials):
-        _, logs = _lambda_hat(elements, plan, ids, edges, rng)
+        if plan is not laid_out:  # trial 1, a fallback, or a replay after one
+            laid_out, layout = plan, _edge_layout(edges)
+        _, logs = _lambda_hat(elements, plan, ids, layout, rng)
         re, im, vol = [], [], []
         for coeff, row in plan.rows:
             lh, d = _point_value(*_log_params(*[logs[k] for k in row]))

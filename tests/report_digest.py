@@ -13,13 +13,16 @@ host only.
 With ``--full-repairs`` every replay of the first trial's repair gives up
 at once (``chains._replay`` is swapped for ``give_up``), so every later
 trial repairs in full; a replay that is right gives the same reports, so
-the two digests must be equal.
+the two digests must be equal.  Either way, a last line on stderr counts
+the later trials that replayed and those that fell back to a full repair,
+so that two equal digests can be told from a run where no replay held.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import sys
 
 from extbloch import chains
 from extbloch.chainio import dumps_canonical
@@ -68,7 +71,16 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--full-repairs", action="store_true",
                         help="repair every trial in full, replaying none")
-    if parser.parse_args().full_repairs:
-        chains._replay = give_up
+    replay = give_up if parser.parse_args().full_repairs else chains._replay
+    gave_up = []  # per later trial: whether its replay gave up
+
+    def counted(*args):
+        ren = replay(*args)
+        gave_up.append(ren is None)
+        return ren
+
+    chains._replay = counted
     hexdigest, count = digest()
     print(f"{hexdigest}  {count} reports")
+    print(f"{gave_up.count(False)} later trials replayed, "
+          f"{gave_up.count(True)} fell back", file=sys.stderr)

@@ -21,7 +21,7 @@ from extbloch.chains import (SymbolTable, _checked_cycle, _ConeRepairer,
                              _Plan, _repair_core, _v_pass, conjugate_chain,
                              near_pairs)
 from extbloch.core import GroupElement, det_pair, random_sl2, random_vector
-from extbloch.errors import DeterminantError, OutOfGrid
+from extbloch.errors import DeterminantError, OutOfGrid, RepairFailed
 from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
                                torsion_cycle)
 from extbloch.pipeline import (_circle_distance, _max_deviation, _mod1,
@@ -91,6 +91,36 @@ def test_clears_agrees_with_sign_distance():
             assert rep._clears(g, group) == want
             outcomes.add((want, margin in distances))
     assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+@pytest.mark.parametrize("coincide", ["none", "plus", "minus"])
+def test_a_replay_tests_renamed_pairs_for_either_sign(coincide):
+    # a tape that draws an apex g and forms (-1) g, with a cone image whose
+    # one term is (1, g, h): h = g'' (a second draw), g or -g.  Each replay
+    # draws g afresh, so the pair (g, h) is renamed and is tested on this
+    # replay's values: it passes for a second draw and is refused, as
+    # _repair_core refuses it, when h = +g or -g
+    rng = random.Random(4)
+    table = SymbolTable()
+    minus_one = table.intern(-GroupElement.identity())
+    table.tape = []
+    rep = _ConeRepairer(rng, table)
+    g = rep._apex_for(3, [(1, (table.identity,))])
+    other = rep._apex_for(4, [(1, (table.identity,))])
+    minus_g = table.mul(minus_one, g)
+    events, table.tape = table.tape, None
+    h = {"none": other, "plus": g, "minus": minus_g}[coincide]
+    tape = chains._compiled(events, [(1, (table.identity, g, h))],
+                            len(table.elements))
+    assert tape[1] == list(dict.fromkeys([
+        (table.identity, g), (table.identity, h), (min(g, h), max(g, h))]))
+    for seed in range(3):
+        if coincide == "none":
+            ren = chains._replay(table, random.Random(seed), tape)
+            assert table.elements[ren[minus_g]] == -table.elements[ren[g]]
+        else:
+            with pytest.raises(RepairFailed, match="cone image not good"):
+                chains._replay(table, random.Random(seed), tape)
 
 
 class _AllCells(FuzzyIndex):
@@ -376,14 +406,18 @@ def _conj_torsion5(s):
 
 
 def test_large_conjugates_keep_their_value_or_det_error():
+    # the det error comes from the det check of a formed quotient: for
+    # s = 60 from a later trial's replay, which forms its products itself,
+    # for s = 100 from the first trial's repair, through ldiv
     value = ccs_value(_conj_torsion5(30), seed=0, trials=3).value_mod1
     assert abs(value - 0.6) < 1e-12
-    for s in (60, 100):
+    for s, former in ((60, "_replay"), (100, "_formed")):
         with pytest.raises(DeterminantError,
                            match=r"^determinant \(.*\) differs from 1$") as e:
             ccs_value(_conj_torsion5(s), seed=0, trials=3)
         frames = [f.name for f in traceback.extract_tb(e.value.__traceback__)]
-        assert "ldiv" in frames
+        assert frames[-2:] == [former, "check_det"]
+        assert ("ldiv" in frames) == (former == "_formed")
 
 
 def test_report_digest_repeats():
@@ -450,50 +484,76 @@ _EDGE_CYCLES = [torsion_cycle(6), torsion_cycle(12),
                 five_term_boundary(0.5, 0.25)]
 
 
+def _memo_sizes(table: SymbolTable) -> tuple[int, ...]:
+    return (len(table.elements), len(table._products), len(table._quotients),
+            len(table._translates), len(table._coincide))
+
+
 def test_kept_edges_are_those_ldiv_gives(monkeypatch):
-    # a replayed trial takes trial 1's edge ids renamed, forming none: each
-    # trial's edge ids are ldiv's on every pair (each then a memo answer),
-    # and the evaluation, its symbol table included, is that of a run
-    # resolving every pair through ldiv
+    # each trial's edge of a pair is the id ldiv gives for the pair: in a
+    # trial repaired in full ldiv answers from the memo, forming nothing;
+    # a replayed trial memoizes nothing, so ldiv forms each quotient with
+    # a renamed id, and it must land on the replay's edge, adding no
+    # element.  The evaluation is that of a run that does not ask
     real, kept = pipeline._repairs, []
 
     def checked(hom, rng, trials):
         table, first = hom.table, None
         for plan, ids, edges in real(hom, rng, trials):
             table.tape = []  # records every product or quotient formed
+            size = len(table.elements)
             assert edges == [table.ldiv(ids[a], ids[b])
                              for a, b in plan.pairs]
-            assert table.tape == []
-            table.tape = None
+            assert len(table.elements) == size
+            slots = plan.slots
+            renamed = [(a, b) for a, b in plan.pairs
+                       if ids[a] != slots[a] or ids[b] != slots[b]]
             if first is None:
                 first = plan
             elif plan is first:  # a replay: trial 1's plan, slots renamed
-                slots = plan.slots
-                renamed = sum(ids[a] != slots[a] or ids[b] != slots[b]
-                              for a, b in plan.pairs)
-                kept.append((len(plan.pairs) - renamed, renamed))
+                kept.append((len(plan.pairs) - len(renamed), len(renamed)))
+            # a quotient is formed for each renamed pair (only a replay
+            # has one) whose first element is not the identity
+            assert len(table.tape) == sum(ids[a] != table.identity
+                                          for a, _ in renamed)
+            table.tape = None
             yield plan, ids, edges
-
-    def every_pair(hom, rng, trials):
-        ldiv = hom.table.ldiv
-        for plan, ids, _ in real(hom, rng, trials):
-            yield plan, ids, [ldiv(ids[a], ids[b]) for a, b in plan.pairs]
 
     for cycle in _EDGE_CYCLES:
         for seed in (0, 1):
             runs = []
-            for stream in (checked, every_pair):
+            for stream in (real, checked):
                 monkeypatch.setattr(pipeline, "_repairs", stream)
                 hom = _checked_cycle(cycle, SymbolTable())
                 rep = _trial_loop(hom, random.Random(seed), 10, seed)
-                t = hom.table
-                runs.append((dumps_canonical(rep.as_dict()), len(t.elements),
-                             t._products, t._quotients, t._translates))
+                runs.append((dumps_canonical(rep.as_dict()),
+                             hom.table.elements))
             assert runs[0] == runs[1]
     # not vacuous: every later trial replayed, and (on torsion 12) a
     # replay has pairs both with and without renamed slots
     assert len(kept) == 9 * 2 * len(_EDGE_CYCLES)
     assert any(k and renamed for k, renamed in kept)
+
+
+def test_replays_leave_the_memos_as_trial_1_left_them(monkeypatch):
+    # torsion 6, seed 0: every term is bad, and each later trial replays.
+    # A replay interns exactly its tape's new ids (19 a trial, so the table
+    # holds 25 + 9 * 19 = 196 elements after 10 trials) and memoizes
+    # nothing: the product, quotient, translate and coincidence memos keep
+    # the sizes they had after trial 1
+    sizes, real = [], pipeline._repairs
+
+    def measured(hom, rng, trials):
+        for trial in real(hom, rng, trials):
+            sizes.append(_memo_sizes(hom.table))
+            yield trial
+
+    monkeypatch.setattr(pipeline, "_repairs", measured)
+    hom = _checked_cycle(torsion_cycle(6), SymbolTable())
+    _trial_loop(hom, random.Random(0), 10, 0)
+    assert sizes[0] == (25, 34, 46, 22, 39)
+    assert _memo_sizes(hom.table) == (196, 34, 46, 22, 39)
+    assert [s[0] for s in sizes] == list(range(25, 197, 19))
 
 
 def test_replays_report_as_full_repairs(monkeypatch):

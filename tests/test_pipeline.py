@@ -512,6 +512,33 @@ def test_a_seed_neither_integer_nor_generator_is_refused(seed):
             evaluate(torsion_cycle(5), seed=seed)
 
 
+@pytest.mark.parametrize("trials, error", [
+    pytest.param(2.5, TypeError, id="float"),
+    pytest.param("3", TypeError, id="str"),
+    pytest.param(None, TypeError, id="None"),
+    pytest.param(np.float64(3), TypeError, id="numpy-float"),
+    pytest.param(0, ValueError, id="zero"),
+    pytest.param(-1, ValueError, id="negative"),
+    pytest.param(False, ValueError, id="False")])
+def test_a_bad_trial_count_is_refused_before_any_draw(trials, error):
+    # refused up front, naming the value: the caller's generator has drawn
+    # nothing, and the cycle (here not even a cycle) is not checked
+    rng = random.Random(3)
+    state = rng.getstate()
+    not_a_cycle = BarChain(3, [(1, (rotation(5, 1),) * 3)])
+    with pytest.raises(error, match=re.escape(f"got {trials!r}") + "$"):
+        ccs_value(not_a_cycle, seed=rng, trials=trials)
+    assert rng.getstate() == state
+
+
+def test_integer_trial_counts_of_any_integer_type_are_taken():
+    c = torsion_cycle(5)
+    want = ccs_value(c, seed=3, trials=3)
+    assert ccs_value(c, seed=3, trials=np.int64(3)) == want
+    assert ccs_value(c, seed=3, trials=np.uint8(3)) == want
+    assert ccs_value(c, seed=3, trials=True) == ccs_value(c, seed=3, trials=1)
+
+
 def test_a_generator_with_only_uniform_is_taken():
     c = torsion_cycle(5)
     assert ccs_value(c, _UniformOnly(3), trials=2) == ccs_value(
@@ -527,6 +554,11 @@ def _other_id(e):
     return e[:3] + (0 if e[3] else 1, False)
 
 
+def _renamed(events):
+    """The ids new on a tape: those every replay renames."""
+    return {e[3] for e in events if e[4] and e[0] != _REUSE}
+
+
 # one decision of a tape recorded otherwise: (kind, flag) of the last event
 # changed, the part of the tape it is taken from (the repair's; the
 # certificate residual's quotients, recorded after phi(B) is checked; or
@@ -535,7 +567,9 @@ def _other_id(e):
 # old quotient as another old id.  Every quotient the residual needs is
 # known from a product formed before it, so for the residual case the
 # quotient memo is emptied when phi(B) is checked and the residual forms
-# its quotients again, each landing on an old id
+# its quotients again, each landing on an old id.  Only a decision the
+# replay takes is changed: a product or quotient with no renamed operand
+# and an old result that is not renamed is compiled out of the tape
 _FORCED = {
     "reuse-failed": (_REUSE, True, "repair", lambda e: e[:4] + (False,)),
     "product-old": (_MUL, True, "repair", lambda e: e[:4] + (False,)),
@@ -551,14 +585,16 @@ _FORCED = {
     *(pytest.param(name, 6, id=f"{name}-trial-6") for name in sorted(_FORCED))])
 def test_a_decision_that_differs_falls_back_to_the_full_repair(
         monkeypatch, make, forced, at):
-    # trial ``at`` replays a tape with one decision recorded otherwise.
-    # The replay stops there, after drawing apexes, and the trial repairs
-    # in full on those draws, on a plan of its own; the trials after it
-    # replay again on the first trial's plan: the report and the
-    # generator's final state equal those of a run whose replays all give
-    # up at once (every later trial a full repair on the stream)
+    # trial ``at`` replays a tape with one decision recorded otherwise,
+    # changed before the tape is compiled.  The replay stops there, after
+    # drawing apexes, and the trial repairs in full on those draws, on a
+    # plan of its own; the trials after it replay trial 1's compiled tape
+    # again, on the first trial's plan: the report and the generator's
+    # final state equal those of a run whose replays all give up at once
+    # (every later trial a full repair on the stream)
     kind, flag, part, change = _FORCED[forced]
     real_check, real_planned, starts = chains._check_good, chains._planned, {}
+    real_compiled, recorded = chains._compiled, []
 
     def check(table, phi_bad):
         if table.tape is not None:  # recording: the residual comes next
@@ -572,23 +608,30 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
             starts["edges"] = len(table.tape)
         return real_planned(table, phi)
 
+    def compiled(*args):
+        recorded[:] = args
+        return real_compiled(*args)
+
     def part_of(k):
         return ("repair" if k < starts["residual"] else
                 "residual" if k < starts["edges"] else "edges")
 
     def mutate(events):
+        renamed = _renamed(events)
         k = max(k for k, e in enumerate(events) if part_of(k) == part
-                and e[0] == kind and e[4] == flag)
+                and e[0] == kind and e[4] == flag
+                and (kind == _REUSE or not renamed.isdisjoint(e[1:3])))
         events[k] = change(events[k])
         return events
 
     real_replay, real_core = chains._replay, chains._repair_core
     outcomes, cores = [], []
 
-    def replay(table, rng, events, *phis):
+    def replay(table, rng, tape):
         if len(outcomes) == at - 2:  # the replay of trial ``at``
-            events = mutate(list(events))
-        outcomes.append(real_replay(table, rng, events, *phis))
+            events, phi_bad, size = recorded
+            tape = real_compiled(mutate(list(events)), phi_bad, size)
+        outcomes.append(real_replay(table, rng, tape))
         if outcomes[-1] is None:
             assert rng.drawn  # the fallback re-reads these
         return outcomes[-1]
@@ -600,6 +643,7 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
     monkeypatch.setattr(chains, "_repair_core", core)
     monkeypatch.setattr(chains, "_check_good", check)
     monkeypatch.setattr(chains, "_planned", planned)
+    monkeypatch.setattr(chains, "_compiled", compiled)
     for seed in (0, 1):
         runs = []
         for replay_on in (False, True):
@@ -619,20 +663,26 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
 
 
 def test_replayed_trials_check_their_cone_image(monkeypatch):
-    # a replayed trial takes trial 1's phi(B) renamed and still checks it
-    # for goodness: a coincidence put into trial 1's phi(B) after trial 1
-    # is refused by trial 2's replay
-    real, raised = chains._replay, []
+    # a replayed trial takes trial 1's phi(B) renamed and still tests the
+    # pairs that touch a renamed id for goodness: a coincidence of renamed
+    # ids put into trial 1's phi(B) before its tape is compiled is refused
+    # by trial 2's replay
+    real_compiled, real_replay, raised = chains._compiled, chains._replay, []
 
-    def replay(table, rng, events, phi_bad):
+    def compiled(events, phi_bad, size):
         coeff, ids = phi_bad[0]
+        assert ids[-2] in _renamed(events)
         phi_bad[0] = (coeff, ids[:-1] + ids[-2:-1])  # g_3 = g_2
+        return real_compiled(events, phi_bad, size)
+
+    def replay(*args):
         try:
-            return real(table, rng, events, phi_bad)
+            return real_replay(*args)
         except RepairFailed:
-            raised.append(phi_bad)
+            raised.append(args)
             raise
 
+    monkeypatch.setattr(chains, "_compiled", compiled)
     monkeypatch.setattr(chains, "_replay", replay)
     with pytest.raises(RepairFailed, match="cone image not good"):
         ccs_value(torsion_cycle(6), seed=0, trials=10)
@@ -711,17 +761,38 @@ def test_every_later_trial_replays_without_a_fallback(monkeypatch):
                 assert _mod1_dist(value.real, first.real) <= 1e-12
                 assert abs(value.imag - first.imag) <= 1e-12
     # the report digest's corpus at seed 0: every one of its 58 cycles
-    # replays trial 1's repair and edges in each later trial
+    # replays trial 1's repair and edges in each later trial, and each
+    # trial's edge of a pair (a, b) is, within the table's tolerance, the
+    # quotient g^-1 h of the elements g, h its slots a, b hold, formed here
+    # from their entries (the table is not asked)
     real, renamings = chains._replay, []
+    real_repairs, replayed = pipeline._repairs, []
 
     def replay(*args):
         renamings.append(real(*args))
         return renamings[-1]
 
+    def repairs(hom, rng, trials):
+        elements, tol = hom.table.elements, hom.table.tol
+        for k, (plan, ids, edges) in enumerate(real_repairs(hom, rng, trials)):
+            for (a, b), e in zip(plan.pairs, edges):
+                g, h, q = elements[ids[a]], elements[ids[b]], elements[e]
+                want = (g.d * h.a - g.b * h.c, g.d * h.b - g.b * h.d,
+                        g.a * h.c - g.c * h.a, g.a * h.d - g.c * h.b)
+                assert max(abs(x - y) for x, y in
+                           zip(want, (q.a, q.b, q.c, q.d))) <= tol
+            replayed.append(k and sum(ids[a] != plan.slots[a]
+                                      for a in range(len(ids))))
+            yield plan, ids, edges
+
     monkeypatch.setattr(chains, "_replay", replay)
+    monkeypatch.setattr(pipeline, "_repairs", repairs)
     for _, cycle in report_digest.corpus():
         ccs_value(cycle, seed=0, trials=10)
     assert len(renamings) == 9 * 58 and None not in renamings
+    # not vacuous: the later trials of the 25 torsion cycles rename slots
+    # (the boundaries' terms are good, so nothing of theirs is repaired)
+    assert len(replayed) == 10 * 58 and sum(map(bool, replayed)) == 9 * 25
 
 
 def _rotation_cycle(n: int, k: int) -> BarChain:
