@@ -25,11 +25,12 @@ certificate; it changes only the simplices that have such a coincidence.
 Within one evaluation, ``_repairs`` repairs the first trial in full and
 replays that repair, with its Log-det edges, for each later trial: every
 trial comes as a ``_Plan`` of the repaired cycle's distinct ids and id
-pairs, the ids its slots hold and each pair's edge id, and a replayed
-trial shares the first one's plan with its slots and edges renamed.  The
-first trial's tape is compiled once (``_compiled``), and each replay is
-one flat pass over it (``_replay``) that leaves the table's memos as the
-first trial left them.
+pairs, the ids its slots hold and the layout of its pairs' edges.  A
+replay is one flat pass (``_replay``) over the first trial's tape,
+compiled once (``_compiled``), that forms through the table's one kernel
+(``SymbolTable._form``), leaves the table's memos as the first trial left
+them, and shares the first trial's plan and layout, with the ids the
+first trial added moved by one offset.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ class SymbolTable:
     quotient of two translates by one factor, (g_f g_x)^-1 (g_f g_y) or
     (g_f^-1 g_x)^-1 (g_f^-1 g_y), is g_x^-1 g_y's id when that is known.
     These answers are exact in SL(2, C) and never formed, so never
-    det-checked.  While ``tape`` is a list, every product or quotient
+    det-checked.  Every product or quotient is formed by ``_form``, a
+    replay's too.  While ``tape`` is a list, every product or quotient
     formed on a memo miss goes on it.  Only ``mul``, ``ldiv`` and ``good``
     fill the memos: a replayed trial (``_replay``) interns its own ids but
     memoizes nothing, so the memos hold the input's ids and those of
@@ -107,29 +109,21 @@ class SymbolTable:
             return j
         ident = self._products.get((i, j))
         if ident is None:
-            g, h = self.elements[i], self.elements[j]
-            ident = self._products[(i, j)] = self._formed(
-                _MUL, i, j, g.a * h.a + g.b * h.c, g.a * h.b + g.b * h.d,
-                g.c * h.a + g.d * h.c, g.c * h.b + g.d * h.d)
+            ident = self._products[(i, j)] = self._formed(_MUL, i, j)
             self._quotients.setdefault((i, ident), j)
         return ident
 
     def ldiv(self, i: int, j: int) -> int:
         """The id of g_i^-1 g_j: g_j for i the identity, memoized, or the
         quotient of two translates by one factor (see ``_translated``), or
-        else formed from g_i's adjugate (d, -b, -c, a) with the float
-        operations of ``g_i.inverse() @ g_j``."""
+        else formed (see ``_form``)."""
         if i == self.identity:  # 1^-1 g = g exactly: no product, no intern
             return j
         ident = self._quotients.get((i, j))
         if ident is None:
             ident = self._translated(i, j)
             if ident is None:
-                g, h = self.elements[i], self.elements[j]
-                a, b, c, d = g.d, -g.b, -g.c, g.a
-                ident = self._formed(
-                    _LDIV, i, j, a * h.a + b * h.c, a * h.b + b * h.d,
-                    c * h.a + d * h.c, c * h.b + d * h.d)
+                ident = self._formed(_LDIV, i, j)
                 self._products.setdefault((i, ident), j)
             self._quotients[(i, j)] = ident
         return ident
@@ -143,22 +137,33 @@ class SymbolTable:
         x, y = t[1], u[1]
         return y if x == self.identity else self._quotients.get((x, y))
 
-    def _formed(self, op: int, i: int, j: int, a: complex, b: complex,
-                c: complex, d: complex) -> int:
-        """The id of (a b; c d), just formed from ids i and j by ``op``: det
-        checked and eight floats keyed as ``GroupElement`` and ``intern`` do,
-        an element built for a new id only (``GroupElement._unchecked``: its
-        det is not checked again).  The event goes on the tape when one is
-        on."""
-        check_det(a, b, c, d)
-        fresh = len(self.elements)
-        ident = self._index.key((a.real, a.imag, b.real, b.imag,
-                                 c.real, c.imag, d.real, d.imag))
-        if ident == fresh:
-            self.elements.append(GroupElement._unchecked(a, b, c, d))
+    def _formed(self, op: int, i: int, j: int) -> int:
+        """``_form`` on the elements of ids i and j, remembered as a
+        translate and put on the tape, as (op, i, j, result id), when one
+        is on."""
+        ident = self._form(op, self.elements[i], self.elements[j])
         self._translates.setdefault(ident, ((op, i), j))
         if self.tape is not None:
-            self.tape.append((op, i, j, ident, ident == fresh))
+            self.tape.append((op, i, j, ident))
+        return ident
+
+    def _form(self, op: int, g: GroupElement, h: GroupElement) -> int:
+        """The id of g h (``_MUL``) or g^-1 h (``_LDIV``, g^-1 as g's
+        adjugate), formed with the float operations of ``g @ h`` or
+        ``g.inverse() @ h``, det checked and keyed as ``intern`` keys; an
+        element is built for a new id only (``GroupElement._unchecked``:
+        its det is not checked again)."""
+        if op == _MUL:
+            p, q, s, t = g.a, g.b, g.c, g.d
+        else:
+            p, q, s, t = g.d, -g.b, -g.c, g.a
+        a, b = p * h.a + q * h.c, p * h.b + q * h.d
+        c, d = s * h.a + t * h.c, s * h.b + t * h.d
+        check_det(a, b, c, d)
+        ident = self._index.key((a.real, a.imag, b.real, b.imag,
+                                 c.real, c.imag, d.real, d.imag))
+        if ident == len(self.elements):
+            self.elements.append(GroupElement._unchecked(a, b, c, d))
         return ident
 
     def good(self, ids: Ids) -> bool:
@@ -606,21 +611,21 @@ class _ConeRepairer:
     def _apex_for(self, length: int, phi: _Terms) -> int:
         """The apex id for coning ``phi`` into tuples of ``length``: the
         current one while it clears ``phi``, else a new draw.  Each reuse
-        test (apex, ids tested, outcome) and each draw (ids, apex id, new)
-        goes on the table's tape when one is on."""
+        test, as (``_REUSE``, apex id, ids tested, outcome), and each draw,
+        as (``_DRAW``, None, ids the apex clears, apex id), goes on the
+        table's tape when one is on."""
         table, tape = self.table, self.table.tape
         ids = {i for _, t in phi for i in t}
         apex = self._apex.get(length)
         if apex is not None:
             cleared = self._clears(table.elements[apex], ids)
             if tape is not None:
-                tape.append((_REUSE, apex, ids, None, cleared))
+                tape.append((_REUSE, apex, ids, cleared))
             if cleared:
                 return apex
-        fresh = len(table.elements)
         apex = self._apex[length] = table.intern(self._generic_avoiding(ids))
         if tape is not None:
-            tape.append((_DRAW, None, ids, apex, apex == fresh))
+            tape.append((_DRAW, None, ids, apex))
         return apex
 
     def images(self, ids: Ids) -> tuple[_Terms, _Terms]:
@@ -702,51 +707,62 @@ def _repair_core(hom: HomChain, rng) -> tuple[_Terms, _Terms, _Terms]:
 
 
 def _planned(table: SymbolTable, phi: _Terms):
-    """(plan, ids, edges) of a trial repaired in full to ``phi``: its
-    ``_Plan``, the plan's own slots as ids, and each pair's edge id
-    g_i^-1 g_j by ``SymbolTable.ldiv``, in pair order (an edge between two
-    translates by one factor of a known edge is a memo answer, not a
-    product)."""
+    """(plan, ids, layout) of a trial repaired in full to ``phi``: its
+    ``_Plan``, the plan's own slots as ids, and the ``_edge_layout`` of
+    each pair's edge id g_i^-1 g_j by ``SymbolTable.ldiv``, in pair order
+    (an edge between two translates by one factor of a known edge is a
+    memo answer, not a product)."""
     plan = _Plan(phi)
     slots, ldiv = plan.slots, table.ldiv
-    return plan, slots, [ldiv(slots[a], slots[b]) for a, b in plan.pairs]
+    return plan, slots, _edge_layout([ldiv(slots[a], slots[b])
+                                      for a, b in plan.pairs])
+
+
+def _edge_layout(edges: list[int]) -> tuple[list[int], list[int]]:
+    """(firsts, where) for ``edges``, each pair's edge id in pair order:
+    the index of the first pair of each distinct edge, in pair order, and
+    per pair the index in ``firsts`` of its edge."""
+    at: dict[int, int] = {}
+    firsts, where = [], []
+    for k, e in enumerate(edges):
+        x = at.get(e)
+        if x is None:
+            x = at[e] = len(firsts)
+            firsts.append(k)
+        where.append(x)
+    return firsts, where
 
 
 def _repairs(hom: HomChain, rng, trials: int):
-    """(plan, ids, edges) for each of ``trials`` trials of one evaluation
+    """(plan, ids, layout) for each of ``trials`` trials of one evaluation
     of ``hom``, yielded in turn, each drawn from ``rng`` only when asked
     for (so v, drawn between trials, falls between them): the ``_Plan``
-    of the trial's phi, the ids its slots hold and each pair's edge id
-    g_i^-1 g_j, in pair order.  A trial repaired in full gives
-    ``_planned``'s; a replayed trial gives the first trial's plan with its
-    slots and edges renamed.  With more than one trial, the first trial's
-    repair and edges record the table's tape: every product or quotient
-    formed on a memo miss (a memo answer is no event), the residual's and
-    the edges' included, as (``_MUL`` or ``_LDIV``, i, j, result id,
-    whether it was new), and every apex decision, as (``_REUSE``, apex id,
-    ids tested, None, whether the apex cleared them) or (``_DRAW``, None,
-    ids the apex clears, apex id, whether it was new).  The tape is
-    compiled once (``_compiled``), after the first trial; later trials
-    replay it at their own apexes (see ``_replay``), interning their ids
-    but adding no memo entries, and repair in full on the same draws when
-    a decision differs.  One trial records and compiles nothing."""
+    of the trial's phi, the ids its slots hold and its ``_edge_layout``.
+    A trial repaired in full gives ``_planned``'s.  With more than one
+    trial, the first trial's repair and edges record the table's tape,
+    compiled once (``_compiled``); a later trial replays it at its own
+    apexes (``_replay``) and gives the first trial's plan and layout, with
+    the first trial's ids from ``base`` (the table's length before it) on
+    moved by the replay's offset, or repairs in full on the same draws
+    when a decision differs.  One trial records and compiles nothing."""
     table = hom.table
+    base = len(table.elements)
     table.tape = [] if trials > 1 else None
     phi_bad, phi, _ = _repair_core(hom, rng)
-    plan, slots, edges = first = _planned(table, phi)
+    plan, slots, layout = first = _planned(table, phi)
     events, table.tape = table.tape, None
     yield first
     if trials < 2:
         return
-    tape = _compiled(events, phi_bad, len(table.elements))
+    tape = _compiled(events, phi_bad, base, len(table.elements))
     for _ in range(trials - 1):
         draws = _Rewindable(rng)
-        ren = _replay(table, draws, tape)
-        if ren is None:
+        shift = _replay(table, draws, tape)
+        if shift is None:
             draws.rewind()
             yield _planned(table, _repair_core(hom, draws)[1])
         else:
-            yield plan, [ren[i] for i in slots], [ren[e] for e in edges]
+            yield plan, [i if i < base else i + shift for i in slots], layout
 
 
 def _check_good(table: SymbolTable, phi_bad: _Terms) -> None:
@@ -758,87 +774,68 @@ def _check_good(table: SymbolTable, phi_bad: _Terms) -> None:
         raise RepairFailed(f"cone image not good: offenders {offenders[:3]}")
 
 
-def _compiled(events: list, phi_bad: _Terms, size: int) -> tuple:
-    """The first trial's tape ``events`` and cone image ``phi_bad`` (see
-    ``_repairs``), compiled once per evaluation for ``_replay``, with
-    ``size`` the table's length after the first trial: (steps, pairs,
-    size, phi_bad).  The renamed ids are those new on the tape, the same
-    in every replay.  ``steps`` are the events in order, each reuse
-    test's and draw's id set as a tuple, less every product or quotient
-    with no renamed operand whose result was old and is not renamed: the
-    first trial memoized it, so its answer is the recorded id in every
-    replay.  ``pairs`` are the unordered id pairs within a term of
-    ``phi_bad`` that touch a renamed id, first met first; the others
-    passed the first trial's goodness test and are the same ids."""
-    renamed = {r for op, _, _, r, new in events if new and op != _REUSE}
+def _compiled(events: list, phi_bad: _Terms, base: int, size: int) -> tuple:
+    """The first trial's tape ``events`` and cone image ``phi_bad``,
+    compiled once per evaluation for ``_replay``, with ``base`` and
+    ``size`` the table's length before and after the first trial: (steps,
+    pairs, base, size, phi_bad).  Ids are handed out in order and every
+    id the first trial added (those from ``base`` on) comes from one step
+    of the tape, so a replay that matches every decision adds its own at
+    the same steps: the first trial's moved by one offset.  ``steps`` are
+    the events, each reuse test's and draw's id set as a tuple, less every
+    product or quotient whose operands and result are all below ``base``:
+    the first trial memoized it, so its answer holds in every replay.
+    ``pairs`` are the unordered id pairs within a term of ``phi_bad`` with
+    an id from ``base`` on, first met first; the others passed the first
+    trial's goodness test."""
     steps = []
-    for op, a, b, r, new in events:
+    for op, a, b, r in events:
         if op >= _REUSE:
-            steps.append((op, a, tuple(b), r, new))
-        elif new or not renamed.isdisjoint((a, b, r)):
-            steps.append((op, a, b, r, new))
+            steps.append((op, a, tuple(b), r))
+        elif max(a, b, r) >= base:
+            steps.append((op, a, b, r))
     pairs = {}
     for _, ids in phi_bad:
         for i, j in combinations(ids, 2):
-            if i in renamed or j in renamed:
+            if i >= base or j >= base:
                 pairs[(i, j) if i <= j else (j, i)] = None
-    return steps, list(pairs), size, phi_bad
+    return steps, list(pairs), base, size, phi_bad
 
 
-def _replay(table: SymbolTable, rng, tape: tuple) -> list[int] | None:
-    """The renaming of ids (a list, recorded id -> this trial's id) that
-    turns the first trial's phi and edges into those of ``_repair_core``
-    and ``_planned`` for a later trial on the cycle whose first trial
-    gave the compiled ``tape`` (see ``_compiled``), or None as soon as a
-    decision differs.
+def _replay(table: SymbolTable, rng, tape: tuple) -> int | None:
+    """The offset by which this later trial moves the first trial's ids
+    from ``base`` on (the table's length at its start less ``base``), or
+    None as soon as a decision differs from the compiled ``tape``'s (see
+    ``_compiled``).
 
-    One pass takes every step again with this trial's ids: each product
-    or quotient is formed from the entries with the float operations of
-    ``SymbolTable.mul``/``ldiv``, det-checked and keyed through the
-    table's index (an element is built for a new id only), and must come
-    out as the recorded id renamed (the same old id, the same earlier
-    renamed id, or a new id where the tape has a new one); each reuse
-    test must come out as recorded; each apex is drawn afresh from
-    ``rng`` through the same ``random_sl2``/``_clears`` loop and interned.
-    A memo answer of trial 1 is no event and holds for the renamed ids as
-    it did.  When all match, phi(B), H(B), the certificate residual and
-    the edges, whose formed quotients (if any) end the tape, are the
-    recorded ones renamed, so the residual is empty as it was; phi(B)'s
-    pairs that touch a renamed id are tested for +-coincidence, which
-    raises RepairFailed as ``_repair_core`` would.  The trial's ids get no
-    memo entries, since no later trial asks about them.  Draws nothing a
-    full repair on the same stream would not draw first.
+    One pass takes every step again with the ids moved: each product or
+    quotient is formed by ``SymbolTable._form`` and each apex drawn afresh
+    from ``rng`` through the same ``random_sl2``/``_clears`` loop and
+    interned, and each must land on the recorded id moved; each reuse test
+    must come out as recorded.  A memo answer of trial 1 is no event and
+    holds for the moved ids as it did.  When all match, phi(B), H(B), the
+    certificate residual and the edges are the first trial's moved, so the
+    residual is empty as it was; phi(B)'s pairs with a moved id are tested
+    for +-coincidence, which raises RepairFailed as ``_repair_core``
+    would.  The trial's ids get no memo entries, since no later trial asks
+    about them.  Draws nothing a full repair on the same stream would not
+    draw first.
     """
-    steps, pairs, size, phi_bad = tape
-    elements, key, tol = table.elements, table._index.key, table.tol
+    steps, pairs, base, size, phi_bad = tape
+    elements, form, tol = table.elements, table._form, table.tol
     rep = _ConeRepairer(rng, table)
-    ren = list(range(size))  # recorded id -> this trial's id
-    for op, a, b, r, new in steps:
-        fresh = len(elements)  # the id the next new element gets
+    shift = len(elements) - base
+    ren = [*range(base), *range(base + shift, size + shift)]
+    for op, a, b, r in steps:
         if op <= _LDIV:
-            g, h = elements[ren[a]], elements[ren[b]]
-            if op == _MUL:
-                p, q, s, t = g.a, g.b, g.c, g.d
-            else:  # g^-1 is g's adjugate
-                p, q, s, t = g.d, -g.b, -g.c, g.a
-            x, y = p * h.a + q * h.c, p * h.b + q * h.d
-            z, w = s * h.a + t * h.c, s * h.b + t * h.d
-            check_det(x, y, z, w)
-            got = key((x.real, x.imag, y.real, y.imag,
-                       z.real, z.imag, w.real, w.imag))
-            if got == fresh:
-                elements.append(GroupElement._unchecked(x, y, z, w))
+            got = form(op, elements[ren[a]], elements[ren[b]])
         elif op == _REUSE:
-            if rep._clears(elements[ren[a]], [ren[i] for i in b]) != new:
+            if rep._clears(elements[ren[a]], [ren[i] for i in b]) != r:
                 return None
             continue
         else:
             got = table.intern(rep._generic_avoiding([ren[i] for i in b]))
-        if new:
-            if got != fresh:
-                return None
-            ren[r] = got
-        elif got != ren[r]:
+        if got != ren[r]:
             return None
     for i, j in pairs:  # sign_equiv's first test either way, then it
         g, h = elements[ren[i]], elements[ren[j]]
@@ -846,7 +843,7 @@ def _replay(table: SymbolTable, rng, tape: tuple) -> list[int] | None:
                 and g.sign_equiv(h, tol)):
             _check_good(table, [(c, tuple([ren[k] for k in t]))
                                 for c, t in phi_bad])
-    return ren
+    return shift
 
 
 class _Rewindable:

@@ -13,12 +13,11 @@ the class.  The real part of the unreduced sum is only defined up to 2 pi^2,
 which is exactly why the reduction is legitimate.
 
 Every trial runs one body on what ``chains._repairs`` yields for it: a
-plan of slots and pairs (``chains._Plan``), the ids its slots hold and
-each pair's edge id.  The first trial's plan is compiled once and its edges
-are formed on the replay tape; a replayed trial is one pass over that plan
-with its slots and edges renamed.  Each plan's map from pairs to distinct
-edges (``_edge_layout``) is built once and shared by its replays, so a
-trial takes one Log per distinct edge and keys nothing by edge id.
+plan of slots and pairs (``chains._Plan``), the ids its slots hold and the
+layout of its pairs' distinct Log-det edges (``chains._edge_layout``).  A
+replayed trial is one pass over the first trial's plan and layout with its
+slot ids moved by one offset, so a trial takes one Log per distinct edge
+and keys nothing by edge id.
 """
 
 from __future__ import annotations
@@ -128,28 +127,10 @@ def lambda_hat(c: BarChain, seed) -> LambdaResult:
     """
     rng = as_rng(seed)
     hom = _checked_cycle(c, SymbolTable())
-    plan, ids, edges = next(_repairs(hom, rng, 1))
-    v, logs = _lambda_hat(hom.table.elements, plan, ids, _edge_layout(edges),
-                          rng)
+    plan, ids, layout = next(_repairs(hom, rng, 1))
+    v, logs = _lambda_hat(hom.table.elements, plan, ids, layout, rng)
     return LambdaResult([(coeff, _flattening([logs[k] for k in row]))
                          for coeff, row in plan.rows], v)
-
-
-def _edge_layout(edges: list[int]) -> tuple[list[int], list[int]]:
-    """(firsts, where) for ``edges``, each pair's edge id in pair order:
-    the index of the first pair of each distinct edge, in pair order, and
-    per pair the index in ``firsts`` of its edge.  A replay's edges are
-    trial 1's renamed one to one, so every replay of a plan shares the
-    layout of the plan's first trial."""
-    at: dict[int, int] = {}
-    firsts, where = [], []
-    for k, e in enumerate(edges):
-        x = at.get(e)
-        if x is None:
-            x = at[e] = len(firsts)
-            firsts.append(k)
-        where.append(x)
-    return firsts, where
 
 
 def _lambda_hat(elements: list, plan: _Plan, ids: list[int], layout: tuple,
@@ -157,9 +138,9 @@ def _lambda_hat(elements: list, plan: _Plan, ids: list[int], layout: tuple,
     """v drawn from ``rng`` and, for ``plan`` (see ``chains._Plan``) with
     its slots holding ``ids`` (ids of ``elements``), the Log det of each
     pair, in pair order, taken once per distinct edge at the edge's first
-    pair (``layout``, see ``_edge_layout``).  det is SL(2, C) invariant,
-    so every translate of an edge e = g_i^-1 g_j shares the Log
-    det(g_i v, g_j v) of the first met, whose det the v-check's pass
+    pair (``layout``, see ``chains._edge_layout``).  det is SL(2, C)
+    invariant, so every translate of an edge e = g_i^-1 g_j shares the
+    Log det(g_i v, g_j v) of the first met, whose det the v-check's pass
     already computed."""
     firsts, where = layout
     v, _, dets = _sample_v(elements, plan, ids, rng)
@@ -222,8 +203,8 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     from it in turn, as successive ``lambda_hat`` calls on it do, and give
     the same values.  Later trials replay the first trial's repair and
     Log-det edges at their own apexes (see ``chains._repairs``), and every
-    trial runs one body on its plan, slot ids and edge ids.  Each repaired
-    term is evaluated once, straight from its log-parameters
+    trial runs one body on its plan, slot ids and edge layout.  Each
+    repaired term is evaluated once, straight from its log-parameters
     (``covering._point_value``: one e^{w0}, Log z, Log(1-z) and li2 series,
     with every check of the ``FlatteningTriple``, ``to_covering_point`` and
     ``lhat`` path), and nothing is merged.  ``volume_vs_im_lhat`` is the
@@ -252,16 +233,13 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
 def _trial_loop(hom: HomChain, rng, trials: int, seed: int | None) -> CcsReport:
     """``ccs_value``'s report on the checked cycle ``hom`` (see
     ``_checked_cycle``), drawing from ``rng``, with ``seed`` as its seed:
-    one body per trial on the (plan, slot ids, edge ids) that
+    one body per trial on the (plan, slot ids, edge layout) that
     ``chains._repairs`` yields for it."""
     elements = hom.table.elements
     values: list[complex] = []
     raws: list[complex] = []
     vol_res = 0.0
-    laid_out = None  # the plan ``layout`` was built for
-    for plan, ids, edges in _repairs(hom, rng, trials):
-        if plan is not laid_out:  # trial 1, a fallback, or a replay after one
-            laid_out, layout = plan, _edge_layout(edges)
+    for plan, ids, layout in _repairs(hom, rng, trials):
         _, logs = _lambda_hat(elements, plan, ids, layout, rng)
         re, im, vol = [], [], []
         for coeff, row in plan.rows:

@@ -6,6 +6,8 @@ identity is expanded over opaque symbols with a dict, not the library's
 wedge type, the canonical JSON text is written by a plain recursive
 ``isinstance`` dispatch, element by element, and float vectors are keyed
 by a frozen copy of the fuzzy index that rounds with ``round`` to int cells.
+A trial's Log-det edge layout is checked against ``ldiv`` and against
+quotients formed here from the entries.
 """
 
 from __future__ import annotations
@@ -210,3 +212,35 @@ class FuzzyIndexReference:
         self._reps.append(vals)
         self._cells.setdefault(primary, []).append(ident)
         return ident
+
+
+# ---------------------------------------------------------------------------
+# Log-det edge layouts (against ldiv and quotients formed from the entries)
+
+
+def quotient_entries(g, h) -> tuple[complex, ...]:
+    """The entries (a, b, c, d) of g^-1 h, g^-1 taken as g's adjugate."""
+    return (g.d * h.a - g.b * h.c, g.d * h.b - g.b * h.d,
+            g.a * h.c - g.c * h.a, g.a * h.d - g.c * h.b)
+
+
+def check_edge_layout(table, plan, ids, layout) -> None:
+    """Assert that ``layout`` = (firsts, where) groups the pairs of
+    ``plan``, its slots holding ``ids``, by Log-det edge: two pairs share
+    a group exactly when ``table.ldiv`` gives them one id, ``firsts``
+    holds each group's first pair, ``ldiv`` adds no element, and each
+    pair's quotient g^-1 h, formed from the entries, is within the table's
+    tolerance (entrywise |.|) of its group's first pair's."""
+    firsts, where = layout
+    size, elements = len(table.elements), table.elements
+    edges = [table.ldiv(ids[a], ids[b]) for a, b in plan.pairs]
+    assert len(table.elements) == size
+    assert len(where) == len(edges)
+    assert len(set(zip(where, edges))) == len(set(where)) == len(set(edges))
+    assert set(where) == set(range(len(firsts)))
+    assert firsts == [where.index(x) for x in range(len(firsts))]
+    quotients = [quotient_entries(elements[ids[a]], elements[ids[b]])
+                 for a, b in plan.pairs]
+    for q, x in zip(quotients, where):
+        first = quotients[firsts[x]]
+        assert max(abs(u - w) for u, w in zip(q, first)) <= table.tol

@@ -75,9 +75,9 @@ if __name__ == "__main__":
     gave_up = []  # per later trial: whether its replay gave up
 
     def counted(*args):
-        ren = replay(*args)
-        gave_up.append(ren is None)
-        return ren
+        shift = replay(*args)
+        gave_up.append(shift is None)
+        return shift
 
     chains._replay = counted
     hexdigest, count = digest()

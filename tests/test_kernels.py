@@ -3,8 +3,8 @@ replace: the +- and apex-margin tests against ``sign_distance``, the
 one-cell lookup of ``FuzzyIndex`` against the probe of all cells and the
 index against its frozen int-cell reference, the symbol table's products
 against a det-checked ``GroupElement``, the slot-indexed v pass against
-``near_pairs`` term by term, renamed edge ids against ``ldiv`` on every
-pair, replays against full repairs, and the largest trial deviation
+``near_pairs`` term by term, every trial's edge layout against ``ldiv`` on
+every pair, replays against full repairs, and the largest trial deviation
 against the maximum over all pairs."""
 
 import math
@@ -29,7 +29,7 @@ from extbloch.pipeline import (_circle_distance, _max_deviation, _mod1,
 from extbloch.quantize import _CLEAR, _GUARD, FuzzyIndex
 
 import report_digest
-from oracles import FuzzyIndexReference
+from oracles import FuzzyIndexReference, check_edge_layout
 
 TOLS = (1e-8, 1e-3)
 DYADIC = [k / 8 for k in range(-16, 17)]
@@ -97,12 +97,13 @@ def test_clears_agrees_with_sign_distance():
 def test_a_replay_tests_renamed_pairs_for_either_sign(coincide):
     # a tape that draws an apex g and forms (-1) g, with a cone image whose
     # one term is (1, g, h): h = g'' (a second draw), g or -g.  Each replay
-    # draws g afresh, so the pair (g, h) is renamed and is tested on this
-    # replay's values: it passes for a second draw and is refused, as
-    # _repair_core refuses it, when h = +g or -g
+    # draws g afresh, so the pair (g, h) is renamed (moved by the replay's
+    # offset) and is tested on this replay's values: it passes for a second
+    # draw and is refused, as _repair_core refuses it, when h = +g or -g
     rng = random.Random(4)
     table = SymbolTable()
     minus_one = table.intern(-GroupElement.identity())
+    base = len(table.elements)
     table.tape = []
     rep = _ConeRepairer(rng, table)
     g = rep._apex_for(3, [(1, (table.identity,))])
@@ -110,14 +111,17 @@ def test_a_replay_tests_renamed_pairs_for_either_sign(coincide):
     minus_g = table.mul(minus_one, g)
     events, table.tape = table.tape, None
     h = {"none": other, "plus": g, "minus": minus_g}[coincide]
-    tape = chains._compiled(events, [(1, (table.identity, g, h))],
+    tape = chains._compiled(events, [(1, (table.identity, g, h))], base,
                             len(table.elements))
     assert tape[1] == list(dict.fromkeys([
         (table.identity, g), (table.identity, h), (min(g, h), max(g, h))]))
     for seed in range(3):
         if coincide == "none":
-            ren = chains._replay(table, random.Random(seed), tape)
-            assert table.elements[ren[minus_g]] == -table.elements[ren[g]]
+            start = len(table.elements)
+            shift = chains._replay(table, random.Random(seed), tape)
+            assert shift == start - base > 0
+            assert table.elements[minus_g + shift] == \
+                -table.elements[g + shift]
         else:
             with pytest.raises(RepairFailed, match="cone image not good"):
                 chains._replay(table, random.Random(seed), tape)
@@ -406,18 +410,19 @@ def _conj_torsion5(s):
 
 
 def test_large_conjugates_keep_their_value_or_det_error():
-    # the det error comes from the det check of a formed quotient: for
-    # s = 60 from a later trial's replay, which forms its products itself,
-    # for s = 100 from the first trial's repair, through ldiv
+    # the det error comes from the det check of a quotient formed by the
+    # table's one kernel: for s = 60 in a later trial's replay, which calls
+    # the kernel itself, for s = 100 in the first trial's repair, through
+    # ldiv
     value = ccs_value(_conj_torsion5(30), seed=0, trials=3).value_mod1
     assert abs(value - 0.6) < 1e-12
-    for s, former in ((60, "_replay"), (100, "_formed")):
+    for s, above in ((60, ["_replay"]), (100, ["ldiv", "_formed"])):
         with pytest.raises(DeterminantError,
                            match=r"^determinant \(.*\) differs from 1$") as e:
             ccs_value(_conj_torsion5(s), seed=0, trials=3)
         frames = [f.name for f in traceback.extract_tb(e.value.__traceback__)]
-        assert frames[-2:] == [former, "check_det"]
-        assert ("ldiv" in frames) == (former == "_formed")
+        assert frames[-2 - len(above):] == [*above, "_form", "check_det"]
+        assert ("ldiv" in frames) == (s == 100)
 
 
 def test_report_digest_repeats():
@@ -490,21 +495,19 @@ def _memo_sizes(table: SymbolTable) -> tuple[int, ...]:
 
 
 def test_kept_edges_are_those_ldiv_gives(monkeypatch):
-    # each trial's edge of a pair is the id ldiv gives for the pair: in a
-    # trial repaired in full ldiv answers from the memo, forming nothing;
-    # a replayed trial memoizes nothing, so ldiv forms each quotient with
-    # a renamed id, and it must land on the replay's edge, adding no
-    # element.  The evaluation is that of a run that does not ask
+    # each trial's edge layout groups its pairs as the ids ldiv gives them
+    # do (see ``oracles.check_edge_layout``): in a trial repaired in full
+    # ldiv answers from the memo, forming nothing; a replayed trial
+    # memoizes nothing, so ldiv forms each quotient with a renamed id, and
+    # it must land on an id the table holds, adding no element.  The
+    # evaluation is that of a run that does not ask
     real, kept = pipeline._repairs, []
 
     def checked(hom, rng, trials):
         table, first = hom.table, None
-        for plan, ids, edges in real(hom, rng, trials):
+        for plan, ids, layout in real(hom, rng, trials):
             table.tape = []  # records every product or quotient formed
-            size = len(table.elements)
-            assert edges == [table.ldiv(ids[a], ids[b])
-                             for a, b in plan.pairs]
-            assert len(table.elements) == size
+            check_edge_layout(table, plan, ids, layout)
             slots = plan.slots
             renamed = [(a, b) for a, b in plan.pairs
                        if ids[a] != slots[a] or ids[b] != slots[b]]
@@ -517,7 +520,7 @@ def test_kept_edges_are_those_ldiv_gives(monkeypatch):
             assert len(table.tape) == sum(ids[a] != table.identity
                                           for a, _ in renamed)
             table.tape = None
-            yield plan, ids, edges
+            yield plan, ids, layout
 
     for cycle in _EDGE_CYCLES:
         for seed in (0, 1):
@@ -533,6 +536,49 @@ def test_kept_edges_are_those_ldiv_gives(monkeypatch):
     # replay has pairs both with and without renamed slots
     assert len(kept) == 9 * 2 * len(_EDGE_CYCLES)
     assert any(k and renamed for k, renamed in kept)
+
+
+def test_every_formed_element_comes_through_one_kernel(monkeypatch):
+    # torsion 6, 10 trials, every later trial a replay: each element the
+    # trials append is an apex (drawn by ``_generic_avoiding`` and
+    # interned) or a product or quotient built by ``SymbolTable._form``,
+    # in a trial repaired in full and in a replay alike
+    real_form, real_draw = SymbolTable._form, _ConeRepairer._generic_avoiding
+    formed, apexes = [], []
+
+    def form(self, *args):
+        size = len(self.elements)
+        ident = real_form(self, *args)
+        if len(self.elements) > size:
+            formed.append(self.elements[ident])
+        return ident
+
+    def draw(self, ids):
+        apexes.append(real_draw(self, ids))
+        return apexes[-1]
+
+    monkeypatch.setattr(SymbolTable, "_form", form)
+    monkeypatch.setattr(_ConeRepairer, "_generic_avoiding", draw)
+    hom = _checked_cycle(torsion_cycle(6), SymbolTable())
+    table, ends, plans = hom.table, [len(hom.table.elements)], []
+    real = pipeline._repairs
+
+    def measured(hom, rng, trials):
+        for trial in real(hom, rng, trials):
+            ends.append(len(table.elements))
+            plans.append(trial[0])
+            yield trial
+
+    monkeypatch.setattr(pipeline, "_repairs", measured)
+    _trial_loop(hom, random.Random(0), 10, 0)
+    by_kernel, drawn = set(map(id, formed)), set(map(id, apexes))
+    for lo, hi in zip(ends, ends[1:]):
+        kinds = [(id(g) in by_kernel, id(g) in drawn)
+                 for g in table.elements[lo:hi]]
+        # one kind each, and both met in trial 1 and in every replay
+        assert sorted(set(kinds)) == [(False, True), (True, False)]
+    assert len(ends) == 11 and ends[-1] == len(table.elements)
+    assert all(plan is plans[0] for plan in plans)  # trials 2-10 replayed
 
 
 def test_replays_leave_the_memos_as_trial_1_left_them(monkeypatch):

@@ -23,6 +23,7 @@ from extbloch.pipeline import (ConfigTuple, ccs_value, lambda_hat, psi_v,
                                sigma_hat)
 
 import report_digest
+from oracles import check_edge_layout
 
 
 def _mod1_dist(a: float, b: float) -> float:
@@ -551,29 +552,43 @@ def test_a_generator_with_only_uniform_is_taken():
 
 
 def _other_id(e):
-    return e[:3] + (0 if e[3] else 1, False)
+    return e[:3] + (0 if e[3] else 1,)
 
 
-def _renamed(events):
-    """The ids new on a tape: those every replay renames."""
-    return {e[3] for e in events if e[4] and e[0] != _REUSE}
+def _older_id(e):
+    return e[:3] + (e[3] - 1,)
+
+
+def _flags(events, base):
+    """Per event of a tape whose first trial started at table length
+    ``base``: a reuse test's outcome, or whether the product, quotient or
+    draw added an id (its result is the table's next id)."""
+    fresh, flags = base, []
+    for op, _, _, r in events:
+        if op == _REUSE:
+            flags.append(r)
+        else:
+            flags.append(r == fresh)
+            fresh += r == fresh
+    return flags
 
 
 # one decision of a tape recorded otherwise: (kind, flag) of the last event
-# changed, the part of the tape it is taken from (the repair's; the
-# certificate residual's quotients, recorded after phi(B) is checked; or
-# the edges' quotients, recorded after the residual's), and the change: a
-# passed reuse test as failed, a new product or quotient as an old id, an
-# old quotient as another old id.  Every quotient the residual needs is
+# changed (see ``_flags``), the part of the tape it is taken from (the
+# repair's; the certificate residual's quotients, recorded after phi(B) is
+# checked; or the edges' quotients, recorded after the residual's), and
+# the change: a passed reuse test as failed, a product or quotient that
+# added an id as landing on another, older id, a quotient that added none
+# as landing on another old id.  Every quotient the residual needs is
 # known from a product formed before it, so for the residual case the
 # quotient memo is emptied when phi(B) is checked and the residual forms
 # its quotients again, each landing on an old id.  Only a decision the
-# replay takes is changed: a product or quotient with no renamed operand
-# and an old result that is not renamed is compiled out of the tape
+# replay takes is changed: a product or quotient whose operands and result
+# are all older than the first trial is compiled out of the tape
 _FORCED = {
-    "reuse-failed": (_REUSE, True, "repair", lambda e: e[:4] + (False,)),
-    "product-old": (_MUL, True, "repair", lambda e: e[:4] + (False,)),
-    "quotient-old": (_LDIV, True, "repair", lambda e: e[:4] + (False,)),
+    "reuse-failed": (_REUSE, True, "repair", lambda e: e[:3] + (False,)),
+    "product-old": (_MUL, True, "repair", _older_id),
+    "quotient-old": (_LDIV, True, "repair", _older_id),
     "residual-quotient-other-id": (_LDIV, False, "residual", _other_id),
     "edge-quotient-other-id": (_LDIV, False, "edges", _other_id),
 }
@@ -616,11 +631,11 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
         return ("repair" if k < starts["residual"] else
                 "residual" if k < starts["edges"] else "edges")
 
-    def mutate(events):
-        renamed = _renamed(events)
+    def mutate(events, base):
+        flags = _flags(events, base)
         k = max(k for k, e in enumerate(events) if part_of(k) == part
-                and e[0] == kind and e[4] == flag
-                and (kind == _REUSE or not renamed.isdisjoint(e[1:3])))
+                and e[0] == kind and flags[k] == flag
+                and (kind == _REUSE or max(e[1:3]) >= base))
         events[k] = change(events[k])
         return events
 
@@ -629,8 +644,9 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
 
     def replay(table, rng, tape):
         if len(outcomes) == at - 2:  # the replay of trial ``at``
-            events, phi_bad, size = recorded
-            tape = real_compiled(mutate(list(events)), phi_bad, size)
+            events, phi_bad, base, size = recorded
+            tape = real_compiled(mutate(list(events), base), phi_bad, base,
+                                 size)
         outcomes.append(real_replay(table, rng, tape))
         if outcomes[-1] is None:
             assert rng.drawn  # the fallback re-reads these
@@ -669,11 +685,11 @@ def test_replayed_trials_check_their_cone_image(monkeypatch):
     # by trial 2's replay
     real_compiled, real_replay, raised = chains._compiled, chains._replay, []
 
-    def compiled(events, phi_bad, size):
+    def compiled(events, phi_bad, base, size):
         coeff, ids = phi_bad[0]
-        assert ids[-2] in _renamed(events)
+        assert ids[-2] >= base  # added by trial 1: renamed
         phi_bad[0] = (coeff, ids[:-1] + ids[-2:-1])  # g_3 = g_2
-        return real_compiled(events, phi_bad, size)
+        return real_compiled(events, phi_bad, base, size)
 
     def replay(*args):
         try:
@@ -762,37 +778,90 @@ def test_every_later_trial_replays_without_a_fallback(monkeypatch):
                 assert abs(value.imag - first.imag) <= 1e-12
     # the report digest's corpus at seed 0: every one of its 58 cycles
     # replays trial 1's repair and edges in each later trial, and each
-    # trial's edge of a pair (a, b) is, within the table's tolerance, the
-    # quotient g^-1 h of the elements g, h its slots a, b hold, formed here
-    # from their entries (the table is not asked)
-    real, renamings = chains._replay, []
+    # trial's edge layout groups its pairs as ldiv does, and as quotients
+    # formed here from the entries do (see ``oracles.check_edge_layout``)
+    real, shifts = chains._replay, []
     real_repairs, replayed = pipeline._repairs, []
 
     def replay(*args):
-        renamings.append(real(*args))
-        return renamings[-1]
+        shifts.append(real(*args))
+        return shifts[-1]
 
     def repairs(hom, rng, trials):
-        elements, tol = hom.table.elements, hom.table.tol
-        for k, (plan, ids, edges) in enumerate(real_repairs(hom, rng, trials)):
-            for (a, b), e in zip(plan.pairs, edges):
-                g, h, q = elements[ids[a]], elements[ids[b]], elements[e]
-                want = (g.d * h.a - g.b * h.c, g.d * h.b - g.b * h.d,
-                        g.a * h.c - g.c * h.a, g.a * h.d - g.c * h.b)
-                assert max(abs(x - y) for x, y in
-                           zip(want, (q.a, q.b, q.c, q.d))) <= tol
+        stream = real_repairs(hom, rng, trials)
+        for k, (plan, ids, layout) in enumerate(stream):
+            check_edge_layout(hom.table, plan, ids, layout)
             replayed.append(k and sum(ids[a] != plan.slots[a]
                                       for a in range(len(ids))))
-            yield plan, ids, edges
+            yield plan, ids, layout
 
     monkeypatch.setattr(chains, "_replay", replay)
     monkeypatch.setattr(pipeline, "_repairs", repairs)
     for _, cycle in report_digest.corpus():
         ccs_value(cycle, seed=0, trials=10)
-    assert len(renamings) == 9 * 58 and None not in renamings
+    assert len(shifts) == 9 * 58 and None not in shifts
     # not vacuous: the later trials of the 25 torsion cycles rename slots
     # (the boundaries' terms are good, so nothing of theirs is repaired)
     assert len(replayed) == 10 * 58 and sum(map(bool, replayed)) == 9 * 25
+
+
+def _offset_cases():
+    """(name, cycle, trial whose replay gives up or None) for the offset
+    rule: the report digest's corpus, and torsion 6 with trial 6 forced to
+    repair in full."""
+    for name, cycle in report_digest.corpus():
+        yield name, cycle, None
+    yield "torsion 6, trial 6 in full", torsion_cycle(6), 6
+
+
+def test_a_replay_moves_the_first_trials_ids_by_one_offset(monkeypatch):
+    # ids are handed out in order and every id trial 1 adds (those from
+    # ``base``, the table's length before it, on) comes from one step of
+    # its tape, so a replay that matches every decision adds its own at the
+    # same steps: its slot ids are trial 1's with those from ``base`` on
+    # moved by the table's length at the replay's start less ``base``, it
+    # appends exactly as many elements as trial 1 did, and ``_replay``
+    # returns that offset.  After a trial repaired in full the offset
+    # counts that trial's elements too
+    real_replay, replays = chains._replay, []
+    real_repairs, give_up_at, trials = pipeline._repairs, [None], []
+
+    def replay(table, rng, tape):
+        start = len(table.elements)
+        if len(replays) + 2 == give_up_at[0]:
+            shift = report_digest.give_up()
+        else:
+            shift = real_replay(table, rng, tape)
+        replays.append((start, shift, len(table.elements)))
+        return shift
+
+    def repairs(hom, rng, k):
+        table = hom.table
+        base = len(table.elements)
+        for plan, ids, layout in real_repairs(hom, rng, k):
+            trials.append((base, len(table.elements), plan, list(ids)))
+            yield plan, ids, layout
+
+    monkeypatch.setattr(chains, "_replay", replay)
+    monkeypatch.setattr(pipeline, "_repairs", repairs)
+    checked = fell_back = 0
+    for _, cycle, at in _offset_cases():
+        give_up_at[0] = at
+        replays.clear()
+        trials.clear()
+        ccs_value(cycle, seed=0, trials=10)
+        assert len(replays) == 9 and len(trials) == 10
+        base, size, first, slots = trials[0]
+        for (start, shift, end), (_, _, plan, ids) in zip(replays, trials[1:]):
+            if shift is None:
+                assert plan is not first
+                fell_back += 1
+                continue
+            assert plan is first and shift == start - base
+            assert end - start == size - base
+            assert ids == [i if i < base else i + shift for i in slots]
+            checked += 1
+    assert fell_back == 1 and checked == 9 * 58 + 8
 
 
 def _rotation_cycle(n: int, k: int) -> BarChain:
