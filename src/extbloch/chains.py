@@ -25,7 +25,8 @@ certificate; it changes only the simplices that have such a coincidence.
 Within one evaluation, ``_repairs`` repairs the first trial in full and
 replays that repair, with its Log-det edges, for each later trial: every
 trial comes as a ``_Plan`` of the repaired cycle's distinct ids and id
-pairs, the ids its slots hold and the layout of its pairs' edges.  A
+pairs, the ids its slots hold and the layout of its pairs' edges, whose
+rows index the distinct edges directly.  A
 replay is one flat pass (``_replay``) over the first trial's tape,
 compiled once (``_compiled``), that forms through the table's one kernel
 (``SymbolTable._form``), leaves the table's memos as the first trial left
@@ -709,19 +710,22 @@ def _repair_core(hom: HomChain, rng) -> tuple[_Terms, _Terms, _Terms]:
 def _planned(table: SymbolTable, phi: _Terms):
     """(plan, ids, layout) of a trial repaired in full to ``phi``: its
     ``_Plan``, the plan's own slots as ids, and the ``_edge_layout`` of
-    each pair's edge id g_i^-1 g_j by ``SymbolTable.ldiv``, in pair order
+    its rows by each pair's edge id g_i^-1 g_j from ``SymbolTable.ldiv``
     (an edge between two translates by one factor of a known edge is a
-    memo answer, not a product)."""
+    memo answer, not a product).  Replays share the first trial's, so the
+    rows are composed once per evaluation and once per fallback."""
     plan = _Plan(phi)
     slots, ldiv = plan.slots, table.ldiv
-    return plan, slots, _edge_layout([ldiv(slots[a], slots[b])
-                                      for a, b in plan.pairs])
+    return plan, slots, _edge_layout(
+        [ldiv(slots[a], slots[b]) for a, b in plan.pairs], plan.rows)
 
 
-def _edge_layout(edges: list[int]) -> tuple[list[int], list[int]]:
-    """(firsts, where) for ``edges``, each pair's edge id in pair order:
-    the index of the first pair of each distinct edge, in pair order, and
-    per pair the index in ``firsts`` of its edge."""
+def _edge_layout(edges: list[int], rows) -> tuple[list[int], list[tuple]]:
+    """(firsts, rows) for ``edges``, each pair's edge id in pair order, and
+    a plan's ``rows``: the index of the first pair of each distinct edge,
+    in pair order, and per row its coefficient followed by the indices in
+    ``firsts`` of its pairs' edges, so that a trial's rows index its
+    distinct-edge Log dets directly (see ``covering._lhat_sums``)."""
     at: dict[int, int] = {}
     firsts, where = [], []
     for k, e in enumerate(edges):
@@ -730,7 +734,7 @@ def _edge_layout(edges: list[int]) -> tuple[list[int], list[int]]:
             x = at[e] = len(firsts)
             firsts.append(k)
         where.append(x)
-    return firsts, where
+    return firsts, [(coeff, *[where[k] for k in row]) for coeff, row in rows]
 
 
 def _repairs(hom: HomChain, rng, trials: int):

@@ -7,8 +7,13 @@ w1 a logarithm of 1/(1-z); the two descriptions are exchanged by
 ``to_covering_point`` / ``from_covering_point``.
 
 A flattened term is evaluated as it is, never merged with others: its
-value is the lifted Rogers dilogarithm of its covering point
-(``_point_value``).  Formal integer combinations of wedges of logarithms
+value is the lifted Rogers dilogarithm of its covering point.  The object
+path (``FlatteningTriple``, ``to_covering_point``, ``CoveringPoint``, then
+``lhat`` and ``vol``) is the public API and the reference; an evaluation
+runs each trial's terms through one fused body instead (``_lhat_sums``),
+from the edge Log dets to the sums, with every check and float operation
+of the object path inline and in order, so that its sums are bit-equal
+to the object path's.  Formal integer combinations of wedges of logarithms
 (``WedgeElement``) are the target of the map ``nu_hat``; they are
 ``FormalSum`` objects whose log atoms get integer ids from a ``FuzzyIndex``
 at ``config.CMP``; see :mod:`extbloch.quantize` for which values that
@@ -18,12 +23,15 @@ identifies.
 from __future__ import annotations
 
 import cmath
+import math
 from collections.abc import Iterable, Sequence
 
 from . import config
 from .core import FrozenRecord, ProjVector, det_pair
-from .dilog import PI, _log1m, _point_values, plog
-from .errors import ChiAtZero, DegenerateConfig, DegenerateFT, InvalidFlattening, NotEven
+from .dilog import (_ODD_DESC, _SERIES_MAX, PI, PI2_6, _li2_inverted, _log1m,
+                    plog)
+from .errors import (ChiAtZero, DegenerateConfig, DegenerateFT,
+                     InvalidFlattening, LogOfZero, NotEven, OnCut)
 from .formal import FormalSum
 from .quantize import FuzzyIndex
 
@@ -36,18 +44,14 @@ INT_TOL = 1e-6  # distance of a branch integer from the nearest integer
 REAL_TOL = 1e-12  # |Im z| read as 0, relative to 1 + |Re z|
 
 
-def _avoid_01(z: complex) -> None:  # the CoveringPoint check
-    if abs(z) <= config.ZERO or abs(z - 1.0) <= config.ZERO:
-        raise ValueError(f"z = {z} must avoid 0 and 1")
-
-
 class CoveringPoint(FrozenRecord):
     """A point (z; p, q) of the cover: z off {0, 1}, p and q even."""
 
     __slots__ = ("z", "p", "q")
 
     def __init__(self, z: complex, p: int, q: int):
-        _avoid_01(z)
+        if abs(z) <= config.ZERO or abs(z - 1.0) <= config.ZERO:
+            raise ValueError(f"z = {z} must avoid 0 and 1")
         if p % 2 or q % 2:
             raise ValueError(f"branch integers must be even, got ({p}, {q})")
         super().__init__(z, p, q)
@@ -132,15 +136,83 @@ def to_covering_point(t: FlatteningTriple) -> CoveringPoint:
     return CoveringPoint(z, *_branch(z, t.w0, t.w1)[2:])
 
 
-def _point_value(w0: complex, w1: complex,
-                 w2: complex) -> tuple[complex, float]:
-    """(lhat, vol) of the covering point of (w0, w1, w2), bit-equal to
-    ``lhat(to_covering_point(t))`` and its ``vol``, with the checks of that
-    path (``CoveringPoint``'s included) in order and no object built."""
-    z = _checked_z(w0, w1, w2)
-    log_z, l1, p, q = _branch(z, w0, w1)
-    _avoid_01(z)
-    return _point_values(z, log_z, l1, p, q)
+def _lhat_sums(rows, logs: list[complex]) -> tuple[float, float, float]:
+    """(Re, Im) of sum_i c_i lhat(z_i; p_i, q_i), and sum_i c_i vol(z_i),
+    each a ``math.fsum``, over ``rows``: per term its coefficient c_i and
+    the indices in ``logs`` of its Log dets (01), (02), (03), (12), (13),
+    (23) (see ``chains._edge_layout``).  This is the trial path's one
+    per-term body.  It forms ``sigma_hat``'s (w0, w1, w2) and runs, inline
+    and in order, every check and float operation of ``FlatteningTriple``,
+    ``to_covering_point``, ``CoveringPoint``, ``lhat`` and ``vol``, with
+    their exception classes and texts, building no object: the sums are
+    bit-equal to those over the object path, which tests hold it to."""
+    exp, log, zero = cmath.exp, cmath.log, config.ZERO
+    i_pi, half_i_pi, series = 1j * PI, 0.5j * PI, _ODD_DESC
+    re, im, vols = [], [], []
+    for coeff, i01, i02, i03, i12, i13, i23 in rows:
+        l01, l02, l03 = logs[i01], logs[i02], logs[i03]
+        l12, l13, l23 = logs[i12], logs[i13], logs[i23]
+        w0 = l03 + l12 - l02 - l13
+        w1 = l02 + l13 - l01 - l23
+        w2 = l01 + l23 - l03 - l12
+        # FlatteningTriple (_checked_z), z snapped as snap_real does
+        if abs(w0 + w1 + w2) > SUM_TOL * (1 + abs(w0) + abs(w1)):
+            raise InvalidFlattening("log-parameters must sum to zero")
+        z = exp(w0)
+        if z.imag != 0.0 and abs(z.imag) <= REAL_TOL * (1.0 + abs(z.real)):
+            z = complex(z.real, 0.0)
+        if z == 1.0:
+            raise InvalidFlattening(f"z = {z}: no logarithm of 1/(1 - z)")
+        w = 1.0 - z
+        target = 1.0 / w
+        if abs(exp(w1) - target) > EXP_TOL * abs(target):
+            raise InvalidFlattening("w1 is not a logarithm of 1/(1 - e^{w0})")
+        # to_covering_point (_branch): Log z as plog takes it, Log(1 - z)
+        # as _log1m does (w != 0, as z != 1), and the branch integers
+        if abs(z) <= zero:
+            raise LogOfZero(f"log of {z}")
+        log_z = log(z) if z.imag != 0.0 else log(complex(z.real, 0.0))
+        l1 = -z if w == 1.0 else log(w) * (z / (1.0 - w))
+        on_cut = z.imag == 0.0 and z.real > 1.0
+        raw = (w0 - log_z) / i_pi
+        p = round(raw.real)
+        if abs(raw - p) > INT_TOL:
+            raise NotEven(f"p = {raw} is not an integer")
+        if p % 2:
+            raise NotEven(f"p = {p} is odd")
+        raw = (w1 - (complex(-l1.real, PI) if on_cut else -l1)) / i_pi
+        q = round(raw.real)
+        if abs(raw - q) > INT_TOL:
+            raise NotEven(f"q = {raw} is not an integer")
+        if q % 2:
+            raise NotEven(f"q = {q} is odd")
+        # CoveringPoint (|z| > ZERO held for Log z), then lhat (_li2)
+        if abs(z - 1.0) <= zero:
+            raise ValueError(f"z = {z} must avoid 0 and 1")
+        if on_cut:
+            raise OnCut(f"li2({z.real}) is on the cut; pass a side flag")
+        reflect = abs(l1) > _SERIES_MAX
+        if reflect and abs(log_z) > _SERIES_MAX:
+            li2_z = _li2_inverted(z, log_z)
+        else:  # _li2_bernoulli in u = -Log(1 - z), or reflected in -Log z
+            u = -log_z if reflect else -l1
+            u2 = u * u
+            acc = 0.0
+            for c in series:
+                acc = acc * u2 + c
+            li2_z = u + u * u2 * acc - 0.25 * u2
+            if reflect:
+                li2_z = PI2_6 - log_z * l1 - li2_z
+        # _lifted_rogers with Log(1/(1 - z)) = -l1, and vol
+        log_inv = -l1
+        value = -0.5 * log_z * log_inv + li2_z - PI2_6
+        if p or q:
+            value = value + half_i_pi * (q * log_z - p * log_inv)
+        re.append(coeff * value.real)
+        im.append(coeff * value.imag)
+        vols.append(coeff * (0.0 if z.imag == 0.0
+                             else l1.imag * log_z.real + li2_z.imag))
+    return math.fsum(re), math.fsum(im), math.fsum(vols)
 
 
 def from_covering_point(pt: CoveringPoint) -> FlatteningTriple:

@@ -15,8 +15,11 @@ li2 sums one Bernoulli series, in u = -Log(1-z), or in u = -Log z after
 reflection, whichever has |u| <= 1.3, or else after one inversion z -> 1/z
 in u = -Log(1-1/z): the least of the three |u| never exceeds pi/3.  Every
 evaluation takes Log z and Log(1-z) once and passes them in: li2, vol,
-lifted_rogers and lhat share one body (``_point_values``), and so does the
-per-point evaluation of :mod:`extbloch.covering`.
+lifted_rogers and lhat share one body (``_point_values``).  The trial path
+of an evaluation writes that body out inline, with the series and its
+reflection, in the fused per-term body ``covering._lhat_sums``, and calls
+the inversion (``_li2_inverted``); tests hold its sums to those of lhat
+and vol bit for bit.
 """
 
 from __future__ import annotations
@@ -125,7 +128,12 @@ def _li2(z: complex, log_z: complex, l1: complex) -> complex:
         return _li2_bernoulli(-l1)
     if abs(log_z) <= _SERIES_MAX:  # reflection: li2(1 - z) in u = -Log z
         return PI2_6 - log_z * l1 - _li2_bernoulli(-log_z)
-    # inversion, with Log(-z) = Log z -+ pi i
+    return _li2_inverted(z, log_z)
+
+
+def _li2_inverted(z: complex, log_z: complex) -> complex:
+    """li2(z) by one inversion z -> 1/z, in u = -Log(1 - 1/z), given
+    log_z = Log z, with Log(-z) = Log z -+ pi i."""
     lz = log_z - 1j * PI if log_z.imag > 0.0 else log_z + 1j * PI
     return -_li2_bernoulli(-_log1m(1.0 / z)) - PI2_6 - 0.5 * lz * lz
 

@@ -14,25 +14,28 @@ which is exactly why the reduction is legitimate.
 
 Every trial runs one body on what ``chains._repairs`` yields for it: a
 plan of slots and pairs (``chains._Plan``), the ids its slots hold and the
-layout of its pairs' distinct Log-det edges (``chains._edge_layout``).  A
-replayed trial is one pass over the first trial's plan and layout with its
-slot ids moved by one offset, so a trial takes one Log per distinct edge
-and keys nothing by edge id.
+layout of its pairs' distinct Log-det edges (``chains._edge_layout``),
+whose rows index those edges' Logs.  A replayed trial is one pass over the
+first trial's plan and layout with its slot ids moved by one offset, so a
+trial takes one Log per distinct edge, keys nothing by edge id, and sums
+its terms in one fused pass (``covering._lhat_sums``) from those Logs.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from bisect import bisect_left
 from itertools import combinations
 
+from . import config
 from .chains import (BarChain, HomChain, SymbolTable, _checked_cycle, _Plan,
                      _repairs, _sample_v, near_pairs)
 from .core import FrozenRecord, ProjVector, Record, as_rng, det_pair
-from .covering import FlatteningTriple, _point_value
+from .covering import FlatteningTriple, _lhat_sums
 from .dilog import TWO_PI_SQ, plog
-from .errors import DegenerateConfig, NotVGood
+from .errors import DegenerateConfig, LogOfZero, NotVGood
 
 
 class ConfigTuple(FrozenRecord):
@@ -130,22 +133,27 @@ def lambda_hat(c: BarChain, seed) -> LambdaResult:
     plan, ids, layout = next(_repairs(hom, rng, 1))
     v, logs = _lambda_hat(hom.table.elements, plan, ids, layout, rng)
     return LambdaResult([(coeff, _flattening([logs[k] for k in row]))
-                         for coeff, row in plan.rows], v)
+                         for coeff, *row in layout[1]], v)
 
 
 def _lambda_hat(elements: list, plan: _Plan, ids: list[int], layout: tuple,
                 rng) -> tuple[ProjVector, list[complex]]:
     """v drawn from ``rng`` and, for ``plan`` (see ``chains._Plan``) with
     its slots holding ``ids`` (ids of ``elements``), the Log det of each
-    pair, in pair order, taken once per distinct edge at the edge's first
-    pair (``layout``, see ``chains._edge_layout``).  det is SL(2, C)
-    invariant, so every translate of an edge e = g_i^-1 g_j shares the
-    Log det(g_i v, g_j v) of the first met, whose det the v-check's pass
-    already computed."""
-    firsts, where = layout
+    distinct edge, taken at the edge's first pair (``layout``, see
+    ``chains._edge_layout``, whose rows index these Logs) with ``plog``'s
+    zero check and -0.0 normalization.  det is SL(2, C) invariant, so
+    every translate of an edge e = g_i^-1 g_j shares the Log det(g_i v,
+    g_j v) of the first met, whose det the v-check's pass already
+    computed."""
     v, _, dets = _sample_v(elements, plan, ids, rng)
-    logs = [plog(dets[k]) for k in firsts]
-    return v, [logs[x] for x in where]
+    log, zero, logs = cmath.log, config.ZERO, []
+    for k in layout[0]:
+        d = dets[k]
+        if abs(d) <= zero:
+            raise LogOfZero(f"log of {d}")
+        logs.append(log(d) if d.imag != 0.0 else log(complex(d.real, 0.0)))
+    return v, logs
 
 
 def _mod1(x: float) -> float:
@@ -204,19 +212,21 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     the same values.  Later trials replay the first trial's repair and
     Log-det edges at their own apexes (see ``chains._repairs``), and every
     trial runs one body on its plan, slot ids and edge layout.  Each
-    repaired term is evaluated once, straight from its log-parameters
-    (``covering._point_value``: one e^{w0}, Log z, Log(1-z) and li2 series,
-    with every check of the ``FlatteningTriple``, ``to_covering_point`` and
-    ``lhat`` path), and nothing is merged.  ``volume_vs_im_lhat`` is the
-    largest gap over the trials between the per-term volume sum and Im of
-    the lifted Rogers sum; both are ``math.fsum`` sums, bit-equal to those
-    of ``lhat`` and ``vol`` over the ``to_covering_point`` images of
-    ``lambda_hat(...).triples``.  Trials must agree (mod 1, within fp) by
-    independence of the choices; the max pairwise deviation is reported as
-    a health measure.  All trials share one symbol table at the comparison
-    tolerance ``tol`` (see ``SymbolTable``).  The report's ``seed`` is
-    ``int(seed)`` for an integer seed (``numbers.Integral``, bool and numpy
-    integers included) and None for a generator.  ``trials`` must be such
+    repaired term is evaluated once, straight from its edge Logs, by the
+    fused per-term body ``covering._lhat_sums`` (one e^{w0}, Log z,
+    Log(1-z) and li2 series, with every check of the ``FlatteningTriple``,
+    ``to_covering_point``, ``CoveringPoint`` and ``lhat`` path inline), and
+    nothing is merged.  ``volume_vs_im_lhat`` is the largest gap over the
+    trials between the per-term volume sum and Im of the lifted Rogers
+    sum; both are ``math.fsum`` sums, bit-equal to those of ``lhat`` and
+    ``vol`` over the ``to_covering_point`` images of the same terms'
+    triples (``lambda_hat(...).triples`` for the first trial), the object
+    path that tests hold the fused body to.  Trials must agree (mod 1,
+    within fp) by independence of the choices; the max pairwise deviation
+    is reported as a health measure.  All trials share one symbol table at
+    the comparison tolerance ``tol`` (see ``SymbolTable``).  The report's
+    ``seed`` is ``int(seed)`` for an integer seed (``numbers.Integral``,
+    bool and numpy integers included) and None for a generator.  ``trials`` must be such
     an integer, at least 1; anything else raises TypeError or ValueError
     before the cycle is checked or anything is drawn.  Raises NotACycle, a
     ValueError, when ``c`` is not a 3-cycle at ``tol``.
@@ -234,25 +244,22 @@ def _trial_loop(hom: HomChain, rng, trials: int, seed: int | None) -> CcsReport:
     """``ccs_value``'s report on the checked cycle ``hom`` (see
     ``_checked_cycle``), drawing from ``rng``, with ``seed`` as its seed:
     one body per trial on the (plan, slot ids, edge layout) that
-    ``chains._repairs`` yields for it."""
+    ``chains._repairs`` yields for it: v and the Log of each distinct edge
+    (``_lambda_hat``), then the three sums of the fused per-term body
+    ``covering._lhat_sums`` over the layout's rows."""
     elements = hom.table.elements
     values: list[complex] = []
     raws: list[complex] = []
     vol_res = 0.0
     for plan, ids, layout in _repairs(hom, rng, trials):
         _, logs = _lambda_hat(elements, plan, ids, layout, rng)
-        re, im, vol = [], [], []
-        for coeff, row in plan.rows:
-            lh, d = _point_value(*_log_params(*[logs[k] for k in row]))
-            re.append(coeff * lh.real)
-            im.append(coeff * lh.imag)
-            vol.append(coeff * d)
         # correctly rounded sums, independent of the order of the terms
-        raw = complex(math.fsum(re), math.fsum(im))
+        re, im, vol = _lhat_sums(layout[1], logs)
+        raw = complex(re, im)
         value = -raw / TWO_PI_SQ
         values.append(complex(_mod1(value.real), value.imag))
         raws.append(raw)
-        vol_res = max(vol_res, abs(math.fsum(vol) - raw.imag))
+        vol_res = max(vol_res, abs(vol - raw.imag))
     return CcsReport(
         value_mod1=values[0],
         raw_lhat=raws[0],

@@ -61,7 +61,8 @@ class FuzzyIndex:
     ``key`` is the entry point.  It rounds a new value in one pass over its
     coordinates; when every coordinate rounds exactly (``_LOW <= r``) and
     lies within ``_CLEAR`` of its cell centre, nothing splits, so only the
-    one cell is looked up (an empty one gives a new id at once).  Any
+    one cell is looked up, by one ``setdefault`` that also serves the
+    store (an empty cell gives a new id at once).  Any
     other new value takes the probe of all cells (``_probe_all``), which
     splits every coordinate in the guard band, so at most ``2 ** dim``
     cells; both scan a cell with ``_first_within``."""
@@ -92,12 +93,12 @@ class FuzzyIndex:
                 break
             cells.append(r)
         else:
-            cell = tuple(cells)
-            bucket = self._cells.get(cell)  # None: nothing splits, and no
-            ident = (None if bucket is None  # one is stored in the one cell
-                     else self._first_within(bucket, vals))
+            # nothing splits: one setdefault looks the one cell up and
+            # stores it, so an empty cell gives a new id at once
+            bucket = self._cells.setdefault(tuple(cells), [])
+            ident = self._first_within(bucket, vals) if bucket else None
             if ident is None:
-                ident = self._store(cell, vals)
+                ident = self._store(bucket, vals)
         self._seen[vals] = ident
         return ident
 
@@ -128,13 +129,14 @@ class FuzzyIndex:
             ident = self._first_within(self._cells.get(cell, ()), vals)
             if ident is not None:
                 return ident
-        return self._store(tuple(o[0] for o in options), vals)
+        return self._store(
+            self._cells.setdefault(tuple(o[0] for o in options), []), vals)
 
-    def _store(self, cell: tuple[float, ...], vals: tuple[float, ...]) -> int:
-        """A new id for ``vals``, stored under ``cell``."""
+    def _store(self, bucket: list[int], vals: tuple[float, ...]) -> int:
+        """A new id for ``vals``, appended to ``bucket``, its cell's."""
         ident = len(self._reps)
         self._reps.append(vals)
-        self._cells.setdefault(cell, []).append(ident)
+        bucket.append(ident)
         return ident
 
     def _first_within(self, bucket: Iterable[int],

@@ -225,13 +225,22 @@ def quotient_entries(g, h) -> tuple[complex, ...]:
 
 
 def check_edge_layout(table, plan, ids, layout) -> None:
-    """Assert that ``layout`` = (firsts, where) groups the pairs of
-    ``plan``, its slots holding ``ids``, by Log-det edge: two pairs share
-    a group exactly when ``table.ldiv`` gives them one id, ``firsts``
-    holds each group's first pair, ``ldiv`` adds no element, and each
-    pair's quotient g^-1 h, formed from the entries, is within the table's
-    tolerance (entrywise |.|) of its group's first pair's."""
-    firsts, where = layout
+    """Assert that ``layout`` = (firsts, rows) groups the pairs of
+    ``plan``, its slots holding ``ids``, by Log-det edge: each row is its
+    plan row's coefficient followed by one group per pair, a pair's group
+    being the same in every row; two pairs share a group exactly when
+    ``table.ldiv`` gives them one id, ``firsts`` holds each group's first
+    pair, ``ldiv`` adds no element, and each pair's quotient g^-1 h,
+    formed from the entries, is within the table's tolerance (entrywise
+    |.|) of its group's first pair's."""
+    firsts, rows = layout
+    assert len(rows) == len(plan.rows)
+    group: dict[int, int] = {}
+    for (coeff, row), (c, *xs) in zip(plan.rows, rows):
+        assert c == coeff and len(xs) == len(row)
+        for k, x in zip(row, xs):
+            assert group.setdefault(k, x) == x
+    where = [group[k] for k in range(len(plan.pairs))]
     size, elements = len(table.elements), table.elements
     edges = [table.ldiv(ids[a], ids[b]) for a, b in plan.pairs]
     assert len(table.elements) == size

@@ -1,19 +1,21 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
+from extbloch import covering
 from extbloch.core import ProjVector
 from extbloch.covering import (CoveringPoint, FlatteningTriple, WedgeElement,
-                               _branch, _point_value,
+                               _branch, _lhat_sums,
                                check_flattening_condition, chi_hat, five_tuple,
                                from_covering_point, mu, nu_hat,
                                to_covering_point)
-from extbloch.dilog import PI, TWO_PI_SQ, lhat, plog, vol
+from extbloch.dilog import _SERIES_MAX, PI, TWO_PI_SQ, _log1m, lhat, plog, vol
 from extbloch.errors import (ChiAtZero, DegenerateConfig, DegenerateFT,
-                             InvalidFlattening, NotEven, OnCut)
-from extbloch.pipeline import ConfigTuple, sigma_hat
+                             InvalidFlattening, LogOfZero, NotEven, OnCut)
+from extbloch.pipeline import ConfigTuple, _log_params, sigma_hat
 
 from conftest import random_complex
 from oracles import dict_difference, mu_boundary_symbolic, nu_sigma_symbolic
@@ -93,28 +95,64 @@ def test_not_even_on_raw_log_parameters():
         to_covering_point(off)
 
 
+def _term_logs(w0, w1):
+    # Log dets (01), (02), (03), (12), (13), (23) whose sigma_hat
+    # log-parameters are w0, w1 and -w1 - w0, bit for bit but for the
+    # sign of a zero part
+    return [-w1, 0j, w0, 0j, 0j, 0j]
+
+
+def _fused(logs):
+    # the trial path's per-term body on one term, coefficient 1
+    return _lhat_sums([(1, 0, 1, 2, 3, 4, 5)], logs)
+
+
+def _object_path(logs):
+    # the same term through FlatteningTriple, to_covering_point, lhat and
+    # vol, summed as _lhat_sums sums
+    pt = to_covering_point(FlatteningTriple(*_log_params(*logs)))
+    value = lhat(pt)
+    return math.fsum([value.real]), math.fsum([value.imag]), \
+        math.fsum([vol(pt.z)])
+
+
+def _bits(sums):
+    return [x.hex() for x in sums]
+
+
+def _li2_branch(z):
+    # which of li2's three series the fused body sums for z
+    log_z, l1 = plog(z), _log1m(z)
+    return ("series" if abs(l1) <= _SERIES_MAX
+            else "reflection" if abs(log_z) <= _SERIES_MAX else "inversion")
+
+
 def test_point_value_bit_equal_to_separate_calls():
-    # the one-pass evaluation gives lhat and vol of the covering point bit
-    # for bit, and raises OnCut on real z > 1 as lhat does
+    # the fused per-term body gives the sums of lhat and vol of the
+    # covering point bit for bit, on each piece of code it writes inline:
+    # li2's series in -Log(1 - z), its reflection in -Log z and its
+    # inversion (z = 3 - 5i, 40 + 1e-3i); z whose imaginary part snaps by
+    # REAL_TOL (e^{w0} off the real axis by fp noise, p = 2); real z in
+    # (0, 1) and below 0 (vol 0); and an exact -0.0 imaginary part, which
+    # Log z drops and Log(1 - z) keeps
+    branches, snapped = set(), 0
     for z in (0.3 + 0.4j, -2.0 + 0.1j, 3.0 - 5.0j, 0.5, -1.5,
               cmath.exp(1j * PI / 3), 0.999 + 1e-9j, 40.0 + 1e-3j):
         for p, q in ((0, 0), (2, 0), (0, -2), (4, 6)):
             t = from_covering_point(CoveringPoint(z, p, q))
-            value, volume = _point_value(t.w0, t.w1, t.w2)
-            pt = to_covering_point(t)
+            logs = _term_logs(t.w0, t.w1)
+            pt = to_covering_point(FlatteningTriple(*_log_params(*logs)))
             assert (pt.p, pt.q) == (p, q)
-            ref = lhat(pt)
-            assert (value.real.hex(), value.imag.hex()) == \
-                (ref.real.hex(), ref.imag.hex())
-            assert volume.hex() == vol(pt.z).hex()
-    t = from_covering_point(CoveringPoint(2.0, 0, 0))
-    with pytest.raises(OnCut):
-        _point_value(t.w0, t.w1, t.w2)
-
-
-def _old_path(w0, w1, w2):
-    pt = to_covering_point(FlatteningTriple(w0, w1, w2))
-    return lhat(pt), vol(pt.z)
+            assert _bits(_fused(logs)) == _bits(_object_path(logs))
+            branches.add(_li2_branch(pt.z))
+            snapped += pt.z.imag == 0.0 != cmath.exp(t.w0).imag
+    assert branches == {"series", "reflection", "inversion"} and snapped
+    for x in (0.5, 0.25):  # e^{w0} = x - 0.0i, exactly
+        logs = [complex(math.log(1 - x), 0.0), 0j, complex(math.log(x), -0.0),
+                complex(0.0, -0.0), 0j, 0j]
+        pt = to_covering_point(FlatteningTriple(*_log_params(*logs)))
+        assert pt.z == x and math.copysign(1.0, pt.z.imag) == -1.0
+        assert _bits(_fused(logs)) == _bits(_object_path(logs))
 
 
 def _raised(f, *args):
@@ -123,9 +161,9 @@ def _raised(f, *args):
     return type(info.value), str(info.value)
 
 
-def test_point_value_mutations_fail_as_the_triple_path_does():
-    # each broken input raises the class and text of the FlatteningTriple,
-    # to_covering_point, CoveringPoint and lhat path
+def test_point_value_mutations_fail_as_the_triple_path_does(monkeypatch):
+    # each broken term raises, in the fused body, the class and text of the
+    # FlatteningTriple, to_covering_point, CoveringPoint and lhat path
     z = 0.3 + 0.4j
     w0, w1 = plog(z) + 2j * PI, plog(1 / (1 - z)) - 2j * PI
     near_1 = math.log(1 - 5e-14) + 0j  # e^{w0} within 1e-13 of 1
@@ -133,29 +171,49 @@ def test_point_value_mutations_fail_as_the_triple_path_does():
     on_cut = math.log(3) + 1e-14j  # e^{w0} snaps to the real 3 > 1
     at_1 = plog(1 + 5e-14j)  # e^{w0} snaps to 1, where 1/(1 - z) is infinite
     w1_at_1 = plog(1 / -5e-14j)
+    big = 1e10 + 0j  # (03) + (12) and (01) + (23) round off w0 and w2
+    at_2 = from_covering_point(CoveringPoint(2.0, 0, 2))  # real z > 1
     cases = [
         # w1 shifted by pi i: e^{w1} changes sign
-        ((w0, w1 + 1j * PI, -w0 - w1 - 1j * PI), InvalidFlattening, "w1 is not"),
+        (_term_logs(w0, w1 + 1j * PI), InvalidFlattening, "w1 is not"),
         # w0 shifted by pi i would carry an odd p, but z = e^{w0} turns to -z,
         # so e^{w1} = 1/(1 - z) fails first
-        ((w0 + 1j * PI, w1, -w0 - w1 - 1j * PI), InvalidFlattening, "w1 is not"),
-        ((w0, w1 + 1e-3, -w0 - w1 - 1e-3), InvalidFlattening, "w1 is not"),
-        ((w0, w1, -w0 - w1 + 1e-6), InvalidFlattening, "sum to zero"),
-        ((near_1, w1_near, -near_1 - w1_near), ValueError, "avoid 0 and 1"),
-        ((on_cut, plog(-0.5), -on_cut - plog(-0.5)), OnCut, "on the cut"),
-        ((at_1, w1_at_1, -at_1 - w1_at_1), InvalidFlattening,
+        (_term_logs(w0 + 1j * PI, w1), InvalidFlattening, "w1 is not"),
+        (_term_logs(w0, w1 + 1e-3), InvalidFlattening, "w1 is not"),
+        ([big, big, big, w0, 0j, -w1], InvalidFlattening, "sum to zero"),
+        (_term_logs(near_1, w1_near), ValueError, "avoid 0 and 1"),
+        (_term_logs(on_cut, plog(-0.5)), OnCut, "on the cut"),
+        # lhat's OnCut, after the branch checks (q = 2 against the upper
+        # side's Log(1/(1 - z)))
+        (_term_logs(at_2.w0, at_2.w1), OnCut, "on the cut"),
+        (_term_logs(at_1, w1_at_1), InvalidFlattening,
          "z = (1+0j): no logarithm of 1/(1 - z)"),
+        # e^{w0} below ZERO, and e^{w1} = 1 = 1/(1 - z) within EXP_TOL
+        (_term_logs(-30 + 0j, 0j), LogOfZero, "log of"),
     ]
-    for args, cls, text in cases:
-        old = _raised(_old_path, *args)
+    for logs, cls, text in cases:
+        old = _raised(_object_path, logs)
         assert old[0] is cls and text in old[1], old
-        assert _raised(_point_value, *args) == old
-    # an odd or non-integral branch against a given z: the check shared by
-    # to_covering_point and _point_value
+        assert _raised(_fused, logs) == old
+    # an odd or non-integral branch integer follows from no six Logs that
+    # pass the e^{w1} check, so the branch unit is scaled (by 2 and by 0.8)
+    # to give one; both paths read covering.PI.  _branch is the check of
+    # to_covering_point
     with pytest.raises(NotEven, match="p = 3 is odd"):
         _branch(z, w0 + 1j * PI, w1)
     with pytest.raises(NotEven, match="q = .* is not an integer"):
         _branch(z, w0, w1 + 0.5j)
+    for scale, p, q, text in ((2.0, 2, 0, "p = 1 is odd"),
+                              (2.0, 0, 2, "q = 1 is odd"),
+                              (0.8, 2, 0, "p = .* is not an integer"),
+                              (0.8, 0, 2, "q = .* is not an integer")):
+        t = from_covering_point(CoveringPoint(z, p, q))
+        logs = _term_logs(t.w0, t.w1)
+        with monkeypatch.context() as m:
+            m.setattr(covering, "PI", PI * scale)
+            old = _raised(_object_path, logs)
+            assert old[0] is NotEven and re.fullmatch(text, old[1]), old
+            assert _raised(_fused, logs) == old
 
 
 def test_five_tuple_examples():

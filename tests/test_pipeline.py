@@ -19,8 +19,8 @@ from extbloch.dilog import TWO_PI_SQ, lhat, plog, vol
 from extbloch.errors import DegenerateConfig, NotACycle, NotVGood, RepairFailed
 from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
                                torsion_cycle)
-from extbloch.pipeline import (ConfigTuple, ccs_value, lambda_hat, psi_v,
-                               sigma_hat)
+from extbloch.pipeline import (ConfigTuple, _log_params, ccs_value,
+                               lambda_hat, psi_v, sigma_hat)
 
 import report_digest
 from oracles import check_edge_layout
@@ -337,6 +337,65 @@ def test_ccs_value_single_pass_matches_reference_sums():
             assert rep.residuals["volume_vs_im_lhat"].hex() == residual.hex()
 
 
+def _object_sums(rows, logs) -> tuple[float, float, float]:
+    # the three sums of covering._lhat_sums through the object path: per
+    # row, the FlatteningTriple of sigma_hat's log-parameters of its six
+    # Logs, its covering point, and lhat and vol of that, each sum taken by
+    # math.fsum
+    re, im, vols = [], [], []
+    for coeff, *row in rows:
+        pt = to_covering_point(
+            FlatteningTriple(*_log_params(*[logs[k] for k in row])))
+        value = lhat(pt)
+        re.append(coeff * value.real)
+        im.append(coeff * value.imag)
+        vols.append(coeff * vol(pt.z))
+    return math.fsum(re), math.fsum(im), math.fsum(vols)
+
+
+def test_every_trial_sums_as_the_object_path_does(monkeypatch):
+    # every trial's call of the fused per-term body, the first trial's, each
+    # replay's and each fallback's to a full repair, gives sums bit-equal to
+    # those over the object path on the same Logs.  Every term of torsion 6
+    # is bad; torsion 48 is the largest; a five-term boundary has all its
+    # terms good
+    real_sums, real_replay, calls, shifts = pipeline._lhat_sums, \
+        chains._replay, [], []
+
+    def refereed(rows, logs):
+        sums = real_sums(rows, logs)
+        assert [x.hex() for x in sums] == \
+            [x.hex() for x in _object_sums(rows, logs)]
+        calls.append(len(rows))
+        return sums
+
+    def replay(*args):
+        shifts.append(real_replay(*args))
+        return shifts[-1]
+
+    monkeypatch.setattr(pipeline, "_lhat_sums", refereed)
+    monkeypatch.setattr(chains, "_replay", replay)
+    cycles = (torsion_cycle(6), torsion_cycle(48),
+              random_boundary_cycle(3, n_terms=16), _conj_torsion(7, 3),
+              five_term_boundary(0.5, 0.25))
+    for c in cycles:
+        for seed in (0, 1, 2):
+            ccs_value(c, seed=seed, trials=10)
+    assert len(calls) == 10 * 3 * len(cycles) and all(calls)
+    assert len(shifts) == 9 * 3 * len(cycles) and None not in shifts
+    # every replay gives up: trials 2-10 repair in full on the same draws
+    calls.clear()
+    shifts.clear()
+
+    def give_up(*args):
+        shifts.append(report_digest.give_up(*args))
+        return shifts[-1]
+
+    monkeypatch.setattr(chains, "_replay", give_up)
+    ccs_value(torsion_cycle(6), seed=0, trials=10)
+    assert len(calls) == 10 and shifts == [None] * 9
+
+
 def test_ccs_value_torsion_family():
     # pinned regression values: 2k/n mod 1 with the empirical unit k = -1
     expected = {2: 0.0, 3: 1 / 3, 4: 1 / 2, 5: 3 / 5}
@@ -394,36 +453,36 @@ def test_ccs_report_fields(rng):
 
 def test_covering_points_take_two_logarithms_each(monkeypatch):
     # a covering point costs Log z and Log(1 - z), plus Log(1 - 1/z) where
-    # li2 inverts; the edge Log dets are taken outside the per-point pass
+    # li2 inverts; the edge Log dets are taken outside the per-term body
     import cmath
-    from extbloch import covering, dilog, pipeline
+    from extbloch import covering
     count = {"logs": 0, "points": 0, "inversions": 0}
     inside = []
-    real_log, real_point, real_log1m = cmath.log, pipeline._point_value, dilog._log1m
+    real_log, real_sums = cmath.log, pipeline._lhat_sums
+    real_inverted = covering._li2_inverted
 
     def log(*args):
         count["logs"] += bool(inside)
         return real_log(*args)
 
-    def point(*args):
-        count["points"] += 1
+    def sums(rows, logs):
+        count["points"] += len(rows)
         inside.append(True)
         try:
-            return real_point(*args)
+            return real_sums(rows, logs)
         finally:
             inside.pop()
 
-    def inverted_log1m(z):  # li2's own; _branch holds covering's binding
+    def inverted(*args):  # li2's own binding is dilog's
         count["inversions"] += 1
-        return real_log1m(z)
+        return real_inverted(*args)
 
     monkeypatch.setattr(cmath, "log", log)
-    monkeypatch.setattr(pipeline, "_point_value", point)
-    monkeypatch.setattr(dilog, "_log1m", inverted_log1m)
-    assert covering._log1m is real_log1m
+    monkeypatch.setattr(pipeline, "_lhat_sums", sums)
+    monkeypatch.setattr(covering, "_li2_inverted", inverted)
     for c in (torsion_cycle(6), random_boundary_cycle(1, n_terms=16)):
         ccs_value(c, seed=0, trials=10)
-    assert count["points"] > 0
+    assert count["points"] > 0 and count["inversions"] > 0, count
     assert count["logs"] <= 2 * count["points"] + count["inversions"], count
 
 
