@@ -24,14 +24,13 @@ all g_i = +-g_j coincidences, together with an explicit homotopy
 certificate; it changes only the simplices that have such a coincidence.
 Within one evaluation, ``_repairs`` repairs the first trial in full and
 replays that repair, with its Log-det edges, for each later trial: every
-trial comes as a ``_Plan`` of the repaired cycle's distinct ids and id
-pairs, the ids its slots hold and the layout of its pairs' edges, whose
-rows index the distinct edges directly.  A
-replay is one flat pass (``_replay``) over the first trial's tape,
-compiled once (``_compiled``), that forms through the table's one kernel
-(``SymbolTable._form``), leaves the table's memos as the first trial left
-them, and shares the first trial's plan and layout, with the ids the
-first trial added moved by one offset.
+trial comes as a ``_Plan`` of the repaired cycle (its distinct ids, id
+pairs and edges, and rows that index those edges directly) and the ids
+its slots hold.  A replay is one flat pass (``_replay``) over the first
+trial's tape, compiled once (``_compiled``), that forms through the
+table's one kernel (``SymbolTable._form``), leaves the table's memos as
+the first trial left them, and shares the first trial's plan, with the
+ids the first trial added moved by one offset.
 """
 
 from __future__ import annotations
@@ -438,52 +437,56 @@ def near_pairs(vecs: Sequence[ProjVector]) -> list[tuple[int, int]]:
 
 
 class _Plan(Record):
-    """The layout of the (coefficient, ids) terms of a homogeneous chain,
-    which every trial on a renaming of their ids shares: ``slots``, the
-    distinct ids in first-met order; ``pairs``, the distinct ordered id
-    pairs (g_i, g_j) met within a term, in first-met order (within a term,
-    ``combinations`` order), as pairs of slot indices; ``rows``, per term
-    its coefficient and the indices in ``pairs`` of its id pairs, in
-    ``combinations`` order."""
+    """What every trial on a renaming of the ids of the (coefficient, ids)
+    terms of a homogeneous chain shares, built in one pass over the terms:
+    ``slots``, the distinct ids in first-met order; ``pairs``, the distinct
+    ordered id pairs (g_i, g_j) met within a term, in first-met order
+    (within a term, ``combinations`` order), as pairs of slot indices;
+    ``firsts``, the index in ``pairs`` of the first pair of each distinct
+    edge g_i^-1 g_j, as ``table.ldiv`` keys it, asked once per pair in pair
+    order; ``rows``, per term its coefficient followed by the indices in
+    ``firsts`` of its pairs' edges, in ``combinations`` order, so that a
+    trial's rows index its distinct-edge Log dets directly (see
+    ``covering._lhat_sums``).  An edge between two translates by one
+    factor of a known edge is a memo answer of ``ldiv``, not a product."""
 
-    __slots__ = ("slots", "pairs", "rows")
+    __slots__ = ("slots", "pairs", "firsts", "rows")
 
-    def __init__(self, terms: Iterable[tuple[int, Ids]]):
+    def __init__(self, table: SymbolTable, terms: Iterable[tuple[int, Ids]]):
+        ldiv = table.ldiv
         slot_of: dict[int, int] = {}
-        pair_of: dict[tuple[int, int], int] = {}
-        rows = []
+        edge_of: dict[tuple[int, int], int] = {}  # id pair -> edge index
+        at: dict[int, int] = {}  # edge id -> edge index
+        pairs, firsts, rows = [], [], []
         for coeff, ids in terms:
-            at = []
             for i in ids:
-                s = slot_of.get(i)
-                if s is None:
-                    s = slot_of[i] = len(slot_of)
-                at.append(s)
-            row = []
-            for key in combinations(at, 2):
-                k = pair_of.get(key)
-                if k is None:
-                    k = pair_of[key] = len(pair_of)
-                row.append(k)
-            rows.append((coeff, row))
-        super().__init__(list(slot_of), list(pair_of), rows)
-
-
-# the position pairs (i, j) of a tuple, in ``combinations`` order, by count
-_POSITIONS = {len(p): p for p in (list(combinations(range(n), 2))
-                                  for n in range(1, MAX_DEGREE + 2))}
+                if i not in slot_of:
+                    slot_of[i] = len(slot_of)
+            row = [coeff]
+            for key in combinations(ids, 2):
+                x = edge_of.get(key)
+                if x is None:
+                    e = ldiv(*key)
+                    x = at.get(e)
+                    if x is None:
+                        x = at[e] = len(firsts)
+                        firsts.append(len(pairs))
+                    edge_of[key] = x
+                    pairs.append((slot_of[key[0]], slot_of[key[1]]))
+                row.append(x)
+            rows.append(tuple(row))
+        super().__init__(list(slot_of), pairs, firsts, rows)
 
 
 def _v_pass(elements: list[GroupElement], plan: _Plan, ids: list[int],
-            v: ProjVector) -> tuple[list, list[complex]]:
+            v: ProjVector) -> list[complex] | None:
     """One pass of v over ``plan`` with its slots holding ``ids`` (ids of
     ``elements``): each slot's element is applied to v once, in slot order,
     and each pair (g_i, g_j) gets det(g_i v, g_j v) once, in pair order,
     tested as ``near_pairs`` tests it, on plain (w1, w2, |w|) tuples with
     the float operations and nonzero check of ``GroupElement.apply``,
-    ``ProjVector.norm`` and ``det_pair``.  Returns (offending (term index,
-    i, j) triples, dets by pair); the offenders are listed only when some
-    pair is near."""
+    ``ProjVector.norm`` and ``det_pair``.  Returns the dets by pair, or
+    None at the first near pair."""
     vgood, zero, v1, v2 = config.VGOOD, config.ZERO, v.v1, v.v2
     vecs = []
     for i in ids:
@@ -493,39 +496,35 @@ def _v_pass(elements: list[GroupElement], plan: _Plan, ids: list[int],
         if max(n1, n2) <= zero:
             raise ValueError("projective vector must be nonzero")
         vecs.append((w1, w2, math.hypot(n1, n2)))
-    dets, near = [], []
+    dets = []
     for a, b in plan.pairs:
         x1, x2, nx = vecs[a]
         y1, y2, ny = vecs[b]
         d = x1 * y2 - x2 * y1
         if abs(d) <= vgood * (nx * ny):
-            near.append(len(dets))
+            return None
         dets.append(d)
-    if not near:
-        return [], dets
-    near = set(near)
-    return [(t_idx, a, b) for t_idx, (_, row) in enumerate(plan.rows)
-            for (a, b), k in zip(_POSITIONS[len(row)], row) if k in near], dets
+    return dets
 
 
 def is_v_good(c, v: ProjVector) -> tuple[bool, list]:
     """All pairs satisfy |det(g_i v, g_j v)| above the scale-relative
-    threshold.  Returns (ok, offending (term index, i, j) triples)."""
-    hom = _hom(c)
-    plan = _Plan(hom.pairs())
-    offending, _ = _v_pass(hom.table.elements, plan, plan.slots, v)
+    threshold.  Returns (ok, offending (term index, i, j) triples), the
+    offenders by ``near_pairs`` on each term's tuple."""
+    offending = [(t_idx, i, j) for t_idx, (_, tup) in enumerate(_hom(c))
+                 for i, j in near_pairs([g.apply(v) for g in tup])]
     return not offending, offending
 
 
-def _sample_v(elements: list[GroupElement], plan: _Plan, ids: list[int],
-              rng):
-    """``sample_generic_v`` on ``plan`` with its slots holding ``ids``,
-    also returning the accepted v's dets by pair (see ``_v_pass``)."""
+def _sample_v(accept, rng) -> tuple[ProjVector, int, object]:
+    """The rejection loop: (v, attempts, ``accept(v)``) for the first of
+    up to ``V_ATTEMPTS`` draws of v from ``rng`` that ``accept`` does not
+    refuse by returning None."""
     for attempt in range(1, V_ATTEMPTS + 1):
         v = random_vector(rng)
-        offending, dets = _v_pass(elements, plan, ids, v)
-        if not offending:
-            return v, attempt, dets
+        got = accept(v)
+        if got is not None:
+            return v, attempt, got
     raise SamplingExhausted(
         f"no v-good vector in {V_ATTEMPTS} attempts; "
         "the chain is likely not good or the tolerance is too tight")
@@ -536,11 +535,11 @@ def sample_generic_v(c, rng_or_seed) -> tuple[ProjVector, int]:
 
     The failure locus is a finite union of hypersurfaces, so a good chain
     succeeds almost surely within a few draws.  Returns (v, attempts).
-    Each draw is checked by the one pass ``is_v_good`` also runs.
+    Each draw is judged by ``is_v_good``, in the loop a trial's v is
+    drawn in (``_sample_v``).
     """
     hom = _hom(c)
-    plan = _Plan(hom.pairs())
-    v, attempts, _ = _sample_v(hom.table.elements, plan, plan.slots,
+    v, attempts, _ = _sample_v(lambda v: is_v_good(hom, v)[0] or None,
                                as_rng(rng_or_seed))
     return v, attempts
 
@@ -707,55 +706,26 @@ def _repair_core(hom: HomChain, rng) -> tuple[_Terms, _Terms, _Terms]:
     return phi_bad, rep.linear([(1, good), (1, phi_bad)]), h
 
 
-def _planned(table: SymbolTable, phi: _Terms):
-    """(plan, ids, layout) of a trial repaired in full to ``phi``: its
-    ``_Plan``, the plan's own slots as ids, and the ``_edge_layout`` of
-    its rows by each pair's edge id g_i^-1 g_j from ``SymbolTable.ldiv``
-    (an edge between two translates by one factor of a known edge is a
-    memo answer, not a product).  Replays share the first trial's, so the
-    rows are composed once per evaluation and once per fallback."""
-    plan = _Plan(phi)
-    slots, ldiv = plan.slots, table.ldiv
-    return plan, slots, _edge_layout(
-        [ldiv(slots[a], slots[b]) for a, b in plan.pairs], plan.rows)
-
-
-def _edge_layout(edges: list[int], rows) -> tuple[list[int], list[tuple]]:
-    """(firsts, rows) for ``edges``, each pair's edge id in pair order, and
-    a plan's ``rows``: the index of the first pair of each distinct edge,
-    in pair order, and per row its coefficient followed by the indices in
-    ``firsts`` of its pairs' edges, so that a trial's rows index its
-    distinct-edge Log dets directly (see ``covering._lhat_sums``)."""
-    at: dict[int, int] = {}
-    firsts, where = [], []
-    for k, e in enumerate(edges):
-        x = at.get(e)
-        if x is None:
-            x = at[e] = len(firsts)
-            firsts.append(k)
-        where.append(x)
-    return firsts, [(coeff, *[where[k] for k in row]) for coeff, row in rows]
-
-
 def _repairs(hom: HomChain, rng, trials: int):
-    """(plan, ids, layout) for each of ``trials`` trials of one evaluation
-    of ``hom``, yielded in turn, each drawn from ``rng`` only when asked
-    for (so v, drawn between trials, falls between them): the ``_Plan``
-    of the trial's phi, the ids its slots hold and its ``_edge_layout``.
-    A trial repaired in full gives ``_planned``'s.  With more than one
-    trial, the first trial's repair and edges record the table's tape,
-    compiled once (``_compiled``); a later trial replays it at its own
-    apexes (``_replay``) and gives the first trial's plan and layout, with
-    the first trial's ids from ``base`` (the table's length before it) on
-    moved by the replay's offset, or repairs in full on the same draws
-    when a decision differs.  One trial records and compiles nothing."""
+    """(plan, ids) for each of ``trials`` trials of one evaluation of
+    ``hom``, yielded in turn, each drawn from ``rng`` only when asked for
+    (so v, drawn between trials, falls between them): the ``_Plan`` of the
+    trial's phi and the ids its slots hold.  A trial repaired in full
+    gives a plan of its own, with its own slots as ids.  With more than
+    one trial, the first trial's repair and plan (its edges' quotients
+    included) record the table's tape, compiled once (``_compiled``); a
+    later trial replays it at its own apexes (``_replay``) and gives the
+    first trial's plan, with the first trial's ids from ``base`` (the
+    table's length before it) on moved by the replay's offset, or repairs
+    in full on the same draws when a decision differs.  One trial records
+    and compiles nothing."""
     table = hom.table
     base = len(table.elements)
     table.tape = [] if trials > 1 else None
     phi_bad, phi, _ = _repair_core(hom, rng)
-    plan, slots, layout = first = _planned(table, phi)
+    plan = _Plan(table, phi)
     events, table.tape = table.tape, None
-    yield first
+    yield plan, plan.slots
     if trials < 2:
         return
     tape = _compiled(events, phi_bad, base, len(table.elements))
@@ -764,9 +734,10 @@ def _repairs(hom: HomChain, rng, trials: int):
         shift = _replay(table, draws, tape)
         if shift is None:
             draws.rewind()
-            yield _planned(table, _repair_core(hom, draws)[1])
+            full = _Plan(table, _repair_core(hom, draws)[1])
+            yield full, full.slots
         else:
-            yield plan, [i if i < base else i + shift for i in slots], layout
+            yield plan, [i if i < base else i + shift for i in plan.slots]
 
 
 def _check_good(table: SymbolTable, phi_bad: _Terms) -> None:

@@ -42,6 +42,16 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _complex_pair(text: str) -> tuple[complex, complex]:
+    """An argparse type: two complex numbers written 'x,y'."""
+    try:
+        xs, ys = text.split(",", 1)
+        return complex(xs), complex(ys)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects 'x,y' complex pair, got {text!r}") from None
+
+
 def cmd_eval(args) -> int:
     chain = parse_cycle_file(args.cycle, args.tolerance)
     # ccs_value on the table the parse keyed (see chain_from_obj)
@@ -61,6 +71,7 @@ def cmd_check_cycle(args) -> int:
     write_json(doc, sys.stdout, args.out)
     return 0 if ok else 2
 
+
 def cmd_torsion(args) -> int:
     from .fixtures import torsion_cycle
 
@@ -72,12 +83,7 @@ def cmd_torsion(args) -> int:
 def cmd_five_term(args) -> int:
     from .fixtures import five_term_boundary
 
-    try:
-        x = complex(args.x)
-        y = complex(args.y)
-    except ValueError:
-        print("error: --x and --y must parse as complex numbers", file=sys.stderr)
-        return 2
+    x, y = args.x, args.y
     chain = five_term_boundary(x, y)  # DegenerateFT (exit 2) names a coordinate
     ok, _ = is_cycle(chain)
     if args.verify:
@@ -119,15 +125,7 @@ def cmd_lift_path(args) -> int:
     from .covering import five_tuple
     from .path_lift import find_positive_base, verify_pq_pattern
 
-    if args.base:
-        try:
-            xs, ys = args.base.split(",", 1)
-            base = (complex(xs), complex(ys))
-        except ValueError:
-            print("error: --base expects 'x,y' complex pair", file=sys.stderr)
-            return 2
-    else:
-        base = find_positive_base()
+    base = args.base or find_positive_base()
     five_tuple(*base)  # DegenerateFT (exit 2) names a coordinate on 0 or 1
     ok, details = verify_pq_pattern(args.p0, args.q0, args.r,
                                     args.p1, args.q1, base=base)
@@ -183,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("five-term",
                        help="emit (or verify) a five-term boundary fixture")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
+    p.add_argument("--x", type=complex, required=True)
+    p.add_argument("--y", type=complex, required=True)
     p.add_argument("--verify", action="store_true",
                    help="evaluate the fixture instead of emitting it")
     p.add_argument("--seed", type=_integer(0), default=0)
@@ -200,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift-path", help="lift a composite winding loop")
     for name in ("--p0", "--q0", "--r", "--p1", "--q1"):
         p.add_argument(name, type=_integer(-MAX_TURNS, MAX_TURNS), default=0)
-    p.add_argument("--base",
+    p.add_argument("--base", type=_complex_pair,
                    help="base point as 'x,y' (default: 0.25+0.5j,0.5+1.5j)")
     common(p, tolerance=False)
     p.set_defaults(func=cmd_lift_path)

@@ -31,7 +31,8 @@ from .core import FrozenRecord, ProjVector, det_pair
 from .dilog import (_ODD_DESC, _SERIES_MAX, PI, PI2_6, _li2_inverted, _log1m,
                     plog)
 from .errors import (ChiAtZero, DegenerateConfig, DegenerateFT,
-                     InvalidFlattening, LogOfZero, NotEven, OnCut)
+                     InvalidFlattening, LogOfZero, NotEven, OnCut,
+                     ZAtZeroOrOne)
 from .formal import FormalSum
 from .quantize import FuzzyIndex
 
@@ -51,7 +52,7 @@ class CoveringPoint(FrozenRecord):
 
     def __init__(self, z: complex, p: int, q: int):
         if abs(z) <= config.ZERO or abs(z - 1.0) <= config.ZERO:
-            raise ValueError(f"z = {z} must avoid 0 and 1")
+            raise ZAtZeroOrOne(f"z = {z} must avoid 0 and 1")
         if p % 2 or q % 2:
             raise ValueError(f"branch integers must be even, got ({p}, {q})")
         super().__init__(z, p, q)
@@ -140,7 +141,7 @@ def _lhat_sums(rows, logs: list[complex]) -> tuple[float, float, float]:
     """(Re, Im) of sum_i c_i lhat(z_i; p_i, q_i), and sum_i c_i vol(z_i),
     each a ``math.fsum``, over ``rows``: per term its coefficient c_i and
     the indices in ``logs`` of its Log dets (01), (02), (03), (12), (13),
-    (23) (see ``chains._edge_layout``).  This is the trial path's one
+    (23) (the rows of a ``chains._Plan``).  This is the trial path's one
     per-term body.  It forms ``sigma_hat``'s (w0, w1, w2) and runs, inline
     and in order, every check and float operation of ``FlatteningTriple``,
     ``to_covering_point``, ``CoveringPoint``, ``lhat`` and ``vol``, with
@@ -188,7 +189,7 @@ def _lhat_sums(rows, logs: list[complex]) -> tuple[float, float, float]:
             raise NotEven(f"q = {q} is odd")
         # CoveringPoint (|z| > ZERO held for Log z), then lhat (_li2)
         if abs(z - 1.0) <= zero:
-            raise ValueError(f"z = {z} must avoid 0 and 1")
+            raise ZAtZeroOrOne(f"z = {z} must avoid 0 and 1")
         if on_cut:
             raise OnCut(f"li2({z.real}) is on the cut; pass a side flag")
         reflect = abs(l1) > _SERIES_MAX

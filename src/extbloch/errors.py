@@ -21,6 +21,10 @@ class OnCut(CcsError):
     """Dilogarithm argument lies on the cut (1, oo) with no side flag."""
 
 
+class ZAtZeroOrOne(CcsError, ValueError):
+    """A covering point's z lies (numerically) at 0 or 1."""
+
+
 class ChiAtZero(CcsError):
     """The two-term torsion element is undefined at r = 0."""
 

@@ -13,12 +13,12 @@ the class.  The real part of the unreduced sum is only defined up to 2 pi^2,
 which is exactly why the reduction is legitimate.
 
 Every trial runs one body on what ``chains._repairs`` yields for it: a
-plan of slots and pairs (``chains._Plan``), the ids its slots hold and the
-layout of its pairs' distinct Log-det edges (``chains._edge_layout``),
-whose rows index those edges' Logs.  A replayed trial is one pass over the
-first trial's plan and layout with its slot ids moved by one offset, so a
-trial takes one Log per distinct edge, keys nothing by edge id, and sums
-its terms in one fused pass (``covering._lhat_sums``) from those Logs.
+plan (``chains._Plan``) of slots, pairs and distinct Log-det edges, whose
+rows index those edges' Logs, and the ids its slots hold.  A replayed
+trial is one pass over the first trial's plan with its slot ids moved by
+one offset, so a trial takes one Log per distinct edge, keys nothing by
+edge id, and sums its terms in one fused pass (``covering._lhat_sums``)
+from those Logs.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import combinations
 
 from . import config
 from .chains import (BarChain, HomChain, SymbolTable, _checked_cycle, _Plan,
-                     _repairs, _sample_v, near_pairs)
+                     _repairs, _sample_v, _v_pass, near_pairs)
 from .core import FrozenRecord, ProjVector, Record, as_rng, det_pair
 from .covering import FlatteningTriple, _lhat_sums
 from .dilog import TWO_PI_SQ, plog
@@ -130,25 +130,24 @@ def lambda_hat(c: BarChain, seed) -> LambdaResult:
     """
     rng = as_rng(seed)
     hom = _checked_cycle(c, SymbolTable())
-    plan, ids, layout = next(_repairs(hom, rng, 1))
-    v, logs = _lambda_hat(hom.table.elements, plan, ids, layout, rng)
+    plan, ids = next(_repairs(hom, rng, 1))
+    v, logs = _lambda_hat(hom.table.elements, plan, ids, rng)
     return LambdaResult([(coeff, _flattening([logs[k] for k in row]))
-                         for coeff, *row in layout[1]], v)
+                         for coeff, *row in plan.rows], v)
 
 
-def _lambda_hat(elements: list, plan: _Plan, ids: list[int], layout: tuple,
+def _lambda_hat(elements: list, plan: _Plan, ids: list[int],
                 rng) -> tuple[ProjVector, list[complex]]:
     """v drawn from ``rng`` and, for ``plan`` (see ``chains._Plan``) with
     its slots holding ``ids`` (ids of ``elements``), the Log det of each
-    distinct edge, taken at the edge's first pair (``layout``, see
-    ``chains._edge_layout``, whose rows index these Logs) with ``plog``'s
-    zero check and -0.0 normalization.  det is SL(2, C) invariant, so
-    every translate of an edge e = g_i^-1 g_j shares the Log det(g_i v,
-    g_j v) of the first met, whose det the v-check's pass already
-    computed."""
-    v, _, dets = _sample_v(elements, plan, ids, rng)
+    distinct edge, taken at the edge's first pair (``plan.firsts``; the
+    plan's rows index these Logs) with ``plog``'s zero check and -0.0
+    normalization.  det is SL(2, C) invariant, so every translate of an
+    edge e = g_i^-1 g_j shares the Log det(g_i v, g_j v) of the first met,
+    whose det the v-check's pass (``chains._v_pass``) already computed."""
+    v, _, dets = _sample_v(lambda v: _v_pass(elements, plan, ids, v), rng)
     log, zero, logs = cmath.log, config.ZERO, []
-    for k in layout[0]:
+    for k in plan.firsts:
         d = dets[k]
         if abs(d) <= zero:
             raise LogOfZero(f"log of {d}")
@@ -211,7 +210,7 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     from it in turn, as successive ``lambda_hat`` calls on it do, and give
     the same values.  Later trials replay the first trial's repair and
     Log-det edges at their own apexes (see ``chains._repairs``), and every
-    trial runs one body on its plan, slot ids and edge layout.  Each
+    trial runs one body on its plan and slot ids.  Each
     repaired term is evaluated once, straight from its edge Logs, by the
     fused per-term body ``covering._lhat_sums`` (one e^{w0}, Log z,
     Log(1-z) and li2 series, with every check of the ``FlatteningTriple``,
@@ -243,18 +242,18 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
 def _trial_loop(hom: HomChain, rng, trials: int, seed: int | None) -> CcsReport:
     """``ccs_value``'s report on the checked cycle ``hom`` (see
     ``_checked_cycle``), drawing from ``rng``, with ``seed`` as its seed:
-    one body per trial on the (plan, slot ids, edge layout) that
-    ``chains._repairs`` yields for it: v and the Log of each distinct edge
-    (``_lambda_hat``), then the three sums of the fused per-term body
-    ``covering._lhat_sums`` over the layout's rows."""
+    one body per trial on the (plan, slot ids) that ``chains._repairs``
+    yields for it: v and the Log of each distinct edge (``_lambda_hat``),
+    then the three sums of the fused per-term body ``covering._lhat_sums``
+    over the plan's rows."""
     elements = hom.table.elements
     values: list[complex] = []
     raws: list[complex] = []
     vol_res = 0.0
-    for plan, ids, layout in _repairs(hom, rng, trials):
-        _, logs = _lambda_hat(elements, plan, ids, layout, rng)
+    for plan, ids in _repairs(hom, rng, trials):
+        _, logs = _lambda_hat(elements, plan, ids, rng)
         # correctly rounded sums, independent of the order of the terms
-        re, im, vol = _lhat_sums(layout[1], logs)
+        re, im, vol = _lhat_sums(plan.rows, logs)
         raw = complex(re, im)
         value = -raw / TWO_PI_SQ
         values.append(complex(_mod1(value.real), value.imag))

@@ -6,7 +6,7 @@ identity is expanded over opaque symbols with a dict, not the library's
 wedge type, the canonical JSON text is written by a plain recursive
 ``isinstance`` dispatch, element by element, and float vectors are keyed
 by a frozen copy of the fuzzy index that rounds with ``round`` to int cells.
-A trial's Log-det edge layout is checked against ``ldiv`` and against
+A trial plan's Log-det edges are checked against ``ldiv`` and against
 quotients formed here from the entries.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import json
-from itertools import product
+from itertools import combinations, product
 from operator import sub
 
 from extbloch.errors import OutOfGrid
@@ -215,41 +215,47 @@ class FuzzyIndexReference:
 
 
 # ---------------------------------------------------------------------------
-# Log-det edge layouts (against ldiv and quotients formed from the entries)
+# a plan's Log-det edges (against ldiv and quotients formed from the entries)
 
 
 def quotient_entries(g, h) -> tuple[complex, ...]:
-    """The entries (a, b, c, d) of g^-1 h, g^-1 taken as g's adjugate."""
-    return (g.d * h.a - g.b * h.c, g.d * h.b - g.b * h.d,
-            g.a * h.c - g.c * h.a, g.a * h.d - g.c * h.b)
+    """The entries (a, b, c, d) of g^-1 h, g^-1 taken as g's adjugate, for
+    g and h given by their entries (a, b, c, d)."""
+    a, b, c, d = g
+    return (d * h[0] - b * h[2], d * h[1] - b * h[3],
+            a * h[2] - c * h[0], a * h[3] - c * h[1])
 
 
-def check_edge_layout(table, plan, ids, layout) -> None:
-    """Assert that ``layout`` = (firsts, rows) groups the pairs of
-    ``plan``, its slots holding ``ids``, by Log-det edge: each row is its
-    plan row's coefficient followed by one group per pair, a pair's group
-    being the same in every row; two pairs share a group exactly when
-    ``table.ldiv`` gives them one id, ``firsts`` holds each group's first
-    pair, ``ldiv`` adds no element, and each pair's quotient g^-1 h,
-    formed from the entries, is within the table's tolerance (entrywise
-    |.|) of its group's first pair's."""
-    firsts, rows = layout
-    assert len(rows) == len(plan.rows)
-    group: dict[int, int] = {}
-    for (coeff, row), (c, *xs) in zip(plan.rows, rows):
-        assert c == coeff and len(xs) == len(row)
-        for k, x in zip(row, xs):
-            assert group.setdefault(k, x) == x
-    where = [group[k] for k in range(len(plan.pairs))]
-    size, elements = len(table.elements), table.elements
+def check_edge_layout(table, plan, ids) -> None:
+    """Assert that ``plan``, its slots holding ``ids``, groups its pairs by
+    Log-det edge: ``plan.firsts`` holds the first pair of each distinct id
+    that ``table.ldiv`` gives the pairs, in pair order, ``ldiv`` adding no
+    element, and each pair's quotient g^-1 h, formed from the entries, is
+    within the table's tolerance (entrywise |.|) of its edge's first
+    pair's.  Each row of ``plan.rows``, a coefficient and one edge index
+    per pair of a tuple of m entries in ``combinations`` order, holds the
+    edges of one tuple: for i, j > 0 its edge (i, j) is e_0i^-1 e_0j of its
+    edges (0, i), (0, j), within the tolerance; and the rows meet the
+    edges in index order."""
+    size, elements, tol = len(table.elements), table.elements, table.tol
     edges = [table.ldiv(ids[a], ids[b]) for a, b in plan.pairs]
     assert len(table.elements) == size
-    assert len(where) == len(edges)
-    assert len(set(zip(where, edges))) == len(set(where)) == len(set(edges))
-    assert set(where) == set(range(len(firsts)))
-    assert firsts == [where.index(x) for x in range(len(firsts))]
-    quotients = [quotient_entries(elements[ids[a]], elements[ids[b]])
+    index = {e: x for x, e in enumerate(dict.fromkeys(edges))}
+    assert plan.firsts == [edges.index(e) for e in index]
+    entries = [(g.a, g.b, g.c, g.d) for g in elements]
+    quotients = [quotient_entries(entries[ids[a]], entries[ids[b]])
                  for a, b in plan.pairs]
-    for q, x in zip(quotients, where):
-        first = quotients[firsts[x]]
-        assert max(abs(u - w) for u, w in zip(q, first)) <= table.tol
+    edge = [quotients[k] for k in plan.firsts]
+    for q, e in zip(quotients, edges):
+        assert max(abs(u - w) for u, w in zip(q, edge[index[e]])) <= tol
+    met = []
+    for coeff, *xs in plan.rows:
+        assert isinstance(coeff, int) and coeff
+        m = next(m for m in range(2, 7) if m * (m - 1) // 2 == len(xs))
+        at = dict(zip(combinations(range(m), 2), xs))
+        for (i, j), x in at.items():
+            if i:
+                q = quotient_entries(edge[at[0, i]], edge[at[0, j]])
+                assert max(abs(u - w) for u, w in zip(q, edge[x])) <= tol
+        met += xs
+    assert list(dict.fromkeys(met)) == list(range(len(plan.firsts)))

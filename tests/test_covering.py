@@ -14,7 +14,8 @@ from extbloch.covering import (CoveringPoint, FlatteningTriple, WedgeElement,
                                to_covering_point)
 from extbloch.dilog import _SERIES_MAX, PI, TWO_PI_SQ, _log1m, lhat, plog, vol
 from extbloch.errors import (ChiAtZero, DegenerateConfig, DegenerateFT,
-                             InvalidFlattening, LogOfZero, NotEven, OnCut)
+                             InvalidFlattening, LogOfZero, NotEven, OnCut,
+                             ZAtZeroOrOne)
 from extbloch.pipeline import ConfigTuple, _log_params, sigma_hat
 
 from conftest import random_complex
@@ -181,7 +182,8 @@ def test_point_value_mutations_fail_as_the_triple_path_does(monkeypatch):
         (_term_logs(w0 + 1j * PI, w1), InvalidFlattening, "w1 is not"),
         (_term_logs(w0, w1 + 1e-3), InvalidFlattening, "w1 is not"),
         ([big, big, big, w0, 0j, -w1], InvalidFlattening, "sum to zero"),
-        (_term_logs(near_1, w1_near), ValueError, "avoid 0 and 1"),
+        # a CcsError, so ``ccs eval`` reports it with exit 2, and a ValueError
+        (_term_logs(near_1, w1_near), ZAtZeroOrOne, "avoid 0 and 1"),
         (_term_logs(on_cut, plog(-0.5)), OnCut, "on the cut"),
         # lhat's OnCut, after the branch checks (q = 2 against the upper
         # side's Log(1/(1 - z)))

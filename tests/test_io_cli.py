@@ -1,3 +1,4 @@
+import cmath
 import io
 import json
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from extbloch import chains, selftest
+from extbloch import chains, pipeline, selftest
 from extbloch.chainio import (_write_chain, chain_to_obj, dumps_canonical,
                               emit_report, parse_cycle_file)
 from extbloch.chains import (APEX_ATTEMPTS, bar_boundary, conjugate_chain,
@@ -349,6 +350,24 @@ def test_cli_eval_exits_2_when_no_cone_apex_clears(tmp_path, capsys,
             == f"error: no generic cone apex in {APEX_ATTEMPTS} attempts\n")
 
 
+def test_cli_eval_exits_2_when_a_term_has_z_at_1(tmp_path, capsys,
+                                                 monkeypatch):
+    # 1 - z = (01)(23) / ((02)(13)), so v-goodness bounds |1 - z| below
+    # only by VGOOD**2, under config.ZERO: a term whose e^{w0} lies within
+    # 1e-13 of 1 is refused by a CcsError, reported with exit 2
+    path = tmp_path / "t5.json"
+    assert main(["torsion", "--n", "5", "--out", str(path)]) == 0
+    w0 = complex(math.log(1 - 5e-14))
+    logs = [-cmath.log(1 / (1 - cmath.exp(w0))), 0j, w0, 0j, 0j, 0j]
+    real = pipeline._lhat_sums
+    monkeypatch.setattr(pipeline, "_lhat_sums",
+                        lambda rows, _: real([(1, 0, 1, 2, 3, 4, 5)], logs))
+    assert main(["eval", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: z = ") and err.endswith(
+        " must avoid 0 and 1\n")
+
+
 def _refused(name, argv, reason):
     """A bad-arguments case whose id is its fixed name, then its reason."""
     return pytest.param(argv, reason, id=f"{name}-{reason}")
@@ -398,6 +417,15 @@ def _refused(name, argv, reason):
     _refused("argv14", ["lift-path", "--q1", str(-MAX_TURNS - 1)],
              f"argument --q1: must be at least {-MAX_TURNS}, "
              f"got {-MAX_TURNS - 1}"),
+    # parameters that do not parse are refused by their argparse types
+    _refused("five-term-y-not-complex",
+             ["five-term", "--x", "0.5", "--y", "notcomplex"],
+             "argument --y: invalid complex value: 'notcomplex'"),
+    _refused("five-term-verify-y-not-complex",
+             ["five-term", "--x", "0.5", "--y", "notcomplex", "--verify"],
+             "argument --y: invalid complex value: 'notcomplex'"),
+    _refused("lift-path-base-not-a-pair", ["lift-path", "--base", "0.3"],
+             "argument --base: expects 'x,y' complex pair, got '0.3'"),
 ])
 def test_cli_rejects_bad_arguments(tmp_path, capsys, argv, reason):
     path = tmp_path / "t3.json"
@@ -738,7 +766,6 @@ def test_cli_lift_path():
     ("1,1j", "x = (1+0j) hits 0 or 1"),
     ("0.3+1j,0.3+1j", "x = y makes coordinate 2 equal to 1"),
     ("nan,0.5", "x = (nan+0j) is not finite"),
-    ("0.3", "--base expects 'x,y' complex pair"),
 ])
 def test_cli_lift_path_degenerate_base_exits_2(capsys, base, reason):
     assert main(["lift-path", "--base", base, "--p0", "1"]) == 2
@@ -754,7 +781,6 @@ def test_cli_lift_path_degenerate_base_exits_2(capsys, base, reason):
     ("2", "2", "x = y makes coordinate 2 equal to 1"),
     ("nan", "0.5", "x = (nan+0j) is not finite"),
     ("0.5", "inf", "y = (inf+0j) is not finite"),
-    ("0.5", "notcomplex", "--x and --y must parse as complex numbers"),
     # coordinate 2 is within cmp of 1, not equal to it
     ("1000", "1000.000005", "coordinate 2 = (1.000000005+0j) hits 0 or 1"),
 ])

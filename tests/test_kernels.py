@@ -3,7 +3,7 @@ replace: the +- and apex-margin tests against ``sign_distance``, the
 one-cell lookup of ``FuzzyIndex`` against the probe of all cells and the
 index against its frozen int-cell reference, the symbol table's products
 against a det-checked ``GroupElement``, the slot-indexed v pass against
-``near_pairs`` term by term, every trial's edge layout against ``ldiv`` on
+``near_pairs`` term by term, every trial plan's edges against ``ldiv`` on
 every pair, replays against full repairs, and the largest trial deviation
 against the maximum over all pairs."""
 
@@ -453,33 +453,37 @@ def _bits(z: complex) -> tuple[str, str]:
 def test_slot_pass_agrees_with_near_pairs_term_by_term(monkeypatch):
     # a plan's pass with its slots holding the plan's own ids, or ids of
     # the same table renamed at random (as a replay renames them), gives
-    # near_pairs' decision, offenders in order and dets, term by term
+    # near_pairs' decision and, for a v it accepts, its dets term by term
     draws = random.Random(9)
     phis = []
     for cycle in (torsion_cycle(6), random_boundary_cycle(2, n_terms=3),
                   five_term_boundary(0.5, 0.25)):
         hom = _checked_cycle(cycle, SymbolTable())
-        phis.append((hom.table.elements, _repair_core(hom, draws)[1]))
+        phi = _repair_core(hom, draws)[1]
+        phis.append((hom.table.elements, phi, _Plan(hom.table, phi)))
     verdicts = set()
     for vgood in (config.VGOOD, 0.3):
         monkeypatch.setattr(config, "VGOOD", vgood)
-        for elements, phi in phis:
-            plan = _Plan(phi)
+        for elements, phi, plan in phis:
+            slots = plan.slots
+            pair_at = {(slots[a], slots[b]): k
+                       for k, (a, b) in enumerate(plan.pairs)}
             for renamed in (False, True):
-                ren = {i: i for i in plan.slots}
+                ren = {i: i for i in slots}
                 if renamed:
-                    pool = draws.sample(range(len(elements)), len(plan.slots))
-                    ren = dict(zip(plan.slots, pool))
+                    pool = draws.sample(range(len(elements)), len(slots))
+                    ren = dict(zip(slots, pool))
                 terms = [(c, tuple(ren[i] for i in ids)) for c, ids in phi]
                 for _ in range(4):
                     v = random_vector(draws)
-                    offending, dets = _v_pass(
-                        elements, plan, [ren[i] for i in plan.slots], v)
+                    dets = _v_pass(elements, plan, [ren[i] for i in slots], v)
                     want, want_dets = _by_near_pairs(elements, terms, v)
-                    assert offending == want
-                    assert [[_bits(dets[k]) for k in row]
-                            for _, row in plan.rows] == \
-                        [list(map(_bits, row)) for row in want_dets]
+                    assert (dets is None) == bool(want)
+                    if dets is not None:
+                        assert [[_bits(dets[pair_at[p]])
+                                 for p in combinations(ids, 2)]
+                                for _, ids in phi] == \
+                            [list(map(_bits, row)) for row in want_dets]
                     verdicts.add(not want)
     assert verdicts == {True, False}
 
@@ -495,9 +499,9 @@ def _memo_sizes(table: SymbolTable) -> tuple[int, ...]:
 
 
 def test_kept_edges_are_those_ldiv_gives(monkeypatch):
-    # each trial's edge layout groups its pairs as the ids ldiv gives them
-    # do (see ``oracles.check_edge_layout``): in a trial repaired in full
-    # ldiv answers from the memo, forming nothing; a replayed trial
+    # each trial's plan groups its pairs by edge as the ids ldiv gives
+    # them do (see ``oracles.check_edge_layout``): in a trial repaired in
+    # full ldiv answers from the memo, forming nothing; a replayed trial
     # memoizes nothing, so ldiv forms each quotient with a renamed id, and
     # it must land on an id the table holds, adding no element.  The
     # evaluation is that of a run that does not ask
@@ -505,9 +509,9 @@ def test_kept_edges_are_those_ldiv_gives(monkeypatch):
 
     def checked(hom, rng, trials):
         table, first = hom.table, None
-        for plan, ids, layout in real(hom, rng, trials):
+        for plan, ids in real(hom, rng, trials):
             table.tape = []  # records every product or quotient formed
-            check_edge_layout(table, plan, ids, layout)
+            check_edge_layout(table, plan, ids)
             slots = plan.slots
             renamed = [(a, b) for a, b in plan.pairs
                        if ids[a] != slots[a] or ids[b] != slots[b]]
@@ -520,7 +524,7 @@ def test_kept_edges_are_those_ldiv_gives(monkeypatch):
             assert len(table.tape) == sum(ids[a] != table.identity
                                           for a, _ in renamed)
             table.tape = None
-            yield plan, ids, layout
+            yield plan, ids
 
     for cycle in _EDGE_CYCLES:
         for seed in (0, 1):

@@ -667,7 +667,7 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
     # final state equal those of a run whose replays all give up at once
     # (every later trial a full repair on the stream)
     kind, flag, part, change = _FORCED[forced]
-    real_check, real_planned, starts = chains._check_good, chains._planned, {}
+    real_check, real_plan, starts = chains._check_good, chains._Plan, {}
     real_compiled, recorded = chains._compiled, []
 
     def check(table, phi_bad):
@@ -677,10 +677,10 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
                 table._quotients.clear()
         return real_check(table, phi_bad)
 
-    def planned(table, phi):
+    def plan(table, phi):
         if table.tape is not None:  # recording: the edges come next
             starts["edges"] = len(table.tape)
-        return real_planned(table, phi)
+        return real_plan(table, phi)
 
     def compiled(*args):
         recorded[:] = args
@@ -717,7 +717,7 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
 
     monkeypatch.setattr(chains, "_repair_core", core)
     monkeypatch.setattr(chains, "_check_good", check)
-    monkeypatch.setattr(chains, "_planned", planned)
+    monkeypatch.setattr(chains, "_Plan", plan)
     monkeypatch.setattr(chains, "_compiled", compiled)
     for seed in (0, 1):
         runs = []
@@ -837,7 +837,7 @@ def test_every_later_trial_replays_without_a_fallback(monkeypatch):
                 assert abs(value.imag - first.imag) <= 1e-12
     # the report digest's corpus at seed 0: every one of its 58 cycles
     # replays trial 1's repair and edges in each later trial, and each
-    # trial's edge layout groups its pairs as ldiv does, and as quotients
+    # trial's plan groups its pairs by edge as ldiv does, and as quotients
     # formed here from the entries do (see ``oracles.check_edge_layout``)
     real, shifts = chains._replay, []
     real_repairs, replayed = pipeline._repairs, []
@@ -848,11 +848,11 @@ def test_every_later_trial_replays_without_a_fallback(monkeypatch):
 
     def repairs(hom, rng, trials):
         stream = real_repairs(hom, rng, trials)
-        for k, (plan, ids, layout) in enumerate(stream):
-            check_edge_layout(hom.table, plan, ids, layout)
+        for k, (plan, ids) in enumerate(stream):
+            check_edge_layout(hom.table, plan, ids)
             replayed.append(k and sum(ids[a] != plan.slots[a]
                                       for a in range(len(ids))))
-            yield plan, ids, layout
+            yield plan, ids
 
     monkeypatch.setattr(chains, "_replay", replay)
     monkeypatch.setattr(pipeline, "_repairs", repairs)
@@ -897,9 +897,9 @@ def test_a_replay_moves_the_first_trials_ids_by_one_offset(monkeypatch):
     def repairs(hom, rng, k):
         table = hom.table
         base = len(table.elements)
-        for plan, ids, layout in real_repairs(hom, rng, k):
+        for plan, ids in real_repairs(hom, rng, k):
             trials.append((base, len(table.elements), plan, list(ids)))
-            yield plan, ids, layout
+            yield plan, ids
 
     monkeypatch.setattr(chains, "_replay", replay)
     monkeypatch.setattr(pipeline, "_repairs", repairs)
