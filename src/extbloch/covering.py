@@ -12,9 +12,9 @@ path (``FlatteningTriple``, ``to_covering_point``, ``CoveringPoint``, then
 ``lhat`` and ``vol``) is the public API and the reference; an evaluation
 runs each trial's terms through one fused body instead (``_lhat_sums``),
 from the edge Log dets to the sums, with every check and float operation
-of the object path inline and in order, so that its sums are bit-equal
-to the object path's.  Formal integer combinations of wedges of logarithms
-(``WedgeElement``) are the target of the map ``nu_hat``; they are
+of the object path in order (the values from lhat's and vol's own body,
+``dilog._point``), so that its sums are bit-equal to the object path's.
+Formal integer combinations of wedges of logarithms (``WedgeElement``) are the target of the map ``nu_hat``; they are
 ``FormalSum`` objects whose log atoms get integer ids from a ``FuzzyIndex``
 at ``config.CMP``; see :mod:`extbloch.quantize` for which values that
 identifies.
@@ -28,11 +28,9 @@ from collections.abc import Iterable, Sequence
 
 from . import config
 from .core import FrozenRecord, ProjVector, det_pair
-from .dilog import (_ODD_DESC, _SERIES_MAX, PI, PI2_6, _li2_inverted, _log1m,
-                    plog)
+from .dilog import PI, _log1m, _point, plog
 from .errors import (ChiAtZero, DegenerateConfig, DegenerateFT,
-                     InvalidFlattening, LogOfZero, NotEven, OnCut,
-                     ZAtZeroOrOne)
+                     InvalidFlattening, LogOfZero, NotEven, ZAtZeroOrOne)
 from .formal import FormalSum
 from .quantize import FuzzyIndex
 
@@ -46,11 +44,13 @@ REAL_TOL = 1e-12  # |Im z| read as 0, relative to 1 + |Re z|
 
 
 class CoveringPoint(FrozenRecord):
-    """A point (z; p, q) of the cover: z off {0, 1}, p and q even."""
+    """A point (z; p, q) of the cover: z finite, off {0, 1}; p, q even."""
 
     __slots__ = ("z", "p", "q")
 
     def __init__(self, z: complex, p: int, q: int):
+        if not cmath.isfinite(z):
+            raise ZAtZeroOrOne(f"z = {z} is not finite")
         if abs(z) <= config.ZERO or abs(z - 1.0) <= config.ZERO:
             raise ZAtZeroOrOne(f"z = {z} must avoid 0 and 1")
         if p % 2 or q % 2:
@@ -100,14 +100,20 @@ def snap_real(z: complex) -> complex:
 
 
 def _checked_z(w0: complex, w1: complex, w2: complex) -> complex:
-    """Snapped z = e^{w0}, once w0 + w1 + w2 = 0 and e^{w1} = 1/(1-z)."""
-    if abs(w0 + w1 + w2) > SUM_TOL * (1 + abs(w0) + abs(w1)):
-        raise InvalidFlattening("log-parameters must sum to zero")
-    z = snap_real(cmath.exp(w0))
+    """Snapped z = e^{w0}, once w0 + w1 + w2 = 0 and e^{w1} = 1/(1-z).
+    A NaN or infinite w fails the sum check, and an OverflowError (of e^w,
+    or of abs at a NaN while errno holds an earlier ERANGE) is refused."""
+    try:
+        bound = SUM_TOL * (1 + abs(w0) + abs(w1))
+        if not abs(w0 + w1 + w2) <= bound < math.inf:
+            raise InvalidFlattening("log-parameters must sum to zero")
+        z, e1 = snap_real(cmath.exp(w0)), cmath.exp(w1)
+    except OverflowError:
+        raise InvalidFlattening("log-parameters overflow") from None
     if z == 1.0:
         raise InvalidFlattening(f"z = {z}: no logarithm of 1/(1 - z)")
     target = 1.0 / (1.0 - z)
-    if abs(cmath.exp(w1) - target) > EXP_TOL * abs(target):
+    if not abs(e1 - target) <= EXP_TOL * abs(target):
         raise InvalidFlattening("w1 is not a logarithm of 1/(1 - e^{w0})")
     return z
 
@@ -142,13 +148,17 @@ def _lhat_sums(rows, logs: list[complex]) -> tuple[float, float, float]:
     each a ``math.fsum``, over ``rows``: per term its coefficient c_i and
     the indices in ``logs`` of its Log dets (01), (02), (03), (12), (13),
     (23) (the rows of a ``chains._Plan``).  This is the trial path's one
-    per-term body.  It forms ``sigma_hat``'s (w0, w1, w2) and runs, inline
-    and in order, every check and float operation of ``FlatteningTriple``,
+    per-term body.  It forms ``sigma_hat``'s (w0, w1, w2) and runs, in
+    order, every check and float operation of ``FlatteningTriple``,
     ``to_covering_point``, ``CoveringPoint``, ``lhat`` and ``vol``, with
     their exception classes and texts, building no object: the sums are
-    bit-equal to those over the object path, which tests hold it to."""
-    exp, log, zero = cmath.exp, cmath.log, config.ZERO
-    i_pi, half_i_pi, series = 1j * PI, 0.5j * PI, _ODD_DESC
+    bit-equal to those over the object path, which tests hold it to.  The
+    value and volume come from lhat's and vol's body, ``dilog._point``
+    (its call costs about 1% of a 10-trial evaluation); the checks, Log z
+    and Log(1 - z) stay inline, as calling ``_checked_z`` and ``_branch``
+    per term cost 6-8%, and ``plog`` and ``_log1m`` 1-2%."""
+    exp, log, zero, point = cmath.exp, cmath.log, config.ZERO, _point
+    i_pi, inf = 1j * PI, math.inf
     re, im, vols = [], [], []
     for coeff, i01, i02, i03, i12, i13, i23 in rows:
         l01, l02, l03 = logs[i01], logs[i02], logs[i03]
@@ -157,16 +167,20 @@ def _lhat_sums(rows, logs: list[complex]) -> tuple[float, float, float]:
         w1 = l02 + l13 - l01 - l23
         w2 = l01 + l23 - l03 - l12
         # FlatteningTriple (_checked_z), z snapped as snap_real does
-        if abs(w0 + w1 + w2) > SUM_TOL * (1 + abs(w0) + abs(w1)):
-            raise InvalidFlattening("log-parameters must sum to zero")
-        z = exp(w0)
+        try:
+            bound = SUM_TOL * (1 + abs(w0) + abs(w1))
+            if not abs(w0 + w1 + w2) <= bound < inf:
+                raise InvalidFlattening("log-parameters must sum to zero")
+            z, e1 = exp(w0), exp(w1)
+        except OverflowError:
+            raise InvalidFlattening("log-parameters overflow") from None
         if z.imag != 0.0 and abs(z.imag) <= REAL_TOL * (1.0 + abs(z.real)):
             z = complex(z.real, 0.0)
         if z == 1.0:
             raise InvalidFlattening(f"z = {z}: no logarithm of 1/(1 - z)")
         w = 1.0 - z
         target = 1.0 / w
-        if abs(exp(w1) - target) > EXP_TOL * abs(target):
+        if not abs(e1 - target) <= EXP_TOL * abs(target):
             raise InvalidFlattening("w1 is not a logarithm of 1/(1 - e^{w0})")
         # to_covering_point (_branch): Log z as plog takes it, Log(1 - z)
         # as _log1m does (w != 0, as z != 1), and the branch integers
@@ -174,45 +188,26 @@ def _lhat_sums(rows, logs: list[complex]) -> tuple[float, float, float]:
             raise LogOfZero(f"log of {z}")
         log_z = log(z) if z.imag != 0.0 else log(complex(z.real, 0.0))
         l1 = -z if w == 1.0 else log(w) * (z / (1.0 - w))
-        on_cut = z.imag == 0.0 and z.real > 1.0
         raw = (w0 - log_z) / i_pi
         p = round(raw.real)
         if abs(raw - p) > INT_TOL:
             raise NotEven(f"p = {raw} is not an integer")
         if p % 2:
             raise NotEven(f"p = {p} is odd")
+        on_cut = z.imag == 0.0 and z.real > 1.0
         raw = (w1 - (complex(-l1.real, PI) if on_cut else -l1)) / i_pi
         q = round(raw.real)
         if abs(raw - q) > INT_TOL:
             raise NotEven(f"q = {raw} is not an integer")
         if q % 2:
             raise NotEven(f"q = {q} is odd")
-        # CoveringPoint (|z| > ZERO held for Log z), then lhat (_li2)
+        # CoveringPoint (z is finite, |z| > ZERO held for Log z), lhat, vol
         if abs(z - 1.0) <= zero:
             raise ZAtZeroOrOne(f"z = {z} must avoid 0 and 1")
-        if on_cut:
-            raise OnCut(f"li2({z.real}) is on the cut; pass a side flag")
-        reflect = abs(l1) > _SERIES_MAX
-        if reflect and abs(log_z) > _SERIES_MAX:
-            li2_z = _li2_inverted(z, log_z)
-        else:  # _li2_bernoulli in u = -Log(1 - z), or reflected in -Log z
-            u = -log_z if reflect else -l1
-            u2 = u * u
-            acc = 0.0
-            for c in series:
-                acc = acc * u2 + c
-            li2_z = u + u * u2 * acc - 0.25 * u2
-            if reflect:
-                li2_z = PI2_6 - log_z * l1 - li2_z
-        # _lifted_rogers with Log(1/(1 - z)) = -l1, and vol
-        log_inv = -l1
-        value = -0.5 * log_z * log_inv + li2_z - PI2_6
-        if p or q:
-            value = value + half_i_pi * (q * log_z - p * log_inv)
+        _, value, volume = point(z, log_z, l1, p, q)
         re.append(coeff * value.real)
         im.append(coeff * value.imag)
-        vols.append(coeff * (0.0 if z.imag == 0.0
-                             else l1.imag * log_z.real + li2_z.imag))
+        vols.append(coeff * volume)
     return math.fsum(re), math.fsum(im), math.fsum(vols)
 
 

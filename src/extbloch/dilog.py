@@ -13,13 +13,11 @@ Branch conventions, fixed once for the whole library:
 
 li2 sums one Bernoulli series, in u = -Log(1-z), or in u = -Log z after
 reflection, whichever has |u| <= 1.3, or else after one inversion z -> 1/z
-in u = -Log(1-1/z): the least of the three |u| never exceeds pi/3.  Every
-evaluation takes Log z and Log(1-z) once and passes them in: li2, vol,
-lifted_rogers and lhat share one body (``_point_values``).  The trial path
-of an evaluation writes that body out inline, with the series and its
-reflection, in the fused per-term body ``covering._lhat_sums``, and calls
-the inversion (``_li2_inverted``); tests hold its sums to those of lhat
-and vol bit for bit.
+in u = -Log(1-1/z): the least of the three |u| never exceeds pi/3.  li2,
+the lifted Rogers value and the volume have one body, ``_point``, which
+takes Log z and Log(1-z) from its caller: li2, vol, lifted_rogers (so
+rogers and lhat) and the trial path's per-term sums
+(``covering._lhat_sums``) all call it.
 """
 
 from __future__ import annotations
@@ -78,16 +76,6 @@ _ODD_DESC = _BERN_COEFFS[26:1:-2]  # B_2m / (2m+1)! for m = 13, ..., 1
 _SERIES_MAX = 1.3  # |u| bound of the series; every z has a u within pi/3
 
 
-def _li2_bernoulli(u: complex) -> complex:
-    """li2(1 - e^-u) = sum_k B_k u^(k+1) / (k+1)!, by Horner in u^2 over
-    the 13 odd terms: below 1e-20 relative for |u| <= 1.3."""
-    w = u * u
-    acc = 0.0
-    for c in _ODD_DESC:
-        acc = acc * w + c
-    return u + u * w * acc - 0.25 * w
-
-
 def li2(z: complex, side: CutSide | None = None) -> complex:
     """Principal-branch dilogarithm -int_0^z Log(1-t)/t dt.
 
@@ -106,7 +94,8 @@ def li2(z: complex, side: CutSide | None = None) -> complex:
         return 0j
     if z == 1.0:
         return complex(PI2_6, 0.0)
-    return _li2(z, cmath.log(z), _log1m(z))  # z normalized: cmath.log is Log
+    # z normalized: cmath.log is Log
+    return _point(z, cmath.log(z), _log1m(z), 0, 0)[0]
 
 
 def _log1m(z: complex) -> complex:
@@ -115,27 +104,6 @@ def _log1m(z: complex) -> complex:
     if w == 0.0:
         raise LogOfZero(f"Log(1 - z) at z = {z}")
     return -z if w == 1.0 else cmath.log(w) * (z / (1.0 - w))
-
-
-def _li2(z: complex, log_z: complex, l1: complex) -> complex:
-    """li2(z) for z off {0, 1}, given log_z = Log z and l1 = Log(1 - z).
-    Real z > 1 raises OnCut.  Where neither given logarithm is a series
-    variable, |Log(1 - 1/z)| is below 0.7, so li2(1/z) is its first series
-    and costs one more logarithm."""
-    if z.imag == 0.0 and z.real > 1.0:
-        raise OnCut(f"li2({z.real}) is on the cut; pass a side flag")
-    if abs(l1) <= _SERIES_MAX:
-        return _li2_bernoulli(-l1)
-    if abs(log_z) <= _SERIES_MAX:  # reflection: li2(1 - z) in u = -Log z
-        return PI2_6 - log_z * l1 - _li2_bernoulli(-log_z)
-    return _li2_inverted(z, log_z)
-
-
-def _li2_inverted(z: complex, log_z: complex) -> complex:
-    """li2(z) by one inversion z -> 1/z, in u = -Log(1 - 1/z), given
-    log_z = Log z, with Log(-z) = Log z -+ pi i."""
-    lz = log_z - 1j * PI if log_z.imag > 0.0 else log_z + 1j * PI
-    return -_li2_bernoulli(-_log1m(1.0 / z)) - PI2_6 - 0.5 * lz * lz
 
 
 def _lifted_rogers(log_z: complex, log_inv: complex, li2_z: complex,
@@ -148,16 +116,35 @@ def _lifted_rogers(log_z: complex, log_inv: complex, li2_z: complex,
     return value
 
 
-def _point_values(z: complex, log_z: complex, l1: complex,
-                  p: int, q: int) -> tuple[complex, float]:
-    """The lifted Rogers value of (z; p, q) and the volume of z, from
-    log_z = Log z and l1 = Log(1 - z): the one body behind lifted_rogers,
-    lhat and vol.  Log(1/(1-z)) is -l1, as z off the cut is not real > 1.
-    Real z > 1 raises OnCut."""
-    li2_z = _li2(z, log_z, l1)
+def _point(z: complex, log_z: complex, l1: complex, p: int,
+           q: int) -> tuple[complex, complex, float]:
+    """(li2(z), the lifted Rogers value of (z; p, q), the volume of z) for
+    z off {0, 1}, given log_z = Log z and l1 = Log(1 - z).  Real z > 1
+    raises OnCut, so Log(1/(1-z)) is -l1.  li2 sums the Bernoulli series
+    li2(1 - e^-u) = sum_k B_k u^(k+1) / (k+1)!, by Horner in u^2 over the
+    13 odd terms (below 1e-20 relative for |u| <= 1.3), in u = -Log(1 - z),
+    or after reflection in u = -Log z; where neither is within
+    _SERIES_MAX, |Log(1 - 1/z)| is below 0.7, so one inversion, in
+    u = -Log(1 - 1/z), costs one more logarithm."""
+    if z.imag == 0.0 and z.real > 1.0:
+        raise OnCut(f"li2({z.real}) is on the cut; pass a side flag")
+    reflect = abs(l1) > _SERIES_MAX
+    invert = reflect and abs(log_z) > _SERIES_MAX
+    u = -_log1m(1.0 / z) if invert else -log_z if reflect else -l1
+    w = u * u
+    acc = 0.0
+    for c in _ODD_DESC:
+        acc = acc * w + c
+    li2_z = u + u * w * acc - 0.25 * w
+    if invert:  # li2(z) from li2(1/z), with Log(-z) = Log z -+ pi i
+        lz = log_z - 1j * PI if log_z.imag > 0.0 else log_z + 1j * PI
+        li2_z = -li2_z - PI2_6 - 0.5 * lz * lz
+    elif reflect:  # li2(z) from li2(1 - z)
+        li2_z = PI2_6 - log_z * l1 - li2_z
     value = _lifted_rogers(log_z, -l1, li2_z, p, q)
     # Bloch-Wigner: Arg(1-z) log|z| + Im li2(z), zero on the real line
-    return value, 0.0 if z.imag == 0.0 else l1.imag * log_z.real + li2_z.imag
+    return li2_z, value, (0.0 if z.imag == 0.0
+                          else l1.imag * log_z.real + li2_z.imag)
 
 
 def rogers(z: complex) -> complex:
@@ -192,7 +179,7 @@ def vol(z: complex) -> float:
     z = complex(z)
     if z.imag == 0.0:
         return 0.0
-    return _point_values(z, cmath.log(z), _log1m(z), 0, 0)[1]
+    return _point(z, cmath.log(z), _log1m(z), 0, 0)[2]
 
 
 def lifted_rogers(z: complex, p: int, q: int) -> complex:
@@ -203,7 +190,7 @@ def lifted_rogers(z: complex, p: int, q: int) -> complex:
     half plane limit) give values differing by an element of 2 pi^2 Z.
     """
     z = complex(z)
-    return _point_values(z, plog(z), _log1m(z), p, q)[0]
+    return _point(z, plog(z), _log1m(z), p, q)[1]
 
 
 def lifted_rogers_sided(x: float, p: int, q: int, side: CutSide) -> complex:

@@ -22,7 +22,7 @@ class OnCut(CcsError):
 
 
 class ZAtZeroOrOne(CcsError, ValueError):
-    """A covering point's z lies (numerically) at 0 or 1."""
+    """A covering point's z is not finite or lies (numerically) at 0 or 1."""
 
 
 class ChiAtZero(CcsError):

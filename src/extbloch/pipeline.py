@@ -16,26 +16,24 @@ Every trial runs one body on what ``chains._repairs`` yields for it: a
 plan (``chains._Plan``) of slots, pairs and distinct Log-det edges, whose
 rows index those edges' Logs, and the ids its slots hold.  A replayed
 trial is one pass over the first trial's plan with its slot ids moved by
-one offset, so a trial takes one Log per distinct edge, keys nothing by
-edge id, and sums its terms in one fused pass (``covering._lhat_sums``)
-from those Logs.
+one offset, so a trial takes one Log (``plog``) per distinct edge, keys
+nothing by edge id, and sums its terms from those Logs in one fused pass
+(``covering._lhat_sums``) that calls lhat's and vol's body per term.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from bisect import bisect_left
 from itertools import combinations
 
-from . import config
 from .chains import (BarChain, HomChain, SymbolTable, _checked_cycle, _Plan,
                      _repairs, _sample_v, _v_pass, near_pairs)
 from .core import FrozenRecord, ProjVector, Record, as_rng, det_pair
 from .covering import FlatteningTriple, _lhat_sums
 from .dilog import TWO_PI_SQ, plog
-from .errors import DegenerateConfig, LogOfZero, NotVGood
+from .errors import DegenerateConfig, NotVGood
 
 
 class ConfigTuple(FrozenRecord):
@@ -140,19 +138,13 @@ def _lambda_hat(elements: list, plan: _Plan, ids: list[int],
                 rng) -> tuple[ProjVector, list[complex]]:
     """v drawn from ``rng`` and, for ``plan`` (see ``chains._Plan``) with
     its slots holding ``ids`` (ids of ``elements``), the Log det of each
-    distinct edge, taken at the edge's first pair (``plan.firsts``; the
-    plan's rows index these Logs) with ``plog``'s zero check and -0.0
-    normalization.  det is SL(2, C) invariant, so every translate of an
-    edge e = g_i^-1 g_j shares the Log det(g_i v, g_j v) of the first met,
-    whose det the v-check's pass (``chains._v_pass``) already computed."""
+    distinct edge: ``plog`` of its det at the edge's first pair
+    (``plan.firsts``; the plan's rows index these Logs).  det is SL(2, C)
+    invariant, so every translate of an edge e = g_i^-1 g_j shares the
+    Log det(g_i v, g_j v) of the first met, whose det the v-check's pass
+    (``chains._v_pass``) already computed."""
     v, _, dets = _sample_v(lambda v: _v_pass(elements, plan, ids, v), rng)
-    log, zero, logs = cmath.log, config.ZERO, []
-    for k in plan.firsts:
-        d = dets[k]
-        if abs(d) <= zero:
-            raise LogOfZero(f"log of {d}")
-        logs.append(log(d) if d.imag != 0.0 else log(complex(d.real, 0.0)))
-    return v, logs
+    return v, [plog(dets[k]) for k in plan.firsts]
 
 
 def _mod1(x: float) -> float:
@@ -210,12 +202,13 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     from it in turn, as successive ``lambda_hat`` calls on it do, and give
     the same values.  Later trials replay the first trial's repair and
     Log-det edges at their own apexes (see ``chains._repairs``), and every
-    trial runs one body on its plan and slot ids.  Each
-    repaired term is evaluated once, straight from its edge Logs, by the
-    fused per-term body ``covering._lhat_sums`` (one e^{w0}, Log z,
-    Log(1-z) and li2 series, with every check of the ``FlatteningTriple``,
-    ``to_covering_point``, ``CoveringPoint`` and ``lhat`` path inline), and
-    nothing is merged.  ``volume_vs_im_lhat`` is the largest gap over the
+    trial runs one body on its plan and slot ids.  Each repaired term is
+    evaluated once, straight from its edge Logs, by the fused per-term
+    body ``covering._lhat_sums`` (one e^{w0}, Log z and Log(1-z), every
+    check of the ``FlatteningTriple``, ``to_covering_point``,
+    ``CoveringPoint`` and ``lhat`` path inline, then the value and volume
+    from ``dilog._point``, the body of ``lhat`` and ``vol``), and nothing
+    is merged.  ``volume_vs_im_lhat`` is the largest gap over the
     trials between the per-term volume sum and Im of the lifted Rogers
     sum; both are ``math.fsum`` sums, bit-equal to those of ``lhat`` and
     ``vol`` over the ``to_covering_point`` images of the same terms'

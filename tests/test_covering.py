@@ -46,6 +46,26 @@ def test_covering_point_invariants():
         CoveringPoint(2.0, 1, 0)
 
 
+def test_non_finite_input_is_refused_at_construction():
+    # a triple with a NaN or infinite part fails its sum check, one whose
+    # e^{w0} overflows is refused, and a covering point names a non-finite
+    # z: all CcsErrors.  abs of a NaN raises OverflowError in CPython 3.11
+    # while errno holds an earlier ERANGE, as after the overflow here; the
+    # triple is then refused as an overflow
+    nan, inf = math.nan, math.inf
+    refused = "^log-parameters (must sum to zero|overflow)$"
+    for w in ((nan, 0, 0), (inf, -inf, 0), (-inf, 0, 0), (0, 0, 1j * inf)):
+        with pytest.raises(InvalidFlattening, match=refused):
+            FlatteningTriple(*w)
+    with pytest.raises(InvalidFlattening, match="^log-parameters overflow$"):
+        FlatteningTriple(1000, -1000, 0)
+    with pytest.raises(InvalidFlattening, match=refused):
+        FlatteningTriple(nan, 0, 0)
+    for z in (complex(math.nan, 0), complex(math.inf, 1)):
+        with pytest.raises(ZAtZeroOrOne, match=r"z = .* is not finite"):
+            CoveringPoint(z, 0, 0)
+
+
 def test_triple_to_point_examples():
     t = FlatteningTriple.from_w01(math.log(2), 1j * PI)
     assert to_covering_point(t) == CoveringPoint(2 + 0j, 0, 0)
@@ -192,6 +212,15 @@ def test_point_value_mutations_fail_as_the_triple_path_does(monkeypatch):
          "z = (1+0j): no logarithm of 1/(1 - z)"),
         # e^{w0} below ZERO, and e^{w1} = 1 = 1/(1 - z) within EXP_TOL
         (_term_logs(-30 + 0j, 0j), LogOfZero, "log of"),
+        # finite Logs whose w0 (then w1) is 800: e^{w} overflows
+        ([0j, 0j, 400 + 0j, 400 + 0j, 0j, 0j], InvalidFlattening,
+         "overflow"),
+        ([0j, 400 + 0j, 0j, 0j, 400 + 0j, 0j], InvalidFlattening,
+         "overflow"),
+        # a NaN Log fails the sum check, or, while errno holds the ERANGE
+        # of the overflow above, abs raises OverflowError
+        (_term_logs(complex(math.nan, 0.0), w1), InvalidFlattening,
+         "log-parameters "),
     ]
     for logs, cls, text in cases:
         old = _raised(_object_path, logs)

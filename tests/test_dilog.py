@@ -101,29 +101,33 @@ def test_li2_against_mpmath():
     assert worst <= 1e-15
 
 
-def test_li2_inverts_at_most_once(monkeypatch):
+def test_li2_inverts_at_most_once():
     # min(|Log(1-z)|, |Log z|, |Log(1-1/z)|) <= pi/3 everywhere, so after
     # one inversion the series applies: at e^{+-i pi/3}, where all three
-    # equal pi/3, and on the seams where one of them is the series bound
+    # equal pi/3, and on the seams where one of them is the series bound.
+    # Wherever neither Log(1 - z) nor Log z is a series variable, li2
+    # inverts once, and -Log(1 - 1/z) lies within 0.7 (0.661 at most here)
     import extbloch.dilog as dilog
 
-    calls = []
-
-    def counting(z, side=None):
-        calls.append(z)
-        return li2(z, side)
-
-    monkeypatch.setattr(dilog, "li2", counting)
     bound = dilog._SERIES_MAX
     seams = [cmath.exp(1j * PI / 3), cmath.exp(-1j * PI / 3)]
     for k in range(64):
         w = cmath.exp(bound * cmath.exp(1j * PI * (k + 0.5) / 32))
         for scale in (1 - 1e-9, 1.0, 1 + 1e-9):
             seams += [1 - scale * w, scale * w, 1 / (1 - scale * w)]
-    for z in seams:
-        calls.clear()
-        counting(z)
-        assert len(calls) <= 2, z
+    inverted = [z for z in seams
+                if abs(dilog._log1m(z)) > bound and abs(plog(z)) > bound]
+    assert inverted
+    for z in inverted:
+        assert abs(dilog._log1m(1 / z)) < 0.7, z
+    try:
+        import mpmath
+    except ImportError:  # a test extra; the bound above needs no reference
+        return
+    with mpmath.workdps(40):
+        for z in seams:
+            want = complex(mpmath.polylog(2, mpmath.mpc(z.real, z.imag)))
+            assert abs(li2(z) - want) <= 1e-15 * abs(want), z
 
 
 def test_rogers_value_at_half():

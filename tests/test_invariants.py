@@ -3,6 +3,7 @@
 import ast
 import math
 import random
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 from extbloch import config
@@ -83,6 +84,20 @@ def test_negating_the_chain_negates_the_value(name):
     c = _CHAINS[name]()
     got, want = _value(-c), _value(c)
     assert _same_class_value(got, -want), (name, got, want)
+
+
+@pytest.mark.parametrize("a, b", list(combinations_with_replacement(_CHAINS,
+                                                                    2)))
+def test_the_value_is_additive(a, b):
+    # c1 + c2 and c1 - c2 have the values v(c1) + v(c2) and v(c1) - v(c2);
+    # c + c keys the doubled terms once, and c - c is the empty cycle
+    c1, c2 = _CHAINS[a](), _CHAINS[b]()
+    for seed in range(3):
+        v1, v2 = (ccs_value(c, seed=seed, trials=1).value_mod1
+                  for c in (c1, c2))
+        for total, want in ((c1 + c2, v1 + v2), (c1 - c2, v1 - v2)):
+            got = ccs_value(total, seed=seed, trials=1).value_mod1
+            assert _same_class_value(got, want), (a, b, seed, got, want)
 
 
 @pytest.mark.parametrize("n", [5, 7, 12])

@@ -18,7 +18,7 @@ from extbloch.chainio import (_write_chain, chain_to_obj, dumps_canonical,
 from extbloch.chains import (APEX_ATTEMPTS, bar_boundary, conjugate_chain,
                              is_cycle)
 from extbloch.cli import MAX_TORSION_N, MAX_TURNS, build_parser, main
-from extbloch.core import GroupElement
+from extbloch.core import GroupElement, random_sl2
 from extbloch.errors import DeterminantError, SchemaError
 from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
                                torsion_cycle)
@@ -643,17 +643,49 @@ def test_cli_keys_chain_files_at_the_tolerance(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: not a cycle")
 
 
-def _cli_eval(path, capsys, *extra):
-    assert main(["eval", str(path), "--seed", "3", "--trials", "4",
+def _cli_eval(path, capsys, *extra, trials=4):
+    assert main(["eval", str(path), "--seed", "3", "--trials", str(trials),
                  *extra]) == 0
     return capsys.readouterr().out
 
 
-def _library_eval(path):
+def _library_eval(path, trials=4):
     out = io.StringIO()
-    emit_report(ccs_value(parse_cycle_file(str(path)), seed=3, trials=4),
-                out=out, extra={"trials_requested": 4})
+    emit_report(ccs_value(parse_cycle_file(str(path)), seed=3, trials=trials),
+                out=out, extra={"trials_requested": trials})
     return out.getvalue()
+
+
+def _small_conjugate_of_torsion_12():
+    """Torsion 12 conjugated by random_sl2 draws from random.Random(12)
+    until every entry is at most 4 in modulus."""
+    rng = random.Random(12)
+    while True:
+        c = conjugate_chain(random_sl2(rng), torsion_cycle(12))
+        if max(g.max_abs() for _, sym in c for g in sym) <= 4:
+            return c
+
+
+@pytest.mark.parametrize("build", [
+    lambda: torsion_cycle(6),
+    lambda: five_term_boundary(0.5, 0.25),
+    _small_conjugate_of_torsion_12,
+    lambda: random_boundary_cycle(5, n_terms=2),
+], ids=["torsion 6", "five-term", "torsion 12 conjugated", "boundary"])
+def test_cli_eval_of_ten_trials_is_the_library_report(tmp_path, capsys,
+                                                      build):
+    # ccs eval evaluates on the symbol table its file was read into, and
+    # over 10 trials replays trials 2-10; its report is, byte for byte,
+    # the library's, which keys the parsed chain again.  Besides torsion 6
+    # (every term bad, down to 1-simplices) and a five-term boundary, the
+    # two kinds of file the bench's deep-single workload reads: a torsion
+    # cycle conjugated to small entries, and a random boundary
+    path = tmp_path / "cycle.json"
+    path.write_text(dumps_canonical(chain_to_obj(build())))
+    assert main(["check-cycle", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["is_cycle"] is True
+    assert (_cli_eval(path, capsys, trials=10)
+            == _library_eval(path, trials=10))
 
 
 def _respelled(nums):
@@ -718,8 +750,6 @@ def test_cli_eval_of_a_file_with_a_cancelled_term(tmp_path, capsys):
     # the cancelled pair comes first and holds a matrix no other term uses:
     # the chain is keyed again without it, as ccs_value keys it
     from extbloch.chainio import matrix_to_obj
-    from extbloch.core import random_sl2
-    import random
     doc = chain_to_obj(torsion_cycle(5))
     lone = random_sl2(random.Random(4))
     bar = [matrix_to_obj(lone)] + doc["terms"][4]["bar"][1:]

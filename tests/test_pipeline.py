@@ -455,11 +455,11 @@ def test_covering_points_take_two_logarithms_each(monkeypatch):
     # a covering point costs Log z and Log(1 - z), plus Log(1 - 1/z) where
     # li2 inverts; the edge Log dets are taken outside the per-term body
     import cmath
-    from extbloch import covering
+    from extbloch import dilog
     count = {"logs": 0, "points": 0, "inversions": 0}
     inside = []
     real_log, real_sums = cmath.log, pipeline._lhat_sums
-    real_inverted = covering._li2_inverted
+    real_log1m = dilog._log1m
 
     def log(*args):
         count["logs"] += bool(inside)
@@ -473,13 +473,13 @@ def test_covering_points_take_two_logarithms_each(monkeypatch):
         finally:
             inside.pop()
 
-    def inverted(*args):  # li2's own binding is dilog's
-        count["inversions"] += 1
-        return real_inverted(*args)
+    def log1m(z):  # in the per-term body, only li2's inversion calls it
+        count["inversions"] += bool(inside)
+        return real_log1m(z)
 
     monkeypatch.setattr(cmath, "log", log)
     monkeypatch.setattr(pipeline, "_lhat_sums", sums)
-    monkeypatch.setattr(covering, "_li2_inverted", inverted)
+    monkeypatch.setattr(dilog, "_log1m", log1m)
     for c in (torsion_cycle(6), random_boundary_cycle(1, n_terms=16)):
         ccs_value(c, seed=0, trials=10)
     assert count["points"] > 0 and count["inversions"] > 0, count
