@@ -10,10 +10,10 @@ A flattened term is evaluated as it is, never merged with others: its
 value is the lifted Rogers dilogarithm of its covering point.  The object
 path (``FlatteningTriple``, ``to_covering_point``, ``CoveringPoint``, then
 ``lhat`` and ``vol``) is the public API and the reference; an evaluation
-runs each trial's terms through one fused body instead (``_lhat_sums``),
-from the edge Log dets to the sums, with every check and float operation
-of the object path in order (the values from lhat's and vol's own body,
-``dilog._point``), so that its sums are bit-equal to the object path's.
+runs each trial's terms through ``_lhat_sums`` instead, from the edge Log
+dets to the sums, building no object.  Both paths take the covering point
+from one body, ``_cover``, and the values from lhat's and vol's body,
+``dilog._point``, so the trial sums are bit-equal to the object path's.
 Formal integer combinations of wedges of logarithms (``WedgeElement``) are the target of the map ``nu_hat``; they are
 ``FormalSum`` objects whose log atoms get integer ids from a ``FuzzyIndex``
 at ``config.CMP``; see :mod:`extbloch.quantize` for which values that
@@ -28,7 +28,7 @@ from collections.abc import Iterable, Sequence
 
 from . import config
 from .core import FrozenRecord, ProjVector, det_pair
-from .dilog import PI, _log1m, _point, plog
+from .dilog import PI, _finite, _point, plog
 from .errors import (ChiAtZero, DegenerateConfig, DegenerateFT,
                      InvalidFlattening, LogOfZero, NotEven, ZAtZeroOrOne)
 from .formal import FormalSum
@@ -49,8 +49,7 @@ class CoveringPoint(FrozenRecord):
     __slots__ = ("z", "p", "q")
 
     def __init__(self, z: complex, p: int, q: int):
-        if not cmath.isfinite(z):
-            raise ZAtZeroOrOne(f"z = {z} is not finite")
+        _finite(z)
         if abs(z) <= config.ZERO or abs(z - 1.0) <= config.ZERO:
             raise ZAtZeroOrOne(f"z = {z} must avoid 0 and 1")
         if p % 2 or q % 2:
@@ -66,7 +65,8 @@ class FlatteningTriple(FrozenRecord, compare=("w0", "w1", "w2")):
     """Log-parameters (w0, w1, w2) with w0 + w1 + w2 = 0.
 
     w0 is a logarithm of the cross-ratio z = e^{w0} and w1 a logarithm of
-    1/(1-z); this is validated at construction.  ``ledger``, when present,
+    1/(1-z); construction refuses (``_cover``) exactly what
+    ``to_covering_point`` refuses.  ``ledger``, when present,
     expresses each w as an integer combination of log atoms and enables
     exact wedge cancellation downstream; ``==`` and ``hash`` ignore it.
     """
@@ -75,7 +75,7 @@ class FlatteningTriple(FrozenRecord, compare=("w0", "w1", "w2")):
 
     def __init__(self, w0: complex, w1: complex, w2: complex,
                  ledger: Ledger | None = None):
-        _checked_z(w0, w1, w2)
+        _cover(w0, w1, w2)
         super().__init__(w0, w1, w2, ledger)
 
     @classmethod
@@ -87,124 +87,81 @@ class FlatteningTriple(FrozenRecord, compare=("w0", "w1", "w2")):
         return (self.w0, self.w1, self.w2)
 
 
-def snap_real(z: complex) -> complex:
-    """Snap a numerically-real value onto the real axis.
-
-    Real points on the cuts are read as their upper-half-plane limits
-    throughout the library; exponentials of genuinely real log-parameters
-    must not leak to the wrong side through fp noise in the branch shifts.
-    """
-    if z.imag != 0.0 and abs(z.imag) <= REAL_TOL * (1.0 + abs(z.real)):
-        return complex(z.real, 0.0)
-    return z
-
-
-def _checked_z(w0: complex, w1: complex, w2: complex) -> complex:
-    """Snapped z = e^{w0}, once w0 + w1 + w2 = 0 and e^{w1} = 1/(1-z).
-    A NaN or infinite w fails the sum check, and an OverflowError (of e^w,
-    or of abs at a NaN while errno holds an earlier ERANGE) is refused."""
+def _cover(w0: complex, w1: complex, w2: complex):
+    """(z, Log z, Log(1 - z), p, q) of log-parameters (w0, w1, w2): the
+    covering point (z; p, q), with z = e^{w0}, w0 = Log z + p pi i and
+    w1 = Log(1/(1-z)) + q pi i, and the two Logs.  The one body of this
+    stage, for ``FlatteningTriple``, ``to_covering_point`` and
+    ``_lhat_sums``.  It refuses, in order: a sum off zero (a NaN or
+    infinite part fails it), an OverflowError (of e^w, or of abs at a NaN
+    while errno holds an earlier ERANGE), z = 1 and e^{w1} off 1/(1-z), as
+    InvalidFlattening; |z| <= ZERO (LogOfZero); p, q (NotEven); and
+    |z - 1| <= ZERO (ZAtZeroOrOne).  Real z on a cut is read from above:
+    Im z within REAL_TOL of 0 snaps to 0, and Log(1/(1-z)) is -Log(1-z)
+    but with imaginary part +pi where 1 - z < 0."""
     try:
         bound = SUM_TOL * (1 + abs(w0) + abs(w1))
         if not abs(w0 + w1 + w2) <= bound < math.inf:
             raise InvalidFlattening("log-parameters must sum to zero")
-        z, e1 = snap_real(cmath.exp(w0)), cmath.exp(w1)
+        z, e1 = cmath.exp(w0), cmath.exp(w1)
     except OverflowError:
         raise InvalidFlattening("log-parameters overflow") from None
+    if z.imag != 0.0 and abs(z.imag) <= REAL_TOL * (1.0 + abs(z.real)):
+        z = complex(z.real, 0.0)
     if z == 1.0:
         raise InvalidFlattening(f"z = {z}: no logarithm of 1/(1 - z)")
-    target = 1.0 / (1.0 - z)
+    w = 1.0 - z
+    target = 1.0 / w
     if not abs(e1 - target) <= EXP_TOL * abs(target):
         raise InvalidFlattening("w1 is not a logarithm of 1/(1 - e^{w0})")
-    return z
-
-
-def _branch(z: complex, w0: complex, w1: complex):
-    """[Log z, Log(1-z), p, q], p and q the even integers with
-    w0 = Log z + p pi i and w1 = Log(1/(1-z)) + q pi i; Log(1/(1-z)) is
-    -Log(1-z), with imaginary part +pi where 1 - z is a negative real."""
-    log_z, l1 = plog(z), _log1m(z)
-    log_inv = complex(-l1.real, PI) if z.imag == 0.0 and z.real > 1.0 else -l1
-    out = [log_z, l1]
-    for name, raw in (("p", (w0 - log_z) / (1j * PI)),
-                      ("q", (w1 - log_inv) / (1j * PI))):
-        n = round(raw.real)
-        if abs(raw - n) > INT_TOL:
-            raise NotEven(f"{name} = {raw} is not an integer")
-        if n % 2:
-            raise NotEven(f"{name} = {n} is odd")
-        out.append(n)
-    return out
+    if abs(z) <= config.ZERO:
+        raise LogOfZero(f"log of {z}")
+    # Log z as plog takes it, Log(1 - z) as _log1m does (w != 0 as z != 1):
+    # inline, as calling plog and _log1m here adds about 6% per term
+    log_z = cmath.log(z if z.imag != 0.0 else complex(z.real, 0.0))
+    l1 = -z if w == 1.0 else cmath.log(w) * (z / (1.0 - w))
+    i_pi = 1j * PI  # per call, so that a patched covering.PI holds
+    raw = (w0 - log_z) / i_pi
+    p = round(raw.real)
+    if abs(raw - p) > INT_TOL:
+        raise NotEven(f"p = {raw} is not an integer")
+    if p % 2:
+        raise NotEven(f"p = {p} is odd")
+    on_cut = z.imag == 0.0 and z.real > 1.0
+    raw = (w1 - (complex(-l1.real, PI) if on_cut else -l1)) / i_pi
+    q = round(raw.real)
+    if abs(raw - q) > INT_TOL:
+        raise NotEven(f"q = {raw} is not an integer")
+    if q % 2:
+        raise NotEven(f"q = {q} is odd")
+    if abs(z - 1.0) <= config.ZERO:
+        raise ZAtZeroOrOne(f"z = {z} must avoid 0 and 1")
+    return z, log_z, l1, p, q
 
 
 def to_covering_point(t: FlatteningTriple) -> CoveringPoint:
-    """Recover (z; p, q) from log-parameters: z = e^{w0}, the branch
-    integers measuring the offsets from the principal logarithms."""
-    z = snap_real(cmath.exp(t.w0))
-    return CoveringPoint(z, *_branch(z, t.w0, t.w1)[2:])
+    """Recover (z; p, q) from log-parameters (``_cover``): z = e^{w0}, the
+    branch integers measuring the offsets from the principal logarithms."""
+    z, _, _, p, q = _cover(t.w0, t.w1, t.w2)
+    return CoveringPoint(z, p, q)
+
+
+def _log_params(l01, l02, l03, l12, l13, l23) -> tuple[complex, complex, complex]:
+    """(w0, w1, w2) of ``sigma_hat`` from the six Log dets (ij), i < j."""
+    return l03 + l12 - l02 - l13, l02 + l13 - l01 - l23, l01 + l23 - l03 - l12
 
 
 def _lhat_sums(rows, logs: list[complex]) -> tuple[float, float, float]:
     """(Re, Im) of sum_i c_i lhat(z_i; p_i, q_i), and sum_i c_i vol(z_i),
     each a ``math.fsum``, over ``rows``: per term its coefficient c_i and
     the indices in ``logs`` of its Log dets (01), (02), (03), (12), (13),
-    (23) (the rows of a ``chains._Plan``).  This is the trial path's one
-    per-term body.  It forms ``sigma_hat``'s (w0, w1, w2) and runs, in
-    order, every check and float operation of ``FlatteningTriple``,
-    ``to_covering_point``, ``CoveringPoint``, ``lhat`` and ``vol``, with
-    their exception classes and texts, building no object: the sums are
-    bit-equal to those over the object path, which tests hold it to.  The
-    value and volume come from lhat's and vol's body, ``dilog._point``
-    (its call costs about 1% of a 10-trial evaluation); the checks, Log z
-    and Log(1 - z) stay inline, as calling ``_checked_z`` and ``_branch``
-    per term cost 6-8%, and ``plog`` and ``_log1m`` 1-2%."""
-    exp, log, zero, point = cmath.exp, cmath.log, config.ZERO, _point
-    i_pi, inf = 1j * PI, math.inf
+    (23) (the rows of a ``chains._Plan``).  The trial path's per-term body,
+    through ``_cover`` and ``dilog._point`` with no object built: its sums
+    are bit-equal to those over the object path, which tests hold it to."""
     re, im, vols = [], [], []
     for coeff, i01, i02, i03, i12, i13, i23 in rows:
-        l01, l02, l03 = logs[i01], logs[i02], logs[i03]
-        l12, l13, l23 = logs[i12], logs[i13], logs[i23]
-        w0 = l03 + l12 - l02 - l13
-        w1 = l02 + l13 - l01 - l23
-        w2 = l01 + l23 - l03 - l12
-        # FlatteningTriple (_checked_z), z snapped as snap_real does
-        try:
-            bound = SUM_TOL * (1 + abs(w0) + abs(w1))
-            if not abs(w0 + w1 + w2) <= bound < inf:
-                raise InvalidFlattening("log-parameters must sum to zero")
-            z, e1 = exp(w0), exp(w1)
-        except OverflowError:
-            raise InvalidFlattening("log-parameters overflow") from None
-        if z.imag != 0.0 and abs(z.imag) <= REAL_TOL * (1.0 + abs(z.real)):
-            z = complex(z.real, 0.0)
-        if z == 1.0:
-            raise InvalidFlattening(f"z = {z}: no logarithm of 1/(1 - z)")
-        w = 1.0 - z
-        target = 1.0 / w
-        if not abs(e1 - target) <= EXP_TOL * abs(target):
-            raise InvalidFlattening("w1 is not a logarithm of 1/(1 - e^{w0})")
-        # to_covering_point (_branch): Log z as plog takes it, Log(1 - z)
-        # as _log1m does (w != 0, as z != 1), and the branch integers
-        if abs(z) <= zero:
-            raise LogOfZero(f"log of {z}")
-        log_z = log(z) if z.imag != 0.0 else log(complex(z.real, 0.0))
-        l1 = -z if w == 1.0 else log(w) * (z / (1.0 - w))
-        raw = (w0 - log_z) / i_pi
-        p = round(raw.real)
-        if abs(raw - p) > INT_TOL:
-            raise NotEven(f"p = {raw} is not an integer")
-        if p % 2:
-            raise NotEven(f"p = {p} is odd")
-        on_cut = z.imag == 0.0 and z.real > 1.0
-        raw = (w1 - (complex(-l1.real, PI) if on_cut else -l1)) / i_pi
-        q = round(raw.real)
-        if abs(raw - q) > INT_TOL:
-            raise NotEven(f"q = {raw} is not an integer")
-        if q % 2:
-            raise NotEven(f"q = {q} is odd")
-        # CoveringPoint (z is finite, |z| > ZERO held for Log z), lhat, vol
-        if abs(z - 1.0) <= zero:
-            raise ZAtZeroOrOne(f"z = {z} must avoid 0 and 1")
-        _, value, volume = point(z, log_z, l1, p, q)
+        _, value, volume = _point(*_cover(*_log_params(
+            logs[i01], logs[i02], logs[i03], logs[i12], logs[i13], logs[i23])))
         re.append(coeff * value.real)
         im.append(coeff * value.imag)
         vols.append(coeff * volume)

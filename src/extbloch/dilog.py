@@ -16,8 +16,8 @@ reflection, whichever has |u| <= 1.3, or else after one inversion z -> 1/z
 in u = -Log(1-1/z): the least of the three |u| never exceeds pi/3.  li2,
 the lifted Rogers value and the volume have one body, ``_point``, which
 takes Log z and Log(1-z) from its caller: li2, vol, lifted_rogers (so
-rogers and lhat) and the trial path's per-term sums
-(``covering._lhat_sums``) all call it.
+rogers and lhat) and the trial path (``covering._lhat_sums``) all call
+it; the first three refuse a non-finite z as ``CoveringPoint`` does.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 from enum import Enum
 
 from . import config
-from .errors import LogOfZero, OnCut
+from .errors import LogOfZero, OnCut, ZAtZeroOrOne
 
 PI = math.pi
 PI_SQ = PI * PI
@@ -56,6 +56,14 @@ def plog(z: complex) -> complex:
     return cmath.log(z)
 
 
+def _finite(z) -> complex:
+    """complex(z), refused as ``CoveringPoint`` refuses it if not finite."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ZAtZeroOrOne(f"z = {z} is not finite")
+    return z
+
+
 def plog_sided(x: float, side: CutSide) -> complex:
     """Log of a negative real x, approached from above or below the axis."""
     return complex(math.log(-x), side.value * PI)
@@ -82,7 +90,7 @@ def li2(z: complex, side: CutSide | None = None) -> complex:
     The cut runs along (1, oo); real arguments there require a side flag
     and evaluate to the limit from the corresponding half plane.
     """
-    z = complex(z)
+    z = _finite(z)
     if z.imag == 0.0:
         x = z.real
         if x > 1.0 and side is not None:
@@ -176,7 +184,7 @@ def rogers_real(x: float) -> float:
 def vol(z: complex) -> float:
     """Oriented volume of the ideal simplex with cross-ratio z
     (the Bloch-Wigner function).  Real arguments give 0."""
-    z = complex(z)
+    z = _finite(z)
     if z.imag == 0.0:
         return 0.0
     return _point(z, cmath.log(z), _log1m(z), 0, 0)[2]
@@ -189,7 +197,7 @@ def lifted_rogers(z: complex, p: int, q: int) -> complex:
     Two labels identified across a cut (the side convention being the upper
     half plane limit) give values differing by an element of 2 pi^2 Z.
     """
-    z = complex(z)
+    z = _finite(z)
     return _point(z, plog(z), _log1m(z), p, q)[1]
 
 

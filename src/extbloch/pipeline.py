@@ -17,8 +17,9 @@ plan (``chains._Plan``) of slots, pairs and distinct Log-det edges, whose
 rows index those edges' Logs, and the ids its slots hold.  A replayed
 trial is one pass over the first trial's plan with its slot ids moved by
 one offset, so a trial takes one Log (``plog``) per distinct edge, keys
-nothing by edge id, and sums its terms from those Logs in one fused pass
-(``covering._lhat_sums``) that calls lhat's and vol's body per term.
+nothing by edge id, and sums its terms from those Logs in one pass
+(``covering._lhat_sums``) that calls, per term, the covering point's body
+(``covering._cover``) and lhat's and vol's (``dilog._point``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import combinations
 from .chains import (BarChain, HomChain, SymbolTable, _checked_cycle, _Plan,
                      _repairs, _sample_v, _v_pass, near_pairs)
 from .core import FrozenRecord, ProjVector, Record, as_rng, det_pair
-from .covering import FlatteningTriple, _lhat_sums
+from .covering import FlatteningTriple, _lhat_sums, _log_params
 from .dilog import TWO_PI_SQ, plog
 from .errors import DegenerateConfig, NotVGood
 
@@ -88,11 +89,6 @@ def sigma_hat(t: ConfigTuple) -> FlatteningTriple:
     """
     return _flattening([plog(det_pair(t[i], t[j]))
                         for i, j in combinations(range(len(t)), 2)])
-
-
-def _log_params(l01, l02, l03, l12, l13, l23) -> tuple[complex, complex, complex]:
-    """(w0, w1, w2) of ``sigma_hat`` from the six Log dets (ij), i < j."""
-    return l03 + l12 - l02 - l13, l02 + l13 - l01 - l23, l01 + l23 - l03 - l12
 
 
 def _flattening(logs) -> FlatteningTriple:
@@ -203,25 +199,24 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     the same values.  Later trials replay the first trial's repair and
     Log-det edges at their own apexes (see ``chains._repairs``), and every
     trial runs one body on its plan and slot ids.  Each repaired term is
-    evaluated once, straight from its edge Logs, by the fused per-term
-    body ``covering._lhat_sums`` (one e^{w0}, Log z and Log(1-z), every
-    check of the ``FlatteningTriple``, ``to_covering_point``,
-    ``CoveringPoint`` and ``lhat`` path inline, then the value and volume
-    from ``dilog._point``, the body of ``lhat`` and ``vol``), and nothing
-    is merged.  ``volume_vs_im_lhat`` is the largest gap over the
-    trials between the per-term volume sum and Im of the lifted Rogers
-    sum; both are ``math.fsum`` sums, bit-equal to those of ``lhat`` and
-    ``vol`` over the ``to_covering_point`` images of the same terms'
-    triples (``lambda_hat(...).triples`` for the first trial), the object
-    path that tests hold the fused body to.  Trials must agree (mod 1,
-    within fp) by independence of the choices; the max pairwise deviation
-    is reported as a health measure.  All trials share one symbol table at
-    the comparison tolerance ``tol`` (see ``SymbolTable``).  The report's
-    ``seed`` is ``int(seed)`` for an integer seed (``numbers.Integral``,
-    bool and numpy integers included) and None for a generator.  ``trials`` must be such
-    an integer, at least 1; anything else raises TypeError or ValueError
-    before the cycle is checked or anything is drawn.  Raises NotACycle, a
-    ValueError, when ``c`` is not a 3-cycle at ``tol``.
+    evaluated once, straight from its edge Logs, by ``covering._lhat_sums``
+    (its covering point from ``covering._cover`` and its value and volume
+    from ``dilog._point``, the bodies of ``to_covering_point`` and
+    ``lhat``), and nothing is merged.  ``volume_vs_im_lhat`` is the
+    largest gap over the trials between the per-term volume sum and Im of
+    the lifted Rogers sum; both are ``math.fsum`` sums, bit-equal to those
+    of ``lhat`` and ``vol`` over the ``to_covering_point`` images of the
+    same terms' triples (``lambda_hat(...).triples`` for the first trial),
+    the object path that tests hold the trial path to.  Trials must agree
+    (mod 1, within fp) by independence of the choices; the max pairwise
+    deviation is reported as a health measure.  All trials share one
+    symbol table at the comparison tolerance ``tol`` (see
+    ``SymbolTable``).  The report's ``seed`` is ``int(seed)`` for an
+    integer seed (``numbers.Integral``, bool and numpy integers included)
+    and None for a generator.  ``trials`` must be such an integer, at
+    least 1; anything else raises TypeError or ValueError before the cycle
+    is checked or anything is drawn.  Raises NotACycle, a ValueError, when
+    ``c`` is not a 3-cycle at ``tol``.
     """
     if not isinstance(trials, numbers.Integral):
         raise TypeError(f"trials must be an integer, got {trials!r}")
@@ -237,8 +232,7 @@ def _trial_loop(hom: HomChain, rng, trials: int, seed: int | None) -> CcsReport:
     ``_checked_cycle``), drawing from ``rng``, with ``seed`` as its seed:
     one body per trial on the (plan, slot ids) that ``chains._repairs``
     yields for it: v and the Log of each distinct edge (``_lambda_hat``),
-    then the three sums of the fused per-term body ``covering._lhat_sums``
-    over the plan's rows."""
+    then the three sums of ``covering._lhat_sums`` over the plan's rows."""
     elements = hom.table.elements
     values: list[complex] = []
     raws: list[complex] = []

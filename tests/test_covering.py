@@ -8,11 +8,12 @@ import pytest
 from extbloch import covering
 from extbloch.core import ProjVector
 from extbloch.covering import (CoveringPoint, FlatteningTriple, WedgeElement,
-                               _branch, _lhat_sums,
-                               check_flattening_condition, chi_hat, five_tuple,
+                               _lhat_sums, check_flattening_condition,
+                               chi_hat, five_tuple,
                                from_covering_point, mu, nu_hat,
                                to_covering_point)
-from extbloch.dilog import _SERIES_MAX, PI, TWO_PI_SQ, _log1m, lhat, plog, vol
+from extbloch.dilog import (_SERIES_MAX, PI, TWO_PI_SQ, _log1m, lhat,
+                            li2, lifted_rogers, plog, rogers, vol)
 from extbloch.errors import (ChiAtZero, DegenerateConfig, DegenerateFT,
                              InvalidFlattening, LogOfZero, NotEven, OnCut,
                              ZAtZeroOrOne)
@@ -66,6 +67,26 @@ def test_non_finite_input_is_refused_at_construction():
             CoveringPoint(z, 0, 0)
 
 
+def test_non_finite_z_is_refused_by_the_value_functions():
+    # li2, vol and lifted_rogers (so rogers and lhat) refuse a non-finite z
+    # as CoveringPoint does, and a duck-typed triple with a NaN w0 fails
+    # _cover's sum check (or, while errno holds an earlier ERANGE, its
+    # overflow check, as in the test above)
+    from types import SimpleNamespace
+    nan, inf = math.nan, math.inf
+    funcs = (li2, vol, rogers, lambda z: lifted_rogers(z, 2, 0),
+             lambda z: lhat(SimpleNamespace(z=z, p=0, q=-2)))
+    for z in (complex(nan, 0), complex(inf, 1), complex(1, -inf),
+              complex(nan, 1), inf):
+        for f in funcs:
+            with pytest.raises(ZAtZeroOrOne, match=r"^z = .* is not finite$"):
+                f(z)
+    raw = SimpleNamespace(w0=complex(nan, 0), w1=0j, w2=0j)
+    with pytest.raises(InvalidFlattening,
+                       match="^log-parameters (must sum to zero|overflow)$"):
+        to_covering_point(raw)
+
+
 def test_triple_to_point_examples():
     t = FlatteningTriple.from_w01(math.log(2), 1j * PI)
     assert to_covering_point(t) == CoveringPoint(2 + 0j, 0, 0)
@@ -102,18 +123,26 @@ def test_invalid_flattening_rejected_at_construction():
         FlatteningTriple.from_w01(math.log(2), 2j * PI)
 
 
-def test_not_even_on_raw_log_parameters():
-    # validated triples cannot carry odd branches, so feed raw duck-typed
-    # parameters straight into the conversion
+def test_not_even_on_raw_log_parameters(monkeypatch):
+    # raw duck-typed parameters meet the same checks as a triple: an odd q
+    # or a p off by 0.5i with w2 = 0 fails the sum check, and with
+    # w2 = -w0 - w1 it fails the e^{w1} check, before any branch integer
     from types import SimpleNamespace
-    from extbloch.dilog import plog
     z = 0.3 + 0.4j
-    odd = SimpleNamespace(w0=plog(z), w1=plog(1 / (1 - z)) + 1j * PI, w2=0j)
-    with pytest.raises(NotEven):
-        to_covering_point(odd)
-    off = SimpleNamespace(w0=plog(z) + 0.5j, w1=plog(1 / (1 - z)), w2=0j)
-    with pytest.raises(NotEven):
-        to_covering_point(off)
+    exp_text = "w1 is not a logarithm of 1/(1 - e^{w0})"
+    for w0, w1 in ((plog(z), plog(1 / (1 - z)) + 1j * PI),
+                   (plog(z) + 0.5j, plog(1 / (1 - z)))):
+        for w2, text in ((0j, "log-parameters must sum to zero"),
+                         (-w0 - w1, exp_text)):
+            with pytest.raises(InvalidFlattening,
+                               match=f"^{re.escape(text)}$"):
+                to_covering_point(SimpleNamespace(w0=w0, w1=w1, w2=w2))
+    # NotEven is reached once the branch unit is scaled: with covering.PI
+    # doubled, p = 2 reads as 1
+    t = from_covering_point(CoveringPoint(z, 2, 0))
+    monkeypatch.setattr(covering, "PI", 2 * PI)
+    with pytest.raises(NotEven, match="^p = 1 is odd$"):
+        to_covering_point(SimpleNamespace(w0=t.w0, w1=t.w1, w2=t.w2))
 
 
 def _term_logs(w0, w1):
@@ -226,14 +255,13 @@ def test_point_value_mutations_fail_as_the_triple_path_does(monkeypatch):
         old = _raised(_object_path, logs)
         assert old[0] is cls and text in old[1], old
         assert _raised(_fused, logs) == old
+        # a triple refuses at construction all that its covering point
+        # refuses; only lhat's OnCut comes later
+        if cls is not OnCut:
+            assert _raised(FlatteningTriple, *_log_params(*logs)) == old
     # an odd or non-integral branch integer follows from no six Logs that
     # pass the e^{w1} check, so the branch unit is scaled (by 2 and by 0.8)
-    # to give one; both paths read covering.PI.  _branch is the check of
-    # to_covering_point
-    with pytest.raises(NotEven, match="p = 3 is odd"):
-        _branch(z, w0 + 1j * PI, w1)
-    with pytest.raises(NotEven, match="q = .* is not an integer"):
-        _branch(z, w0, w1 + 0.5j)
+    # to give one; both paths read covering.PI
     for scale, p, q, text in ((2.0, 2, 0, "p = 1 is odd"),
                               (2.0, 0, 2, "q = 1 is odd"),
                               (0.8, 2, 0, "p = .* is not an integer"),

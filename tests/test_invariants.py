@@ -125,6 +125,38 @@ def test_config_validation():
         assert config.check_cmp(good) == good == SymbolTable(good).tol
 
 
+def test_cover_stage_refusals_have_one_body():
+    # each refusal of the stage from log-parameters to covering points is
+    # raised from exactly one function of src/, and all from the same one:
+    # the trial path calls that body instead of carrying a copy
+    texts = ("log-parameters must sum to zero", "log-parameters overflow",
+             "no logarithm of 1/(1 - z)", "w1 is not a logarithm",
+             "is not an integer", "is odd")
+    raisers = {text: set() for text in texts}
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            elif isinstance(child, ast.Raise):
+                words = "".join(n.value for n in ast.walk(child)
+                                if isinstance(n, ast.Constant)
+                                and isinstance(n.value, str))
+                for text in texts:
+                    if text in words:
+                        raisers[text].add(where)
+            visit(child, inner)
+
+    src = Path(__file__).resolve().parent.parent / "src" / "extbloch"
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    bodies = set().union(*raisers.values())
+    assert len(bodies) == 1 and all(
+        len(where) == 1 for where in raisers.values()), raisers
+
+
 def test_src_modules_use_every_import():
     # every name a module imports is referenced in it; __init__ re-exports
     src = Path(__file__).resolve().parent.parent / "src" / "extbloch"
