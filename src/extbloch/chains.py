@@ -15,9 +15,10 @@ so boundaries, conversions and sums merge terms by exact keys; a group
 element is identified numerically only once, when the table first meets it.
 Public constructors give a chain a table of its own.  An evaluation
 (``is_cycle``, ``repair_with_certificate``, ``lambda_hat``, ``ccs_value``)
-re-interns its input into a new table (at the caller's tolerance, for
-``is_cycle`` and ``ccs_value``) and leaves the input's table alone;
-``ccs eval`` and ``check-cycle`` use the table the file was read into.
+re-interns its input into a new table at the tolerance of the input's
+own, and leaves the input's table alone, so a chain is evaluated at the
+tolerance it was keyed at; ``ccs eval`` and ``check-cycle`` use the table
+the file was read into.
 
 ``repair_with_certificate`` replaces a cycle by a homologous one avoiding
 all g_i = +-g_j coincidences, together with an explicit homotopy
@@ -369,21 +370,21 @@ def _residual(c: BarChain) -> BarChain:
     return bar_boundary(c) if c.degree else BarChain._on(c.table, 0, [])
 
 
-def is_cycle(c: BarChain, tol: float | None = None) -> tuple[bool, BarChain]:
+def is_cycle(c: BarChain) -> tuple[bool, BarChain]:
     """True when the bar boundary merges to the empty chain, with symbols
-    identified at the comparison tolerance ``tol`` (see ``SymbolTable``);
-    the residual chain is returned either way."""
-    res = _residual(c.interned(SymbolTable(tol)))
+    identified at the comparison tolerance of ``c``'s table (see
+    ``SymbolTable``); the residual chain is returned either way."""
+    res = _residual(c.interned(SymbolTable(c.table.tol)))
     return res.is_empty(), res
 
 
-def _checked_cycle(c: BarChain, table: SymbolTable) -> HomChain:
-    """``c`` re-interned into ``table`` (a new table for one evaluation,
-    or ``c.table``) in homogeneous form; raises NotACycle (a ValueError)
-    unless it is a 3-cycle there."""
+def _checked_cycle(c: BarChain, table: SymbolTable | None = None) -> HomChain:
+    """``c`` re-interned into ``table`` (``c.table``, or by default a new
+    table for one evaluation at ``c.table``'s tolerance) in homogeneous
+    form; raises NotACycle (a ValueError) unless it is a 3-cycle there."""
     if c.degree != 3:
         raise NotACycle(f"evaluation needs a 3-cycle, got degree {c.degree}")
-    c = c.interned(table)
+    c = c.interned(table or SymbolTable(c.table.tol))
     if nonzero := sum(1 for coeff in _bar_faces(c).values() if coeff):
         raise NotACycle(f"not a cycle: boundary has {nonzero} terms")
     return inhom_to_hom(c)
@@ -392,8 +393,9 @@ def _checked_cycle(c: BarChain, table: SymbolTable) -> HomChain:
 def conjugate_chain(g: GroupElement, c: BarChain) -> BarChain:
     """Entrywise conjugation g . g_i . g^-1 of every symbol, formed once
     per distinct id of ``c`` and keyed, in first-met order, on a table of
-    its own."""
-    ginv, elements, table = g.inverse(), c.table.elements, SymbolTable()
+    its own at ``c.table``'s tolerance."""
+    ginv, elements = g.inverse(), c.table.elements
+    table = SymbolTable(c.table.tol)
     first_met = dict.fromkeys(i for _, ids in c.pairs() for i in ids)
     conj = {i: table.intern(g @ elements[i] @ ginv) for i in first_met}
     return BarChain._on(table, c.degree,
@@ -639,26 +641,16 @@ class _ConeRepairer:
                 pair = [(1, canon)], []
             else:
                 faces = [(c, self.images(f)) for c, f in _faces(canon)]
-                acc: dict[Ids, int] = {}  # phi(ds), merged as ``linear``
-                get = acc.get
-                for c, (phi_f, _) in faces:
-                    for d, t in phi_f:
-                        acc[t] = get(t, 0) + c * d
-                phi = [(d, t) for t, d in acc.items() if d]
+                phi = self.linear((c, img[0]) for c, img in faces)  # phi(ds)
                 if phi:
                     apex = (self._apex_for(len(canon), phi),)
                     phi = [(d, apex + t) for d, t in phi]
                 # else cone(a, 0) = 0 for every apex a: draw none
-                acc = {}  # X = phi(s) - s - H(ds)
-                get = acc.get
-                for d, t in phi:
-                    acc[t] = get(t, 0) + d
-                acc[canon] = get(canon, 0) - 1
-                for c, (_, h_f) in faces:
-                    for d, t in h_f:
-                        acc[t] = get(t, 0) - c * d
+                # X = phi(s) - s - H(ds)
+                x = self.linear([(1, phi), (-1, [(1, canon)]),
+                                 *((-c, img[1]) for c, img in faces)])
                 one = (table.identity,)
-                pair = phi, [(d, one + t) for t, d in acc.items() if d]
+                pair = phi, [(d, one + t) for d, t in x]
             self._memo[canon] = pair
         if first == table.identity:
             return pair
@@ -845,7 +837,7 @@ def repair_with_certificate(c: BarChain, seed) -> RepairResult:
     """Replace a 3-cycle by a homologous good cycle via the recursive cone
     chain map, returning the explicit, verified homotopy certificate.
     ``seed`` is an integer or a generator (see ``as_rng``)."""
-    hom = _checked_cycle(c, SymbolTable())
+    hom = _checked_cycle(c)
     _, phi, h = _repair_core(hom, as_rng(seed))
     return RepairResult(HomChain._on(hom.table, hom.degree, phi, True),
                         HomChain._on(hom.table, hom.degree + 1, h, True), hom)

@@ -1,9 +1,10 @@
 """Numeric thresholds shared across the library.
 
 Modules read them as ``config.NAME`` when they run, never as bound
-defaults.  Only the comparison tolerance is settable: ``ccs_value``,
-``is_cycle`` and ``SymbolTable`` take it as ``tol`` (``CMP`` when not
-given), and ``check_cmp`` decides which values it may take.
+defaults.  Only the comparison tolerance is settable, and only where a
+chain is keyed: ``SymbolTable`` takes it as ``tol`` (``CMP`` when not
+given), and ``check_cmp`` decides which values it may take.  An
+evaluation runs at the tolerance of its chain's table.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ in u = -Log(1-1/z): the least of the three |u| never exceeds pi/3.  li2,
 the lifted Rogers value and the volume have one body, ``_point``, which
 takes Log z and Log(1-z) from its caller: li2, vol, lifted_rogers (so
 rogers and lhat) and the trial path (``covering._lhat_sums``) all call
-it; the first three refuse a non-finite z as ``CoveringPoint`` does.
+it; the first three, and ``rogers_real``, refuse a non-finite z as
+``CoveringPoint`` does.
 """
 
 from __future__ import annotations
@@ -168,8 +169,10 @@ def rogers_real(x: float) -> float:
     """Discontinuous extension of rogers to the whole real line.
 
     rogers_real(1) = 0, rogers_real(0) = -pi^2/6, and the values outside
-    [0, 1] are folded back by x -> 1/x and x -> x/(x-1).
+    [0, 1] are folded back by x -> 1/x and x -> x/(x-1).  A non-finite x
+    is refused as ``li2`` refuses it.
     """
+    _finite(x)
     if x == 1.0:
         return 0.0
     if x == 0.0:

@@ -29,8 +29,8 @@ import numbers
 from bisect import bisect_left
 from itertools import combinations
 
-from .chains import (BarChain, HomChain, SymbolTable, _checked_cycle, _Plan,
-                     _repairs, _sample_v, _v_pass, near_pairs)
+from .chains import (BarChain, HomChain, _checked_cycle, _Plan, _repairs,
+                     _sample_v, _v_pass, near_pairs)
 from .core import FrozenRecord, ProjVector, Record, as_rng, det_pair
 from .covering import FlatteningTriple, _lhat_sums, _log_params
 from .dilog import TWO_PI_SQ, plog
@@ -123,7 +123,7 @@ def lambda_hat(c: BarChain, seed) -> LambdaResult:
     ValueError, when ``c`` is not a 3-cycle.
     """
     rng = as_rng(seed)
-    hom = _checked_cycle(c, SymbolTable())
+    hom = _checked_cycle(c)
     plan, ids = next(_repairs(hom, rng, 1))
     v, logs = _lambda_hat(hom.table.elements, plan, ids, rng)
     return LambdaResult([(coeff, _flattening([logs[k] for k in row]))
@@ -190,8 +190,7 @@ class CcsReport(Record):
         }
 
 
-def ccs_value(c: BarChain, seed=0, trials: int = 5,
-              tol: float | None = None) -> CcsReport:
+def ccs_value(c: BarChain, seed=0, trials: int = 5) -> CcsReport:
     """Evaluate a cycle over several independent repair/vector draws.
 
     One generator is made from ``seed`` (see ``as_rng``); the trials draw
@@ -210,20 +209,20 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5,
     the object path that tests hold the trial path to.  Trials must agree
     (mod 1, within fp) by independence of the choices; the max pairwise
     deviation is reported as a health measure.  All trials share one
-    symbol table at the comparison tolerance ``tol`` (see
+    symbol table at the comparison tolerance of ``c``'s own (see
     ``SymbolTable``).  The report's ``seed`` is ``int(seed)`` for an
     integer seed (``numbers.Integral``, bool and numpy integers included)
     and None for a generator.  ``trials`` must be such an integer, at
     least 1; anything else raises TypeError or ValueError before the cycle
     is checked or anything is drawn.  Raises NotACycle, a ValueError, when
-    ``c`` is not a 3-cycle at ``tol``.
+    ``c`` is not a 3-cycle at that tolerance.
     """
     if not isinstance(trials, numbers.Integral):
         raise TypeError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     rng = as_rng(seed)
-    return _trial_loop(_checked_cycle(c, SymbolTable(tol)), rng, int(trials),
+    return _trial_loop(_checked_cycle(c), rng, int(trials),
                        int(seed) if isinstance(seed, numbers.Integral) else None)
 
 

@@ -13,7 +13,8 @@ from extbloch.covering import (CoveringPoint, FlatteningTriple, WedgeElement,
                                from_covering_point, mu, nu_hat,
                                to_covering_point)
 from extbloch.dilog import (_SERIES_MAX, PI, TWO_PI_SQ, _log1m, lhat,
-                            li2, lifted_rogers, plog, rogers, vol)
+                            li2, lifted_rogers, plog, rogers, rogers_real,
+                            vol)
 from extbloch.errors import (ChiAtZero, DegenerateConfig, DegenerateFT,
                              InvalidFlattening, LogOfZero, NotEven, OnCut,
                              ZAtZeroOrOne)
@@ -69,9 +70,10 @@ def test_non_finite_input_is_refused_at_construction():
 
 def test_non_finite_z_is_refused_by_the_value_functions():
     # li2, vol and lifted_rogers (so rogers and lhat) refuse a non-finite z
-    # as CoveringPoint does, and a duck-typed triple with a NaN w0 fails
-    # _cover's sum check (or, while errno holds an earlier ERANGE, its
-    # overflow check, as in the test above)
+    # as CoveringPoint does, and so does rogers_real (where NaN and -inf
+    # once recursed without end, and +inf gave pi^2/6); a duck-typed
+    # triple with a NaN w0 fails _cover's sum check (or, while errno holds
+    # an earlier ERANGE, its overflow check, as in the test above)
     from types import SimpleNamespace
     nan, inf = math.nan, math.inf
     funcs = (li2, vol, rogers, lambda z: lifted_rogers(z, 2, 0),
@@ -81,6 +83,9 @@ def test_non_finite_z_is_refused_by_the_value_functions():
         for f in funcs:
             with pytest.raises(ZAtZeroOrOne, match=r"^z = .* is not finite$"):
                 f(z)
+    for x in (nan, inf, -inf):
+        with pytest.raises(ZAtZeroOrOne, match=r"^z = .* is not finite$"):
+            rogers_real(x)
     raw = SimpleNamespace(w0=complex(nan, 0), w1=0j, w2=0j)
     with pytest.raises(InvalidFlattening,
                        match="^log-parameters (must sum to zero|overflow)$"):

@@ -16,13 +16,13 @@ from extbloch import chains, pipeline, selftest
 from extbloch.chainio import (_write_chain, chain_to_obj, dumps_canonical,
                               emit_report, parse_cycle_file)
 from extbloch.chains import (APEX_ATTEMPTS, bar_boundary, conjugate_chain,
-                             is_cycle)
+                             is_cycle, repair_with_certificate)
 from extbloch.cli import MAX_TORSION_N, MAX_TURNS, build_parser, main
 from extbloch.core import GroupElement, random_sl2
 from extbloch.errors import DeterminantError, SchemaError
 from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
                                torsion_cycle)
-from extbloch.pipeline import ccs_value
+from extbloch.pipeline import ccs_value, lambda_hat
 from oracles import fmt_reference
 
 
@@ -649,9 +649,10 @@ def _cli_eval(path, capsys, *extra, trials=4):
     return capsys.readouterr().out
 
 
-def _library_eval(path, trials=4):
+def _library_eval(path, trials=4, tol=None):
     out = io.StringIO()
-    emit_report(ccs_value(parse_cycle_file(str(path)), seed=3, trials=trials),
+    emit_report(ccs_value(parse_cycle_file(str(path), tol), seed=3,
+                          trials=trials),
                 out=out, extra={"trials_requested": trials})
     return out.getvalue()
 
@@ -666,26 +667,56 @@ def _small_conjugate_of_torsion_12():
             return c
 
 
-@pytest.mark.parametrize("build", [
-    lambda: torsion_cycle(6),
-    lambda: five_term_boundary(0.5, 0.25),
-    _small_conjugate_of_torsion_12,
-    lambda: random_boundary_cycle(5, n_terms=2),
-], ids=["torsion 6", "five-term", "torsion 12 conjugated", "boundary"])
+def _rounded_boundary():
+    """``random_boundary_cycle(100, n_terms=3)`` as a chain file object with
+    every number rounded to 10 decimals: a cycle at cmp 1e-6, not at the
+    default 1e-8 (its boundary keeps 4 terms there)."""
+    doc = chain_to_obj(random_boundary_cycle(100, n_terms=3))
+    for t in doc["terms"]:
+        t["bar"] = [[[round(x, 10) for x in p] for p in m] for m in t["bar"]]
+    return doc
+
+
+@pytest.mark.parametrize("doc, tol", [
+    (lambda: chain_to_obj(torsion_cycle(6)), None),
+    (lambda: chain_to_obj(five_term_boundary(0.5, 0.25)), None),
+    (lambda: chain_to_obj(_small_conjugate_of_torsion_12()), None),
+    (lambda: chain_to_obj(random_boundary_cycle(5, n_terms=2)), None),
+    (_rounded_boundary, 1e-6),
+], ids=["torsion 6", "five-term", "torsion 12 conjugated", "boundary",
+        "rounded boundary at cmp 1e-6"])
 def test_cli_eval_of_ten_trials_is_the_library_report(tmp_path, capsys,
-                                                      build):
+                                                      doc, tol):
     # ccs eval evaluates on the symbol table its file was read into, and
     # over 10 trials replays trials 2-10; its report is, byte for byte,
-    # the library's, which keys the parsed chain again.  Besides torsion 6
-    # (every term bad, down to 1-simplices) and a five-term boundary, the
-    # two kinds of file the bench's deep-single workload reads: a torsion
-    # cycle conjugated to small entries, and a random boundary
+    # the library's, which keys the parsed chain again at the tolerance
+    # the parse keyed it at.  Besides torsion 6 (every term bad, down to
+    # 1-simplices) and a five-term boundary, the two kinds of file the
+    # bench's deep-single workload reads: a torsion cycle conjugated to
+    # small entries, and a random boundary; and a boundary that is a
+    # cycle only at the coarser cmp its file is read at
     path = tmp_path / "cycle.json"
-    path.write_text(dumps_canonical(chain_to_obj(build())))
-    assert main(["check-cycle", str(path)]) == 0
+    path.write_text(dumps_canonical(doc()))
+    extra = [] if tol is None else ["--tolerance", repr(tol)]
+    assert main(["check-cycle", str(path), *extra]) == 0
     assert json.loads(capsys.readouterr().out)["is_cycle"] is True
-    assert (_cli_eval(path, capsys, trials=10)
-            == _library_eval(path, trials=10))
+    assert (_cli_eval(path, capsys, *extra, trials=10)
+            == _library_eval(path, trials=10, tol=tol))
+
+
+def test_an_evaluation_runs_at_the_tolerance_its_chain_was_keyed_at(
+        tmp_path):
+    # read at cmp 1e-6, the rounded boundary is a cycle to every evaluator
+    # (ccs_value's report is ccs eval's, as the test above shows), and a
+    # conjugate is keyed at the same cmp
+    path = tmp_path / "rounded.json"
+    path.write_text(dumps_canonical(_rounded_boundary()))
+    c = parse_cycle_file(str(path), 1e-6)
+    assert is_cycle(c)[0]
+    assert len(lambda_hat(c, 0).triples) == len(c)
+    assert repair_with_certificate(c, 0).original_hom.table.tol == 1e-6
+    g = random_sl2(random.Random(1))
+    assert conjugate_chain(g, c).table.tol == c.table.tol == 1e-6
 
 
 def _respelled(nums):
