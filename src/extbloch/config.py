@@ -9,7 +9,9 @@ evaluation runs at the tolerance of its chain's table.
 
 from __future__ import annotations
 
-CMP = 1e-8  # equality of complex scalars and matrix entries
+# equality of complex scalars and matrix entries: a value within CMP in
+# every entry of a keyed one gets a keyed id (see quantize)
+CMP = 1e-8
 ZERO = 1e-12  # absolute "is zero"
 VGOOD = 1e-7  # scale-relative determinant threshold for v-goodness
 APEX_MARGIN = 1e-3  # least sign distance of a cone apex from what it avoids

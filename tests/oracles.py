@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from itertools import combinations, product
 from operator import sub
 
@@ -145,14 +146,17 @@ def fmt_reference(value) -> str:
 class FuzzyIndexReference:
     """``quantize.FuzzyIndex`` as it keyed values with int cells from
     ``round``, frozen as the reference for its ids, stored vectors and
-    cells, with one change: every coordinate in the guard band splits,
-    where the frozen copy split at most 6."""
+    cells, with two changes: every coordinate in the guard band splits,
+    where the frozen copy split at most 6, and the cells are ``cell``
+    wide, where the frozen copy's were ``tol`` wide, so that OutOfGrid is
+    raised where ``x / tol``, not ``x / cell``, is infinite."""
 
     GUARD = 1e-3
     CLEAR = 0.5 - 2 * GUARD
 
-    def __init__(self, tol: float):
+    def __init__(self, tol: float, cell: float):
         self.tol = tol
+        self.cell = cell
         self._seen: dict = {}
         self._cells: dict = {}
         self._reps: list = []
@@ -165,12 +169,10 @@ class FuzzyIndexReference:
         ident = self._seen.get(vals)
         if ident is not None:
             return ident
-        tol = self.tol
-        try:
-            scaled = [x / tol for x in vals]
-            cells = tuple(map(round, scaled))
-        except (OverflowError, ValueError):  # an infinite or NaN x / tol
+        if not all(math.isfinite(x / self.tol) for x in vals):
             return self._probe_all(vals)  # raises, naming the value
+        scaled = [x / self.cell for x in vals]
+        cells = tuple(map(round, scaled))
         if max(map(abs, map(sub, scaled, cells)), default=0.0) >= self.CLEAR:
             ident = self._probe_all(vals)  # some coordinate may split
         elif cells not in self._cells:
@@ -186,12 +188,11 @@ class FuzzyIndexReference:
         tol = self.tol
         options = []
         for x in vals:
-            scaled = x / tol
-            try:
-                cell = int(round(scaled))
-            except OverflowError:  # x / tol is infinite
+            if math.isinf(x / tol):
                 raise OutOfGrid(f"value {x!r} is out of range at comparison "
-                                f"tolerance {tol!r}") from None
+                                f"tolerance {tol!r}")
+            scaled = x / self.cell
+            cell = int(round(scaled))  # a NaN raises ValueError
             off = scaled - cell
             alt = (cell + 1 if 0.5 - off < self.GUARD
                    else cell - 1 if 0.5 + off < self.GUARD else None)

@@ -139,10 +139,12 @@ def test_ldiv_is_the_interned_left_quotient():
 
 
 def test_fuzzy_index_repeat_keeps_first_id():
-    # at tol 1, 0.4999 sits in the guard band and joins the key of 1.0 in
-    # the next cell; -0.2 then opens a key in 0.4999's own cell, which a
-    # fresh probe of 0.4999 would reach first
-    idx = FuzzyIndex(1.0)
-    ids = [idx.key([x]) for x in (1.0, 0.4999, -0.2, 0.4999)]
+    # at tol 1e-3 cells are 1 wide: 0.4999 sits in the guard band and
+    # joins the key of 0.5005 in the next cell; 0.49895 then opens a key
+    # in 0.4999's own cell, which a fresh probe of 0.4999 would reach first
+    idx = FuzzyIndex(1e-3)
+    ids = [idx.key([x]) for x in (0.5005, 0.4999, 0.49895, 0.4999)]
     assert ids == [0, 0, 1, 0]
     assert len(idx) == 2
+    fresh = FuzzyIndex(1e-3)
+    assert [fresh.key([x]) for x in (0.5005, 0.49895, 0.4999)] == [0, 1, 1]

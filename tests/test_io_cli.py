@@ -13,16 +13,19 @@ from pathlib import Path
 import pytest
 
 from extbloch import chains, pipeline, selftest
-from extbloch.chainio import (_write_chain, chain_to_obj, dumps_canonical,
-                              emit_report, parse_cycle_file)
-from extbloch.chains import (APEX_ATTEMPTS, bar_boundary, conjugate_chain,
-                             is_cycle, repair_with_certificate)
+from extbloch.chainio import (_write_chain, chain_from_obj, chain_to_obj,
+                              dumps_canonical, emit_report, parse_cycle_file)
+from extbloch.chains import (APEX_ATTEMPTS, BarChain, bar_boundary,
+                             conjugate_chain, is_cycle,
+                             repair_with_certificate)
 from extbloch.cli import MAX_TORSION_N, MAX_TURNS, build_parser, main
 from extbloch.core import GroupElement, random_sl2
-from extbloch.errors import DeterminantError, SchemaError
+from extbloch.errors import CcsError, DeterminantError, NotACycle, SchemaError
 from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
                                torsion_cycle)
-from extbloch.pipeline import ccs_value, lambda_hat
+from extbloch.pipeline import _circle_distance, ccs_value, lambda_hat
+
+import report_digest
 from oracles import fmt_reference
 
 
@@ -667,14 +670,31 @@ def _small_conjugate_of_torsion_12():
             return c
 
 
+def _rounded(c, decimals):
+    """The chain file object of ``c`` with every number rounded to
+    ``decimals`` decimals."""
+    doc = chain_to_obj(c)
+    for t in doc["terms"]:
+        t["bar"] = [[[round(x, decimals) for x in p] for p in m]
+                    for m in t["bar"]]
+    return doc
+
+
 def _rounded_boundary():
     """``random_boundary_cycle(100, n_terms=3)`` as a chain file object with
-    every number rounded to 10 decimals: a cycle at cmp 1e-6, not at the
-    default 1e-8 (its boundary keeps 4 terms there)."""
-    doc = chain_to_obj(random_boundary_cycle(100, n_terms=3))
-    for t in doc["terms"]:
-        t["bar"] = [[[round(x, 10) for x in p] for p in m] for m in t["bar"]]
-    return doc
+    every number rounded to 10 decimals: a cycle at cmp 1e-6, and at the
+    default 1e-8 too, since its entries moved by far less than cmp."""
+    return _rounded(random_boundary_cycle(100, n_terms=3), 10)
+
+
+def _sheared_torsion():
+    """``torsion_cycle(5)`` with each matrix right-multiplied by (1, 1e-7;
+    0, 1), as a chain file object: det stays 1, and the faces of its
+    boundary agree within 1e-6 but not within 1e-8, so it is a cycle at
+    cmp 1e-6 only, of value 3/5 mod 1."""
+    shear = GroupElement(1, 1e-7, 0, 1)
+    return chain_to_obj(BarChain(3, [(k, tuple(g @ shear for g in sym))
+                                     for k, sym in torsion_cycle(5)]))
 
 
 @pytest.mark.parametrize("doc, tol", [
@@ -683,8 +703,9 @@ def _rounded_boundary():
     (lambda: chain_to_obj(_small_conjugate_of_torsion_12()), None),
     (lambda: chain_to_obj(random_boundary_cycle(5, n_terms=2)), None),
     (_rounded_boundary, 1e-6),
+    (_sheared_torsion, 1e-6),
 ], ids=["torsion 6", "five-term", "torsion 12 conjugated", "boundary",
-        "rounded boundary at cmp 1e-6"])
+        "rounded boundary at cmp 1e-6", "sheared torsion at cmp 1e-6"])
 def test_cli_eval_of_ten_trials_is_the_library_report(tmp_path, capsys,
                                                       doc, tol):
     # ccs eval evaluates on the symbol table its file was read into, and
@@ -693,8 +714,9 @@ def test_cli_eval_of_ten_trials_is_the_library_report(tmp_path, capsys,
     # the parse keyed it at.  Besides torsion 6 (every term bad, down to
     # 1-simplices) and a five-term boundary, the two kinds of file the
     # bench's deep-single workload reads: a torsion cycle conjugated to
-    # small entries, and a random boundary; and a boundary that is a
-    # cycle only at the coarser cmp its file is read at
+    # small entries, and a random boundary; a boundary with rounded
+    # entries read at a coarser cmp; and a torsion cycle that is a cycle
+    # only at the coarser cmp its file is read at
     path = tmp_path / "cycle.json"
     path.write_text(dumps_canonical(doc()))
     extra = [] if tol is None else ["--tolerance", repr(tol)]
@@ -706,17 +728,44 @@ def test_cli_eval_of_ten_trials_is_the_library_report(tmp_path, capsys,
 
 def test_an_evaluation_runs_at_the_tolerance_its_chain_was_keyed_at(
         tmp_path):
-    # read at cmp 1e-6, the rounded boundary is a cycle to every evaluator
-    # (ccs_value's report is ccs eval's, as the test above shows), and a
-    # conjugate is keyed at the same cmp
-    path = tmp_path / "rounded.json"
-    path.write_text(dumps_canonical(_rounded_boundary()))
+    # read at cmp 1e-6, the sheared torsion cycle is a cycle to every
+    # evaluator (ccs_value's report is ccs eval's, as the test above
+    # shows), and a conjugate is keyed at the same cmp; read at the
+    # default, it is not a cycle
+    path = tmp_path / "sheared.json"
+    path.write_text(dumps_canonical(_sheared_torsion()))
+    assert not is_cycle(parse_cycle_file(str(path)))[0]
     c = parse_cycle_file(str(path), 1e-6)
     assert is_cycle(c)[0]
-    assert len(lambda_hat(c, 0).triples) == len(c)
+    assert lambda_hat(c, 0).triples
     assert repair_with_certificate(c, 0).original_hom.table.tol == 1e-6
     g = random_sl2(random.Random(1))
     assert conjugate_chain(g, c).table.tol == c.table.tol == 1e-6
+    value = ccs_value(c, seed=0, trials=2).value_mod1
+    assert _circle_distance(value.real, 0.6) <= 1e-8
+    assert abs(value.imag) <= 1e-8
+
+
+@pytest.mark.parametrize("decimals", [10, 11])
+def test_rounded_entries_keep_the_value_or_are_refused_by_name(decimals):
+    # a cycle whose entries were rounded far below cmp is a cycle at cmp:
+    # every other digest corpus cycle, written with its entries rounded,
+    # gives its unrounded value within 1e-8 or ends in a named refusal (at
+    # 10 decimals, a determinant rounded off by more than DET_TOL), never
+    # in NotACycle
+    right = 0
+    for name, c in list(report_digest.corpus())[::2]:
+        want = ccs_value(c, seed=0, trials=2).value_mod1
+        try:
+            got = ccs_value(chain_from_obj(_rounded(c, decimals)), seed=0,
+                            trials=2).value_mod1
+        except CcsError as err:
+            assert not isinstance(err, NotACycle), (name, err)
+            continue
+        assert _circle_distance(got.real, want.real) <= 1e-8, name
+        assert abs(got.imag - want.imag) <= 1e-8, name
+        right += 1
+    assert right >= 19 if decimals == 10 else right == 29
 
 
 def _respelled(nums):

@@ -1,11 +1,12 @@
 """The trial loop's short-cut kernels against the slower references they
-replace: the +- and apex-margin tests against ``sign_distance``, the
-one-cell lookup of ``FuzzyIndex`` against the probe of all cells and the
-index against its frozen int-cell reference, the symbol table's products
-against a det-checked ``GroupElement``, the slot-indexed v pass against
-``near_pairs`` term by term, every trial plan's edges against ``ldiv`` on
-every pair, replays against full repairs, and the largest trial deviation
-against the maximum over all pairs."""
+replace: the +- and apex-margin tests against ``sign_distance``,
+``FuzzyIndex`` against its frozen int-cell reference and against that
+reference probing all cells of every value, the index's identity rule,
+the symbol table's products against a det-checked ``GroupElement``, the
+slot-indexed v pass against ``near_pairs`` term by term, every trial
+plan's edges against ``ldiv`` on every pair, replays against full
+repairs, and the largest trial deviation against the maximum over all
+pairs."""
 
 import math
 import random
@@ -127,8 +128,9 @@ def test_a_replay_tests_renamed_pairs_for_either_sign(coincide):
                 chains._replay(table, random.Random(seed), tape)
 
 
-class _AllCells(FuzzyIndex):
-    """The reference: every new value through the probe of all cells."""
+class _AllCells(FuzzyIndexReference):
+    """The reference with every new value through its probe of all cells,
+    which tests every coordinate for the guard band."""
 
     def key(self, values):
         vals = tuple(values)
@@ -138,17 +140,9 @@ class _AllCells(FuzzyIndex):
         return ident
 
 
-class _Counting(FuzzyIndex):
-    all_cells = 0
-
-    def _probe_all(self, vals):
-        self.all_cells += 1
-        return super()._probe_all(vals)
-
-
-# x / tol at and past 2**51, 2**52 and 2**53, where floats are multiples of
-# 1/2, 1 and 2, integer and half-integer: s + _MAGIC - _MAGIC rounds them
-# inexactly or, below -2**51, not at all
+# x / cell at and past 2**51, 2**52 and 2**53, where floats are multiples
+# of 1/2, 1 and 2, integer and half-integer: s + _MAGIC - _MAGIC rounds
+# them inexactly or, below -2**51, not at all
 _FAR = [m + d for m in (2.0 ** 51, 2.0 ** 52, 2.0 ** 53)
         for d in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 4.0)]
 # offsets from a cell centre at the edges of the one-cell test and of the
@@ -157,44 +151,45 @@ _EDGES = [e for c in (_CLEAR, 0.5 - _GUARD, 0.5)
           for e in (c, math.nextafter(c, 0.0), math.nextafter(c, 1.0))]
 
 
-def _exactly(s, tol):
-    """An x with x / tol == s when one lies within a few ulps of s * tol."""
-    x = s * tol
+def _exactly(s, cell):
+    """An x with x / cell == s when one lies within a few ulps of
+    s * cell."""
+    x = s * cell
     for _ in range(4):
-        if x / tol == s:
+        if x / cell == s:
             break
-        x = math.nextafter(x, math.inf if x / tol < s else -math.inf)
+        x = math.nextafter(x, math.inf if x / cell < s else -math.inf)
     return x
 
 
-def _near_zero(rng, tol):
+def _near_zero(rng, cell):
     """+-0.0 or a tiny value, or an edge offset from the centre of cell 0
     (exact there) or of cell +-1."""
     if rng.random() < 0.3:
         return rng.choice((0.0, -0.0, 5e-324, -1e-300))
     return _exactly(rng.choice((0, 0, 1, -1))
-                    + rng.choice((1, -1)) * rng.choice(_EDGES), tol)
+                    + rng.choice((1, -1)) * rng.choice(_EDGES), cell)
 
 
 def _stream(rng, tol, dim):
     """Vectors near half-cells, inside and outside the guard band and its
     one-cell margin, and values within ``tol`` and beyond ``2 * tol`` of
-    earlier ones; coordinates at ``x / tol`` past 2**51, at the edge
+    earlier ones; coordinates at ``x / cell`` past 2**51, at the edge
     offsets of a cell and exact half-cells, and +-0.0 and tiny values in
-    the cell of 0."""
-    out = []
+    the cell of 0.  Cells are ``tol / _GUARD`` wide."""
+    cell, out = tol / _GUARD, []
     for _ in range(300):
         kind = rng.randrange(8)
         if kind == 3:
-            vec = tuple(_exactly(rng.choice((1, -1)) * rng.choice(_FAR), tol)
+            vec = tuple(_exactly(rng.choice((1, -1)) * rng.choice(_FAR), cell)
                         if rng.random() < 0.5 else rng.uniform(-1, 1)
                         for _ in range(dim))
         elif kind == 4:
-            vec = tuple(_near_zero(rng, tol) for _ in range(dim))
+            vec = tuple(_near_zero(rng, cell) for _ in range(dim))
         elif kind == 0 or not out:
             band = rng.choice((0.5, 1.5, 1.9, 2.0, 2.1, 3.0, 50.0)) * _GUARD
             vec = tuple((rng.randrange(-50, 50) + 0.5
-                         + rng.choice((1, -1)) * band) * tol
+                         + rng.choice((1, -1)) * band) * cell
                         for _ in range(dim))
         elif kind == 1:
             vec = tuple(rng.uniform(-1, 1) for _ in range(dim))
@@ -208,31 +203,92 @@ def _stream(rng, tol, dim):
     return out
 
 
+def _cell_of(vec, cell):
+    return tuple(round(x / cell) for x in vec)
+
+
+def _assert_not_vacuous(index, stream):
+    """Some of ``stream``'s distinct values have a coordinate in the guard
+    band and some have none, and some were given the id of a vector stored
+    under another cell, so ids were shared across a cell boundary."""
+    cell, distinct = index.tol / _GUARD, set(stream)
+    split = sum(any(0.5 - abs(x / cell - r) < _GUARD
+                    for x, r in zip(v, _cell_of(v, cell))) for v in distinct)
+    home = {i: c for c, ids in index._cells.items() for i in ids}
+    across = sum(home[index.key(v)] != _cell_of(v, cell) for v in distinct)
+    assert 0 < split < len(distinct)
+    assert 0 < across and len(index) < len(distinct)
+
+
 @pytest.mark.parametrize("dim", [0, 1, 2, 8])
 @pytest.mark.parametrize("tol", [1e-8, 1e-3, 1.0])
 def test_one_cell_lookup_gives_the_full_probe_ids(tol, dim):
+    # the index tests a coordinate within _CLEAR of its cell centre for
+    # nothing more, and looks a value with no split coordinate up in its
+    # one cell: the reference that tests every coordinate of every new
+    # value for the guard band and probes all its cells gives the same ids
     for seed in range(3):
         stream = _stream(random.Random(seed), tol, dim)
-        fast, ref = _Counting(tol), _AllCells(tol)
-        assert [fast.key(v) for v in stream] == [ref.key(v) for v in stream]
-        assert fast._reps == ref._reps and fast._cells == ref._cells
-        if dim:  # not vacuous: both lookups ran, and ids were shared
-            assert 0 < fast.all_cells < len(fast)
-            assert len(fast) < len(set(stream))
+        index, ref = FuzzyIndex(tol), _AllCells(tol, tol / _GUARD)
+        assert [index.key(v) for v in stream] == [ref.key(v) for v in stream]
+        assert index._reps == ref._reps and index._cells == ref._cells
+        if dim:
+            _assert_not_vacuous(index, stream)
 
 
 @pytest.mark.parametrize("dim", [0, 1, 2, 8])
 @pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-3, 1.0])
 def test_index_gives_the_frozen_reference_ids(tol, dim):
-    # float cells from s + _MAGIC - _MAGIC against int cells from round
-    far = 0
+    # float cells from s + _MAGIC - _MAGIC against int cells from round,
+    # on cells tol / _GUARD wide
+    cell, far = tol / _GUARD, 0
     for seed in range(3):
         stream = _stream(random.Random(seed), tol, dim)
-        index, ref = FuzzyIndex(tol), FuzzyIndexReference(tol)
+        index, ref = FuzzyIndex(tol), FuzzyIndexReference(tol, cell)
         assert [index.key(v) for v in stream] == [ref.key(v) for v in stream]
         assert index._reps == ref._reps and index._cells == ref._cells
-        far += sum(abs(x / tol) >= 2.0 ** 51 for v in stream for x in v)
+        if dim:
+            _assert_not_vacuous(index, stream)
+        far += sum(abs(x / cell) >= 2.0 ** 51 for v in stream for x in v)
     assert far > 10 if dim else far == 0
+
+
+def _near_boundaries(rng, cell, dim):
+    """A vector each of whose entries lies within 2 * _GUARD cells of a
+    boundary of cells ``cell`` wide, or, three times in ten, anywhere."""
+    return tuple((rng.randrange(-1000, 1000) + 0.5
+                  + rng.uniform(-2, 2) * _GUARD) * cell
+                 if rng.random() < 0.7 else rng.uniform(-1000, 1000) * cell
+                 for _ in range(dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+@pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-3, 1.0])
+def test_a_value_within_tol_of_a_stored_one_gets_a_stored_id(tol, dim):
+    # the rule the index keeps, whatever its grid: a value within tol in
+    # every entry of a stored vector gets a stored id, and values more
+    # than 2 tol apart never share one.  The stored entries sit near the
+    # boundaries of the index's cells, tol / _GUARD wide, so that a value
+    # 0.1 to 1.0 tol away often lies in the neighbouring cell
+    rng, cell = random.Random(dim), tol / _GUARD
+    index = FuzzyIndex(tol)
+    for _ in range(300):
+        index.key(_near_boundaries(rng, cell, dim))
+    stored, crossed = list(index._reps), 0
+    size = len(stored)
+    for v in stored:
+        near = tuple(x + rng.choice((1, -1)) * rng.uniform(0.1, 1.0) * tol
+                     for x in v)
+        assert max(abs(a - b) for a, b in zip(near, v)) <= tol
+        assert index.key(near) < size
+        crossed += _cell_of(near, cell) != _cell_of(v, cell)
+    assert crossed > 20
+    for v in stored:
+        apart = list(v)
+        apart[rng.randrange(dim)] += rng.choice((1, -1)) * 2.01 * tol
+        assert index.key(apart) != index.key(v)
+    for vals, ident in index._seen.items():
+        assert max(abs(a - b) for a, b in zip(vals, index._reps[ident])) <= tol
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -241,43 +297,48 @@ def test_guard_band_splits_every_coordinate(tol, n):
     # two values 2e-9 of a cell apart, on either side of the boundary in n
     # of 8 coordinates: the second must find the first in the neighbour
     # cell, n coordinates away
-    for index in (FuzzyIndex(tol), FuzzyIndexReference(tol)):
+    cell = tol / _GUARD
+    for index in (FuzzyIndex(tol), FuzzyIndexReference(tol, cell)):
         for side in (-1, 1):
-            vals = [(0.5 + side * 1e-9) * tol] * n + [0.0] * (8 - n)
+            vals = [(0.5 + side * 1e-9) * cell] * n + [0.0] * (8 - n)
             assert index.key(vals) == 0
         assert len(index) == 1
 
 
-def _outermost(s, tol, step):
-    """The x furthest towards ``step`` (+-inf) with x / tol == s."""
-    x = _exactly(s, tol)
-    assert x / tol == s
-    while math.nextafter(x, step) / tol == s:
+def _outermost(s, cell, step):
+    """The x furthest towards ``step`` (+-inf) with x / cell == s."""
+    x = _exactly(s, cell)
+    assert x / cell == s
+    while math.nextafter(x, step) / cell == s:
         x = math.nextafter(x, step)
     return x
 
 
 @pytest.mark.parametrize("tol, k", [(1e-8, 2 ** 30), (0.1, 2 ** 20)])
 def test_a_cell_answers_its_first_stored_vector(tol, k):
-    # x / tol rounds, so away from 0 a cell spans a little more than tol:
-    # the values at its two half-cell ties (both round to the even k) are
-    # just over tol apart and both stored in it, and its centre, within
-    # tol of both, gets the first
-    low = _outermost(k - 0.5, tol, -math.inf)
-    high = _outermost(k + 0.5, tol, math.inf)
-    assert high - low > tol
-    for index in (FuzzyIndex(tol), FuzzyIndexReference(tol)):
-        assert [index.key((x,)) for x in (low, high, k * tol)] == [0, 1, 0]
-        assert index._cells[(k,)] == [0, 1]
+    # x / cell rounds, ties to even: the values at the two half-cell ties
+    # of cell k, k even, are both stored in it.  A value 1.5 tol inwards
+    # of each tie is stored there too, and the value between the two,
+    # within tol of both, gets the first
+    cell = tol / _GUARD
+    low = _outermost(k - 0.5, cell, -math.inf)
+    high = _outermost(k + 0.5, cell, math.inf)
+    for index in (FuzzyIndex(tol), FuzzyIndexReference(tol, cell)):
+        for tie, inwards in ((low, tol), (high, -tol)):
+            first = index.key((tie,))
+            second = index.key((tie + 1.5 * inwards,))
+            assert index.key((tie + 0.75 * inwards,)) == first != second
+        assert index._cells[(k,)] == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("vals, first", [
     ((0.5, -math.inf, math.inf), -math.inf),
     ((2.0, 1e305, -1e306), 1e305),  # x / tol overflows for finite x
     ((math.inf,), math.inf),
+    ((2.0, 1e301), 1e301),  # x / tol overflows, x / cell does not
 ])
 def test_out_of_grid_names_the_first_offending_value(vals, first):
-    for index in (FuzzyIndex(1e-8), _AllCells(1e-8)):
+    for index in (FuzzyIndex(1e-8), FuzzyIndexReference(1e-8, 1e-8 / _GUARD)):
         with pytest.raises(OutOfGrid,
                            match=f"^value {re.escape(repr(first))} is out"):
             index.key(vals)
@@ -287,7 +348,7 @@ def test_out_of_grid_names_the_first_offending_value(vals, first):
 @pytest.mark.parametrize("vals", [(math.nan,), (1.0, math.nan, math.inf),
                                   (0.0,) * 7 + (math.nan,)])
 def test_nan_raises_value_error(vals):
-    for index in (FuzzyIndex(1e-8), _AllCells(1e-8)):
+    for index in (FuzzyIndex(1e-8), FuzzyIndexReference(1e-8, 1e-8 / _GUARD)):
         with pytest.raises(ValueError) as err:
             index.key(vals)
         assert not isinstance(err.value, OutOfGrid)
