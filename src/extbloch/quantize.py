@@ -3,9 +3,9 @@
 Formal sums key their terms by integers, and this index is where float
 values get those integers: group elements (eight entry floats each) and,
 in the value-keyed ``nu_hat`` oracle of tests and ``ccs selftest``, log
-atoms (two floats each).  A value the
-index has already keyed is answered from a dictionary with the id it got
-the first time, so a repeated value always keeps its first id.
+atoms (two floats each).  A value the index has already keyed is
+answered from a dictionary with the id it got the first time, so a
+repeated value always keeps its first id.
 
 The identity rule: a new value within ``tol`` in every entry of a stored
 vector gets a stored id, that of the first such vector in probe order,
@@ -19,9 +19,11 @@ How the rule is kept: a new value is rounded onto a grid of cells
 either side of a cell boundary, is ``tol`` wide.  An entry within ``tol``
 of a stored one lies in its cell or in the guard band of the neighbour,
 so the lookup probes the neighbouring cell for every coordinate in the
-guard band, and stores a new value under its own cell.  Probe order is
-the ``product`` of each coordinate's cells, its own cell first, and each
-cell's vectors in the order stored.
+guard band, and stores a new value under its own cell.  The band reaches
+2 ulps of ``x / cell`` further, past what rounding ``x / cell`` moves,
+so that a value exactly ``tol`` from a stored vector across a boundary
+probes its cell.  Probe order is the ``product`` of each coordinate's
+cells, its own cell first, and each cell's vectors in the order stored.
 
 The rounding rule: the cell of a coordinate ``x`` is ``round(x / cell)``,
 ties to even, as a float, computed as ``s + _MAGIC - _MAGIC`` with
@@ -37,7 +39,7 @@ integer ones as dictionary keys.
 from __future__ import annotations
 
 from itertools import product
-from math import isinf
+from math import isinf, ulp
 from operator import sub
 from collections.abc import Iterable
 
@@ -99,9 +101,10 @@ class FuzzyIndex:
                                     f"comparison tolerance {self.tol!r}")
                 r = float(round(s))  # a NaN raises ValueError
                 off = s - r  # in [-1/2, 1/2], boundaries at +-1/2
-                if 0.5 - off < _GUARD:
+                band = _GUARD + 2 * ulp(s)  # slack for the rounding of s
+                if 0.5 - off < band:
                     split += ((len(cells), r + 1.0),)
-                elif 0.5 + off < _GUARD:
+                elif 0.5 + off < band:
                     split += ((len(cells), r - 1.0),)
             cells.append(r)
         if split:

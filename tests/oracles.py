@@ -146,17 +146,19 @@ def fmt_reference(value) -> str:
 class FuzzyIndexReference:
     """``quantize.FuzzyIndex`` as it keyed values with int cells from
     ``round``, frozen as the reference for its ids, stored vectors and
-    cells, with two changes: every coordinate in the guard band splits,
-    where the frozen copy split at most 6, and the cells are ``cell``
+    cells, with three changes: every coordinate in the guard band splits,
+    where the frozen copy split at most 6; the cells are ``tol / GUARD``
     wide, where the frozen copy's were ``tol`` wide, so that OutOfGrid is
-    raised where ``x / tol``, not ``x / cell``, is infinite."""
+    raised where ``x / tol``, not ``x / cell``, is infinite; and the guard
+    band reaches 2 ulps of ``x / cell`` further, so that a value ``tol``
+    from a stored one across a boundary splits whatever the rounding."""
 
     GUARD = 1e-3
     CLEAR = 0.5 - 2 * GUARD
 
-    def __init__(self, tol: float, cell: float):
+    def __init__(self, tol: float):
         self.tol = tol
-        self.cell = cell
+        self.cell = tol / self.GUARD
         self._seen: dict = {}
         self._cells: dict = {}
         self._reps: list = []
@@ -194,8 +196,9 @@ class FuzzyIndexReference:
             scaled = x / self.cell
             cell = int(round(scaled))  # a NaN raises ValueError
             off = scaled - cell
-            alt = (cell + 1 if 0.5 - off < self.GUARD
-                   else cell - 1 if 0.5 + off < self.GUARD else None)
+            band = self.GUARD + 2 * math.ulp(scaled)
+            alt = (cell + 1 if 0.5 - off < band
+                   else cell - 1 if 0.5 + off < band else None)
             options.append((cell,) if alt is None else (cell, alt))
         primary = tuple(o[0] for o in options)
         return self._lookup(product(*options), primary, vals)

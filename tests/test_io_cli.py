@@ -728,16 +728,21 @@ def test_cli_eval_of_ten_trials_is_the_library_report(tmp_path, capsys,
 
 def test_an_evaluation_runs_at_the_tolerance_its_chain_was_keyed_at(
         tmp_path):
-    # read at cmp 1e-6, the sheared torsion cycle is a cycle to every
+    # read at cmp 1e-6, the rounded boundary gets one triple per term (no
+    # term is repaired), and the sheared torsion cycle is a cycle to every
     # evaluator (ccs_value's report is ccs eval's, as the test above
     # shows), and a conjugate is keyed at the same cmp; read at the
-    # default, it is not a cycle
+    # default, the sheared cycle is not a cycle
+    path = tmp_path / "rounded.json"
+    path.write_text(dumps_canonical(_rounded_boundary()))
+    c = parse_cycle_file(str(path), 1e-6)
+    assert len(lambda_hat(c, 0).triples) == len(c)
     path = tmp_path / "sheared.json"
     path.write_text(dumps_canonical(_sheared_torsion()))
     assert not is_cycle(parse_cycle_file(str(path)))[0]
     c = parse_cycle_file(str(path), 1e-6)
     assert is_cycle(c)[0]
-    assert lambda_hat(c, 0).triples
+    assert len(lambda_hat(c, 0).triples) == 8
     assert repair_with_certificate(c, 0).original_hom.table.tol == 1e-6
     g = random_sl2(random.Random(1))
     assert conjugate_chain(g, c).table.tol == c.table.tol == 1e-6

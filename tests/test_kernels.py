@@ -229,7 +229,7 @@ def test_one_cell_lookup_gives_the_full_probe_ids(tol, dim):
     # value for the guard band and probes all its cells gives the same ids
     for seed in range(3):
         stream = _stream(random.Random(seed), tol, dim)
-        index, ref = FuzzyIndex(tol), _AllCells(tol, tol / _GUARD)
+        index, ref = FuzzyIndex(tol), _AllCells(tol)
         assert [index.key(v) for v in stream] == [ref.key(v) for v in stream]
         assert index._reps == ref._reps and index._cells == ref._cells
         if dim:
@@ -244,7 +244,7 @@ def test_index_gives_the_frozen_reference_ids(tol, dim):
     cell, far = tol / _GUARD, 0
     for seed in range(3):
         stream = _stream(random.Random(seed), tol, dim)
-        index, ref = FuzzyIndex(tol), FuzzyIndexReference(tol, cell)
+        index, ref = FuzzyIndex(tol), FuzzyIndexReference(tol)
         assert [index.key(v) for v in stream] == [ref.key(v) for v in stream]
         assert index._reps == ref._reps and index._cells == ref._cells
         if dim:
@@ -291,6 +291,38 @@ def test_a_value_within_tol_of_a_stored_one_gets_a_stored_id(tol, dim):
         assert max(abs(a - b) for a, b in zip(vals, index._reps[ident])) <= tol
 
 
+def _farthest_within(y, tol, step):
+    """The x furthest from ``y`` towards ``step`` (+-inf) with
+    ``abs(x - y) <= tol``, the distance ``_first_within`` measures."""
+    x = y + math.copysign(tol, step)
+    while abs(x - y) > tol:
+        x = math.nextafter(x, -step)
+    while abs(math.nextafter(x, step) - y) <= tol:
+        x = math.nextafter(x, step)
+    return x
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-8, 3e-7, 0.1, 1.0])
+def test_a_value_exactly_tol_from_a_tie_gets_its_id(tol):
+    # the margin of the rule: a value stored at a half-cell tie, and a new
+    # value as far as tol from it on either side, one of them across the
+    # boundary, whatever the rounding of x / cell
+    cell, crossed = tol / _GUARD, 0
+    for k in (0, 1, 2, 7, 2 ** 10 + 1, 2 ** 20, 2 ** 30, 2 ** 40):
+        for s in (k - 0.5, k + 0.5, -k - 0.5):
+            if _exactly(s, cell) / cell != s:
+                continue
+            for tie in (_outermost(s, cell, -math.inf),
+                        _outermost(s, cell, math.inf)):
+                for step in (-math.inf, math.inf):
+                    x = _farthest_within(tie, tol, step)
+                    for index in (FuzzyIndex(tol), FuzzyIndexReference(tol)):
+                        assert index.key((tie,)) == 0
+                        assert index.key((x,)) == 0, (k, tie, x)
+                    crossed += _cell_of((x,), cell) != _cell_of((tie,), cell)
+    assert crossed > 20
+
+
 @pytest.mark.parametrize("n", [6, 7, 8])
 @pytest.mark.parametrize("tol", [1e-8, 1.0])
 def test_guard_band_splits_every_coordinate(tol, n):
@@ -298,7 +330,7 @@ def test_guard_band_splits_every_coordinate(tol, n):
     # of 8 coordinates: the second must find the first in the neighbour
     # cell, n coordinates away
     cell = tol / _GUARD
-    for index in (FuzzyIndex(tol), FuzzyIndexReference(tol, cell)):
+    for index in (FuzzyIndex(tol), FuzzyIndexReference(tol)):
         for side in (-1, 1):
             vals = [(0.5 + side * 1e-9) * cell] * n + [0.0] * (8 - n)
             assert index.key(vals) == 0
@@ -323,7 +355,7 @@ def test_a_cell_answers_its_first_stored_vector(tol, k):
     cell = tol / _GUARD
     low = _outermost(k - 0.5, cell, -math.inf)
     high = _outermost(k + 0.5, cell, math.inf)
-    for index in (FuzzyIndex(tol), FuzzyIndexReference(tol, cell)):
+    for index in (FuzzyIndex(tol), FuzzyIndexReference(tol)):
         for tie, inwards in ((low, tol), (high, -tol)):
             first = index.key((tie,))
             second = index.key((tie + 1.5 * inwards,))
@@ -338,7 +370,7 @@ def test_a_cell_answers_its_first_stored_vector(tol, k):
     ((2.0, 1e301), 1e301),  # x / tol overflows, x / cell does not
 ])
 def test_out_of_grid_names_the_first_offending_value(vals, first):
-    for index in (FuzzyIndex(1e-8), FuzzyIndexReference(1e-8, 1e-8 / _GUARD)):
+    for index in (FuzzyIndex(1e-8), FuzzyIndexReference(1e-8)):
         with pytest.raises(OutOfGrid,
                            match=f"^value {re.escape(repr(first))} is out"):
             index.key(vals)
@@ -348,7 +380,7 @@ def test_out_of_grid_names_the_first_offending_value(vals, first):
 @pytest.mark.parametrize("vals", [(math.nan,), (1.0, math.nan, math.inf),
                                   (0.0,) * 7 + (math.nan,)])
 def test_nan_raises_value_error(vals):
-    for index in (FuzzyIndex(1e-8), FuzzyIndexReference(1e-8, 1e-8 / _GUARD)):
+    for index in (FuzzyIndex(1e-8), FuzzyIndexReference(1e-8)):
         with pytest.raises(ValueError) as err:
             index.key(vals)
         assert not isinstance(err.value, OutOfGrid)
