@@ -729,10 +729,10 @@ def test_cli_eval_of_ten_trials_is_the_library_report(tmp_path, capsys,
 def test_an_evaluation_runs_at_the_tolerance_its_chain_was_keyed_at(
         tmp_path):
     # read at cmp 1e-6, the rounded boundary gets one triple per term (no
-    # term is repaired), and the sheared torsion cycle is a cycle to every
-    # evaluator (ccs_value's report is ccs eval's, as the test above
-    # shows), and a conjugate is keyed at the same cmp; read at the
-    # default, the sheared cycle is not a cycle
+    # term is repaired).  The sheared torsion cycle is not a cycle at the
+    # default; read at cmp 1e-6, it is one to every evaluator (ccs_value's
+    # report is ccs eval's, as the test above shows), and a conjugate is
+    # keyed at the same cmp
     path = tmp_path / "rounded.json"
     path.write_text(dumps_canonical(_rounded_boundary()))
     c = parse_cycle_file(str(path), 1e-6)
