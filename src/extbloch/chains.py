@@ -28,10 +28,10 @@ replays that repair, with its Log-det edges, for each later trial: every
 trial comes as a ``_Plan`` of the repaired cycle (its distinct ids, id
 pairs and edges, and rows that index those edges directly) and the ids
 its slots hold.  A replay is one flat pass (``_replay``) over the first
-trial's tape, compiled once (``_compiled``), that forms through the
-table's one kernel (``SymbolTable._form``), leaves the table's memos as
-the first trial left them, and shares the first trial's plan, with the
-ids the first trial added moved by one offset.
+trial's tape that forms through the table's one kernel (``_form``) and
+leaves the table's memos as the first trial left them; the trial shares
+the first trial's plan, with the ids the first trial added moved by one
+offset, and tests that plan's pairs with a moved id for +-coincidence.
 """
 
 from __future__ import annotations
@@ -82,8 +82,9 @@ class SymbolTable:
     replay's too.  While ``tape`` is a list, every product or quotient
     formed on a memo miss goes on it.  Only ``mul``, ``ldiv`` and ``good``
     fill the memos: a replayed trial (``_replay``) interns its own ids but
-    memoizes nothing, so the memos hold the input's ids and those of
-    trials repaired in full (the first, and fallbacks).
+    memoizes nothing, and its pairs are tested by ``sign_equiv``, the test
+    ``good`` memoizes (see ``_repairs``), so the memos hold the input's ids
+    and those of trials repaired in full (the first, and fallbacks).
     """
 
     def __init__(self, tol: float | None = None):
@@ -704,32 +705,40 @@ def _repairs(hom: HomChain, rng, trials: int):
     (so v, drawn between trials, falls between them): the ``_Plan`` of the
     trial's phi and the ids its slots hold.  A trial repaired in full
     gives a plan of its own, with its own slots as ids.  With more than
-    one trial, the first trial's repair and plan (its edges' quotients
-    included) record the table's tape, compiled once (``_compiled``); a
-    later trial replays it at its own apexes (``_replay``) and gives the
-    first trial's plan, with the first trial's ids from ``base`` (the
-    table's length before it) on moved by the replay's offset, or repairs
-    in full on the same draws when a decision differs.  One trial records
-    and compiles nothing."""
+    one trial, the first trial's repair and plan record the table's tape;
+    a later trial replays it (``_replay``) and gives the first trial's
+    plan, its ids from ``base`` (the table's length before it) on moved by
+    the replay's offset, or repairs in full on the same draws when a
+    decision differs.  The plan's pairs with such an id, phi(B)'s (good
+    terms hold input ids only), are taken once and tested at ``tol`` on
+    each replay's ids; a hit raises RepairFailed (``_check_good``)."""
     table = hom.table
     base = len(table.elements)
     table.tape = [] if trials > 1 else None
     phi_bad, phi, _ = _repair_core(hom, rng)
     plan = _Plan(table, phi)
-    events, table.tape = table.tape, None
+    tape, table.tape = table.tape, None
     yield plan, plan.slots
-    if trials < 2:
-        return
-    tape = _compiled(events, phi_bad, base, len(table.elements))
+    slots, elements, tol = plan.slots, table.elements, table.tol
+    pairs = [(a, b) for a, b in plan.pairs
+             if slots[a] >= base or slots[b] >= base]
     for _ in range(trials - 1):
         draws = _Rewindable(rng)
-        shift = _replay(table, draws, tape)
+        shift = _replay(table, draws, tape, base)
         if shift is None:
             draws.rewind()
             full = _Plan(table, _repair_core(hom, draws)[1])
             yield full, full.slots
-        else:
-            yield plan, [i if i < base else i + shift for i in plan.slots]
+            continue
+        ids = [i if i < base else i + shift for i in slots]
+        for a, b in pairs:  # sign_equiv's first test either way, then it
+            g, h = elements[ids[a]], elements[ids[b]]
+            if ((abs(g.a - h.a) <= tol or abs(g.a + h.a) <= tol)
+                    and g.sign_equiv(h, tol)):
+                moved = dict(zip(slots, ids))  # phi(B)'s ids not in it are old
+                _check_good(table, [(c, tuple([moved.get(k, k) for k in t]))
+                                    for c, t in phi_bad])
+        yield plan, ids
 
 
 def _check_good(table: SymbolTable, phi_bad: _Terms) -> None:
@@ -741,60 +750,27 @@ def _check_good(table: SymbolTable, phi_bad: _Terms) -> None:
         raise RepairFailed(f"cone image not good: offenders {offenders[:3]}")
 
 
-def _compiled(events: list, phi_bad: _Terms, base: int, size: int) -> tuple:
-    """The first trial's tape ``events`` and cone image ``phi_bad``,
-    compiled once per evaluation for ``_replay``, with ``base`` and
-    ``size`` the table's length before and after the first trial: (steps,
-    pairs, base, size, phi_bad).  Ids are handed out in order and every
-    id the first trial added (those from ``base`` on) comes from one step
-    of the tape, so a replay that matches every decision adds its own at
-    the same steps: the first trial's moved by one offset.  ``steps`` are
-    the events, each reuse test's and draw's id set as a tuple, less every
-    product or quotient whose operands and result are all below ``base``:
-    the first trial memoized it, so its answer holds in every replay.
-    ``pairs`` are the unordered id pairs within a term of ``phi_bad`` with
-    an id from ``base`` on, first met first; the others passed the first
-    trial's goodness test."""
-    steps = []
-    for op, a, b, r in events:
-        if op >= _REUSE:
-            steps.append((op, a, tuple(b), r))
-        elif max(a, b, r) >= base:
-            steps.append((op, a, b, r))
-    pairs = {}
-    for _, ids in phi_bad:
-        for i, j in combinations(ids, 2):
-            if i >= base or j >= base:
-                pairs[(i, j) if i <= j else (j, i)] = None
-    return steps, list(pairs), base, size, phi_bad
-
-
-def _replay(table: SymbolTable, rng, tape: tuple) -> int | None:
+def _replay(table: SymbolTable, rng, tape: list, base: int) -> int | None:
     """The offset by which this later trial moves the first trial's ids
     from ``base`` on (the table's length at its start less ``base``), or
-    None as soon as a decision differs from the compiled ``tape``'s (see
-    ``_compiled``).
-
-    One pass takes every step again with the ids moved: each product or
-    quotient is formed by ``SymbolTable._form`` and each apex drawn afresh
-    from ``rng`` through the same ``random_sl2``/``_clears`` loop and
-    interned, and each must land on the recorded id moved; each reuse test
-    must come out as recorded.  A memo answer of trial 1 is no event and
-    holds for the moved ids as it did.  When all match, phi(B), H(B), the
-    certificate residual and the edges are the first trial's moved, so the
-    residual is empty as it was; phi(B)'s pairs with a moved id are tested
-    for +-coincidence, which raises RepairFailed as ``_repair_core``
-    would.  The trial's ids get no memo entries, since no later trial asks
-    about them.  Draws nothing a full repair on the same stream would not
-    draw first.
-    """
-    steps, pairs, base, size, phi_bad = tape
-    elements, form, tol = table.elements, table._form, table.tol
+    None as soon as a decision differs from the first trial's ``tape``.
+    Ids are handed out in order and every id the first trial added comes
+    from one step of its tape, so a replay that matches every decision
+    adds its own at the same steps: one pass forms each product or
+    quotient (``SymbolTable._form``) and draws each apex afresh from
+    ``rng`` (the ``random_sl2``/``_clears`` loop), each landing on the
+    recorded id moved, and takes each reuse test with the recorded
+    outcome.  A product or quotient of ids all below ``base`` is skipped:
+    the first trial memoized it.  Tests no goodness, memoizes nothing, and
+    draws nothing a full repair on the same stream would not draw first."""
+    elements, form = table.elements, table._form
     rep = _ConeRepairer(rng, table)
     shift = len(elements) - base
-    ren = [*range(base), *range(base + shift, size + shift)]
-    for op, a, b, r in steps:
+    ren = [*range(base), *range(base + shift, base + 2 * shift)]
+    for op, a, b, r in tape:
         if op <= _LDIV:
+            if a < base and b < base and r < base:
+                continue
             got = form(op, elements[ren[a]], elements[ren[b]])
         elif op == _REUSE:
             if rep._clears(elements[ren[a]], [ren[i] for i in b]) != r:
@@ -804,12 +780,6 @@ def _replay(table: SymbolTable, rng, tape: tuple) -> int | None:
             got = table.intern(rep._generic_avoiding([ren[i] for i in b]))
         if got != ren[r]:
             return None
-    for i, j in pairs:  # sign_equiv's first test either way, then it
-        g, h = elements[ren[i]], elements[ren[j]]
-        if ((abs(g.a - h.a) <= tol or abs(g.a + h.a) <= tol)
-                and g.sign_equiv(h, tol)):
-            _check_good(table, [(c, tuple([ren[k] for k in t]))
-                                for c, t in phi_bad])
     return shift
 
 

@@ -95,37 +95,43 @@ def test_clears_agrees_with_sign_distance():
 
 
 @pytest.mark.parametrize("coincide", ["none", "plus", "minus"])
-def test_a_replay_tests_renamed_pairs_for_either_sign(coincide):
-    # a tape that draws an apex g and forms (-1) g, with a cone image whose
-    # one term is (1, g, h): h = g'' (a second draw), g or -g.  Each replay
-    # draws g afresh, so the pair (g, h) is renamed (moved by the replay's
-    # offset) and is tested on this replay's values: it passes for a second
-    # draw and is refused, as _repair_core refuses it, when h = +g or -g
-    rng = random.Random(4)
-    table = SymbolTable()
-    minus_one = table.intern(-GroupElement.identity())
-    base = len(table.elements)
-    table.tape = []
-    rep = _ConeRepairer(rng, table)
-    g = rep._apex_for(3, [(1, (table.identity,))])
-    other = rep._apex_for(4, [(1, (table.identity,))])
-    minus_g = table.mul(minus_one, g)
-    events, table.tape = table.tape, None
-    h = {"none": other, "plus": g, "minus": minus_g}[coincide]
-    tape = chains._compiled(events, [(1, (table.identity, g, h))], base,
-                            len(table.elements))
-    assert tape[1] == list(dict.fromkeys([
-        (table.identity, g), (table.identity, h), (min(g, h), max(g, h))]))
-    for seed in range(3):
-        if coincide == "none":
-            start = len(table.elements)
-            shift = chains._replay(table, random.Random(seed), tape)
-            assert shift == start - base > 0
-            assert table.elements[minus_g + shift] == \
-                -table.elements[g + shift]
-        else:
-            with pytest.raises(RepairFailed, match="cone image not good"):
-                chains._replay(table, random.Random(seed), tape)
+def test_a_replay_tests_renamed_pairs_for_either_sign(monkeypatch, coincide):
+    # trial 1's phi(B) on torsion 6 pairs the identity, an input id, with
+    # ids trial 1 added.  A replay moves those ids, and _repairs tests each
+    # such pair on the replay's own elements: a moved id set to +1 or -1
+    # after trial 2's replay is refused, as _repair_core refuses it, and
+    # with neither set trial 2 is trial 1's plan on the moved ids
+    real_core, real_replay, cores, shifts = \
+        chains._repair_core, chains._replay, [], []
+
+    def core(hom, rng):
+        cores.append(real_core(hom, rng))
+        return cores[-1]
+
+    def replay(table, rng, tape, base):
+        shifts.append(real_replay(table, rng, tape, base))
+        ids = cores[0][0][0][1]
+        assert ids[0] == table.identity and ids[1] >= base
+        one = GroupElement.identity()
+        if coincide != "none":
+            table.elements[ids[1] + shifts[-1]] = \
+                one if coincide == "plus" else -one
+        return shifts[-1]
+
+    monkeypatch.setattr(chains, "_repair_core", core)
+    monkeypatch.setattr(chains, "_replay", replay)
+    hom = _checked_cycle(torsion_cycle(6), SymbolTable())
+    base = len(hom.table.elements)
+    stream = chains._repairs(hom, random.Random(4), 3)
+    plan, slots = next(stream)
+    if coincide == "none":
+        again, ids = next(stream)
+        assert again is plan and shifts[0] > 0
+        assert ids == [i if i < base else i + shifts[0] for i in slots]
+    else:
+        with pytest.raises(RepairFailed, match="cone image not good"):
+            next(stream)
+    assert len(cores) == 1 and shifts[0] is not None
 
 
 class _AllCells(FuzzyIndexReference):

@@ -643,7 +643,7 @@ def _flags(events, base):
 # quotient memo is emptied when phi(B) is checked and the residual forms
 # its quotients again, each landing on an old id.  Only a decision the
 # replay takes is changed: a product or quotient whose operands and result
-# are all older than the first trial is compiled out of the tape
+# are all older than the first trial is skipped by the replay
 _FORCED = {
     "reuse-failed": (_REUSE, True, "repair", lambda e: e[:3] + (False,)),
     "product-old": (_MUL, True, "repair", _older_id),
@@ -659,16 +659,15 @@ _FORCED = {
     *(pytest.param(name, 6, id=f"{name}-trial-6") for name in sorted(_FORCED))])
 def test_a_decision_that_differs_falls_back_to_the_full_repair(
         monkeypatch, make, forced, at):
-    # trial ``at`` replays a tape with one decision recorded otherwise,
-    # changed before the tape is compiled.  The replay stops there, after
-    # drawing apexes, and the trial repairs in full on those draws, on a
-    # plan of its own; the trials after it replay trial 1's compiled tape
-    # again, on the first trial's plan: the report and the generator's
+    # trial ``at`` replays a copy of the recorded tape with one decision
+    # recorded otherwise.  The replay stops there, after drawing apexes,
+    # and the trial repairs in full on those draws, on a plan of its own;
+    # the trials after it replay trial 1's tape as recorded again, on the
+    # first trial's plan: the report and the generator's
     # final state equal those of a run whose replays all give up at once
     # (every later trial a full repair on the stream)
     kind, flag, part, change = _FORCED[forced]
     real_check, real_plan, starts = chains._check_good, chains._Plan, {}
-    real_compiled, recorded = chains._compiled, []
 
     def check(table, phi_bad):
         if table.tape is not None:  # recording: the residual comes next
@@ -681,10 +680,6 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
         if table.tape is not None:  # recording: the edges come next
             starts["edges"] = len(table.tape)
         return real_plan(table, phi)
-
-    def compiled(*args):
-        recorded[:] = args
-        return real_compiled(*args)
 
     def part_of(k):
         return ("repair" if k < starts["residual"] else
@@ -701,12 +696,10 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
     real_replay, real_core = chains._replay, chains._repair_core
     outcomes, cores = [], []
 
-    def replay(table, rng, tape):
+    def replay(table, rng, tape, base):
         if len(outcomes) == at - 2:  # the replay of trial ``at``
-            events, phi_bad, base, size = recorded
-            tape = real_compiled(mutate(list(events), base), phi_bad, base,
-                                 size)
-        outcomes.append(real_replay(table, rng, tape))
+            tape = mutate(list(tape), base)
+        outcomes.append(real_replay(table, rng, tape, base))
         if outcomes[-1] is None:
             assert rng.drawn  # the fallback re-reads these
         return outcomes[-1]
@@ -718,7 +711,6 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
     monkeypatch.setattr(chains, "_repair_core", core)
     monkeypatch.setattr(chains, "_check_good", check)
     monkeypatch.setattr(chains, "_Plan", plan)
-    monkeypatch.setattr(chains, "_compiled", compiled)
     for seed in (0, 1):
         runs = []
         for replay_on in (False, True):
@@ -738,30 +730,55 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
 
 
 def test_replayed_trials_check_their_cone_image(monkeypatch):
-    # a replayed trial takes trial 1's phi(B) renamed and still tests the
-    # pairs that touch a renamed id for goodness: a coincidence of renamed
-    # ids put into trial 1's phi(B) before its tape is compiled is refused
-    # by trial 2's replay
-    real_compiled, real_replay, raised = chains._compiled, chains._replay, []
+    # a replayed trial's phi(B) is trial 1's with the ids from ``base`` on
+    # moved, and the pairs a replay tests for +-coincidence are trial 1's
+    # plan's pairs with such an id: exactly phi(B)'s pairs with one,
+    # unordered.  Two moved ids of one phi(B) term made to coincide in
+    # trial 3's replay are refused right after it, as _repair_core refuses
+    # a bad cone image
+    real_core, real_replay, real_repairs = \
+        chains._repair_core, chains._replay, pipeline._repairs
+    cores, firsts, replays = [], [], []
 
-    def compiled(events, phi_bad, base, size):
-        coeff, ids = phi_bad[0]
-        assert ids[-2] >= base  # added by trial 1: renamed
-        phi_bad[0] = (coeff, ids[:-1] + ids[-2:-1])  # g_3 = g_2
-        return real_compiled(events, phi_bad, base, size)
+    def core(hom, rng):
+        cores.append(real_core(hom, rng))
+        return cores[-1]
 
-    def replay(*args):
-        try:
-            return real_replay(*args)
-        except RepairFailed:
-            raised.append(args)
-            raise
+    def repairs(hom, rng, trials):
+        base, stream = len(hom.table.elements), real_repairs(hom, rng, trials)
+        for k, (plan, ids) in enumerate(stream):
+            if not k:
+                firsts.append((base, plan))
+            yield plan, ids
 
-    monkeypatch.setattr(chains, "_compiled", compiled)
+    monkeypatch.setattr(chains, "_repair_core", core)
+    monkeypatch.setattr(pipeline, "_repairs", repairs)
+    for cycle in (torsion_cycle(6), torsion_cycle(12), _conj_torsion(7, 3)):
+        cores.clear()
+        firsts.clear()
+        ccs_value(cycle, seed=0, trials=2)
+        (base, plan), = firsts
+        slots = plan.slots
+        tested = {frozenset((slots[a], slots[b])) for a, b in plan.pairs
+                  if max(slots[a], slots[b]) >= base}
+        assert tested == {frozenset(p) for _, ids in cores[0][0]
+                          for p in combinations(ids, 2) if max(p) >= base}
+        assert tested
+
+    def replay(table, rng, tape, base):
+        shift = real_replay(table, rng, tape, base)
+        replays.append(shift)
+        if len(replays) == 2:  # trial 3: g_j = g_i, both ids moved
+            ids = cores[0][0][0][1]  # trial 1's phi(B), its first term
+            i, j = [k + shift for k in ids if k >= base][:2]
+            table.elements[j] = table.elements[i]
+        return shift
+
     monkeypatch.setattr(chains, "_replay", replay)
+    cores.clear()
     with pytest.raises(RepairFailed, match="cone image not good"):
         ccs_value(torsion_cycle(6), seed=0, trials=10)
-    assert len(raised) == 1
+    assert len(cores) == 1 and len(replays) == 2 and None not in replays
 
 
 def test_only_the_first_trial_enters_the_cone_recursion(monkeypatch):
@@ -885,12 +902,12 @@ def test_a_replay_moves_the_first_trials_ids_by_one_offset(monkeypatch):
     real_replay, replays = chains._replay, []
     real_repairs, give_up_at, trials = pipeline._repairs, [None], []
 
-    def replay(table, rng, tape):
+    def replay(table, rng, tape, base):
         start = len(table.elements)
         if len(replays) + 2 == give_up_at[0]:
             shift = report_digest.give_up()
         else:
-            shift = real_replay(table, rng, tape)
+            shift = real_replay(table, rng, tape, base)
         replays.append((start, shift, len(table.elements)))
         return shift
 
