@@ -69,22 +69,21 @@ class SymbolTable:
     comparison tolerance ``tol``, ``config.CMP`` when not given and checked
     by ``config.check_cmp`` (see :mod:`extbloch.quantize` for what it
     identifies).
-    Products g_i g_j, left quotients g_i^-1 g_j and sign coincidences of
-    representatives (``good``) are memoized by id; an inverse is never
-    interned on its own.  Forming g_i g_j = g_k memoizes g_i^-1 g_k = g_j
-    and forming g_i^-1 g_j = g_k memoizes g_i g_k = g_j, unless memoized
-    already.  Each id keeps the left factor and base of the first product
-    or quotient that landed on it (g_k = g_f g_x or g_f^-1 g_x), so the
-    quotient of two translates by one factor, (g_f g_x)^-1 (g_f g_y) or
-    (g_f^-1 g_x)^-1 (g_f^-1 g_y), is g_x^-1 g_y's id when that is known.
+    Products g_i g_j and left quotients g_i^-1 g_j are memoized by id; an
+    inverse is never interned on its own.  Forming g_i g_j = g_k memoizes
+    g_i^-1 g_k = g_j and forming g_i^-1 g_j = g_k memoizes g_i g_k = g_j,
+    unless memoized already.  Each id keeps the left factor and base of the
+    first product or quotient that landed on it (g_k = g_f g_x or
+    g_f^-1 g_x), so the quotient of two translates by one factor,
+    (g_f g_x)^-1 (g_f g_y) or (g_f^-1 g_x)^-1 (g_f^-1 g_y), is g_x^-1 g_y's
+    id when that is known.
     These answers are exact in SL(2, C) and never formed, so never
     det-checked.  Every product or quotient is formed by ``_form``, a
     replay's too.  While ``tape`` is a list, every product or quotient
-    formed on a memo miss goes on it.  Only ``mul``, ``ldiv`` and ``good``
-    fill the memos: a replayed trial (``_replay``) interns its own ids but
-    memoizes nothing, and its pairs are tested by ``sign_equiv``, the test
-    ``good`` memoizes (see ``_repairs``), so the memos hold the input's ids
-    and those of trials repaired in full (the first, and fallbacks).
+    formed on a memo miss goes on it.  Only ``mul`` and ``ldiv`` fill the
+    memos (``good`` keeps none): a replayed trial (``_replay``) interns its
+    own ids but memoizes nothing, so the memos hold the input's ids and
+    those of trials repaired in full (the first, and fallbacks).
     """
 
     def __init__(self, tol: float | None = None):
@@ -95,7 +94,6 @@ class SymbolTable:
         self._quotients: dict[tuple[int, int], int] = {}
         # id -> ((op, left factor), base) of the first formation landing on it
         self._translates: dict[int, tuple[tuple[int, int], int]] = {}
-        self._coincide: dict[tuple[int, int], bool] = {}
         self.tape: list | None = None
         self.identity = self.intern(GroupElement.identity())
 
@@ -169,16 +167,11 @@ class SymbolTable:
         return ident
 
     def good(self, ids: Ids) -> bool:
-        """No two entries of ``ids`` coincide up to sign: g_i = +-g_j at
-        ``tol`` is decided once per unordered id pair, pair by pair in
-        ``combinations`` order, up to the first coincidence."""
-        memo, elements, tol = self._coincide, self.elements, self.tol
+        """No two entries of ``ids`` are g_i = +-g_j (``sign_equiv`` at
+        ``tol``), tested in ``combinations`` order up to the first that is."""
+        elements, tol = self.elements, self.tol
         for i, j in combinations(ids, 2):
-            key = (i, j) if i <= j else (j, i)
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = elements[i].sign_equiv(elements[j], tol)
-            if hit:
+            if elements[i].sign_equiv(elements[j], tol):
                 return False
         return True
 
@@ -592,14 +585,11 @@ class _ConeRepairer:
         self._apex: dict[int, int] = {}  # tuple length -> current apex id
 
     def _clears(self, g: GroupElement, ids: Iterable[int]) -> bool:
-        """g lies over ``config.APEX_MARGIN`` from +-every id in ``ids``:
-        ``sign_equiv`` at the margin, asked only of an element whose first
-        entry is within the margin of +-g's (its first test either way)."""
-        elements, margin, a = self.table.elements, config.APEX_MARGIN, g.a
+        """g lies over ``config.APEX_MARGIN`` from +-every id in ``ids``: no
+        ``sign_equiv`` at the margin."""
+        elements, margin = self.table.elements, config.APEX_MARGIN
         for i in ids:
-            h = elements[i]
-            if ((abs(a - h.a) <= margin or abs(a + h.a) <= margin)
-                    and g.sign_equiv(h, margin)):
+            if g.sign_equiv(elements[i], margin):
                 return False
         return True
 
@@ -731,10 +721,8 @@ def _repairs(hom: HomChain, rng, trials: int):
             yield full, full.slots
             continue
         ids = [i if i < base else i + shift for i in slots]
-        for a, b in pairs:  # sign_equiv's first test either way, then it
-            g, h = elements[ids[a]], elements[ids[b]]
-            if ((abs(g.a - h.a) <= tol or abs(g.a + h.a) <= tol)
-                    and g.sign_equiv(h, tol)):
+        for a, b in pairs:
+            if elements[ids[a]].sign_equiv(elements[ids[b]], tol):
                 moved = dict(zip(slots, ids))  # phi(B)'s ids not in it are old
                 _check_good(table, [(c, tuple([moved.get(k, k) for k in t]))
                                     for c, t in phi_bad])
@@ -742,8 +730,8 @@ def _repairs(hom: HomChain, rng, trials: int):
 
 
 def _check_good(table: SymbolTable, phi_bad: _Terms) -> None:
-    """RepairFailed unless every term of ``phi_bad`` is good (memoized
-    ``SymbolTable.good``); the offenders are listed only on failure."""
+    """RepairFailed unless every term of ``phi_bad`` is good
+    (``SymbolTable.good``); the offenders are listed only on failure."""
     good = table.good
     if not all(good(ids) for _, ids in phi_bad):
         offenders = _offending(table, phi_bad)

@@ -164,14 +164,16 @@ class GroupElement(FrozenRecord):
                    max(abs(a + e), abs(b + f), abs(c + g), abs(d + h)))
 
     def sign_equiv(self, other: "GroupElement", tol: float) -> bool:
-        """g is within ``tol`` of +h or of -h in every entry, deciding at the
-        first entry apart; ``sign_distance(h) <= tol`` when there is no NaN."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        e, f, g, h = other.a, other.b, other.c, other.d
-        return ((abs(a - e) <= tol and abs(b - f) <= tol
-                 and abs(c - g) <= tol and abs(d - h) <= tol)
-                or (abs(a + e) <= tol and abs(b + f) <= tol
-                    and abs(c + g) <= tol and abs(d + h) <= tol))
+        """g = +-h: within ``tol`` of +h or of -h in every entry, which is
+        ``sign_distance(h) <= tol`` when there is no NaN.  Each entry is read
+        when compared, so a pair apart at ``a`` costs two comparisons."""
+        a, e = self.a, other.a
+        return ((abs(a - e) <= tol and abs(self.b - other.b) <= tol
+                 and abs(self.c - other.c) <= tol
+                 and abs(self.d - other.d) <= tol)
+                or (abs(a + e) <= tol and abs(self.b + other.b) <= tol
+                    and abs(self.c + other.c) <= tol
+                    and abs(self.d + other.d) <= tol))
 
     def max_abs(self) -> float:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))

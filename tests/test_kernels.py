@@ -594,7 +594,7 @@ _EDGE_CYCLES = [torsion_cycle(6), torsion_cycle(12),
 
 def _memo_sizes(table: SymbolTable) -> tuple[int, ...]:
     return (len(table.elements), len(table._products), len(table._quotients),
-            len(table._translates), len(table._coincide))
+            len(table._translates))
 
 
 def test_kept_edges_are_those_ldiv_gives(monkeypatch):
@@ -688,8 +688,8 @@ def test_replays_leave_the_memos_as_trial_1_left_them(monkeypatch):
     # torsion 6, seed 0: every term is bad, and each later trial replays.
     # A replay interns exactly its tape's new ids (19 a trial, so the table
     # holds 25 + 9 * 19 = 196 elements after 10 trials) and memoizes
-    # nothing: the product, quotient, translate and coincidence memos keep
-    # the sizes they had after trial 1
+    # nothing: the product, quotient and translate memos keep the sizes
+    # they had after trial 1
     sizes, real = [], pipeline._repairs
 
     def measured(hom, rng, trials):
@@ -700,8 +700,8 @@ def test_replays_leave_the_memos_as_trial_1_left_them(monkeypatch):
     monkeypatch.setattr(pipeline, "_repairs", measured)
     hom = _checked_cycle(torsion_cycle(6), SymbolTable())
     _trial_loop(hom, random.Random(0), 10, 0)
-    assert sizes[0] == (25, 34, 46, 22, 39)
-    assert _memo_sizes(hom.table) == (196, 34, 46, 22, 39)
+    assert sizes[0] == (25, 34, 46, 22)
+    assert _memo_sizes(hom.table) == (196, 34, 46, 22)
     assert [s[0] for s in sizes] == list(range(25, 197, 19))
 
 
