@@ -76,14 +76,14 @@ class SymbolTable:
     first product or quotient that landed on it (g_k = g_f g_x or
     g_f^-1 g_x), so the quotient of two translates by one factor,
     (g_f g_x)^-1 (g_f g_y) or (g_f^-1 g_x)^-1 (g_f^-1 g_y), is g_x^-1 g_y's
-    id when that is known.
-    These answers are exact in SL(2, C) and never formed, so never
-    det-checked.  Every product or quotient is formed by ``_form``, a
-    replay's too.  While ``tape`` is a list, every product or quotient
-    formed on a memo miss goes on it.  Only ``mul`` and ``ldiv`` fill the
-    memos (``good`` keeps none): a replayed trial (``_replay``) interns its
-    own ids but memoizes nothing, so the memos hold the input's ids and
-    those of trials repaired in full (the first, and fallbacks).
+    id when that is known; 1 g, g 1 and 1^-1 g are g's own id.  These
+    answers are exact in SL(2, C) and never formed, so never det-checked.
+    Every product or quotient is formed by ``_form``, a replay's too.
+    While ``tape`` is a list, every product or quotient formed on a memo
+    miss goes on it.  Only ``mul`` and ``ldiv`` fill the memos (``good``
+    keeps none): a replayed trial (``_replay``) interns its own ids but
+    memoizes nothing, so the memos hold the input's ids and those of
+    trials repaired in full (the first, and fallbacks).
     """
 
     def __init__(self, tol: float | None = None):
@@ -105,8 +105,10 @@ class SymbolTable:
         return ident
 
     def mul(self, i: int, j: int) -> int:
-        if i == self.identity:  # 1 g = g exactly: no product, no intern
-            return j
+        """The id of g_i g_j: by the identity, the other id; else memoized
+        or formed (see ``_form``)."""
+        if i == self.identity or j == self.identity:  # 1 g = g 1 = g exactly
+            return j if i == self.identity else i
         ident = self._products.get((i, j))
         if ident is None:
             ident = self._products[(i, j)] = self._formed(_MUL, i, j)

@@ -7,7 +7,9 @@ wedge type, the canonical JSON text is written by a plain recursive
 ``isinstance`` dispatch, element by element, and float vectors are keyed
 by a frozen copy of the fuzzy index that rounds with ``round`` to int cells.
 A trial plan's Log-det edges are checked against ``ldiv`` and against
-quotients formed here from the entries.
+quotients formed here from the entries.  The report ``ccs_value`` must
+give is rebuilt from successive ``lambda_hat`` calls, each a full repair,
+summed through the object path (``to_covering_point``, ``lhat``, ``vol``).
 """
 
 from __future__ import annotations
@@ -15,10 +17,15 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from itertools import combinations, product
 from operator import sub
 
+from extbloch.core import as_rng
+from extbloch.covering import to_covering_point
+from extbloch.dilog import TWO_PI_SQ, lhat, vol
 from extbloch.errors import OutOfGrid
+from extbloch.pipeline import CcsReport, lambda_hat
 
 
 def li2_simpson(z: complex, panels: int | None = None) -> complex:
@@ -263,3 +270,37 @@ def check_edge_layout(table, plan, ids) -> None:
                 assert max(abs(u - w) for u, w in zip(q, edge[x])) <= tol
         met += xs
     assert list(dict.fromkeys(met)) == list(range(len(plan.firsts)))
+
+
+def reference_sums(lam) -> tuple[complex, float]:
+    """lhat and vol of every flattened term of ``lam`` through the public
+    path, unmerged, each sum correctly rounded by math.fsum as in
+    ccs_value."""
+    points = [(coeff, to_covering_point(t)) for coeff, t in lam.triples]
+    terms = [(coeff * lhat(pt), coeff * vol(pt.z)) for coeff, pt in points]
+    return (complex(math.fsum(lh.real for lh, _ in terms),
+                    math.fsum(lh.imag for lh, _ in terms)),
+            math.fsum(d for _, d in terms))
+
+
+def object_path_report(cycle, seed, trials: int) -> CcsReport:
+    """The report ``ccs_value(cycle, seed, trials)`` must equal, float for
+    float: ``trials`` successive ``lambda_hat`` calls on one generator made
+    from ``seed`` (each a full repair), each summed through the object path
+    (``reference_sums``), its value reduced into [0, 1), and the largest
+    deviation taken over every pair of trials."""
+    rng = as_rng(seed)
+    values, raws, gap = [], [], 0.0
+    for _ in range(trials):
+        raw, volume = reference_sums(lambda_hat(cycle, rng))
+        value = -raw / TWO_PI_SQ
+        real = value.real - math.floor(value.real)  # in [0, 1]
+        values.append(complex(0.0 if real in (0.0, 1.0) else real, value.imag))
+        raws.append(raw)
+        gap = max(gap, abs(volume - raw.imag))
+    deviation = max((max(min(d, 1.0 - d), abs(a.imag - b.imag))
+                     for a, b in combinations(values, 2)
+                     for d in [abs(a.real - b.real)]), default=0.0)
+    return CcsReport(values[0], raws[0], raws[0].imag, values, deviation,
+                     {"volume_vs_im_lhat": gap},
+                     int(seed) if isinstance(seed, numbers.Integral) else None)

@@ -4,9 +4,9 @@ replace: the +- and apex-margin tests against ``sign_distance``,
 reference probing all cells of every value, the index's identity rule,
 the symbol table's products against a det-checked ``GroupElement``, the
 slot-indexed v pass against ``near_pairs`` term by term, every trial
-plan's edges against ``ldiv`` on every pair, replays against full
-repairs, and the largest trial deviation against the maximum over all
-pairs."""
+plan's edges against ``ldiv`` on every pair, what replays add to the
+symbol table, and the largest trial deviation against the maximum over
+all pairs."""
 
 import math
 import random
@@ -17,7 +17,6 @@ from itertools import combinations
 import pytest
 
 from extbloch import chains, config, core, pipeline
-from extbloch.chainio import dumps_canonical
 from extbloch.chains import (SymbolTable, _checked_cycle, _ConeRepairer,
                              _Plan, _repair_core, _v_pass, conjugate_chain,
                              near_pairs)
@@ -26,11 +25,12 @@ from extbloch.errors import DeterminantError, OutOfGrid, RepairFailed
 from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
                                torsion_cycle)
 from extbloch.pipeline import (_circle_distance, _max_deviation, _mod1,
-                               _trial_loop, ccs_value)
+                               ccs_value)
 from extbloch.quantize import _CLEAR, _GUARD, FuzzyIndex
 
 import report_digest
-from oracles import FuzzyIndexReference, check_edge_layout
+from oracles import (FuzzyIndexReference, check_edge_layout,
+                     object_path_report)
 
 TOLS = (1e-8, 1e-3)
 DYADIC = [k / 8 for k in range(-16, 17)]
@@ -94,36 +94,33 @@ def test_clears_agrees_with_sign_distance():
     assert outcomes == {(True, False), (False, False), (False, True)}
 
 
-@pytest.mark.parametrize("coincide", ["none", "plus", "minus"])
+@pytest.mark.parametrize("coincide", ["none", "plus", "minus", "both-moved"])
 def test_a_replay_tests_renamed_pairs_for_either_sign(monkeypatch, coincide):
-    # trial 1's phi(B) on torsion 6 pairs the identity, an input id, with
-    # ids trial 1 added.  A replay moves those ids, and _repairs tests each
-    # such pair on the replay's own elements: a moved id set to +1 or -1
-    # after trial 2's replay is refused, as _repair_core refuses it, and
-    # with neither set trial 2 is trial 1's plan on the moved ids
-    real_core, real_replay, cores, shifts = \
-        chains._repair_core, chains._replay, [], []
-
-    def core(hom, rng):
-        cores.append(real_core(hom, rng))
-        return cores[-1]
+    # trial 1's phi(B) on torsion 6 pairs the identity, an input id, and
+    # two ids trial 1 added with an added id.  A replay moves the added ids,
+    # and _repairs tests each pair with a moved one on the replay's own
+    # elements: set to +-1 or to its pair's other moved element after trial
+    # 2's replay, a moved id is refused as _repair_core refuses a bad cone
+    # image; with nothing set trial 2 is trial 1's plan on the moved ids
+    hom = _checked_cycle(torsion_cycle(6), SymbolTable())
+    table, real_replay, shifts = hom.table, chains._replay, []
+    base = len(table.elements)
+    stream = chains._repairs(hom, random.Random(4), 3)
+    plan, slots = next(stream)
+    pairs = [(slots[a], slots[b]) for a, b in plan.pairs]
+    i, j = next(p for p in pairs if p[0] == table.identity and p[1] >= base)
+    if coincide == "both-moved":
+        i, j = next(p for p in pairs if min(p) >= base)
 
     def replay(table, rng, tape, base):
         shifts.append(real_replay(table, rng, tape, base))
-        ids = cores[0][0][0][1]
-        assert ids[0] == table.identity and ids[1] >= base
-        one = GroupElement.identity()
+        one, moved = GroupElement.identity(), j + shifts[-1]
         if coincide != "none":
-            table.elements[ids[1] + shifts[-1]] = \
-                one if coincide == "plus" else -one
+            table.elements[moved] = {"plus": one, "minus": -one}.get(
+                coincide, table.elements[i + shifts[-1]])
         return shifts[-1]
 
-    monkeypatch.setattr(chains, "_repair_core", core)
     monkeypatch.setattr(chains, "_replay", replay)
-    hom = _checked_cycle(torsion_cycle(6), SymbolTable())
-    base = len(hom.table.elements)
-    stream = chains._repairs(hom, random.Random(4), 3)
-    plan, slots = next(stream)
     if coincide == "none":
         again, ids = next(stream)
         assert again is plan and shifts[0] > 0
@@ -131,7 +128,7 @@ def test_a_replay_tests_renamed_pairs_for_either_sign(monkeypatch, coincide):
     else:
         with pytest.raises(RepairFailed, match="cone image not good"):
             next(stream)
-    assert len(cores) == 1 and shifts[0] is not None
+    assert shifts[0] is not None
 
 
 class _AllCells(FuzzyIndexReference):
@@ -417,14 +414,15 @@ def test_formed_products_are_det_checked(monkeypatch):
 
 
 def _forms_counted(monkeypatch):
-    """A list that grows by one for every product or quotient formed."""
-    formed, real = [], SymbolTable._formed
+    """A list that grows by one for every product or quotient formed (each
+    is det-checked, once)."""
+    formed, real = [], chains.check_det
 
-    def counted(self, *args):
-        formed.append(args[:3])
-        return real(self, *args)
+    def counted(*entries):
+        formed.append(entries)
+        return real(*entries)
 
-    monkeypatch.setattr(SymbolTable, "_formed", counted)
+    monkeypatch.setattr(chains, "check_det", counted)
     return formed
 
 
@@ -446,6 +444,8 @@ def test_a_formed_product_knows_its_quotient(monkeypatch):
     table = SymbolTable()
     ids = [table.intern(g) for g in _conjugates(rng, 40)]
     formed = _forms_counted(monkeypatch)
+    one = table.identity  # g 1 and 1 g are g: nothing formed
+    assert table.mul(ids[0], one) == table.mul(one, ids[0]) == ids[0]
     for i, j in zip(ids, ids[1:]):
         k = table.mul(i, j)
         assert len(formed) == 1
@@ -592,49 +592,40 @@ _EDGE_CYCLES = [torsion_cycle(6), torsion_cycle(12),
                 five_term_boundary(0.5, 0.25)]
 
 
-def _memo_sizes(table: SymbolTable) -> tuple[int, ...]:
-    return (len(table.elements), len(table._products), len(table._quotients),
-            len(table._translates))
+def _trials(hom, seed: int, trials: int = 10):
+    """The trials of ``_trial_loop`` on the checked cycle ``hom``, drawn as
+    it draws them (each trial's repair, then its v and edge Logs): per
+    trial, the table as the trial left it, the plan and the slot ids."""
+    rng = random.Random(seed)
+    for plan, ids in chains._repairs(hom, rng, trials):
+        pipeline._lambda_hat(hom.table.elements, plan, ids, rng)
+        yield hom.table, plan, ids
 
 
-def test_kept_edges_are_those_ldiv_gives(monkeypatch):
+def test_kept_edges_are_those_ldiv_gives():
     # each trial's plan groups its pairs by edge as the ids ldiv gives
     # them do (see ``oracles.check_edge_layout``): in a trial repaired in
     # full ldiv answers from the memo, forming nothing; a replayed trial
     # memoizes nothing, so ldiv forms each quotient with a renamed id, and
-    # it must land on an id the table holds, adding no element.  The
-    # evaluation is that of a run that does not ask
-    real, kept = pipeline._repairs, []
-
-    def checked(hom, rng, trials):
-        table, first = hom.table, None
-        for plan, ids in real(hom, rng, trials):
-            table.tape = []  # records every product or quotient formed
-            check_edge_layout(table, plan, ids)
-            slots = plan.slots
-            renamed = [(a, b) for a, b in plan.pairs
-                       if ids[a] != slots[a] or ids[b] != slots[b]]
-            if first is None:
-                first = plan
-            elif plan is first:  # a replay: trial 1's plan, slots renamed
-                kept.append((len(plan.pairs) - len(renamed), len(renamed)))
-            # a quotient is formed for each renamed pair (only a replay
-            # has one) whose first element is not the identity
-            assert len(table.tape) == sum(ids[a] != table.identity
-                                          for a, _ in renamed)
-            table.tape = None
-            yield plan, ids
-
+    # it must land on an id the table holds, adding no element
+    kept = []
     for cycle in _EDGE_CYCLES:
         for seed in (0, 1):
-            runs = []
-            for stream in (real, checked):
-                monkeypatch.setattr(pipeline, "_repairs", stream)
-                hom = _checked_cycle(cycle, SymbolTable())
-                rep = _trial_loop(hom, random.Random(seed), 10, seed)
-                runs.append((dumps_canonical(rep.as_dict()),
-                             hom.table.elements))
-            assert runs[0] == runs[1]
+            hom, first = _checked_cycle(cycle, SymbolTable()), None
+            for table, plan, ids in _trials(hom, seed):
+                table.tape = []  # records every product or quotient formed
+                check_edge_layout(table, plan, ids)
+                renamed = [(a, b) for a, b in plan.pairs if (ids[a], ids[b])
+                           != (plan.slots[a], plan.slots[b])]
+                if first is None:
+                    first = plan
+                elif plan is first:  # a replay: trial 1's plan, slots renamed
+                    kept.append((len(plan.pairs) - len(renamed), len(renamed)))
+                # a quotient is formed for each renamed pair (only a replay
+                # has one) whose first element is not the identity
+                assert len(table.tape) == sum(ids[a] != table.identity
+                                              for a, _ in renamed)
+                table.tape = None
     # not vacuous: every later trial replayed, and (on torsion 12) a
     # replay has pairs both with and without renamed slots
     assert len(kept) == 9 * 2 * len(_EDGE_CYCLES)
@@ -643,84 +634,54 @@ def test_kept_edges_are_those_ldiv_gives(monkeypatch):
 
 def test_every_formed_element_comes_through_one_kernel(monkeypatch):
     # torsion 6, 10 trials, every later trial a replay: each element the
-    # trials append is an apex (drawn by ``_generic_avoiding`` and
-    # interned) or a product or quotient built by ``SymbolTable._form``,
-    # in a trial repaired in full and in a replay alike
-    real_form, real_draw = SymbolTable._form, _ConeRepairer._generic_avoiding
-    formed, apexes = [], []
+    # trials append is an apex (drawn by ``random_sl2``) or a product or
+    # quotient whose entries were det-checked (``check_det``), in a trial
+    # repaired in full and in a replay alike
+    checked, real_draw, drawn = _forms_counted(monkeypatch), \
+        chains.random_sl2, set()
 
-    def form(self, *args):
-        size = len(self.elements)
-        ident = real_form(self, *args)
-        if len(self.elements) > size:
-            formed.append(self.elements[ident])
-        return ident
+    def draw(rng):
+        g = real_draw(rng)
+        drawn.add(g.entries())
+        return g
 
-    def draw(self, ids):
-        apexes.append(real_draw(self, ids))
-        return apexes[-1]
-
-    monkeypatch.setattr(SymbolTable, "_form", form)
-    monkeypatch.setattr(_ConeRepairer, "_generic_avoiding", draw)
+    monkeypatch.setattr(chains, "random_sl2", draw)
     hom = _checked_cycle(torsion_cycle(6), SymbolTable())
-    table, ends, plans = hom.table, [len(hom.table.elements)], []
-    real = pipeline._repairs
-
-    def measured(hom, rng, trials):
-        for trial in real(hom, rng, trials):
-            ends.append(len(table.elements))
-            plans.append(trial[0])
-            yield trial
-
-    monkeypatch.setattr(pipeline, "_repairs", measured)
-    _trial_loop(hom, random.Random(0), 10, 0)
-    by_kernel, drawn = set(map(id, formed)), set(map(id, apexes))
+    ends, plans = [len(hom.table.elements)], []
+    for table, plan, _ in _trials(hom, 0):
+        ends.append(len(table.elements))
+        plans.append(plan)
     for lo, hi in zip(ends, ends[1:]):
-        kinds = [(id(g) in by_kernel, id(g) in drawn)
-                 for g in table.elements[lo:hi]]
+        kinds = {(g.entries() in checked, g.entries() in drawn)
+                 for g in hom.table.elements[lo:hi]}
         # one kind each, and both met in trial 1 and in every replay
-        assert sorted(set(kinds)) == [(False, True), (True, False)]
-    assert len(ends) == 11 and ends[-1] == len(table.elements)
+        assert kinds == {(False, True), (True, False)}
     assert all(plan is plans[0] for plan in plans)  # trials 2-10 replayed
 
 
-def test_replays_leave_the_memos_as_trial_1_left_them(monkeypatch):
+def test_replays_leave_the_memos_as_trial_1_left_them():
     # torsion 6, seed 0: every term is bad, and each later trial replays.
-    # A replay interns exactly its tape's new ids (19 a trial, so the table
-    # holds 25 + 9 * 19 = 196 elements after 10 trials) and memoizes
-    # nothing: the product, quotient and translate memos keep the sizes
-    # they had after trial 1
-    sizes, real = [], pipeline._repairs
-
-    def measured(hom, rng, trials):
-        for trial in real(hom, rng, trials):
-            sizes.append(_memo_sizes(hom.table))
-            yield trial
-
-    monkeypatch.setattr(pipeline, "_repairs", measured)
+    # A replay interns exactly the ids its tape adds, as many as trial 1
+    # added, and memoizes nothing: the product, quotient and translate
+    # memos keep the sizes they had after trial 1
     hom = _checked_cycle(torsion_cycle(6), SymbolTable())
-    _trial_loop(hom, random.Random(0), 10, 0)
-    assert sizes[0] == (25, 34, 46, 22)
-    assert _memo_sizes(hom.table) == (196, 34, 46, 22)
-    assert [s[0] for s in sizes] == list(range(25, 197, 19))
+    base = len(hom.table.elements)
+    sizes = [(len(t.elements), len(t._products), len(t._quotients),
+              len(t._translates)) for t, _, _ in _trials(hom, 0)]
+    added = sizes[0][0] - base
+    assert added > 0
+    assert [s[0] for s in sizes] == [base + k * added for k in range(1, 11)]
+    assert {s[1:] for s in sizes} == {sizes[0][1:]}
 
 
-def test_replays_report_as_full_repairs(monkeypatch):
-    # the report digest over a sub-corpus is the same when every later
-    # trial repairs in full (``report_digest --full-repairs``)
-    cycles = [("torsion 6", torsion_cycle(6)), ("torsion 12", torsion_cycle(12)),
-              ("boundary 3", random_boundary_cycle(3, n_terms=3))]
-    real, renamings = chains._replay, []
-
-    def replay(*args):
-        renamings.append(real(*args))
-        return renamings[-1]
-
-    monkeypatch.setattr(chains, "_replay", replay)
-    want = report_digest.digest(cycles, seeds=(0, 7), trials=(10,))
-    assert len(renamings) == 54 and None not in renamings  # all replayed
-    monkeypatch.setattr(chains, "_replay", report_digest.give_up)
-    assert report_digest.digest(cycles, seeds=(0, 7), trials=(10,)) == want
+def test_replays_report_as_full_repairs():
+    # torsion 6 and 12 and a three-term boundary at seeds 0 and 7: a 10-trial
+    # report, whose later trials replay, is that of successive full repairs
+    for cycle in (torsion_cycle(6), torsion_cycle(12),
+                  random_boundary_cycle(3, n_terms=3)):
+        for seed in (0, 7):
+            assert ccs_value(cycle, seed=seed, trials=10) == \
+                object_path_report(cycle, seed, 10)
 
 
 def _pairwise_deviation(values):

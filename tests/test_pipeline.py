@@ -8,37 +8,28 @@ import pytest
 
 from extbloch import chains, pipeline
 from extbloch.chainio import chain_to_obj, dumps_canonical
-from extbloch.core import (GroupElement, ProjVector, det_pair, random_sl2,
-                           random_vector, rotation)
+from extbloch.core import (GroupElement, ProjVector, as_rng, det_pair,
+                           random_sl2, random_vector, rotation)
 from extbloch.chains import (_LDIV, _MUL, _REUSE, BarChain, HomChain, _Chain,
-                             _ConeRepairer, conjugate_chain, hom_boundary, inhom_to_hom, near_pairs,
+                             _ConeRepairer, SymbolTable, conjugate_chain,
+                             hom_boundary, inhom_to_hom, near_pairs,
                              repair_with_certificate, sample_generic_v)
 from extbloch.covering import (FlatteningTriple, check_flattening_condition,
                                nu_hat, to_covering_point)
-from extbloch.dilog import TWO_PI_SQ, lhat, plog, vol
+from extbloch.dilog import TWO_PI_SQ, lhat, plog
 from extbloch.errors import DegenerateConfig, NotACycle, NotVGood, RepairFailed
 from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
                                torsion_cycle)
-from extbloch.pipeline import (ConfigTuple, _log_params, ccs_value,
-                               lambda_hat, psi_v, sigma_hat)
+from extbloch.pipeline import (ConfigTuple, ccs_value, lambda_hat,
+                               psi_v, sigma_hat)
 
 import report_digest
-from oracles import check_edge_layout
+from oracles import object_path_report, reference_sums
 
 
 def _mod1_dist(a: float, b: float) -> float:
     d = abs((a - b) % 1.0)
     return min(d, 1.0 - d)
-
-
-def _reference_sums(lam) -> tuple[complex, float]:
-    # lhat and vol of every flattened term through the public path, unmerged
-    # terms, each sum correctly rounded by math.fsum as in ccs_value
-    points = [(coeff, to_covering_point(t)) for coeff, t in lam.triples]
-    terms = [(coeff * lhat(pt), coeff * vol(pt.z)) for coeff, pt in points]
-    return (complex(math.fsum(lh.real for lh, _ in terms),
-                    math.fsum(lh.imag for lh, _ in terms)),
-            math.fsum(d for _, d in terms))
 
 
 def test_config_tuple_rejects_degenerate():
@@ -135,7 +126,7 @@ def test_sigma_hat_scaling_moves_within_fiber(rng):
 
 def test_lambda_hat_on_boundary_vanishes(rng):
     c = random_boundary_cycle(rng)
-    val = _reference_sums(lambda_hat(c, seed=3))[0] / TWO_PI_SQ
+    val = reference_sums(lambda_hat(c, seed=3))[0] / TWO_PI_SQ
     assert _mod1_dist(val.real, 0.0) < 1e-9
     assert abs(val.imag) < 1e-9
 
@@ -307,7 +298,7 @@ def test_lambda_hat_v_independence(rng):
     c = torsion_cycle(3)
     vals = []
     for seed in range(4):
-        vals.append(-_reference_sums(lambda_hat(c, seed=seed))[0] / TWO_PI_SQ)
+        vals.append(-reference_sums(lambda_hat(c, seed=seed))[0] / TWO_PI_SQ)
     for v in vals[1:]:
         assert _mod1_dist(v.real, vals[0].real) < 1e-7
         assert abs(v.imag - vals[0].imag) < 1e-7
@@ -315,85 +306,34 @@ def test_lambda_hat_v_independence(rng):
 
 def test_volume_matches_im_lhat(rng):
     for seed, chain in ((1, torsion_cycle(3)), (2, random_boundary_cycle(rng))):
-        raw, volume = _reference_sums(lambda_hat(chain, seed=seed))
+        raw, volume = reference_sums(lambda_hat(chain, seed=seed))
         assert abs(volume - raw.imag) < 1e-8
-
-
-def _hex(z: complex) -> tuple[str, str]:
-    return z.real.hex(), z.imag.hex()
 
 
 def test_ccs_value_single_pass_matches_reference_sums():
     # ccs_value evaluates each flattened term once, straight from its
-    # log-parameters; its raw L-hat and the volume residual are bit-equal to
-    # the termwise sums of lhat and vol over lambda_hat's triples
+    # log-parameters: a one-trial report, its raw L-hat and volume residual
+    # included, is the object path's
     for c in (torsion_cycle(5), torsion_cycle(12),
               random_boundary_cycle(3, n_terms=16), _conj_torsion(7, 3)):
         for seed in (0, 1):
-            rep = ccs_value(c, seed=seed, trials=1)
-            raw, volume = _reference_sums(lambda_hat(c, seed=seed))
-            assert _hex(rep.raw_lhat) == _hex(raw)
-            residual = abs(volume - raw.imag)
-            assert rep.residuals["volume_vs_im_lhat"].hex() == residual.hex()
+            assert ccs_value(c, seed=seed, trials=1) == \
+                object_path_report(c, seed, 1)
 
 
-def _object_sums(rows, logs) -> tuple[float, float, float]:
-    # the three sums of covering._lhat_sums through the object path: per
-    # row, the FlatteningTriple of sigma_hat's log-parameters of its six
-    # Logs, its covering point, and lhat and vol of that, each sum taken by
-    # math.fsum
-    re, im, vols = [], [], []
-    for coeff, *row in rows:
-        pt = to_covering_point(
-            FlatteningTriple(*_log_params(*[logs[k] for k in row])))
-        value = lhat(pt)
-        re.append(coeff * value.real)
-        im.append(coeff * value.imag)
-        vols.append(coeff * vol(pt.z))
-    return math.fsum(re), math.fsum(im), math.fsum(vols)
-
-
-def test_every_trial_sums_as_the_object_path_does(monkeypatch):
-    # every trial's call of the fused per-term body, the first trial's, each
-    # replay's and each fallback's to a full repair, gives sums bit-equal to
-    # those over the object path on the same Logs.  Every term of torsion 6
-    # is bad; torsion 48 is the largest; a five-term boundary has all its
-    # terms good
-    real_sums, real_replay, calls, shifts = pipeline._lhat_sums, \
-        chains._replay, [], []
-
-    def refereed(rows, logs):
-        sums = real_sums(rows, logs)
-        assert [x.hex() for x in sums] == \
-            [x.hex() for x in _object_sums(rows, logs)]
-        calls.append(len(rows))
-        return sums
-
-    def replay(*args):
-        shifts.append(real_replay(*args))
-        return shifts[-1]
-
-    monkeypatch.setattr(pipeline, "_lhat_sums", refereed)
-    monkeypatch.setattr(chains, "_replay", replay)
-    cycles = (torsion_cycle(6), torsion_cycle(48),
-              random_boundary_cycle(3, n_terms=16), _conj_torsion(7, 3),
-              five_term_boundary(0.5, 0.25))
-    for c in cycles:
-        for seed in (0, 1, 2):
-            ccs_value(c, seed=seed, trials=10)
-    assert len(calls) == 10 * 3 * len(cycles) and all(calls)
-    assert len(shifts) == 9 * 3 * len(cycles) and None not in shifts
-    # every replay gives up: trials 2-10 repair in full on the same draws
-    calls.clear()
-    shifts.clear()
-
-    def give_up(*args):
-        shifts.append(report_digest.give_up(*args))
-        return shifts[-1]
-
-    monkeypatch.setattr(chains, "_replay", give_up)
-    ccs_value(torsion_cycle(6), seed=0, trials=10)
-    assert len(calls) == 10 and shifts == [None] * 9
+def test_every_trial_sums_as_the_object_path_does():
+    # each trial's sums (a fallback's: see the fallback test) and the whole
+    # report are those of a run that repairs every trial in full, summed by
+    # the object path.  Every term of torsion 6 is bad; torsion 48 is the
+    # largest; a five-term boundary has all its terms good
+    cases = [(c, (0, 1, 2)) for c in (
+        torsion_cycle(6), torsion_cycle(48),
+        random_boundary_cycle(3, n_terms=16), _conj_torsion(7, 3),
+        five_term_boundary(0.5, 0.25))]
+    for c, seeds in cases:
+        for seed in seeds:
+            assert ccs_value(c, seed=seed, trials=10) == \
+                object_path_report(c, seed, 10)
 
 
 def test_ccs_value_torsion_family():
@@ -452,38 +392,32 @@ def test_ccs_report_fields(rng):
 
 
 def test_covering_points_take_two_logarithms_each(monkeypatch):
-    # a covering point costs Log z and Log(1 - z), plus Log(1 - 1/z) where
-    # li2 inverts; the edge Log dets are taken outside the per-term body
+    # a trial takes one Log per distinct edge (``plog``) and, per term, the
+    # logarithms lhat takes on the object path's covering point: Log z and
+    # Log(1 - z), plus Log(1 - 1/z) where li2 inverts
     import cmath
-    from extbloch import dilog
-    count = {"logs": 0, "points": 0, "inversions": 0}
-    inside = []
-    real_log, real_sums = cmath.log, pipeline._lhat_sums
-    real_log1m = dilog._log1m
+    logs, edges, real_log, real_plog, inverted = [0], [0], cmath.log, plog, 0
 
-    def log(*args):
-        count["logs"] += bool(inside)
-        return real_log(*args)
+    def counted(real, count):
+        def call(*args):
+            count[0] += 1
+            return real(*args)
+        return call
 
-    def sums(rows, logs):
-        count["points"] += len(rows)
-        inside.append(True)
-        try:
-            return real_sums(rows, logs)
-        finally:
-            inside.pop()
-
-    def log1m(z):  # in the per-term body, only li2's inversion calls it
-        count["inversions"] += bool(inside)
-        return real_log1m(z)
-
-    monkeypatch.setattr(cmath, "log", log)
-    monkeypatch.setattr(pipeline, "_lhat_sums", sums)
-    monkeypatch.setattr(dilog, "_log1m", log1m)
+    monkeypatch.setattr(cmath, "log", counted(real_log, logs))
+    monkeypatch.setattr(pipeline, "plog", counted(real_plog, edges))
     for c in (torsion_cycle(6), random_boundary_cycle(1, n_terms=16)):
+        logs[0] = edges[0] = 0
         ccs_value(c, seed=0, trials=10)
-    assert count["points"] > 0 and count["inversions"] > 0, count
-    assert count["logs"] <= 2 * count["points"] + count["inversions"], count
+        per_term, rng = logs[0] - edges[0], as_rng(0)
+        points = [to_covering_point(t) for _ in range(10)
+                  for _, t in lambda_hat(c, rng).triples]
+        logs[0] = 0
+        for pt in points:
+            lhat(pt)
+        assert per_term == logs[0] >= 2 * len(points) > 0
+        inverted += logs[0] > 2 * len(points)
+    assert inverted
 
 
 def test_ccs_value_builds_no_triple_point_or_merged_sum(monkeypatch):
@@ -505,7 +439,7 @@ def test_trials_draw_in_turn_from_one_stream():
     # ccs_value makes one generator from the seed; each trial repairs, then
     # draws v, from it, exactly as successive lambda_hat calls on it do.
     # Trials 2-10 replay the first trial's repair at their own apexes, and
-    # their values are bit-identical to full repairs.  Torsion 5 conjugated
+    # their values equal those of full repairs.  Torsion 5 conjugated
     # by (30, 0.3; 0, 1/30) has large entries, where the replay's
     # identifications are least robust; its seeds 0 and 3 raise
     # DeterminantError
@@ -518,14 +452,8 @@ def test_trials_draw_in_turn_from_one_stream():
                                   torsion_cycle(5)), (1, 2, 4, 5)))
     for c, seeds in cases:
         for seed in seeds:
-            rng = random.Random(seed)
-            expected = []
-            for _ in range(10):
-                value = -_reference_sums(lambda_hat(c, rng))[0] / TWO_PI_SQ
-                real = value.real - math.floor(value.real)  # in [0, 1]
-                real = 0.0 if real in (0.0, 1.0) else real  # +0.0, not 1
-                expected.append(complex(real, value.imag))
-            assert ccs_value(c, seed=seed, trials=10).trials == expected
+            assert (ccs_value(c, seed=seed, trials=10).trials
+                    == object_path_report(c, random.Random(seed), 10).trials)
     for evaluate in (ccs_value, lambda_hat):
         with pytest.raises(ValueError, match="non-negative, got -1"):
             evaluate(torsion_cycle(5), seed=-1)
@@ -661,11 +589,9 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
         monkeypatch, make, forced, at):
     # trial ``at`` replays a copy of the recorded tape with one decision
     # recorded otherwise.  The replay stops there, after drawing apexes,
-    # and the trial repairs in full on those draws, on a plan of its own;
-    # the trials after it replay trial 1's tape as recorded again, on the
-    # first trial's plan: the report and the generator's
-    # final state equal those of a run whose replays all give up at once
-    # (every later trial a full repair on the stream)
+    # and the trial repairs in full on those draws; the trials after it
+    # replay trial 1's tape as recorded again: the report, and the draws
+    # taken from the generator, are those of successive full repairs
     kind, flag, part, change = _FORCED[forced]
     real_check, real_plan, starts = chains._check_good, chains._Plan, {}
 
@@ -693,130 +619,24 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
         events[k] = change(events[k])
         return events
 
-    real_replay, real_core = chains._replay, chains._repair_core
-    outcomes, cores = [], []
+    real_replay, outcomes = chains._replay, []
 
     def replay(table, rng, tape, base):
         if len(outcomes) == at - 2:  # the replay of trial ``at``
             tape = mutate(list(tape), base)
         outcomes.append(real_replay(table, rng, tape, base))
-        if outcomes[-1] is None:
-            assert rng.drawn  # the fallback re-reads these
         return outcomes[-1]
 
-    def core(*args):
-        cores.append(len(outcomes))
-        return real_core(*args)
-
-    monkeypatch.setattr(chains, "_repair_core", core)
     monkeypatch.setattr(chains, "_check_good", check)
     monkeypatch.setattr(chains, "_Plan", plan)
-    for seed in (0, 1):
-        runs = []
-        for replay_on in (False, True):
-            outcomes.clear()
-            cores.clear()
-            with monkeypatch.context() as m:
-                m.setattr(chains, "_replay",
-                          replay if replay_on else lambda *args: None)
-                gen = make(seed)
-                rep = ccs_value(torsion_cycle(6), seed=gen, trials=10)
-            source = gen if isinstance(gen, random.Random) else gen.source
-            runs.append((dumps_canonical(rep.as_dict()), source.getstate()))
-        assert outcomes[at - 2] is None
-        assert None not in outcomes[:at - 2] + outcomes[at - 1:]
-        assert len(outcomes) == 9 and cores == [0, at - 1]  # trials 1, at
-        assert runs[0] == runs[1]
-
-
-def test_replayed_trials_check_their_cone_image(monkeypatch):
-    # a replayed trial's phi(B) is trial 1's with the ids from ``base`` on
-    # moved, and the pairs a replay tests for +-coincidence are trial 1's
-    # plan's pairs with such an id: exactly phi(B)'s pairs with one,
-    # unordered.  Two moved ids of one phi(B) term made to coincide in
-    # trial 3's replay are refused right after it, as _repair_core refuses
-    # a bad cone image
-    real_core, real_replay, real_repairs = \
-        chains._repair_core, chains._replay, pipeline._repairs
-    cores, firsts, replays = [], [], []
-
-    def core(hom, rng):
-        cores.append(real_core(hom, rng))
-        return cores[-1]
-
-    def repairs(hom, rng, trials):
-        base, stream = len(hom.table.elements), real_repairs(hom, rng, trials)
-        for k, (plan, ids) in enumerate(stream):
-            if not k:
-                firsts.append((base, plan))
-            yield plan, ids
-
-    monkeypatch.setattr(chains, "_repair_core", core)
-    monkeypatch.setattr(pipeline, "_repairs", repairs)
-    for cycle in (torsion_cycle(6), torsion_cycle(12), _conj_torsion(7, 3)):
-        cores.clear()
-        firsts.clear()
-        ccs_value(cycle, seed=0, trials=2)
-        (base, plan), = firsts
-        slots = plan.slots
-        tested = {frozenset((slots[a], slots[b])) for a, b in plan.pairs
-                  if max(slots[a], slots[b]) >= base}
-        assert tested == {frozenset(p) for _, ids in cores[0][0]
-                          for p in combinations(ids, 2) if max(p) >= base}
-        assert tested
-
-    def replay(table, rng, tape, base):
-        shift = real_replay(table, rng, tape, base)
-        replays.append(shift)
-        if len(replays) == 2:  # trial 3: g_j = g_i, both ids moved
-            ids = cores[0][0][0][1]  # trial 1's phi(B), its first term
-            i, j = [k + shift for k in ids if k >= base][:2]
-            table.elements[j] = table.elements[i]
-        return shift
-
     monkeypatch.setattr(chains, "_replay", replay)
-    cores.clear()
-    with pytest.raises(RepairFailed, match="cone image not good"):
-        ccs_value(torsion_cycle(6), seed=0, trials=10)
-    assert len(cores) == 1 and len(replays) == 2 and None not in replays
-
-
-def test_only_the_first_trial_enters_the_cone_recursion(monkeypatch):
-    # torsion 6, 10 trials: every later trial replays the first one's
-    # repair, so _ConeRepairer.images is entered in exactly one trial, the
-    # only one that records a tape; one trial records no tape and replays
-    # nothing
-    trial, entered, taped, replays = [0], set(), [], []
-    images, sample = _ConeRepairer.images, pipeline._sample_v
-    core, replay = chains._repair_core, chains._replay
-
-    def spy_images(self, ids):
-        entered.add(trial[0])
-        return images(self, ids)
-
-    def spy_sample(*args):
-        trial[0] += 1
-        return sample(*args)
-
-    def spy_core(hom, rng):
-        taped.append(hom.table.tape is not None)
-        return core(hom, rng)
-
-    def spy_replay(*args):
-        replays.append(trial[0])
-        return replay(*args)
-
-    monkeypatch.setattr(_ConeRepairer, "images", spy_images)
-    monkeypatch.setattr(pipeline, "_sample_v", spy_sample)
-    monkeypatch.setattr(chains, "_repair_core", spy_core)
-    monkeypatch.setattr(chains, "_replay", spy_replay)
-    ccs_value(torsion_cycle(6), seed=0, trials=10)
-    assert trial[0] == 10 and entered == {0} and taped == [True]
-    assert replays == list(range(1, 10))
-    taped.clear()
-    replays.clear()
-    ccs_value(torsion_cycle(6), seed=0, trials=1)
-    assert taped == [False] and not replays
+    for seed in (0, 1):
+        outcomes.clear()
+        gen, ref = make(seed), make(seed)
+        rep = ccs_value(torsion_cycle(6), seed=gen, trials=10)
+        assert [k is None for k in outcomes] == [k == at - 2 for k in range(9)]
+        assert rep == object_path_report(torsion_cycle(6), ref, 10)
+        assert gen.uniform(-1, 1) == ref.uniform(-1, 1)  # as many draws
 
 
 def _small_conjugate(n: int, rng) -> BarChain:
@@ -827,117 +647,54 @@ def _small_conjugate(n: int, rng) -> BarChain:
             return cycle
 
 
+def _goodness_tests(monkeypatch) -> list:
+    # the id tuples SymbolTable.good is asked about, in order: the cone
+    # recursion of a full repair tests every term for goodness, a replay none
+    tests, good = [], SymbolTable.good
+    monkeypatch.setattr(SymbolTable, "good",
+                        lambda self, ids: tests.append(ids) or good(self, ids))
+    return tests
+
+
+def test_only_the_first_trial_enters_the_cone_recursion(monkeypatch):
+    # torsion 6, 10 trials: trials 2-10 replay the first trial's repair, so
+    # the evaluation makes the goodness tests of a one-trial one, in order
+    tests = _goodness_tests(monkeypatch)
+    ccs_value(torsion_cycle(6), seed=0, trials=1)
+    once = list(tests)
+    ccs_value(torsion_cycle(6), seed=0, trials=10)
+    assert once and tests == 2 * once
+
+
 def test_every_later_trial_replays_without_a_fallback(monkeypatch):
-    # quotients of two translates by one factor are answered from the memo
-    # (on these cycles, in every trial's Log-det edge loop) and stay
-    # memoized for the trials after: no replay gives up, so each 10-trial
-    # evaluation repairs in full once, and every trial agrees with the first
-    core, cores = chains._repair_core, []
-
-    def spy_core(hom, rng):
-        cores.append(hom)
-        return core(hom, rng)
-
-    monkeypatch.setattr(chains, "_repair_core", spy_core)
+    # a 10-trial evaluation that makes the goodness tests of a one-trial one
+    # repairs only its first trial in full: no later trial (on the report
+    # digest's corpus, small conjugates of torsion cycles and boundaries)
+    # falls back, and every trial agrees with the first
+    tests = _goodness_tests(monkeypatch)
     rng = random.Random(13)
     cycles = [_small_conjugate(n, rng) for n in range(4, 13)]
     cycles += [random_boundary_cycle(k, n_terms=k) for k in range(1, 5)]
-    for cycle in cycles:
-        for seed in range(5):
-            cores.clear()
-            rep = ccs_value(cycle, seed=seed, trials=10)
-            assert len(cores) == 1
-            first = rep.trials[0]
-            assert len(rep.trials) == 10
-            for value in rep.trials[1:]:
-                assert _mod1_dist(value.real, first.real) <= 1e-12
-                assert abs(value.imag - first.imag) <= 1e-12
-    # the report digest's corpus at seed 0: every one of its 58 cycles
-    # replays trial 1's repair and edges in each later trial, and each
-    # trial's plan groups its pairs by edge as ldiv does, and as quotients
-    # formed here from the entries do (see ``oracles.check_edge_layout``)
-    real, shifts = chains._replay, []
-    real_repairs, replayed = pipeline._repairs, []
-
-    def replay(*args):
-        shifts.append(real(*args))
-        return shifts[-1]
-
-    def repairs(hom, rng, trials):
-        stream = real_repairs(hom, rng, trials)
-        for k, (plan, ids) in enumerate(stream):
-            check_edge_layout(hom.table, plan, ids)
-            replayed.append(k and sum(ids[a] != plan.slots[a]
-                                      for a in range(len(ids))))
-            yield plan, ids
-
-    monkeypatch.setattr(chains, "_replay", replay)
-    monkeypatch.setattr(pipeline, "_repairs", repairs)
-    for _, cycle in report_digest.corpus():
-        ccs_value(cycle, seed=0, trials=10)
-    assert len(shifts) == 9 * 58 and None not in shifts
-    # not vacuous: the later trials of the 25 torsion cycles rename slots
-    # (the boundaries' terms are good, so nothing of theirs is repaired)
-    assert len(replayed) == 10 * 58 and sum(map(bool, replayed)) == 9 * 25
+    runs = [(c, seed) for c in cycles for seed in range(5)]
+    runs += [(c, 0) for _, c in report_digest.corpus()]
+    for cycle, seed in runs:
+        tests.clear()
+        ccs_value(cycle, seed=seed, trials=1)
+        once = len(tests)
+        rep = ccs_value(cycle, seed=seed, trials=10)
+        assert len(tests) == 2 * once > 0
+        assert rep.max_trial_deviation <= 1e-12
 
 
-def _offset_cases():
-    """(name, cycle, trial whose replay gives up or None) for the offset
-    rule: the report digest's corpus, and torsion 6 with trial 6 forced to
-    repair in full."""
+def test_a_replay_moves_the_first_trials_ids_by_one_offset():
+    # a replay's ids are trial 1's moved by the table's growth since trial 1
+    # began, so a later trial evaluates what a full repair gives: on every
+    # digest corpus cycle that repairs (a boundary's terms are all good) the
+    # report is the object path's.  The fallback test moves past a fallback
     for name, cycle in report_digest.corpus():
-        yield name, cycle, None
-    yield "torsion 6, trial 6 in full", torsion_cycle(6), 6
-
-
-def test_a_replay_moves_the_first_trials_ids_by_one_offset(monkeypatch):
-    # ids are handed out in order and every id trial 1 adds (those from
-    # ``base``, the table's length before it, on) comes from one step of
-    # its tape, so a replay that matches every decision adds its own at the
-    # same steps: its slot ids are trial 1's with those from ``base`` on
-    # moved by the table's length at the replay's start less ``base``, it
-    # appends exactly as many elements as trial 1 did, and ``_replay``
-    # returns that offset.  After a trial repaired in full the offset
-    # counts that trial's elements too
-    real_replay, replays = chains._replay, []
-    real_repairs, give_up_at, trials = pipeline._repairs, [None], []
-
-    def replay(table, rng, tape, base):
-        start = len(table.elements)
-        if len(replays) + 2 == give_up_at[0]:
-            shift = report_digest.give_up()
-        else:
-            shift = real_replay(table, rng, tape, base)
-        replays.append((start, shift, len(table.elements)))
-        return shift
-
-    def repairs(hom, rng, k):
-        table = hom.table
-        base = len(table.elements)
-        for plan, ids in real_repairs(hom, rng, k):
-            trials.append((base, len(table.elements), plan, list(ids)))
-            yield plan, ids
-
-    monkeypatch.setattr(chains, "_replay", replay)
-    monkeypatch.setattr(pipeline, "_repairs", repairs)
-    checked = fell_back = 0
-    for _, cycle, at in _offset_cases():
-        give_up_at[0] = at
-        replays.clear()
-        trials.clear()
-        ccs_value(cycle, seed=0, trials=10)
-        assert len(replays) == 9 and len(trials) == 10
-        base, size, first, slots = trials[0]
-        for (start, shift, end), (_, _, plan, ids) in zip(replays, trials[1:]):
-            if shift is None:
-                assert plan is not first
-                fell_back += 1
-                continue
-            assert plan is first and shift == start - base
-            assert end - start == size - base
-            assert ids == [i if i < base else i + shift for i in slots]
-            checked += 1
-    assert fell_back == 1 and checked == 9 * 58 + 8
+        if not name.startswith("boundary"):
+            assert ccs_value(cycle, seed=0, trials=10) == \
+                object_path_report(cycle, 0, 10)
 
 
 def _rotation_cycle(n: int, k: int) -> BarChain:

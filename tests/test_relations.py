@@ -3,7 +3,8 @@
 The cycles: torsion cycles conjugated by random elements until every entry
 is at most 4 (the bench's ``CONJ_MAX_ENTRY``), random 3-term boundaries
 and a five-term boundary at a random point, all drawn from standard-library
-generators with fixed seeds.  Each relation respells the cycle in a way
+generators with fixed seeds, and the binary polyhedral classes of Q8, T*
+and I* (``spherical.py``).  Each relation respells the cycle in a way
 that keeps its class, or maps the class by a known rule, and compares
 values mod 1.
 """
@@ -19,6 +20,8 @@ from extbloch.core import GroupElement, random_sl2
 from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
                                torsion_cycle)
 from extbloch.pipeline import ccs_value
+
+import spherical
 
 MAX_ENTRY = 4.0
 BOUND = 1e-12  # mod 1, for every relation but the shear respelling
@@ -47,6 +50,10 @@ def _cycles():
 
 
 CYCLES = dict(_cycles())
+# the binary polyhedral classes, by name: their group and its order
+FORMS = {"Q8": ("Q8", 8), "T*": ("T", 24), "I*": ("I", 120)}
+CLASSES = {**CYCLES, **{name: spherical.cycle(group)
+                        for name, (group, _) in FORMS.items()}}
 
 
 def _value(c: BarChain, seed: int = 0) -> complex:
@@ -64,11 +71,11 @@ def _mapped(c: BarChain, f) -> BarChain:
     return BarChain(3, [(coeff, tuple(map(f, sym))) for coeff, sym in c])
 
 
-@pytest.mark.parametrize("name", list(CYCLES))
+@pytest.mark.parametrize("name", list(CLASSES))
 def test_complex_conjugation_keeps_the_real_part_and_negates_the_volume(name):
     # the complex-conjugate representation has the complex-conjugate
     # invariant
-    c = CYCLES[name]
+    c = CLASSES[name]
     rep = ccs_value(c, seed=0, trials=3)
     conj = ccs_value(_mapped(c, lambda g: GroupElement(
         *(z.conjugate() for z in g.entries()))), seed=0, trials=3)
@@ -76,11 +83,11 @@ def test_complex_conjugation_keeps_the_real_part_and_negates_the_volume(name):
     assert abs(conj.volume + rep.volume) <= BOUND
 
 
-@pytest.mark.parametrize("name", list(CYCLES))
+@pytest.mark.parametrize("name", list(CLASSES))
 def test_conjugation_keeps_the_value(name):
     # conjugation acts trivially on group homology; each conjugator has
     # entries at most ``MAX_ENTRY``
-    c, rng = CYCLES[name], random.Random(5)
+    c, rng = CLASSES[name], random.Random(5)
     want = _value(c)
     for _ in range(3):
         h = random_sl2(rng)
@@ -89,9 +96,9 @@ def test_conjugation_keeps_the_value(name):
         assert _distance(_value(conjugate_chain(h, c)), want) <= BOUND
 
 
-@pytest.mark.parametrize("name", list(CYCLES))
+@pytest.mark.parametrize("name", list(CLASSES))
 def test_the_seed_and_the_tolerance_keep_the_value(name):
-    c = CYCLES[name]
+    c = CLASSES[name]
     want = _value(c)
     for seed in (0, 7, 11):
         assert _distance(_value(c, seed), want) <= BOUND
@@ -121,9 +128,11 @@ def test_a_shear_respelling_within_cmp_keeps_the_value(name):
 
 
 def test_the_cycles_are_what_they_were_generated_as():
-    # torsion n evaluates to -2/n mod 1 and a boundary to 0
+    # torsion n evaluates to -2/n mod 1, a class of G to -2/|G| and a
+    # boundary to 0
     assert len(CYCLES) == 8
-    for name, c in CYCLES.items():
-        n = int(name.split()[1]) if name.startswith("torsion") else 0
+    for name, c in CLASSES.items():
+        n = (int(name.split()[1]) if name.startswith("torsion")
+             else FORMS.get(name, (None, 0))[1])
         want = complex(-2.0 / n % 1.0 if n else 0.0, 0.0)
         assert _distance(_value(c), want) <= BOUND, name
