@@ -17,7 +17,7 @@ import cmath
 import json
 from io import TextIOBase
 
-from .chains import BarChain, SymbolTable
+from .chains import MAX_DEGREE, BarChain, SymbolTable
 from .core import GroupElement, check_det
 from .errors import DeterminantError, SchemaError
 
@@ -87,7 +87,7 @@ def chain_from_obj(obj, tol: float | None = None) -> BarChain:
     if obj.get("group") != "SL2C":
         raise SchemaError(f"unsupported group {obj.get('group')!r}")
     degree = obj.get("degree")
-    if type(degree) is not int or not 0 <= degree <= 4:
+    if type(degree) is not int or not 0 <= degree <= MAX_DEGREE:
         raise SchemaError(f"bad degree {degree!r}")
     terms_obj = obj.get("terms")
     if not isinstance(terms_obj, list):

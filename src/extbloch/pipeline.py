@@ -29,8 +29,8 @@ import numbers
 from bisect import bisect_left
 from itertools import combinations
 
-from .chains import (BarChain, HomChain, _checked_cycle, _Plan, _repairs,
-                     _sample_v, _v_pass, near_pairs)
+from .chains import (MAX_DEGREE, BarChain, HomChain, _checked_cycle, _Plan,
+                     _repairs, _sample_v, _v_pass, near_pairs)
 from .core import FrozenRecord, ProjVector, Record, as_rng, det_pair
 from .covering import FlatteningTriple, _lhat_sums, _log_params
 from .dilog import TWO_PI_SQ, plog
@@ -44,7 +44,7 @@ class ConfigTuple(FrozenRecord):
     __slots__ = ("vectors",)
 
     def __init__(self, vectors: tuple[ProjVector, ...]):
-        if len(vectors) > 5:
+        if len(vectors) > MAX_DEGREE + 1:
             raise ValueError("tuples of more than 5 vectors are not used")
         if near := near_pairs(vectors):
             raise DegenerateConfig("det(v%d, v%d) too small" % near[0])

@@ -12,7 +12,7 @@ entry, and writes nothing else in the checkout.  A test is retired or
 restated only when a run shows every fault it caught still caught.
 
     python tests/faults.py --check
-    python tests/faults.py [--label L] [--out FAULTS_1.json] [--commit C]
+    python tests/faults.py [--label L] [--out FAULTS_2.json] [--commit C]
 """
 
 from __future__ import annotations
@@ -137,6 +137,26 @@ FAULTS = [
     ("trial-sum-not-fsum", COVERING,
      "return math.fsum(re), math.fsum(im), math.fsum(vols)",
      "return sum(re), math.fsum(im), math.fsum(vols)", "lhat sum"),
+    # the cone repair's checks and apex decisions, and the z refusal
+    ("certificate-check-skipped", CHAINS, "    if residual:\n",
+     "    if residual and False:\n", "certificate"),
+    ("cone-image-check-skipped", CHAINS, "    _check_good(table, phi_bad)\n",
+     "", "cone repair"),
+    ("apex-never-reused", CHAINS, "            if cleared:\n",
+     "            if cleared and False:\n", "cone repair"),
+    ("empty-cone-draws-apex", CHAINS, "                if phi:\n",
+     "                if True:\n", "cone repair"),
+    ("apex-reused-unchecked", CHAINS,
+     "cleared = self._clears(table.elements[apex], ids)", "cleared = True",
+     "cone repair"),
+    ("apex-attempts-one-more", CHAINS, "for _ in range(APEX_ATTEMPTS):",
+     "for _ in range(APEX_ATTEMPTS + 1):", "cone repair"),
+    ("homotopy-off-a-drawn-apex", CHAINS,
+     "                one = (table.identity,)\n",
+     "                one = (table.intern(random_sl2(self.rng)),)\n",
+     "certificate"),
+    ("z-near-1-accepted", COVERING, "    if abs(z - 1.0) <= config.ZERO:\n",
+     "    if abs(z - 1.0) <= config.ZERO and False:\n", "covering point"),
 ]
 
 # why a fault may survive: "equivalent: <why no output can change>" or
@@ -241,7 +261,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true")
     parser.add_argument("--label", default="change")
-    parser.add_argument("--out", type=Path, default=ROOT / "FAULTS_1.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "FAULTS_2.json")
     parser.add_argument("--commit", help="the commit of an exported tree")
     args = parser.parse_args()
     if problems := check():

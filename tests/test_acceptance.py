@@ -13,22 +13,21 @@ import time
 import numpy as np
 import pytest
 
-from extbloch.chains import (bar_boundary, cone, hom_boundary,
-                             hom_to_inhom, inhom_to_hom, is_cycle, is_good,
-                             repair_with_certificate)
-from extbloch.core import random_sl2, random_vector
+from extbloch.chains import (HomChain, bar_boundary, cone, conjugate_chain,
+                             hom_boundary, hom_to_inhom, inhom_to_hom,
+                             is_cycle, is_good, repair_with_certificate)
+from extbloch.core import random_sl2
 from extbloch.covering import (check_flattening_condition, chi_hat, mu, nu_hat,
                                to_covering_point)
 from extbloch.dilog import (PI2_6, PI_SQ, TWO_PI_SQ, lhat, li2, rogers,
                             rogers_real)
-from extbloch.errors import DegenerateConfig
 from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
                                random_good_hom_chain, torsion_cycle)
-from extbloch.pipeline import ConfigTuple, ccs_value, sigma_hat
-from extbloch.chains import HomChain, conjugate_chain
+from extbloch.pipeline import ccs_value, sigma_hat
 from extbloch.path_lift import find_positive_base, verify_pq_pattern
 from extbloch.real_sl2 import sample_agreement_suite
 
+from conftest import mod1_dist, random_config
 from oracles import li2_simpson
 
 SEED = 20240811
@@ -40,19 +39,6 @@ def _report(num: int, label: str, ok: bool, elapsed: float, detail: str = ""):
     print(f"[acceptance] criterion {num:2d} ({label}): {state} "
           f"in {elapsed:.2f}s{extra}")
     assert ok, f"criterion {num} failed: {detail}"
-
-
-def _mod1_dist(a: float, b: float = 0.0) -> float:
-    d = abs((a - b) % 1.0)
-    return min(d, 1.0 - d)
-
-
-def _random_config(rng, n):
-    while True:
-        try:
-            return ConfigTuple(tuple(random_vector(rng) for _ in range(n)))
-        except DegenerateConfig:
-            continue
 
 
 def test_criterion_01_rogers_identities():
@@ -99,7 +85,7 @@ def test_criterion_03_torsion_injection_identity():
         for k in range(1, m):
             e = chi_hat(Fraction(k, m))
             val = -sum(c * lhat(pt) for c, pt in e) / TWO_PI_SQ
-            worst = max(worst, _mod1_dist(val.real, k / m), abs(val.imag))
+            worst = max(worst, mod1_dist(val.real, k / m), abs(val.imag))
     elapsed = time.time() - t0
     _report(3, "two-term torsion identity", worst < 1e-10 and elapsed < 1.0,
             elapsed, f"max deviation {worst:.2e}")
@@ -111,7 +97,7 @@ def test_criterion_04_flattening_condition():
     worst = 0.0
     all_exact = True
     for _ in range(200):
-        cfg = _random_config(rng, 5)
+        cfg = random_config(rng, 5)
         faces = [sigma_hat(cfg.face(i)) for i in range(5)]
         rep = check_flattening_condition(faces)
         worst = max(worst, rep.max_residual)
@@ -131,7 +117,7 @@ def test_criterion_05_extended_five_term_shadow():
     worst = 0.0
     multiples = set()
     for _ in range(200):
-        cfg = _random_config(rng, 5)
+        cfg = random_config(rng, 5)
         s = sum((-1) ** i * lhat(to_covering_point(sigma_hat(cfg.face(i))))
                 for i in range(5))
         k = round(s.real / TWO_PI_SQ)
@@ -147,7 +133,7 @@ def test_criterion_06_wedge_square():
     rng = np.random.default_rng(SEED + 4)
     failures = 0
     for _ in range(100):
-        cfg = _random_config(rng, 4)
+        cfg = random_config(rng, 4)
         lhs = nu_hat([(1, sigma_hat(cfg))])
         rhs = (mu(cfg[1], cfg[2], cfg[3]) - mu(cfg[0], cfg[2], cfg[3])
                + mu(cfg[0], cfg[1], cfg[3]) - mu(cfg[0], cfg[1], cfg[2]))
@@ -183,10 +169,10 @@ def test_criterion_07_torsion_values():
         ok &= rep.max_trial_deviation < 1e-7
         ok &= abs(n * re_val - round(n * re_val)) < 1e-5
         if n == 2:
-            ok &= _mod1_dist(re_val) < 1e-6
+            ok &= mod1_dist(re_val) < 1e-6
         else:
-            ok &= _mod1_dist(re_val) > 0.1  # nonzero mod 1
-            ok &= _mod1_dist(re_val, pinned[n]) < 1e-6  # regression pin
+            ok &= mod1_dist(re_val) > 0.1  # nonzero mod 1
+            ok &= mod1_dist(re_val, pinned[n]) < 1e-6  # regression pin
         details.append(f"n={n}: {re_val:.6f}")
     elapsed = time.time() - t0
     _report(7, "torsion cycle values", ok and elapsed < 30.0, elapsed,
@@ -223,7 +209,7 @@ def test_criterion_08_v_independence_and_conjugation():
         worst_dev = max(worst_dev, rep.max_trial_deviation)
         worst_conj = max(
             worst_conj,
-            _mod1_dist(rep.value_mod1.real, conj_rep.value_mod1.real),
+            mod1_dist(rep.value_mod1.real, conj_rep.value_mod1.real),
             abs(rep.value_mod1.imag - conj_rep.value_mod1.imag))
     ok &= worst_dev < 1e-7 and worst_conj < 1e-7
     elapsed = time.time() - t0

@@ -4,12 +4,11 @@ from itertools import combinations
 import pytest
 
 from extbloch import chains, config
-from extbloch.chainio import chain_to_obj, dumps_canonical
+from extbloch.chainio import chain_from_obj, chain_to_obj, dumps_canonical
 from extbloch.core import (GroupElement, det_pair, random_sl2, random_vector,
                            rotation)
-from extbloch.chains import (APEX_ATTEMPTS, BarChain, HomChain, SymbolTable,
-                             _checked_cycle, _ConeRepairer, _faces, _offending,
-                             _Plan, _sample_v, _v_pass, bar_boundary, cone,
+from extbloch.chains import (APEX_ATTEMPTS, BarChain, HomChain, _Plan,
+                             _sample_v, _v_pass, bar_boundary, cone,
                              conjugate_chain, hom_boundary, hom_to_inhom,
                              inhom_to_hom, is_cycle, is_good, is_v_good,
                              near_pairs, repair_with_certificate,
@@ -17,6 +16,9 @@ from extbloch.chains import (APEX_ATTEMPTS, BarChain, HomChain, SymbolTable,
 from extbloch.errors import RepairFailed, SamplingExhausted
 from extbloch.fixtures import (random_boundary_cycle, random_good_hom_chain,
                                torsion_cycle)
+
+from conftest import (Draws, apex_draws, entries_of, goodness_tests, holds,
+                      large_conjugate, refused_apex)
 
 
 def _random_bar(rng, degree=3, terms=3):
@@ -153,7 +155,7 @@ def test_v_pass_decides_as_near_pairs_per_tuple(monkeypatch):
     # dets are det_pair's bit for bit
     draws = random.Random(4)
     chains = [inhom_to_hom(torsion_cycle(4)),
-              _checked_cycle(random_boundary_cycle(2, 3), SymbolTable()),
+              inhom_to_hom(random_boundary_cycle(2, 3)),
               HomChain(1, [(1, (GroupElement.identity(),
                                 -GroupElement.identity()))], True)]
     verdicts = set()
@@ -185,7 +187,7 @@ def test_sample_v_shares_sample_generic_v_draws(monkeypatch):
     # same v after the same number of draws as sample_generic_v, and as a
     # rejection loop over near_pairs; the loose vgood makes it reject some
     # draws first
-    hom = _checked_cycle(random_boundary_cycle(2, 3), SymbolTable())
+    hom = inhom_to_hom(random_boundary_cycle(2, 3))
     elements, plan = hom.table.elements, _Plan(hom.table, hom.pairs())
     monkeypatch.setattr(config, "VGOOD", 0.2)
     attempts = set()
@@ -242,30 +244,26 @@ def test_repair_already_good(rng):
 
 
 def test_repair_cones_only_the_bad_part(monkeypatch):
-    # phi = hom - B + phi(B) and H = H(B): the repairer sees only the part B
-    # of the cycle with a +-coincidence.  A good cycle makes no images call;
-    # on torsion 5 the top-level images calls (made with no images call
-    # open) receive exactly the bad simplices, in order
-    top, open_calls = [], []
-    images = _ConeRepairer.images
-
-    def spy(self, ids):
-        if not open_calls:
-            top.append(ids)
-        open_calls.append(ids)
-        out = images(self, ids)
-        open_calls.pop()
-        return out
-
-    monkeypatch.setattr(_ConeRepairer, "images", spy)
-    rr = repair_with_certificate(random_boundary_cycle(5, n_terms=2), seed=3)
-    assert top == []
+    # phi = hom - B + phi(B) and H = H(B): the repair keeps every good term
+    # and cones only the part B with a +-coincidence.  A good cycle draws
+    # nothing and comes back as it is; on torsion 5, once each term has
+    # been sorted, the only terms tested for goodness again are the 3 bad
+    # ones, in order, and phi keeps the 2 good ones
+    tests = goodness_tests(monkeypatch)
+    gen = Draws(random.Random(3))
+    rr = repair_with_certificate(random_boundary_cycle(5, n_terms=2), gen)
+    assert gen.taken == [] and rr.homotopy.is_empty()
     assert list(rr.phi_image.pairs()) == list(rr.original_hom.pairs())
-    assert rr.homotopy.is_empty()
+    tests.clear()
     rr = repair_with_certificate(torsion_cycle(5), seed=3)
     hom = rr.original_hom
-    bad = [ids for _, ids in hom.pairs() if not hom.table.good(ids)]
-    assert len(bad) == 3 and top == bad
+    terms = [ids for _, ids in hom.pairs()]
+    again = [ids for ids in tests[len(terms):] if ids in terms]
+    bad = [ids for ids in terms if not hom.table.good(ids)]
+    assert len(bad) == 3 and again == bad
+    phi = {ids: coeff for coeff, ids in rr.phi_image.pairs()}
+    assert all(phi.get(ids) == coeff for coeff, ids in hom.pairs()
+               if ids not in bad) and not set(bad) & set(phi)
 
 
 def test_repair_torsion_fixtures(rng):
@@ -280,109 +278,94 @@ def test_repair_torsion_fixtures(rng):
 
 
 def test_certificate_draws_nothing(monkeypatch):
-    # H is coned off the identity: the random stream holds phi's apexes
-    # only, so replaying the apex draws alone leaves it where the repair did
-    draw = _ConeRepairer._generic_avoiding
-    drawn = _spy_draws(monkeypatch)
-    g = GroupElement(3, 0.3, 0, 1 / 3)
+    # H is coned off the identity: a repair takes from its generator only
+    # the values of its apex draws, each an apex the table holds, and H
+    # is its certificate, dH = phi(B) - B
+    drawn = apex_draws(monkeypatch)
     for seed, c in ((1, torsion_cycle(4)), (2, torsion_cycle(6)),
-                    (3, conjugate_chain(g, torsion_cycle(7)))):
+                    (3, large_conjugate(7, 3))):
         drawn.clear()
-        rng = random.Random(seed)
-        rr = repair_with_certificate(c, rng)
-        apexes = [apex for _, _, apex in drawn]
-        alone = _ConeRepairer(random.Random(seed), rr.phi_image.table)
-        assert [draw(alone, ids) for ids, _, _ in drawn] == apexes
-        assert rng.getstate() == alone.rng.getstate()
-        one = rr.homotopy.table.identity
-        assert all(ids[0] == one for _, ids in rr.homotopy.pairs())
+        gen = Draws(random.Random(seed))
+        rr = repair_with_certificate(c, gen)
+        assert drawn and len(gen.taken) == sum(n for _, n in drawn)
+        assert all(holds(rr.phi_image.table, g) for g, _ in drawn)
         assert not rr.homotopy.is_empty()
         res = hom_boundary(rr.homotopy) - (rr.phi_image - rr.original_hom)
         assert res.is_empty()
 
 
-def _spy_draws(monkeypatch) -> list:
-    """(ids the apex clears, length of the tuples it cones, apex) of every
-    apex draw, in order."""
-    drawn, length = [], [None]
-    real_for = _ConeRepairer._apex_for
-    real_draw = _ConeRepairer._generic_avoiding
-
-    def apex_for(self, n, phi):
-        length[0] = n
-        return real_for(self, n, phi)
-
-    def spy(self, ids):
-        drawn.append((ids, length[0], real_draw(self, ids)))
-        return drawn[-1][2]
-
-    monkeypatch.setattr(_ConeRepairer, "_apex_for", apex_for)
-    monkeypatch.setattr(_ConeRepairer, "_generic_avoiding", spy)
-    return drawn
-
-
 def test_no_apex_for_a_cone_over_nothing(monkeypatch):
-    # phi(s) = cone(a, phi(ds)) is 0 for every apex a once phi(ds) merges to
-    # 0: torsion 6 has such bad simplices, and none of them draws an apex
-    drawn = _spy_draws(monkeypatch)
-    hom = _checked_cycle(torsion_cycle(6), SymbolTable())
-    rep = _ConeRepairer(random.Random(0), hom.table)
-    for _, ids in hom.pairs():
-        rep.images(ids)
-    assert [] in [phi for phi, _ in rep._memo.values()]
-    assert drawn and all(ids for ids, _, _ in drawn)
+    # phi(s) = cone(a, phi(ds)) is 0 for every apex a once phi(ds) merges
+    # to 0, and torsion 6 has such bad simplices: an apex is drawn only to
+    # clear a cone over something, so each draw is at once tested against
+    # an element at the apex margin
+    events, draw, equiv = [], chains.random_sl2, GroupElement.sign_equiv
+    monkeypatch.setattr(chains, "random_sl2", lambda rng: (
+        events.append((draw(rng),)) or events[-1][0]))
+    monkeypatch.setattr(GroupElement, "sign_equiv", lambda g, h, tol: (
+        events.append((g, tol)) or equiv(g, h, tol)))
+    for seed in range(3):
+        events.clear()
+        repair_with_certificate(torsion_cycle(6), seed)
+        drawn = [k for k, e in enumerate(events) if len(e) == 1]
+        assert len(drawn) == 3 and all(
+            events[k + 1][0] is events[k][0]
+            and events[k + 1][1:] == (config.APEX_MARGIN,) for k in drawn)
 
 
 def test_one_apex_per_degree_per_trial(monkeypatch):
     # every term of torsion 6 is bad, down to 1-simplices; each degree's
-    # apex is reused while it clears the margin, so a repair draws at most
-    # one apex per degree (12 draws with one apex per bad simplex)
-    drawn = _spy_draws(monkeypatch)
+    # apex is reused while it clears the margin, so a repair draws one
+    # apex for each of degrees 1-3 (12 draws with one apex per bad simplex)
+    drawn = apex_draws(monkeypatch)
     for seed in range(5):
         drawn.clear()
-        rr = repair_with_certificate(torsion_cycle(6), seed)
-        lengths = [n for _, n, _ in drawn]  # cone tuples
-        assert sorted(lengths) == [2, 3, 4], (seed, lengths)  # degrees 1-3
+        rr = repair_with_certificate(torsion_cycle(6),
+                                     Draws(random.Random(seed)))
+        assert len(drawn) == 3, seed
         assert is_good(rr.phi_image)[0]
 
 
 def test_apex_too_close_to_a_face_is_redrawn(monkeypatch):
-    # plant, as a degree's current apex, the negative of an element of
-    # phi(ds): the reuse test must refuse it, draw a fresh apex and keep the
-    # cone image good
-    hom = _checked_cycle(torsion_cycle(6), SymbolTable())
-    table = hom.table
-    rep = _ConeRepairer(random.Random(0), table)
-    for _, ids in hom.pairs():
-        canon = table.canonical(ids)
-        if faces := rep.linear((c, rep.images(f)[0])
-                               for c, f in _faces(canon)):
-            break
-    planted = table.intern(-table.elements[faces[0][1][-1]])
-    rep._apex[len(canon)] = planted
-    drawn = _spy_draws(monkeypatch)
-    img, _ = rep.images(canon)
-    assert len(drawn) == 1 and rep._apex[len(canon)] != planted
-    assert img and all(t[0] == rep._apex[len(canon)] for _, t in img)
-    assert not _offending(table, img)
+    # plant, as the second apex of a repair of torsion 6, the negative of
+    # an element of a later cone of its degree (see ``refused_apex``): it
+    # clears the cone it is drawn for, the reuse test refuses it at the
+    # later one and draws a fresh apex, and the cone image stays good
+    planted = refused_apex()
+    drawn = apex_draws(monkeypatch)
+    rr = repair_with_certificate(torsion_cycle(6),
+                                 Draws(random.Random(2), planted))
+    assert len(drawn) == 4 and holds(rr.phi_image.table, drawn[1][0])
+    assert is_good(rr.phi_image)[0]
 
 
-def test_apex_draws_stop_at_the_cap(monkeypatch):
+def test_a_cone_image_not_good_at_the_tolerance_is_refused():
+    # apexes clear the apex margin, but a repair checks its cone image for
+    # +- coincidences at the table's tolerance.  Torsion 6 read at 9e-4,
+    # its degree-2 apex a2 and its top apex a2 (1, -8e-4; 0, 1), 5e-3 from
+    # a2: a canonical tuple holds (1, 8e-4; 0, 1), and the repair is
+    # refused.  At the default tolerance the same draws repair
+    a2 = random_sl2(random.Random(101))
+    planted = entries_of(random_sl2(random.Random(1)), a2,
+                         a2 @ GroupElement(1, -8e-4, 0, 1))
+    coarse = chain_from_obj(chain_to_obj(torsion_cycle(6)), 9e-4)
+    with pytest.raises(RepairFailed, match="cone image not good"):
+        repair_with_certificate(coarse, Draws(random.Random(2), planted))
+    rr = repair_with_certificate(torsion_cycle(6),
+                                 Draws(random.Random(2), planted))
+    assert is_good(rr.phi_image)[0]
+
+
+def test_apex_draws_stop_at_the_cap():
     # every draw is the identity, which each coinvariant tuple of phi(ds)
     # holds, so no apex clears: the repair gives up after exactly
     # APEX_ATTEMPTS draws, naming the count
-    drawn = []
-
-    def identity(rng):
-        drawn.append(rng)
-        return GroupElement.identity()
-
-    monkeypatch.setattr(chains, "random_sl2", identity)
+    gen = Draws(planted=entries_of(GroupElement.identity()) * APEX_ATTEMPTS)
     with pytest.raises(RepairFailed,
                        match=f"no generic cone apex in {APEX_ATTEMPTS} "
                              "attempts"):
-        repair_with_certificate(torsion_cycle(6), seed=0)
-    assert len(drawn) == APEX_ATTEMPTS == 1000
+        repair_with_certificate(torsion_cycle(6), gen)
+    assert len(gen.taken) == 8 * APEX_ATTEMPTS == 8000
 
 
 def test_repair_deterministic(rng):

@@ -18,9 +18,9 @@ from extbloch.dilog import (_SERIES_MAX, PI, TWO_PI_SQ, _log1m, lhat,
 from extbloch.errors import (ChiAtZero, DegenerateConfig, DegenerateFT,
                              InvalidFlattening, LogOfZero, NotEven, OnCut,
                              ZAtZeroOrOne)
-from extbloch.pipeline import ConfigTuple, _log_params, sigma_hat
+from extbloch.pipeline import _log_params, sigma_hat
 
-from conftest import random_complex
+from conftest import bits, random_complex, random_config
 from oracles import dict_difference, mu_boundary_symbolic, nu_sigma_symbolic
 
 
@@ -29,16 +29,6 @@ def _random_point(rng):
         z = random_complex(rng, -3, 3)
         if abs(z) > 0.1 and abs(z - 1) > 0.1:
             return z
-
-
-def _random_config(rng, n):
-    from extbloch.core import random_vector
-    from extbloch.errors import DegenerateConfig
-    while True:
-        try:
-            return ConfigTuple(tuple(random_vector(rng) for _ in range(n)))
-        except DegenerateConfig:
-            continue
 
 
 def test_covering_point_invariants():
@@ -171,10 +161,6 @@ def _object_path(logs):
         math.fsum([vol(pt.z)])
 
 
-def _bits(sums):
-    return [x.hex() for x in sums]
-
-
 def _li2_branch(z):
     # which of li2's three series the fused body sums for z
     log_z, l1 = plog(z), _log1m(z)
@@ -198,7 +184,7 @@ def test_point_value_bit_equal_to_separate_calls():
             logs = _term_logs(t.w0, t.w1)
             pt = to_covering_point(FlatteningTriple(*_log_params(*logs)))
             assert (pt.p, pt.q) == (p, q)
-            assert _bits(_fused(logs)) == _bits(_object_path(logs))
+            assert bits(*_fused(logs)) == bits(*_object_path(logs))
             branches.add(_li2_branch(pt.z))
             snapped += pt.z.imag == 0.0 != cmath.exp(t.w0).imag
     assert branches == {"series", "reflection", "inversion"} and snapped
@@ -207,7 +193,7 @@ def test_point_value_bit_equal_to_separate_calls():
                 complex(0.0, -0.0), 0j, 0j]
         pt = to_covering_point(FlatteningTriple(*_log_params(*logs)))
         assert pt.z == x and math.copysign(1.0, pt.z.imag) == -1.0
-        assert _bits(_fused(logs)) == _bits(_object_path(logs))
+        assert bits(*_fused(logs)) == bits(*_object_path(logs))
 
 
 def _raised(f, *args):
@@ -293,7 +279,7 @@ def test_five_tuple_examples():
 
 def test_flattening_condition_on_faces(rng):
     for _ in range(50):
-        cfg = _random_config(rng, 5)
+        cfg = random_config(rng, 5)
         faces = [sigma_hat(cfg.face(i)) for i in range(5)]
         rep = check_flattening_condition(faces)
         assert rep.max_residual < 1e-8
@@ -301,7 +287,7 @@ def test_flattening_condition_on_faces(rng):
 
 
 def test_flattening_condition_detects_perturbation(rng):
-    cfg = _random_config(rng, 5)
+    cfg = random_config(rng, 5)
     faces = [sigma_hat(cfg.face(i)) for i in range(5)]
     bad = FlatteningTriple.from_w01(faces[0].w0 + 2j * PI, faces[0].w1)
     rep = check_flattening_condition([bad] + faces[1:])
@@ -354,7 +340,7 @@ def test_nu_hat_branch_bump_is_two_atom_wedge():
 
 def test_nu_sigma_of_boundary_cancels_exactly(rng):
     for _ in range(25):
-        cfg = _random_config(rng, 5)
+        cfg = random_config(rng, 5)
         triples = [((-1) ** i, sigma_hat(cfg.face(i))) for i in range(5)]
         w = nu_hat(triples)
         assert w.is_zero()
@@ -394,7 +380,7 @@ def test_wedge_square_against_symbolic_oracle():
 
 def test_wedge_square_numeric(rng):
     for _ in range(50):
-        cfg = _random_config(rng, 4)
+        cfg = random_config(rng, 4)
         lhs = nu_hat([(1, sigma_hat(cfg))])
         rhs = (mu(cfg[1], cfg[2], cfg[3]) - mu(cfg[0], cfg[2], cfg[3])
                + mu(cfg[0], cfg[1], cfg[3]) - mu(cfg[0], cfg[1], cfg[2]))

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from extbloch.core import GroupElement, random_sl2, rotation
-from extbloch.chains import (BarChain, SymbolTable, _checked_cycle,
-                             conjugate_chain)
+from extbloch.chains import (BarChain, SymbolTable, conjugate_chain,
+                             inhom_to_hom)
 from extbloch.covering import WedgeElement
 from extbloch.fixtures import torsion_cycle
 from extbloch.formal import FormalSum
 from extbloch.quantize import FuzzyIndex
+
+from conftest import bits
 
 
 def _coefficients(s) -> dict:
@@ -103,16 +105,12 @@ def test_symbol_table_identifies_within_guard_band():
         table.identity
 
 
-def _bits(g: GroupElement) -> tuple[str, ...]:
-    return tuple(x.hex() for e in g.entries() for x in (e.real, e.imag))
-
-
 def _check_ldiv(table: SymbolTable, i: int, j: int) -> None:
     size = len(table.elements)
     q = table.ldiv(i, j)
     ref = table.elements[i].inverse() @ table.elements[j]
     if len(table.elements) > size:  # a new quotient is the product itself
-        assert _bits(table.elements[q]) == _bits(ref)
+        assert bits(table.elements[q]) == bits(ref)
     assert table.intern(ref) == q
     assert table.ldiv(i, j) == q
 
@@ -130,8 +128,7 @@ def test_ldiv_is_the_interned_left_quotient():
     assert table.ldiv(table.identity, ids[3]) == ids[3]
     assert all(table.ldiv(i, i) == table.identity for i in ids)
     conj = GroupElement(30.0, 0.3, 0.0, 1.0 / 30.0)
-    hom = _checked_cycle(conjugate_chain(conj, torsion_cycle(5)),
-                         SymbolTable())
+    hom = inhom_to_hom(conjugate_chain(conj, torsion_cycle(5)))
     for _, tup in hom.pairs():
         for i in tup:
             for j in tup:

@@ -1,4 +1,7 @@
-"""Cross-module invariants that do not fit a single module's test file."""
+"""Relations a class value keeps when its cycle is respelled, on torsion
+5 and 12 as built and on the classes of ``test_relations.py`` (which holds
+the other relations), and invariants that fit no single module's tests.
+"""
 
 import ast
 import math
@@ -7,111 +10,83 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 from extbloch import config
-from extbloch.chains import BarChain, SymbolTable, conjugate_chain
-from extbloch.core import GroupElement
-from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
-                               torsion_cycle)
-from extbloch.pipeline import ccs_value
+from extbloch.chains import BarChain, SymbolTable
+from extbloch.fixtures import random_boundary_cycle, torsion_cycle
 
 import pytest
 
+from conftest import large_conjugate
+from test_relations import BOUND, CLASSES, distance, value
 
-def _mod1_dist(x: float) -> float:
-    d = abs(x % 1.0)
-    return min(d, 1.0 - d)
+CHAINS = {"torsion 5": torsion_cycle(5), "torsion 12": torsion_cycle(12),
+          **CLASSES}
+# four chains pairwise, and every other chain with the next
+_FIRST = ["torsion 5", "torsion 12", "torsion 7 conjugated", "five-term"]
+_REST = [name for name in CHAINS if name not in _FIRST]
+SUMMANDS = [*combinations_with_replacement(_FIRST, 2),
+            *zip(_REST, _REST[1:] + _REST[:1])]
 
 
 def test_boundary_annihilation_100(rng):
-    # pipeline values of boundaries vanish mod 1 (single draw)
-    worst = 0.0
-    for k in range(100):
-        c = random_boundary_cycle(rng, n_terms=1)
-        val = ccs_value(c, seed=k, trials=1).value_mod1
-        worst = max(worst, _mod1_dist(val.real), abs(val.imag))
-    assert worst < 1e-7
+    # pipeline values of boundaries vanish mod 1
+    assert max(distance(value(random_boundary_cycle(rng, n_terms=1), k), 0j)
+               for k in range(100)) < 1e-7
 
 
-# the conjugator of the tests below: entries up to 3, an upper triangle
-_CONJ = GroupElement(3.0, 0.3, 0.0, 1.0 / 3.0)
-
-
-def _value(c: BarChain) -> complex:
-    return ccs_value(c, seed=0, trials=1).value_mod1
-
-
-def _same_class_value(v: complex, w: complex) -> bool:
-    return (_mod1_dist(v.real - w.real) <= 1e-12
-            and abs(v.imag - w.imag) <= 1e-12)
-
-
-_CHAINS = {
-    "torsion 5": lambda: torsion_cycle(5),
-    "torsion 12": lambda: torsion_cycle(12),
-    "torsion 7 conjugated": lambda: conjugate_chain(_CONJ, torsion_cycle(7)),
-    "five-term": lambda: five_term_boundary(0.5, 0.25),
-}
-
-
-@pytest.mark.parametrize("name", list(_CHAINS))
+@pytest.mark.parametrize("name", list(CHAINS))
 def test_term_order_keeps_the_value(name):
     # a permuted chain interns its elements in another order, so other
     # floats reach the fuzzy index first and ids are handed out anew
-    c = _CHAINS[name]()
-    want, terms = _value(c), list(c)
-    for seed in range(5):
+    c = CHAINS[name]
+    want, terms, shuffle = value(c), list(c), random.Random(0).shuffle
+    for _ in range(3):
         order = list(range(len(terms)))
-        random.Random(seed).shuffle(order)
-        assert order != sorted(order)
-        got = _value(BarChain(3, [terms[k] for k in order]))
-        assert _same_class_value(got, want), (name, seed, got, want)
+        while order == sorted(order):
+            shuffle(order)
+        got = value(BarChain(3, [terms[k] for k in order]))
+        assert distance(got, want) <= BOUND, (name, order, got, want)
 
 
-@pytest.mark.parametrize("name", list(_CHAINS))
+@pytest.mark.parametrize("name", list(CHAINS))
 def test_adding_a_boundary_keeps_the_value(name):
     # a sum keys its left operand's terms first, so c + b and b + c intern
     # and repair in other orders; a boundary b adds nothing to the class
-    c = _CHAINS[name]()
-    want = _value(c)
-    for seed in range(5):
-        b = random_boundary_cycle(seed, n_terms=3)
-        for total in (c + b, b + c):
-            got = _value(total)
-            assert _same_class_value(got, want), (name, seed, got, want)
+    c, b = CHAINS[name], random_boundary_cycle(0, n_terms=3)
+    want = value(c)
+    for total in (c + b, b + c):
+        assert distance(value(total), want) <= BOUND, name
 
 
-@pytest.mark.parametrize("name", list(_CHAINS))
+@pytest.mark.parametrize("name", list(CHAINS))
 def test_negating_the_chain_negates_the_value(name):
-    c = _CHAINS[name]()
-    got, want = _value(-c), _value(c)
-    assert _same_class_value(got, -want), (name, got, want)
+    c = CHAINS[name]
+    assert distance(value(-c), -value(c)) <= BOUND, name
 
 
-@pytest.mark.parametrize("a, b", list(combinations_with_replacement(_CHAINS,
-                                                                    2)))
+@pytest.mark.parametrize("a, b", SUMMANDS)
 def test_the_value_is_additive(a, b):
     # c1 + c2 and c1 - c2 have the values v(c1) + v(c2) and v(c1) - v(c2);
     # c + c keys the doubled terms once, and c - c is the empty cycle
-    c1, c2 = _CHAINS[a](), _CHAINS[b]()
-    for seed in range(3):
-        v1, v2 = (ccs_value(c, seed=seed, trials=1).value_mod1
-                  for c in (c1, c2))
-        for total, want in ((c1 + c2, v1 + v2), (c1 - c2, v1 - v2)):
-            got = ccs_value(total, seed=seed, trials=1).value_mod1
-            assert _same_class_value(got, want), (a, b, seed, got, want)
+    c1, c2 = CHAINS[a], CHAINS[b]
+    v1, v2 = value(c1), value(c2)
+    for total, want in ((c1 + c2, v1 + v2), (c1 - c2, v1 - v2)):
+        assert distance(value(total), want) <= BOUND, (a, b)
 
 
-@pytest.mark.parametrize("n", [5, 7, 12])
-@pytest.mark.parametrize("conjugated", [False, True])
-def test_inversion_map_keeps_the_value(n, conjugated):
+# torsion n as built and conjugated by (3, 0.3; 0, 1/3), and the classes
+INVERTED = {**{f"{conj}-{n}": large_conjugate(n, 3) if conj
+               else torsion_cycle(n) for conj in (False, True)
+               for n in (5, 7, 12)}, **CLASSES}
+
+
+@pytest.mark.parametrize("name", list(INVERTED))
+def test_inversion_map_keeps_the_value(name):
     # [g1|g2|g3] -> [g3^-1|g2^-1|g1^-1] reverses the homogeneous vertices,
     # with sign (-1)^(3*4/2) = +1
-    c = torsion_cycle(n)
-    if conjugated:
-        c = conjugate_chain(_CONJ, c)
+    c = INVERTED[name]
     inverted = BarChain(3, [(coef, (g3.inverse(), g2.inverse(), g1.inverse()))
                             for coef, (g1, g2, g3) in c])
-    got, want = _value(inverted), _value(c)
-    assert _same_class_value(got, want), (got, want)
+    assert distance(value(inverted), value(c)) <= BOUND, name
 
 
 def test_config_validation():
@@ -174,3 +149,50 @@ def test_src_modules_use_every_import():
                            for a in node.names
                            if (a.asname or a.name.split(".")[0]) not in used]
     assert len(list(src.glob("*.py"))) > 10 and not unused, unused
+
+
+# the tests' couplings to src internals, each kept for a reason README.md
+# gives: setattr patches of a private name or of a member of a private
+# class, and every private name of src a test module imports or reads
+PRIVATE_PATCHES = ["test_kernels.py: chains._replay",
+                   "test_pipeline.py: _ConeRepairer.linear",
+                   "test_pipeline.py: chains._Plan",
+                   "test_pipeline.py: chains._check_good",
+                   "test_pipeline.py: chains._replay"]
+PRIVATE_NAMES = [
+    "_BERN_COEFFS", "_CLEAR", "_ConeRepairer", "_GUARD", "_LDIV", "_MUL",
+    "_Plan", "_REUSE", "_SERIES_MAX", "_cells", "_check_good", "_lambda_hat",
+    "_lhat_sums", "_log1m", "_log_params", "_max_deviation", "_mod1",
+    "_quotients", "_repair_core", "_repairs", "_replay", "_reps", "_sample_v",
+    "_seen", "_v_pass", "_write_chain"]
+
+
+def test_tests_reach_src_internals_only_as_listed():
+    # coupling to internals grows back only by editing the two lists above
+    root = Path(__file__).resolve().parent.parent
+    defined = set()
+    for path in (root / "src" / "extbloch").glob("*.py"):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(n.name)
+            elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                defined.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+                defined.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                defined.add(n.value)  # as a __slots__ entry
+    defined = {x for x in defined if x[:1] == "_" and x[-2:] != "__"}
+    patches, reached = [], set()
+    for path in sorted((root / "tests").glob("test_*.py")):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.ImportFrom) and n.module.startswith("extbloch"):
+                reached |= {a.name for a in n.names} & defined
+            elif isinstance(n, ast.Attribute) and n.attr in defined:
+                reached.add(n.attr)
+            elif (isinstance(n, ast.Call) and getattr(n.func, "attr", "")
+                  == "setattr" and isinstance(n.args[1], ast.Constant)):
+                target = f"{ast.unparse(n.args[0])}.{n.args[1].value}"
+                if "._" in f".{target}":
+                    patches.append(f"{path.name}: {target}")
+    assert sorted(patches) == PRIVATE_PATCHES
+    assert sorted(reached) == PRIVATE_NAMES

@@ -23,9 +23,10 @@ from extbloch.core import GroupElement, random_sl2
 from extbloch.errors import CcsError, DeterminantError, NotACycle, SchemaError
 from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
                                torsion_cycle)
-from extbloch.pipeline import _circle_distance, ccs_value, lambda_hat
+from extbloch.pipeline import ccs_value, lambda_hat
 
 import report_digest
+from conftest import large_conjugate, mod1_dist, small_conjugate
 from oracles import fmt_reference
 
 
@@ -206,7 +207,7 @@ def test_canonical_text_is_the_reference_byte_for_byte():
 @pytest.mark.parametrize("chain", [
     torsion_cycle(7),
     five_term_boundary(0.5, 0.25),
-    conjugate_chain(GroupElement(3, 0.3, 0, 1 / 3), torsion_cycle(7)),
+    large_conjugate(7, 3),
 ], ids=["torsion-7", "five-term", "torsion-7-conjugated"])
 def test_streamed_chain_text_is_the_canonical_text(chain):
     out = io.StringIO()
@@ -357,14 +358,19 @@ def test_cli_eval_exits_2_when_a_term_has_z_at_1(tmp_path, capsys,
                                                  monkeypatch):
     # 1 - z = (01)(23) / ((02)(13)), so v-goodness bounds |1 - z| below
     # only by VGOOD**2, under config.ZERO: a term whose e^{w0} lies within
-    # 1e-13 of 1 is refused by a CcsError, reported with exit 2
+    # 1e-13 of 1 is refused by a CcsError, reported with exit 2.  Torsion
+    # 5's first term (1, g, g^2, g^3) has three edges, g for (01), (12) and
+    # (23), g^2 for (02) and (13), g^3 for (03): the first three Log dets
+    # taken are 0, w1/2 and w1 + w0, w0 = -14 * 2**-48 (about -5e-14) and
+    # w1 = -Log(1 - e^w0), so that the term's log-parameters are w0, w1 and
+    # -w1 - w0 exactly
     path = tmp_path / "t5.json"
     assert main(["torsion", "--n", "5", "--out", str(path)]) == 0
-    w0 = complex(math.log(1 - 5e-14))
-    logs = [-cmath.log(1 / (1 - cmath.exp(w0))), 0j, w0, 0j, 0j, 0j]
-    real = pipeline._lhat_sums
-    monkeypatch.setattr(pipeline, "_lhat_sums",
-                        lambda rows, _: real([(1, 0, 1, 2, 3, 4, 5)], logs))
+    w0 = complex(-14 * 2.0 ** -48)
+    w1 = cmath.log(1 / (1 - cmath.exp(w0)))
+    logs, real = [0j, w1 / 2, w1 + w0], pipeline.plog
+    monkeypatch.setattr(pipeline, "plog",
+                        lambda z: logs.pop(0) if logs else real(z))
     assert main(["eval", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: z = ") and err.endswith(
@@ -660,16 +666,6 @@ def _library_eval(path, trials=4, tol=None):
     return out.getvalue()
 
 
-def _small_conjugate_of_torsion_12():
-    """Torsion 12 conjugated by random_sl2 draws from random.Random(12)
-    until every entry is at most 4 in modulus."""
-    rng = random.Random(12)
-    while True:
-        c = conjugate_chain(random_sl2(rng), torsion_cycle(12))
-        if max(g.max_abs() for _, sym in c for g in sym) <= 4:
-            return c
-
-
 def _rounded(c, decimals):
     """The chain file object of ``c`` with every number rounded to
     ``decimals`` decimals."""
@@ -700,7 +696,8 @@ def _sheared_torsion():
 @pytest.mark.parametrize("doc, tol", [
     (lambda: chain_to_obj(torsion_cycle(6)), None),
     (lambda: chain_to_obj(five_term_boundary(0.5, 0.25)), None),
-    (lambda: chain_to_obj(_small_conjugate_of_torsion_12()), None),
+    (lambda: chain_to_obj(small_conjugate(torsion_cycle(12),
+                                          random.Random(12))), None),
     (lambda: chain_to_obj(random_boundary_cycle(5, n_terms=2)), None),
     (_rounded_boundary, 1e-6),
     (_sheared_torsion, 1e-6),
@@ -747,7 +744,7 @@ def test_an_evaluation_runs_at_the_tolerance_its_chain_was_keyed_at(
     g = random_sl2(random.Random(1))
     assert conjugate_chain(g, c).table.tol == c.table.tol == 1e-6
     value = ccs_value(c, seed=0, trials=2).value_mod1
-    assert _circle_distance(value.real, 0.6) <= 1e-8
+    assert mod1_dist(value.real, 0.6) <= 1e-8
     assert abs(value.imag) <= 1e-8
 
 
@@ -767,7 +764,7 @@ def test_rounded_entries_keep_the_value_or_are_refused_by_name(decimals):
         except CcsError as err:
             assert not isinstance(err, NotACycle), (name, err)
             continue
-        assert _circle_distance(got.real, want.real) <= 1e-8, name
+        assert mod1_dist(got.real, want.real) <= 1e-8, name
         assert abs(got.imag - want.imag) <= 1e-8, name
         right += 1
     assert right >= 19 if decimals == 10 else right == 29
@@ -937,8 +934,8 @@ def test_selftest_config_draw_redraws_only_degenerate_configs(monkeypatch):
         return real(vectors)
 
     monkeypatch.setattr(selftest, "ConfigTuple", broken_once)
-    with pytest.raises(TypeError):
-        selftest._random_config(selftest.as_rng(0), 4)
+    with pytest.raises(TypeError, match="bug in the constructor"):
+        selftest.run_selftest(0)
     assert len(calls) == 1
 
 

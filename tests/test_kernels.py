@@ -17,18 +17,19 @@ from itertools import combinations
 import pytest
 
 from extbloch import chains, config, core, pipeline
-from extbloch.chains import (SymbolTable, _checked_cycle, _ConeRepairer,
-                             _Plan, _repair_core, _v_pass, conjugate_chain,
-                             near_pairs)
+from extbloch.chains import (HomChain, SymbolTable, _Plan, _repair_core,
+                             _v_pass, inhom_to_hom, near_pairs,
+                             repair_with_certificate)
 from extbloch.core import GroupElement, det_pair, random_sl2, random_vector
 from extbloch.errors import DeterminantError, OutOfGrid, RepairFailed
 from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
                                torsion_cycle)
-from extbloch.pipeline import (_circle_distance, _max_deviation, _mod1,
-                               ccs_value)
+from extbloch.pipeline import _max_deviation, _mod1, ccs_value
 from extbloch.quantize import _CLEAR, _GUARD, FuzzyIndex
 
 import report_digest
+from conftest import (Draws, apex_draws, bits, entries_of, holds,
+                      large_conjugate, mod1_dist)
 from oracles import (FuzzyIndexReference, check_edge_layout,
                      object_path_report)
 
@@ -76,22 +77,20 @@ def test_sign_equiv_agrees_with_sign_distance():
     assert verdicts >= {(True, True), (True, False), (False, False)}
 
 
-def test_clears_agrees_with_sign_distance():
-    # elements at exactly the apex margin from the apex do not clear it
-    rng = random.Random(6)
-    margin = config.APEX_MARGIN
-    table = SymbolTable()
-    rep = _ConeRepairer(rng, table)
-    pairs = _pairs(rng, margin) + _pairs(rng, config.CMP)
-    ids = [table.intern(h) for _, h in pairs]
-    outcomes = set()
-    for k, (g, _) in enumerate(pairs):
-        for group in ([ids[k]], ids[k:k + 3], ids[::17], []):
-            distances = [g.sign_distance(table.elements[i]) for i in group]
-            want = all(d > margin for d in distances)
-            assert rep._clears(g, group) == want
-            outcomes.add((want, margin in distances))
-    assert outcomes == {(True, False), (False, False), (False, True)}
+def test_clears_agrees_with_sign_distance(monkeypatch):
+    # an apex clears a cone when its sign distance from every element the
+    # cone holds exceeds the apex margin: torsion 6's first cone holds the
+    # identity, so planted first draws exactly the margin from +1 and from
+    # -1 are refused, and the next, a billionth of it further, is the apex
+    margin, one = config.APEX_MARGIN, GroupElement.identity()
+    near, far = (GroupElement(1, m, 0, 1)
+                 for m in (margin, margin * (1 + 1e-9)))
+    assert near.sign_distance(one) == margin < far.sign_distance(one)
+    drawn = apex_draws(monkeypatch)
+    rr = repair_with_certificate(torsion_cycle(6), Draws(
+        random.Random(6), entries_of(near, -near, far)))
+    assert [holds(rr.phi_image.table, g) for g, _ in drawn[:3]] == \
+        [False, False, True]
 
 
 @pytest.mark.parametrize("coincide", ["none", "plus", "minus", "both-moved"])
@@ -102,7 +101,7 @@ def test_a_replay_tests_renamed_pairs_for_either_sign(monkeypatch, coincide):
     # elements: set to +-1 or to its pair's other moved element after trial
     # 2's replay, a moved id is refused as _repair_core refuses a bad cone
     # image; with nothing set trial 2 is trial 1's plan on the moved ids
-    hom = _checked_cycle(torsion_cycle(6), SymbolTable())
+    hom = inhom_to_hom(torsion_cycle(6))
     table, real_replay, shifts = hom.table, chains._replay, []
     base = len(table.elements)
     stream = chains._repairs(hom, random.Random(4), 3)
@@ -504,21 +503,17 @@ def test_a_quotient_of_translates_is_the_one_formed(monkeypatch):
                 assert reference.ldiv(i, j) == k and len(formed) == 1
 
 
-def _conj_torsion5(s):
-    return conjugate_chain(GroupElement(s, 0.3, 0, 1 / s), torsion_cycle(5))
-
-
 def test_large_conjugates_keep_their_value_or_det_error():
     # the det error comes from the det check of a quotient formed by the
     # table's one kernel: for s = 60 in a later trial's replay, which calls
     # the kernel itself, for s = 100 in the first trial's repair, through
     # ldiv
-    value = ccs_value(_conj_torsion5(30), seed=0, trials=3).value_mod1
+    value = ccs_value(large_conjugate(5, 30), seed=0, trials=3).value_mod1
     assert abs(value - 0.6) < 1e-12
     for s, above in ((60, ["_replay"]), (100, ["ldiv", "_formed"])):
         with pytest.raises(DeterminantError,
                            match=r"^determinant \(.*\) differs from 1$") as e:
-            ccs_value(_conj_torsion5(s), seed=0, trials=3)
+            ccs_value(large_conjugate(5, s), seed=0, trials=3)
         frames = [f.name for f in traceback.extract_tb(e.value.__traceback__)]
         assert frames[-2 - len(above):] == [*above, "_form", "check_det"]
         assert ("ldiv" in frames) == (s == 100)
@@ -545,20 +540,23 @@ def _by_near_pairs(elements, terms, v):
     return offending, dets
 
 
-def _bits(z: complex) -> tuple[str, str]:
-    return z.real.hex(), z.imag.hex()
-
-
 def test_slot_pass_agrees_with_near_pairs_term_by_term(monkeypatch):
     # a plan's pass with its slots holding the plan's own ids, or ids of
     # the same table renamed at random (as a replay renames them), gives
-    # near_pairs' decision and, for a v it accepts, its dets term by term
+    # near_pairs' decision and, for a v it accepts, its dets term by term:
+    # one apply per element and one det per id pair.  The plans are those
+    # of repaired cycles, and of chains with +- coincidences
     draws = random.Random(9)
     phis = []
     for cycle in (torsion_cycle(6), random_boundary_cycle(2, n_terms=3),
                   five_term_boundary(0.5, 0.25)):
-        hom = _checked_cycle(cycle, SymbolTable())
+        hom = inhom_to_hom(cycle)
         phi = _repair_core(hom, draws)[1]
+        phis.append((hom.table.elements, phi, _Plan(hom.table, phi)))
+    one = GroupElement.identity()
+    for hom in (inhom_to_hom(torsion_cycle(4)),
+                HomChain(1, [(1, (one, -one))], True)):
+        phi = list(hom.pairs())
         phis.append((hom.table.elements, phi, _Plan(hom.table, phi)))
     verdicts = set()
     for vgood in (config.VGOOD, 0.3):
@@ -579,10 +577,10 @@ def test_slot_pass_agrees_with_near_pairs_term_by_term(monkeypatch):
                     want, want_dets = _by_near_pairs(elements, terms, v)
                     assert (dets is None) == bool(want)
                     if dets is not None:
-                        assert [[_bits(dets[pair_at[p]])
-                                 for p in combinations(ids, 2)]
+                        assert [bits(*(dets[pair_at[p]]
+                                       for p in combinations(ids, 2)))
                                 for _, ids in phi] == \
-                            [list(map(_bits, row)) for row in want_dets]
+                            [bits(*row) for row in want_dets]
                     verdicts.add(not want)
     assert verdicts == {True, False}
 
@@ -596,7 +594,7 @@ def _trials(hom, seed: int, trials: int = 10):
     """The trials of ``_trial_loop`` on the checked cycle ``hom``, drawn as
     it draws them (each trial's repair, then its v and edge Logs): per
     trial, the table as the trial left it, the plan and the slot ids."""
-    rng = random.Random(seed)
+    rng = Draws(random.Random(seed))
     for plan, ids in chains._repairs(hom, rng, trials):
         pipeline._lambda_hat(hom.table.elements, plan, ids, rng)
         yield hom.table, plan, ids
@@ -611,7 +609,7 @@ def test_kept_edges_are_those_ldiv_gives():
     kept = []
     for cycle in _EDGE_CYCLES:
         for seed in (0, 1):
-            hom, first = _checked_cycle(cycle, SymbolTable()), None
+            hom, first = inhom_to_hom(cycle), None
             for table, plan, ids in _trials(hom, seed):
                 table.tape = []  # records every product or quotient formed
                 check_edge_layout(table, plan, ids)
@@ -637,20 +635,13 @@ def test_every_formed_element_comes_through_one_kernel(monkeypatch):
     # trials append is an apex (drawn by ``random_sl2``) or a product or
     # quotient whose entries were det-checked (``check_det``), in a trial
     # repaired in full and in a replay alike
-    checked, real_draw, drawn = _forms_counted(monkeypatch), \
-        chains.random_sl2, set()
-
-    def draw(rng):
-        g = real_draw(rng)
-        drawn.add(g.entries())
-        return g
-
-    monkeypatch.setattr(chains, "random_sl2", draw)
-    hom = _checked_cycle(torsion_cycle(6), SymbolTable())
+    checked, apexes = _forms_counted(monkeypatch), apex_draws(monkeypatch)
+    hom = inhom_to_hom(torsion_cycle(6))
     ends, plans = [len(hom.table.elements)], []
     for table, plan, _ in _trials(hom, 0):
         ends.append(len(table.elements))
         plans.append(plan)
+    drawn = {g.entries() for g, _ in apexes}
     for lo, hi in zip(ends, ends[1:]):
         kinds = {(g.entries() in checked, g.entries() in drawn)
                  for g in hom.table.elements[lo:hi]}
@@ -659,19 +650,24 @@ def test_every_formed_element_comes_through_one_kernel(monkeypatch):
     assert all(plan is plans[0] for plan in plans)  # trials 2-10 replayed
 
 
-def test_replays_leave_the_memos_as_trial_1_left_them():
+def test_replays_leave_the_memos_as_trial_1_left_them(monkeypatch):
     # torsion 6, seed 0: every term is bad, and each later trial replays.
     # A replay interns exactly the ids its tape adds, as many as trial 1
-    # added, and memoizes nothing: the product, quotient and translate
-    # memos keep the sizes they had after trial 1
-    hom = _checked_cycle(torsion_cycle(6), SymbolTable())
-    base = len(hom.table.elements)
-    sizes = [(len(t.elements), len(t._products), len(t._quotients),
-              len(t._translates)) for t, _, _ in _trials(hom, 0)]
-    added = sizes[0][0] - base
+    # added, and memoizes nothing: after ten trials the table answers
+    # trial 1's Log-det edges from its memos, forming nothing, and forms
+    # those of the last replay anew
+    hom = inhom_to_hom(torsion_cycle(6))
+    table, base = hom.table, len(hom.table.elements)
+    runs = [(len(t.elements), plan, ids) for t, plan, ids in _trials(hom, 0)]
+    added = runs[0][0] - base
     assert added > 0
-    assert [s[0] for s in sizes] == [base + k * added for k in range(1, 11)]
-    assert {s[1:] for s in sizes} == {sizes[0][1:]}
+    assert [n for n, _, _ in runs] == [base + k * added for k in range(1, 11)]
+    formed, plan = _forms_counted(monkeypatch), runs[0][1]
+    for (_, _, ids), forms in ((runs[0], False), (runs[-1], True)):
+        formed.clear()
+        for a, b in plan.pairs:
+            table.ldiv(ids[a], ids[b])
+        assert bool(formed) == forms
 
 
 def test_replays_report_as_full_repairs():
@@ -686,7 +682,7 @@ def test_replays_report_as_full_repairs():
 
 def _pairwise_deviation(values):
     """The reference: the maximum over every pair of trial values."""
-    return max((max(_circle_distance(a.real, b.real), abs(a.imag - b.imag))
+    return max((max(mod1_dist(a.real, b.real), abs(a.imag - b.imag))
                 for a, b in combinations(values, 2)), default=0.0)
 
 

@@ -10,7 +10,7 @@ from extbloch import chains, pipeline
 from extbloch.chainio import chain_to_obj, dumps_canonical
 from extbloch.core import (GroupElement, ProjVector, as_rng, det_pair,
                            random_sl2, random_vector, rotation)
-from extbloch.chains import (_LDIV, _MUL, _REUSE, BarChain, HomChain, _Chain,
+from extbloch.chains import (_LDIV, _MUL, _REUSE, BarChain, HomChain,
                              _ConeRepairer, SymbolTable, conjugate_chain,
                              hom_boundary, inhom_to_hom, near_pairs,
                              repair_with_certificate, sample_generic_v)
@@ -24,12 +24,9 @@ from extbloch.pipeline import (ConfigTuple, ccs_value, lambda_hat,
                                psi_v, sigma_hat)
 
 import report_digest
+from conftest import (Draws, goodness_tests, large_conjugate, mod1_dist,
+                      refused_apex, small_conjugate)
 from oracles import object_path_report, reference_sums
-
-
-def _mod1_dist(a: float, b: float) -> float:
-    d = abs((a - b) % 1.0)
-    return min(d, 1.0 - d)
 
 
 def test_config_tuple_rejects_degenerate():
@@ -52,8 +49,7 @@ def test_psi_v_boundary_compatibility(rng):
     from extbloch.fixtures import random_good_hom_chain
     c = random_good_hom_chain(rng, 3, 2)
     plain = HomChain(3, c.terms)
-    v, _ = __import__("extbloch.chains", fromlist=["sample_generic_v"]
-                      ).sample_generic_v(plain, 3)
+    v, _ = sample_generic_v(plain, 3)
     lhs = psi_v(hom_boundary(plain), v)
     rhs = []
     for coeff, cfg in psi_v(plain, v):
@@ -127,21 +123,16 @@ def test_sigma_hat_scaling_moves_within_fiber(rng):
 def test_lambda_hat_on_boundary_vanishes(rng):
     c = random_boundary_cycle(rng)
     val = reference_sums(lambda_hat(c, seed=3))[0] / TWO_PI_SQ
-    assert _mod1_dist(val.real, 0.0) < 1e-9
+    assert mod1_dist(val.real, 0.0) < 1e-9
     assert abs(val.imag) < 1e-9
-
-
-def _conj_torsion(n: int, s: float) -> BarChain:
-    # torsion_cycle(n) conjugated by the large-entry matrix (s, 0.3; 0, 1/s)
-    return conjugate_chain(GroupElement(s, 0.3, 0, 1 / s), torsion_cycle(n))
 
 
 def test_nu_hat_sees_a_perturbed_atom():
     # the value-keyed oracle cancels on the evaluation's image, and is not
     # vacuous: one ledger atom moved by 1e-3 no longer cancels
     for c in (random_boundary_cycle(5, n_terms=2), torsion_cycle(4),
-              torsion_cycle(5), torsion_cycle(6), _conj_torsion(7, 3),
-              _conj_torsion(7, 30)):
+              torsion_cycle(5), torsion_cycle(6), large_conjugate(7, 3),
+              large_conjugate(7, 30)):
         lam = lambda_hat(c, seed=3)
         assert nu_hat(lam.triples).is_zero()
         coeff, t = lam.triples[0]
@@ -167,7 +158,9 @@ def test_certificate_catches_what_nu_hat_would(monkeypatch, mutation):
             (coeff, ids), *rest = out
             kept = rest if mutation == "drop" else [(-coeff, ids), *rest]
             for image in (out, kept):
-                seen.append(HomChain._on(self.table, 3, image, True))
+                seen.append(HomChain(3, [(c, tuple(self.table.elements[i]
+                                                   for i in t))
+                                         for c, t in image], True))
             out = kept
         return out
 
@@ -175,10 +168,9 @@ def test_certificate_catches_what_nu_hat_would(monkeypatch, mutation):
     with pytest.raises(RepairFailed, match="homotopy certificate failed"):
         lambda_hat(torsion_cycle(5), seed=3)
     [phi_bad, mutated] = seen
-    table = phi_bad.table
-    hom = inhom_to_hom(torsion_cycle(5).interned(table))
-    bad = HomChain._on(table, 3, [(c, ids) for c, ids in hom.pairs()
-                                  if not table.good(ids)], True)
+    hom = inhom_to_hom(torsion_cycle(5))
+    bad = HomChain(3, [(c, sym) for (c, ids), (_, sym) in zip(hom.pairs(), hom)
+                       if not hom.table.good(ids)], True)
     assert len(hom) == 5 and len(hom - bad) == 2  # B is 3 terms of hom
     reports = []
     for image in (hom - bad + phi_bad, hom - bad + mutated):
@@ -190,21 +182,17 @@ def test_certificate_catches_what_nu_hat_would(monkeypatch, mutation):
 
 def test_trials_build_no_chain_objects(monkeypatch):
     # an evaluation builds its chains once, for the checked cycle: each
-    # trial repairs, samples v and flattens over plain (coefficient, ids)
-    # lists, so ten trials build as many chain objects as one
-    built, on = [], _Chain._on.__func__
-
-    def spy(cls, *args):
-        built.append(cls)
-        return on(cls, *args)
-
-    monkeypatch.setattr(_Chain, "_on", classmethod(spy))
-    counts = []
+    # later trial replays, samples v and flattens over plain (coefficient,
+    # ids) lists, so ten trials left-translate as many tuples to their
+    # canonical form (as every coinvariant chain built does) as one
+    canonical, made, counts = SymbolTable.canonical, [], []
+    monkeypatch.setattr(SymbolTable, "canonical", lambda self, ids: (
+        made.append(ids) or canonical(self, ids)))
     for trials in (1, 10):
-        built.clear()
+        made.clear()
         ccs_value(torsion_cycle(6), seed=0, trials=trials)
-        counts.append(len(built))
-    assert counts[0] == counts[1], counts
+        counts.append(len(made))
+    assert counts[0] == counts[1] > 0, counts
 
 
 def _ledger(log, ids):
@@ -279,9 +267,9 @@ def test_conjugated_torsion_stays_at_rounding_level():
     # within 1e-12 (translates of one edge share their Log det)
     for n in (5, 7):
         for s in (10, 30):
-            rep = ccs_value(_conj_torsion(n, s), seed=0, trials=3)
+            rep = ccs_value(large_conjugate(n, s), seed=0, trials=3)
             value = rep.value_mod1
-            assert _mod1_dist(value.real, -2 / n) <= 1e-13, (n, s, value)
+            assert mod1_dist(value.real, -2 / n) <= 1e-13, (n, s, value)
             assert abs(value.imag) <= 1e-13, (n, s, value)
             assert rep.max_trial_deviation <= 1e-12, (n, s, rep)
 
@@ -292,16 +280,6 @@ def test_boundary_trials_agree_at_rounding_level():
     # products: on this 32-term boundary that put the trials 2.2e-13 apart
     rep = ccs_value(random_boundary_cycle(104, n_terms=32), seed=4, trials=3)
     assert rep.max_trial_deviation <= 5e-14, rep.max_trial_deviation
-
-
-def test_lambda_hat_v_independence(rng):
-    c = torsion_cycle(3)
-    vals = []
-    for seed in range(4):
-        vals.append(-reference_sums(lambda_hat(c, seed=seed))[0] / TWO_PI_SQ)
-    for v in vals[1:]:
-        assert _mod1_dist(v.real, vals[0].real) < 1e-7
-        assert abs(v.imag - vals[0].imag) < 1e-7
 
 
 def test_volume_matches_im_lhat(rng):
@@ -315,7 +293,7 @@ def test_ccs_value_single_pass_matches_reference_sums():
     # log-parameters: a one-trial report, its raw L-hat and volume residual
     # included, is the object path's
     for c in (torsion_cycle(5), torsion_cycle(12),
-              random_boundary_cycle(3, n_terms=16), _conj_torsion(7, 3)):
+              random_boundary_cycle(3, n_terms=16), large_conjugate(7, 3)):
         for seed in (0, 1):
             assert ccs_value(c, seed=seed, trials=1) == \
                 object_path_report(c, seed, 1)
@@ -328,7 +306,7 @@ def test_every_trial_sums_as_the_object_path_does():
     # largest; a five-term boundary has all its terms good
     cases = [(c, (0, 1, 2)) for c in (
         torsion_cycle(6), torsion_cycle(48),
-        random_boundary_cycle(3, n_terms=16), _conj_torsion(7, 3),
+        random_boundary_cycle(3, n_terms=16), large_conjugate(7, 3),
         five_term_boundary(0.5, 0.25))]
     for c, seeds in cases:
         for seed in seeds:
@@ -341,7 +319,7 @@ def test_ccs_value_torsion_family():
     expected = {2: 0.0, 3: 1 / 3, 4: 1 / 2, 5: 3 / 5}
     for n, want in expected.items():
         rep = ccs_value(torsion_cycle(n), seed=1, trials=3)
-        assert _mod1_dist(rep.value_mod1.real, want) < 1e-6, (n, rep.value_mod1)
+        assert mod1_dist(rep.value_mod1.real, want) < 1e-6, (n, rep.value_mod1)
         assert abs(rep.value_mod1.imag) < 1e-6
         assert abs(n * rep.value_mod1.real - round(n * rep.value_mod1.real)) < 1e-5
         assert rep.max_trial_deviation < 1e-7
@@ -349,37 +327,14 @@ def test_ccs_value_torsion_family():
 
 def test_ccs_value_boundary(rng):
     rep = ccs_value(random_boundary_cycle(rng), seed=2, trials=3)
-    assert _mod1_dist(rep.value_mod1.real, 0.0) < 1e-7
+    assert mod1_dist(rep.value_mod1.real, 0.0) < 1e-7
     assert abs(rep.volume) < 1e-7
 
 
 def test_ccs_value_five_term_fixture():
     rep = ccs_value(five_term_boundary(0.5, 0.25), seed=0, trials=2)
-    assert _mod1_dist(rep.value_mod1.real, 0.0) < 1e-7
+    assert mod1_dist(rep.value_mod1.real, 0.0) < 1e-7
     assert abs(rep.volume) < 1e-7
-
-
-def test_ccs_conjugation_invariance(rng):
-    c = torsion_cycle(3)
-    g = random_sl2(rng)
-    r1 = ccs_value(c, seed=4, trials=2)
-    r2 = ccs_value(conjugate_chain(g, c), seed=5, trials=2)
-    assert _mod1_dist(r1.value_mod1.real, r2.value_mod1.real) < 1e-7
-    assert abs(r1.value_mod1.imag - r2.value_mod1.imag) < 1e-7
-
-
-def test_ccs_complex_conjugation_equivariance(rng):
-    # conjugation on C/Z sends x + iy to x - iy: real parts agree mod 1,
-    # imaginary parts flip sign
-    c = random_boundary_cycle(rng) + torsion_cycle(5)
-    r1 = ccs_value(c, seed=6, trials=2)
-    conj = BarChain(c.degree, [
-        (coeff, tuple(GroupElement(*(x.conjugate() for x in h.entries()))
-                      for h in sym))
-        for coeff, sym in c])
-    r2 = ccs_value(conj, seed=7, trials=2)
-    assert _mod1_dist(r2.value_mod1.real, r1.value_mod1.real) < 1e-7
-    assert abs(r2.value_mod1.imag + r1.value_mod1.imag) < 1e-7
 
 
 def test_ccs_report_fields(rng):
@@ -432,7 +387,7 @@ def test_ccs_value_builds_no_triple_point_or_merged_sum(monkeypatch):
     for name in ("FlatteningTriple", "to_covering_point", "CoveringPoint"):
         monkeypatch.setattr(covering, name, refuse)
     rep = ccs_value(torsion_cycle(6), seed=0, trials=3)
-    assert _mod1_dist(rep.value_mod1.real, 2 / 3) < 1e-12
+    assert mod1_dist(rep.value_mod1.real, 2 / 3) < 1e-12
 
 
 def test_trials_draw_in_turn_from_one_stream():
@@ -446,10 +401,9 @@ def test_trials_draw_in_turn_from_one_stream():
     cases = [(c, (0, 1, 7)) for c in (
         torsion_cycle(5), torsion_cycle(6), torsion_cycle(12),
         torsion_cycle(48),
-        conjugate_chain(GroupElement(3, 0.3, 0, 1 / 3), torsion_cycle(7)),
+        large_conjugate(7, 3),
         random_boundary_cycle(5, n_terms=2), five_term_boundary(0.5, 0.25))]
-    cases.append((conjugate_chain(GroupElement(30, 0.3, 0, 1 / 30),
-                                  torsion_cycle(5)), (1, 2, 4, 5)))
+    cases.append((large_conjugate(5, 30), (1, 2, 4, 5)))
     for c, seeds in cases:
         for seed in seeds:
             assert (ccs_value(c, seed=seed, trials=10).trials
@@ -482,14 +436,9 @@ def test_report_seed_is_the_integer_evaluated():
     assert ccs_value(c, seed=random.Random(3), trials=2).seed is None
 
 
-class _UniformOnly:
+def _UniformOnly(seed):
     """A generator with nothing but ``uniform``."""
-
-    def __init__(self, seed):
-        self.source = random.Random(seed)
-
-    def uniform(self, a, b):
-        return self.source.uniform(a, b)
+    return Draws(random.Random(seed))
 
 
 @pytest.mark.parametrize("seed", [1.5, None, "3", np.float64(3)])
@@ -639,27 +588,32 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
         assert gen.uniform(-1, 1) == ref.uniform(-1, 1)  # as many draws
 
 
-def _small_conjugate(n: int, rng) -> BarChain:
-    # torsion n conjugated by a random element, all entries at most 4
-    while True:
-        cycle = conjugate_chain(random_sl2(rng), torsion_cycle(n))
-        if max(h.max_abs() for _, sym in cycle for h in sym) <= 4:
-            return cycle
-
-
-def _goodness_tests(monkeypatch) -> list:
-    # the id tuples SymbolTable.good is asked about, in order: the cone
-    # recursion of a full repair tests every term for goodness, a replay none
-    tests, good = [], SymbolTable.good
-    monkeypatch.setattr(SymbolTable, "good",
-                        lambda self, ids: tests.append(ids) or good(self, ids))
-    return tests
+@pytest.mark.parametrize("echo", [True, False], ids=["echo", "refused"])
+def test_a_generator_forces_a_fallback(monkeypatch, echo):
+    # torsion 6, 4 trials: a generator that hands trial 1's draws out again
+    # makes trial 2's replay land an apex on trial 1's id, and its full
+    # repair is trial 1's; one that plants an apex the reuse test refuses
+    # (``refused_apex``) makes trial 2's replay differ there, and its full
+    # repair draws one more apex.  Trials 1 and 2 alone repair in full, and
+    # the report and the draws taken are those of successive full repairs
+    c, tests = torsion_cycle(6), goodness_tests(monkeypatch)
+    first = Draws(random.Random(0))
+    lambda_hat(c, first)
+    planted = first.taken + (first.taken if echo else refused_apex())
+    second = Draws(random.Random(7), planted[len(first.taken):])
+    lambda_hat(c, second)
+    full = len(tests)  # the goodness tests of trials 1 and 2, each in full
+    tests.clear()
+    gen, ref = (Draws(random.Random(7), planted) for _ in range(2))
+    rep = ccs_value(c, gen, trials=4)
+    assert len(tests) == full
+    assert rep == object_path_report(c, ref, 4) and gen.taken == ref.taken
 
 
 def test_only_the_first_trial_enters_the_cone_recursion(monkeypatch):
     # torsion 6, 10 trials: trials 2-10 replay the first trial's repair, so
     # the evaluation makes the goodness tests of a one-trial one, in order
-    tests = _goodness_tests(monkeypatch)
+    tests = goodness_tests(monkeypatch)
     ccs_value(torsion_cycle(6), seed=0, trials=1)
     once = list(tests)
     ccs_value(torsion_cycle(6), seed=0, trials=10)
@@ -671,9 +625,9 @@ def test_every_later_trial_replays_without_a_fallback(monkeypatch):
     # repairs only its first trial in full: no later trial (on the report
     # digest's corpus, small conjugates of torsion cycles and boundaries)
     # falls back, and every trial agrees with the first
-    tests = _goodness_tests(monkeypatch)
+    tests = goodness_tests(monkeypatch)
     rng = random.Random(13)
-    cycles = [_small_conjugate(n, rng) for n in range(4, 13)]
+    cycles = [small_conjugate(torsion_cycle(n), rng) for n in range(4, 13)]
     cycles += [random_boundary_cycle(k, n_terms=k) for k in range(1, 5)]
     runs = [(c, seed) for c in cycles for seed in range(5)]
     runs += [(c, 0) for _, c in report_digest.corpus()]
@@ -719,7 +673,7 @@ def test_closed_form_values():
               for n, k in ((5, 2), (7, 3), (8, 3), (12, 5))]
     for cycle, want in cases:
         rep = ccs_value(cycle, seed=1, trials=2)
-        assert _mod1_dist(rep.value_mod1.real, want) < 1e-12, rep.value_mod1
+        assert mod1_dist(rep.value_mod1.real, want) < 1e-12, rep.value_mod1
         assert abs(rep.value_mod1.imag) < 1e-12
         assert rep.max_trial_deviation < 1e-12
 
@@ -737,7 +691,7 @@ def test_closed_form_grid():
     for n, k in cases:
         rep = ccs_value(_rotation_cycle(n, k), seed=1, trials=2)
         want = -2 * k * k / n
-        assert _mod1_dist(rep.value_mod1.real, want) < 1e-12, (n, k)
+        assert mod1_dist(rep.value_mod1.real, want) < 1e-12, (n, k)
         assert abs(rep.value_mod1.imag) < 1e-12, (n, k)
 
 

@@ -1,12 +1,14 @@
 """Relations a class value keeps, on seeded, generated cycles.
 
-The cycles: torsion cycles conjugated by random elements until every entry
-is at most 4 (the bench's ``CONJ_MAX_ENTRY``), random 3-term boundaries
-and a five-term boundary at a random point, all drawn from standard-library
-generators with fixed seeds, and the binary polyhedral classes of Q8, T*
-and I* (``spherical.py``).  Each relation respells the cycle in a way
-that keeps its class, or maps the class by a known rule, and compares
-values mod 1.
+The classes here (``CLASSES``), ``value`` and ``distance`` are also those
+of the relations in ``test_invariants.py``, and ``conjugation_keeps`` is
+also run by ``test_spherical.py``.  The cycles: torsion cycles conjugated
+by random elements until every entry is at most 4 (the bench's
+``CONJ_MAX_ENTRY``), random 3-term boundaries and a five-term boundary at
+a random point, all drawn from standard-library generators with fixed
+seeds, and the binary polyhedral classes of Q8, T* and I*
+(``spherical.py``).  Each relation respells the cycle in a way that keeps
+its class, or maps the class by a known rule, and compares values mod 1.
 """
 
 import random
@@ -22,27 +24,19 @@ from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
 from extbloch.pipeline import ccs_value
 
 import spherical
+from conftest import mod1_dist, small_conjugate
 
 MAX_ENTRY = 4.0
 BOUND = 1e-12  # mod 1, for every relation but the shear respelling
 SHEAR_BOUND = 1e-9
 
 
-def _small_conjugate(rng, c: BarChain) -> BarChain:
-    """``c`` conjugated by random elements until every entry is at most
-    ``MAX_ENTRY``."""
-    while True:
-        out = conjugate_chain(random_sl2(rng), c)
-        if max(g.max_abs() for _, sym in out for g in sym) <= MAX_ENTRY:
-            return out
-
-
 def _cycles():
     """(name, cycle) for every generated cycle."""
     rng = random.Random(2024)
     for n in (3, 4, 5, 7, 9, 12):
-        yield f"torsion {n} conjugated", _small_conjugate(rng,
-                                                          torsion_cycle(n))
+        yield f"torsion {n} conjugated", small_conjugate(torsion_cycle(n),
+                                                         rng, MAX_ENTRY)
     yield "boundary", random_boundary_cycle(rng, n_terms=3)
     x, y = (complex(rng.uniform(0.2, 0.8), rng.uniform(-0.4, 0.4))
             for _ in range(2))
@@ -56,15 +50,26 @@ CLASSES = {**CYCLES, **{name: spherical.cycle(group)
                         for name, (group, _) in FORMS.items()}}
 
 
-def _value(c: BarChain, seed: int = 0) -> complex:
+def value(c: BarChain, seed: int = 0) -> complex:
     return ccs_value(c, seed=seed, trials=3).value_mod1
 
 
-def _distance(v: complex, w: complex) -> float:
+def distance(v: complex, w: complex) -> float:
     """The larger of the mod-1 distance of the real parts and the gap of
     the imaginary parts."""
-    d = abs((v.real - w.real) % 1.0)
-    return max(min(d, 1.0 - d), abs(v.imag - w.imag))
+    return max(mod1_dist(v.real, w.real), abs(v.imag - w.imag))
+
+
+def conjugation_keeps(c: BarChain, want: complex, count: int = 3) -> None:
+    """Conjugation acts trivially on group homology: ``count`` conjugates
+    of ``c``, by elements with entries at most ``MAX_ENTRY``, evaluate to
+    ``want``."""
+    rng = random.Random(5)
+    for _ in range(count):
+        h = random_sl2(rng)
+        while h.max_abs() > MAX_ENTRY:
+            h = random_sl2(rng)
+        assert distance(value(conjugate_chain(h, c)), want) <= BOUND
 
 
 def _mapped(c: BarChain, f) -> BarChain:
@@ -79,34 +84,26 @@ def test_complex_conjugation_keeps_the_real_part_and_negates_the_volume(name):
     rep = ccs_value(c, seed=0, trials=3)
     conj = ccs_value(_mapped(c, lambda g: GroupElement(
         *(z.conjugate() for z in g.entries()))), seed=0, trials=3)
-    assert _distance(conj.value_mod1, rep.value_mod1.conjugate()) <= BOUND
+    assert distance(conj.value_mod1, rep.value_mod1.conjugate()) <= BOUND
     assert abs(conj.volume + rep.volume) <= BOUND
 
 
 @pytest.mark.parametrize("name", list(CLASSES))
 def test_conjugation_keeps_the_value(name):
-    # conjugation acts trivially on group homology; each conjugator has
-    # entries at most ``MAX_ENTRY``
-    c, rng = CLASSES[name], random.Random(5)
-    want = _value(c)
-    for _ in range(3):
-        h = random_sl2(rng)
-        while h.max_abs() > MAX_ENTRY:
-            h = random_sl2(rng)
-        assert _distance(_value(conjugate_chain(h, c)), want) <= BOUND
+    conjugation_keeps(CLASSES[name], value(CLASSES[name]))
 
 
 @pytest.mark.parametrize("name", list(CLASSES))
 def test_the_seed_and_the_tolerance_keep_the_value(name):
     c = CLASSES[name]
-    want = _value(c)
+    want = value(c)
     for seed in (0, 7, 11):
-        assert _distance(_value(c, seed), want) <= BOUND
+        assert distance(value(c, seed), want) <= BOUND
     obj = chain_to_obj(c)
     for tol in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
         read = chain_from_obj(obj, tol)
         assert read.table.tol == tol
-        assert _distance(_value(read), want) <= BOUND
+        assert distance(value(read), want) <= BOUND
 
 
 @pytest.mark.parametrize("name", list(CYCLES))
@@ -124,7 +121,7 @@ def test_a_shear_respelling_within_cmp_keeps_the_value(name):
 
     respelled = _mapped(c, sheared)
     assert respelled.table.elements != c.table.elements
-    assert _distance(_value(respelled), _value(c)) <= SHEAR_BOUND
+    assert distance(value(respelled), value(c)) <= SHEAR_BOUND
 
 
 def test_the_cycles_are_what_they_were_generated_as():
@@ -135,4 +132,4 @@ def test_the_cycles_are_what_they_were_generated_as():
         n = (int(name.split()[1]) if name.startswith("torsion")
              else FORMS.get(name, (None, 0))[1])
         want = complex(-2.0 / n % 1.0 if n else 0.0, 0.0)
-        assert _distance(_value(c), want) <= BOUND, name
+        assert distance(value(c), want) <= BOUND, name

@@ -4,29 +4,18 @@ spherical space forms S^3/G, G a binary polyhedral group, built by
 the binary icosahedral class to -98/120 mod 1.  Each class repeats
 entries (g and -g are both in G), so every evaluation runs the repair."""
 
-import random
-
 import pytest
 
-from extbloch.chains import conjugate_chain
-from extbloch.core import random_sl2
-from extbloch.pipeline import ccs_value
-
 import spherical
+from test_relations import BOUND, conjugation_keeps, distance, value
 
-BOUND = 1e-12  # mod 1, and on the imaginary part
-MAX_ENTRY = 4.0  # of a conjugating element
 ORDERS = {"Q8": 8, **{f"D{m}": 4 * m for m in range(2, 7)},
           "T": 24, "O": 48, "I": 120}
 CLASSES = {name: spherical.cycle(name) for name in ORDERS}
 
 
 def _off(c, want: float) -> float:
-    """The larger of the mod-1 distance of the value of ``c`` (seed 0, 3
-    trials) from ``want`` and its imaginary part."""
-    v = ccs_value(c, seed=0, trials=3).value_mod1
-    d = (v.real - want) % 1.0
-    return max(min(d, 1.0 - d), abs(v.imag))
+    return distance(value(c), complex(want))
 
 
 @pytest.mark.parametrize("name", list(ORDERS))
@@ -49,12 +38,6 @@ def test_k_copies_give_k_times_the_value(name):
 
 @pytest.mark.parametrize("name", ["Q8", "D5", "T", "O", "I"])
 def test_a_conjugation_keeps_the_value(name):
-    # conjugation by an element of SL(2, C) with entries at most
-    # ``MAX_ENTRY`` takes the class out of SU(2) and keeps its value
-    rng = random.Random(5)
-    for _ in range(2):
-        h = random_sl2(rng)
-        while h.max_abs() > MAX_ENTRY:
-            h = random_sl2(rng)
-        assert _off(conjugate_chain(h, CLASSES[name]),
-                    -2.0 / ORDERS[name]) <= BOUND
+    # conjugation by an element of SL(2, C) takes the class out of SU(2)
+    # and keeps its value
+    conjugation_keeps(CLASSES[name], complex(-2.0 / ORDERS[name] % 1.0), 2)
