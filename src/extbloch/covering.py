@@ -119,7 +119,8 @@ def _cover(w0: complex, w1: complex, w2: complex):
     # Log z as plog takes it, Log(1 - z) as _log1m does (w != 0 as z != 1):
     # inline, as calling plog and _log1m here adds about 6% per term
     log_z = cmath.log(z if z.imag != 0.0 else complex(z.real, 0.0))
-    l1 = -z if w == 1.0 else cmath.log(w) * (z / (1.0 - w))
+    # no -z branch: w == 1.0 needs |z| <= 2**-53, refused above (<= ZERO)
+    l1 = cmath.log(w) * (z / (1.0 - w))
     i_pi = 1j * PI  # per call, so that a patched covering.PI holds
     raw = (w0 - log_z) / i_pi
     p = round(raw.real)

@@ -2,17 +2,21 @@
 
 A fault is (id, file, old text, new text, stage): ``old``, which must
 occur once in ``file``, replaced by ``new``; every stage of ``STAGES`` has
-one.  ``--check`` checks that in seconds.  A run copies the tree to a
-temporary directory and runs tier-1 on it, then on a fresh copy per
-fault, one run at a time, without ``-x``: a failure, or a run past
-``TIMEOUT_S`` (its processes killed), catches the fault.  It records under
-``--label`` in ``--out`` the commit, Python, platform and CPU count, and
-per fault the failing tests and seconds, a survivor with its ``NOTES``
-entry, and writes nothing else in the checkout.  A test is retired or
-restated only when a run shows every fault it caught still caught.
+one, and ``LIST_TEST`` holds the list to ``check``.  Each pytest run gets
+a fresh copy of the tree in a temporary directory.  Unfaulted, tier-1
+runs, then the catchers: per fault, the tests that the last run of the
+highest-numbered ``FAULTS_<n>.json`` records as failing.  Both must pass.
+Each fault then runs its catchers with ``-x``, and a FAILED or ERROR
+line, or a run past ``TIMEOUT_S`` (its processes killed), catches it;
+otherwise (no catcher, none failed, one gone) tier-1 runs in full, and a
+failing run or a timeout catches it.  The record under ``--label`` in
+``--out`` holds the commit, Python, platform and CPU count, and per fault
+what failed, in which run, and the seconds, a survivor with its ``NOTES``
+entry; a survivor without one makes the exit status 1.  A test is retired
+or restated only when a run on an export without ``FAULTS_*.json`` (all
+faults through full tier-1) shows every fault it caught still caught.
 
-    python tests/faults.py --check
-    python tests/faults.py [--label L] [--out FAULTS_2.json] [--commit C]
+    python tests/faults.py --out FAULTS_3.json [--label L] [--commit C]
 """
 
 from __future__ import annotations
@@ -31,6 +35,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 180.0  # a tier-1 run takes about 25 s
+# the tier-1 test of ``check``: it fails on every planted tree, whose old
+# text is gone, so fault runs deselect it; the unfaulted run must pass it
+LIST_TEST = ("tests/test_invariants.py::"
+             "test_the_planted_faults_apply_to_the_tree")
 
 # the north star's stages of an evaluation
 STAGES = ("cycle check", "cone repair", "certificate", "v sampling", "psi_v",
@@ -157,6 +165,21 @@ FAULTS = [
      "certificate"),
     ("z-near-1-accepted", COVERING, "    if abs(z - 1.0) <= config.ZERO:\n",
      "    if abs(z - 1.0) <= config.ZERO and False:\n", "covering point"),
+    # mutants that once survived tier-1 (ROADMAP item 20)
+    ("pair-check-and-or", CHAINIO,
+     "and isinstance(s, list) and len(s) == 2):",
+     "and isinstance(s, list) or len(s) == 2):", "input"),
+    ("tiny-z-log1m-sign", DILOG, "return -z if w == 1.0 else",
+     "return z if w == 1.0 else", "lhat sum"),
+    ("v-attempts-two-fewer", CHAINS,
+     "for attempt in range(1, V_ATTEMPTS + 1):",
+     "for attempt in range(1, V_ATTEMPTS - 1):", "v sampling"),
+    ("sum-bound-divided", COVERING,
+     "bound = SUM_TOL * (1 + abs(w0) + abs(w1))",
+     "bound = SUM_TOL / (1 + abs(w0) + abs(w1))", "covering point"),
+    ("replay-first-added-id-unmoved", CHAINS,
+     "ids = [i if i < base else i + shift for i in slots]",
+     "ids = [i if i <= base else i + shift for i in slots]", "replay"),
 ]
 
 # why a fault may survive: "equivalent: <why no output can change>" or
@@ -182,13 +205,14 @@ def check() -> list[str]:
     return problems
 
 
-def _tier1(tree: Path) -> dict:
-    """Tier-1 on ``tree``, in a process group of its own that is killed
-    when it ends: caught or not, the failing tests and seconds."""
+def _pytest(tree: Path, *args: str) -> dict:
+    """pytest on ``tree`` with ``args``, in a process group of its own that
+    is killed when it ends: the tests that failed, and those that passed
+    when ``args`` asks for them (``-rA``), the exit code and seconds."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1",
                COLUMNS="500")
     cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p",
-           "no:cacheprovider", "--continue-on-collection-errors"]
+           "no:cacheprovider", "--continue-on-collection-errors", *args]
     start, out, timed_out = time.perf_counter(), "", False
     proc = subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT, text=True,
@@ -203,12 +227,27 @@ def _tier1(tree: Path) -> dict:
         except ProcessLookupError:
             pass
         proc.wait()
-    failed = sorted({line.split(" ", 1)[1].split(" - ")[0]
-                     for line in out.splitlines()
-                     if line.startswith(("FAILED ", "ERROR "))})
-    return {"caught": timed_out or proc.returncode != 0, "failed": failed,
-            "seconds": round(time.perf_counter() - start, 2),
-            "timed_out": timed_out}
+    tests = {"FAILED ": set(), "ERROR ": set(), "PASSED ": set()}
+    for line in out.splitlines():
+        for kind in tests:
+            if line.startswith(kind):
+                tests[kind].add(line[len(kind):].split(" - ")[0])
+    return {"failed": sorted(tests["FAILED "] | tests["ERROR "]),
+            "passed": tests["PASSED "], "code": proc.returncode,
+            "timed_out": timed_out,
+            "seconds": round(time.perf_counter() - start, 2)}
+
+
+def _catchers(root: Path) -> tuple[str | None, dict[str, list[str]]]:
+    """(file and label, failed tests by fault id) of the last run of the
+    highest-numbered ``FAULTS_<n>.json`` in ``root``."""
+    files = [p for p in root.glob("FAULTS_*.json") if p.stem[7:].isdigit()]
+    if not files:
+        return None, {}
+    path = max(files, key=lambda p: int(p.stem[7:]))
+    last = json.loads(path.read_text())["runs"][-1]
+    return (f"{path.name} {last['label']}",
+            {fid: r["failed"] for fid, r in last["results"].items()})
 
 
 def _git(*args: str) -> str | None:
@@ -218,34 +257,62 @@ def _git(*args: str) -> str | None:
 
 
 def run(label: str, out: Path, commit: str | None) -> dict:
+    status = _git("status", "--porcelain")  # None outside a git checkout
     record = {"label": label, "commit": commit or _git("rev-parse", "HEAD"),
-              "uncommitted_changes": bool(_git("status", "--porcelain")),
+              "uncommitted_changes": None if status is None else bool(status),
               "python": platform.python_version(),
               "platform": platform.platform(), "cpus": os.cpu_count(),
               "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
+    source, recorded = _catchers(ROOT)
     start, results = time.perf_counter(), {}
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                     "FAULTS_*.json")
-    with tempfile.TemporaryDirectory(prefix="faults-") as tmp:
-        tree = Path(tmp) / "tree"
-        for fault in [None, *FAULTS]:
+
+    def on_copy(fault, *args: str) -> dict:
+        with tempfile.TemporaryDirectory(prefix="faults-") as tmp:
+            tree = Path(tmp) / "tree"
             shutil.copytree(ROOT, tree, ignore=ignore)
             if fault:
                 path = tree / fault[1]
                 path.write_text(path.read_text().replace(fault[2], fault[3]))
-            got = _tier1(tree)
-            shutil.rmtree(tree)
-            if not fault:
-                record["unfaulted"] = got
-                if got["caught"]:
-                    sys.exit(f"tier-1 fails on the unfaulted tree: {got}")
-                continue
-            if not got["caught"]:
-                got["note"] = NOTES.get(fault[0], "MISSING")
-            results[fault[0]] = {"stage": fault[4], **got}
-            print(f"{fault[0]}: {'caught' if got['caught'] else 'SURVIVED'}"
-                  f" ({len(got['failed'])} failed, {got['seconds']} s)",
-                  flush=True)
+                args = ("--deselect", LIST_TEST, *args)
+            return _pytest(tree, *args)
+
+    got = on_copy(None, "-rA")
+    if got["code"] != 0 or got["timed_out"] or LIST_TEST not in got["passed"]:
+        sys.exit(f"tier-1 fails unfaulted, or lacks {LIST_TEST}: "
+                 f"{got['failed']}")
+    # a recorded catcher that tier-1 no longer passes is not run
+    catchers = {f[0]: [t for t in recorded.get(f[0], []) if t in got["passed"]]
+                for f in FAULTS}
+    union = sorted({t for tests in catchers.values() for t in tests})
+    record.update(unfaulted_s=got["seconds"], catchers_from=source,
+                  catchers=len(union))
+    if union:
+        got = on_copy(None, *union)
+        if got["code"] != 0 or got["timed_out"]:
+            sys.exit(f"catchers fail on the unfaulted tree: {got['failed']}")
+        record["catchers_s"] = got["seconds"]
+    for fault in FAULTS:
+        got, spent = {"caught": False, "seconds": 0.0}, 0.0
+        if tests := catchers[fault[0]]:
+            got = on_copy(fault, "-x", *tests)
+            got.update(caught=bool(got["failed"]) or got["timed_out"],
+                       run="catchers")
+        if not got["caught"]:  # tier-1 in full decides
+            spent = got["seconds"]
+            got = on_copy(fault)
+            got.update(caught=got["code"] != 0 or got["timed_out"],
+                       run="tier-1")
+        results[fault[0]] = result = {
+            "stage": fault[4], "caught": got["caught"], "run": got["run"],
+            "failed": got["failed"], "timed_out": got["timed_out"],
+            "seconds": round(spent + got["seconds"], 2)}
+        if not got["caught"]:
+            result["note"] = NOTES.get(fault[0], "MISSING")
+        print(f"{fault[0]}: {'caught' if got['caught'] else 'SURVIVED'} by "
+              f"{got['run']} ({len(got['failed'])} failed, "
+              f"{result['seconds']} s)", flush=True)
     record.update(results=results, seconds=round(time.perf_counter() - start),
                   survived=[k for k, r in results.items() if not r["caught"]])
     data = json.loads(out.read_text()) if out.exists() else {}
@@ -259,20 +326,18 @@ def run(label: str, out: Path, commit: str | None) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--check", action="store_true")
     parser.add_argument("--label", default="change")
-    parser.add_argument("--out", type=Path, default=ROOT / "FAULTS_2.json")
+    parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--commit", help="the commit of an exported tree")
     args = parser.parse_args()
     if problems := check():
         sys.exit("\n".join(problems))
-    if args.check:
-        print(f"{len(FAULTS)} faults, every stage covered")
-        return
     record = run(args.label, args.out, args.commit)
-    print(f"{len(record['results'])} faults, "
-          f"{len(record['survived'])} survived, {record['seconds']} s")
-
+    unnoted = [k for k in record["survived"] if k not in NOTES]
+    print(f"{len(record['results'])} faults, {len(record['survived'])} "
+          f"survived, {len(unnoted)} without a note, {record['seconds']} s")
+    if unnoted:
+        sys.exit(f"survived without a note: {', '.join(unnoted)}")
 
 if __name__ == "__main__":
     main()

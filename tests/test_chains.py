@@ -7,8 +7,8 @@ from extbloch import chains, config
 from extbloch.chainio import chain_from_obj, chain_to_obj, dumps_canonical
 from extbloch.core import (GroupElement, det_pair, random_sl2, random_vector,
                            rotation)
-from extbloch.chains import (APEX_ATTEMPTS, BarChain, HomChain, _Plan,
-                             _sample_v, _v_pass, bar_boundary, cone,
+from extbloch.chains import (APEX_ATTEMPTS, V_ATTEMPTS, BarChain, HomChain,
+                             _Plan, _sample_v, _v_pass, bar_boundary, cone,
                              conjugate_chain, hom_boundary, hom_to_inhom,
                              inhom_to_hom, is_cycle, is_good, is_v_good,
                              near_pairs, repair_with_certificate,
@@ -366,6 +366,17 @@ def test_apex_draws_stop_at_the_cap():
                              "attempts"):
         repair_with_certificate(torsion_cycle(6), gen)
     assert len(gen.taken) == 8 * APEX_ATTEMPTS == 8000
+
+
+def test_v_draws_stop_at_the_cap():
+    # every draw is v = (1, i), an eigenvector of every rotation, so each
+    # pair of a torsion cycle's tuples is parallel at it: v sampling gives
+    # up after exactly V_ATTEMPTS draws of four values, naming the count
+    gen = Draws(planted=[1.0, 0.0, 0.0, 1.0] * V_ATTEMPTS)
+    with pytest.raises(SamplingExhausted,
+                       match=f"no v-good vector in {V_ATTEMPTS} attempts"):
+        sample_generic_v(torsion_cycle(5), gen)
+    assert len(gen.taken) == 4 * V_ATTEMPTS == 4000
 
 
 def test_repair_deterministic(rng):

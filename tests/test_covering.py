@@ -7,9 +7,9 @@ import pytest
 
 from extbloch import covering
 from extbloch.core import ProjVector
-from extbloch.covering import (CoveringPoint, FlatteningTriple, WedgeElement,
-                               _lhat_sums, check_flattening_condition,
-                               chi_hat, five_tuple,
+from extbloch.covering import (SUM_TOL, CoveringPoint, FlatteningTriple,
+                               WedgeElement, _lhat_sums,
+                               check_flattening_condition, chi_hat, five_tuple,
                                from_covering_point, mu, nu_hat,
                                to_covering_point)
 from extbloch.dilog import (_SERIES_MAX, PI, TWO_PI_SQ, _log1m, lhat,
@@ -116,6 +116,21 @@ def test_invalid_flattening_rejected_at_construction():
     from extbloch.errors import InvalidFlattening
     with pytest.raises(InvalidFlattening):
         FlatteningTriple.from_w01(math.log(2), 2j * PI)
+
+
+@pytest.mark.parametrize("p, q", [(0, 0), (30, -32)],
+                         ids=["w-near-1", "w-near-100"])
+def test_the_sum_bound_scales_with_w0_and_w1(p, q):
+    # w2 = -w0 - w1 + d is taken with |d| at 0.9 of the bound
+    # SUM_TOL (1 + |w0| + |w1|), and refused at 1.1 of it, whichever way d
+    # points; (z; 30, -32) puts |w0| and |w1| near 100
+    t = from_covering_point(CoveringPoint(0.3 + 0.4j, p, q))
+    bound = SUM_TOL * (1 + abs(t.w0) + abs(t.w1))
+    for d in (1, -1, 1j, -1j, cmath.exp(0.7j)):
+        FlatteningTriple(t.w0, t.w1, t.w2 + 0.9 * bound * d)
+        with pytest.raises(InvalidFlattening,
+                           match="^log-parameters must sum to zero$"):
+            FlatteningTriple(t.w0, t.w1, t.w2 + 1.1 * bound * d)
 
 
 def test_not_even_on_raw_log_parameters(monkeypatch):

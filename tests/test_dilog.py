@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from extbloch import config
 from extbloch.covering import CoveringPoint
 from extbloch.dilog import (PI, PI2_6, PI_SQ, TWO_PI_SQ, CutSide,
                             _BERN_COEFFS, lhat, li2,
@@ -128,6 +129,33 @@ def test_li2_inverts_at_most_once():
         for z in seams:
             want = complex(mpmath.polylog(2, mpmath.mpc(z.real, z.imag)))
             assert abs(li2(z) - want) <= 1e-15 * abs(want), z
+
+
+def test_li2_and_lifted_rogers_at_tiny_z():
+    # where 1 - z rounds to 1, Log(1 - z) is -z, not 0: li2(z) ~ z keeps
+    # its sign and its relative error down to |z| = 1e-300, real and
+    # complex.  lifted_rogers refuses |z| <= ZERO (1e-12) as a Log of 0
+    mpmath = pytest.importorskip("mpmath")
+    units = (1, -1, 1j, -1j, cmath.exp(0.7j), cmath.exp(-2.5j))
+    worst = [0.0, 0.0]
+    with mpmath.workdps(40):
+        for e in range(-300, -7):
+            for z in (complex(r * 10.0 ** e * u) for r in (1, 3.7)
+                      for u in units):
+                m = mpmath.mpc(z.real, z.imag)
+                want = mpmath.polylog(2, m)
+                worst[0] = max(worst[0], abs(li2(z) - want) / abs(want))
+                if abs(z) <= config.ZERO:
+                    continue
+                log_z, log_1m = mpmath.log(m), mpmath.log(1 - m)
+                for p, q in ((0, 0), (2, -4)):
+                    want_r = (0.5 * log_z * log_1m + want - PI2_6
+                              + 0.5j * PI * (q * log_z + p * log_1m))
+                    got = lifted_rogers(z, p, q)
+                    worst[1] = max(worst[1], abs(got - want_r) / abs(want_r))
+    assert max(worst) <= 1e-15, worst
+    with pytest.raises(LogOfZero):
+        lifted_rogers(config.ZERO, 0, 0)
 
 
 def test_rogers_value_at_half():

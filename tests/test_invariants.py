@@ -15,6 +15,7 @@ from extbloch.fixtures import random_boundary_cycle, torsion_cycle
 
 import pytest
 
+import faults
 from conftest import large_conjugate
 from test_relations import BOUND, CLASSES, distance, value
 
@@ -130,6 +131,13 @@ def test_cover_stage_refusals_have_one_body():
     bodies = set().union(*raisers.values())
     assert len(bodies) == 1 and all(
         len(where) == 1 for where in raisers.values()), raisers
+
+
+def test_the_planted_faults_apply_to_the_tree():
+    # each fault of tests/faults.py plants once: its old text occurs once
+    # in its file and its new text differs; ids are unique, every stage has
+    # a fault and every note names one.  A rename that breaks one fails here
+    assert faults.check() == []
 
 
 def test_src_modules_use_every_import():

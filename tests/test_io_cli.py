@@ -26,6 +26,7 @@ from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
 from extbloch.pipeline import ccs_value, lambda_hat
 
 import report_digest
+import spherical
 from conftest import large_conjugate, mod1_dist, small_conjugate
 from oracles import fmt_reference
 
@@ -478,6 +479,14 @@ def test_cli_torsion_writes_the_canonical_text(tmp_path, capsys, n):
 
 
 _IDENTITY = [[1, 0], [0, 0], [0, 0], [1, 0]]
+_PAIRS = {"one-number": [1], "three-numbers": [1, 0, 0], "string": "10"}
+
+
+def _bad_pair(i: int, pair) -> dict:
+    """A chain file whose one matrix, the identity, has ``pair`` as its
+    pair ``i``."""
+    bar = [[*_IDENTITY[:i], pair, *_IDENTITY[i + 1:]]]
+    return {"group": "SL2C", "degree": 1, "terms": [{"coef": 1, "bar": bar}]}
 
 
 @pytest.mark.parametrize("doc, reason", [
@@ -499,8 +508,12 @@ _IDENTITY = [[1, 0], [0, 0], [0, 0], [1, 0]]
      "term 0: need 'coef' and 'bar'"),
     ({"group": "SL2C", "degree": 1, "terms": [{"coef": 1}]},
      "term 0: need 'coef' and 'bar'"),
+    # each pair of a matrix is checked: 1 or 3 numbers, or a string
+    *((_bad_pair(i, pair), "term 0, matrix 0: matrix must be four [re, im] "
+       "pairs") for i in range(4) for pair in _PAIRS.values()),
 ], ids=["degree-4", "bool-degree", "bool-coef", "string-entry", "huge-entry",
-        "three-pairs", "terms-not-a-list", "no-coef", "no-bar"])
+        "three-pairs", "terms-not-a-list", "no-coef", "no-bar",
+        *(f"pair{i}-{kind}" for i in range(4) for kind in _PAIRS)])
 def test_cli_eval_rejects_bad_chain_files(tmp_path, capsys, doc, reason):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -693,18 +706,22 @@ def _sheared_torsion():
                                      for k, sym in torsion_cycle(5)]))
 
 
-@pytest.mark.parametrize("doc, tol", [
-    (lambda: chain_to_obj(torsion_cycle(6)), None),
-    (lambda: chain_to_obj(five_term_boundary(0.5, 0.25)), None),
+@pytest.mark.parametrize("doc, tol, want", [
+    (lambda: chain_to_obj(torsion_cycle(6)), None, 2 / 3),
+    (lambda: chain_to_obj(five_term_boundary(0.5, 0.25)), None, 0.0),
     (lambda: chain_to_obj(small_conjugate(torsion_cycle(12),
-                                          random.Random(12))), None),
-    (lambda: chain_to_obj(random_boundary_cycle(5, n_terms=2)), None),
-    (_rounded_boundary, 1e-6),
-    (_sheared_torsion, 1e-6),
+                                          random.Random(12))), None, 5 / 6),
+    (lambda: chain_to_obj(random_boundary_cycle(5, n_terms=2)), None, 0.0),
+    (_rounded_boundary, 1e-6, None),
+    (_sheared_torsion, 1e-6, None),
+    (lambda: chain_to_obj(spherical.cycle("I")), None, 59 / 60),
+    (lambda: chain_to_obj(torsion_cycle(5)), 1e-4, 0.6),
+    (_rounded_boundary, None, None),
 ], ids=["torsion 6", "five-term", "torsion 12 conjugated", "boundary",
-        "rounded boundary at cmp 1e-6", "sheared torsion at cmp 1e-6"])
+        "rounded boundary at cmp 1e-6", "sheared torsion at cmp 1e-6",
+        "binary icosahedral", "torsion 5 at cmp 1e-4", "rounded boundary"])
 def test_cli_eval_of_ten_trials_is_the_library_report(tmp_path, capsys,
-                                                      doc, tol):
+                                                      doc, tol, want):
     # ccs eval evaluates on the symbol table its file was read into, and
     # over 10 trials replays trials 2-10; its report is, byte for byte,
     # the library's, which keys the parsed chain again at the tolerance
@@ -712,15 +729,23 @@ def test_cli_eval_of_ten_trials_is_the_library_report(tmp_path, capsys,
     # 1-simplices) and a five-term boundary, the two kinds of file the
     # bench's deep-single workload reads: a torsion cycle conjugated to
     # small entries, and a random boundary; a boundary with rounded
-    # entries read at a coarser cmp; and a torsion cycle that is a cycle
-    # only at the coarser cmp its file is read at
+    # entries, a cycle at the default cmp and read at a coarser one too;
+    # a torsion cycle that is a cycle only at the coarser cmp its file is
+    # read at; the binary icosahedral class (a non-abelian repair); and
+    # torsion 5 at a coarser cmp.  Where ``want`` is given, the value is
+    # it and the trials agree, within 1e-12
     path = tmp_path / "cycle.json"
     path.write_text(dumps_canonical(doc()))
     extra = [] if tol is None else ["--tolerance", repr(tol)]
     assert main(["check-cycle", str(path), *extra]) == 0
     assert json.loads(capsys.readouterr().out)["is_cycle"] is True
-    assert (_cli_eval(path, capsys, *extra, trials=10)
-            == _library_eval(path, trials=10, tol=tol))
+    report = _cli_eval(path, capsys, *extra, trials=10)
+    assert report == _library_eval(path, trials=10, tol=tol)
+    if want is not None:
+        got = json.loads(report)
+        assert mod1_dist(got["value"][0], want) <= 1e-12
+        assert abs(got["value"][1]) <= 1e-12
+        assert got["max_trial_deviation"] <= 1e-12
 
 
 def test_an_evaluation_runs_at_the_tolerance_its_chain_was_keyed_at(

@@ -130,6 +130,31 @@ def test_a_replay_tests_renamed_pairs_for_either_sign(monkeypatch, coincide):
     assert shifts[0] is not None
 
 
+def test_a_replay_moves_the_first_id_trial_1_added(monkeypatch):
+    # torsion 5 cones off two apexes a trial, and here the second drawn is
+    # the inverse of the first, a: making trial 1's phi(B) canonical lands
+    # on a itself, so the first id the trial added, the table's length
+    # before it, is a slot of its plan.  A replay must move that id too:
+    # each later trial replays (two draws a trial) and agrees at 3/5
+    drawn = []
+
+    def draw(rng):
+        g = random_sl2(rng)
+        drawn.append(drawn[-1].inverse() if len(drawn) % 2 else g)
+        return drawn[-1]
+
+    monkeypatch.setattr(chains, "random_sl2", draw)
+    hom = inhom_to_hom(torsion_cycle(5))
+    base = len(hom.table.elements)
+    plan, _ = next(chains._repairs(hom, random.Random(0), 1))
+    assert hom.table.elements[base] is drawn[0] and base in plan.slots
+    drawn.clear()
+    report = ccs_value(torsion_cycle(5), seed=0, trials=3)
+    assert len(drawn) == 6
+    assert mod1_dist(report.value_mod1.real, 0.6) <= 1e-12
+    assert report.max_trial_deviation <= 1e-12
+
+
 class _AllCells(FuzzyIndexReference):
     """The reference with every new value through its probe of all cells,
     which tests every coordinate for the guard band."""

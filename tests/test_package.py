@@ -1,7 +1,6 @@
 """The package surface: what ``import extbloch`` loads, which names it
 exports, and the value semantics of its plain record classes."""
 
-import ast
 import copy
 import importlib
 import math
@@ -137,34 +136,6 @@ def test_unknown_name_raises_attribute_error_naming_it():
         extbloch.no_such_name  # noqa: B018
     with pytest.raises(ImportError, match="no_such_name"):
         exec("from extbloch import no_such_name", {})
-
-
-def _imported_names(tree: ast.Module) -> dict[str, int]:
-    """Name bound -> line, for every import in ``tree`` but __future__'s."""
-    names = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                names[alias.asname or alias.name] = node.lineno
-    return names
-
-
-def test_no_module_imports_a_name_it_never_uses():
-    # a deleted helper can leave its import behind; ``__init__`` imports
-    # names to export them, so it is not checked
-    unused = []
-    for path in sorted((SRC / "extbloch").glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        unused += [f"{path.name}:{line}: {name}"
-                   for name, line in _imported_names(tree).items()
-                   if name not in used]
-    assert unused == []
 
 
 # ---------------------------------------------------------------------------
