@@ -85,10 +85,12 @@ def rogers_cocycle(g0: RealGroupElement, g1: RealGroupElement,
 
 class SmallPositiveReport(FrozenRecord):
     """Outcome of the termwise agreement check on one positive triple:
-    ``cross_ratio`` (a float in (0, 1)), ``covering_p`` and ``covering_q``
-    (its branch, both 0), ``det_values`` (the six pairwise determinants),
-    ``boundary_points`` (the four descending boundary keys) and
-    ``agreement_error`` (|L-hat - real Rogers|)."""
+    ``cross_ratio`` (the real cross-ratio z, NaN when z is not real),
+    ``covering_p`` and ``covering_q`` (its branch), ``det_values`` (the six
+    pairwise determinants), ``boundary_points`` (the four boundary keys)
+    and ``agreement_error`` (|L-hat - real Rogers at Re z|).  The claims
+    hold when the branch is (0, 0), z lies in (0, 1), the boundary keys
+    descend and the error is 0."""
 
     __slots__ = ("cross_ratio", "covering_p", "covering_q", "det_values",
                  "boundary_points", "agreement_error")
@@ -101,14 +103,16 @@ def check_small_positive_agreement(
 
     With v = (1, 0) and the partial products applied to v:
 
-    * all pairwise determinants det(v_i, v_j), i < j, must be positive
-      (these are exactly the lower-left entries of the six products);
-    * the boundary points descend: inf > g1(inf) > g1g2(inf) > g1g2g3(inf);
-    * the log-determinant flattening lands on branch (z; 0, 0) with the
-      cross-ratio z in (0, 1);
-    * the lifted Rogers value at (z; 0, 0) equals the real Rogers value.
+    * the hypotheses: g1, g2, g3 and all pairwise determinants
+      det(v_i, v_j), i < j, are positive (these are exactly the lower-left
+      entries of the six products);
+    * the claims, recorded in the report for the caller to check: the
+      boundary points descend, inf > g1(inf) > g1g2(inf) > g1g2g3(inf);
+      the log-determinant flattening lands on branch (z; 0, 0) with the
+      cross-ratio z in (0, 1); and the lifted Rogers value there equals
+      the real Rogers value.
 
-    Raises PreconditionFailed naming the first failed requirement.
+    Raises PreconditionFailed naming the first failed hypothesis.
     """
     for name, g in (("g1", g1), ("g2", g2), ("g3", g3)):
         if not is_positive(g):
@@ -128,24 +132,12 @@ def check_small_positive_agreement(
             "(a product of the triple is not positive)")
 
     bnd = [INF] + [moebius(g, INF) for g in prods]
-    for k in range(3):
-        lo, hi = _boundary_key(bnd[k + 1]), _boundary_key(bnd[k])
-        if not lo < hi:
-            raise PreconditionFailed(
-                f"boundary ordering: point {k} !> point {k + 1}")
-
-    triple = sigma_hat(ConfigTuple(tuple(vecs)))
-    pt = to_covering_point(triple)
-    if pt.p != 0 or pt.q != 0:
-        raise PreconditionFailed(
-            f"covering branch: expected (z; 0, 0), got (z; {pt.p}, {pt.q})")
+    pt = to_covering_point(sigma_hat(ConfigTuple(tuple(vecs))))
     z = pt.z.real
-    if pt.z.imag != 0.0 or not 0.0 < z < 1.0:
-        raise PreconditionFailed(f"cross-ratio {pt.z} outside (0, 1)")
-
     err = abs(lhat(pt) - rogers_real(z))
     return SmallPositiveReport(
-        z, pt.p, pt.q, tuple(dets), tuple(_boundary_key(b) for b in bnd), err)
+        z if pt.z.imag == 0.0 else math.nan, pt.p, pt.q, tuple(dets),
+        tuple(_boundary_key(b) for b in bnd), err)
 
 
 def sample_small_positive(rng) -> RealGroupElement:
@@ -165,7 +157,8 @@ def sample_agreement_suite(seed,
                            samples: int = 500) -> list[SmallPositiveReport]:
     """Draw small positive triples and run the agreement check on each.
     Triples whose products fail positivity are redrawn (the neighbourhood
-    hypothesis), so every returned report passed all requirements."""
+    hypothesis); the claims of every returned report are for the caller
+    to check."""
     rng = as_rng(seed)
     out = []
     while len(out) < samples:

@@ -110,8 +110,10 @@ def run_selftest(seed: int = 0) -> int:
     check("repair certificate", ok1 and ok2 and res.is_empty())
 
     rep = ccs_value(torsion_cycle(3), seed=seed, trials=3)
-    third = min(abs(rep.value_mod1.real - 1 / 3), abs(rep.value_mod1.real - 2 / 3))
-    check("torsion n=3 value", third < 1e-6 and abs(rep.value_mod1.imag) < 1e-6,
+    off = (rep.value_mod1.real - 1 / 3) % 1.0  # -2/3 mod 1 is 1/3
+    dist = min(off, 1.0 - off)
+    check("torsion n=3 value",
+          dist <= 1e-6 and abs(rep.value_mod1.imag) < 1e-6,
           f"value {rep.value_mod1.real:.9f}")
 
     rep = ccs_value(random_boundary_cycle(rng, n_terms=1), seed=seed, trials=3)

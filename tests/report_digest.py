@@ -10,27 +10,26 @@ conjugated by (3, 0.3; 0, 1/3), and ``five_term_boundary(0.5, 0.25)``.
 The value depends on the platform's libm, so compare digests made on one
 host only.
 
-With ``--full-repairs`` every replay of the first trial's repair gives up
-at once (``chains._replay`` is swapped for ``give_up``), so every later
-trial repairs in full; a replay that is right gives the same reports, so
-the two digests must be equal.  Either way, a last line on stderr counts
-the later trials that replayed and those that fell back to a full repair,
-so that two equal digests can be told from a run where no replay held.
+Each report must also equal, byte for byte, the one
+``oracles.object_path_report`` builds for the same cycle, seed and trial
+count from successive full repairs summed through the object path; so a
+later trial that replays trial 1's repair must give what a full repair
+gives.  The first report that differs ends the run with exit 1 and its
+name.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import sys
 
-from extbloch import chains
 from extbloch.chainio import dumps_canonical
 from extbloch.chains import conjugate_chain
 from extbloch.core import GroupElement
 from extbloch.fixtures import (five_term_boundary, random_boundary_cycle,
                                torsion_cycle)
 from extbloch.pipeline import ccs_value
+
+from oracles import object_path_report
 
 SEEDS = (0, 7, 11)
 TRIALS = (1, 2, 10)
@@ -49,38 +48,25 @@ def corpus():
 
 def digest(cycles=None, seeds=SEEDS, trials=TRIALS) -> tuple[str, int]:
     """(hex sha256, number of reports) over ``cycles`` (default: the
-    corpus), every seed and every trial count."""
+    corpus), every seed and every trial count.  Raises SystemExit naming
+    the first report that differs from ``object_path_report``'s."""
     h, count = hashlib.sha256(), 0
     for name, cycle in (corpus() if cycles is None else cycles):
         for seed in seeds:
             for k in trials:
-                report = ccs_value(cycle, seed=seed, trials=k)
-                h.update(f"{name} seed={seed} trials={k}\n".encode())
-                h.update(dumps_canonical(report.as_dict()).encode())
+                label = f"{name} seed={seed} trials={k}"
+                text = dumps_canonical(
+                    ccs_value(cycle, seed=seed, trials=k).as_dict())
+                if text != dumps_canonical(
+                        object_path_report(cycle, seed, k).as_dict()):
+                    raise SystemExit(
+                        f"{label}: the report differs from object_path_report")
+                h.update(f"{label}\n".encode())
+                h.update(text.encode())
                 count += 1
     return h.hexdigest(), count
 
 
-def give_up(*args):
-    """A stand-in for ``chains._replay`` that gives up at once: the trial
-    repairs in full on the same draws."""
-    return None
-
-
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--full-repairs", action="store_true",
-                        help="repair every trial in full, replaying none")
-    replay = give_up if parser.parse_args().full_repairs else chains._replay
-    gave_up = []  # per later trial: whether its replay gave up
-
-    def counted(*args):
-        shift = replay(*args)
-        gave_up.append(shift is None)
-        return shift
-
-    chains._replay = counted
     hexdigest, count = digest()
     print(f"{hexdigest}  {count} reports")
-    print(f"{gave_up.count(False)} later trials replayed, "
-          f"{gave_up.count(True)} fell back", file=sys.stderr)

@@ -40,6 +40,11 @@ def test_inhom_to_hom_examples(rng):
     assert tup[0].close_to(GroupElement.identity(), config.CMP)
     assert tup[1].close_to(g, config.CMP)
     assert tup[2].close_to(g @ h, config.CMP)
+    # a term whose tuple is not the chain's length is refused
+    for chain, term in ((BarChain, (g, g)), (HomChain, (g, h, g))):
+        with pytest.raises(ValueError,
+                           match="terms of this chain have length"):
+            chain(3, [(1, term)])
 
 
 def test_hom_to_inhom_left_invariance(rng):

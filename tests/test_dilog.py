@@ -77,28 +77,30 @@ def test_li2_against_mpmath():
     # every region of li2 (series in -Log(1-z), reflection, inversion, the
     # real axis and both edges of the cut) against 40-digit polylog
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
-    rand = random.Random(15)
-    angles = [rand.uniform(-PI, PI) for _ in range(60)]
-    points = [complex(rand.uniform(-5, 5), rand.uniform(-5, 5))
-              for _ in range(400)]
-    points += [cmath.rect(10 ** rand.uniform(-3, 4), t) for t in angles]
-    points += [f(t) for t in angles for f in (
-        lambda t: cmath.rect(1.0, t), lambda t: complex(0.5, 5 * t / PI),
-        lambda t: 1 + cmath.rect(1e-4, t), lambda t: cmath.rect(1e-3, t),
-        lambda t: cmath.rect(1e4, t))]
-    points += [cmath.exp(1j * PI / 3), cmath.exp(-1j * PI / 3),
-               1 + 1e-13j, complex(1 - 1e-14, 0.0), -1e-17 + 1e-17j]
-    points += [complex(rand.uniform(-20, 1), 0.0) for _ in range(60)]
-    worst = 0.0
-    for z in points:
-        want = complex(mpmath.polylog(2, mpmath.mpc(z.real, z.imag)))
-        worst = max(worst, abs(li2(z) - want) / abs(want))
-    for x in (rand.uniform(1.0001, 50) for _ in range(30)):
-        for side in CutSide:
-            eps = side.value * mpmath.mpf(10) ** -35
-            want = complex(mpmath.polylog(2, mpmath.mpc(x, eps)))
-            worst = max(worst, abs(li2(x, side) - want) / abs(want))
+    dps = mpmath.mp.dps
+    with mpmath.workdps(40):
+        rand = random.Random(15)
+        angles = [rand.uniform(-PI, PI) for _ in range(60)]
+        points = [complex(rand.uniform(-5, 5), rand.uniform(-5, 5))
+                  for _ in range(400)]
+        points += [cmath.rect(10 ** rand.uniform(-3, 4), t) for t in angles]
+        points += [f(t) for t in angles for f in (
+            lambda t: cmath.rect(1.0, t), lambda t: complex(0.5, 5 * t / PI),
+            lambda t: 1 + cmath.rect(1e-4, t), lambda t: cmath.rect(1e-3, t),
+            lambda t: cmath.rect(1e4, t))]
+        points += [cmath.exp(1j * PI / 3), cmath.exp(-1j * PI / 3),
+                   1 + 1e-13j, complex(1 - 1e-14, 0.0), -1e-17 + 1e-17j]
+        points += [complex(rand.uniform(-20, 1), 0.0) for _ in range(60)]
+        worst = 0.0
+        for z in points:
+            want = complex(mpmath.polylog(2, mpmath.mpc(z.real, z.imag)))
+            worst = max(worst, abs(li2(z) - want) / abs(want))
+        for x in (rand.uniform(1.0001, 50) for _ in range(30)):
+            for side in CutSide:
+                eps = side.value * mpmath.mpf(10) ** -35
+                want = complex(mpmath.polylog(2, mpmath.mpc(x, eps)))
+                worst = max(worst, abs(li2(x, side) - want) / abs(want))
+    assert mpmath.mp.dps == dps  # workdps gave the precision back
     assert worst <= 1e-15
 
 

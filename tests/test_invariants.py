@@ -160,8 +160,9 @@ def test_src_modules_use_every_import():
 
 
 # the tests' couplings to src internals, each kept for a reason README.md
-# gives: setattr patches of a private name or of a member of a private
-# class, and every private name of src a test module imports or reads
+# gives: patches (setattr, or plain assignment through a name imported from
+# src) of a private name or of a member of a private class, and every
+# private name of src a module under tests/ imports or reads
 PRIVATE_PATCHES = ["test_kernels.py: chains._replay",
                    "test_pipeline.py: _ConeRepairer.linear",
                    "test_pipeline.py: chains._Plan",
@@ -191,16 +192,28 @@ def test_tests_reach_src_internals_only_as_listed():
                 defined.add(n.value)  # as a __slots__ entry
     defined = {x for x in defined if x[:1] == "_" and x[-2:] != "__"}
     patches, reached = [], set()
-    for path in sorted((root / "tests").glob("test_*.py")):
-        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for path in sorted((root / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {a.asname or a.name.split(".")[0] for n in ast.walk(tree)
+                 if isinstance(n, (ast.Import, ast.ImportFrom))
+                 for a in n.names
+                 if (getattr(n, "module", None) or a.name).startswith(
+                     "extbloch")}  # the names an import from src binds
+        for n in ast.walk(tree):
+            targets = []
             if isinstance(n, ast.ImportFrom) and n.module.startswith("extbloch"):
                 reached |= {a.name for a in n.names} & defined
             elif isinstance(n, ast.Attribute) and n.attr in defined:
                 reached.add(n.attr)
             elif (isinstance(n, ast.Call) and getattr(n.func, "attr", "")
                   == "setattr" and isinstance(n.args[1], ast.Constant)):
-                target = f"{ast.unparse(n.args[0])}.{n.args[1].value}"
-                if "._" in f".{target}":
-                    patches.append(f"{path.name}: {target}")
+                targets = [f"{ast.unparse(n.args[0])}.{n.args[1].value}"]
+            elif isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = [ast.unparse(t) for t in (
+                    n.targets if isinstance(n, ast.Assign) else [n.target])
+                    if isinstance(t, ast.Attribute)
+                    and ast.unparse(t).split(".")[0] in bound]
+            patches += [f"{path.name}: {target}" for target in targets
+                        if "._" in f".{target}"]
     assert sorted(patches) == PRIVATE_PATCHES
     assert sorted(reached) == PRIVATE_NAMES

@@ -964,6 +964,21 @@ def test_selftest_config_draw_redraws_only_degenerate_configs(monkeypatch):
     assert len(calls) == 1
 
 
+def test_selftest_pins_the_torsion_value(monkeypatch, capsys):
+    # torsion 3 must give -2/3 mod 1 = 1/3; its negation, 2/3, fails
+    real = selftest.ccs_value
+
+    def negated(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep.value_mod1 = complex(-rep.value_mod1.real % 1.0,
+                                 -rep.value_mod1.imag)
+        return rep
+
+    monkeypatch.setattr(selftest, "ccs_value", negated)
+    assert selftest.run_selftest(0) == 1
+    assert "[FAIL] torsion n=3 value" in capsys.readouterr().out
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 

@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from extbloch import real_sl2
+from extbloch.cli import main
+from extbloch.covering import FlatteningTriple
 from extbloch.dilog import PI2_6
 from extbloch.errors import Incomparable, PreconditionFailed
+from extbloch.pipeline import sigma_hat
 from extbloch.real_sl2 import (RealGroupElement, check_small_positive_agreement,
                                is_nonzero, is_positive, less, rogers_cocycle,
                                sample_agreement_suite, sample_small_positive,
@@ -153,3 +157,23 @@ def test_agreement_suite_500(rng):
     assert max(r.agreement_error for r in reports) == 0.0
     assert all(r.covering_p == 0 and r.covering_q == 0 for r in reports)
     assert all(0.0 < r.cross_ratio < 1.0 for r in reports)
+    assert all(p[0] > p[1] > p[2] > p[3]
+               for p in (r.boundary_points for r in reports))
+
+
+def test_a_flattening_off_the_principal_branch_is_reported(monkeypatch, rng,
+                                                           capsys):
+    # the branch and the cross-ratio are claims, not hypotheses: a
+    # flattening shifted one branch is reported, not redrawn, so the suite
+    # ends and real-check exits 3
+    def shifted(cfg):
+        t = sigma_hat(cfg)
+        return FlatteningTriple(t.w0 + 2j * math.pi, t.w1, t.w2 - 2j * math.pi)
+
+    monkeypatch.setattr(real_sl2, "sigma_hat", shifted)
+    rep = check_small_positive_agreement(
+        *(sample_small_positive(rng) for _ in range(3)))
+    assert (rep.covering_p, rep.covering_q) == (2, 0)
+    assert 0.0 < rep.cross_ratio < 1.0 and rep.agreement_error > 0.0
+    assert main(["real-check", "--samples", "5"]) == 3
+    assert '"all_principal_branch": false' in capsys.readouterr().out
