@@ -26,12 +26,13 @@ certificate; it changes only the simplices that have such a coincidence.
 Within one evaluation, ``_repairs`` repairs the first trial in full and
 replays that repair, with its Log-det edges, for each later trial: every
 trial comes as a ``_Plan`` of the repaired cycle (its distinct ids, id
-pairs and edges, and rows that index those edges directly) and the ids
-its slots hold.  A replay is one flat pass (``_replay``) over the first
-trial's tape that forms through the table's one kernel (``_form``) and
-leaves the table's memos as the first trial left them; the trial shares
-the first trial's plan, with the ids the first trial added moved by one
-offset, and tests that plan's pairs with a moved id for +-coincidence.
+pairs and edges, and rows that index those edges directly), and every
+trial starts from the table as the cycle check left it (``SymbolTable``'s
+``mark`` and ``rewind``).  A replay is one flat pass (``_replay``) over
+the first trial's tape that forms through the table's one kernel
+(``_form``) and lands on the first trial's ids; the trial shares the
+first trial's plan, and tests that plan's pairs with an id the first
+trial added for +-coincidence on its own elements.
 """
 
 from __future__ import annotations
@@ -82,8 +83,9 @@ class SymbolTable:
     While ``tape`` is a list, every product or quotient formed on a memo
     miss goes on it.  Only ``mul`` and ``ldiv`` fill the memos (``good``
     keeps none): a replayed trial (``_replay``) interns its own ids but
-    memoizes nothing, so the memos hold the input's ids and those of
-    trials repaired in full (the first, and fallbacks).
+    memoizes nothing.  ``rewind`` to a ``mark`` drops every element
+    interned since and restores the memos, so the table answers as it did
+    at the mark.
     """
 
     def __init__(self, tol: float | None = None):
@@ -96,6 +98,18 @@ class SymbolTable:
         self._translates: dict[int, tuple[tuple[int, int], int]] = {}
         self.tape: list | None = None
         self.identity = self.intern(GroupElement.identity())
+
+    def mark(self) -> tuple:
+        """The element count, the index's mark and copies of the memos,
+        for ``rewind``."""
+        return (len(self.elements), self._index.mark(), dict(self._products),
+                dict(self._quotients), dict(self._translates))
+
+    def rewind(self, mark: tuple) -> None:
+        """The table as it was at ``mark``; ``elements`` stays one list."""
+        del self.elements[mark[0]:]
+        self._index.rewind(mark[1])
+        self._products, self._quotients, self._translates = map(dict, mark[2:])
 
     def intern(self, g: GroupElement) -> int:
         ident = self._index.key((g.a.real, g.a.imag, g.b.real, g.b.imag,
@@ -435,8 +449,8 @@ def near_pairs(vecs: Sequence[ProjVector]) -> list[tuple[int, int]]:
 
 
 class _Plan(Record):
-    """What every trial on a renaming of the ids of the (coefficient, ids)
-    terms of a homogeneous chain shares, built in one pass over the terms:
+    """What every trial on the (coefficient, ids) terms of a homogeneous
+    chain shares, built in one pass over the terms:
     ``slots``, the distinct ids in first-met order; ``pairs``, the distinct
     ordered id pairs (g_i, g_j) met within a term, in first-met order
     (within a term, ``combinations`` order), as pairs of slot indices;
@@ -476,18 +490,18 @@ class _Plan(Record):
         super().__init__(list(slot_of), pairs, firsts, rows)
 
 
-def _v_pass(elements: list[GroupElement], plan: _Plan, ids: list[int],
+def _v_pass(elements: list[GroupElement], plan: _Plan,
             v: ProjVector) -> list[complex] | None:
-    """One pass of v over ``plan`` with its slots holding ``ids`` (ids of
-    ``elements``): each slot's element is applied to v once, in slot order,
-    and each pair (g_i, g_j) gets det(g_i v, g_j v) once, in pair order,
-    tested as ``near_pairs`` tests it, on plain (w1, w2, |w|) tuples with
-    the float operations and nonzero check of ``GroupElement.apply``,
+    """One pass of v over ``plan``, its slots ids of ``elements``: each
+    slot's element is applied to v once, in slot order, and each pair
+    (g_i, g_j) gets det(g_i v, g_j v) once, in pair order, tested as
+    ``near_pairs`` tests it, on plain (w1, w2, |w|) tuples with the float
+    operations and nonzero check of ``GroupElement.apply``,
     ``ProjVector.norm`` and ``det_pair``.  Returns the dets by pair, or
     None at the first near pair."""
     vgood, zero, v1, v2 = config.VGOOD, config.ZERO, v.v1, v.v2
     vecs = []
-    for i in ids:
+    for i in plan.slots:
         g = elements[i]
         w1, w2 = g.a * v1 + g.b * v2, g.c * v1 + g.d * v2
         n1, n2 = abs(w1), abs(w2)
@@ -692,43 +706,44 @@ def _repair_core(hom: HomChain, rng) -> tuple[_Terms, _Terms, _Terms]:
 
 
 def _repairs(hom: HomChain, rng, trials: int):
-    """(plan, ids) for each of ``trials`` trials of one evaluation of
+    """The ``_Plan`` of each of ``trials`` trials of one evaluation of
     ``hom``, yielded in turn, each drawn from ``rng`` only when asked for
-    (so v, drawn between trials, falls between them): the ``_Plan`` of the
-    trial's phi and the ids its slots hold.  A trial repaired in full
-    gives a plan of its own, with its own slots as ids.  With more than
-    one trial, the first trial's repair and plan record the table's tape;
-    a later trial replays it (``_replay``) and gives the first trial's
-    plan, its ids from ``base`` (the table's length before it) on moved by
-    the replay's offset, or repairs in full on the same draws when a
-    decision differs.  The plan's pairs with such an id, phi(B)'s (good
-    terms hold input ids only), are taken once and tested at ``tol`` on
-    each replay's ids; a hit raises RepairFailed (``_check_good``)."""
+    (so v, drawn between trials, falls between them), its slots holding
+    ids of ``hom.table``.  With more than one trial, the table is marked
+    before the first, whose repair and plan record the table's tape, and
+    rewound to that mark before each later trial, so every trial starts
+    from the table ``_checked_cycle`` left.  A later trial replays the
+    tape (``_replay``) and gives the first trial's plan on the same ids,
+    or rewinds again and repairs in full on the same draws when a decision
+    differs.  The plan's pairs with an id from ``base`` (the table's
+    length at the mark) on, phi(B)'s (good terms hold input ids only), are
+    taken once and tested at ``tol`` on each replay's elements; a hit
+    raises RepairFailed (``_check_good``)."""
     table = hom.table
-    base = len(table.elements)
-    table.tape = [] if trials > 1 else None
+    if trials == 1:
+        yield _Plan(table, _repair_core(hom, rng)[1])
+        return
+    base, start = len(table.elements), table.mark()
+    table.tape = []
     phi_bad, phi, _ = _repair_core(hom, rng)
     plan = _Plan(table, phi)
     tape, table.tape = table.tape, None
-    yield plan, plan.slots
+    yield plan
     slots, elements, tol = plan.slots, table.elements, table.tol
-    pairs = [(a, b) for a, b in plan.pairs
+    pairs = [(slots[a], slots[b]) for a, b in plan.pairs
              if slots[a] >= base or slots[b] >= base]
     for _ in range(trials - 1):
+        table.rewind(start)
         draws = _Rewindable(rng)
-        shift = _replay(table, draws, tape, base)
-        if shift is None:
+        if not _replay(table, draws, tape, base):
+            table.rewind(start)
             draws.rewind()
-            full = _Plan(table, _repair_core(hom, draws)[1])
-            yield full, full.slots
+            yield _Plan(table, _repair_core(hom, draws)[1])
             continue
-        ids = [i if i < base else i + shift for i in slots]
-        for a, b in pairs:
-            if elements[ids[a]].sign_equiv(elements[ids[b]], tol):
-                moved = dict(zip(slots, ids))  # phi(B)'s ids not in it are old
-                _check_good(table, [(c, tuple([moved.get(k, k) for k in t]))
-                                    for c, t in phi_bad])
-        yield plan, ids
+        for i, j in pairs:
+            if elements[i].sign_equiv(elements[j], tol):
+                _check_good(table, phi_bad)
+        yield plan
 
 
 def _check_good(table: SymbolTable, phi_bad: _Terms) -> None:
@@ -740,37 +755,36 @@ def _check_good(table: SymbolTable, phi_bad: _Terms) -> None:
         raise RepairFailed(f"cone image not good: offenders {offenders[:3]}")
 
 
-def _replay(table: SymbolTable, rng, tape: list, base: int) -> int | None:
-    """The offset by which this later trial moves the first trial's ids
-    from ``base`` on (the table's length at its start less ``base``), or
-    None as soon as a decision differs from the first trial's ``tape``.
-    Ids are handed out in order and every id the first trial added comes
-    from one step of its tape, so a replay that matches every decision
-    adds its own at the same steps: one pass forms each product or
-    quotient (``SymbolTable._form``) and draws each apex afresh from
-    ``rng`` (the ``random_sl2``/``_clears`` loop), each landing on the
-    recorded id moved, and takes each reuse test with the recorded
-    outcome.  A product or quotient of ids all below ``base`` is skipped:
-    the first trial memoized it.  Tests no goodness, memoizes nothing, and
-    draws nothing a full repair on the same stream would not draw first."""
+def _replay(table: SymbolTable, rng, tape: list, base: int) -> bool:
+    """Whether this later trial, on the table rewound to the first trial's
+    start (its length then ``base``), makes every decision of the first
+    trial's ``tape``; False as soon as one differs.  Ids are handed out in
+    order and every id the first trial added comes from one step of its
+    tape, so a replay that matches every decision adds its own at the same
+    steps: one pass forms each product or quotient
+    (``SymbolTable._form``) and draws each apex afresh from ``rng`` (the
+    ``random_sl2``/``_clears`` loop), each landing on the recorded id, and
+    takes each reuse test with the recorded outcome.  A product or
+    quotient of ids all below ``base`` is skipped: it forms the first
+    trial's value from the first trial's operands.  Tests no goodness,
+    memoizes nothing, and draws nothing a full repair on the same stream
+    would not draw first."""
     elements, form = table.elements, table._form
     rep = _ConeRepairer(rng, table)
-    shift = len(elements) - base
-    ren = [*range(base), *range(base + shift, base + 2 * shift)]
     for op, a, b, r in tape:
         if op <= _LDIV:
             if a < base and b < base and r < base:
                 continue
-            got = form(op, elements[ren[a]], elements[ren[b]])
+            got = form(op, elements[a], elements[b])
         elif op == _REUSE:
-            if rep._clears(elements[ren[a]], [ren[i] for i in b]) != r:
-                return None
+            if rep._clears(elements[a], b) != r:
+                return False
             continue
         else:
-            got = table.intern(rep._generic_avoiding([ren[i] for i in b]))
-        if got != ren[r]:
-            return None
-    return shift
+            got = table.intern(rep._generic_avoiding(b))
+        if got != r:
+            return False
+    return True
 
 
 class _Rewindable:

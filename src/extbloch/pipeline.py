@@ -14,12 +14,12 @@ which is exactly why the reduction is legitimate.
 
 Every trial runs one body on what ``chains._repairs`` yields for it: a
 plan (``chains._Plan``) of slots, pairs and distinct Log-det edges, whose
-rows index those edges' Logs, and the ids its slots hold.  A replayed
-trial is one pass over the first trial's plan with its slot ids moved by
-one offset, so a trial takes one Log (``plog``) per distinct edge, keys
-nothing by edge id, and sums its terms from those Logs in one pass
-(``covering._lhat_sums``) that calls, per term, the covering point's body
-(``covering._cover``) and lhat's and vol's (``dilog._point``).
+rows index those edges' Logs.  A replayed trial is one pass over the
+first trial's plan on the same ids, so a trial takes one Log (``plog``)
+per distinct edge, keys nothing by edge id, and sums its terms from
+those Logs in one pass (``covering._lhat_sums``) that calls, per term,
+the covering point's body (``covering._cover``) and lhat's and vol's
+(``dilog._point``).
 """
 
 from __future__ import annotations
@@ -124,22 +124,22 @@ def lambda_hat(c: BarChain, seed) -> LambdaResult:
     """
     rng = as_rng(seed)
     hom = _checked_cycle(c)
-    plan, ids = next(_repairs(hom, rng, 1))
-    v, logs = _lambda_hat(hom.table.elements, plan, ids, rng)
+    plan = next(_repairs(hom, rng, 1))
+    v, logs = _lambda_hat(hom.table.elements, plan, rng)
     return LambdaResult([(coeff, _flattening([logs[k] for k in row]))
                          for coeff, *row in plan.rows], v)
 
 
-def _lambda_hat(elements: list, plan: _Plan, ids: list[int],
+def _lambda_hat(elements: list, plan: _Plan,
                 rng) -> tuple[ProjVector, list[complex]]:
-    """v drawn from ``rng`` and, for ``plan`` (see ``chains._Plan``) with
-    its slots holding ``ids`` (ids of ``elements``), the Log det of each
-    distinct edge: ``plog`` of its det at the edge's first pair
-    (``plan.firsts``; the plan's rows index these Logs).  det is SL(2, C)
-    invariant, so every translate of an edge e = g_i^-1 g_j shares the
-    Log det(g_i v, g_j v) of the first met, whose det the v-check's pass
-    (``chains._v_pass``) already computed."""
-    v, _, dets = _sample_v(lambda v: _v_pass(elements, plan, ids, v), rng)
+    """v drawn from ``rng`` and, for ``plan`` (see ``chains._Plan``), its
+    slots ids of ``elements``, the Log det of each distinct edge: ``plog``
+    of its det at the edge's first pair (``plan.firsts``; the plan's rows
+    index these Logs).  det is SL(2, C) invariant, so every translate of
+    an edge e = g_i^-1 g_j shares the Log det(g_i v, g_j v) of the first
+    met, whose det the v-check's pass (``chains._v_pass``) already
+    computed."""
+    v, _, dets = _sample_v(lambda v: _v_pass(elements, plan, v), rng)
     return v, [plog(dets[k]) for k in plan.firsts]
 
 
@@ -197,11 +197,11 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5) -> CcsReport:
     from it in turn, as successive ``lambda_hat`` calls on it do, and give
     the same values.  Later trials replay the first trial's repair and
     Log-det edges at their own apexes (see ``chains._repairs``), and every
-    trial runs one body on its plan and slot ids.  Each repaired term is
-    evaluated once, straight from its edge Logs, by ``covering._lhat_sums``
-    (its covering point from ``covering._cover`` and its value and volume
-    from ``dilog._point``, the bodies of ``to_covering_point`` and
-    ``lhat``), and nothing is merged.  ``volume_vs_im_lhat`` is the
+    trial runs one body on its plan.  Each repaired term is evaluated
+    once, straight from its edge Logs, by ``covering._lhat_sums`` (its
+    covering point from ``covering._cover`` and its value and volume from
+    ``dilog._point``, the bodies of ``to_covering_point`` and ``lhat``),
+    and nothing is merged.  ``volume_vs_im_lhat`` is the
     largest gap over the trials between the per-term volume sum and Im of
     the lifted Rogers sum; both are ``math.fsum`` sums, bit-equal to those
     of ``lhat`` and ``vol`` over the ``to_covering_point`` images of the
@@ -210,9 +210,10 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5) -> CcsReport:
     (mod 1, within fp) by independence of the choices; the max pairwise
     deviation is reported as a health measure.  All trials share one
     symbol table at the comparison tolerance of ``c``'s own (see
-    ``SymbolTable``).  The report's ``seed`` is ``int(seed)`` for an
-    integer seed (``numbers.Integral``, bool and numpy integers included)
-    and None for a generator.  ``trials`` must be such an integer, at
+    ``SymbolTable``), each starting from it as the cycle check left it.
+    The report's ``seed`` is ``int(seed)`` for an integer seed
+    (``numbers.Integral``, bool and numpy integers included) and None for
+    a generator.  ``trials`` must be such an integer, at
     least 1; anything else raises TypeError or ValueError before the cycle
     is checked or anything is drawn.  Raises NotACycle, a ValueError, when
     ``c`` is not a 3-cycle at that tolerance.
@@ -229,15 +230,15 @@ def ccs_value(c: BarChain, seed=0, trials: int = 5) -> CcsReport:
 def _trial_loop(hom: HomChain, rng, trials: int, seed: int | None) -> CcsReport:
     """``ccs_value``'s report on the checked cycle ``hom`` (see
     ``_checked_cycle``), drawing from ``rng``, with ``seed`` as its seed:
-    one body per trial on the (plan, slot ids) that ``chains._repairs``
-    yields for it: v and the Log of each distinct edge (``_lambda_hat``),
-    then the three sums of ``covering._lhat_sums`` over the plan's rows."""
+    one body per trial on the plan that ``chains._repairs`` yields for
+    it: v and the Log of each distinct edge (``_lambda_hat``), then the
+    three sums of ``covering._lhat_sums`` over the plan's rows."""
     elements = hom.table.elements
     values: list[complex] = []
     raws: list[complex] = []
     vol_res = 0.0
-    for plan, ids in _repairs(hom, rng, trials):
-        _, logs = _lambda_hat(elements, plan, ids, rng)
+    for plan in _repairs(hom, rng, trials):
+        _, logs = _lambda_hat(elements, plan, rng)
         # correctly rounded sums, independent of the order of the terms
         re, im, vol = _lhat_sums(plan.rows, logs)
         raw = complex(re, im)

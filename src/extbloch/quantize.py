@@ -70,7 +70,8 @@ class FuzzyIndex:
     ``setdefault`` that also serves the store (an empty cell gives a new
     id at once); a split value scans the ``product`` of its cells, at
     most ``2 ** dim``, and is stored under its own cell.  Both scan a
-    cell with ``_first_within``."""
+    cell with ``_first_within``.  ``rewind`` to a ``mark`` forgets every
+    value keyed since, so the index answers as it did at the mark."""
 
     def __init__(self, tol: float):
         self.tol = tol
@@ -78,9 +79,29 @@ class FuzzyIndex:
         self._seen: dict[tuple[float, ...], int] = {}
         self._cells: dict[tuple[float, ...], list[int]] = {}
         self._reps: list[tuple[float, ...]] = []
+        self._buckets: list[list[int]] = []  # id -> its cell's bucket
 
     def __len__(self) -> int:
         return len(self._reps)
+
+    def mark(self) -> tuple[int, int, int]:
+        """The sizes of ids, keyed values and cells, for ``rewind``."""
+        return len(self._reps), len(self._seen), len(self._cells)
+
+    def rewind(self, mark: tuple[int, int, int]) -> None:
+        """Forget every id, keyed value and cell added since ``mark``.
+        The later ids are popped from the tails of their buckets, last id
+        first; the keyed values and cells added since the mark are new
+        keys, so they are the last in their dicts' insertion order."""
+        ids, seen, cells = mark
+        buckets = self._buckets
+        for ident in range(len(buckets) - 1, ids - 1, -1):
+            buckets[ident].pop()
+        del buckets[ids:], self._reps[ids:]
+        for _ in range(len(self._seen) - seen):
+            self._seen.popitem()
+        for _ in range(len(self._cells) - cells):
+            self._cells.popitem()
 
     def key(self, values: Iterable[float]) -> int:
         vals = tuple(values)
@@ -133,6 +154,7 @@ class FuzzyIndex:
         ident = len(self._reps)
         self._reps.append(vals)
         bucket.append(ident)
+        self._buckets.append(bucket)
         return ident
 
     def _first_within(self, bucket: Iterable[int],

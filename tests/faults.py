@@ -16,7 +16,7 @@ entry; a survivor without one makes the exit status 1.  A test is retired
 or restated only when a run on an export without ``FAULTS_*.json`` (all
 faults through full tier-1) shows every fault it caught still caught.
 
-    python tests/faults.py --out FAULTS_3.json [--label L] [--commit C]
+    python tests/faults.py --out FAULTS_4.json [--label L] [--commit C]
 """
 
 from __future__ import annotations
@@ -102,33 +102,24 @@ FAULTS = [
      "reps, tol = self._reps, self.tol / 8", "symbol table"),
     ("chain-from-obj-ignores-tol", CHAINIO, "    table = SymbolTable(tol)\n",
      "    table = SymbolTable()\n", "input"),
-    ("replay-ids-unrenamed", CHAINS, "        yield plan, ids\n",
-     "        yield plan, slots\n", "replay"),
-    ("replay-slots-moved-one-more", CHAINS,
-     "ids = [i if i < base else i + shift for i in slots]",
-     "ids = [i if i < base else i + shift + 1 for i in slots]", "replay"),
     ("fallback-plan-replaces-first", CHAINS,
-     "            yield full, full.slots\n",
-     "            plan, slots, pairs = full, full.slots, []\n"
-     "            yield full, full.slots\n",
-     "replay"),
+     "yield _Plan(table, _repair_core(hom, draws)[1])",
+     "yield (plan := _Plan(table, _repair_core(hom, draws)[1]))", "replay"),
     ("fallback-without-rewind", CHAINS, "            draws.rewind()\n", "",
      "replay"),
-    ("reuse-outcome-ignored", CHAINS,
-     "if rep._clears(elements[ren[a]], [ren[i] for i in b]) != r:",
-     "if rep._clears(elements[ren[a]], [ren[i] for i in b]) != r and 0:",
-     "replay"),
+    ("reuse-outcome-ignored", CHAINS, "if rep._clears(elements[a], b) != r:",
+     "if rep._clears(elements[a], b) != r and 0:", "replay"),
     ("first-edge-keyed-by-pair", CHAINS, "e = ldiv(*key)", "e = key",
      "sigma_hat"),
-    ("replay-pair-test-skipped", CHAINS,
-     "if elements[ids[a]].sign_equiv(elements[ids[b]], tol):",
-     "if 0 and elements[ids[a]].sign_equiv(elements[ids[b]], tol):", "replay"),
+    ("replay-pair-test-skipped", CHAINS, "for i, j in pairs:\n            if ",
+     "for i, j in pairs:\n            if 0 and ", "replay"),
     ("replay-pairs-both-new-only", CHAINS,
      "if slots[a] >= base or slots[b] >= base]",
      "if slots[a] >= base and slots[b] >= base]", "replay"),
     ("replay-pair-test-on-first-ids", CHAINS,
-     "if elements[ids[a]].sign_equiv(elements[ids[b]], tol):",
-     "if elements[slots[a]].sign_equiv(elements[slots[b]], tol):", "replay"),
+     "slots, elements, tol = plan.slots, table.elements, table.tol",
+     "slots, elements, tol = plan.slots, list(table.elements), table.tol",
+     "replay"),
     # one more per stage of the north star's list
     ("homotopy-term-dropped", CHAINS,
      "pair = phi, [(d, one + t) for d, t in x]",
@@ -148,8 +139,8 @@ FAULTS = [
     # the cone repair's checks and apex decisions, and the z refusal
     ("certificate-check-skipped", CHAINS, "    if residual:\n",
      "    if residual and False:\n", "certificate"),
-    ("cone-image-check-skipped", CHAINS, "    _check_good(table, phi_bad)\n",
-     "", "cone repair"),
+    ("cone-image-check-skipped", CHAINS,
+     "True)\n    _check_good(table, phi_bad)\n", "True)\n", "cone repair"),
     ("apex-never-reused", CHAINS, "            if cleared:\n",
      "            if cleared and False:\n", "cone repair"),
     ("empty-cone-draws-apex", CHAINS, "                if phi:\n",
@@ -177,9 +168,15 @@ FAULTS = [
     ("sum-bound-divided", COVERING,
      "bound = SUM_TOL * (1 + abs(w0) + abs(w1))",
      "bound = SUM_TOL / (1 + abs(w0) + abs(w1))", "covering point"),
-    ("replay-first-added-id-unmoved", CHAINS,
-     "ids = [i if i < base else i + shift for i in slots]",
-     "ids = [i if i <= base else i + shift for i in slots]", "replay"),
+    # the rewind of a table to its mark before each later trial
+    ("rewind-memos-kept", CHAINS, "map(dict, mark[2:])",
+     "(self._products, self._quotients, self._translates)", "symbol table"),
+    ("rewind-elements-kept", CHAINS, "        del self.elements[mark[0]:]\n",
+     "", "symbol table"),
+    ("rewind-seen-kept", QUANTIZE, "range(len(self._seen) - seen)", "range(0)",
+     "symbol table"),
+    ("rewind-buckets-kept", QUANTIZE, "            buckets[ident].pop()\n",
+     "            buckets[ident]\n", "symbol table"),
 ]
 
 # why a fault may survive: "equivalent: <why no output can change>" or

@@ -237,8 +237,8 @@ def quotient_entries(g, h) -> tuple[complex, ...]:
             a * h[2] - c * h[0], a * h[3] - c * h[1])
 
 
-def check_edge_layout(table, plan, ids) -> None:
-    """Assert that ``plan``, its slots holding ``ids``, groups its pairs by
+def check_edge_layout(table, plan) -> None:
+    """Assert that ``plan``, its slots ids of ``table``, groups its pairs by
     Log-det edge: ``plan.firsts`` holds the first pair of each distinct id
     that ``table.ldiv`` gives the pairs, in pair order, ``ldiv`` adding no
     element, and each pair's quotient g^-1 h, formed from the entries, is
@@ -249,6 +249,7 @@ def check_edge_layout(table, plan, ids) -> None:
     edges (0, i), (0, j), within the tolerance; and the rows meet the
     edges in index order."""
     size, elements, tol = len(table.elements), table.elements, table.tol
+    ids = plan.slots
     edges = [table.ldiv(ids[a], ids[b]) for a, b in plan.pairs]
     assert len(table.elements) == size
     index = {e: x for x, e in enumerate(dict.fromkeys(edges))}

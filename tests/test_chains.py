@@ -170,7 +170,7 @@ def test_v_pass_decides_as_near_pairs_per_tuple(monkeypatch):
             for _ in range(5):
                 v = random_vector(draws)
                 plan = _Plan(hom.table, hom.pairs())
-                dets = _v_pass(hom.table.elements, plan, plan.slots, v)
+                dets = _v_pass(hom.table.elements, plan, v)
                 want = _near_by_tuple(hom, v)
                 assert (dets is None) == bool(want)
                 assert is_v_good(hom, v) == (not want, want)
@@ -197,9 +197,8 @@ def test_sample_v_shares_sample_generic_v_draws(monkeypatch):
     monkeypatch.setattr(config, "VGOOD", 0.2)
     attempts = set()
     for seed in range(6):
-        v, n, dets = _sample_v(
-            lambda v: _v_pass(elements, plan, plan.slots, v),
-            random.Random(seed))
+        v, n, dets = _sample_v(lambda v: _v_pass(elements, plan, v),
+                               random.Random(seed))
         assert sample_generic_v(hom, seed) == (v, n)
         draws = random.Random(seed)
         for ref_n in range(1, 1001):
@@ -207,7 +206,7 @@ def test_sample_v_shares_sample_generic_v_draws(monkeypatch):
             if not _near_by_tuple(hom, ref):
                 break
         assert (ref, ref_n) == (v, n)
-        assert dets == _v_pass(elements, plan, plan.slots, v)
+        assert dets == _v_pass(elements, plan, v)
         attempts.add(n)
     assert max(attempts) > 1
 

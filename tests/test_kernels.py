@@ -96,63 +96,37 @@ def test_clears_agrees_with_sign_distance(monkeypatch):
 @pytest.mark.parametrize("coincide", ["none", "plus", "minus", "both-moved"])
 def test_a_replay_tests_renamed_pairs_for_either_sign(monkeypatch, coincide):
     # trial 1's phi(B) on torsion 6 pairs the identity, an input id, and
-    # two ids trial 1 added with an added id.  A replay moves the added ids,
-    # and _repairs tests each pair with a moved one on the replay's own
-    # elements: set to +-1 or to its pair's other moved element after trial
-    # 2's replay, a moved id is refused as _repair_core refuses a bad cone
-    # image; with nothing set trial 2 is trial 1's plan on the moved ids
+    # two ids trial 1 added with an added id.  A replay lands on trial 1's
+    # ids with elements of its own, and _repairs tests each pair with an
+    # added id on them: set to +-1 or to its pair's other added element
+    # after trial 2's replay, an added id is refused as _repair_core
+    # refuses a bad cone image; with nothing set trial 2 is trial 1's plan
+    # on as many elements
     hom = inhom_to_hom(torsion_cycle(6))
-    table, real_replay, shifts = hom.table, chains._replay, []
+    table, real_replay, replayed = hom.table, chains._replay, []
     base = len(table.elements)
     stream = chains._repairs(hom, random.Random(4), 3)
-    plan, slots = next(stream)
-    pairs = [(slots[a], slots[b]) for a, b in plan.pairs]
+    plan, size = next(stream), len(table.elements)
+    pairs = [(plan.slots[a], plan.slots[b]) for a, b in plan.pairs]
     i, j = next(p for p in pairs if p[0] == table.identity and p[1] >= base)
     if coincide == "both-moved":
         i, j = next(p for p in pairs if min(p) >= base)
 
     def replay(table, rng, tape, base):
-        shifts.append(real_replay(table, rng, tape, base))
-        one, moved = GroupElement.identity(), j + shifts[-1]
+        replayed.append(real_replay(table, rng, tape, base))
+        one = GroupElement.identity()
         if coincide != "none":
-            table.elements[moved] = {"plus": one, "minus": -one}.get(
-                coincide, table.elements[i + shifts[-1]])
-        return shifts[-1]
+            table.elements[j] = {"plus": one, "minus": -one}.get(
+                coincide, table.elements[i])
+        return replayed[-1]
 
     monkeypatch.setattr(chains, "_replay", replay)
     if coincide == "none":
-        again, ids = next(stream)
-        assert again is plan and shifts[0] > 0
-        assert ids == [i if i < base else i + shifts[0] for i in slots]
+        assert next(stream) is plan and len(table.elements) == size
     else:
         with pytest.raises(RepairFailed, match="cone image not good"):
             next(stream)
-    assert shifts[0] is not None
-
-
-def test_a_replay_moves_the_first_id_trial_1_added(monkeypatch):
-    # torsion 5 cones off two apexes a trial, and here the second drawn is
-    # the inverse of the first, a: making trial 1's phi(B) canonical lands
-    # on a itself, so the first id the trial added, the table's length
-    # before it, is a slot of its plan.  A replay must move that id too:
-    # each later trial replays (two draws a trial) and agrees at 3/5
-    drawn = []
-
-    def draw(rng):
-        g = random_sl2(rng)
-        drawn.append(drawn[-1].inverse() if len(drawn) % 2 else g)
-        return drawn[-1]
-
-    monkeypatch.setattr(chains, "random_sl2", draw)
-    hom = inhom_to_hom(torsion_cycle(5))
-    base = len(hom.table.elements)
-    plan, _ = next(chains._repairs(hom, random.Random(0), 1))
-    assert hom.table.elements[base] is drawn[0] and base in plan.slots
-    drawn.clear()
-    report = ccs_value(torsion_cycle(5), seed=0, trials=3)
-    assert len(drawn) == 6
-    assert mod1_dist(report.value_mod1.real, 0.6) <= 1e-12
-    assert report.max_trial_deviation <= 1e-12
+    assert replayed == [True]
 
 
 class _AllCells(FuzzyIndexReference):
@@ -316,6 +290,38 @@ def test_a_value_within_tol_of_a_stored_one_gets_a_stored_id(tol, dim):
         assert index.key(apart) != index.key(v)
     for vals, ident in index._seen.items():
         assert max(abs(a - b) for a, b in zip(vals, index._reps[ident])) <= tol
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+@pytest.mark.parametrize("tol", [1e-8, 1.0])
+def test_a_rewound_index_answers_as_at_its_mark(tol, dim):
+    # rewound, the index gives the ids of the reference that never met the
+    # values keyed since its mark: vectors 1.5 tol from earlier ones and a
+    # second stream.  After the rewind come values within tol of a vector
+    # stored before the mark and of one stored after, repeats and
+    # neighbours of the second stream, and a third stream
+    rng, cls = random.Random(dim), (FuzzyIndex, FuzzyIndexReference)
+    index, ref, stale = (k(tol) for k in (*cls, FuzzyIndex))  # stale: no rewind
+    for v in _stream(rng, tol, dim):
+        index.key(v), ref.key(v), stale.key(v)
+    mark, between, after = index.mark(), [], []
+    for v in rng.sample(index._reps, 50):
+        step = [rng.choice((1, -1)) * tol for _ in v]
+        between.append(tuple(x + 1.5 * d for x, d in zip(v, step)))
+        after.append(tuple(x + 0.75 * d for x, d in zip(v, step)))
+    between += _stream(rng, tol, dim)
+    for v in between:
+        index.key(v), stale.key(v)
+    after += rng.sample(between, 50) + [
+        tuple(x + rng.uniform(-tol, tol) for x in v)
+        for v in rng.sample(index._reps[mark[0]:], 50)]
+    after += _stream(rng, tol, dim)
+    index.rewind(mark)
+    want = [ref.key(v) for v in after]
+    assert [index.key(v) for v in after] == want
+    assert (index._reps, index._cells, index._seen) == \
+        (ref._reps, ref._cells, ref._seen)
+    assert [stale.key(v) for v in after] != want
 
 
 def _farthest_within(y, tol, step):
@@ -566,11 +572,10 @@ def _by_near_pairs(elements, terms, v):
 
 
 def test_slot_pass_agrees_with_near_pairs_term_by_term(monkeypatch):
-    # a plan's pass with its slots holding the plan's own ids, or ids of
-    # the same table renamed at random (as a replay renames them), gives
-    # near_pairs' decision and, for a v it accepts, its dets term by term:
-    # one apply per element and one det per id pair.  The plans are those
-    # of repaired cycles, and of chains with +- coincidences
+    # a plan's pass gives near_pairs' decision and, for a v it accepts,
+    # its dets term by term: one apply per element and one det per id
+    # pair.  The plans are those of repaired cycles, and of chains with +-
+    # coincidences
     draws = random.Random(9)
     phis = []
     for cycle in (torsion_cycle(6), random_boundary_cycle(2, n_terms=3),
@@ -590,23 +595,17 @@ def test_slot_pass_agrees_with_near_pairs_term_by_term(monkeypatch):
             slots = plan.slots
             pair_at = {(slots[a], slots[b]): k
                        for k, (a, b) in enumerate(plan.pairs)}
-            for renamed in (False, True):
-                ren = {i: i for i in slots}
-                if renamed:
-                    pool = draws.sample(range(len(elements)), len(slots))
-                    ren = dict(zip(slots, pool))
-                terms = [(c, tuple(ren[i] for i in ids)) for c, ids in phi]
-                for _ in range(4):
-                    v = random_vector(draws)
-                    dets = _v_pass(elements, plan, [ren[i] for i in slots], v)
-                    want, want_dets = _by_near_pairs(elements, terms, v)
-                    assert (dets is None) == bool(want)
-                    if dets is not None:
-                        assert [bits(*(dets[pair_at[p]]
-                                       for p in combinations(ids, 2)))
-                                for _, ids in phi] == \
-                            [bits(*row) for row in want_dets]
-                    verdicts.add(not want)
+            for _ in range(8):
+                v = random_vector(draws)
+                dets = _v_pass(elements, plan, v)
+                want, want_dets = _by_near_pairs(elements, phi, v)
+                assert (dets is None) == bool(want)
+                if dets is not None:
+                    assert [bits(*(dets[pair_at[p]]
+                                   for p in combinations(ids, 2)))
+                            for _, ids in phi] == \
+                        [bits(*row) for row in want_dets]
+                verdicts.add(not want)
     assert verdicts == {True, False}
 
 
@@ -618,81 +617,86 @@ _EDGE_CYCLES = [torsion_cycle(6), torsion_cycle(12),
 def _trials(hom, seed: int, trials: int = 10):
     """The trials of ``_trial_loop`` on the checked cycle ``hom``, drawn as
     it draws them (each trial's repair, then its v and edge Logs): per
-    trial, the table as the trial left it, the plan and the slot ids."""
+    trial, the table as the trial left it and the plan."""
     rng = Draws(random.Random(seed))
-    for plan, ids in chains._repairs(hom, rng, trials):
-        pipeline._lambda_hat(hom.table.elements, plan, ids, rng)
-        yield hom.table, plan, ids
+    for plan in chains._repairs(hom, rng, trials):
+        pipeline._lambda_hat(hom.table.elements, plan, rng)
+        yield hom.table, plan
+
+
+def test_every_trial_starts_from_the_table_the_cycle_check_left(monkeypatch):
+    # 40 trials on torsion 6 and on a boundary, each later one replayed on
+    # the table the cycle check left and memoizing nothing: every trial
+    # yields trial 1's plan on as many elements, and each replay leaves the
+    # cycle check's memos, so the plan's Log-det edges that trial 1 added,
+    # answered from the memos after it, are formed anew after a replay (a
+    # boundary's good terms add none)
+    formed, grown = _forms_counted(monkeypatch), []
+    for cycle in (torsion_cycle(6), random_boundary_cycle(3, n_terms=3)):
+        hom, plans, sizes = inhom_to_hom(cycle), [], []
+        table, start = hom.table, hom.table.mark()
+        for k, plan in enumerate(chains._repairs(hom, random.Random(0), 40)):
+            plans.append(plan)
+            sizes.append(len(table.elements))
+            assert (table.mark()[2:] == start[2:]) == (k > 0)
+            formed.clear()
+            for a, b in plan.pairs:
+                table.ldiv(plan.slots[a], plan.slots[b])
+            assert bool(formed) == (k > 0 and sizes[0] > start[0])
+        assert sizes == sizes[:1] * 40
+        assert all(plan is plans[0] for plan in plans)
+        grown.append(sizes[0] - start[0])
+    assert grown[0] > 0 == grown[1]
 
 
 def test_kept_edges_are_those_ldiv_gives():
     # each trial's plan groups its pairs by edge as the ids ldiv gives
     # them do (see ``oracles.check_edge_layout``): in a trial repaired in
     # full ldiv answers from the memo, forming nothing; a replayed trial
-    # memoizes nothing, so ldiv forms each quotient with a renamed id, and
-    # it must land on an id the table holds, adding no element
+    # memoizes nothing, so ldiv forms each quotient with an id the trial
+    # added, and it must land on an id the table holds, adding no element
     kept = []
     for cycle in _EDGE_CYCLES:
         for seed in (0, 1):
-            hom, first = inhom_to_hom(cycle), None
-            for table, plan, ids in _trials(hom, seed):
+            hom = inhom_to_hom(cycle)
+            base = len(hom.table.elements)
+            for k, (table, plan) in enumerate(_trials(hom, seed)):
                 table.tape = []  # records every product or quotient formed
-                check_edge_layout(table, plan, ids)
-                renamed = [(a, b) for a, b in plan.pairs if (ids[a], ids[b])
-                           != (plan.slots[a], plan.slots[b])]
-                if first is None:
-                    first = plan
-                elif plan is first:  # a replay: trial 1's plan, slots renamed
-                    kept.append((len(plan.pairs) - len(renamed), len(renamed)))
-                # a quotient is formed for each renamed pair (only a replay
-                # has one) whose first element is not the identity
-                assert len(table.tape) == sum(ids[a] != table.identity
-                                              for a, _ in renamed)
+                check_edge_layout(table, plan)
+                ids, first = plan.slots, first if k else plan
+                added = [a for a, b in plan.pairs
+                         if max(ids[a], ids[b]) >= base]
+                # trial 1 forms nothing; a replay (trial 1's plan and ids)
+                # forms one quotient for each pair with an added id whose
+                # first element is not the identity
+                want = k and sum(ids[a] != table.identity for a in added)
+                assert plan is first and want == len(
+                    [e for e in table.tape if not k or max(e[1:3]) >= base])
+                if k:
+                    kept.append((len(plan.pairs) - len(added), len(added)))
                 table.tape = None
     # not vacuous: every later trial replayed, and (on torsion 12) a
-    # replay has pairs both with and without renamed slots
+    # replay has pairs both with and without added ids
     assert len(kept) == 9 * 2 * len(_EDGE_CYCLES)
-    assert any(k and renamed for k, renamed in kept)
+    assert any(k and added for k, added in kept)
 
 
 def test_every_formed_element_comes_through_one_kernel(monkeypatch):
-    # torsion 6, 10 trials, every later trial a replay: each element the
-    # trials append is an apex (drawn by ``random_sl2``) or a product or
+    # torsion 6, 10 trials, every later trial a replay: each element a
+    # trial adds is an apex (drawn by ``random_sl2``) or a product or
     # quotient whose entries were det-checked (``check_det``), in a trial
     # repaired in full and in a replay alike
     checked, apexes = _forms_counted(monkeypatch), apex_draws(monkeypatch)
     hom = inhom_to_hom(torsion_cycle(6))
-    ends, plans = [len(hom.table.elements)], []
-    for table, plan, _ in _trials(hom, 0):
-        ends.append(len(table.elements))
-        plans.append(plan)
-    drawn = {g.entries() for g, _ in apexes}
-    for lo, hi in zip(ends, ends[1:]):
+    base, plans = len(hom.table.elements), []
+    for table, plan in _trials(hom, 0):
+        drawn = {g.entries() for g, _ in apexes}
         kinds = {(g.entries() in checked, g.entries() in drawn)
-                 for g in hom.table.elements[lo:hi]}
+                 for g in table.elements[base:]}
         # one kind each, and both met in trial 1 and in every replay
         assert kinds == {(False, True), (True, False)}
+        plans.append(plan)
     assert all(plan is plans[0] for plan in plans)  # trials 2-10 replayed
-
-
-def test_replays_leave_the_memos_as_trial_1_left_them(monkeypatch):
-    # torsion 6, seed 0: every term is bad, and each later trial replays.
-    # A replay interns exactly the ids its tape adds, as many as trial 1
-    # added, and memoizes nothing: after ten trials the table answers
-    # trial 1's Log-det edges from its memos, forming nothing, and forms
-    # those of the last replay anew
-    hom = inhom_to_hom(torsion_cycle(6))
-    table, base = hom.table, len(hom.table.elements)
-    runs = [(len(t.elements), plan, ids) for t, plan, ids in _trials(hom, 0)]
-    added = runs[0][0] - base
-    assert added > 0
-    assert [n for n, _, _ in runs] == [base + k * added for k in range(1, 11)]
-    formed, plan = _forms_counted(monkeypatch), runs[0][1]
-    for (_, _, ids), forms in ((runs[0], False), (runs[-1], True)):
-        formed.clear()
-        for a, b in plan.pairs:
-            table.ldiv(ids[a], ids[b])
-        assert bool(formed) == forms
 
 
 def test_replays_report_as_full_repairs():

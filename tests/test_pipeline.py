@@ -24,8 +24,8 @@ from extbloch.pipeline import (ConfigTuple, ccs_value, lambda_hat,
                                psi_v, sigma_hat)
 
 import report_digest
-from conftest import (Draws, goodness_tests, large_conjugate, mod1_dist,
-                      refused_apex, small_conjugate)
+from conftest import (Draws, bits, goodness_tests, large_conjugate,
+                      mod1_dist, refused_apex, small_conjugate)
 from oracles import object_path_report, reference_sums
 
 
@@ -583,7 +583,7 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
         outcomes.clear()
         gen, ref = make(seed), make(seed)
         rep = ccs_value(torsion_cycle(6), seed=gen, trials=10)
-        assert [k is None for k in outcomes] == [k == at - 2 for k in range(9)]
+        assert [not k for k in outcomes] == [k == at - 2 for k in range(9)]
         assert rep == object_path_report(torsion_cycle(6), ref, 10)
         assert gen.uniform(-1, 1) == ref.uniform(-1, 1)  # as many draws
 
@@ -591,14 +591,16 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
 @pytest.mark.parametrize("echo", [True, False], ids=["echo", "refused"])
 def test_a_generator_forces_a_fallback(monkeypatch, echo):
     # torsion 6, 4 trials: a generator that hands trial 1's draws out again
-    # makes trial 2's replay land an apex on trial 1's id, and its full
-    # repair is trial 1's; one that plants an apex the reuse test refuses
-    # (``refused_apex``) makes trial 2's replay differ there, and its full
-    # repair draws one more apex.  Trials 1 and 2 alone repair in full, and
-    # the report and the draws taken are those of successive full repairs
+    # makes trial 2 replay trial 1 exactly, no trial repairing in full but
+    # the first, and trial 2's value is trial 1's bit for bit; one that
+    # plants an apex the reuse test refuses (``refused_apex``) makes trial
+    # 2's replay differ there, and its full repair draws one more apex, so
+    # trials 1 and 2 alone repair in full.  Either way the report and the
+    # draws taken are those of successive full repairs
     c, tests = torsion_cycle(6), goodness_tests(monkeypatch)
     first = Draws(random.Random(0))
     lambda_hat(c, first)
+    once = len(tests)  # the goodness tests of one trial in full
     planted = first.taken + (first.taken if echo else refused_apex())
     second = Draws(random.Random(7), planted[len(first.taken):])
     lambda_hat(c, second)
@@ -606,7 +608,8 @@ def test_a_generator_forces_a_fallback(monkeypatch, echo):
     tests.clear()
     gen, ref = (Draws(random.Random(7), planted) for _ in range(2))
     rep = ccs_value(c, gen, trials=4)
-    assert len(tests) == full
+    assert len(tests) == (once if echo else full)
+    assert (bits(rep.trials[1]) == bits(rep.trials[0])) == echo
     assert rep == object_path_report(c, ref, 4) and gen.taken == ref.taken
 
 
@@ -641,7 +644,7 @@ def test_every_later_trial_replays_without_a_fallback(monkeypatch):
 
 
 def test_a_replay_moves_the_first_trials_ids_by_one_offset():
-    # a replay's ids are trial 1's moved by the table's growth since trial 1
+    # a replay holds trial 1's ids, the table rewound to where trial 1
     # began, so a later trial evaluates what a full repair gives: on every
     # digest corpus cycle that repairs (a boundary's terms are all good) the
     # report is the object path's.  The fallback test moves past a fallback
