@@ -592,11 +592,17 @@ class _ConeRepairer:
     memoized by the canonical id tuple so shared faces get identical
     images, and extended equivariantly.  Images are (coefficient, ids)
     lists, merged as ``linear`` merges: equal tuples add, zeros drop.
+    Apex candidates come first from ``drawn`` as handed in, then from
+    ``random_sl2`` on ``rng``; every candidate taken, kept or refused,
+    stays in ``drawn`` in draw order (see ``_repairs``).
     """
 
-    def __init__(self, rng, table: SymbolTable):
+    def __init__(self, rng, table: SymbolTable,
+                 drawn: Sequence[GroupElement] = ()):
         self.rng = rng
         self.table = table
+        self.drawn = list(drawn)
+        self._taken = 0  # candidates taken from ``drawn``
         self._memo: dict[Ids, tuple[_Terms, _Terms]] = {}
         self._apex: dict[int, int] = {}  # tuple length -> current apex id
 
@@ -610,8 +616,12 @@ class _ConeRepairer:
         return True
 
     def _generic_avoiding(self, ids: Sequence[int]) -> GroupElement:
+        drawn = self.drawn
         for _ in range(APEX_ATTEMPTS):
-            g = random_sl2(self.rng)
+            if self._taken == len(drawn):
+                drawn.append(random_sl2(self.rng))
+            g = drawn[self._taken]
+            self._taken += 1
             if self._clears(g, ids):
                 return g
         raise RepairFailed(
@@ -682,17 +692,19 @@ class _ConeRepairer:
         return [(c, t) for t, c in acc.items() if c]
 
 
-def _repair_core(hom: HomChain, rng) -> tuple[_Terms, _Terms, _Terms]:
+def _repair_core(hom: HomChain, rng, drawn: Sequence[GroupElement] = ()
+                 ) -> tuple[_Terms, _Terms, _Terms]:
     """Repair of a homogeneous cycle interned for this evaluation: the
     merged (coefficient, ids) lists phi(B), phi = hom - B + phi(B) and
-    H = H(B) for its bad part B, off one apex per degree from rng (redrawn
-    for a tuple it does not clear).  Checks that phi(B) is good (kept
-    tuples are) and the certificate dH(B) = phi(B) - B.  Builds no chain."""
+    H = H(B) for its bad part B, off one apex per degree from the
+    candidates ``drawn``, then from rng (redrawn for a tuple it does not
+    clear).  Checks that phi(B) is good (kept tuples are) and the
+    certificate dH(B) = phi(B) - B.  Builds no chain."""
     table = hom.table
     good, bad = [], []
     for term in hom.pairs():
         (good if table.good(term[1]) else bad).append(term)
-    rep = _ConeRepairer(rng, table)
+    rep = _ConeRepairer(rng, table, drawn)
     imgs = [(c, rep.images(ids)) for c, ids in bad]
     phi_bad = rep.linear(((c, img[0]) for c, img in imgs), True)
     _check_good(table, phi_bad)
@@ -709,20 +721,20 @@ def _repairs(hom: HomChain, rng, trials: int):
     """The ``_Plan`` of each of ``trials`` trials of one evaluation of
     ``hom``, yielded in turn, each drawn from ``rng`` only when asked for
     (so v, drawn between trials, falls between them), its slots holding
-    ids of ``hom.table``.  With more than one trial, the table is marked
-    before the first, whose repair and plan record the table's tape, and
-    rewound to that mark before each later trial, so every trial starts
-    from the table ``_checked_cycle`` left.  A later trial replays the
-    tape (``_replay``) and gives the first trial's plan on the same ids,
-    or rewinds again and repairs in full on the same draws when a decision
-    differs.  The plan's pairs with an id from ``base`` (the table's
-    length at the mark) on, phi(B)'s (good terms hold input ids only), are
-    taken once and tested at ``tol`` on each replay's elements; a hit
-    raises RepairFailed (``_check_good``)."""
+    ids of ``hom.table``.  The table is marked before the first trial,
+    whose repair and plan record the table's tape, and rewound to that
+    mark before each later one, so every trial starts from the table
+    ``_checked_cycle`` left; a single trial is the first and has no later
+    one.  A later trial replays the tape (``_replay``) through a
+    ``_ConeRepairer`` of its own and gives the first trial's plan on the
+    same ids, or, when a decision differs, rewinds again and repairs in
+    full, handed the replay's apex candidates (``drawn``) before it draws
+    anew, as a full repair on the same draws takes them.  The plan's
+    pairs with an id from ``base`` (the table's length at the mark) on,
+    phi(B)'s (good terms hold input ids only), are taken once and tested
+    at ``tol`` on each replay's elements; a hit raises RepairFailed
+    (``_check_good``)."""
     table = hom.table
-    if trials == 1:
-        yield _Plan(table, _repair_core(hom, rng)[1])
-        return
     base, start = len(table.elements), table.mark()
     table.tape = []
     phi_bad, phi, _ = _repair_core(hom, rng)
@@ -734,11 +746,10 @@ def _repairs(hom: HomChain, rng, trials: int):
              if slots[a] >= base or slots[b] >= base]
     for _ in range(trials - 1):
         table.rewind(start)
-        draws = _Rewindable(rng)
-        if not _replay(table, draws, tape, base):
+        rep = _ConeRepairer(rng, table)
+        if not _replay(rep, tape, base):
             table.rewind(start)
-            draws.rewind()
-            yield _Plan(table, _repair_core(hom, draws)[1])
+            yield _Plan(table, _repair_core(hom, rng, rep.drawn)[1])
             continue
         for i, j in pairs:
             if elements[i].sign_equiv(elements[j], tol):
@@ -755,22 +766,23 @@ def _check_good(table: SymbolTable, phi_bad: _Terms) -> None:
         raise RepairFailed(f"cone image not good: offenders {offenders[:3]}")
 
 
-def _replay(table: SymbolTable, rng, tape: list, base: int) -> bool:
-    """Whether this later trial, on the table rewound to the first trial's
-    start (its length then ``base``), makes every decision of the first
-    trial's ``tape``; False as soon as one differs.  Ids are handed out in
-    order and every id the first trial added comes from one step of its
-    tape, so a replay that matches every decision adds its own at the same
-    steps: one pass forms each product or quotient
-    (``SymbolTable._form``) and draws each apex afresh from ``rng`` (the
-    ``random_sl2``/``_clears`` loop), each landing on the recorded id, and
-    takes each reuse test with the recorded outcome.  A product or
-    quotient of ids all below ``base`` is skipped: it forms the first
-    trial's value from the first trial's operands.  Tests no goodness,
-    memoizes nothing, and draws nothing a full repair on the same stream
-    would not draw first."""
+def _replay(rep: _ConeRepairer, tape: list, base: int) -> bool:
+    """Whether this later trial, on ``rep``'s table rewound to the first
+    trial's start (its length then ``base``), makes every decision of the
+    first trial's ``tape``; False as soon as one differs.  Ids are handed
+    out in order and every id the first trial added comes from one step of
+    its tape, so a replay that matches every decision adds its own at the
+    same steps: one pass forms each product or quotient
+    (``SymbolTable._form``) and takes each apex afresh through ``rep``
+    (its candidate loop, which keeps them in ``rep.drawn``), each landing
+    on the recorded id, and takes each reuse test with the recorded
+    outcome.  A product or quotient of ids all below ``base`` is skipped:
+    it forms the first trial's value from the first trial's operands.
+    Tests no goodness, memoizes nothing, and takes no candidate a full
+    repair on the same draws would not take first, so a fallback handed
+    ``rep.drawn`` takes every one of them."""
+    table = rep.table
     elements, form = table.elements, table._form
-    rep = _ConeRepairer(rng, table)
     for op, a, b, r in tape:
         if op <= _LDIV:
             if a < base and b < base and r < base:
@@ -785,26 +797,6 @@ def _replay(table: SymbolTable, rng, tape: list, base: int) -> bool:
         if got != r:
             return False
     return True
-
-
-class _Rewindable:
-    """A generator over ``rng`` that keeps the values its ``uniform`` hands
-    out; after ``rewind`` it hands the same values out again, then draws
-    anew.  Every draw of a repair is ``uniform(-1, 1)``."""
-
-    __slots__ = ("rng", "drawn", "at")
-
-    def __init__(self, rng):
-        self.rng, self.drawn, self.at = rng, [], 0
-
-    def uniform(self, a: float, b: float) -> float:
-        if self.at == len(self.drawn):
-            self.drawn.append(self.rng.uniform(a, b))
-        self.at += 1
-        return self.drawn[self.at - 1]
-
-    def rewind(self) -> None:
-        self.at = 0
 
 
 def repair_with_certificate(c: BarChain, seed) -> RepairResult:

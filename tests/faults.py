@@ -16,7 +16,7 @@ entry; a survivor without one makes the exit status 1.  A test is retired
 or restated only when a run on an export without ``FAULTS_*.json`` (all
 faults through full tier-1) shows every fault it caught still caught.
 
-    python tests/faults.py --out FAULTS_4.json [--label L] [--commit C]
+    python tests/faults.py --out FAULTS_5.json [--label L] [--commit C]
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ FAULTS = [
      "sigma_hat"),
     ("bisection-neighbour-dropped", PIPELINE, "for y in res[j - 1:j + 1]:",
      "for y in res[j:j + 1]:", "report"),
-    # faults planted by hand in earlier changes (see CHANGES.md), and two
-    # in the replay's fallback
+    # faults planted by hand in earlier changes (see CHANGES.md), and three
+    # in the replay's fallback: its plan, and the apex candidates it is
+    # handed
     ("edge-equation-sign", COVERING, '("z0z1", ((+1, 2, 0), (-1, 3, 0)',
      '("z0z1", ((+1, 2, 0), (+1, 3, 0)', "sigma_hat"),
     ("w1-w2-swapped", COVERING,
@@ -103,10 +104,14 @@ FAULTS = [
     ("chain-from-obj-ignores-tol", CHAINIO, "    table = SymbolTable(tol)\n",
      "    table = SymbolTable()\n", "input"),
     ("fallback-plan-replaces-first", CHAINS,
-     "yield _Plan(table, _repair_core(hom, draws)[1])",
-     "yield (plan := _Plan(table, _repair_core(hom, draws)[1]))", "replay"),
-    ("fallback-without-rewind", CHAINS, "            draws.rewind()\n", "",
+     "yield _Plan(table, _repair_core(hom, rng, rep.drawn)[1])",
+     "yield (plan := _Plan(table, _repair_core(hom, rng, rep.drawn)[1]))",
      "replay"),
+    ("fallback-handed-no-candidates", CHAINS,
+     "_repair_core(hom, rng, rep.drawn)", "_repair_core(hom, rng)", "replay"),
+    ("fallback-handed-later-candidates", CHAINS,
+     "_repair_core(hom, rng, rep.drawn)",
+     "_repair_core(hom, rng, rep.drawn[1:])", "replay"),
     ("reuse-outcome-ignored", CHAINS, "if rep._clears(elements[a], b) != r:",
      "if rep._clears(elements[a], b) != r and 0:", "replay"),
     ("first-edge-keyed-by-pair", CHAINS, "e = ldiv(*key)", "e = key",

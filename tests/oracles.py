@@ -10,6 +10,8 @@ A trial plan's Log-det edges are checked against ``ldiv`` and against
 quotients formed here from the entries.  The report ``ccs_value`` must
 give is rebuilt from successive ``lambda_hat`` calls, each a full repair,
 summed through the object path (``to_covering_point``, ``lhat``, ``vol``).
+The order of the group a cycle's elements generate is found by closing
+them under multiplication in a table of its own (``finite_order``).
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ import numbers
 from itertools import combinations, product
 from operator import sub
 
+from extbloch.chains import SymbolTable
 from extbloch.core import as_rng
 from extbloch.covering import to_covering_point
 from extbloch.dilog import TWO_PI_SQ, lhat, vol
-from extbloch.errors import OutOfGrid
+from extbloch.errors import DeterminantError, OutOfGrid
 from extbloch.pipeline import CcsReport, lambda_hat
 
 
@@ -305,3 +308,38 @@ def object_path_report(cycle, seed, trials: int) -> CcsReport:
     return CcsReport(values[0], raws[0], raws[0].imag, values, deviation,
                      {"volume_vs_im_lhat": gap},
                      int(seed) if isinstance(seed, numbers.Integral) else None)
+
+
+ORDER_CAP = 100  # closure elements per distinct element of a chain
+
+
+def finite_order(chain) -> int | None:
+    """The order N of the group that the distinct elements of ``chain``
+    generate, found at the chain's tolerance, or None when the closure
+    passes ``ORDER_CAP`` elements per distinct element or a product is
+    refused (its det is off).  The closure is built under right
+    multiplication in a fresh ``SymbolTable``: generators are taken
+    greedily, each distinct element in first-met order that the closure
+    of those before it does not hold."""
+    elements = chain.table.elements
+    table = SymbolTable(chain.table.tol)
+    distinct = dict.fromkeys(i for _, ids in chain.pairs() for i in ids)
+    cap, gens, group = ORDER_CAP * len(distinct), [], {table.identity}
+    for i in distinct:
+        g = table.intern(elements[i])
+        if g in group:
+            continue
+        gens.append(g)
+        members, group = [table.identity], {table.identity}
+        try:
+            for x in members:  # grows while it is walked
+                for s in gens:
+                    y = table.mul(x, s)
+                    if y not in group:
+                        if len(members) == cap:
+                            return None
+                        group.add(y)
+                        members.append(y)
+        except DeterminantError:
+            return None
+    return len(group)

@@ -725,13 +725,14 @@ def test_cli_eval_of_ten_trials_is_the_library_report(tmp_path, capsys,
     # ccs eval evaluates on the symbol table its file was read into, and
     # over 10 trials replays trials 2-10; its report is, byte for byte,
     # the library's, which keys the parsed chain again at the tolerance
-    # the parse keyed it at.  Besides torsion 6 (every term bad, down to
-    # 1-simplices) and a five-term boundary, the two kinds of file the
-    # bench's deep-single workload reads: a torsion cycle conjugated to
-    # small entries, and a random boundary; a boundary with rounded
-    # entries, a cycle at the default cmp and read at a coarser one too;
-    # a torsion cycle that is a cycle only at the coarser cmp its file is
-    # read at; the binary icosahedral class (a non-abelian repair); and
+    # the parse keyed it at, and so is its one-trial report (deep-single's
+    # path: trial 1 with no later trial).  Besides torsion 6 (every term
+    # bad, down to 1-simplices) and a five-term boundary, the two kinds of
+    # file the bench's deep-single workload reads: a torsion cycle
+    # conjugated to small entries, and a random boundary; a boundary with
+    # rounded entries, a cycle at the default cmp and read at a coarser one
+    # too; a torsion cycle that is a cycle only at the coarser cmp its file
+    # is read at; the binary icosahedral class (a non-abelian repair); and
     # torsion 5 at a coarser cmp.  Where ``want`` is given, the value is
     # it and the trials agree, within 1e-12
     path = tmp_path / "cycle.json"
@@ -741,6 +742,8 @@ def test_cli_eval_of_ten_trials_is_the_library_report(tmp_path, capsys,
     assert json.loads(capsys.readouterr().out)["is_cycle"] is True
     report = _cli_eval(path, capsys, *extra, trials=10)
     assert report == _library_eval(path, trials=10, tol=tol)
+    assert _cli_eval(path, capsys, *extra, trials=1) == _library_eval(
+        path, trials=1, tol=tol)
     if want is not None:
         got = json.loads(report)
         assert mod1_dist(got["value"][0], want) <= 1e-12

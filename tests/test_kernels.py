@@ -101,7 +101,10 @@ def test_a_replay_tests_renamed_pairs_for_either_sign(monkeypatch, coincide):
     # added id on them: set to +-1 or to its pair's other added element
     # after trial 2's replay, an added id is refused as _repair_core
     # refuses a bad cone image; with nothing set trial 2 is trial 1's plan
-    # on as many elements
+    # on as many elements.  The ``plus`` case plants a state no input
+    # reaches, so it is a guard only: a replayed element within ``tol`` of
+    # its pair's other element gets that element's id when the replay
+    # forms it, and the replay falls back before the pair test runs
     hom = inhom_to_hom(torsion_cycle(6))
     table, real_replay, replayed = hom.table, chains._replay, []
     base = len(table.elements)
@@ -112,8 +115,8 @@ def test_a_replay_tests_renamed_pairs_for_either_sign(monkeypatch, coincide):
     if coincide == "both-moved":
         i, j = next(p for p in pairs if min(p) >= base)
 
-    def replay(table, rng, tape, base):
-        replayed.append(real_replay(table, rng, tape, base))
+    def replay(rep, tape, base):
+        replayed.append(real_replay(rep, tape, base))
         one = GroupElement.identity()
         if coincide != "none":
             table.elements[j] = {"plus": one, "minus": -one}.get(

@@ -24,8 +24,9 @@ from extbloch.pipeline import (ConfigTuple, ccs_value, lambda_hat,
                                psi_v, sigma_hat)
 
 import report_digest
-from conftest import (Draws, bits, goodness_tests, large_conjugate,
-                      mod1_dist, refused_apex, small_conjugate)
+from conftest import (Draws, apex_draws, bits, goodness_tests,
+                      large_conjugate, mod1_dist, refused_apex,
+                      small_conjugate)
 from oracles import object_path_report, reference_sums
 
 
@@ -570,10 +571,10 @@ def test_a_decision_that_differs_falls_back_to_the_full_repair(
 
     real_replay, outcomes = chains._replay, []
 
-    def replay(table, rng, tape, base):
+    def replay(rep, tape, base):
         if len(outcomes) == at - 2:  # the replay of trial ``at``
             tape = mutate(list(tape), base)
-        outcomes.append(real_replay(table, rng, tape, base))
+        outcomes.append(real_replay(rep, tape, base))
         return outcomes[-1]
 
     monkeypatch.setattr(chains, "_check_good", check)
@@ -611,6 +612,30 @@ def test_a_generator_forces_a_fallback(monkeypatch, echo):
     assert len(tests) == (once if echo else full)
     assert (bits(rep.trials[1]) == bits(rep.trials[0])) == echo
     assert rep == object_path_report(c, ref, 4) and gen.taken == ref.taken
+
+
+def test_a_fallback_is_handed_the_apexes_its_replay_drew(monkeypatch):
+    # torsion 6, 4 trials, trial 2's replay refused at a reuse test
+    # (``refused_apex``): its full repair takes the apex candidates the
+    # replay drew before it draws anew.  So the evaluation's ``random_sl2``
+    # calls are those of successive full repairs, each on fresh values of
+    # its own generator, no candidate drawn twice, and the report and the
+    # values taken are theirs too
+    c, tests = torsion_cycle(6), goodness_tests(monkeypatch)
+    first = Draws(random.Random(0))
+    lambda_hat(c, first)
+    once = len(tests)  # the goodness tests of one trial in full
+    gen, ref = (Draws(random.Random(7), first.taken + refused_apex())
+                for _ in range(2))
+    drawn = apex_draws(monkeypatch)
+    rep = ccs_value(c, gen, trials=4)
+    assert len(tests) > once  # a replay tests no goodness: a fallback
+    evaluated, drawn[:] = drawn[:], []
+    assert rep == object_path_report(c, ref, 4) and gen.taken == ref.taken
+    assert all(taken > 0 for _, taken in evaluated)
+    assert len({bits(g) for g, _ in evaluated}) == len(evaluated)
+    assert [(bits(g), n) for g, n in evaluated] == \
+        [(bits(g), n) for g, n in drawn]
 
 
 def test_only_the_first_trial_enters_the_cone_recursion(monkeypatch):

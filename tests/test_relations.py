@@ -8,7 +8,8 @@ by random elements until every entry is at most 4 (the bench's
 a random point, all drawn from standard-library generators with fixed
 seeds, and the binary polyhedral classes of Q8, T* and I*
 (``spherical.py``).  Each relation respells the cycle in a way that keeps
-its class, or maps the class by a known rule, and compares values mod 1.
+its class, or maps the class by a known rule, and compares values mod 1;
+one holds a class of a finite group to the group's order.
 """
 
 import random
@@ -25,6 +26,7 @@ from extbloch.pipeline import ccs_value
 
 import spherical
 from conftest import mod1_dist, small_conjugate
+from oracles import finite_order
 
 MAX_ENTRY = 4.0
 BOUND = 1e-12  # mod 1, for every relation but the shear respelling
@@ -124,12 +126,32 @@ def test_a_shear_respelling_within_cmp_keeps_the_value(name):
     assert distance(value(respelled), value(c)) <= SHEAR_BOUND
 
 
+def _order(name: str) -> int:
+    """The order of the finite group a class was generated over, 0 for a
+    boundary."""
+    return (int(name.split()[1]) if name.startswith("torsion")
+            else FORMS.get(name, (None, 0))[1])
+
+
 def test_the_cycles_are_what_they_were_generated_as():
     # torsion n evaluates to -2/n mod 1, a class of G to -2/|G| and a
     # boundary to 0
     assert len(CYCLES) == 8
     for name, c in CLASSES.items():
-        n = (int(name.split()[1]) if name.startswith("torsion")
-             else FORMS.get(name, (None, 0))[1])
+        n = _order(name)
         want = complex(-2.0 / n % 1.0 if n else 0.0, 0.0)
         assert distance(value(c), want) <= BOUND, name
+
+
+def test_the_order_of_a_finite_group_annihilates_its_classes():
+    # |G| annihilates H_3(G; Z) for a finite group G, so a cycle whose
+    # elements generate G (``finite_order``: the conjugated torsion cycles
+    # and the binary polyhedral classes) has |G| value = 0 mod 1 and no
+    # volume, whatever its frame; the boundaries' elements generate
+    # infinite groups and get no order
+    for name, c in CLASSES.items():
+        n = finite_order(c)
+        assert n == (_order(name) or None), name
+        if n:
+            v = value(c)
+            assert mod1_dist(n * v.real) <= BOUND and abs(v.imag) <= BOUND
